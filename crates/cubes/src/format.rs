@@ -13,14 +13,28 @@
 //!
 //! # Streaming ingestion
 //!
-//! [`read_patterns`] and [`parse_patterns`] stream characters straight
-//! into the packed `(care, value)` plane words of the [`CubeSet`]
-//! backing store — no intermediate `Vec<Bit>` or [`TestCube`] is ever
-//! materialized. Memory is bounded by one line buffer plus one packed
-//! row (`2 · ⌈width/64⌉` words) beyond the output set itself, so
+//! [`read_patterns`] and [`PatternStream`] read each line as bytes into
+//! one reused buffer, and [`PackedBits::from_pattern_ascii`] packs it
+//! straight into the `(care, value)` plane words of the [`CubeSet`]
+//! backing store, 8 bytes per step — no intermediate `Vec<Bit>` or
+//! [`TestCube`] is ever materialized, and a pure `01X` row is never
+//! UTF-8 decoded. Comments, padding and malformed lines take a slow path
+//! that decodes UTF-8 and names the offending character; bytes after a
+//! `#` are ignored whatever their encoding, and any other non-UTF-8 byte
+//! is a [`CubeError::ParseLine`] at its line, like a bad character.
+//! Memory is bounded by one line buffer plus one packed row
+//! (`2 · ⌈width/64⌉` words) beyond the output set itself, so
 //! million-cube pattern files never exist in scalar form.
 //! [`parse_patterns_scalar`] retains the original cube-at-a-time parser
 //! as the differential-test reference and benchmark baseline.
+//!
+//! # Emission
+//!
+//! [`PatternWriter`] (behind [`write_patterns`] and
+//! [`patterns_to_string`]) renders rows with the planes→ASCII kernel
+//! [`PackedBits::write_ascii`] into one reused buffer and writes it
+//! before it would pass 64 KiB, so emit memory is one chunk in both
+//! pipelines.
 
 use std::error::Error;
 use std::fmt;
@@ -79,51 +93,74 @@ impl From<CubeError> for PatternError {
     }
 }
 
-/// Parses one raw pattern line into a packed row. Returns `Ok(None)` for
-/// blank and comment-only lines; `idx` is the 0-based line number used
-/// in errors. This is the single line-level kernel behind every parser
-/// and the windowed [`PatternStream`].
-fn parse_line(idx: usize, line: &str) -> Result<Option<PackedBits>, CubeError> {
+/// Parses one raw pattern line (without its line terminator) into a
+/// packed row. Returns `Ok(None)` for blank and comment-only lines;
+/// `idx` is the 0-based line number used in errors. This is the single
+/// line-level kernel behind every parser and the windowed
+/// [`PatternStream`].
+fn parse_line(idx: usize, line: &[u8]) -> Result<Option<PackedBits>, CubeError> {
     // Fast path: most lines of a large pattern file are pure `01X`
-    // rows, which the branchless kernel packs in one pass with no
-    // comment scan. A `#` (or any other byte) falls through to the
-    // comment-stripping slow path.
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
+    // rows, which the word-parallel kernel packs in one pass with no
+    // comment scan or UTF-8 decode. Padding, a `#` or any other byte
+    // falls through to the slow path.
+    if line.is_empty() {
         return Ok(None);
     }
-    match PackedBits::from_pattern_ascii(trimmed.as_bytes()) {
+    match PackedBits::from_pattern_ascii(line) {
         Ok(row) => Ok(Some(row)),
-        Err(_) => {
-            let content = match trimmed.find('#') {
-                Some(pos) => &trimmed[..pos],
-                None => trimmed,
-            };
-            let content = content.trim_end();
-            if content.is_empty() {
-                return Ok(None);
-            }
-            match PackedBits::from_pattern_ascii(content.as_bytes()) {
-                Ok(row) => Ok(Some(row)),
-                Err(_) => {
-                    // Cold path: rescan as chars for the exact
-                    // offending character (a UTF-8 sequence fails on
-                    // its lead byte). A byte already failed, so some
-                    // char fails; the fallback message keeps this
-                    // branch panic-free regardless.
-                    let message = content
-                        .chars()
-                        .map(Bit::from_char)
-                        .find_map(Result::err)
-                        .map_or_else(|| "unparsable pattern line".to_string(), |e| e.to_string());
-                    Err(CubeError::ParseLine {
-                        line: idx + 1,
-                        message,
-                    })
-                }
-            }
+        Err(_) => parse_line_slow(idx, line),
+    }
+}
+
+/// The comment, padding and error path of [`parse_line`]. Bytes after
+/// the first `#` are ignored whatever their encoding (a `#` byte never
+/// occurs inside a UTF-8 sequence); the rest is decoded as UTF-8 and
+/// trimmed like `str::trim`.
+#[cold]
+fn parse_line_slow(idx: usize, line: &[u8]) -> Result<Option<PackedBits>, CubeError> {
+    let content = match line.iter().position(|&b| b == b'#') {
+        Some(pos) => &line[..pos],
+        None => line,
+    };
+    // On a non-UTF-8 byte, keep the decodable prefix so an earlier bad
+    // character is still the one reported.
+    let (text, bad_byte) = match std::str::from_utf8(content) {
+        Ok(text) => (text.trim(), None),
+        Err(e) => {
+            let prefix = std::str::from_utf8(&content[..e.valid_up_to()]).unwrap_or_default();
+            (prefix.trim_start(), content.get(e.valid_up_to()).copied())
+        }
+    };
+    if bad_byte.is_none() {
+        if text.is_empty() {
+            return Ok(None);
+        }
+        if let Ok(row) = PackedBits::from_pattern_ascii(text.as_bytes()) {
+            return Ok(Some(row));
         }
     }
+    // Name the first offending character, or else the undecodable byte.
+    // The final fallback keeps this branch panic-free regardless.
+    let message = text
+        .chars()
+        .map(Bit::from_char)
+        .find_map(Result::err)
+        .map(|e| e.to_string())
+        .or_else(|| bad_byte.map(|b| format!("invalid pattern byte 0x{b:02X}")))
+        .unwrap_or_else(|| "unparsable pattern line".to_string());
+    Err(CubeError::ParseLine {
+        line: idx + 1,
+        message,
+    })
+}
+
+/// A line read by `read_until` without its `\n` / `\r\n` terminator.
+fn strip_terminator(line: &[u8]) -> &[u8] {
+    let end = line
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |last| last + 1);
+    &line[..end]
 }
 
 /// The width-mismatch error every parser reports, so monolithic and
@@ -151,7 +188,7 @@ impl PatternBuilder {
 
     /// Consumes one raw line (`idx` is 0-based); comments and blank
     /// lines are skipped here so callers just feed every line.
-    fn line(&mut self, idx: usize, line: &str) -> Result<(), CubeError> {
+    fn line(&mut self, idx: usize, line: &[u8]) -> Result<(), CubeError> {
         let Some(row) = parse_line(idx, line)? else {
             return Ok(());
         };
@@ -196,7 +233,7 @@ pub struct PatternStream<R: Read> {
     // so `EINTR` storms are absorbed at the syscall boundary with a
     // bounded budget instead of aborting (or looping) mid-window.
     reader: BufReader<RetryReader<R>>,
-    buf: String,
+    buf: Vec<u8>,
     next_line: usize,
     width: Option<usize>,
     cubes_read: usize,
@@ -208,7 +245,7 @@ impl<R: Read> PatternStream<R> {
     pub fn new(reader: R) -> PatternStream<R> {
         PatternStream {
             reader: BufReader::new(RetryReader::new(reader)),
-            buf: String::new(),
+            buf: Vec::new(),
             next_line: 0,
             width: None,
             cubes_read: 0,
@@ -250,13 +287,13 @@ impl<R: Read> PatternStream<R> {
         let mut bytes = 0usize;
         while count < max_cubes {
             self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
                 break;
             }
             bytes += self.buf.len();
             let idx = self.next_line;
             self.next_line += 1;
-            let Some(row) = parse_line(idx, self.buf.trim_end_matches(['\n', '\r']))? else {
+            let Some(row) = parse_line(idx, strip_terminator(&self.buf))? else {
                 continue;
             };
             if let Some(w) = self.width {
@@ -283,17 +320,26 @@ impl<R: Read> PatternStream<R> {
     }
 }
 
-/// Incremental pattern emission: writes header lines and cubes **one at
-/// a time**, so filled patterns leave the process as each window of the
-/// streaming pipeline retires — no full-set `String` is ever buffered.
+/// The most bytes a [`PatternWriter`] buffers before handing them to
+/// its sink (a row wider than this is buffered alone).
+const CHUNK: usize = 64 * 1024;
+
+/// Incremental pattern emission: renders header lines and cubes into
+/// one reused buffer and hands it to the sink whenever the next line
+/// would take it past a fixed 64 KiB chunk, so filled patterns leave the
+/// process as the windows of the streaming pipeline retire. Emit memory
+/// is one chunk (or one line, for rows wider than a chunk), whatever the
+/// set size — no full-set `String` is ever buffered.
 ///
-/// All methods surface the writer's I/O errors (callers in the pattern
-/// pipeline wrap them as [`PatternError::Io`]); a broken pipe therefore
-/// aborts the stream at the offending cube instead of panicking. Each
-/// line is rendered into a reused buffer and pushed through the bounded
-/// retry policy in [`crate::retry`], so short writes and `EINTR` storms
-/// up to the budget are absorbed instead of surfacing as spurious
-/// failures.
+/// Rows render through the planes→ASCII kernel
+/// ([`PackedBits::write_ascii`]). All methods surface the writer's I/O
+/// errors (callers in the pattern pipeline wrap them as
+/// [`PatternError::Io`]); a broken pipe therefore aborts the stream at
+/// the chunk that hit it instead of panicking. Each chunk goes through
+/// the bounded retry policy in [`crate::retry`], so short writes and
+/// `EINTR` storms up to the budget are absorbed instead of surfacing as
+/// spurious failures. [`PatternWriter::finish`] writes the last partial
+/// chunk; a writer dropped without it discards that chunk.
 ///
 /// ```
 /// use dpfill_cubes::format::{parse_patterns, PatternWriter};
@@ -308,22 +354,34 @@ impl<R: Read> PatternStream<R> {
 /// ```
 pub struct PatternWriter<W: Write> {
     writer: W,
-    line: Vec<u8>,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> PatternWriter<W> {
-    /// Wraps a writer (pass a `BufWriter` for unbuffered sinks).
+    /// Wraps a writer. The writer batches into 64 KiB chunks itself, so
+    /// the sink needs no buffering of its own.
     pub fn new(writer: W) -> PatternWriter<W> {
         PatternWriter {
             writer,
-            line: Vec::new(),
+            buf: Vec::with_capacity(CHUNK),
         }
     }
 
-    /// Pushes the rendered line buffer through the bounded retry
-    /// policy: short writes loop, `EINTR` is absorbed up to the budget.
-    fn emit(&mut self) -> io::Result<()> {
-        retry::write_all(&mut self.writer, &self.line)
+    /// Pushes the buffer through the bounded retry policy (short writes
+    /// loop, `EINTR` is absorbed up to the budget) and empties it.
+    fn drain(&mut self) -> io::Result<()> {
+        retry::write_all(&mut self.writer, &self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Makes room for `bytes` more: drains the buffer first if they
+    /// would take it past a chunk.
+    fn reserve(&mut self, bytes: usize) -> io::Result<()> {
+        if self.buf.len() + bytes > CHUNK {
+            self.drain()?;
+        }
+        Ok(())
     }
 
     /// Writes a (possibly multi-line) header comment.
@@ -332,13 +390,13 @@ impl<W: Write> PatternWriter<W> {
     ///
     /// Propagates the writer's I/O error.
     pub fn header(&mut self, header: &str) -> io::Result<()> {
-        self.line.clear();
         for line in header.lines() {
-            // Rendering into the in-memory buffer cannot fail; the
-            // fallible step is the single retried write below.
-            let _ = writeln!(self.line, "# {line}");
+            self.reserve(line.len() + 3)?;
+            self.buf.extend_from_slice(b"# ");
+            self.buf.extend_from_slice(line.as_bytes());
+            self.buf.push(b'\n');
         }
-        self.emit()
+        Ok(())
     }
 
     /// Writes one cube as a `01X` line, straight off its packed planes.
@@ -348,9 +406,10 @@ impl<W: Write> PatternWriter<W> {
     /// Propagates the writer's I/O error.
     pub fn cube(&mut self, cube: &PackedBits) -> io::Result<()> {
         EMIT_CUBES.add(1);
-        self.line.clear();
-        let _ = writeln!(self.line, "{cube}");
-        self.emit()
+        self.reserve(cube.len() + 1)?;
+        cube.write_ascii(&mut self.buf);
+        self.buf.push(b'\n');
+        Ok(())
     }
 
     /// Writes every cube of a set (one retired window, say).
@@ -365,12 +424,14 @@ impl<W: Write> PatternWriter<W> {
         Ok(())
     }
 
-    /// Flushes and returns the underlying writer.
+    /// Writes the last partial chunk, flushes, and returns the
+    /// underlying writer.
     ///
     /// # Errors
     ///
     /// Propagates the writer's I/O error.
     pub fn finish(mut self) -> io::Result<W> {
+        self.drain()?;
         retry::with_retries(retry::MAX_INTERRUPT_RETRIES, retry::is_interrupted, |_| {
             self.writer.flush()
         })?;
@@ -391,14 +452,14 @@ impl<W: Write> PatternWriter<W> {
 pub fn read_patterns<R: Read>(reader: R) -> Result<CubeSet, PatternError> {
     let mut reader = BufReader::new(reader);
     let mut builder = PatternBuilder::new();
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut idx = 0usize;
     loop {
         buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
+        if reader.read_until(b'\n', &mut buf)? == 0 {
             break;
         }
-        builder.line(idx, buf.trim_end_matches(['\n', '\r']))?;
+        builder.line(idx, strip_terminator(&buf))?;
         idx += 1;
     }
     Ok(builder.finish())
@@ -413,7 +474,7 @@ pub fn read_patterns<R: Read>(reader: R) -> Result<CubeSet, PatternError> {
 pub fn parse_patterns(text: &str) -> Result<CubeSet, CubeError> {
     let mut builder = PatternBuilder::new();
     for (idx, line) in text.lines().enumerate() {
-        builder.line(idx, line)?;
+        builder.line(idx, line.as_bytes())?;
     }
     Ok(builder.finish())
 }
@@ -477,21 +538,15 @@ pub fn write_patterns<W: Write>(writer: W, set: &CubeSet, header: Option<&str>) 
     w.finish().map(drop)
 }
 
-/// Renders a cube set to a pattern-format string. Formats straight into
-/// the `String` (writes to memory cannot fail, so this stays panic-free
-/// without an `expect`).
+/// Renders a cube set to a pattern-format string through the same
+/// writer as [`write_patterns`].
 pub fn patterns_to_string(set: &CubeSet, header: Option<&str>) -> String {
-    use fmt::Write as _;
-    let mut out = String::new();
-    if let Some(h) = header {
-        for line in h.lines() {
-            let _ = writeln!(out, "# {line}");
-        }
-    }
-    for cube in set.packed_cubes() {
-        let _ = writeln!(out, "{cube}");
-    }
-    out
+    let mut out = Vec::with_capacity(set.len() * (set.width() + 1));
+    // Writes to memory cannot fail, and the rendered bytes are the
+    // header's UTF-8 plus ASCII rows, so neither fallback is taken; they
+    // keep this panic-free without an `expect`.
+    let _ = write_patterns(&mut out, set, header);
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -668,10 +723,37 @@ mod tests {
     }
 
     #[test]
+    fn pattern_writer_straddling_the_chunk_matches_patterns_to_string() {
+        // Rendered sizes (11 header bytes plus `cubes * (width + 1)`)
+        // just under, exactly at and just past one 64 KiB chunk, then
+        // across two chunks with short and long lines.
+        for (width, cubes) in [(63, 1023), (24, 2621), (63, 1024), (511, 257), (4095, 33)] {
+            let rows: Vec<String> = (0..cubes)
+                .map(|i| {
+                    (0..width)
+                        .map(|j| ['0', '1', 'X'][(i * 7 + j * 3 + i * j) % 3])
+                        .collect()
+                })
+                .collect();
+            let set = parse_patterns(&rows.join("\n")).unwrap();
+            let mut buf = Vec::new();
+            let mut w = PatternWriter::new(&mut buf);
+            w.header("straddle").unwrap();
+            w.set(&set).unwrap();
+            w.finish().unwrap();
+            let expected = patterns_to_string(&set, Some("straddle"));
+            assert_eq!(buf, expected.as_bytes(), "{cubes} x {width}");
+            assert_eq!(expected.len(), 11 + cubes * (width + 1));
+            assert_eq!(parse_patterns(&expected).unwrap(), set);
+        }
+    }
+
+    #[test]
     fn pattern_writer_surfaces_broken_pipe() {
-        // A sink that accepts the header, then breaks — the incremental
-        // writer must surface the error at the offending cube, and the
+        // A sink that accepts the header, then breaks — the writer must
+        // surface the error (at the first chunk it hands over), and the
         // pattern pipeline wraps it as PatternError::Io.
+        #[derive(Debug)]
         struct BrokenPipe {
             remaining: usize,
         }
@@ -688,14 +770,63 @@ mod tests {
                 Ok(())
             }
         }
+        // Inside one chunk nothing is written until `finish`.
         let set = CubeSet::parse_rows(&["0X1X", "1XX0"]).unwrap();
         let mut w = PatternWriter::new(BrokenPipe { remaining: 10 });
         w.header("header!").unwrap(); // "# header!\n" is exactly 10 bytes
-        let err = w.set(&set).unwrap_err();
+        w.set(&set).unwrap();
+        let err = w.finish().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
         let wrapped = PatternError::from(err);
         assert!(matches!(wrapped, PatternError::Io(_)));
         assert!(wrapped.to_string().contains("pipe closed"), "{wrapped}");
+        // A set that passes a chunk fails inside `set` itself.
+        let row = "01X".repeat(100);
+        let big = parse_patterns(&vec![row.as_str(); 300].join("\n")).unwrap();
+        let mut w = PatternWriter::new(BrokenPipe { remaining: 10 });
+        w.header("header!").unwrap();
+        let err = w.set(&big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert!(matches!(PatternError::from(err), PatternError::Io(_)));
+    }
+
+    #[test]
+    fn non_utf8_bytes_fail_at_their_line_unless_commented() {
+        let bad = b"0X\n1\xff\n";
+        let expected = CubeError::ParseLine {
+            line: 2,
+            message: "invalid pattern byte 0xFF".to_owned(),
+        };
+        match read_patterns(&bad[..]) {
+            Err(PatternError::Cube(e)) => assert_eq!(e, expected),
+            other => panic!("expected Cube(ParseLine), got {other:?}"),
+        }
+        let mut stream = PatternStream::new(&bad[..]);
+        assert_eq!(stream.next_window(1).unwrap().unwrap().len(), 1);
+        match stream.next_window(1) {
+            Err(PatternError::Cube(e)) => assert_eq!(e, expected),
+            other => panic!("expected Cube(ParseLine), got {other:?}"),
+        }
+        // An earlier bad character is still the one named; leading
+        // padding before the byte is trimmed first.
+        match read_patterns(&b"0Z\xfe\n"[..]) {
+            Err(PatternError::Cube(CubeError::ParseLine { line, message })) => {
+                assert_eq!((line, message.contains("'Z'")), (1, true), "{message}");
+            }
+            other => panic!("expected ParseLine, got {other:?}"),
+        }
+        match read_patterns(&b" \t\x80X\n"[..]) {
+            Err(PatternError::Cube(CubeError::ParseLine { message, .. })) => {
+                assert_eq!(message, "invalid pattern byte 0x80");
+            }
+            other => panic!("expected ParseLine, got {other:?}"),
+        }
+        // Bytes after `#` are ignored whatever their encoding.
+        let commented = b"# caf\xe9 header\n0X # \xff\xfe\r\n1X\n";
+        let set = read_patterns(&commented[..]).unwrap();
+        assert_eq!(set, parse_patterns("0X\n1X\n").unwrap());
+        let mut stream = PatternStream::new(&commented[..]);
+        assert_eq!(stream.next_window(8).unwrap().unwrap(), set);
     }
 
     #[test]

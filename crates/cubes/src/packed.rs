@@ -87,50 +87,51 @@ impl PackedBits {
     }
 
     /// Packs a `01Xx-` ASCII pattern row straight into plane words — the
-    /// streaming-parser kernel. A 256-entry table maps each byte to its
-    /// `(care, value)` plane bits branchlessly (pattern data is random
-    /// `0/1/X`, so a match would mispredict on nearly every byte), and 64
-    /// characters accumulate into two register words before a single push
-    /// per plane. Returns the first byte outside the alphabet as `Err`
-    /// (multi-byte UTF-8 sequences fail on their lead byte).
+    /// streaming-parser kernel. Each step classifies 8 bytes at once
+    /// with exact SWAR byte-equality masks and gathers the mask high bits
+    /// into 8 plane bits with one multiply, so a 64-pin word costs 8
+    /// branch-free steps. Validity is one flag accumulated over the row
+    /// and checked once at the end. Returns the first byte outside the
+    /// alphabet as `Err` (multi-byte UTF-8 sequences fail on their lead
+    /// byte).
     pub fn from_pattern_ascii(text: &[u8]) -> Result<PackedBits, u8> {
-        // Encoding: bit0 = value, bit1 = care, 0xFF = invalid byte.
-        const INVALID: u8 = 0xFF;
-        const LUT: [u8; 256] = {
-            let mut t = [INVALID; 256];
-            t[b'0' as usize] = 0b10;
-            t[b'1' as usize] = 0b11;
-            t[b'x' as usize] = 0b00;
-            t[b'X' as usize] = 0b00;
-            t[b'-' as usize] = 0b00;
-            t
-        };
         let mut row = PackedBits::with_capacity(text.len());
-        let mut care_w = 0u64;
-        let mut val_w = 0u64;
-        let mut b = 0u32;
-        for &byte in text {
-            let e = LUT[byte as usize];
-            if e == INVALID {
-                return Err(byte);
-            }
-            care_w |= ((e >> 1) as u64) << b;
-            val_w |= ((e & 1) as u64) << b;
-            b += 1;
-            if b == 64 {
-                row.care.push(care_w);
-                row.val.push(val_w);
-                care_w = 0;
-                val_w = 0;
-                b = 0;
-            }
+        let mut invalid = 0u64;
+        let (blocks, tail) = text.as_chunks::<WORD>();
+        for block in blocks {
+            let (care, val, bad) = ascii_to_word(block);
+            row.care.push(care);
+            row.val.push(val);
+            invalid |= bad;
         }
-        if b > 0 {
-            row.care.push(care_w);
-            row.val.push(val_w);
+        if !tail.is_empty() {
+            // `X` padding packs to zero in both planes, so the bits past
+            // `len` stay clear.
+            let mut block = [b'X'; WORD];
+            block[..tail.len()].copy_from_slice(tail);
+            let (care, val, bad) = ascii_to_word(&block);
+            row.care.push(care);
+            row.val.push(val);
+            invalid |= bad;
+        }
+        if invalid != 0 {
+            return Err(first_invalid_byte(text));
         }
         row.len = text.len();
         Ok(row)
+    }
+
+    /// Appends the row as `01X` ASCII to `out` — the emit kernel, the
+    /// inverse of [`PackedBits::from_pattern_ascii`]. Each care byte and
+    /// value byte spreads into 8 output bytes through one 256-entry
+    /// table, so a 64-pin word renders in 8 table steps.
+    pub fn write_ascii(&self, out: &mut Vec<u8>) {
+        let mut rest = self.len;
+        for (&care, &val) in self.care.iter().zip(&self.val) {
+            let n = rest.min(WORD);
+            out.extend_from_slice(&word_to_ascii(care, val)[..n]);
+            rest -= n;
+        }
     }
 
     /// Packs a scalar bit slice.
@@ -720,24 +721,112 @@ impl Iterator for AdjacentConflicts<'_> {
 }
 
 impl std::fmt::Display for PackedBits {
-    /// Renders the row as a `01X` string straight from the planes (no
-    /// scalar materialization; one `write_char` per bit, no per-char
-    /// formatting machinery).
+    /// Renders the row as a `01X` string straight from the planes
+    /// through the emit kernel ([`PackedBits::write_ascii`]).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        use std::fmt::Write as _;
-        for i in 0..self.len {
-            let (w, b) = (i / WORD, i % WORD);
-            let c = if self.care[w] >> b & 1 == 0 {
-                'X'
-            } else if self.val[w] >> b & 1 == 1 {
-                '1'
-            } else {
-                '0'
-            };
-            f.write_char(c)?;
-        }
-        Ok(())
+        let mut ascii = Vec::with_capacity(self.len);
+        self.write_ascii(&mut ascii);
+        f.write_str(std::str::from_utf8(&ascii).map_err(|_| std::fmt::Error)?)
     }
+}
+
+/// One byte per lane repeated across a `u64`.
+const fn splat(byte: u8) -> u64 {
+    0x0101_0101_0101_0101 * byte as u64
+}
+
+/// The high bit of every byte lane.
+const LANE_HIGH: u64 = splat(0x80);
+
+/// High bit of each byte lane of `x` set exactly where that byte equals
+/// `byte`. Exact: the low seven bits are summed separately from the high
+/// bit, so no borrow or carry crosses a lane.
+#[inline]
+fn lanes_equal(x: u64, byte: u8) -> u64 {
+    const LOW7: u64 = splat(0x7F);
+    let t = x ^ splat(byte);
+    !(((t & LOW7) + LOW7) | t) & LANE_HIGH
+}
+
+/// Moves the high bit of byte lane `k` to bit `k`: the eight shifted
+/// copies the multiply makes land on distinct bits, so nothing carries
+/// into the top byte.
+#[inline]
+fn gather_lane_highs(mask: u64) -> u64 {
+    (mask >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
+/// Classifies 8 pattern bytes (byte `k` is pin `k`): 8 care bits, 8
+/// value bits, and a nonzero lane mask if any byte is outside `01Xx-`.
+#[inline]
+fn classify_octet(x: u64) -> (u64, u64, u64) {
+    // `0` and `1` differ only in bit 0, `X` and `x` only in bit 5; a
+    // care lane's value is its bit 0, shifted up to the lane's high bit.
+    let care = lanes_equal(x & !splat(0x01), b'0');
+    let val = care & (x << 7);
+    let dont_care = lanes_equal(x | splat(0x20), b'x') | lanes_equal(x, b'-');
+    let invalid = !(care | dont_care) & LANE_HIGH;
+    (gather_lane_highs(care), gather_lane_highs(val), invalid)
+}
+
+/// Packs 64 pattern bytes into one `(care, value)` word pair plus a
+/// nonzero flag if any byte is invalid.
+#[inline]
+fn ascii_to_word(block: &[u8; WORD]) -> (u64, u64, u64) {
+    let (octets, _) = block.as_chunks::<8>();
+    let (mut care, mut val, mut invalid) = (0u64, 0u64, 0u64);
+    for (k, octet) in octets.iter().enumerate() {
+        let (c, v, bad) = classify_octet(u64::from_le_bytes(*octet));
+        care |= c << (8 * k);
+        val |= v << (8 * k);
+        invalid |= bad;
+    }
+    (care, val, invalid)
+}
+
+/// The first byte of `text` outside `01Xx-`, located with the same
+/// classifier as the kernel. Only called once the kernel has flagged
+/// the row, so the `0` fallback is never taken.
+#[cold]
+fn first_invalid_byte(text: &[u8]) -> u8 {
+    text.chunks(8)
+        .find_map(|chunk| {
+            let mut octet = [b'X'; 8];
+            octet[..chunk.len()].copy_from_slice(chunk);
+            let (_, _, bad) = classify_octet(u64::from_le_bytes(octet));
+            (bad != 0).then(|| octet[bad.trailing_zeros() as usize / 8])
+        })
+        .unwrap_or(0)
+}
+
+/// Byte lane `k` of `SPREAD[b]` is bit `k` of `b`.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            table[b] |= ((b as u64 >> k) & 1) << (8 * k);
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Renders one `(care, value)` word pair as 64 `01X` bytes (pin `k` is
+/// byte `k`): `X` where the care bit is clear, flipped to `0` by the
+/// care bit and on to `1` by the value bit.
+#[inline]
+fn word_to_ascii(care: u64, val: u64) -> [u8; WORD] {
+    let mut out = [0u8; WORD];
+    let (octets, _) = out.as_chunks_mut::<8>();
+    for (k, octet) in octets.iter_mut().enumerate() {
+        let c = SPREAD[(care >> (8 * k)) as u8 as usize];
+        let v = SPREAD[(val >> (8 * k)) as u8 as usize];
+        *octet = (splat(b'X') ^ (c * u64::from(b'X' ^ b'0')) ^ v).to_le_bytes();
+    }
+    out
 }
 
 impl From<&[Bit]> for PackedBits {
@@ -1318,6 +1407,61 @@ mod tests {
                 let packed = PackedBits::from(&cube);
                 assert_eq!(packed.to_bits(), cube.bits(), "len {len}");
                 assert_eq!(packed.x_count(), cube.x_count());
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_parse_classifies_every_byte_at_every_lane() {
+        // Every byte value at lanes that start and end octets and plane
+        // words, in rows of odd and word-boundary widths whose other
+        // bytes cycle through the alphabet. The scalar `Bit::from_char`
+        // is the reference, so bytes one bit away from a valid one
+        // (0xB0, 0xD8, 0x10, 0x0D, ...) must fail exactly like the rest.
+        const ALPHABET: &[u8] = b"01Xx-";
+        for width in [1usize, 8, 9, 63, 64, 65, 129] {
+            let base: Vec<u8> = (0..width).map(|i| ALPHABET[i % ALPHABET.len()]).collect();
+            for col in [0, 7, 8, 63, 64, width - 1] {
+                if col >= width {
+                    continue;
+                }
+                for byte in 0..=u8::MAX {
+                    let mut row = base.clone();
+                    row[col] = byte;
+                    let expected: Result<Vec<Bit>, u8> = row
+                        .iter()
+                        .map(|&b| Bit::from_char(char::from(b)).map_err(|_| b))
+                        .collect();
+                    assert_eq!(
+                        PackedBits::from_pattern_ascii(&row),
+                        expected.map(|bits| PackedBits::from_bits(&bits)),
+                        "byte {byte:#04x} at column {col} of width {width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ascii_render_matches_the_scalar_display_at_every_width() {
+        for width in 0..=130usize {
+            let mut rows: Vec<TestCube> = random_cube_set(width, 4, 0.5, width as u64)
+                .iter()
+                .collect();
+            rows.push(TestCube::new(vec![Bit::X; width]));
+            rows.push(TestCube::new(
+                (0..width)
+                    .map(|i| Bit::from_bool(i % 3 == 0 || i % 7 == 1))
+                    .collect(),
+            ));
+            for cube in rows {
+                let packed = PackedBits::from(&cube);
+                let scalar = TestCube::new(packed.to_bits()).to_string();
+                assert_eq!(packed.to_string(), scalar, "width {width}");
+                let mut out = b"kept".to_vec();
+                packed.write_ascii(&mut out);
+                assert_eq!(&out[..4], b"kept");
+                assert_eq!(&out[4..], scalar.as_bytes(), "width {width}");
             }
         }
     }

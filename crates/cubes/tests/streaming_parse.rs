@@ -115,7 +115,7 @@ proptest! {
     fn malformed_inputs_produce_identical_errors(
         set in arb_cube_set(),
         bad_line in 0usize..10,
-        bad_char in prop_oneof![Just('Z'), Just('2'), Just('?')],
+        bad_char in prop_oneof![Just('Z'), Just('2'), Just('?'), Just('é'), Just('°')],
     ) {
         prop_assume!(!set.is_empty());
         let mut lines: Vec<String> =
@@ -156,6 +156,23 @@ fn empty_and_comment_only_inputs() {
         assert!(streamed.is_empty());
         assert_eq!(streamed.width(), 0);
     }
+}
+
+/// Unicode padding (U+00A0, a two-byte UTF-8 sequence the byte kernel
+/// rejects) is trimmed exactly as the scalar reference's `str::trim`
+/// trims it, by every entry point; inside a row it is a bad character.
+#[test]
+fn non_breaking_space_padding_is_trimmed_like_the_scalar_parser() {
+    let text = "\u{a0}0X1\u{a0}\n\u{a0}\t1X0  \u{a0}# c\u{a0}\n\u{a0}\n";
+    let scalar = parse_patterns_scalar(text).unwrap();
+    assert_eq!(scalar, CubeSet::parse_rows(&["0X1", "1X0"]).unwrap());
+    assert_eq!(parse_patterns(text).unwrap(), scalar);
+    assert_eq!(read_patterns(text.as_bytes()).unwrap(), scalar);
+
+    let inner = "0X1\n1\u{a0}0\n";
+    let streamed = parse_patterns(inner).unwrap_err();
+    assert_eq!(streamed, parse_patterns_scalar(inner).unwrap_err());
+    assert!(matches!(streamed, CubeError::ParseLine { line: 2, .. }));
 }
 
 #[test]

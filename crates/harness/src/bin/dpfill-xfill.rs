@@ -104,7 +104,8 @@ mod exit {
     pub const USAGE: u8 = 2;
     /// Opening or reading the pattern input failed.
     pub const INPUT_IO: u8 = 3;
-    /// A pattern line failed to parse (bad character, ragged width).
+    /// A pattern line failed to parse (bad character, ragged width, or
+    /// a non-UTF-8 byte outside a comment).
     pub const MALFORMED: u8 = 4;
     /// Writing the filled patterns failed (disk full, broken pipe).
     pub const OUTPUT: u8 = 5;
@@ -1003,46 +1004,52 @@ fn run_monolithic(opts: &Options, json: &mut JsonReport) -> Result<(), CliError>
     if cubes.is_empty() {
         return Err(CliError::new(exit::NO_PATTERNS, "no patterns in input"));
     }
+    let objective = objective_for(opts, Some(cubes.width()))?;
+    objective
+        .check_width(cubes.width())
+        .map_err(|e| CliError::new(exit::BAD_WEIGHTS, e.to_string()))?;
 
+    // The `--stats` inputs describe the set as given, so take them
+    // before ordering: the unordered set is then dropped once reordered.
+    let given = if opts.stats || opts.stats_json.is_some() {
+        let baseline = peak_toggles(&FillMethod::Zero.fill(&cubes))
+            .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
+        Some((cubes.len(), cubes.width(), cubes.x_percent(), baseline))
+    } else {
+        None
+    };
     let ordered: CubeSet = match opts.order {
-        None => cubes.clone(),
+        None => cubes,
         Some(method) => {
             let order = method
                 .order(&cubes)
                 .map_err(|e| CliError::new(exit::SOLVE, e.to_string()))?;
-            cubes
+            let reordered = cubes
                 .reordered(&order)
-                .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?
+                .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
+            drop(cubes);
+            reordered
         }
     };
-    let objective = objective_for(opts, Some(ordered.width()))?;
-    objective
-        .check_width(ordered.width())
-        .map_err(|e| CliError::new(exit::BAD_WEIGHTS, e.to_string()))?;
     let filled = opts.fill.fill_with(&ordered, &objective);
     debug_assert!(CubeSet::is_filling_of(&filled, &ordered));
+    drop(ordered);
 
-    if opts.stats || opts.stats_json.is_some() {
-        let before = peak_toggles(&FillMethod::Zero.fill(&cubes))
-            .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
+    if let Some((len, width, x_percent, before)) = given {
         let after = peak_toggles(&filled).map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
         json.push(("mode", json_str("monolithic")));
         json.push(("fill", json_str(opts.fill.label())));
         json.push(("order", json_str(opts.order.map_or("keep", |o| o.label()))));
-        json.push(("cubes", cubes.len().to_string()));
-        json.push(("width", cubes.width().to_string()));
-        json.push(("x_percent", format!("{:.1}", cubes.x_percent())));
+        json.push(("cubes", len.to_string()));
+        json.push(("width", width.to_string()));
+        json.push(("x_percent", format!("{x_percent:.1}")));
         json.push(("baseline_peak", before.to_string()));
         json.push(("peak_toggles", after.to_string()));
         if opts.stats {
             eprintln!(
-                "{} cubes x {} pins, {:.1}% X; peak toggles: 0-fill(as-given) {} -> {} {}",
-                cubes.len(),
-                cubes.width(),
-                cubes.x_percent(),
-                before,
+                "{len} cubes x {width} pins, {x_percent:.1}% X; peak toggles: \
+                 0-fill(as-given) {before} -> {} {after}",
                 opts.fill.label(),
-                after
             );
         }
         if let Some(weights) = objective.weights() {

@@ -270,6 +270,51 @@ fn malformed_cubes_fail_at_the_offending_line_in_both_modes() {
 }
 
 #[test]
+fn non_utf8_bytes_are_malformed_input_at_their_line_in_both_modes() {
+    // A non-UTF-8 byte in a row is a parse failure at its line (exit 4,
+    // the byte named), not an input I/O error; one inside a comment is
+    // ignored like the rest of the comment.
+    fn run_bytes(args: &[&str], input: &[u8]) -> std::process::Output {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dpfill-xfill"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn dpfill-xfill");
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(input).expect("feed stdin");
+        drop(stdin);
+        child.wait_with_output().expect("dpfill-xfill exit")
+    }
+
+    for args in [
+        &["--fill", "dp"][..],
+        &["--fill", "dp", "--window", "1", "--order", "keep"][..],
+        &["--fill", "0", "--window", "1", "--order", "keep"][..],
+    ] {
+        let out = run_bytes(args, b"0X\n1\xff\n");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("line 2") && stderr.contains("invalid pattern byte 0xFF"),
+            "{args:?} stderr: {stderr}"
+        );
+    }
+
+    for args in [
+        &["--order", "keep"][..],
+        &["--order", "keep", "--window", "1"][..],
+    ] {
+        let out = run_bytes(args, b"# caf\xe9 header\n0X # \xff\xfe\n1X\n");
+        assert!(out.status.success(), "{args:?}");
+        let (reference, _, ok) = run_xfill(args, "0X\n1X\n");
+        assert!(ok);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), reference, "{args:?}");
+    }
+}
+
+#[test]
 fn windowed_file_input_and_output_round_trip() {
     // File in, file out — the production shape for huge pattern sets.
     let dir = std::env::temp_dir();
