@@ -1,6 +1,6 @@
 //! The PR-7 acceptance benchmark: the incremental (parametric) BCP
-//! lower bound and the sharded EDF coloring against the retained serial
-//! O(C²) DP path, at C ∈ {1k, 16k, 128k} colors.
+//! lower bound and the EDF coloring against the retained O(C²) DP
+//! path, at C ∈ {1k, 16k, 128k} colors.
 //!
 //! The quadratic DP rows stop at 16k (one 128k iteration alone runs for
 //! minutes); comparing the 1k → 16k growth ratios shows the scaling gap
@@ -22,7 +22,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dpfill_core::bcp::{BcpInstance, BoundMode, ShardSpec, SolveOptions};
+use dpfill_core::bcp::{BcpInstance, SolveOptions};
 use dpfill_core::Interval;
 
 /// `4 * colors` random intervals (mixed spans) plus a light baseline —
@@ -73,43 +73,19 @@ fn bench_bcp_pr7(c: &mut Criterion) {
             });
         }
 
-        // Coloring: serial EDF vs the sharded seam-merge pass.
+        // Coloring: one EDF sweep over the deadline buckets.
         group.bench_function(format!("color/serial/c{colors}"), |b| {
             b.iter(|| black_box(inst.color_edf(lb).expect("feasible").colors().len()))
         });
-        for width in [64usize, 4096] {
-            group.bench_function(format!("color/sharded_w{width}/pool8/c{colors}"), |b| {
-                minipool::with_pool(&pool, || {
-                    b.iter(|| {
-                        black_box(
-                            inst.color_edf_sharded(lb, width)
-                                .expect("feasible")
-                                .colors()
-                                .len(),
-                        )
-                    })
-                })
-            });
-        }
 
         // End to end: bound + coloring + verification.
-        let serial = SolveOptions {
-            bound: BoundMode::Incremental,
-            shards: ShardSpec::Serial,
-            warm_lb: None,
-        };
+        let opts = SolveOptions::default();
         group.bench_function(format!("solve/serial/c{colors}"), |b| {
-            b.iter(|| black_box(inst.solve_with(&serial).expect("solve").lower_bound))
+            b.iter(|| black_box(inst.solve_with(&opts).expect("solve").lower_bound))
         });
-        group.bench_function(format!("solve/auto/pool8/c{colors}"), |b| {
+        group.bench_function(format!("solve/pool8/c{colors}"), |b| {
             minipool::with_pool(&pool, || {
-                b.iter(|| {
-                    black_box(
-                        inst.solve_with(&SolveOptions::default())
-                            .expect("solve")
-                            .lower_bound,
-                    )
-                })
+                b.iter(|| black_box(inst.solve_with(&opts).expect("solve").lower_bound))
             })
         });
     }

@@ -30,57 +30,54 @@
 //! differential testing. The default path certifies the *same value*
 //! without the quadratic sweep:
 //!
-//! 1. **Incremental window ladder** ([`IncrementalBound`]): monotone
-//!    maxima over power-of-two *aligned* color windows, maintainable as
-//!    interval sites arrive (the streaming analyzer feeds it window by
-//!    window, so the bound state grows with the ladder, not the event
-//!    stream). Every ladder candidate is the density of a real window,
-//!    so `current()` never exceeds the true bound — it is a warm start,
-//!    not an approximation that must be trusted.
+//! 1. **Window ladder** ([`IncrementalBound`] online, a one-pass pyramid
+//!    in batch): monotone maxima over power-of-two *aligned* color
+//!    windows. Every ladder candidate is the density of a real window,
+//!    so it never exceeds the true bound — it is a warm start, not an
+//!    approximation that must be trusted.
 //! 2. **Parametric certification**: EDF feasibility at peak `P` is
 //!    monotone in `P`, and the minimum feasible `P` *equals* the
 //!    windowed lower bound — infeasibility below the bound is the
 //!    pigeonhole argument on the violating window, feasibility at the
 //!    bound is Hall's condition. Galloping + k-ary search from the warm
-//!    start finds that minimum with O(log) EDF probes of O(C + k log k)
-//!    each; the k-ary rounds probe one pivot per pool thread
-//!    (deterministic: the answer is the minimum feasible peak however
-//!    the pivots are scheduled).
+//!    start finds that minimum with O(log) EDF probes of O(C + k) each;
+//!    the k-ary rounds probe one pivot per pool thread (deterministic:
+//!    the answer is the minimum feasible peak however the pivots are
+//!    scheduled).
 //!
-//! # How the coloring is sharded
+//! # How the EDF sweeps run
 //!
-//! [`ShardSpec`] splits the colors into disjoint windows. Each shard
-//! runs the EDF sweep *speculatively* in parallel, assuming no interval
-//! is carried across its left seam, and records its placements plus its
-//! carry-out (the pending-deadline heap at the seam). A sequential seam
-//! walk then accepts a shard's speculative result whenever the true
-//! carry-in is empty, and replays the shard serially with the true
-//! carry-in otherwise. The accepted/replayed sweep is exactly the
-//! serial sweep, so the coloring is **byte-identical to the serial
-//! solver at any thread count and any shard width** — the differential
-//! suites pin this. The worst case (every seam carries work) costs one
-//! serial sweep plus the discarded speculation.
+//! Every sweep — feasibility probe, weighted search and coloring — reads
+//! one index built per solve by counting sort: intervals grouped by
+//! start color (when they are *released*) and, per end color (their
+//! *deadline*), a bucket of slots in interval-index order. Slots in
+//! `(deadline, index)` order are exactly the pop order of a binary heap
+//! keyed on `(end, index)`, so no heap is needed:
 //!
-//! Defaults are environment-overridable: `DPFILL_BCP_BOUND=dp` selects
-//! the quadratic DP, `DPFILL_BCP_SHARD=serial|auto|<width>` pins the
-//! shard width (resolved once per process, like `DPFILL_SIMD`).
+//! * **probes** keep one load sum per deadline and a bitset pyramid of
+//!   the non-empty deadlines — intervals sharing a deadline are
+//!   interchangeable for feasibility, so a color drains whole deadline
+//!   sums at a time;
+//! * **exact sweeps** (the colorings and the weighted blocking probe)
+//!   keep a bitset pyramid over slots; each color takes released slots
+//!   in ascending order from its own deadline bucket on, which is the
+//!   heap's order, so colorings and [`BcpError::Infeasible`] reports are
+//!   those of the textbook heap sweep (differential-tested against it).
+//!
+//! The lower-bound engine is environment-overridable:
+//! `DPFILL_BCP_BOUND=dp` selects the quadratic DP (resolved once per
+//! process, like `DPFILL_SIMD`).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::Interval;
 
 /// Solver activity (relaxed no-ops unless a [`minitrace`] sink is
-/// live): ladder maintenance, parametric feasibility probes, and the
-/// per-shard speculation outcomes of the seam walk.
+/// live): ladder maintenance and parametric feasibility probes.
 static BCP_LADDER_LOADS: minitrace::Counter = minitrace::Counter::new("bcp.ladder.loads");
 static BCP_PROBES: minitrace::Counter = minitrace::Counter::new("bcp.probes");
-static BCP_SHARD_ACCEPTED: minitrace::Counter = minitrace::Counter::new("bcp.shard.accepted");
-static BCP_SHARD_REPLAYED: minitrace::Counter = minitrace::Counter::new("bcp.shard.replayed");
 
 /// Errors from BCP construction and solving.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,6 +117,17 @@ pub enum BcpError {
         /// The color whose deadline was missed: an interval ending here
         /// could not be placed by its deadline.
         color: u32,
+    },
+    /// The optimality certificate failed: a unit-load solve colored at
+    /// a verified peak other than the lower bound it certified. EDF
+    /// meets the windowed bound exactly, so this marks a solver bug;
+    /// it is raised in release builds instead of returning a
+    /// suboptimal coloring.
+    BoundNotMet {
+        /// The certified lower bound.
+        bound: u64,
+        /// The verified peak of the coloring.
+        peak: u64,
     },
     /// Arithmetic overflow: the instance's loads exceed `u64`.
     Overflow {
@@ -162,6 +170,13 @@ impl fmt::Display for BcpError {
                     "no coloring exists with peak {peak}: deadline missed at color {color}"
                 )
             }
+            BcpError::BoundNotMet { bound, peak } => {
+                write!(
+                    f,
+                    "optimality certificate failed: coloring peak {peak} differs from \
+                     the certified lower bound {bound}"
+                )
+            }
             BcpError::Overflow { what } => write!(f, "arithmetic overflow computing {what}"),
             BcpError::ZeroLoad { interval } => {
                 write!(
@@ -180,44 +195,13 @@ impl Error for BcpError {}
 /// How the solver certifies the lower bound.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BoundMode {
-    /// Incremental window ladder + parametric EDF certification
-    /// (default; sub-quadratic).
+    /// Window ladder + parametric EDF certification (default;
+    /// sub-quadratic).
     #[default]
     Incremental,
     /// The published Algorithm 1 row DP — O(C²), retained behind this
     /// flag for differential cross-checks (`DPFILL_BCP_BOUND=dp`).
     QuadraticDp,
-}
-
-/// How the EDF coloring pass is sharded across color windows.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// One shard per pool thread (serial when the pool has one thread).
-    #[default]
-    Auto,
-    /// Fixed shard width in colors (clamped to at least 1).
-    Width(usize),
-    /// Single serial sweep, no speculation.
-    Serial,
-}
-
-impl ShardSpec {
-    /// The shard width in colors this spec resolves to for an instance
-    /// of `num_colors` colors under the current pool.
-    pub fn resolve_width(self, num_colors: usize) -> usize {
-        match self {
-            ShardSpec::Serial => usize::MAX,
-            ShardSpec::Width(w) => w.max(1),
-            ShardSpec::Auto => {
-                let threads = minipool::current_threads().max(1);
-                if threads <= 1 {
-                    usize::MAX
-                } else {
-                    num_colors.div_ceil(threads).max(1)
-                }
-            }
-        }
-    }
 }
 
 /// Configuration of [`BcpInstance::solve_with`] /
@@ -226,8 +210,6 @@ impl ShardSpec {
 pub struct SolveOptions {
     /// Lower-bound engine.
     pub bound: BoundMode,
-    /// EDF shard layout.
-    pub shards: ShardSpec,
     /// A warm lower bound the caller already certified *for the
     /// generalized (baseline-aware) objective* — typically
     /// [`IncrementalBound::current`] maintained while the instance was
@@ -241,8 +223,7 @@ static ENV_SOLVE: OnceLock<SolveOptions> = OnceLock::new();
 
 impl SolveOptions {
     /// Process-wide defaults: [`SolveOptions::default`] overridden by
-    /// `DPFILL_BCP_BOUND` (`dp` / `incremental`) and `DPFILL_BCP_SHARD`
-    /// (`serial` / `auto` / a shard width in colors), resolved once and
+    /// `DPFILL_BCP_BOUND` (`dp` / `incremental`), resolved once and
     /// cached — the same env-override shape as `DPFILL_SIMD`.
     /// Unrecognized values fall back to the defaults.
     pub fn from_env() -> SolveOptions {
@@ -251,17 +232,6 @@ impl SolveOptions {
             if let Ok(v) = std::env::var("DPFILL_BCP_BOUND") {
                 if matches!(v.as_str(), "dp" | "quadratic") {
                     opts.bound = BoundMode::QuadraticDp;
-                }
-            }
-            if let Ok(v) = std::env::var("DPFILL_BCP_SHARD") {
-                match v.as_str() {
-                    "serial" => opts.shards = ShardSpec::Serial,
-                    "auto" | "" => {}
-                    w => {
-                        if let Ok(n) = w.parse::<usize>() {
-                            opts.shards = ShardSpec::Width(n.max(1));
-                        }
-                    }
                 }
             }
             opts
@@ -378,96 +348,258 @@ impl IncrementalBound {
     }
 }
 
-/// The EDF sweep over colors `range`, carrying the pending-deadline
-/// heap in and out (so shards and probes replay exactly the serial
-/// sweep from any seam). At each color: push the intervals starting
-/// there, then pop up to `capacity(t)` earliest deadlines and `place`
-/// them. Returns the deadline color of the first missed interval.
-///
-/// The heap key `(end, index)` is a total order, so the pop sequence —
-/// and with it every placement — is independent of insertion order and
-/// heap internals: carry-in rebuilt from a drained heap behaves
-/// identically to the heap the serial sweep would hold at that seam.
-fn edf_span<F: Fn(usize) -> u64>(
-    intervals: &[Interval],
-    by_start: &[Vec<u32>],
-    range: Range<usize>,
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-    capacity: &F,
-    mut place: impl FnMut(u32, u32),
-) -> Result<(), u32> {
-    for t in range {
-        for &idx in &by_start[t] {
-            heap.push(Reverse((intervals[idx as usize].end(), idx)));
-        }
-        let quota = capacity(t);
-        let mut used = 0u64;
-        while used < quota {
-            match heap.pop() {
-                Some(Reverse((end, idx))) => {
-                    if (end as usize) < t {
-                        // A deadline was missed: the quota was too
-                        // small at some earlier color.
-                        return Err(end);
-                    }
-                    place(idx, t as u32);
-                    used += 1;
-                }
-                None => break,
-            }
-        }
-        // With the quota exhausted (possibly zero), a pending deadline
-        // before `t` is already unmeetable; failing here instead of at
-        // the next pop reports the same earliest deadline (later pushes
-        // start at later colors) and lets infeasible probes bail early.
-        if let Some(&Reverse((end, _))) = heap.peek() {
-            if (end as usize) < t {
-                return Err(end);
-            }
-        }
-    }
-    Ok(())
+/// A bitset with a summary pyramid: bit `i` of level `l + 1` is set
+/// exactly when word `i` of level `l` is non-zero. Insert, remove and
+/// "next member at or after `i`" each touch at most one word per level,
+/// so the EDF sweeps find their next deadline or slot in O(log₆₄ n)
+/// word operations however sparse the set is.
+struct BitPyramid {
+    levels: Vec<Vec<u64>>,
 }
 
-/// Weighted variant of [`edf_span`]: each interval carries an integral
-/// load and a color accepts intervals earliest-deadline-first while the
-/// heap head still fits the remaining quota ("blocking" EDF — the head
-/// blocks the color even when a lighter later-deadline interval would
-/// fit, which keeps the sweep a pure function of the carry-in heap and
-/// the quota and therefore seam-replayable across shards). With
-/// all-unit loads the placements and the reported misses are exactly
-/// [`edf_span`]'s. `loads` may be shorter than `intervals` (missing
-/// entries are unit), matching [`BcpInstance`]'s lazy representation.
-fn edf_span_weighted<F: Fn(usize) -> u64>(
-    intervals: &[Interval],
-    loads: &[u64],
-    by_start: &[Vec<u32>],
-    range: Range<usize>,
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-    capacity: &F,
-    mut place: impl FnMut(u32, u32),
-) -> Result<(), u32> {
-    for t in range {
-        for &idx in &by_start[t] {
-            heap.push(Reverse((intervals[idx as usize].end(), idx)));
-        }
-        let quota = capacity(t);
-        let mut used = 0u64;
-        while let Some(&Reverse((end, idx))) = heap.peek() {
-            if (end as usize) < t {
-                // Deadline missed: some earlier color was overfull.
-                return Err(end);
+impl BitPyramid {
+    /// An empty set over positions `0..n`.
+    fn new(n: usize) -> BitPyramid {
+        let mut levels = Vec::new();
+        let mut words = n.div_ceil(64).max(1);
+        loop {
+            levels.push(vec![0u64; words]);
+            if words == 1 {
+                return BitPyramid { levels };
             }
-            let w = loads.get(idx as usize).copied().unwrap_or(1);
-            if used.saturating_add(w) > quota {
-                break;
-            }
-            heap.pop();
-            place(idx, t as u32);
-            used += w;
+            words = words.div_ceil(64);
         }
     }
-    Ok(())
+
+    fn insert(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i >> 6];
+            let was_empty = *word == 0;
+            *word |= 1 << (i & 63);
+            if !was_empty {
+                return;
+            }
+            i >>= 6;
+        }
+    }
+
+    fn remove(&mut self, mut i: usize) {
+        for level in &mut self.levels {
+            let word = &mut level[i >> 6];
+            *word &= !(1 << (i & 63));
+            if *word != 0 {
+                return;
+            }
+            i >>= 6;
+        }
+    }
+
+    /// The smallest member `>= i`.
+    fn next(&self, mut i: usize) -> Option<usize> {
+        // Climb until some word holds a member at or after `i`...
+        let mut l = 0;
+        loop {
+            let w = i >> 6;
+            let bits = self.levels[l].get(w)? & (!0u64 << (i & 63));
+            if bits != 0 {
+                i = (w << 6) | bits.trailing_zeros() as usize;
+                break;
+            }
+            l += 1;
+            if l == self.levels.len() {
+                return None;
+            }
+            i = w + 1;
+        }
+        // ...then descend along the lowest non-empty words.
+        while l > 0 {
+            l -= 1;
+            i = (i << 6) | self.levels[l][i].trailing_zeros() as usize;
+        }
+        Some(i)
+    }
+}
+
+/// The deadline buckets every EDF sweep of one solve shares, built once
+/// by counting sort. Interval `i` is *released* at its start color and
+/// *due* at its end color.
+///
+/// * `release_*[release_off[t]..release_off[t + 1]]` are the intervals
+///   released at color `t` (interval-index order): each one's deadline,
+///   its load (weighted probes only) and its slot (exact sweeps only).
+/// * `slot_interval[deadline_off[e]..deadline_off[e + 1]]` is deadline
+///   `e`'s bucket: its intervals in index order. Slots therefore run in
+///   `(end, index)` order — the order a heap keyed on `(end, index)`
+///   pops them.
+///
+/// Interval indices and slots are `u32`, like [`Coloring`]'s colors.
+struct Deadlines {
+    release_off: Vec<usize>,
+    release_end: Vec<u32>,
+    /// Empty when the sweeps run on unit loads.
+    release_load: Vec<u64>,
+    /// Empty unless built for exact sweeps.
+    release_slot: Vec<u32>,
+    deadline_off: Vec<usize>,
+    /// Empty unless built for exact sweeps.
+    slot_interval: Vec<u32>,
+}
+
+impl Deadlines {
+    /// Buckets `inst`'s intervals. `weighted` records each release's
+    /// load (otherwise probes count every interval as 1); `exact` adds
+    /// the slot order the exact sweeps pop from.
+    fn new(inst: &BcpInstance, weighted: bool, exact: bool) -> Deadlines {
+        let c = inst.num_colors;
+        let k = inst.intervals.len();
+        let mut release_off = vec![0usize; c + 1];
+        let mut deadline_off = vec![0usize; if exact { c + 1 } else { 0 }];
+        for iv in &inst.intervals {
+            release_off[iv.start() as usize + 1] += 1;
+            if exact {
+                deadline_off[iv.end() as usize + 1] += 1;
+            }
+        }
+        for t in 0..c {
+            release_off[t + 1] += release_off[t];
+            if exact {
+                deadline_off[t + 1] += deadline_off[t];
+            }
+        }
+        let weighted = weighted && !inst.loads.is_empty();
+        let mut release_end = vec![0u32; k];
+        let mut release_load = vec![0u64; if weighted { k } else { 0 }];
+        let mut release_slot = vec![0u32; if exact { k } else { 0 }];
+        let mut slot_interval = vec![0u32; if exact { k } else { 0 }];
+        let mut next_release = release_off.clone();
+        let mut next_slot = deadline_off.clone();
+        for (i, iv) in inst.intervals.iter().enumerate() {
+            let r = &mut next_release[iv.start() as usize];
+            release_end[*r] = iv.end();
+            if weighted {
+                release_load[*r] = inst.loads[i];
+            }
+            if exact {
+                let s = &mut next_slot[iv.end() as usize];
+                release_slot[*r] = *s as u32;
+                slot_interval[*s] = i as u32;
+                *s += 1;
+            }
+            *r += 1;
+        }
+        Deadlines {
+            release_off,
+            release_end,
+            release_load,
+            release_slot,
+            deadline_off,
+            slot_interval,
+        }
+    }
+
+    /// Do the probes weigh intervals by their loads?
+    fn weighted(&self) -> bool {
+        !self.release_load.is_empty()
+    }
+
+    /// Can every load be placed within per-color capacity `capacity`,
+    /// each color filling its earliest deadlines first? Loads are
+    /// divisible (a color may take part of a deadline's sum), which is
+    /// exact for unit loads — intervals sharing a deadline are
+    /// interchangeable — and the fractional relaxation for weighted
+    /// ones. Sums are `u128`: `k` loads of up to `u64::MAX` each cannot
+    /// overflow them, so no load is ever lost to saturation.
+    fn feasible(&self, capacity: impl Fn(usize) -> u64, load: impl Fn(usize) -> u64) -> bool {
+        let c = self.release_off.len() - 1;
+        let mut due = vec![0u128; c];
+        let mut open = BitPyramid::new(c);
+        for t in 0..c {
+            for r in self.release_off[t]..self.release_off[t + 1] {
+                let e = self.release_end[r] as usize;
+                if due[e] == 0 {
+                    open.insert(e);
+                }
+                due[e] += u128::from(load(r));
+            }
+            // Every deadline before `t - 1` drained at an earlier color.
+            if t > 0 && due[t - 1] > 0 {
+                return false;
+            }
+            let mut quota = u128::from(capacity(t));
+            let mut from = t;
+            while quota > 0 {
+                let Some(e) = open.next(from) else {
+                    break;
+                };
+                let take = quota.min(due[e]);
+                due[e] -= take;
+                quota -= take;
+                if due[e] > 0 {
+                    break;
+                }
+                open.remove(e);
+                from = e + 1;
+            }
+        }
+        open.next(0).is_none()
+    }
+
+    /// The exact EDF sweep: at each color, release the intervals
+    /// starting there, then take pending intervals in `(end, index)`
+    /// order while the head's load fits the color's remaining
+    /// `capacity` ("blocking" EDF: the head blocks the color even when a
+    /// lighter later-deadline interval would fit; the fit test is
+    /// checked, so loads never sum past `u64::MAX`). Each placement is
+    /// reported to `place(interval, color)`. Returns the deadline of
+    /// the first missed interval.
+    ///
+    /// A missed deadline is always the previous color's: each color
+    /// first checks that bucket, so an interval due at `t − 1` still
+    /// pending at `t` fails exactly where a heap sweep would pop or
+    /// peek it, and with unit loads the placements are the textbook
+    /// quota-`capacity(t)` EDF's.
+    fn sweep(
+        &self,
+        capacity: impl Fn(usize) -> u64,
+        load: impl Fn(usize) -> u64,
+        mut place: impl FnMut(usize, u32),
+    ) -> Result<(), u32> {
+        let c = self.release_off.len() - 1;
+        let mut pending = BitPyramid::new(self.slot_interval.len());
+        let mut waiting = 0usize;
+        for t in 0..c {
+            let released = self.release_off[t]..self.release_off[t + 1];
+            waiting += released.len();
+            for &slot in &self.release_slot[released] {
+                pending.insert(slot as usize);
+            }
+            if waiting == 0 {
+                continue;
+            }
+            let mut head = pending.next(self.deadline_off[t.saturating_sub(1)]);
+            if t > 0 && head.is_some_and(|s| s < self.deadline_off[t]) {
+                return Err(t as u32 - 1);
+            }
+            let quota = capacity(t);
+            let mut used = 0u64;
+            while let Some(s) = head {
+                let i = self.slot_interval[s] as usize;
+                match used.checked_add(load(i)) {
+                    Some(next) if next <= quota => used = next,
+                    _ => break,
+                }
+                pending.remove(s);
+                waiting -= 1;
+                place(i, t as u32);
+                head = pending.next(s + 1);
+            }
+        }
+        match waiting {
+            0 => Ok(()),
+            // Everything still pending is due at the last color.
+            _ => Err(c as u32 - 1),
+        }
+    }
 }
 
 /// A BCP instance: intervals over `num_colors` colors plus optional
@@ -673,7 +805,7 @@ impl BcpInstance {
     ///
     /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
     pub fn lower_bound_paper(&self) -> Result<u64, BcpError> {
-        self.certified_bound(false, None)
+        self.certified_bound(&Deadlines::new(self, false, false), false, None)
     }
 
     /// Generalized lower bound for the true objective
@@ -691,11 +823,8 @@ impl BcpInstance {
     /// though the integral weighted optimum may exceed it (the problem
     /// is NP-hard).
     pub fn lower_bound(&self) -> Result<u64, BcpError> {
-        if self.is_unit() {
-            self.certified_bound(true, None)
-        } else {
-            self.certified_bound_weighted(None)
-        }
+        let weighted = !self.is_unit();
+        self.certified_bound(&Deadlines::new(self, weighted, false), true, None)
     }
 
     /// Algorithm 1 verbatim: the O(C²) row dynamic program over
@@ -919,99 +1048,143 @@ impl BcpInstance {
         Ok(best)
     }
 
-    /// Indices of intervals grouped by start color.
-    fn by_start(&self) -> Vec<Vec<u32>> {
-        let mut by_start: Vec<Vec<u32>> = vec![Vec::new(); self.num_colors];
-        for (idx, iv) in self.intervals.iter().enumerate() {
-            by_start[iv.start() as usize].push(idx as u32);
-        }
-        by_start
-    }
-
-    /// Can every interval be placed with peak `peak`? One EDF sweep,
-    /// O(C + k log k); monotone in `peak`.
-    fn probe_feasible(&self, by_start: &[Vec<u32>], peak: u64, with_baseline: bool) -> bool {
+    /// Can every interval be placed with peak `peak` (per-color capacity
+    /// `peak − baseline_t` when `with_baseline`, else `peak`)? One
+    /// deadline-sum sweep, O(C + k); monotone in `peak`. On weighted
+    /// buckets this is the fractional relaxation: preemptive EDF is
+    /// optimal for divisible jobs with release times and deadlines, and
+    /// the minimum feasible integral peak equals
+    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
+    /// (Gale–Hoffman on contiguous windows) — a true lower bound for
+    /// the integral weighted problem.
+    fn probe_feasible(&self, dl: &Deadlines, peak: u64, with_baseline: bool) -> bool {
         BCP_PROBES.add(1);
-        let mut heap = BinaryHeap::with_capacity(self.intervals.len());
-        let placed = if with_baseline {
-            edf_span(
-                &self.intervals,
-                by_start,
-                0..self.num_colors,
-                &mut heap,
-                &|t| peak.saturating_sub(self.baseline[t]),
-                |_, _| {},
-            )
-        } else {
-            edf_span(
-                &self.intervals,
-                by_start,
-                0..self.num_colors,
-                &mut heap,
-                &|_| peak,
-                |_, _| {},
-            )
+        let capacity = |t: usize| {
+            if with_baseline {
+                peak.saturating_sub(self.baseline[t])
+            } else {
+                peak
+            }
         };
-        placed.is_ok() && heap.is_empty()
+        if dl.weighted() {
+            dl.feasible(capacity, |r| dl.release_load[r])
+        } else {
+            dl.feasible(capacity, |_| 1)
+        }
     }
 
-    /// The batch form of the [`IncrementalBound`] ladder: each
-    /// power-of-two level chunks the color range into aligned windows,
-    /// per-level maxima are computed in parallel on the current pool and
-    /// merged by `max`. O(k log C + C log C) work, valid (never above
-    /// the true bound) by the same window-density argument.
-    fn ladder_best(&self, with_baseline: bool) -> u64 {
+    /// Weighted integral feasibility probe: one blocking-EDF sweep
+    /// ([`Deadlines::sweep`]). Success certifies an achievable peak;
+    /// failure does **not** certify infeasibility (weighted bottleneck
+    /// coloring is NP-hard and blocking EDF is a heuristic above the
+    /// fractional bound).
+    fn probe_feasible_blocking(&self, dl: &Deadlines, peak: u64) -> bool {
+        BCP_PROBES.add(1);
+        dl.sweep(
+            |t| peak.saturating_sub(self.baseline[t]),
+            |i| self.interval_load(i),
+            |_, _| {},
+        )
+        .is_ok()
+    }
+
+    /// The batch form of the [`IncrementalBound`] ladder: the best
+    /// `⌈load / 2^l⌉` over every power-of-two aligned color window, with
+    /// interval `i` weighing `load(i)`. One pass counts each interval at
+    /// its [`Interval::aligned_level`] — the finest aligned window
+    /// holding it whole — and an O(C) pyramid then adds each level's
+    /// window pairs into the next level, so level `l`'s window `q` ends
+    /// up holding exactly the load fully inside `[q·2^l, (q+1)·2^l)`.
+    /// Valid (never above the true bound) by the window-density
+    /// argument. Saturation undercounts, keeping every level a valid
+    /// bound; a saturating sum of non-negative terms is
+    /// `min(total, u64::MAX)` in any order, so the pyramid saturates
+    /// exactly like a per-level recount.
+    fn ladder_best(&self, load: impl Fn(usize) -> u64, with_baseline: bool) -> u64 {
         let c = self.num_colors;
         if c == 0 {
             return 0;
         }
-        let top = bitlen(c - 1).min(63);
-        let maxima = minipool::parallel_indexed(top + 1, |l| {
-            let mut counts = vec![0u64; ((c - 1) >> l) + 1];
-            for iv in &self.intervals {
-                if iv.aligned_level() as usize <= l {
-                    let q = (iv.start() as usize) >> l;
-                    counts[q] = counts[q].saturating_add(1);
-                }
+        // Level `l` has `((c − 1) >> l) + 1` windows, stored from `off[l]`.
+        let top = bitlen(c - 1);
+        let mut off = vec![0usize; top + 2];
+        for l in 0..=top {
+            off[l + 1] = off[l] + ((c - 1) >> l) + 1;
+        }
+        let mut counts = vec![0u64; off[top + 1]];
+        for (i, iv) in self.intervals.iter().enumerate() {
+            let l = iv.aligned_level() as usize;
+            let slot = &mut counts[off[l] + (iv.start() as usize >> l)];
+            *slot = slot.saturating_add(load(i));
+        }
+        if with_baseline {
+            for (slot, &b) in counts.iter_mut().zip(&self.baseline) {
+                *slot = slot.saturating_add(b);
             }
-            if with_baseline {
-                for (t, &b) in self.baseline.iter().enumerate() {
-                    counts[t >> l] = counts[t >> l].saturating_add(b);
+        }
+        let mut best = 0u64;
+        for l in 0..=top {
+            let (below, rest) = counts.split_at_mut(off[l]);
+            let level = &mut rest[..off[l + 1] - off[l]];
+            if l > 0 {
+                let prev = &below[off[l - 1]..];
+                for (q, slot) in level.iter_mut().enumerate() {
+                    let pair = prev[2 * q].saturating_add(prev.get(2 * q + 1).map_or(0, |&n| n));
+                    *slot = slot.saturating_add(pair);
                 }
             }
             let width = 1u64 << l;
-            counts.iter().map(|&n| n.div_ceil(width)).max().unwrap_or(0)
-        });
-        maxima.into_iter().max().unwrap_or(0)
+            for &n in level.iter() {
+                best = best.max(n.div_ceil(width));
+            }
+        }
+        best
     }
 
     /// The parametric lower-bound engine: start from the best cheap
-    /// candidate (`warm` or the ladder, plus the max-baseline and
-    /// global-density candidates — all true lower bounds), then find the
-    /// minimum EDF-feasible peak by galloping and k-ary narrowing with
-    /// one probe per pool thread. That minimum *is* the windowed bound:
-    /// below it some window is overfull (pigeonhole), at it EDF
-    /// succeeds (Hall). Deterministic at any thread count.
-    fn certified_bound(&self, with_baseline: bool, warm: Option<u64>) -> Result<u64, BcpError> {
+    /// candidate (the ladder — or for unit loads `warm` instead of it —
+    /// plus the max-baseline and global-density candidates, all true
+    /// lower bounds), then find the minimum feasible peak by galloping
+    /// and k-ary narrowing with one probe per pool thread. That minimum
+    /// *is* the windowed bound: below it some window is overfull
+    /// (pigeonhole), at it EDF succeeds (Hall). The probe is monotone,
+    /// so the result is deterministic at any thread count. On weighted
+    /// buckets it is the fractional bound; warm candidates stay valid
+    /// there because loads are ≥ 1, so any unit-load bound is below the
+    /// weighted bound. Weighted bounds are always baseline-aware.
+    fn certified_bound(
+        &self,
+        dl: &Deadlines,
+        with_baseline: bool,
+        warm: Option<u64>,
+    ) -> Result<u64, BcpError> {
         let c = self.num_colors;
         if c == 0 {
             return Ok(0);
         }
-        let k = self.intervals.len() as u64;
-        let mut lo = match warm {
-            Some(w) => w,
-            None => self.ladder_best(with_baseline),
+        let weighted = dl.weighted();
+        let (mut lo, loads) = if weighted {
+            let ladder = self.ladder_best(|i| self.interval_load(i), true);
+            let total = (0..self.intervals.len())
+                .map(|i| self.interval_load(i))
+                .fold(0u64, |a, w| a.saturating_add(w));
+            (warm.unwrap_or(0).max(ladder), total)
+        } else {
+            let lo = warm.unwrap_or_else(|| self.ladder_best(|_| 1, with_baseline));
+            (lo, self.intervals.len() as u64)
         };
         if with_baseline {
             lo = lo.max(self.baseline.iter().copied().max().unwrap_or(0));
             // Saturation undercounts, keeping the candidate a valid bound.
-            let total = self.baseline.iter().fold(k, |a, &b| a.saturating_add(b));
+            let total = self
+                .baseline
+                .iter()
+                .fold(loads, |a, &b| a.saturating_add(b));
             lo = lo.max(total.div_ceil(c as u64));
         } else {
-            lo = lo.max(k.div_ceil(c as u64));
+            lo = lo.max(loads.div_ceil(c as u64));
         }
-        let by_start = self.by_start();
-        if self.probe_feasible(&by_start, lo, with_baseline) {
+        if self.probe_feasible(dl, lo, with_baseline) {
             // lo never exceeds the true bound, and the true bound is the
             // minimum feasible peak — so feasibility at lo pins lo == bound.
             return Ok(lo);
@@ -1022,13 +1195,17 @@ impl BcpInstance {
         let mut good;
         loop {
             let p = bad.saturating_add(step);
-            if self.probe_feasible(&by_start, p, with_baseline) {
+            if self.probe_feasible(dl, p, with_baseline) {
                 good = p;
                 break;
             }
             if p == u64::MAX {
                 return Err(BcpError::Overflow {
-                    what: "BCP lower bound (exceeds u64)",
+                    what: if weighted {
+                        "weighted BCP lower bound (exceeds u64)"
+                    } else {
+                        "BCP lower bound (exceeds u64)"
+                    },
                 });
             }
             bad = p;
@@ -1043,7 +1220,7 @@ impl BcpInstance {
                 .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
                 .collect();
             let feas = minipool::parallel_indexed(pivots.len(), |i| {
-                self.probe_feasible(&by_start, pivots[i], with_baseline)
+                self.probe_feasible(dl, pivots[i], with_baseline)
             });
             match feas.iter().position(|&f| f) {
                 Some(j) => {
@@ -1058,328 +1235,92 @@ impl BcpInstance {
         Ok(good)
     }
 
-    /// Weighted fractional feasibility probe: can every interval's load
-    /// be placed within per-color capacity `peak − baseline_t` when
-    /// loads are divisible? Preemptive EDF is optimal for divisible
-    /// jobs with release times and deadlines, so the sweep is exact for
-    /// the relaxation and feasibility is monotone in `peak`. The
-    /// minimum feasible integral peak equals
-    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
-    /// (Gale–Hoffman on contiguous windows) — a true lower bound for
-    /// the integral weighted problem.
-    fn probe_feasible_fractional(&self, by_start: &[Vec<u32>], peak: u64) -> bool {
-        BCP_PROBES.add(1);
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> =
-            BinaryHeap::with_capacity(self.intervals.len());
-        let mut remaining: Vec<u64> = (0..self.intervals.len())
-            .map(|i| self.interval_load(i))
-            .collect();
-        for (t, starts) in by_start.iter().enumerate().take(self.num_colors) {
-            for &idx in starts {
-                heap.push(Reverse((self.intervals[idx as usize].end(), idx)));
-            }
-            let mut quota = peak.saturating_sub(self.baseline[t]);
-            while quota > 0 {
-                let Some(&Reverse((end, idx))) = heap.peek() else {
-                    break;
-                };
-                if (end as usize) < t {
-                    return false;
-                }
-                let r = remaining[idx as usize];
-                if r <= quota {
-                    quota -= r;
-                    heap.pop();
-                } else {
-                    remaining[idx as usize] = r - quota;
-                    quota = 0;
-                }
-            }
-            if let Some(&Reverse((end, _))) = heap.peek() {
-                if (end as usize) < t {
-                    return false;
-                }
-            }
+    /// The smallest blocking-EDF-feasible peak at or above the weighted
+    /// bound `lb`, by deterministic galloping and serial bisection
+    /// (blocking feasibility need not be monotone, so the search must
+    /// not depend on the thread count).
+    fn blocking_target(&self, dl: &Deadlines, lb: u64) -> Result<u64, BcpError> {
+        if self.probe_feasible_blocking(dl, lb) {
+            return Ok(lb);
         }
-        heap.is_empty()
-    }
-
-    /// Weighted integral feasibility probe: one serial blocking-EDF
-    /// sweep ([`edf_span_weighted`]). Success certifies an achievable
-    /// peak; failure does **not** certify infeasibility (weighted
-    /// bottleneck coloring is NP-hard and blocking EDF is a heuristic
-    /// above the fractional bound).
-    fn probe_feasible_blocking(&self, by_start: &[Vec<u32>], peak: u64) -> bool {
-        BCP_PROBES.add(1);
-        let mut heap = BinaryHeap::with_capacity(self.intervals.len());
-        let placed = edf_span_weighted(
-            &self.intervals,
-            &self.loads,
-            by_start,
-            0..self.num_colors,
-            &mut heap,
-            &|t| peak.saturating_sub(self.baseline[t]),
-            |_, _| {},
-        );
-        placed.is_ok() && heap.is_empty()
-    }
-
-    /// [`BcpInstance::ladder_best`] with each interval contributing its
-    /// load instead of 1, always baseline-aware. Saturation
-    /// undercounts, keeping every level a valid lower bound.
-    fn ladder_best_weighted(&self) -> u64 {
-        let c = self.num_colors;
-        if c == 0 {
-            return 0;
-        }
-        let top = bitlen(c - 1).min(63);
-        let maxima = minipool::parallel_indexed(top + 1, |l| {
-            let mut counts = vec![0u64; ((c - 1) >> l) + 1];
-            for (i, iv) in self.intervals.iter().enumerate() {
-                if iv.aligned_level() as usize <= l {
-                    let q = (iv.start() as usize) >> l;
-                    counts[q] = counts[q].saturating_add(self.interval_load(i));
-                }
-            }
-            for (t, &b) in self.baseline.iter().enumerate() {
-                counts[t >> l] = counts[t >> l].saturating_add(b);
-            }
-            let width = 1u64 << l;
-            counts.iter().map(|&n| n.div_ceil(width)).max().unwrap_or(0)
-        });
-        maxima.into_iter().max().unwrap_or(0)
-    }
-
-    /// The weighted parametric lower-bound engine: minimum peak
-    /// feasible for the *fractional* relaxation, found exactly like the
-    /// unit engine — warm/ladder/density floor, gallop, k-ary panel
-    /// narrowing. The fractional predicate is monotone, so the result
-    /// is deterministic at any thread count. Warm candidates stay
-    /// valid: loads are ≥ 1, so any unit-load bound is below the
-    /// weighted bound.
-    fn certified_bound_weighted(&self, warm: Option<u64>) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        if c == 0 {
-            return Ok(0);
-        }
-        let mut lo = warm.unwrap_or(0).max(self.ladder_best_weighted());
-        lo = lo.max(self.baseline.iter().copied().max().unwrap_or(0));
-        // Saturation undercounts, keeping the candidate a valid bound.
-        let total = (0..self.intervals.len())
-            .map(|i| self.interval_load(i))
-            .fold(0u64, |a, w| a.saturating_add(w));
-        let total = self
-            .baseline
-            .iter()
-            .fold(total, |a, &b| a.saturating_add(b));
-        lo = lo.max(total.div_ceil(c as u64));
-        let by_start = self.by_start();
-        if self.probe_feasible_fractional(&by_start, lo) {
-            return Ok(lo);
-        }
-        // Gallop to an infeasible/feasible bracket (bad, good].
-        let mut bad = lo;
+        let mut bad = lb;
         let mut step = 1u64;
         let mut good;
         loop {
             let p = bad.saturating_add(step);
-            if self.probe_feasible_fractional(&by_start, p) {
+            if self.probe_feasible_blocking(dl, p) {
                 good = p;
                 break;
             }
             if p == u64::MAX {
                 return Err(BcpError::Overflow {
-                    what: "weighted BCP lower bound (exceeds u64)",
+                    what: "weighted BCP peak (exceeds u64)",
                 });
             }
             bad = p;
             step = step.saturating_mul(2);
         }
+        // Bisect; the invariant "good is feasible" holds throughout, so
+        // the result is a deterministic achievable peak even if the
+        // predicate has non-monotone pockets.
         while good - bad > 1 {
-            let gap = good - bad - 1;
-            let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
-            let pivots: Vec<u64> = (1..=m)
-                .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
-                .collect();
-            let feas = minipool::parallel_indexed(pivots.len(), |i| {
-                self.probe_feasible_fractional(&by_start, pivots[i])
-            });
-            match feas.iter().position(|&f| f) {
-                Some(j) => {
-                    good = pivots[j];
-                    if j > 0 {
-                        bad = pivots[j - 1];
-                    }
-                }
-                None => bad = pivots[m as usize - 1],
+            let mid = bad + (good - bad) / 2;
+            if self.probe_feasible_blocking(dl, mid) {
+                good = mid;
+            } else {
+                bad = mid;
             }
         }
         Ok(good)
     }
 
+    /// Colors by one exact sweep over `dl` ([`Deadlines::sweep`]);
+    /// a missed deadline reports the `attempted` peak.
+    fn color_sweep(
+        &self,
+        dl: &Deadlines,
+        attempted: u64,
+        capacity: impl Fn(usize) -> u64,
+        load: impl Fn(usize) -> u64,
+    ) -> Result<Coloring, BcpError> {
+        let mut colors = vec![u32::MAX; self.intervals.len()];
+        dl.sweep(capacity, load, |i, t| colors[i] = t)
+            .map_err(|color| BcpError::Infeasible {
+                peak: attempted,
+                color,
+            })?;
+        Ok(Coloring { colors })
+    }
+
     /// Algorithm 2: earliest-deadline greedy coloring with a per-color
     /// quota of `lb` intervals (the paper's optimal coloring; baseline
-    /// ignored). Serial reference sweep.
+    /// and loads ignored).
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Infeasible`] if `lb` is below the true lower
     /// bound (cannot happen when `lb = self.lower_bound_paper()`).
     pub fn color_greedy_paper(&self, lb: u64) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, usize::MAX)
+        let dl = Deadlines::new(self, false, true);
+        self.color_sweep(&dl, lb, |_| lb, |_| 1)
     }
 
     /// Earliest-deadline-first coloring with per-color capacity
-    /// `peak − baseline_t` — the generalized solver's assignment step.
-    /// Serial reference sweep.
+    /// `peak − baseline_t` — the generalized solver's assignment step
+    /// (loads ignored).
     ///
     /// # Errors
     ///
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
     /// generalized lower bound.
     pub fn color_edf(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(peak, |t| peak.saturating_sub(self.baseline[t]), usize::MAX)
+        let dl = Deadlines::new(self, false, true);
+        self.color_sweep(&dl, peak, |t| peak.saturating_sub(self.baseline[t]), |_| 1)
     }
 
-    /// [`BcpInstance::color_edf`] sharded across color windows of
-    /// `shard_width` colors — byte-identical output and errors at any
-    /// thread count and any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] when `peak` is below the
-    /// generalized lower bound.
-    pub fn color_edf_sharded(&self, peak: u64, shard_width: usize) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(peak, |t| peak.saturating_sub(self.baseline[t]), shard_width)
-    }
-
-    /// [`BcpInstance::color_greedy_paper`] sharded across color windows
-    /// of `shard_width` colors — byte-identical output and errors at any
-    /// thread count and any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] if `lb` is below the paper bound.
-    pub fn color_greedy_paper_sharded(
-        &self,
-        lb: u64,
-        shard_width: usize,
-    ) -> Result<Coloring, BcpError> {
-        self.color_capacity_sharded(lb, |_t| lb, shard_width)
-    }
-
-    /// The speculative sharded EDF sweep. Phase 1 runs every shard in
-    /// parallel assuming an empty carry-in, recording placements, the
-    /// carry-out heap and any missed deadline. Phase 2 walks the seams
-    /// left to right: a shard whose true carry-in is empty has its
-    /// speculative result accepted verbatim (the speculation *was* the
-    /// serial sweep); otherwise the shard is replayed serially with the
-    /// true carry-in. Either way the executed sweep is exactly the
-    /// serial one, so placements — and infeasibility reports — are
-    /// byte-identical to [`BcpInstance::color_edf`] for every shard
-    /// width at every thread count.
-    fn color_capacity_sharded<F: Fn(usize) -> u64 + Sync>(
-        &self,
-        attempted: u64,
-        capacity: F,
-        shard_width: usize,
-    ) -> Result<Coloring, BcpError> {
-        let c = self.num_colors;
-        let k = self.intervals.len();
-        let mut colors = vec![u32::MAX; k];
-        if k == 0 {
-            return Ok(Coloring { colors });
-        }
-        let infeasible = |color: u32| BcpError::Infeasible {
-            peak: attempted,
-            color,
-        };
-        let width = shard_width.max(1);
-        let shards = c.div_ceil(width);
-        let by_start = self.by_start();
-        if shards <= 1 {
-            // Serial reference sweep: one shard spanning all colors.
-            let mut heap = BinaryHeap::with_capacity(k);
-            edf_span(
-                &self.intervals,
-                &by_start,
-                0..c,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    colors[idx as usize] = t;
-                },
-            )
-            .map_err(infeasible)?;
-            if let Some(&Reverse((end, _))) = heap.peek() {
-                return Err(infeasible(end));
-            }
-            return Ok(Coloring { colors });
-        }
-        struct Speculative {
-            placed: Vec<(u32, u32)>,
-            carry: Vec<Reverse<(u32, u32)>>,
-            miss: Option<u32>,
-        }
-        // Phase 1: per-shard speculative sweeps, empty carry-in assumed.
-        let runs: Vec<Speculative> = minipool::parallel_indexed(shards, |s| {
-            let span = s * width..((s + 1) * width).min(c);
-            let mut heap = BinaryHeap::new();
-            let mut placed = Vec::new();
-            let miss = edf_span(
-                &self.intervals,
-                &by_start,
-                span,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    placed.push((idx, t));
-                },
-            )
-            .err();
-            Speculative {
-                placed,
-                carry: heap.into_vec(),
-                miss,
-            }
-        });
-        // Phase 2: seam walk — accept or replay.
-        let mut carry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (s, run) in runs.into_iter().enumerate() {
-            if carry.is_empty() {
-                BCP_SHARD_ACCEPTED.add(1);
-                if let Some(color) = run.miss {
-                    return Err(infeasible(color));
-                }
-                for (idx, t) in run.placed {
-                    colors[idx as usize] = t;
-                }
-                carry = BinaryHeap::from(run.carry);
-            } else {
-                BCP_SHARD_REPLAYED.add(1);
-                let span = s * width..((s + 1) * width).min(c);
-                edf_span(
-                    &self.intervals,
-                    &by_start,
-                    span,
-                    &mut carry,
-                    &capacity,
-                    |idx, t| {
-                        colors[idx as usize] = t;
-                    },
-                )
-                .map_err(infeasible)?;
-            }
-        }
-        if let Some(&Reverse((end, _))) = carry.peek() {
-            return Err(infeasible(end));
-        }
-        Ok(Coloring { colors })
-    }
-
-    /// Weighted [`BcpInstance::color_edf`]: serial blocking-EDF sweep
-    /// with per-color capacity `peak − baseline_t`, each interval
-    /// consuming its load. On unit loads places exactly like
+    /// Weighted [`BcpInstance::color_edf`]: blocking-EDF sweep with
+    /// per-color capacity `peak − baseline_t`, each interval consuming
+    /// its load. On unit loads places exactly like
     /// [`BcpInstance::color_edf`].
     ///
     /// # Errors
@@ -1387,114 +1328,13 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
     /// meet `peak`.
     pub fn color_edf_weighted(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_edf_weighted_sharded(peak, usize::MAX)
-    }
-
-    /// [`BcpInstance::color_edf_weighted`] sharded across color windows
-    /// of `shard_width` colors — the same speculative seam-walk as the
-    /// unit sweep (blocking EDF is a pure function of the carry-in heap
-    /// and the quota, so accepted speculation *is* the serial sweep),
-    /// hence byte-identical output and errors at any thread count and
-    /// any width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
-    /// meet `peak`.
-    pub fn color_edf_weighted_sharded(
-        &self,
-        peak: u64,
-        shard_width: usize,
-    ) -> Result<Coloring, BcpError> {
-        let capacity = |t: usize| peak.saturating_sub(self.baseline[t]);
-        let c = self.num_colors;
-        let k = self.intervals.len();
-        let mut colors = vec![u32::MAX; k];
-        if k == 0 {
-            return Ok(Coloring { colors });
-        }
-        let infeasible = |color: u32| BcpError::Infeasible { peak, color };
-        let width = shard_width.max(1);
-        let shards = c.div_ceil(width);
-        let by_start = self.by_start();
-        if shards <= 1 {
-            let mut heap = BinaryHeap::with_capacity(k);
-            edf_span_weighted(
-                &self.intervals,
-                &self.loads,
-                &by_start,
-                0..c,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    colors[idx as usize] = t;
-                },
-            )
-            .map_err(infeasible)?;
-            if let Some(&Reverse((end, _))) = heap.peek() {
-                return Err(infeasible(end));
-            }
-            return Ok(Coloring { colors });
-        }
-        struct Speculative {
-            placed: Vec<(u32, u32)>,
-            carry: Vec<Reverse<(u32, u32)>>,
-            miss: Option<u32>,
-        }
-        let runs: Vec<Speculative> = minipool::parallel_indexed(shards, |s| {
-            let span = s * width..((s + 1) * width).min(c);
-            let mut heap = BinaryHeap::new();
-            let mut placed = Vec::new();
-            let miss = edf_span_weighted(
-                &self.intervals,
-                &self.loads,
-                &by_start,
-                span,
-                &mut heap,
-                &capacity,
-                |idx, t| {
-                    placed.push((idx, t));
-                },
-            )
-            .err();
-            Speculative {
-                placed,
-                carry: heap.into_vec(),
-                miss,
-            }
-        });
-        let mut carry: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (s, run) in runs.into_iter().enumerate() {
-            if carry.is_empty() {
-                BCP_SHARD_ACCEPTED.add(1);
-                if let Some(color) = run.miss {
-                    return Err(infeasible(color));
-                }
-                for (idx, t) in run.placed {
-                    colors[idx as usize] = t;
-                }
-                carry = BinaryHeap::from(run.carry);
-            } else {
-                BCP_SHARD_REPLAYED.add(1);
-                let span = s * width..((s + 1) * width).min(c);
-                edf_span_weighted(
-                    &self.intervals,
-                    &self.loads,
-                    &by_start,
-                    span,
-                    &mut carry,
-                    &capacity,
-                    |idx, t| {
-                        colors[idx as usize] = t;
-                    },
-                )
-                .map_err(infeasible)?;
-            }
-        }
-        if let Some(&Reverse((end, _))) = carry.peek() {
-            return Err(infeasible(end));
-        }
-        Ok(Coloring { colors })
+        let dl = Deadlines::new(self, false, true);
+        self.color_sweep(
+            &dl,
+            peak,
+            |t| peak.saturating_sub(self.baseline[t]),
+            |i| self.interval_load(i),
+        )
     }
 
     /// Verifies a coloring: every interval colored inside its window.
@@ -1632,31 +1472,81 @@ impl BcpInstance {
     /// exact-search budget (weighted bottleneck coloring is NP-hard).
     /// Unit instances run the unweighted engines verbatim.
     ///
+    /// The solve is traced as a `bcp.solve` span with `bcp.bound`
+    /// (certification), `bcp.search` (the weighted blocking search) and
+    /// `bcp.color` (coloring, verification and any exact refinement)
+    /// children.
+    ///
     /// # Errors
     ///
-    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`;
-    /// propagates [`BcpError::Infeasible`] — which on unit instances
-    /// would indicate a solver bug, as the generalized lower bound is
-    /// always achievable.
+    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`. On
+    /// unit instances the generalized lower bound is always achievable,
+    /// so [`BcpError::Infeasible`] or [`BcpError::BoundNotMet`] (the
+    /// coloring's verified peak differs from the certified bound) would
+    /// indicate a solver bug.
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let _span = minitrace::span_with(
+        let _span = self.solve_span();
+        if self.is_unit() {
+            self.solve_unit(true, opts)
+        } else {
+            self.solve_weighted_with(opts)
+        }
+    }
+
+    /// Opens the `bcp.solve` span both solvers run under.
+    fn solve_span(&self) -> minitrace::SpanGuard {
+        minitrace::span_with(
             "bcp.solve",
             &[
                 ("intervals", self.intervals.len().into()),
                 ("colors", self.num_colors.into()),
                 ("unit", u64::from(self.is_unit()).into()),
             ],
-        );
-        if !self.is_unit() {
-            return self.solve_weighted_with(opts);
-        }
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound(true, opts.warm_lb)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp(true)?,
+        )
+    }
+
+    /// The unit-load solve: certify the bound (baseline-aware or the
+    /// paper's), color with EDF at it, and check the optimality
+    /// certificate — the verified peak must equal the bound. Paper mode
+    /// ignores loads, so on weighted instances its verified peak (which
+    /// counts them) is not compared.
+    fn solve_unit(
+        &self,
+        with_baseline: bool,
+        opts: &SolveOptions,
+    ) -> Result<BcpSolution, BcpError> {
+        let dl = Deadlines::new(self, false, true);
+        let lb = {
+            let _span = minitrace::span("bcp.bound");
+            match opts.bound {
+                BoundMode::Incremental => {
+                    let warm = opts.warm_lb.filter(|_| with_baseline);
+                    self.certified_bound(&dl, with_baseline, warm)?
+                }
+                BoundMode::QuadraticDp => self.lower_bound_dp(with_baseline)?,
+            }
         };
-        let coloring = self.color_edf_sharded(lb, opts.shards.resolve_width(self.num_colors))?;
+        let _span = minitrace::span("bcp.color");
+        let capacity = |t: usize| {
+            if with_baseline {
+                lb.saturating_sub(self.baseline[t])
+            } else {
+                lb
+            }
+        };
+        let coloring = self.color_sweep(&dl, lb, capacity, |_| 1)?;
         let peak = self.verify(&coloring)?;
-        debug_assert_eq!(peak.with_baseline, lb, "EDF must achieve the bound");
+        let achieved = if with_baseline {
+            peak.with_baseline
+        } else {
+            peak.intervals_only
+        };
+        if achieved != lb && self.is_unit() {
+            return Err(BcpError::BoundNotMet {
+                bound: lb,
+                peak: achieved,
+            });
+        }
         Ok(BcpSolution {
             coloring,
             lower_bound: lb,
@@ -1665,54 +1555,32 @@ impl BcpInstance {
     }
 
     /// Weighted solve: certify the fractional windowed bound, find a
-    /// blocking-EDF-feasible peak by deterministic galloping and serial
-    /// bisection (blocking feasibility need not be monotone, so the
-    /// search must not depend on the thread count), color sharded, then
-    /// close any remaining gap with a bounded exact branch-and-bound.
-    /// Weighted bottleneck coloring is NP-hard, so
+    /// blocking-EDF-feasible peak ([`BcpInstance::blocking_target`]),
+    /// color at it, then close any remaining gap with a bounded exact
+    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
     /// `peak == lower_bound` is not guaranteed on instances beyond the
     /// search budget; inside it the peak is exactly optimal
     /// (differential-tested against brute force).
     fn solve_weighted_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound_weighted(opts.warm_lb)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
+        let dl = Deadlines::new(self, true, true);
+        let lb = {
+            let _span = minitrace::span("bcp.bound");
+            match opts.bound {
+                BoundMode::Incremental => self.certified_bound(&dl, true, opts.warm_lb)?,
+                BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
+            }
         };
-        let by_start = self.by_start();
-        let mut target = lb;
-        if !self.probe_feasible_blocking(&by_start, target) {
-            let mut bad = target;
-            let mut step = 1u64;
-            let mut good;
-            loop {
-                let p = bad.saturating_add(step);
-                if self.probe_feasible_blocking(&by_start, p) {
-                    good = p;
-                    break;
-                }
-                if p == u64::MAX {
-                    return Err(BcpError::Overflow {
-                        what: "weighted BCP peak (exceeds u64)",
-                    });
-                }
-                bad = p;
-                step = step.saturating_mul(2);
-            }
-            // Bisect; the invariant "good is feasible" holds throughout,
-            // so the result is a deterministic achievable peak even if
-            // the predicate has non-monotone pockets.
-            while good - bad > 1 {
-                let mid = bad + (good - bad) / 2;
-                if self.probe_feasible_blocking(&by_start, mid) {
-                    good = mid;
-                } else {
-                    bad = mid;
-                }
-            }
-            target = good;
-        }
-        let width = opts.shards.resolve_width(self.num_colors);
-        let mut coloring = self.color_edf_weighted_sharded(target, width)?;
+        let target = {
+            let _span = minitrace::span("bcp.search");
+            self.blocking_target(&dl, lb)?
+        };
+        let _span = minitrace::span("bcp.color");
+        let mut coloring = self.color_sweep(
+            &dl,
+            target,
+            |t| target.saturating_sub(self.baseline[t]),
+            |i| self.interval_load(i),
+        )?;
         let mut peak = self.verify(&coloring)?;
         if peak.with_baseline > lb {
             if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
@@ -1736,8 +1604,7 @@ impl BcpInstance {
     /// and cut off at `lb` (provably optimal when reached). Intervals
     /// are visited tightest-deadline first; the node budget and depth
     /// gate bound worst-case work, so large instances simply keep the
-    /// greedy coloring. Entirely serial — identical at any thread count
-    /// or shard width.
+    /// greedy coloring. Entirely serial — identical at any thread count.
     fn exact_refine(&self, lb: u64, seed_peak: u64) -> Option<Vec<u32>> {
         const NODE_BUDGET: u64 = 2_000_000;
         const MAX_DEPTH: usize = 2_000;
@@ -1829,30 +1696,18 @@ impl BcpInstance {
     /// bounds are certified for the generalized objective. Interval
     /// loads are also ignored — the published algorithms are defined
     /// for unit loads; weighted instances must use
+    /// [`BcpInstance::solve_with`]. Traced like
     /// [`BcpInstance::solve_with`].
     ///
     /// # Errors
     ///
-    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`;
-    /// propagates [`BcpError::Infeasible`] — which would indicate a
-    /// solver bug, as Algorithm 2 always meets the Algorithm 1 bound.
+    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
+    /// Algorithm 2 always meets the Algorithm 1 bound, so
+    /// [`BcpError::Infeasible`] or [`BcpError::BoundNotMet`] would
+    /// indicate a solver bug.
     pub fn solve_paper_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let lb = match opts.bound {
-            BoundMode::Incremental => self.certified_bound(false, None)?,
-            BoundMode::QuadraticDp => self.lower_bound_dp(false)?,
-        };
-        let coloring =
-            self.color_greedy_paper_sharded(lb, opts.shards.resolve_width(self.num_colors))?;
-        let peak = self.verify(&coloring)?;
-        debug_assert!(
-            !self.is_unit() || peak.intervals_only == lb,
-            "greedy must meet Algorithm 1's bound"
-        );
-        Ok(BcpSolution {
-            coloring,
-            lower_bound: lb,
-            peak,
-        })
+        let _span = self.solve_span();
+        self.solve_unit(false, opts)
     }
 
     /// Solves with the paper's Algorithms 1+2 under the process-wide
@@ -2124,14 +1979,6 @@ mod tests {
             inst.color_edf(5),
             Err(BcpError::Infeasible { peak: 5, color: 1 })
         );
-        // Same report from every sharded layout.
-        for width in [1, 2, 3, 64] {
-            assert_eq!(
-                inst.color_edf_sharded(5, width),
-                Err(BcpError::Infeasible { peak: 5, color: 1 }),
-                "shard width {width}"
-            );
-        }
         // At the true bound (4 + ceil(3/1) ... window [1,1] holds 4+3)
         // the solve succeeds.
         assert_eq!(inst.lower_bound().unwrap(), 7);
@@ -2265,6 +2112,143 @@ mod tests {
         assert_eq!(sol.coloring, inst.solve().unwrap().coloring);
     }
 
+    /// The per-level recount the one-pass ladder replaced: every level
+    /// re-walks all intervals and the baseline.
+    fn ladder_per_level(
+        inst: &BcpInstance,
+        load: impl Fn(usize) -> u64,
+        with_baseline: bool,
+    ) -> u64 {
+        let c = inst.num_colors;
+        if c == 0 {
+            return 0;
+        }
+        (0..=bitlen(c - 1))
+            .map(|l| {
+                let mut counts = vec![0u64; ((c - 1) >> l) + 1];
+                for (i, iv) in inst.intervals.iter().enumerate() {
+                    if iv.aligned_level() as usize <= l {
+                        let q = iv.start() as usize >> l;
+                        counts[q] = counts[q].saturating_add(load(i));
+                    }
+                }
+                if with_baseline {
+                    for (t, &b) in inst.baseline.iter().enumerate() {
+                        counts[t >> l] = counts[t >> l].saturating_add(b);
+                    }
+                }
+                counts
+                    .iter()
+                    .map(|&n| n.div_ceil(1 << l))
+                    .max()
+                    .unwrap_or(0)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn one_pass_ladder_matches_the_per_level_recount() {
+        let mut seed = 0x1ADDu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x14057B7EF767814F);
+            (seed >> 33) % m
+        };
+        // Heavy loads saturate the coarse levels but not the fine ones.
+        let heavy = u64::MAX / 5;
+        for c in [1usize, 2, 3, 7, 64, 65, 100, 1000] {
+            for (k, max_load, max_base) in [
+                (0u64, 1u64, 0u64),
+                (40, 1, 0),
+                (90, 9, 4),
+                (25, heavy, 3),
+                (12, 3, heavy),
+            ] {
+                let mut inst = BcpInstance::new(c);
+                for _ in 0..k {
+                    let s = next(c as u64) as u32;
+                    let e = s + next(c as u64 - u64::from(s)) as u32;
+                    inst.add_weighted_interval(Interval::new(s, e), 1 + next(max_load))
+                        .unwrap();
+                }
+                if max_base > 0 {
+                    inst.set_baseline((0..c).map(|_| next(max_base)).collect())
+                        .unwrap();
+                }
+                for with_baseline in [false, true] {
+                    let load = |i| inst.interval_load(i);
+                    assert_eq!(
+                        inst.ladder_best(load, with_baseline),
+                        ladder_per_level(&inst, load, with_baseline),
+                        "c {c} k {k} loads <= {max_load} baseline < {max_base}"
+                    );
+                    assert_eq!(
+                        inst.ladder_best(|_| 1, with_baseline),
+                        ladder_per_level(&inst, |_| 1, with_baseline)
+                    );
+                }
+            }
+        }
+        // Fully saturated: every level's windows pin at u64::MAX.
+        let mut inst = BcpInstance::new(5);
+        for _ in 0..3 {
+            inst.add_weighted_interval(Interval::new(0, 4), u64::MAX)
+                .unwrap();
+        }
+        inst.set_baseline(vec![u64::MAX; 5]).unwrap();
+        let load = |i| inst.interval_load(i);
+        assert_eq!(inst.ladder_best(load, true), u64::MAX);
+        assert_eq!(
+            inst.ladder_best(load, true),
+            ladder_per_level(&inst, load, true)
+        );
+    }
+
+    #[test]
+    fn bit_pyramid_finds_the_next_member() {
+        // Sizes across one, two and three summary levels.
+        for n in [1usize, 63, 64, 65, 4095, 4096, 4097, 300_000] {
+            let mut set = BitPyramid::new(n);
+            let mut reference = std::collections::BTreeSet::new();
+            let mut x = n as u64;
+            for step in 0..2_000 {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let i = (x >> 20) as usize % n;
+                if step % 3 == 2 {
+                    let gone = reference.iter().next().copied().unwrap_or(i);
+                    if reference.remove(&gone) {
+                        set.remove(gone);
+                    }
+                } else if reference.insert(i) {
+                    set.insert(i);
+                }
+                let probe = (x >> 40) as usize % n;
+                assert_eq!(
+                    set.next(probe),
+                    reference.range(probe..).next().copied(),
+                    "n {n} step {step} from {probe}"
+                );
+            }
+            assert_eq!(set.next(0), reference.iter().next().copied());
+            assert_eq!(set.next(n), None);
+        }
+        assert_eq!(BitPyramid::new(0).next(0), None);
+    }
+
+    #[test]
+    fn bound_not_met_is_a_displayable_solver_error() {
+        let err = BcpError::BoundNotMet { bound: 4, peak: 5 };
+        assert_eq!(
+            err.to_string(),
+            "optimality certificate failed: coloring peak 5 differs from the certified \
+             lower bound 4"
+        );
+        let boxed: Box<dyn Error> = Box::new(err.clone());
+        assert_eq!(boxed.to_string(), err.to_string());
+    }
+
     #[test]
     fn ladder_is_exact_on_aligned_witnesses() {
         // Three point intervals at color 5: the level-0 window [5,5] is
@@ -2285,64 +2269,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_solve_is_identical_to_serial() {
-        let inst = {
-            let mut inst = instance(
-                11,
-                &[
-                    (0, 10),
-                    (0, 0),
-                    (3, 7),
-                    (3, 7),
-                    (4, 4),
-                    (8, 10),
-                    (9, 10),
-                    (2, 6),
-                    (0, 5),
-                ],
-            );
-            inst.set_baseline(vec![0, 2, 0, 1, 0, 0, 3, 0, 0, 1, 0])
-                .unwrap();
-            inst
-        };
-        let lb = inst.lower_bound().unwrap();
-        let serial = inst.color_edf(lb).unwrap();
-        for width in [1, 2, 3, 5, 7, 11, 64] {
-            assert_eq!(
-                inst.color_edf_sharded(lb, width).unwrap(),
-                serial,
-                "shard width {width}"
-            );
-        }
-    }
-
-    #[test]
     fn solve_options_pick_engines_not_answers() {
         let mut inst = instance(9, &[(0, 8), (2, 3), (2, 3), (5, 5), (6, 8), (0, 1)]);
         inst.set_baseline(vec![1, 0, 0, 2, 0, 1, 0, 0, 0]).unwrap();
         let reference = inst
             .solve_with(&SolveOptions {
                 bound: BoundMode::QuadraticDp,
-                shards: ShardSpec::Serial,
                 warm_lb: None,
             })
             .unwrap();
         for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-            for shards in [
-                ShardSpec::Auto,
-                ShardSpec::Serial,
-                ShardSpec::Width(1),
-                ShardSpec::Width(4),
-            ] {
-                let sol = inst
-                    .solve_with(&SolveOptions {
-                        bound,
-                        shards,
-                        warm_lb: None,
-                    })
-                    .unwrap();
-                assert_eq!(sol, reference, "{bound:?} {shards:?}");
-            }
+            let sol = inst
+                .solve_with(&SolveOptions {
+                    bound,
+                    warm_lb: None,
+                })
+                .unwrap();
+            assert_eq!(sol, reference, "{bound:?}");
         }
     }
 
@@ -2458,7 +2401,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sharded_solve_is_identical_to_serial() {
+    fn weighted_solve_is_identical_across_bound_engines() {
         let inst = {
             let mut inst = weighted_instance(
                 11,
@@ -2478,38 +2421,16 @@ mod tests {
                 .unwrap();
             inst
         };
-        let serial = inst
-            .solve_with(&SolveOptions {
-                bound: BoundMode::Incremental,
-                shards: ShardSpec::Serial,
-                warm_lb: None,
-            })
-            .unwrap();
-        let peak = serial.peak.with_baseline;
-        let serial_coloring = inst.color_edf_weighted(peak).unwrap();
-        for width in [1, 2, 3, 5, 7, 11, 64] {
-            assert_eq!(
-                inst.color_edf_weighted_sharded(peak, width).unwrap(),
-                serial_coloring,
-                "shard width {width}"
-            );
-        }
+        let reference = inst.solve_with(&SolveOptions::default()).unwrap();
+        assert_eq!(inst.verify(&reference.coloring).unwrap(), reference.peak);
         for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-            for shards in [
-                ShardSpec::Auto,
-                ShardSpec::Serial,
-                ShardSpec::Width(1),
-                ShardSpec::Width(4),
-            ] {
-                let sol = inst
-                    .solve_with(&SolveOptions {
-                        bound,
-                        shards,
-                        warm_lb: None,
-                    })
-                    .unwrap();
-                assert_eq!(sol, serial, "{bound:?} {shards:?}");
-            }
+            let sol = inst
+                .solve_with(&SolveOptions {
+                    bound,
+                    warm_lb: None,
+                })
+                .unwrap();
+            assert_eq!(sol, reference, "{bound:?}");
         }
     }
 

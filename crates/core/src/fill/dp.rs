@@ -2,10 +2,11 @@
 //!
 //! The matrix analysis and the §V-D reconstruction both fan out over
 //! pin-row chunks on the current [`minipool`] pool (see
-//! [`MatrixMapping`]); the BCP solve between them runs the sharded
-//! speculative EDF sweep with the parametric lower bound (see
-//! [`crate::bcp`]), also on the pool. The filled set is bit-identical
-//! at any thread count and any [`SolveOptions`] configuration.
+//! [`MatrixMapping`]); the BCP solve between them certifies the
+//! parametric lower bound (its probe panels also on the pool) and
+//! colors with one deadline-bucket EDF sweep (see [`crate::bcp`]). The
+//! filled set is bit-identical at any thread count and any
+//! [`SolveOptions`] configuration.
 
 use std::error::Error;
 use std::fmt;
@@ -166,10 +167,9 @@ impl DpFill {
         }
     }
 
-    /// Overrides the BCP solve configuration (bound engine, shard
-    /// layout, warm bound). Every configuration produces the same
-    /// solution and thus the same filled bytes — the options pick
-    /// engines, not answers.
+    /// Overrides the BCP solve configuration (bound engine, warm
+    /// bound). Every configuration produces the same solution and thus
+    /// the same filled bytes — the options pick engines, not answers.
     pub fn with_solve_options(mut self, solve: SolveOptions) -> DpFill {
         self.solve = solve;
         self

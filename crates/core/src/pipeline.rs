@@ -3,10 +3,10 @@
 //!
 //! DP-fill techniques construct [`DpFill`](crate::fill::DpFill) with
 //! [`SolveOptions::from_env`](crate::bcp::SolveOptions::from_env), so
-//! sweeps honor the `DPFILL_BCP_BOUND` / `DPFILL_BCP_SHARD` engine
-//! overrides; every engine combination produces identical fillings
-//! (pinned by the `bcp_sharded` differential suite), so table numbers
-//! never depend on the solver configuration.
+//! sweeps honor the `DPFILL_BCP_BOUND` engine override; both bound
+//! engines produce identical fillings (pinned by the `bcp_sharded`
+//! differential suite), so table numbers never depend on the solver
+//! configuration.
 
 use dpfill_cubes::CubeSet;
 

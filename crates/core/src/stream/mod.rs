@@ -207,13 +207,12 @@ pub struct StreamOptions {
     /// Deliberate fault injection for the chaos suite (inert by
     /// default).
     pub chaos: ChaosPlan,
-    /// BCP solve configuration for the global DP-fill solve (bound
-    /// engine and shard layout; the warm bound is supplied by the
-    /// analyzer's incremental ladder and overrides
-    /// [`SolveOptions::warm_lb`]). Every configuration yields the same
-    /// solution, so the emitted bytes stay identical — this exists so
-    /// the differential suites can pin explicit shard widths without
-    /// process-global environment races.
+    /// BCP solve configuration for the global DP-fill solve (the bound
+    /// engine; the warm bound is supplied by the analyzer's incremental
+    /// ladder and overrides [`SolveOptions::warm_lb`]). Every
+    /// configuration yields the same solution, so the emitted bytes
+    /// stay identical — this exists so the differential suites can pin
+    /// an engine without process-global environment races.
     pub solve: SolveOptions,
     /// The fill objective. The default
     /// ([`FillObjective::peak_toggles`]) keeps every code path and every

@@ -1,7 +1,7 @@
 //! The resolved fill plan: every `X` of the input mapped to its value.
 //!
 //! After the analysis pass and (for DP-fill) the global BCP solve —
-//! warm-started by the analyzer's online bound and sharded per
+//! warm-started by the analyzer's online bound and configured by
 //! [`SolveOptions`](crate::bcp::SolveOptions) — the
 //! whole fill is describable as a list of horizontal [`Segment`]s —
 //! scalar `(row, start, end, value)` records, two per transition

@@ -1,11 +1,14 @@
-//! Differential suite for the sharded BCP solve: at every tested thread
-//! count and shard width, the sharded solver must certify the **same
-//! lower bound**, achieve the **same peak**, and produce a coloring
-//! **byte-identical** to the serial solver — including empty instances,
-//! point intervals and baseline-dominated cases — and both lower-bound
-//! engines (incremental parametric, quadratic DP) must agree exactly.
+//! Differential suite for the BCP solve across engines and pools: at
+//! every tested thread count, the solver must certify the **same lower
+//! bound**, achieve the **same peak**, and produce a coloring
+//! **byte-identical** to the serial reference — including empty
+//! instances, point intervals and baseline-dominated cases — and both
+//! lower-bound engines (incremental parametric, quadratic DP) must agree
+//! exactly. (The suite keeps the name it had while the coloring could
+//! also be split across color shards; `bcp_sweep.rs` pins the coloring
+//! sweeps themselves against the heap reference.)
 
-use dpfill_core::bcp::{BcpError, BcpInstance, BoundMode, ShardSpec, SolveOptions};
+use dpfill_core::bcp::{BcpError, BcpInstance, BoundMode, SolveOptions};
 use dpfill_core::Interval;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -16,57 +19,42 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     minipool::with_pool(&pool, f)
 }
 
-/// The serial reference configuration: quadratic DP bound, one shard.
+/// The serial reference configuration: quadratic DP bound.
 fn serial_opts() -> SolveOptions {
     SolveOptions {
         bound: BoundMode::QuadraticDp,
-        shards: ShardSpec::Serial,
         warm_lb: None,
     }
 }
 
-/// Asserts every (bound engine × shard width × thread count) cell of
-/// the acceptance matrix against the serial reference.
-fn assert_sharding_invariant(inst: &BcpInstance) {
+/// Asserts every (bound engine × thread count) cell of the acceptance
+/// matrix against the serial reference.
+fn assert_engine_invariant(inst: &BcpInstance) {
     let reference = inst
         .solve_with(&serial_opts())
         .expect("serial reference solve");
-    let whole = inst.num_colors().max(1);
     for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-        for width in [1usize, 7, 64, whole] {
-            for threads in [1usize, 2, 8] {
-                let opts = SolveOptions {
-                    bound,
-                    shards: ShardSpec::Width(width),
-                    warm_lb: None,
-                };
-                let sol = with_threads(threads, || inst.solve_with(&opts))
-                    .unwrap_or_else(|e| panic!("{bound:?} width {width} threads {threads}: {e}"));
-                assert_eq!(
-                    sol.lower_bound, reference.lower_bound,
-                    "{bound:?} width {width} threads {threads}: bound drifted"
-                );
-                assert_eq!(
-                    sol.peak, reference.peak,
-                    "{bound:?} width {width} threads {threads}: peak drifted"
-                );
-                assert_eq!(
-                    sol.coloring.colors(),
-                    reference.coloring.colors(),
-                    "{bound:?} width {width} threads {threads}: coloring drifted"
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            let opts = SolveOptions {
+                bound,
+                warm_lb: None,
+            };
+            let sol = with_threads(threads, || inst.solve_with(&opts))
+                .unwrap_or_else(|e| panic!("{bound:?} threads {threads}: {e}"));
+            assert_eq!(
+                sol.lower_bound, reference.lower_bound,
+                "{bound:?} threads {threads}: bound drifted"
+            );
+            assert_eq!(
+                sol.peak, reference.peak,
+                "{bound:?} threads {threads}: peak drifted"
+            );
+            assert_eq!(
+                sol.coloring.colors(),
+                reference.coloring.colors(),
+                "{bound:?} threads {threads}: coloring drifted"
+            );
         }
-    }
-    // ShardSpec::Auto must resolve to one of the above behaviors, never
-    // a new answer.
-    for threads in [1usize, 2, 8] {
-        let auto = SolveOptions {
-            shards: ShardSpec::Auto,
-            ..SolveOptions::default()
-        };
-        let sol = with_threads(threads, || inst.solve_with(&auto)).expect("auto solve");
-        assert_eq!(sol, reference, "auto sharding drifted at {threads} threads");
     }
 }
 
@@ -115,7 +103,7 @@ proptest! {
     /// baseline-dominated ones) through the full acceptance matrix.
     #[test]
     fn sharded_solve_matches_serial_everywhere(inst in arb_instance()) {
-        assert_sharding_invariant(&inst);
+        assert_engine_invariant(&inst);
     }
 }
 
@@ -123,24 +111,24 @@ proptest! {
 /// but no intervals.
 #[test]
 fn empty_instances_round_trip() {
-    assert_sharding_invariant(&BcpInstance::new(1));
-    assert_sharding_invariant(&BcpInstance::new(64));
+    assert_engine_invariant(&BcpInstance::new(1));
+    assert_engine_invariant(&BcpInstance::new(64));
     let mut baseline_only = BcpInstance::new(9);
     baseline_only
         .set_baseline(vec![3, 0, 0, 7, 0, 0, 0, 1, 2])
         .unwrap();
-    assert_sharding_invariant(&baseline_only);
+    assert_engine_invariant(&baseline_only);
 }
 
 /// Every interval a point: each EDF placement is forced the moment its
-/// color opens, so every seam carries nothing — the speculative path.
+/// color opens, so nothing is ever carried past its release color.
 #[test]
 fn point_interval_instances_round_trip() {
     let mut inst = BcpInstance::new(16);
     for c in [0u32, 0, 3, 3, 3, 7, 15, 15, 8, 4] {
         inst.add_interval(Interval::new(c, c)).unwrap();
     }
-    assert_sharding_invariant(&inst);
+    assert_engine_invariant(&inst);
 }
 
 /// Baseline dwarfs the interval load: the bound comes from a single
@@ -155,11 +143,11 @@ fn baseline_dominated_instances_round_trip() {
     baseline[4] = 1_000;
     baseline[9] = 999;
     inst.set_baseline(baseline).unwrap();
-    assert_sharding_invariant(&inst);
+    assert_engine_invariant(&inst);
 }
 
-/// Seeded mid-size anchors beyond proptest's shapes: enough colors that
-/// widths 1/7/64 all produce many shards with busy seams.
+/// Seeded mid-size anchors beyond proptest's shapes: enough colors and
+/// intervals that many deadlines stay pending across colors.
 #[test]
 fn seeded_midsize_instances_round_trip() {
     for (seed, colors, k, base_max) in [
@@ -167,12 +155,12 @@ fn seeded_midsize_instances_round_trip() {
         (2, 257, 400, 3),
         (3, 130, 2_000, 8),
     ] {
-        assert_sharding_invariant(&random_instance(colors, k, base_max, seed));
+        assert_engine_invariant(&random_instance(colors, k, base_max, seed));
     }
 }
 
 /// Infeasible capacities report the same attempted peak and missed
-/// color at every shard width — not a residual quota.
+/// color at every thread count — not a residual quota.
 #[test]
 fn infeasible_error_is_shard_invariant() {
     let mut inst = BcpInstance::new(4);
@@ -182,12 +170,10 @@ fn infeasible_error_is_shard_invariant() {
     inst.set_baseline(vec![2, 2, 2, 2]).unwrap();
     // Peak 4 leaves capacity 2 at color 1; five point intervals can't fit.
     let expected = BcpError::Infeasible { peak: 4, color: 1 };
-    for width in [1usize, 2, 3, usize::MAX] {
-        for threads in [1usize, 2, 8] {
-            let err = with_threads(threads, || inst.color_edf_sharded(4, width))
-                .expect_err("five unit jobs into capacity 2");
-            assert_eq!(err, expected, "width {width} threads {threads}");
-        }
+    for threads in [1usize, 2, 8] {
+        let err = with_threads(threads, || inst.color_edf(4))
+            .expect_err("five unit jobs into capacity 2");
+        assert_eq!(err, expected, "threads {threads}");
     }
     // And the real bound solves exactly.
     let lb = inst.lower_bound().unwrap();

@@ -99,18 +99,6 @@ proptest! {
         prop_assert_eq!(inst.lower_bound().unwrap(), naive_b);
     }
 
-    /// The sharded coloring is byte-identical to the serial EDF pass at
-    /// every shard width — including the degenerate width 1.
-    #[test]
-    fn sharded_coloring_matches_serial(inst in arb_instance()) {
-        let lb = inst.lower_bound().unwrap();
-        let serial = inst.color_edf(lb).unwrap();
-        for width in [1usize, 3, 7, usize::MAX] {
-            let sharded = inst.color_edf_sharded(lb, width).unwrap();
-            prop_assert_eq!(&sharded, &serial, "width {}", width);
-        }
-    }
-
     /// Algorithm 2 yields a valid coloring achieving Algorithm 1's bound.
     #[test]
     fn greedy_achieves_the_paper_bound(inst in arb_instance()) {

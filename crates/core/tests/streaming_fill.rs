@@ -7,7 +7,7 @@
 
 use dpfill_core::fill::FillMethod;
 use dpfill_core::stream::{StreamOptions, StreamingFill, WindowSpec};
-use dpfill_core::{BoundMode, ShardSpec, SolveOptions};
+use dpfill_core::{BoundMode, SolveOptions};
 use dpfill_cubes::{format, peak_toggles, Bit, CubeSet, TestCube};
 use proptest::prelude::*;
 
@@ -174,13 +174,14 @@ fn seeded_200x129_set_matches_and_stays_optimal() {
     assert_eq!(report.peak, peak_toggles(&filled).unwrap() as u64);
 }
 
-/// The windowed DP fill stays byte-identical when its global solve runs
-/// sharded: every (shard width × thread count) cell — plus a quadratic-DP
-/// bound leg — must reproduce the monolithic output exactly. Pinning the
-/// width through [`StreamOptions::solve`] (instead of the env override)
-/// keeps the matrix race-free under a parallel test runner.
+/// The windowed DP fill stays byte-identical whatever pool its global
+/// solve runs on: every (thread count × window) cell — plus a
+/// quadratic-DP bound leg — must reproduce the monolithic output
+/// exactly. Pinning the engine through [`StreamOptions::solve`]
+/// (instead of the env override) keeps the matrix race-free under a
+/// parallel test runner.
 #[test]
-fn windowed_fill_is_byte_identical_under_sharded_solve() {
+fn windowed_fill_is_byte_identical_across_pool_sizes() {
     let set = dpfill_cubes::gen::random_cube_set(90, 48, 0.75, 0x5EED);
     let text = format::patterns_to_string(&set, None);
     let reference = monolithic_bytes(&text, FillMethod::Dp);
@@ -197,31 +198,18 @@ fn windowed_fill_is_byte_identical_under_sharded_solve() {
             .expect("streaming run");
         out
     };
-    for shards in [
-        ShardSpec::Serial,
-        ShardSpec::Auto,
-        ShardSpec::Width(1),
-        ShardSpec::Width(7),
-        ShardSpec::Width(64),
-    ] {
-        for threads in [1usize, 2, 8] {
-            for window in [5usize, 48] {
-                let solve = SolveOptions {
-                    shards,
-                    ..SolveOptions::default()
-                };
-                let out = with_threads(threads, || run(solve, window));
-                assert_eq!(
-                    out, reference,
-                    "{shards:?} drifted at window {window}, {threads} threads"
-                );
-            }
+    for threads in [1usize, 2, 8] {
+        for window in [5usize, 48] {
+            let out = with_threads(threads, || run(SolveOptions::default(), window));
+            assert_eq!(
+                out, reference,
+                "drifted at window {window}, {threads} threads"
+            );
         }
     }
-    // The retained O(C^2) DP bound feeds the same sharded coloring.
+    // The retained O(C^2) DP bound feeds the same coloring.
     let dp_leg = SolveOptions {
         bound: BoundMode::QuadraticDp,
-        shards: ShardSpec::Width(7),
         ..SolveOptions::default()
     };
     let out = with_threads(4, || run(dp_leg, 9));

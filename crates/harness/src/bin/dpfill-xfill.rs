@@ -84,7 +84,7 @@ use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dpfill_core::fill::{FillErrorSource, FillMethod};
+use dpfill_core::fill::{DpFill, DpFillError, FillErrorSource, FillMethod};
 use dpfill_core::ordering::{BandedMethod, OrderingMethod};
 use dpfill_core::stream::{
     BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamingFill, WindowSpec,
@@ -119,7 +119,8 @@ mod exit {
     pub const OVERFLOW: u8 = 9;
     /// The input held no patterns.
     pub const NO_PATTERNS: u8 = 10;
-    /// The global BCP solve failed (solver-input bug, never expected).
+    /// The global BCP solve failed, or its coloring missed the lower
+    /// bound it certified (a solver bug, never expected).
     pub const SOLVE: u8 = 11;
     /// The weight table behind `--objective`/`--weights` is invalid
     /// (parse error, zero/non-finite weight, width mismatch with the
@@ -158,13 +159,7 @@ fn stream_error(label: &str, e: &StreamError) -> CliError {
         StreamError::Open(_) | StreamError::Pattern(PatternError::Io(_)) => exit::INPUT_IO,
         StreamError::Pattern(PatternError::Cube(_)) => exit::MALFORMED,
         StreamError::Write(_) => exit::OUTPUT,
-        // A bad weight table is the caller's error (12) — except a
-        // weighted overflow, which joins the window-arithmetic class.
-        StreamError::Solve(e) => match &e.source {
-            FillErrorSource::Objective(ObjectiveError::Overflow { .. }) => exit::OVERFLOW,
-            FillErrorSource::Objective(_) => exit::BAD_WEIGHTS,
-            _ => exit::SOLVE,
-        },
+        StreamError::Solve(e) => dp_fill_error_code(e),
         StreamError::UnsupportedFill(_) => exit::USAGE,
         StreamError::Order(_) => exit::SOLVE,
         StreamError::SourceChanged { .. } => exit::SOURCE_CHANGED,
@@ -173,6 +168,18 @@ fn stream_error(label: &str, e: &StreamError) -> CliError {
         StreamError::Overflow { .. } => exit::OVERFLOW,
     };
     CliError::new(code, format!("{label}: {e}"))
+}
+
+/// Maps a DP-fill failure to its exit code: a bad weight table is the
+/// caller's error (12) — except a weighted overflow, which joins the
+/// window-arithmetic class (9) — and anything else is the solve's (11),
+/// including a coloring that missed its certified optimal peak.
+fn dp_fill_error_code(e: &DpFillError) -> u8 {
+    match &e.source {
+        FillErrorSource::Objective(ObjectiveError::Overflow { .. }) => exit::OVERFLOW,
+        FillErrorSource::Objective(_) => exit::BAD_WEIGHTS,
+        _ => exit::SOLVE,
+    }
 }
 
 /// Maps a monolithic-parse failure (I/O vs malformed line) to its code.
@@ -1031,7 +1038,18 @@ fn run_monolithic(opts: &Options, json: &mut JsonReport) -> Result<(), CliError>
             reordered
         }
     };
-    let filled = opts.fill.fill_with(&ordered, &objective);
+    let filled = match opts.fill {
+        // DP-fill's solver failures exit with their class instead of
+        // the panic behind the infallible `fill_with`.
+        FillMethod::Dp => {
+            DpFill::new()
+                .with_objective(objective.clone())
+                .try_run(&ordered)
+                .map_err(|e| CliError::new(dp_fill_error_code(&e), e.to_string()))?
+                .filled
+        }
+        _ => opts.fill.fill_with(&ordered, &objective),
+    };
     debug_assert!(CubeSet::is_filling_of(&filled, &ordered));
     drop(ordered);
 

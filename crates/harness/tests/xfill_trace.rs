@@ -176,6 +176,76 @@ fn trace_file_is_wellformed_jsonl_with_balanced_spans() {
 }
 
 #[test]
+fn weighted_solve_traces_bound_search_and_color_under_bcp_solve() {
+    // A weight table with non-unit weights routes the global solve
+    // through the weighted engines, the only ones that run the
+    // blocking search.
+    let weights = Scratch::new("solve-spans.weights");
+    std::fs::write(
+        &weights.0,
+        "5.0 0\n1.0 -\n1.0 -\n1.0 -\n9.0 1\n2.0 -\n1.0 -\n1.0 -\n1.0 -\n3.0 -\n",
+    )
+    .expect("write weights");
+    let trace = Scratch::new("solve-spans.jsonl");
+    let (_, stderr, ok) = run_xfill(
+        &[
+            "--objective",
+            "weighted",
+            "--weights",
+            weights.as_str(),
+            "--order",
+            "keep",
+            "--window",
+            "2",
+            "--trace",
+            trace.as_str(),
+        ],
+        INPUT,
+    );
+    assert!(ok, "stderr: {stderr}");
+    let text = std::fs::read_to_string(&trace.0).expect("trace written");
+    let field = |line: &str, key: &str| -> String {
+        let at = line
+            .find(key)
+            .unwrap_or_else(|| panic!("{key} missing: {line}"))
+            + key.len();
+        line[at..]
+            .chars()
+            .take_while(|c| c.is_ascii_alphanumeric() || *c == '.')
+            .collect()
+    };
+    let enters: Vec<(String, String, String)> = text
+        .lines()
+        .filter(|l| l.starts_with("{\"ev\":\"enter\""))
+        .map(|l| {
+            (
+                field(l, "\"id\":"),
+                field(l, "\"parent\":"),
+                field(l, "\"name\":\""),
+            )
+        })
+        .collect();
+    let solve_ids: Vec<&String> = enters
+        .iter()
+        .filter(|(_, _, name)| name == "bcp.solve")
+        .map(|(id, _, _)| id)
+        .collect();
+    assert_eq!(solve_ids.len(), 1, "one global solve: {text}");
+    for child in ["bcp.bound", "bcp.search", "bcp.color"] {
+        assert!(
+            enters
+                .iter()
+                .any(|(_, parent, name)| name == child && parent == solve_ids[0]),
+            "{child} missing under bcp.solve: {text}"
+        );
+    }
+    assert!(
+        text.contains("\"name\":\"bcp.probes\""),
+        "probe counter: {text}"
+    );
+}
+
+#[test]
 fn stats_json_is_a_machine_readable_superset_of_stats() {
     let json_path = Scratch::new("stats.json");
     let (_, stderr, ok) = run_xfill(
