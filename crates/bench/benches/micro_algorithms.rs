@@ -22,16 +22,15 @@ use dpfill_circuits::itc99;
 use dpfill_core::bcp::BcpInstance;
 use dpfill_core::fill::{DpFill, DpMode, FillStrategy, MtFill};
 use dpfill_core::Interval;
-use dpfill_cubes::format::{
-    parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns,
-};
+use dpfill_cubes::format::{parse_patterns, patterns_to_string, read_patterns};
 use dpfill_cubes::gen::{random_cube_set, CubeProfile};
 use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
 use dpfill_cubes::stretch::StretchStats;
-use dpfill_cubes::{
-    peak_toggles, peak_toggles_scalar, toggle_profile, toggle_profile_scalar, PinMatrix,
-};
+use dpfill_cubes::{peak_toggles, toggle_profile};
 use dpfill_netlist::CombView;
+use dpfill_oracle::{
+    parse_patterns_scalar, peak_toggles_scalar, pin_matrix_scalar, toggle_profile_scalar,
+};
 use dpfill_sim::{pack_patterns, PlaneSim};
 
 /// The PR-1 acceptance benchmark: packed popcount kernels vs the scalar
@@ -43,7 +42,7 @@ fn bench_packed_kernels(c: &mut Criterion) {
     let cubes = random_cube_set(1024, 1024, 0.5, 0xD0E5);
     let packed = PackedCubeSet::from(&cubes);
     let matrix = PackedMatrix::from_packed_set(&packed);
-    let pin_matrix = PinMatrix::from_cube_set_scalar(&cubes);
+    let pin_matrix = pin_matrix_scalar(&cubes);
 
     group.bench_function("peak_toggles/packed/1024x1024", |b| {
         b.iter(|| criterion::black_box(packed.peak_toggles()))
@@ -67,7 +66,7 @@ fn bench_packed_kernels(c: &mut Criterion) {
         b.iter(|| criterion::black_box(PackedMatrix::from_packed_set(&packed).rows()))
     });
     group.bench_function("transpose/scalar_scatter/1024x1024", |b| {
-        b.iter(|| criterion::black_box(PinMatrix::from_cube_set_scalar(&cubes).rows()))
+        b.iter(|| criterion::black_box(pin_matrix_scalar(&cubes).rows()))
     });
     group.bench_function("stretch_scan/packed/1024x1024", |b| {
         b.iter(|| criterion::black_box(StretchStats::of_packed(&matrix).total_stretches()))

@@ -7,7 +7,7 @@
 //!   word stream (the 6 666-pin b19 scale: 105 words per plane);
 //! * `sweep/*` — the whole-set adjacent-pair toggle profile of a
 //!   1024×1024 cube set: per-pair scalar calls vs the batched sweep on
-//!   each tier (forced process-wide via `force_kernel`);
+//!   the auto-selected tier;
 //! * `analyze_fill/*` — the full analyze+DP-fill pipeline on the
 //!   1024×1024 set with the scalar tier forced vs the auto-selected
 //!   SIMD tier, plus the dense-care variant (20% X) where the mapping's
@@ -51,11 +51,7 @@ fn bench_popcount(c: &mut Criterion) {
             .collect()
     };
     let (va, vb, ca, cb) = (mk(1), mk(2), mk(3), mk(4));
-    for kernel in [
-        PopcountKernel::Scalar,
-        PopcountKernel::Swar,
-        PopcountKernel::Avx2,
-    ] {
+    for kernel in [PopcountKernel::Scalar, PopcountKernel::Avx2] {
         if !kernel.is_available() {
             continue;
         }
@@ -85,15 +81,9 @@ fn bench_popcount(c: &mut Criterion) {
         })
     });
     let auto = active_kernel();
-    for kernel in [PopcountKernel::Swar, auto] {
-        force_kernel(kernel);
-        group.bench_function(format!("sweep/batched_{}/1024x1024", kernel.label()), |b| {
-            b.iter(|| criterion::black_box(packed.total_conflicts()))
-        });
-        if auto == PopcountKernel::Swar {
-            break; // no SIMD tier on this host; one batched leg suffices
-        }
-    }
+    group.bench_function(format!("sweep/batched_{}/1024x1024", auto.label()), |b| {
+        b.iter(|| criterion::black_box(packed.total_conflicts()))
+    });
 
     // Rung 3: the two stretch scanners head-to-head on a dense-care
     // (20% X) pin matrix — the workload the ROADMAP's fast path targets.

@@ -1,6 +1,6 @@
 //! The PR-7 acceptance benchmark: the incremental (parametric) BCP
-//! lower bound and the EDF coloring against the retained O(C²) DP
-//! path, at C ∈ {1k, 16k, 128k} colors.
+//! lower bound and the EDF coloring against the O(C²) DP in
+//! `dpfill-oracle`, at C ∈ {1k, 16k, 128k} colors.
 //!
 //! The quadratic DP rows stop at 16k (one 128k iteration alone runs for
 //! minutes); comparing the 1k → 16k growth ratios shows the scaling gap
@@ -24,6 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use dpfill_core::bcp::{BcpInstance, SolveOptions};
 use dpfill_core::Interval;
+use dpfill_oracle::lower_bound_dp;
 
 /// `4 * colors` random intervals (mixed spans) plus a light baseline —
 /// ATPG-shaped traffic: most load short-range, a few full-width runs.
@@ -65,11 +66,11 @@ fn bench_bcp_pr7(c: &mut Criterion) {
                 b.iter(|| black_box(inst.lower_bound().expect("bound")))
             })
         });
-        // The retained O(C²) DP path, behind its flag — 128k omitted
-        // (minutes per iteration; the 1k → 16k ratio tells the story).
+        // The O(C²) DP oracle — 128k omitted (minutes per iteration;
+        // the 1k → 16k ratio tells the story).
         if colors <= 16_000 {
             group.bench_function(format!("lower_bound/quadratic_dp/c{colors}"), |b| {
-                b.iter(|| black_box(inst.lower_bound_dp(true).expect("bound")))
+                b.iter(|| black_box(lower_bound_dp(&inst, true).expect("bound")))
             });
         }
 

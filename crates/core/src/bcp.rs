@@ -18,17 +18,16 @@
 //!
 //! Both agree whenever the baseline is zero (property-tested), and the
 //! generalized peak is provably optimal for the true objective
-//! `max_t (baseline_t + load_t)` (tested against brute force).
+//! `max_t (baseline_t + load_t)` (tested against the brute force in the
+//! dev-only `dpfill-oracle` crate).
 //!
 //! # How the bound is computed
 //!
 //! The published Algorithm 1 evaluates every window `[i, j]` with a
 //! row-by-row dynamic program — O(C²) in the number of colors, the
-//! asymptotic wall-clock bound of the whole fill on large inputs. It is
-//! retained verbatim (with checked arithmetic) as
-//! [`BcpInstance::lower_bound_dp`] behind [`BoundMode::QuadraticDp`] for
-//! differential testing. The default path certifies the *same value*
-//! without the quadratic sweep:
+//! asymptotic wall-clock bound of the whole fill on large inputs. The
+//! solver certifies the *same value* without the quadratic sweep; the
+//! DP itself lives in `dpfill-oracle` as the differential reference:
 //!
 //! 1. **Window ladder** ([`IncrementalBound`] online, a one-pass pyramid
 //!    in batch): monotone maxima over power-of-two *aligned* color
@@ -63,14 +62,9 @@
 //!   in ascending order from its own deadline bucket on, which is the
 //!   heap's order, so colorings and [`BcpError::Infeasible`] reports are
 //!   those of the textbook heap sweep (differential-tested against it).
-//!
-//! The lower-bound engine is environment-overridable:
-//! `DPFILL_BCP_BOUND=dp` selects the quadratic DP (resolved once per
-//! process, like `DPFILL_SIMD`).
 
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 use crate::Interval;
 
@@ -192,51 +186,16 @@ impl fmt::Display for BcpError {
 
 impl Error for BcpError {}
 
-/// How the solver certifies the lower bound.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BoundMode {
-    /// Window ladder + parametric EDF certification (default;
-    /// sub-quadratic).
-    #[default]
-    Incremental,
-    /// The published Algorithm 1 row DP — O(C²), retained behind this
-    /// flag for differential cross-checks (`DPFILL_BCP_BOUND=dp`).
-    QuadraticDp,
-}
-
-/// Configuration of [`BcpInstance::solve_with`] /
-/// [`BcpInstance::solve_paper_with`].
+/// Configuration of [`BcpInstance::solve_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveOptions {
-    /// Lower-bound engine.
-    pub bound: BoundMode,
     /// A warm lower bound the caller already certified *for the
     /// generalized (baseline-aware) objective* — typically
     /// [`IncrementalBound::current`] maintained while the instance was
     /// being built. Must never exceed the true bound (every
     /// [`IncrementalBound`] value satisfies this). Skips rebuilding the
-    /// ladder; ignored by the paper-mode solve and the quadratic DP.
+    /// ladder.
     pub warm_lb: Option<u64>,
-}
-
-static ENV_SOLVE: OnceLock<SolveOptions> = OnceLock::new();
-
-impl SolveOptions {
-    /// Process-wide defaults: [`SolveOptions::default`] overridden by
-    /// `DPFILL_BCP_BOUND` (`dp` / `incremental`), resolved once and
-    /// cached — the same env-override shape as `DPFILL_SIMD`.
-    /// Unrecognized values fall back to the defaults.
-    pub fn from_env() -> SolveOptions {
-        *ENV_SOLVE.get_or_init(|| {
-            let mut opts = SolveOptions::default();
-            if let Ok(v) = std::env::var("DPFILL_BCP_BOUND") {
-                if matches!(v.as_str(), "dp" | "quadratic") {
-                    opts.bound = BoundMode::QuadraticDp;
-                }
-            }
-            opts
-        })
-    }
 }
 
 /// Number of bits needed to represent `x` (`0` for `x == 0`).
@@ -797,9 +756,9 @@ impl BcpInstance {
     }
 
     /// The paper's Algorithm 1 bound (baseline ignored), computed by
-    /// the default sub-quadratic parametric engine. Equal to
-    /// [`BcpInstance::lower_bound_dp`]`(false)` wherever the DP does not
-    /// overflow (differential-tested).
+    /// the sub-quadratic parametric engine. Equal to the Algorithm 1 row
+    /// DP without the baseline wherever the DP does not overflow
+    /// (differential-tested against `dpfill-oracle`).
     ///
     /// # Errors
     ///
@@ -811,7 +770,7 @@ impl BcpInstance {
     /// Generalized lower bound for the true objective
     /// `max_t (baseline_t + load_t)`:
     /// `max( max_t baseline_t, max_{i≤j} ⌈(T[i][j] + Σ baseline)/(j−i+1)⌉ )`,
-    /// computed by the default sub-quadratic parametric engine.
+    /// computed by the sub-quadratic parametric engine.
     ///
     /// # Errors
     ///
@@ -825,227 +784,6 @@ impl BcpInstance {
     pub fn lower_bound(&self) -> Result<u64, BcpError> {
         let weighted = !self.is_unit();
         self.certified_bound(&Deadlines::new(self, weighted, false), true, None)
-    }
-
-    /// Algorithm 1 verbatim: the O(C²) row dynamic program over
-    /// `T[i][j]` (intervals with `start ≥ i` and `end ≤ j`), which
-    /// satisfies
-    /// `T[i][j] = T[i][j-1] + T[i+1][j] − T[i+1][j-1] + #(start=i ∧ end=j)`;
-    /// the bound is `max ⌈(T[i][j] + baseline[i..=j])/(j−i+1)⌉`. O(C)
-    /// space. Retained behind [`BoundMode::QuadraticDp`] as the
-    /// differential reference for the parametric engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Overflow`] when a windowed load sum exceeds
-    /// `u64` (adversarial baselines overflowed silently in release
-    /// before this was checked).
-    pub fn lower_bound_dp(&self, with_baseline: bool) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        if c == 0 {
-            return Ok(0);
-        }
-        // exact_by_start[i] lists ends of intervals starting exactly at i.
-        let mut exact_by_start: Vec<Vec<u32>> = vec![Vec::new(); c];
-        for iv in &self.intervals {
-            exact_by_start[iv.start() as usize].push(iv.end());
-        }
-        // Baseline prefix sums: pre[j] = sum of baseline[0..j].
-        let mut pre = vec![0u64; if with_baseline { c + 1 } else { 0 }];
-        if with_baseline {
-            for t in 0..c {
-                pre[t + 1] = pre[t]
-                    .checked_add(self.baseline[t])
-                    .ok_or(BcpError::Overflow {
-                        what: "baseline prefix sum",
-                    })?;
-            }
-        }
-
-        let mut best: u64 = if with_baseline {
-            self.baseline.iter().copied().max().unwrap_or(0)
-        } else {
-            0
-        };
-        // prev[j] = T[i+1][j]; cur[j] = T[i][j]. Row i processed from the
-        // last color down to 0.
-        let mut prev = vec![0u64; c];
-        let mut cur = vec![0u64; c];
-        let mut add = vec![0u64; c];
-        for i in (0..c).rev() {
-            for a in add.iter_mut() {
-                *a = 0;
-            }
-            for &e in &exact_by_start[i] {
-                add[e as usize] += 1;
-            }
-            for j in 0..c {
-                if j < i {
-                    cur[j] = 0;
-                    continue;
-                }
-                let t_left = if j > i { cur[j - 1] } else { 0 };
-                let t_down = prev[j];
-                let t_diag = if j > i { prev[j - 1] } else { 0 };
-                cur[j] = t_left + t_down - t_diag + add[j];
-                let len = (j - i + 1) as u64;
-                let numerator = if with_baseline {
-                    cur[j]
-                        .checked_add(pre[j + 1] - pre[i])
-                        .ok_or(BcpError::Overflow {
-                            what: "windowed load (intervals + baseline)",
-                        })?
-                } else {
-                    cur[j]
-                };
-                let bound = numerator.div_ceil(len);
-                if bound > best {
-                    best = bound;
-                }
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        Ok(best)
-    }
-
-    /// Reference implementation of the lower bound: direct counting per
-    /// window, O(C²·k). Used to cross-check both engines in tests;
-    /// exposed for downstream validation on small instances.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Overflow`] when a windowed load sum exceeds
-    /// `u64`.
-    pub fn lower_bound_naive(&self, with_baseline: bool) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        let mut best: u64 = if with_baseline {
-            self.baseline.iter().copied().max().unwrap_or(0)
-        } else {
-            0
-        };
-        for i in 0..c {
-            for j in i..c {
-                let inside = self
-                    .intervals
-                    .iter()
-                    .filter(|iv| iv.within(i as u32, j as u32))
-                    .count() as u64;
-                let mut numerator = inside;
-                if with_baseline {
-                    for &b in &self.baseline[i..=j] {
-                        numerator = numerator.checked_add(b).ok_or(BcpError::Overflow {
-                            what: "windowed load (intervals + baseline)",
-                        })?;
-                    }
-                }
-                let len = (j - i + 1) as u64;
-                best = best.max(numerator.div_ceil(len));
-            }
-        }
-        Ok(best)
-    }
-
-    /// Weighted Algorithm 1: the O(C²) row DP with each interval
-    /// contributing its load to `T[i][j]` instead of 1. Always
-    /// baseline-aware (weighted solves target the true objective).
-    /// Equals [`BcpInstance::lower_bound`] wherever neither engine
-    /// overflows (differential-tested); selected by
-    /// [`BoundMode::QuadraticDp`] on weighted solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Overflow`] when a windowed load sum exceeds
-    /// `u64`.
-    pub fn lower_bound_dp_weighted(&self) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        if c == 0 {
-            return Ok(0);
-        }
-        let overflow = || BcpError::Overflow {
-            what: "windowed weighted load",
-        };
-        // exact_by_start[i] lists (end, load) of intervals starting at i.
-        let mut exact_by_start: Vec<Vec<(u32, u64)>> = vec![Vec::new(); c];
-        for (i, iv) in self.intervals.iter().enumerate() {
-            exact_by_start[iv.start() as usize].push((iv.end(), self.interval_load(i)));
-        }
-        let mut pre = vec![0u64; c + 1];
-        for t in 0..c {
-            pre[t + 1] = pre[t]
-                .checked_add(self.baseline[t])
-                .ok_or(BcpError::Overflow {
-                    what: "baseline prefix sum",
-                })?;
-        }
-        let mut best: u64 = self.baseline.iter().copied().max().unwrap_or(0);
-        let mut prev = vec![0u64; c];
-        let mut cur = vec![0u64; c];
-        let mut add = vec![0u64; c];
-        for i in (0..c).rev() {
-            for a in add.iter_mut() {
-                *a = 0;
-            }
-            for &(e, w) in &exact_by_start[i] {
-                add[e as usize] = add[e as usize].checked_add(w).ok_or_else(overflow)?;
-            }
-            for j in 0..c {
-                if j < i {
-                    cur[j] = 0;
-                    continue;
-                }
-                let t_left = if j > i { cur[j - 1] } else { 0 };
-                let t_down = prev[j];
-                let t_diag = if j > i { prev[j - 1] } else { 0 };
-                // T[i][j-1] ⊇ T[i+1][j-1], so the subtraction cannot
-                // underflow, and ordering it first avoids a spurious
-                // intermediate overflow.
-                cur[j] = (t_left - t_diag)
-                    .checked_add(t_down)
-                    .and_then(|v| v.checked_add(add[j]))
-                    .ok_or_else(overflow)?;
-                let len = (j - i + 1) as u64;
-                let numerator = cur[j]
-                    .checked_add(pre[j + 1] - pre[i])
-                    .ok_or_else(overflow)?;
-                best = best.max(numerator.div_ceil(len));
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        Ok(best)
-    }
-
-    /// Weighted reference bound: direct load summation per window,
-    /// O(C²·k), baseline-aware. Cross-checks the weighted parametric
-    /// and DP engines in tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Overflow`] when a windowed load sum exceeds
-    /// `u64`.
-    pub fn lower_bound_naive_weighted(&self) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        let overflow = || BcpError::Overflow {
-            what: "windowed weighted load",
-        };
-        let mut best: u64 = self.baseline.iter().copied().max().unwrap_or(0);
-        for i in 0..c {
-            for j in i..c {
-                let mut numerator = 0u64;
-                for (idx, iv) in self.intervals.iter().enumerate() {
-                    if iv.within(i as u32, j as u32) {
-                        numerator = numerator
-                            .checked_add(self.interval_load(idx))
-                            .ok_or_else(overflow)?;
-                    }
-                }
-                for &b in &self.baseline[i..=j] {
-                    numerator = numerator.checked_add(b).ok_or_else(overflow)?;
-                }
-                let len = (j - i + 1) as u64;
-                best = best.max(numerator.div_ceil(len));
-            }
-        }
-        Ok(best)
     }
 
     /// Can every interval be placed with peak `peak` (per-color capacity
@@ -1462,9 +1200,8 @@ impl BcpInstance {
 
     /// Solves with the generalized (baseline-aware) algorithm under
     /// explicit [`SolveOptions`]; the returned peak is optimal for
-    /// `max_t (baseline_t + load_t)`. The solution is identical for
-    /// every option combination (the options pick engines, not
-    /// answers) — differential-tested.
+    /// `max_t (baseline_t + load_t)`. A warm bound only skips work: the
+    /// solution is the cold solve's (differential-tested).
     ///
     /// Weighted instances (any interval load > 1) route to the weighted
     /// engines: the certified `lower_bound` is the exact fractional
@@ -1487,9 +1224,9 @@ impl BcpInstance {
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
         let _span = self.solve_span();
         if self.is_unit() {
-            self.solve_unit(true, opts)
+            self.solve_unit(true, opts.warm_lb)
         } else {
-            self.solve_weighted_with(opts)
+            self.solve_weighted(opts.warm_lb)
         }
     }
 
@@ -1510,21 +1247,11 @@ impl BcpInstance {
     /// certificate — the verified peak must equal the bound. Paper mode
     /// ignores loads, so on weighted instances its verified peak (which
     /// counts them) is not compared.
-    fn solve_unit(
-        &self,
-        with_baseline: bool,
-        opts: &SolveOptions,
-    ) -> Result<BcpSolution, BcpError> {
+    fn solve_unit(&self, with_baseline: bool, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
         let dl = Deadlines::new(self, false, true);
         let lb = {
             let _span = minitrace::span("bcp.bound");
-            match opts.bound {
-                BoundMode::Incremental => {
-                    let warm = opts.warm_lb.filter(|_| with_baseline);
-                    self.certified_bound(&dl, with_baseline, warm)?
-                }
-                BoundMode::QuadraticDp => self.lower_bound_dp(with_baseline)?,
-            }
+            self.certified_bound(&dl, with_baseline, warm)?
         };
         let _span = minitrace::span("bcp.color");
         let capacity = |t: usize| {
@@ -1560,15 +1287,12 @@ impl BcpInstance {
     /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
     /// `peak == lower_bound` is not guaranteed on instances beyond the
     /// search budget; inside it the peak is exactly optimal
-    /// (differential-tested against brute force).
-    fn solve_weighted_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
+    /// (differential-tested against the `dpfill-oracle` brute force).
+    fn solve_weighted(&self, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
         let dl = Deadlines::new(self, true, true);
         let lb = {
             let _span = minitrace::span("bcp.bound");
-            match opts.bound {
-                BoundMode::Incremental => self.certified_bound(&dl, true, opts.warm_lb)?,
-                BoundMode::QuadraticDp => self.lower_bound_dp_weighted()?,
-            }
+            self.certified_bound(&dl, true, warm)?
         };
         let target = {
             let _span = minitrace::span("bcp.search");
@@ -1680,24 +1404,21 @@ impl BcpInstance {
         search.best
     }
 
-    /// Solves with the generalized (baseline-aware) algorithm under the
-    /// process-wide [`SolveOptions::from_env`] defaults.
+    /// Solves with the generalized (baseline-aware) algorithm and no
+    /// warm bound.
     ///
     /// # Errors
     ///
     /// See [`BcpInstance::solve_with`].
     pub fn solve(&self) -> Result<BcpSolution, BcpError> {
-        self.solve_with(&SolveOptions::from_env())
+        self.solve_with(&SolveOptions::default())
     }
 
     /// Solves with the paper's Algorithms 1+2 (baseline ignored during
-    /// optimization, but reported in the verified peak) under explicit
-    /// [`SolveOptions`]. [`SolveOptions::warm_lb`] is ignored: warm
-    /// bounds are certified for the generalized objective. Interval
-    /// loads are also ignored — the published algorithms are defined
-    /// for unit loads; weighted instances must use
-    /// [`BcpInstance::solve_with`]. Traced like
-    /// [`BcpInstance::solve_with`].
+    /// optimization, but reported in the verified peak). Interval loads
+    /// are also ignored — the published algorithms are defined for unit
+    /// loads; weighted instances must use [`BcpInstance::solve_with`].
+    /// Traced like [`BcpInstance::solve_with`].
     ///
     /// # Errors
     ///
@@ -1705,62 +1426,9 @@ impl BcpInstance {
     /// Algorithm 2 always meets the Algorithm 1 bound, so
     /// [`BcpError::Infeasible`] or [`BcpError::BoundNotMet`] would
     /// indicate a solver bug.
-    pub fn solve_paper_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let _span = self.solve_span();
-        self.solve_unit(false, opts)
-    }
-
-    /// Solves with the paper's Algorithms 1+2 under the process-wide
-    /// [`SolveOptions::from_env`] defaults.
-    ///
-    /// # Errors
-    ///
-    /// See [`BcpInstance::solve_paper_with`].
     pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
-        self.solve_paper_with(&SolveOptions::from_env())
-    }
-
-    /// Exhaustive minimum peak (with baseline) — O(∏ len(interval)).
-    /// Only for tiny instances in tests and validation (saturating: not
-    /// meaningful near `u64::MAX` loads).
-    pub fn brute_force_min_peak(&self) -> u64 {
-        fn rec(instance: &BcpInstance, idx: usize, load: &mut Vec<u64>, best: &mut u64) {
-            if idx == instance.intervals.len() {
-                let peak = load
-                    .iter()
-                    .zip(&instance.baseline)
-                    .map(|(l, b)| l.saturating_add(*b))
-                    .max()
-                    .unwrap_or(0);
-                *best = (*best).min(peak);
-                return;
-            }
-            let iv = instance.intervals[idx];
-            let w = instance.interval_load(idx);
-            for t in iv.start()..=iv.end() {
-                let slot = t as usize;
-                let old = load[slot];
-                load[slot] = old.saturating_add(w);
-                // Prune: partial peak already ≥ best.
-                let partial = load[slot].saturating_add(instance.baseline[slot]);
-                if partial < *best || *best == 0 {
-                    rec(instance, idx + 1, load, best);
-                }
-                load[slot] = old;
-            }
-        }
-        if self.num_colors == 0 {
-            return 0;
-        }
-        let mut best = u64::MAX;
-        let mut load = vec![0u64; self.num_colors];
-        rec(self, 0, &mut load, &mut best);
-        if best == u64::MAX {
-            // No intervals: the peak is the baseline's max.
-            self.baseline.iter().copied().max().unwrap_or(0)
-        } else {
-            best
-        }
+        let _span = self.solve_span();
+        self.solve_unit(false, None)
     }
 }
 
@@ -1787,28 +1455,6 @@ mod tests {
             inst.add_interval(Interval::new(s, e)).unwrap();
         }
         inst
-    }
-
-    /// Cross-checks the three bound engines on a small instance and
-    /// returns the agreed value.
-    fn agreed_bound(inst: &BcpInstance, with_baseline: bool) -> u64 {
-        let parametric = if with_baseline {
-            inst.lower_bound().unwrap()
-        } else {
-            inst.lower_bound_paper().unwrap()
-        };
-        assert_eq!(parametric, inst.lower_bound_dp(with_baseline).unwrap());
-        assert_eq!(parametric, inst.lower_bound_naive(with_baseline).unwrap());
-        parametric
-    }
-
-    #[test]
-    fn empty_instance() {
-        let inst = BcpInstance::new(5);
-        assert_eq!(agreed_bound(&inst, false), 0);
-        assert_eq!(agreed_bound(&inst, true), 0);
-        let sol = inst.solve().unwrap();
-        assert_eq!(sol.peak.with_baseline, 0);
     }
 
     #[test]
@@ -1859,78 +1505,11 @@ mod tests {
     }
 
     #[test]
-    fn pigeonhole_bound() {
-        // Three identical point intervals must share one color.
-        let inst = instance(4, &[(1, 1), (1, 1), (1, 1)]);
-        assert_eq!(agreed_bound(&inst, false), 3);
-        let sol = inst.solve_paper().unwrap();
-        assert_eq!(sol.peak.intervals_only, 3);
-    }
-
-    #[test]
-    fn spreading_reduces_peak() {
-        // Four intervals each allowing two colors can spread to peak 2.
-        let inst = instance(2, &[(0, 1), (0, 1), (0, 1), (0, 1)]);
-        assert_eq!(agreed_bound(&inst, false), 2);
-        let sol = inst.solve_paper().unwrap();
-        assert_eq!(sol.peak.intervals_only, 2);
-    }
-
-    #[test]
-    fn window_density_bound() {
-        // Window [1,2] holds 5 intervals over 2 colors -> LB 3 even
-        // though each single color only "sees" fewer forced intervals.
-        let inst = instance(5, &[(1, 2), (1, 2), (1, 1), (2, 2), (1, 2)]);
-        assert_eq!(agreed_bound(&inst, false), 3);
-        let sol = inst.solve_paper().unwrap();
-        assert_eq!(sol.peak.intervals_only, 3);
-        assert_eq!(inst.brute_force_min_peak(), 3);
-    }
-
-    #[test]
     fn paper_fig1_style_instance_is_optimal() {
         // Disjoint choices allow peak 1.
         let inst = instance(4, &[(0, 1), (2, 3), (1, 2)]);
         let sol = inst.solve_paper().unwrap();
         assert_eq!(sol.peak.intervals_only, 1);
-    }
-
-    #[test]
-    fn baseline_changes_optimum() {
-        // One interval over colors {0,1}; baseline load 2 at color 0.
-        let mut inst = instance(2, &[(0, 1)]);
-        inst.add_baseline(0, 2).unwrap();
-        // Paper solver ignores baseline and may pick color 0 -> true
-        // peak 3; generalized solver must pick color 1 -> peak 2.
-        assert_eq!(agreed_bound(&inst, true), 2);
-        let sol = inst.solve().unwrap();
-        assert_eq!(sol.peak.with_baseline, 2);
-        assert_eq!(sol.coloring.color(0), 1);
-        assert_eq!(inst.brute_force_min_peak(), 2);
-    }
-
-    #[test]
-    fn baseline_only_instance() {
-        let mut inst = BcpInstance::new(3);
-        inst.set_baseline(vec![1, 4, 2]).unwrap();
-        assert_eq!(agreed_bound(&inst, true), 4);
-        let sol = inst.solve().unwrap();
-        assert_eq!(sol.peak.with_baseline, 4);
-        assert_eq!(inst.brute_force_min_peak(), 4);
-    }
-
-    #[test]
-    fn baseline_window_averaging() {
-        // Baseline [0,3,0] + two intervals over the whole range: the
-        // window [1,1] gives ceil((0+3)/1)=3; whole window gives
-        // ceil((2+3)/3)=2; max_t baseline = 3 -> LB 3 and EDF avoids
-        // color 1 entirely.
-        let mut inst = instance(3, &[(0, 2), (0, 2)]);
-        inst.set_baseline(vec![0, 3, 0]).unwrap();
-        assert_eq!(agreed_bound(&inst, true), 3);
-        let sol = inst.solve().unwrap();
-        assert_eq!(sol.peak.with_baseline, 3);
-        assert_eq!(inst.brute_force_min_peak(), 3);
     }
 
     #[test]
@@ -2001,41 +1580,6 @@ mod tests {
     }
 
     #[test]
-    fn dp_matches_naive_on_dense_instance() {
-        let ivs: Vec<(u32, u32)> = (0..20)
-            .flat_map(|s| (s..20).map(move |e| (s, e)))
-            .filter(|(s, e)| (e - s) % 3 == 0)
-            .collect();
-        let inst = instance(20, &ivs);
-        agreed_bound(&inst, false);
-        let sol = inst.solve_paper().unwrap();
-        assert_eq!(sol.peak.intervals_only, sol.lower_bound);
-    }
-
-    #[test]
-    fn generalized_solver_matches_brute_force() {
-        // A handful of hand-rolled small instances with baselines.
-        type Case = (usize, Vec<(u32, u32)>, Vec<u64>);
-        let cases: Vec<Case> = vec![
-            (3, vec![(0, 1), (1, 2), (0, 2)], vec![1, 0, 2]),
-            (4, vec![(0, 3), (1, 2), (2, 3), (0, 0)], vec![0, 2, 0, 1]),
-            (2, vec![(0, 1), (0, 1), (1, 1)], vec![3, 0]),
-            (5, vec![(0, 4); 7], vec![1, 1, 1, 1, 1]),
-        ];
-        for (c, ivs, baseline) in cases {
-            let mut inst = instance(c, &ivs);
-            inst.set_baseline(baseline.clone()).unwrap();
-            agreed_bound(&inst, true);
-            let sol = inst.solve().unwrap();
-            assert_eq!(
-                sol.peak.with_baseline,
-                inst.brute_force_min_peak(),
-                "instance {c} {ivs:?} {baseline:?}"
-            );
-        }
-    }
-
-    #[test]
     fn solution_peak_equals_lower_bound() {
         let inst = instance(6, &[(0, 5), (1, 3), (2, 2), (2, 4), (0, 1), (4, 5)]);
         let sol = inst.solve_paper().unwrap();
@@ -2044,72 +1588,6 @@ mod tests {
         assert_eq!(gsol.peak.with_baseline, gsol.lower_bound);
         // No baseline: both agree.
         assert_eq!(gsol.peak.with_baseline, sol.peak.intervals_only);
-    }
-
-    #[test]
-    fn dp_overflow_is_typed_at_u64_max_baselines() {
-        // pre[2] = u64::MAX + 1 overflows the prefix sum: the quadratic
-        // DP must surface a typed error (it wrapped silently in release
-        // before), while the parametric engine — which never sums
-        // windows — still certifies the representable bound u64::MAX.
-        let mut inst = instance(2, &[(0, 1)]);
-        inst.set_baseline(vec![u64::MAX, 0]).unwrap();
-        assert!(matches!(
-            inst.lower_bound_dp(true),
-            Err(BcpError::Overflow { .. })
-        ));
-        assert!(matches!(
-            inst.lower_bound_naive(true),
-            Err(BcpError::Overflow { .. })
-        ));
-        assert_eq!(inst.lower_bound().unwrap(), u64::MAX);
-        // The paper-mode DP ignores the baseline and must not trip.
-        assert_eq!(inst.lower_bound_dp(false).unwrap(), 1);
-        // And the full solve is exact: the interval lands on color 1.
-        let sol = inst.solve().unwrap();
-        assert_eq!(sol.peak.with_baseline, u64::MAX);
-        assert_eq!(sol.coloring.color(0), 1);
-    }
-
-    #[test]
-    fn unrepresentable_bound_is_typed_overflow() {
-        // Baseline u64::MAX plus a forced point interval at the same
-        // color: the true bound is u64::MAX + 1. Every engine must
-        // report Overflow instead of wrapping or looping.
-        let mut inst = instance(1, &[(0, 0)]);
-        inst.set_baseline(vec![u64::MAX]).unwrap();
-        assert!(matches!(inst.lower_bound(), Err(BcpError::Overflow { .. })));
-        assert!(matches!(
-            inst.lower_bound_dp(true),
-            Err(BcpError::Overflow { .. })
-        ));
-        assert!(matches!(inst.solve(), Err(BcpError::Overflow { .. })));
-    }
-
-    #[test]
-    fn incremental_bound_never_exceeds_and_warms_the_solve() {
-        let ivs = [(0u32, 3u32), (1, 2), (2, 2), (4, 6), (0, 6), (5, 5)];
-        let mut inst = instance(7, &ivs);
-        inst.set_baseline(vec![1, 0, 2, 0, 0, 3, 0]).unwrap();
-        let mut ladder = IncrementalBound::new();
-        for &(s, e) in &ivs {
-            ladder.add_interval(Interval::new(s, e));
-        }
-        for (t, &b) in inst.baseline().iter().enumerate() {
-            ladder.add_baseline(t, b);
-        }
-        let lb = agreed_bound(&inst, true);
-        let warm = ladder.current();
-        assert!(warm <= lb, "ladder {warm} exceeds true bound {lb}");
-        assert!(ladder.approx_bytes() > 0);
-        let sol = inst
-            .solve_with(&SolveOptions {
-                warm_lb: Some(warm),
-                ..SolveOptions::default()
-            })
-            .unwrap();
-        assert_eq!(sol.lower_bound, lb);
-        assert_eq!(sol.coloring, inst.solve().unwrap().coloring);
     }
 
     /// The per-level recount the one-pass ladder replaced: every level
@@ -2270,28 +1748,19 @@ mod tests {
 
     #[test]
     fn solve_options_pick_engines_not_answers() {
+        // Every valid warm bound (at most the true one) only skips
+        // work: unit solves return the cold solution.
         let mut inst = instance(9, &[(0, 8), (2, 3), (2, 3), (5, 5), (6, 8), (0, 1)]);
         inst.set_baseline(vec![1, 0, 0, 2, 0, 1, 0, 0, 0]).unwrap();
-        let reference = inst
-            .solve_with(&SolveOptions {
-                bound: BoundMode::QuadraticDp,
-                warm_lb: None,
-            })
-            .unwrap();
-        for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
+        let reference = inst.solve().unwrap();
+        for warm in 0..=reference.lower_bound {
             let sol = inst
                 .solve_with(&SolveOptions {
-                    bound,
-                    warm_lb: None,
+                    warm_lb: Some(warm),
                 })
                 .unwrap();
-            assert_eq!(sol, reference, "{bound:?}");
+            assert_eq!(sol, reference, "warm {warm}");
         }
-    }
-
-    /// Deterministic pseudo-random weight in 1..=16.
-    fn pseudo_weight(seed: u64) -> u64 {
-        (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) + 1
     }
 
     fn weighted_instance(n_colors: usize, ivs: &[(u32, u32, u64)]) -> BcpInstance {
@@ -2332,75 +1801,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_bound_engines_agree() {
-        let mut seed = 0u64;
-        for n_colors in [1usize, 3, 7, 12] {
-            for k in [0usize, 1, 4, 9] {
-                let mut inst = BcpInstance::new(n_colors);
-                for _ in 0..k {
-                    seed += 1;
-                    let s = (pseudo_weight(seed * 3) - 1) as u32 % n_colors as u32;
-                    seed += 1;
-                    let e = s + (pseudo_weight(seed * 5) as u32 - 1) % (n_colors as u32 - s);
-                    seed += 1;
-                    inst.add_weighted_interval(Interval::new(s, e), pseudo_weight(seed))
-                        .unwrap();
-                }
-                for t in 0..n_colors {
-                    seed += 1;
-                    if pseudo_weight(seed) > 12 {
-                        inst.add_baseline(t, pseudo_weight(seed * 7)).unwrap();
-                    }
-                }
-                let parametric = inst.lower_bound().unwrap();
-                assert_eq!(parametric, inst.lower_bound_dp_weighted().unwrap());
-                assert_eq!(parametric, inst.lower_bound_naive_weighted().unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_dp_matches_unit_dp_on_unit_instances() {
-        let mut inst = instance(9, &[(0, 8), (2, 3), (2, 3), (5, 5), (6, 8), (0, 1)]);
-        inst.set_baseline(vec![1, 0, 0, 2, 0, 1, 0, 0, 0]).unwrap();
-        assert_eq!(
-            inst.lower_bound_dp_weighted().unwrap(),
-            inst.lower_bound_dp(true).unwrap()
-        );
-    }
-
-    #[test]
-    fn weighted_solve_matches_brute_force_on_small_instances() {
-        // Random small weighted instances: the bounded exact search
-        // must close the greedy gap, making the solver peak optimal.
-        let mut seed = 1000u64;
-        for trial in 0..40 {
-            let n_colors = 2 + (trial % 7);
-            let k = 1 + (trial % 6);
-            let mut inst = BcpInstance::new(n_colors);
-            for _ in 0..k {
-                seed += 1;
-                let s = (pseudo_weight(seed * 3) as u32 - 1) % n_colors as u32;
-                seed += 1;
-                let e = s + (pseudo_weight(seed * 5) as u32 - 1) % (n_colors as u32 - s);
-                seed += 1;
-                inst.add_weighted_interval(Interval::new(s, e), pseudo_weight(seed))
-                    .unwrap();
-            }
-            seed += 1;
-            if pseudo_weight(seed) > 8 {
-                inst.add_baseline((seed % n_colors as u64) as usize, pseudo_weight(seed * 11))
-                    .unwrap();
-            }
-            let expect = inst.brute_force_min_peak();
-            let sol = inst.solve().unwrap();
-            assert_eq!(sol.peak.with_baseline, expect, "trial {trial}: {inst:?}");
-            assert!(sol.lower_bound <= expect, "trial {trial}");
-            assert_eq!(inst.verify(&sol.coloring).unwrap(), sol.peak);
-        }
-    }
-
-    #[test]
     fn weighted_solve_is_identical_across_bound_engines() {
         let inst = {
             let mut inst = weighted_instance(
@@ -2423,14 +1823,14 @@ mod tests {
         };
         let reference = inst.solve_with(&SolveOptions::default()).unwrap();
         assert_eq!(inst.verify(&reference.coloring).unwrap(), reference.peak);
-        for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
+        // Weighted solves take the warm bound too; it moves no answer.
+        for warm in 0..=reference.lower_bound {
             let sol = inst
                 .solve_with(&SolveOptions {
-                    bound,
-                    warm_lb: None,
+                    warm_lb: Some(warm),
                 })
                 .unwrap();
-            assert_eq!(sol, reference, "{bound:?}");
+            assert_eq!(sol, reference, "warm {warm}");
         }
     }
 
@@ -2449,26 +1849,6 @@ mod tests {
             let weighted_err = inst.color_edf_weighted(lb - 1).unwrap_err();
             assert_eq!(format!("{unit_err}"), format!("{weighted_err}"));
         }
-    }
-
-    #[test]
-    fn weighted_overflow_reports_typed_errors_at_extreme_weights() {
-        // Two max-weight intervals forced onto one color: the bound
-        // exceeds u64 and must surface as Overflow, not wrap or panic.
-        let inst = weighted_instance(1, &[(0, 0, u64::MAX), (0, 0, u64::MAX)]);
-        assert!(matches!(inst.lower_bound(), Err(BcpError::Overflow { .. })));
-        assert!(matches!(inst.solve(), Err(BcpError::Overflow { .. })));
-        assert!(matches!(
-            inst.lower_bound_naive_weighted(),
-            Err(BcpError::Overflow { .. })
-        ));
-        assert!(matches!(
-            inst.lower_bound_dp_weighted(),
-            Err(BcpError::Overflow { .. })
-        ));
-        // A single max-weight interval is fine.
-        let single = weighted_instance(1, &[(0, 0, u64::MAX)]);
-        assert_eq!(single.solve().unwrap().peak.with_baseline, u64::MAX);
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! [`MatrixMapping`]); the BCP solve between them certifies the
 //! parametric lower bound (its probe panels also on the pool) and
 //! colors with one deadline-bucket EDF sweep (see [`crate::bcp`]). The
-//! filled set is bit-identical at any thread count and any
-//! [`SolveOptions`] configuration.
+//! filled set is bit-identical at any thread count.
 
 use std::error::Error;
 use std::fmt;
 
 use dpfill_cubes::CubeSet;
 
-use crate::bcp::{BcpError, BcpSolution, SolveOptions};
+use crate::bcp::{BcpError, BcpSolution};
 use crate::mapping::MatrixMapping;
 use crate::objective::{FillObjective, ObjectiveError};
 
@@ -110,7 +109,6 @@ pub enum DpMode {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DpFill {
     mode: DpMode,
-    solve: SolveOptions,
     objective: FillObjective,
 }
 
@@ -148,31 +146,17 @@ pub struct DpFillReport {
 }
 
 impl DpFill {
-    /// DP-fill in the default (baseline-aware, exact) mode, with the
-    /// process-wide [`SolveOptions::from_env`] solve configuration.
+    /// DP-fill in the default (baseline-aware, exact) mode.
     pub fn new() -> DpFill {
-        DpFill {
-            mode: DpMode::Exact,
-            solve: SolveOptions::from_env(),
-            objective: FillObjective::default(),
-        }
+        DpFill::with_mode(DpMode::Exact)
     }
 
     /// DP-fill with an explicit solver mode.
     pub fn with_mode(mode: DpMode) -> DpFill {
         DpFill {
             mode,
-            solve: SolveOptions::from_env(),
             objective: FillObjective::default(),
         }
-    }
-
-    /// Overrides the BCP solve configuration (bound engine, warm
-    /// bound). Every configuration produces the same solution and thus
-    /// the same filled bytes — the options pick engines, not answers.
-    pub fn with_solve_options(mut self, solve: SolveOptions) -> DpFill {
-        self.solve = solve;
-        self
     }
 
     /// Overrides the fill objective. The default ([`FillObjective::peak_toggles`])
@@ -189,11 +173,6 @@ impl DpFill {
     /// The configured mode.
     pub fn mode(&self) -> DpMode {
         self.mode
-    }
-
-    /// The configured BCP solve options.
-    pub fn solve_options(&self) -> SolveOptions {
-        self.solve
     }
 
     /// The configured fill objective.
@@ -221,8 +200,8 @@ impl DpFill {
             .map_err(|e| fill_error(FillErrorSource::Objective(e)))?;
         let instance = mapping.instance();
         let mut solution = match self.mode {
-            DpMode::Exact => instance.solve_with(&self.solve),
-            DpMode::PaperExact => instance.solve_paper_with(&self.solve),
+            DpMode::Exact => instance.solve(),
+            DpMode::PaperExact => instance.solve_paper(),
         }
         .map_err(|e| fill_error(FillErrorSource::Solve(e)))?;
         if !mapping.desire().is_empty() {

@@ -59,8 +59,7 @@ pub mod pipeline;
 pub mod stream;
 
 pub use bcp::{
-    BcpError, BcpInstance, BcpSolution, BoundMode, Coloring, IncrementalBound, SolveOptions,
-    VerifiedPeak,
+    BcpError, BcpInstance, BcpSolution, Coloring, IncrementalBound, SolveOptions, VerifiedPeak,
 };
 pub use interval::Interval;
 pub use mapping::{IntervalSite, MatrixMapping};

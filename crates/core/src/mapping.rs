@@ -445,16 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_packed_entry_points_agree() {
-        let cubes = set(&["0X1X0", "1XX00", "X01XX", "0XXX1"]);
-        let from_set = MatrixMapping::analyze(&cubes);
-        let from_scalar = MatrixMapping::analyze_matrix(PinMatrix::from_cube_set_scalar(&cubes));
-        assert_eq!(from_set.instance(), from_scalar.instance());
-        assert_eq!(from_set.sites(), from_scalar.sites());
-        assert_eq!(from_set.prefilled(), from_scalar.prefilled());
-    }
-
-    #[test]
     fn reordered_analysis_matches_materialized_reorder() {
         let cubes = set(&["0X1X0", "1XX00", "X01XX", "0XXX1", "10X0X", "XX10X"]);
         let order = [2, 0, 3, 5, 1, 4];

@@ -1,12 +1,5 @@
 //! End-to-end ordering + filling pipelines — the "techniques" compared in
 //! the paper's Tables V and VI.
-//!
-//! DP-fill techniques construct [`DpFill`](crate::fill::DpFill) with
-//! [`SolveOptions::from_env`](crate::bcp::SolveOptions::from_env), so
-//! sweeps honor the `DPFILL_BCP_BOUND` engine override; both bound
-//! engines produce identical fillings (pinned by the `bcp_sharded`
-//! differential suite), so table numbers never depend on the solver
-//! configuration.
 
 use dpfill_cubes::CubeSet;
 

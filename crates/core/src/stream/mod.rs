@@ -207,12 +207,8 @@ pub struct StreamOptions {
     /// Deliberate fault injection for the chaos suite (inert by
     /// default).
     pub chaos: ChaosPlan,
-    /// BCP solve configuration for the global DP-fill solve (the bound
-    /// engine; the warm bound is supplied by the analyzer's incremental
-    /// ladder and overrides [`SolveOptions::warm_lb`]). Every
-    /// configuration yields the same solution, so the emitted bytes
-    /// stay identical — this exists so the differential suites can pin
-    /// an engine without process-global environment races.
+    /// Unused: the analyzer's online ladder supplies the solve's warm
+    /// bound. Kept so callers that name every field still compile.
     pub solve: SolveOptions,
     /// The fill objective. The default
     /// ([`FillObjective::peak_toggles`]) keeps every code path and every
@@ -236,7 +232,7 @@ impl Default for StreamOptions {
             header: None,
             collect_baseline: false,
             chaos: ChaosPlan::default(),
-            solve: SolveOptions::from_env(),
+            solve: SolveOptions::default(),
             objective: FillObjective::default(),
         }
     }
@@ -314,6 +310,15 @@ pub enum StreamError {
         /// `(cubes, width)` seen by the emit pass.
         found: (usize, usize),
     },
+    /// A filled window is not a filling of the cubes read for it: a
+    /// care bit changed or an `X` survived. On a two-pass fill this
+    /// means the source returned different content of the same shape
+    /// on the second pass, so the pass-1 plan no longer fits it. The
+    /// window is not emitted.
+    ContentChanged {
+        /// 0-based index of the rejected window.
+        window: usize,
+    },
     /// A worker panicked while processing one window; the panic was
     /// contained at the window boundary instead of unwinding through
     /// the caller.
@@ -362,6 +367,11 @@ impl fmt::Display for StreamError {
                 "pattern source changed between passes: analysis saw {} cubes x {} pins, \
                  emit saw {} cubes x {} pins",
                 expected.0, expected.1, found.0, found.1
+            ),
+            StreamError::ContentChanged { window } => write!(
+                f,
+                "window {window} is not a filling of its input: the pattern source \
+                 changed content between passes"
             ),
             StreamError::WindowPanicked {
                 window,
@@ -848,9 +858,11 @@ impl StreamingFill {
                 // by the bound the analyzer certified online, so the
                 // solve starts at (usually *at*) the answer instead of
                 // re-deriving it from the whole event stream.
-                let mut solve_opts = self.opts.solve;
-                solve_opts.warm_lb = Some(analysis.warm_lb);
-                let mut solution = instance.solve_with(&solve_opts).map_err(solve_error)?;
+                let mut solution = instance
+                    .solve_with(&SolveOptions {
+                        warm_lb: Some(analysis.warm_lb),
+                    })
+                    .map_err(solve_error)?;
                 if let Some(preferred) = self.opts.objective.preferred() {
                     // The monolithic DpFill's preference tie-break,
                     // verbatim: slide stretches toward their preferred
@@ -1062,7 +1074,11 @@ impl StreamingFill {
             resident_peak = resident_peak.max(2 * batch_cubes + 2 + source.peak_resident_cubes());
 
             for (i, ((_, original), filled)) in batch.iter().zip(&filled).enumerate() {
-                debug_assert!(CubeSet::is_filling_of(filled, original));
+                if !CubeSet::is_filling_of(filled, original) {
+                    return Err(StreamError::ContentChanged {
+                        window: windows + i,
+                    });
+                }
                 x_count += original.x_count();
                 let packed = filled.as_packed();
                 let stitch = filled_tail

@@ -1,9 +1,8 @@
 //! The resolved fill plan: every `X` of the input mapped to its value.
 //!
 //! After the analysis pass and (for DP-fill) the global BCP solve —
-//! warm-started by the analyzer's online bound and configured by
-//! [`SolveOptions`](crate::bcp::SolveOptions) — the
-//! whole fill is describable as a list of horizontal [`Segment`]s —
+//! warm-started by the analyzer's online bound — the whole fill is
+//! describable as a list of horizontal [`Segment`]s —
 //! scalar `(row, start, end, value)` records, two per transition
 //! stretch and one per safe run. [`FillPlan`] indexes them by pin row
 //! so the emit pass can splice any **window** of columns without the

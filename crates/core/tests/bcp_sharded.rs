@@ -1,15 +1,15 @@
 //! Differential suite for the BCP solve across engines and pools: at
 //! every tested thread count, the solver must certify the **same lower
-//! bound**, achieve the **same peak**, and produce a coloring
-//! **byte-identical** to the serial reference — including empty
-//! instances, point intervals and baseline-dominated cases — and both
-//! lower-bound engines (incremental parametric, quadratic DP) must agree
-//! exactly. (The suite keeps the name it had while the coloring could
-//! also be split across color shards; `bcp_sweep.rs` pins the coloring
-//! sweeps themselves against the heap reference.)
+//! bound** as the `dpfill-oracle` Algorithm 1 row DP, achieve the
+//! **same peak**, and produce a coloring **byte-identical** to EDF at
+//! that oracle bound — including empty instances, point intervals and
+//! baseline-dominated cases. (The suite keeps the name it had while the
+//! coloring could also be split across color shards; `bcp_sweep.rs`
+//! pins the coloring sweeps themselves against the heap reference.)
 
-use dpfill_core::bcp::{BcpError, BcpInstance, BoundMode, SolveOptions};
+use dpfill_core::bcp::{BcpError, BcpInstance, BcpSolution, SolveOptions};
 use dpfill_core::Interval;
+use dpfill_oracle::lower_bound_dp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,42 +19,39 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     minipool::with_pool(&pool, f)
 }
 
-/// The serial reference configuration: quadratic DP bound.
-fn serial_opts() -> SolveOptions {
-    SolveOptions {
-        bound: BoundMode::QuadraticDp,
-        warm_lb: None,
+/// The serial oracle solve: the quadratic DP bound, then EDF coloring
+/// at it (the instances here carry unit loads).
+fn oracle_solution(inst: &BcpInstance) -> BcpSolution {
+    let lower_bound = lower_bound_dp(inst, true).expect("oracle bound");
+    let coloring = inst.color_edf(lower_bound).expect("EDF meets the bound");
+    let peak = inst.verify(&coloring).expect("oracle coloring verifies");
+    BcpSolution {
+        coloring,
+        lower_bound,
+        peak,
     }
 }
 
-/// Asserts every (bound engine × thread count) cell of the acceptance
-/// matrix against the serial reference.
+/// Asserts every thread-count cell of the acceptance matrix: the
+/// production solve against the serial oracle reference.
 fn assert_engine_invariant(inst: &BcpInstance) {
-    let reference = inst
-        .solve_with(&serial_opts())
-        .expect("serial reference solve");
-    for bound in [BoundMode::Incremental, BoundMode::QuadraticDp] {
-        for threads in [1usize, 2, 8] {
-            let opts = SolveOptions {
-                bound,
-                warm_lb: None,
-            };
-            let sol = with_threads(threads, || inst.solve_with(&opts))
-                .unwrap_or_else(|e| panic!("{bound:?} threads {threads}: {e}"));
-            assert_eq!(
-                sol.lower_bound, reference.lower_bound,
-                "{bound:?} threads {threads}: bound drifted"
-            );
-            assert_eq!(
-                sol.peak, reference.peak,
-                "{bound:?} threads {threads}: peak drifted"
-            );
-            assert_eq!(
-                sol.coloring.colors(),
-                reference.coloring.colors(),
-                "{bound:?} threads {threads}: coloring drifted"
-            );
-        }
+    let reference = oracle_solution(inst);
+    for threads in [1usize, 2, 8] {
+        let sol = with_threads(threads, || inst.solve_with(&SolveOptions::default()))
+            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
+        assert_eq!(
+            sol.lower_bound, reference.lower_bound,
+            "threads {threads}: bound drifted from the oracle"
+        );
+        assert_eq!(
+            sol.peak, reference.peak,
+            "threads {threads}: peak drifted from the oracle"
+        );
+        assert_eq!(
+            sol.coloring.colors(),
+            reference.coloring.colors(),
+            "threads {threads}: coloring drifted from the oracle"
+        );
     }
 }
 
@@ -192,7 +189,7 @@ fn overflow_is_typed_at_every_width() {
     for threads in [1usize, 2, 8] {
         with_threads(threads, || {
             assert!(matches!(
-                inst.lower_bound_dp(true),
+                lower_bound_dp(&inst, true),
                 Err(BcpError::Overflow { .. })
             ));
             // The parametric engine never sums across colors, so it can
@@ -214,7 +211,6 @@ fn warm_lower_bound_is_answer_preserving() {
     for warm in [0, cold.lower_bound / 2, cold.lower_bound] {
         let opts = SolveOptions {
             warm_lb: Some(warm),
-            ..SolveOptions::default()
         };
         let sol = with_threads(4, || inst.solve_with(&opts)).unwrap();
         assert_eq!(sol, cold, "warm start {warm} changed the answer");

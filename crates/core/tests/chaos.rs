@@ -19,9 +19,12 @@
 use std::io;
 
 use dpfill_core::fill::FillMethod;
-use dpfill_core::stream::{ChaosPlan, StreamError, StreamOptions, StreamingFill, WindowSpec};
-use dpfill_cubes::faultio::{ByteFault, FaultPlan, FaultyReader, FaultyWriter, OpFault};
+use dpfill_core::ordering::BandedMethod;
+use dpfill_core::stream::{
+    BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamReport, StreamingFill, WindowSpec,
+};
 use dpfill_cubes::format;
+use dpfill_oracle::faultio::{ByteFault, FaultPlan, FaultyReader, FaultyWriter, OpFault};
 use proptest::prelude::*;
 
 /// The monolithic reference: parse everything, fill, serialize.
@@ -332,4 +335,52 @@ fn impossible_budget_fails_typed_instead_of_thrashing() {
         }
         other => panic!("expected BudgetExhausted, got {other}"),
     }
+}
+
+/// A planned fill whose source keeps its shape but changes its care
+/// bits between the analysis pass and the emit pass: pass 1's plan
+/// would overwrite pass 2's care bits, so the run must fail typed.
+fn run_with_content_changed_between_passes(
+    order: Option<BandedOrder>,
+) -> (Result<StreamReport, StreamError>, Vec<u8>) {
+    let pass1 = "0XXX1\n1XXX0\nXXXXX\n0XXX1\n";
+    let pass2 = "01001\n10110\n11111\n00001\n";
+    let mut calls = 0usize;
+    let mut out = Vec::new();
+    let result = StreamingFill::new(StreamOptions {
+        order,
+        ..opts(WindowSpec::Cubes(2), FillMethod::Dp)
+    })
+    .run(
+        || {
+            calls += 1;
+            Ok(if calls == 1 { pass1 } else { pass2 }.as_bytes())
+        },
+        &mut out,
+    );
+    (result, out)
+}
+
+#[test]
+fn content_change_between_passes_fails_before_emitting_a_non_filling() {
+    let (result, out) = run_with_content_changed_between_passes(None);
+    match result {
+        Err(StreamError::ContentChanged { window }) => assert_eq!(window, 0),
+        other => panic!("expected ContentChanged, got {other:?}"),
+    }
+    assert!(
+        out.is_empty(),
+        "emitted {:?}",
+        String::from_utf8_lossy(&out)
+    );
+}
+
+#[test]
+fn content_change_under_a_banded_order_fails_typed() {
+    let order = BandedOrder::new(BandedMethod::Interleave);
+    let (result, _) = run_with_content_changed_between_passes(Some(order));
+    assert!(
+        matches!(result, Err(StreamError::ContentChanged { .. })),
+        "expected ContentChanged, got {result:?}"
+    );
 }

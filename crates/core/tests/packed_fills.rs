@@ -5,8 +5,10 @@
 use dpfill_core::fill::{
     AdjFill, BFill, DpFill, FillStrategy, MtFill, OneFill, XStatFill, ZeroFill,
 };
+use dpfill_core::MatrixMapping;
 use dpfill_cubes::gen::random_cube_set;
 use dpfill_cubes::{Bit, CubeSet, TestCube};
+use dpfill_oracle::pin_matrix_scalar;
 
 /// Scalar reference: decode every cube to the scalar view, fill every X
 /// with a constant, and re-pack through the compat boundary.
@@ -52,7 +54,7 @@ fn copy_left_reference(bits: &mut [Bit]) {
 }
 
 fn mt_fill_reference(cubes: &CubeSet) -> CubeSet {
-    let mut matrix = dpfill_cubes::PinMatrix::from_cube_set_scalar(cubes);
+    let mut matrix = pin_matrix_scalar(cubes);
     for r in 0..matrix.rows() {
         copy_left_reference(matrix.row_mut(r));
     }
@@ -172,4 +174,14 @@ fn dp_fill_certificate_holds_on_word_boundary_shapes() {
         );
         assert!(report.lower_bound <= report.peak);
     }
+}
+
+#[test]
+fn scalar_and_packed_entry_points_agree() {
+    let cubes = CubeSet::parse_rows(&["0X1X0", "1XX00", "X01XX", "0XXX1"]).unwrap();
+    let from_set = MatrixMapping::analyze(&cubes);
+    let from_scalar = MatrixMapping::analyze_matrix(pin_matrix_scalar(&cubes));
+    assert_eq!(from_set.instance(), from_scalar.instance());
+    assert_eq!(from_set.sites(), from_scalar.sites());
+    assert_eq!(from_set.prefilled(), from_scalar.prefilled());
 }

@@ -7,6 +7,7 @@ use dpfill_core::mapping::MatrixMapping;
 use dpfill_core::ordering::{is_permutation, OrderingMethod};
 use dpfill_core::Interval;
 use dpfill_cubes::{peak_toggles, Bit, CubeSet, TestCube};
+use dpfill_oracle::{lower_bound_dp, lower_bound_naive};
 use proptest::prelude::*;
 
 fn arb_bit() -> impl Strategy<Value = Bit> {
@@ -91,11 +92,11 @@ proptest! {
     /// without the baseline.
     #[test]
     fn lower_bounds_all_agree(inst in arb_instance()) {
-        let naive = inst.lower_bound_naive(false).unwrap();
-        prop_assert_eq!(inst.lower_bound_dp(false).unwrap(), naive);
+        let naive = lower_bound_naive(&inst, false).unwrap();
+        prop_assert_eq!(lower_bound_dp(&inst, false).unwrap(), naive);
         prop_assert_eq!(inst.lower_bound_paper().unwrap(), naive);
-        let naive_b = inst.lower_bound_naive(true).unwrap();
-        prop_assert_eq!(inst.lower_bound_dp(true).unwrap(), naive_b);
+        let naive_b = lower_bound_naive(&inst, true).unwrap();
+        prop_assert_eq!(lower_bound_dp(&inst, true).unwrap(), naive_b);
         prop_assert_eq!(inst.lower_bound().unwrap(), naive_b);
     }
 
@@ -111,7 +112,7 @@ proptest! {
     #[test]
     fn generalized_solver_is_optimal(inst in arb_instance()) {
         let sol = inst.solve().unwrap();
-        prop_assert_eq!(sol.peak.with_baseline, inst.brute_force_min_peak());
+        prop_assert_eq!(sol.peak.with_baseline, dpfill_oracle::brute_force_min_peak(&inst));
     }
 
     /// With a zero baseline the two solvers agree on the peak.

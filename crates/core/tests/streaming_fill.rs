@@ -7,7 +7,7 @@
 
 use dpfill_core::fill::FillMethod;
 use dpfill_core::stream::{StreamOptions, StreamingFill, WindowSpec};
-use dpfill_core::{BoundMode, SolveOptions};
+use dpfill_core::MatrixMapping;
 use dpfill_cubes::{format, peak_toggles, Bit, CubeSet, TestCube};
 use proptest::prelude::*;
 
@@ -175,21 +175,18 @@ fn seeded_200x129_set_matches_and_stays_optimal() {
 }
 
 /// The windowed DP fill stays byte-identical whatever pool its global
-/// solve runs on: every (thread count × window) cell — plus a
-/// quadratic-DP bound leg — must reproduce the monolithic output
-/// exactly. Pinning the engine through [`StreamOptions::solve`]
-/// (instead of the env override) keeps the matrix race-free under a
-/// parallel test runner.
+/// solve runs on: every (thread count × window) cell must reproduce the
+/// monolithic output exactly, and the monolithic solve's bound must be
+/// the `dpfill-oracle` Algorithm 1 row DP's.
 #[test]
 fn windowed_fill_is_byte_identical_across_pool_sizes() {
     let set = dpfill_cubes::gen::random_cube_set(90, 48, 0.75, 0x5EED);
     let text = format::patterns_to_string(&set, None);
     let reference = monolithic_bytes(&text, FillMethod::Dp);
-    let run = |solve: SolveOptions, window: usize| {
+    let run = |window: usize| {
         let opts = StreamOptions {
             window: WindowSpec::Cubes(window),
             fill: FillMethod::Dp,
-            solve,
             ..StreamOptions::default()
         };
         let mut out = Vec::new();
@@ -200,20 +197,22 @@ fn windowed_fill_is_byte_identical_across_pool_sizes() {
     };
     for threads in [1usize, 2, 8] {
         for window in [5usize, 48] {
-            let out = with_threads(threads, || run(SolveOptions::default(), window));
+            let out = with_threads(threads, || run(window));
             assert_eq!(
                 out, reference,
                 "drifted at window {window}, {threads} threads"
             );
         }
     }
-    // The retained O(C^2) DP bound feeds the same coloring.
-    let dp_leg = SolveOptions {
-        bound: BoundMode::QuadraticDp,
-        ..SolveOptions::default()
-    };
-    let out = with_threads(4, || run(dp_leg, 9));
-    assert_eq!(out, reference, "quadratic-DP bound leg drifted");
+    let out = with_threads(4, || run(9));
+    assert_eq!(out, reference, "drifted at window 9, 4 threads");
+    // The O(C^2) DP certifies the bound the solve colored at.
+    let oracle = dpfill_oracle::lower_bound_dp(MatrixMapping::analyze(&set).instance(), true)
+        .expect("oracle bound");
+    let report = dpfill_core::fill::DpFill::new()
+        .try_run(&set)
+        .expect("DP-fill");
+    assert_eq!(report.lower_bound, oracle, "bound drifted from the oracle");
 }
 
 /// The streamed report's peak must equal the measured peak of its own

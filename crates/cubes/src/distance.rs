@@ -3,11 +3,10 @@
 //! The public kernels run on the bit-packed two-plane representation
 //! ([`crate::packed`]): `hd(T_j, T_{j+1})` is one XOR+AND+popcount pass
 //! per 64 pins, reduced by the active [`crate::popcount`] tier (scalar /
-//! SWAR Harley-Seal / AVX2) — the set-level profiles resolve the tier
-//! once and sweep all adjacent pairs through it. The `*_scalar`
-//! functions retain the original per-bit walks as executable reference
-//! implementations; differential tests assert both paths agree
-//! bit-for-bit.
+//! AVX2) — the set-level profiles resolve the tier once and sweep all
+//! adjacent pairs through it. The original per-bit walks live in the
+//! dev-only `dpfill-oracle` crate as the references the differential
+//! tests pin these kernels against bit-for-bit.
 
 use crate::packed::pack_word;
 use crate::{CubeError, CubeSet, TestCube};
@@ -51,24 +50,6 @@ pub fn hamming_distance(a: &TestCube, b: &TestCube) -> usize {
         .sum()
 }
 
-/// The original per-bit Hamming walk, kept as the reference
-/// implementation for differential tests and benchmarks.
-///
-/// # Panics
-///
-/// Panics if the cubes have different widths.
-pub fn hamming_distance_scalar(a: &TestCube, b: &TestCube) -> usize {
-    assert_eq!(
-        a.width(),
-        b.width(),
-        "hamming distance requires equal widths"
-    );
-    a.iter()
-        .zip(b.iter())
-        .filter(|(x, y)| x.conflicts(*y))
-        .count()
-}
-
 /// *Conflict distance*: the number of pins where both cubes carry opposite
 /// care bits. These toggles are unavoidable no matter how the `X` bits are
 /// filled; the XStat ordering chains cubes by this metric.
@@ -94,22 +75,6 @@ pub fn toggle_profile(set: &CubeSet) -> Result<Vec<usize>, CubeError> {
     Ok(set.as_packed().toggle_profile())
 }
 
-/// Reference per-bit toggle profile (differential-test twin of
-/// [`toggle_profile`]): decodes each pair to the scalar compat view and
-/// walks bits.
-///
-/// # Errors
-///
-/// Returns [`CubeError::EmptySet`] for an empty set.
-pub fn toggle_profile_scalar(set: &CubeSet) -> Result<Vec<usize>, CubeError> {
-    if set.is_empty() {
-        return Err(CubeError::EmptySet);
-    }
-    Ok((0..set.len() - 1)
-        .map(|j| hamming_distance_scalar(&set.cube(j), &set.cube(j + 1)))
-        .collect())
-}
-
 /// Peak toggles of an ordered pattern sequence: the paper's objective
 /// `max_j hd(T_j, T_{j+1})`. A single pattern has peak `0`.
 ///
@@ -121,15 +86,6 @@ pub fn peak_toggles(set: &CubeSet) -> Result<usize, CubeError> {
         return Err(CubeError::EmptySet);
     }
     Ok(set.as_packed().peak_toggles())
-}
-
-/// Reference per-bit peak (differential-test twin of [`peak_toggles`]).
-///
-/// # Errors
-///
-/// Returns [`CubeError::EmptySet`] for an empty set.
-pub fn peak_toggles_scalar(set: &CubeSet) -> Result<usize, CubeError> {
-    Ok(toggle_profile_scalar(set)?.into_iter().max().unwrap_or(0))
 }
 
 /// Weighted per-transition toggle loads under a per-pin weight table:
@@ -149,42 +105,6 @@ pub fn weighted_toggle_profile(set: &CubeSet, weights: &[u64]) -> Result<Vec<u64
         return Err(CubeError::EmptySet);
     }
     set.as_packed().weighted_toggle_profile(weights)
-}
-
-/// Reference per-bit weighted profile (differential-test twin of
-/// [`weighted_toggle_profile`]): decodes each pair to the scalar compat
-/// view and accumulates weights bit by bit.
-///
-/// # Errors
-///
-/// Same as [`weighted_toggle_profile`].
-pub fn weighted_toggle_profile_scalar(
-    set: &CubeSet,
-    weights: &[u64],
-) -> Result<Vec<u64>, CubeError> {
-    if set.is_empty() {
-        return Err(CubeError::EmptySet);
-    }
-    if weights.len() != set.width() {
-        return Err(CubeError::WidthMismatch {
-            expected: set.width(),
-            found: weights.len(),
-        });
-    }
-    (0..set.len() - 1)
-        .map(|j| {
-            let (a, b) = (set.cube(j), set.cube(j + 1));
-            let mut total = 0u64;
-            for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                if x.conflicts(y) {
-                    total = total.checked_add(weights[i]).ok_or(CubeError::Overflow {
-                        what: "weighted toggle load",
-                    })?;
-                }
-            }
-            Ok(total)
-        })
-        .collect()
 }
 
 /// Weighted peak toggle load `max_j whd(T_j, T_{j+1})` — the weighted
@@ -211,15 +131,6 @@ pub fn total_toggles(set: &CubeSet) -> Result<usize, CubeError> {
         return Err(CubeError::EmptySet);
     }
     Ok(set.as_packed().total_toggles())
-}
-
-/// Reference per-bit total (differential-test twin of [`total_toggles`]).
-///
-/// # Errors
-///
-/// Returns [`CubeError::EmptySet`] for an empty set.
-pub fn total_toggles_scalar(set: &CubeSet) -> Result<usize, CubeError> {
-    Ok(toggle_profile_scalar(set)?.into_iter().sum())
 }
 
 #[cfg(test)]
@@ -261,45 +172,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal widths")]
-    fn scalar_hamming_panics_on_width_mismatch() {
-        let a: TestCube = "01".parse().unwrap();
-        let b: TestCube = "010".parse().unwrap();
-        let _ = hamming_distance_scalar(&a, &b);
-    }
-
-    #[test]
     fn profile_and_peak() {
         let set = set_of(&["000", "011", "010", "101"]);
         assert_eq!(toggle_profile(&set).unwrap(), vec![2, 1, 3]);
         assert_eq!(peak_toggles(&set).unwrap(), 3);
         assert_eq!(total_toggles(&set).unwrap(), 6);
-    }
-
-    #[test]
-    fn packed_and_scalar_paths_agree() {
-        for seed in 0..8u64 {
-            // Widths straddling the word boundary, including sparse sets.
-            let width = 60 + (seed as usize) * 13; // 60..151
-            let set = crate::gen::random_cube_set(width, 20, 0.5, seed);
-            assert_eq!(
-                toggle_profile(&set).unwrap(),
-                toggle_profile_scalar(&set).unwrap(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                peak_toggles(&set).unwrap(),
-                peak_toggles_scalar(&set).unwrap()
-            );
-            assert_eq!(
-                total_toggles(&set).unwrap(),
-                total_toggles_scalar(&set).unwrap()
-            );
-            for j in 0..set.len() - 1 {
-                let (a, b) = (set.cube(j), set.cube(j + 1));
-                assert_eq!(hamming_distance(&a, &b), hamming_distance_scalar(&a, &b));
-            }
-        }
     }
 
     #[test]
@@ -323,23 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_packed_and_scalar_paths_agree() {
-        for seed in 0..6u64 {
-            let width = 60 + (seed as usize) * 13;
-            let set = crate::gen::random_cube_set(width, 20, 0.5, seed);
-            // Deterministic pseudo-random weights, including zeros.
-            let weights: Vec<u64> = (0..width)
-                .map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 56)
-                .collect();
-            assert_eq!(
-                weighted_toggle_profile(&set, &weights).unwrap(),
-                weighted_toggle_profile_scalar(&set, &weights).unwrap(),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn weighted_rejects_bad_tables_and_overflow() {
         let set = set_of(&["000", "111"]);
         assert!(matches!(
@@ -353,12 +213,6 @@ mod tests {
         let max = vec![u64::MAX; 3];
         assert_eq!(
             weighted_toggle_profile(&set, &max),
-            Err(CubeError::Overflow {
-                what: "weighted toggle load"
-            })
-        );
-        assert_eq!(
-            weighted_toggle_profile_scalar(&set, &max),
             Err(CubeError::Overflow {
                 what: "weighted toggle load"
             })
@@ -379,7 +233,6 @@ mod tests {
     fn empty_set_is_an_error() {
         let set = CubeSet::new(4);
         assert_eq!(peak_toggles(&set), Err(CubeError::EmptySet));
-        assert_eq!(peak_toggles_scalar(&set), Err(CubeError::EmptySet));
         assert_eq!(total_toggles(&set), Err(CubeError::EmptySet));
         assert_eq!(toggle_profile(&set), Err(CubeError::EmptySet));
     }

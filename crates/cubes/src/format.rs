@@ -17,16 +17,17 @@
 //! one reused buffer, and [`PackedBits::from_pattern_ascii`] packs it
 //! straight into the `(care, value)` plane words of the [`CubeSet`]
 //! backing store, 8 bytes per step — no intermediate `Vec<Bit>` or
-//! [`TestCube`] is ever materialized, and a pure `01X` row is never
-//! UTF-8 decoded. Comments, padding and malformed lines take a slow path
-//! that decodes UTF-8 and names the offending character; bytes after a
-//! `#` are ignored whatever their encoding, and any other non-UTF-8 byte
-//! is a [`CubeError::ParseLine`] at its line, like a bad character.
-//! Memory is bounded by one line buffer plus one packed row
-//! (`2 · ⌈width/64⌉` words) beyond the output set itself, so
-//! million-cube pattern files never exist in scalar form.
-//! [`parse_patterns_scalar`] retains the original cube-at-a-time parser
-//! as the differential-test reference and benchmark baseline.
+//! [`TestCube`](crate::TestCube) is ever materialized, and a pure `01X`
+//! row is never UTF-8 decoded. Comments, padding and malformed lines
+//! take a slow path that decodes UTF-8 and names the offending
+//! character; bytes after a `#` are ignored whatever their encoding,
+//! and any other non-UTF-8 byte is a [`CubeError::ParseLine`] at its
+//! line, like a bad character. Memory is bounded by one line buffer
+//! plus one packed row (`2 · ⌈width/64⌉` words) beyond the output set
+//! itself, so million-cube pattern files never exist in scalar form.
+//! The original cube-at-a-time parser lives in the dev-only
+//! `dpfill-oracle` crate as the differential-test reference and
+//! benchmark baseline.
 //!
 //! # Emission
 //!
@@ -42,7 +43,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 
 use crate::packed::PackedBits;
 use crate::retry::{self, RetryReader};
-use crate::{Bit, CubeError, CubeSet, TestCube};
+use crate::{Bit, CubeError, CubeSet};
 
 /// Parse/emit throughput (relaxed no-ops unless a [`minitrace`] sink is
 /// live): wall-clock per parsed window, cubes and raw bytes ingested,
@@ -479,50 +480,6 @@ pub fn parse_patterns(text: &str) -> Result<CubeSet, CubeError> {
     Ok(builder.finish())
 }
 
-/// The original cube-at-a-time parser (`Vec<Bit>` per line, packed on
-/// push), retained as the executable reference for the differential
-/// tests and the parse-throughput benchmark baseline.
-///
-/// # Errors
-///
-/// Returns [`CubeError::ParseLine`] on the first malformed line, with
-/// the same line numbers and messages as [`parse_patterns`].
-pub fn parse_patterns_scalar(text: &str) -> Result<CubeSet, CubeError> {
-    let mut cubes: Vec<TestCube> = Vec::new();
-    let mut width: Option<usize> = None;
-    for (idx, line) in text.lines().enumerate() {
-        let content = match line.find('#') {
-            Some(pos) => &line[..pos],
-            None => line,
-        };
-        let content = content.trim();
-        if content.is_empty() {
-            continue;
-        }
-        let cube: TestCube = match content.parse() {
-            Ok(c) => c,
-            Err(e) => {
-                return Err(CubeError::ParseLine {
-                    line: idx + 1,
-                    message: e.to_string(),
-                })
-            }
-        };
-        if let Some(w) = width {
-            if cube.width() != w {
-                return Err(CubeError::ParseLine {
-                    line: idx + 1,
-                    message: format!("cube width {} does not match width {}", cube.width(), w),
-                });
-            }
-        } else {
-            width = Some(cube.width());
-        }
-        cubes.push(cube);
-    }
-    CubeSet::from_cubes(cubes)
-}
-
 /// Writes a cube set in the pattern format, with an optional header
 /// comment. Rows are rendered straight from the packed planes.
 ///
@@ -634,21 +591,6 @@ mod tests {
         let set = read_patterns("0X\r\n10".as_bytes()).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.cube(1).to_string(), "10");
-    }
-
-    #[test]
-    fn streaming_and_scalar_parsers_agree() {
-        let text = "# hdr\n\n0X1X0X1\n  1111111  # c\nXXXXXXX\n";
-        assert_eq!(
-            parse_patterns(text).unwrap(),
-            parse_patterns_scalar(text).unwrap()
-        );
-        for bad in ["01\nZZ\n", "01\n010\n"] {
-            assert_eq!(
-                parse_patterns(bad).unwrap_err(),
-                parse_patterns_scalar(bad).unwrap_err()
-            );
-        }
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!   by [`CubeSet::cube`] and the iterators, for debugging and
 //!   compatibility only;
 //! * [`PinMatrix`] — the transposed row-major scalar view (one row per
-//!   pin) kept as the reference implementation for differential tests;
+//!   pin), a compatibility view and the shape the differential
+//!   references are written against;
 //! * [`packed`] — the bit-packed two-plane store itself ([`PackedBits`],
 //!   [`PackedCubeSet`], [`PackedMatrix`]) with the popcount kernels, the
 //!   word-blocked transpose and the streaming row builder;
 //! * [`popcount`] — the tiered masked-XOR popcount kernels behind every
-//!   toggle/conflict metric (scalar reference, portable Harley-Seal
-//!   SWAR, runtime-detected AVX2; `DPFILL_SIMD` overrides);
+//!   toggle/conflict metric (portable scalar, runtime-detected AVX2;
+//!   `DPFILL_SIMD` overrides);
 //! * [`stretch`] — classification of the X-runs ("stretches") inside a row,
 //!   the raw material of the paper's interval mapping and of Fig 2(c);
 //! * [`gen`] — seeded random cube generators used for tests and for the
@@ -29,10 +30,11 @@
 //! * [`format`] — a plain-text pattern format (one `01X` string per
 //!   line), parsed by streaming characters straight into plane words;
 //! * [`retry`] — the bounded deterministic-backoff retry policy every
-//!   I/O path routes through (`EINTR` absorption, temp-file collisions);
-//! * [`faultio`] — deterministic fault-injection wrappers
-//!   ([`faultio::FaultyReader`]/[`faultio::FaultyWriter`]) used by the
-//!   chaos suite to replay scheduled I/O faults.
+//!   I/O path routes through (`EINTR` absorption, temp-file collisions).
+//!
+//! The per-bit reference implementations the differential suites pin
+//! these kernels against, and the fault-injection I/O wrappers of the
+//! chaos suites, live in the dev-only `dpfill-oracle` crate.
 //!
 //! The library crates carry a no-panic guarantee on their non-test
 //! surface (`deny(clippy::unwrap_used, clippy::expect_used)` below,
@@ -59,7 +61,6 @@ mod bit;
 mod cube;
 mod distance;
 mod error;
-pub mod faultio;
 pub mod format;
 pub mod gen;
 mod matrix;
@@ -72,10 +73,8 @@ pub mod stretch;
 pub use bit::Bit;
 pub use cube::TestCube;
 pub use distance::{
-    conflict_distance, hamming_distance, hamming_distance_scalar, peak_toggles,
-    peak_toggles_scalar, toggle_profile, toggle_profile_scalar, total_toggles,
-    total_toggles_scalar, weighted_peak_toggles, weighted_toggle_profile,
-    weighted_toggle_profile_scalar,
+    conflict_distance, hamming_distance, peak_toggles, toggle_profile, total_toggles,
+    weighted_peak_toggles, weighted_toggle_profile,
 };
 pub use error::CubeError;
 pub use format::PatternError;

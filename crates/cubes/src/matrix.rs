@@ -49,20 +49,6 @@ impl PinMatrix {
         crate::packed::PackedMatrix::from_packed_set(set.as_packed()).to_pin_matrix()
     }
 
-    /// The direct per-bit transpose, kept as the reference implementation
-    /// for differential tests and benchmarks.
-    pub fn from_cube_set_scalar(set: &CubeSet) -> PinMatrix {
-        let rows = set.width();
-        let cols = set.len();
-        let mut bits = vec![Bit::X; rows * cols];
-        for (col, cube) in set.iter().enumerate() {
-            for (row, bit) in cube.iter().enumerate() {
-                bits[row * cols + col] = bit;
-            }
-        }
-        PinMatrix { rows, cols, bits }
-    }
-
     /// Number of pins (rows).
     #[inline]
     pub fn rows(&self) -> usize {

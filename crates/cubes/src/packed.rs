@@ -293,7 +293,7 @@ impl PackedBits {
 
     /// The paper's `hd`: positions where both vectors carry opposite care
     /// bits — `popcount((a.val ^ b.val) & a.care & b.care)`, reduced by
-    /// the active [`popcount`] kernel tier (scalar / SWAR / AVX2).
+    /// the active [`popcount`] kernel tier (scalar / AVX2).
     ///
     /// # Panics
     ///

@@ -3,26 +3,22 @@
 //! Every toggle/conflict metric in the pipeline is one reduction:
 //! `Σ popcount((va[i] ^ vb[i]) & ca[i] & cb[i])` over the value and care
 //! planes of two packed rows. This module provides that reduction in
-//! three tiers and picks one at runtime:
+//! two tiers and picks one at runtime:
 //!
-//! * [`PopcountKernel::Scalar`] — the original per-word `count_ones`
-//!   loop, kept as the executable reference every other tier is
+//! * [`PopcountKernel::Scalar`] — the per-word `count_ones` loop, the
+//!   portable tier and the reference the AVX2 tier is
 //!   differential-tested against;
-//! * [`PopcountKernel::Swar`] — a portable Harley-Seal reduction:
-//!   carry-save adders compress 16 masked words into `ones/twos/fours/
-//!   eights/sixteens` accumulators so only one SWAR popcount is paid per
-//!   16 words (plus a logarithmic tail), no target features required;
 //! * [`PopcountKernel::Avx2`] — an `std::arch` path (x86-64 only) using
 //!   the nibble-LUT `vpshufb` popcount with `vpsadbw` accumulation,
 //!   processing four words per plane per iteration.
 //!
 //! Selection happens once per process ([`active_kernel`]): the
-//! `DPFILL_SIMD` environment variable (`scalar`, `swar`, `avx2`, `auto`)
+//! `DPFILL_SIMD` environment variable (`scalar`, `avx2`, `auto`)
 //! overrides, otherwise AVX2 is used when the CPU reports it and the
-//! SWAR tier is the portable fallback. A kernel that is not available on
-//! the running CPU silently degrades to the next portable tier, so
-//! forcing `avx2` on a non-AVX2 host is safe. All tiers are bit-exact;
-//! only throughput differs (pinned by
+//! scalar tier is the portable fallback. A kernel that is not available
+//! on the running CPU silently degrades to the scalar tier, so forcing
+//! `avx2` on a non-AVX2 host is safe. Both tiers are bit-exact; only
+//! throughput differs (pinned by
 //! `crates/cubes/tests/popcount_differential.rs`).
 //!
 //! Callers that reduce many row pairs (whole-set toggle profiles, the
@@ -35,27 +31,24 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Kernel dispatches per tier (relaxed no-ops unless a [`minitrace`]
 /// sink is live): which reduction actually ran, post-degradation.
 static DISPATCH_SCALAR: minitrace::Counter = minitrace::Counter::new("cubes.popcount.scalar");
-static DISPATCH_SWAR: minitrace::Counter = minitrace::Counter::new("cubes.popcount.swar");
 static DISPATCH_AVX2: minitrace::Counter = minitrace::Counter::new("cubes.popcount.avx2");
 
 /// One tier of the masked-XOR popcount reduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PopcountKernel {
-    /// Per-word `count_ones` loop — the reference implementation.
+    /// Per-word `count_ones` loop — the portable reference tier.
     Scalar,
-    /// Portable Harley-Seal carry-save reduction (16 words per popcount).
-    Swar,
     /// AVX2 `vpshufb` nibble-LUT popcount (x86-64, runtime-detected).
     Avx2,
 }
 
 impl PopcountKernel {
-    /// `true` when this tier can run on the current CPU. `Scalar` and
-    /// `Swar` are always available; `Avx2` requires an x86-64 CPU that
-    /// reports the feature at runtime.
+    /// `true` when this tier can run on the current CPU. `Scalar` is
+    /// always available; `Avx2` requires an x86-64 CPU that reports the
+    /// feature at runtime.
     pub fn is_available(self) -> bool {
         match self {
-            PopcountKernel::Scalar | PopcountKernel::Swar => true,
+            PopcountKernel::Scalar => true,
             PopcountKernel::Avx2 => avx2_available(),
         }
     }
@@ -64,7 +57,6 @@ impl PopcountKernel {
     pub fn label(self) -> &'static str {
         match self {
             PopcountKernel::Scalar => "scalar",
-            PopcountKernel::Swar => "swar",
             PopcountKernel::Avx2 => "avx2",
         }
     }
@@ -72,7 +64,7 @@ impl PopcountKernel {
     /// `Σ popcount((va[i] ^ vb[i]) & ca[i] & cb[i])` over four
     /// equal-length word streams — the Hamming/conflict reduction of the
     /// two-plane representation. An unavailable tier degrades to the
-    /// strongest portable one, so the result is identical on every host.
+    /// scalar one, so the result is identical on every host.
     ///
     /// # Panics
     ///
@@ -90,10 +82,6 @@ impl PopcountKernel {
                 DISPATCH_SCALAR.add(1);
                 masked_xor_popcount_scalar(va, vb, ca, cb)
             }
-            PopcountKernel::Swar => {
-                DISPATCH_SWAR.add(1);
-                masked_xor_popcount_swar(va, vb, ca, cb)
-            }
             PopcountKernel::Avx2 => {
                 DISPATCH_AVX2.add(1);
                 #[cfg(target_arch = "x86_64")]
@@ -102,7 +90,7 @@ impl PopcountKernel {
                     // runtime on this CPU.
                     return unsafe { masked_xor_popcount_avx2(va, vb, ca, cb) };
                 }
-                masked_xor_popcount_swar(va, vb, ca, cb)
+                masked_xor_popcount_scalar(va, vb, ca, cb)
             }
         }
     }
@@ -120,30 +108,28 @@ fn avx2_available() -> bool {
     }
 }
 
-// Cached selection: 0 = unresolved, 1 = scalar, 2 = swar, 3 = avx2.
+// Cached selection: 0 = unresolved, 1 = scalar, 2 = avx2.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn encode(k: PopcountKernel) -> u8 {
     match k {
         PopcountKernel::Scalar => 1,
-        PopcountKernel::Swar => 2,
-        PopcountKernel::Avx2 => 3,
+        PopcountKernel::Avx2 => 2,
     }
 }
 
 fn decode(v: u8) -> Option<PopcountKernel> {
     match v {
         1 => Some(PopcountKernel::Scalar),
-        2 => Some(PopcountKernel::Swar),
-        3 => Some(PopcountKernel::Avx2),
+        2 => Some(PopcountKernel::Avx2),
         _ => None,
     }
 }
 
 /// The process-wide kernel every packed reduction dispatches through:
-/// the `DPFILL_SIMD` override (`scalar` / `swar` / `avx2` / `auto`,
+/// the `DPFILL_SIMD` override (`scalar` / `avx2` / `auto`,
 /// case-insensitive; unknown values fall back to `auto`) when set,
-/// otherwise AVX2 when the CPU reports it and SWAR elsewhere. Resolved
+/// otherwise AVX2 when the CPU reports it and scalar elsewhere. Resolved
 /// once and cached; [`force_kernel`] can re-pin it (benches only).
 pub fn active_kernel() -> PopcountKernel {
     if let Some(k) = decode(ACTIVE.load(Ordering::Relaxed)) {
@@ -161,15 +147,13 @@ fn resolve_from_env() -> PopcountKernel {
     let requested = requested.as_deref().map(str::trim).unwrap_or("auto");
     let kernel = if requested.eq_ignore_ascii_case("scalar") {
         PopcountKernel::Scalar
-    } else if requested.eq_ignore_ascii_case("swar") {
-        PopcountKernel::Swar
     } else {
         if !requested.eq_ignore_ascii_case("avx2") && !requested.eq_ignore_ascii_case("auto") {
             // A typo'd override must not silently re-enable the SIMD
             // tier someone believed they disabled — say so, once, then
             // auto-select.
             eprintln!(
-                "warning: DPFILL_SIMD={requested:?} is not one of scalar/swar/avx2/auto; \
+                "warning: DPFILL_SIMD={requested:?} is not one of scalar/avx2/auto; \
                  using auto"
             );
         }
@@ -178,7 +162,7 @@ fn resolve_from_env() -> PopcountKernel {
     if kernel.is_available() {
         kernel
     } else {
-        PopcountKernel::Swar
+        PopcountKernel::Scalar
     }
 }
 
@@ -205,67 +189,6 @@ fn masked_xor_popcount_scalar(va: &[u64], vb: &[u64], ca: &[u64], cb: &[u64]) ->
         .zip(ca.iter().zip(cb))
         .map(|((&va, &vb), (&ca, &cb))| ((va ^ vb) & ca & cb).count_ones() as usize)
         .sum()
-}
-
-/// Branchless 64-bit population count (the classic SWAR ladder) — used
-/// where hardware `popcnt` may be absent from the compile target.
-#[inline]
-fn popcount64_swar(mut x: u64) -> u64 {
-    x -= (x >> 1) & 0x5555_5555_5555_5555;
-    x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-    x = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x.wrapping_mul(0x0101_0101_0101_0101) >> 56
-}
-
-/// Carry-save adder: `(sum, carry)` of three one-bit-per-lane streams.
-#[inline]
-fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-    let u = a ^ b;
-    (u ^ c, (a & b) | (u & c))
-}
-
-/// Harley-Seal reduction: 16 masked words compress through a CSA tree
-/// into one `sixteens` popcount per block, with the `ones/twos/fours/
-/// eights` residues counted once at the end.
-fn masked_xor_popcount_swar(va: &[u64], vb: &[u64], ca: &[u64], cb: &[u64]) -> usize {
-    let n = va.len().min(vb.len()).min(ca.len()).min(cb.len());
-    let w = |k: usize| (va[k] ^ vb[k]) & ca[k] & cb[k];
-    let mut sixteens_total = 0u64;
-    let (mut ones, mut twos, mut fours, mut eights) = (0u64, 0u64, 0u64, 0u64);
-    let mut i = 0;
-    while i + 16 <= n {
-        let (o, ta) = csa(ones, w(i), w(i + 1));
-        let (o, tb) = csa(o, w(i + 2), w(i + 3));
-        let (t, fa) = csa(twos, ta, tb);
-        let (o, ta) = csa(o, w(i + 4), w(i + 5));
-        let (o, tb) = csa(o, w(i + 6), w(i + 7));
-        let (t, fb) = csa(t, ta, tb);
-        let (f, ea) = csa(fours, fa, fb);
-        let (o, ta) = csa(o, w(i + 8), w(i + 9));
-        let (o, tb) = csa(o, w(i + 10), w(i + 11));
-        let (t, fa) = csa(t, ta, tb);
-        let (o, ta) = csa(o, w(i + 12), w(i + 13));
-        let (o, tb) = csa(o, w(i + 14), w(i + 15));
-        let (t, fb) = csa(t, ta, tb);
-        let (f, eb) = csa(f, fa, fb);
-        let (e, sixteens) = csa(eights, ea, eb);
-        sixteens_total += popcount64_swar(sixteens);
-        ones = o;
-        twos = t;
-        fours = f;
-        eights = e;
-        i += 16;
-    }
-    let mut total = 16 * sixteens_total
-        + 8 * popcount64_swar(eights)
-        + 4 * popcount64_swar(fours)
-        + 2 * popcount64_swar(twos)
-        + popcount64_swar(ones);
-    while i < n {
-        total += popcount64_swar(w(i));
-        i += 1;
-    }
-    total as usize
 }
 
 /// AVX2 tier: four words per plane load, masked-XOR in vector registers,
@@ -341,39 +264,19 @@ mod tests {
     }
 
     #[test]
-    fn swar_popcount_matches_count_ones() {
-        for &x in &[
-            0u64,
-            1,
-            u64::MAX,
-            0xAAAA_AAAA_AAAA_AAAA,
-            0x0123_4567_89AB_CDEF,
-        ] {
-            assert_eq!(popcount64_swar(x), u64::from(x.count_ones()), "{x:#x}");
-        }
-        for x in words(7, 200) {
-            assert_eq!(popcount64_swar(x), u64::from(x.count_ones()), "{x:#x}");
-        }
-    }
-
-    #[test]
     fn all_tiers_agree_on_random_streams() {
-        // Lengths straddling the 16-word Harley-Seal block and the
-        // 4-word AVX2 step, including 0.
+        // Lengths straddling the 4-word AVX2 step, including 0.
         for n in [0usize, 1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 64, 100] {
             let va = words(1, n);
             let vb = words(2, n);
             let ca = words(3, n);
             let cb = words(4, n);
             let reference = PopcountKernel::Scalar.masked_xor_popcount(&va, &vb, &ca, &cb);
-            for kernel in [PopcountKernel::Swar, PopcountKernel::Avx2] {
-                assert_eq!(
-                    kernel.masked_xor_popcount(&va, &vb, &ca, &cb),
-                    reference,
-                    "{} on {n} words",
-                    kernel.label()
-                );
-            }
+            assert_eq!(
+                PopcountKernel::Avx2.masked_xor_popcount(&va, &vb, &ca, &cb),
+                reference,
+                "avx2 on {n} words"
+            );
         }
     }
 
@@ -384,11 +287,7 @@ mod tests {
         let vb = words(6, n);
         let zeros = vec![0u64; n];
         let ones = vec![u64::MAX; n];
-        for kernel in [
-            PopcountKernel::Scalar,
-            PopcountKernel::Swar,
-            PopcountKernel::Avx2,
-        ] {
+        for kernel in [PopcountKernel::Scalar, PopcountKernel::Avx2] {
             // All-X on one side: no care-care pair survives.
             assert_eq!(kernel.masked_xor_popcount(&va, &vb, &zeros, &ones), 0);
             // Identical values: XOR is zero everywhere.
@@ -407,9 +306,8 @@ mod tests {
     #[test]
     fn portable_tiers_always_available() {
         assert!(PopcountKernel::Scalar.is_available());
-        assert!(PopcountKernel::Swar.is_available());
         // Avx2 availability is host-dependent; the reduction must work
-        // either way (degrading to SWAR when absent).
+        // either way (degrading to scalar when absent).
         let va = words(8, 20);
         let vb = words(9, 20);
         let ca = words(10, 20);
@@ -430,7 +328,6 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         assert_eq!(PopcountKernel::Scalar.label(), "scalar");
-        assert_eq!(PopcountKernel::Swar.label(), "swar");
         assert_eq!(PopcountKernel::Avx2.label(), "avx2");
     }
 }

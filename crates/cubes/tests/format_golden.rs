@@ -3,10 +3,9 @@
 //! identity on canonical files, the parse of comment/blank-line noise,
 //! and the exact error variants for malformed rows.
 
-use dpfill_cubes::format::{
-    parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns, PatternError,
-};
+use dpfill_cubes::format::{parse_patterns, patterns_to_string, read_patterns, PatternError};
 use dpfill_cubes::{CubeError, CubeSet};
+use dpfill_oracle::parse_patterns_scalar;
 
 const CANONICAL_SMALL: &str = include_str!("fixtures/canonical_small.pat");
 const CANONICAL_WIDE65: &str = include_str!("fixtures/canonical_wide65.pat");

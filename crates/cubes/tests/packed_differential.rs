@@ -7,8 +7,12 @@ use dpfill_cubes::gen::random_cube_set;
 use dpfill_cubes::packed::{PackedBits, PackedCubeSet, PackedMatrix};
 use dpfill_cubes::stretch::{RowStretches, StretchStats};
 use dpfill_cubes::{
-    hamming_distance, hamming_distance_scalar, peak_toggles, peak_toggles_scalar, toggle_profile,
-    toggle_profile_scalar, total_toggles, total_toggles_scalar, Bit, CubeSet, PinMatrix, TestCube,
+    hamming_distance, peak_toggles, toggle_profile, total_toggles, Bit, CubeSet, PinMatrix,
+    TestCube,
+};
+use dpfill_oracle::{
+    hamming_distance_scalar, peak_toggles_scalar, pin_matrix_scalar, toggle_profile_scalar,
+    total_toggles_scalar,
 };
 use proptest::prelude::*;
 
@@ -71,7 +75,7 @@ proptest! {
 
     #[test]
     fn pin_matrix_word_blocked_transpose_equals_scalar(set in arb_cube_set()) {
-        let scalar = PinMatrix::from_cube_set_scalar(&set);
+        let scalar = pin_matrix_scalar(&set);
         // The public constructor (packed above the cutoff).
         prop_assert_eq!(&PinMatrix::from_cube_set(&set), &scalar);
         // The packed transpose and its inverse, explicitly.
@@ -126,10 +130,7 @@ fn seeded_edge_shape_sweep() {
                 toggle_profile_scalar(&set).unwrap(),
                 "width {width} density {density}"
             );
-            assert_eq!(
-                PinMatrix::from_cube_set(&set),
-                PinMatrix::from_cube_set_scalar(&set)
-            );
+            assert_eq!(PinMatrix::from_cube_set(&set), pin_matrix_scalar(&set));
             let m = PackedMatrix::from_packed_set(&PackedCubeSet::from(&set));
             for r in 0..m.rows() {
                 let scalar_row: Vec<Bit> = (0..m.cols()).map(|c| set.cube(c).bits()[r]).collect();

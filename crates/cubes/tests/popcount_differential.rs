@@ -1,24 +1,18 @@
-//! Differential property tests for the popcount kernel tiers: the SWAR
-//! Harley-Seal reduction and the AVX2 path (when the host has it) must
-//! be bit-identical to the scalar `count_ones` loop on raw word streams,
-//! on packed rows (widths not divisible by 64, all-X rows) and through
-//! every whole-set sweep (toggle profiles, pairwise-distance sweeps) —
-//! including empty sets. The same suite runs in CI with `DPFILL_SIMD`
-//! forcing each portable tier, so the fallback stays green on runners
-//! without AVX2.
+//! Differential property tests for the popcount kernel tiers: the AVX2
+//! path (when the host has it) must be bit-identical to the scalar
+//! `count_ones` loop on raw word streams, on packed rows (widths not
+//! divisible by 64, all-X rows) and through every whole-set sweep
+//! (toggle profiles, pairwise-distance sweeps) — including empty sets,
+//! with the per-bit `dpfill-oracle` walks as the reference. The same
+//! suite runs in CI with `DPFILL_SIMD=scalar` forcing the portable tier,
+//! so the fallback stays green on runners without AVX2.
 
 use dpfill_cubes::popcount::PopcountKernel;
-use dpfill_cubes::{
-    hamming_distance_scalar, toggle_profile, toggle_profile_scalar, Bit, CubeSet, PackedBits,
-    PackedCubeSet, TestCube,
-};
+use dpfill_cubes::{toggle_profile, Bit, CubeSet, PackedBits, PackedCubeSet, TestCube};
+use dpfill_oracle::{hamming_distance_scalar, toggle_profile_scalar};
 use proptest::prelude::*;
 
-const ALL_TIERS: [PopcountKernel; 3] = [
-    PopcountKernel::Scalar,
-    PopcountKernel::Swar,
-    PopcountKernel::Avx2,
-];
+const ALL_TIERS: [PopcountKernel; 2] = [PopcountKernel::Scalar, PopcountKernel::Avx2];
 
 fn arb_bit() -> impl Strategy<Value = Bit> {
     prop_oneof![
@@ -29,7 +23,7 @@ fn arb_bit() -> impl Strategy<Value = Bit> {
 }
 
 /// Cube sets whose widths straddle the 64-bit word boundary and the
-/// 16-word Harley-Seal block, with all-X rows mixed in (via `x_mask`);
+/// 4-word AVX2 step, with all-X rows mixed in (via `x_mask`);
 /// `count` starts at 0 so the empty set is a first-class case.
 fn arb_cube_set() -> impl Strategy<Value = CubeSet> {
     (1usize..=1100, 0usize..=8, 0u8..=255).prop_flat_map(|(width, count, x_mask)| {
@@ -67,15 +61,12 @@ proptest! {
         let ca: Vec<u64> = words.iter().map(|w| w.2).collect();
         let cb: Vec<u64> = words.iter().map(|w| w.3).collect();
         let reference = PopcountKernel::Scalar.masked_xor_popcount(&va, &vb, &ca, &cb);
-        for kernel in [PopcountKernel::Swar, PopcountKernel::Avx2] {
-            prop_assert_eq!(
-                kernel.masked_xor_popcount(&va, &vb, &ca, &cb),
-                reference,
-                "{} diverged on {} words",
-                kernel.label(),
-                va.len()
-            );
-        }
+        prop_assert_eq!(
+            PopcountKernel::Avx2.masked_xor_popcount(&va, &vb, &ca, &cb),
+            reference,
+            "avx2 diverged on {} words",
+            va.len()
+        );
     }
 
     /// Per-pair Hamming on packed rows: every tier matches the per-bit

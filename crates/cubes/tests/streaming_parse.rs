@@ -4,13 +4,9 @@
 //! on sets, errors and downstream metrics — including widths not
 //! divisible by 64, all-X rows, and empty sets.
 
-use dpfill_cubes::format::{
-    parse_patterns, parse_patterns_scalar, patterns_to_string, read_patterns,
-};
-use dpfill_cubes::{
-    peak_toggles, peak_toggles_scalar, toggle_profile, toggle_profile_scalar, Bit, CubeError,
-    CubeSet, TestCube,
-};
+use dpfill_cubes::format::{parse_patterns, patterns_to_string, read_patterns};
+use dpfill_cubes::{peak_toggles, toggle_profile, Bit, CubeError, CubeSet, TestCube};
+use dpfill_oracle::{parse_patterns_scalar, peak_toggles_scalar, toggle_profile_scalar};
 use proptest::prelude::*;
 
 fn arb_bit() -> impl Strategy<Value = Bit> {

@@ -95,6 +95,7 @@ use dpfill_cubes::retry::{self, RetryReader, RetryWriter};
 use dpfill_cubes::{format, peak_toggles, weighted_peak_toggles, Bit, CubeSet};
 use dpfill_netlist::CombView;
 use dpfill_power::{input_switch_caps, CapacitanceModel, GridModel, LeakageModel, PowerConfig};
+use minitrace::json_string;
 
 /// The process exit codes, one per failure class. Scripts driving huge
 /// fill jobs dispatch on these (retry transient I/O, page on solver
@@ -109,7 +110,9 @@ mod exit {
     pub const MALFORMED: u8 = 4;
     /// Writing the filled patterns failed (disk full, broken pipe).
     pub const OUTPUT: u8 = 5;
-    /// The input returned different content on the second pass.
+    /// The input returned different content on the second pass (a
+    /// different shape, or changed care bits the pass-1 plan would
+    /// overwrite).
     pub const SOURCE_CHANGED: u8 = 6;
     /// A worker panicked; the panic was contained at its window.
     pub const WINDOW_PANICKED: u8 = 7;
@@ -119,8 +122,9 @@ mod exit {
     pub const OVERFLOW: u8 = 9;
     /// The input held no patterns.
     pub const NO_PATTERNS: u8 = 10;
-    /// The global BCP solve failed, or its coloring missed the lower
-    /// bound it certified (a solver bug, never expected).
+    /// The global BCP solve failed, its coloring missed the lower bound
+    /// it certified, or a monolithic fill's output is not a filling of
+    /// its input (a solver or fill bug, never expected).
     pub const SOLVE: u8 = 11;
     /// The weight table behind `--objective`/`--weights` is invalid
     /// (parse error, zero/non-finite weight, width mismatch with the
@@ -162,7 +166,9 @@ fn stream_error(label: &str, e: &StreamError) -> CliError {
         StreamError::Solve(e) => dp_fill_error_code(e),
         StreamError::UnsupportedFill(_) => exit::USAGE,
         StreamError::Order(_) => exit::SOLVE,
-        StreamError::SourceChanged { .. } => exit::SOURCE_CHANGED,
+        StreamError::SourceChanged { .. } | StreamError::ContentChanged { .. } => {
+            exit::SOURCE_CHANGED
+        }
         StreamError::WindowPanicked { .. } => exit::WINDOW_PANICKED,
         StreamError::BudgetExhausted { .. } => exit::BUDGET_EXHAUSTED,
         StreamError::Overflow { .. } => exit::OVERFLOW,
@@ -678,26 +684,6 @@ impl Drop for StreamSink {
 /// `"report"` in the `--stats-json` document.
 type JsonReport = Vec<(&'static str, String)>;
 
-/// Encodes a string as a JSON string literal (the keys and labels are
-/// ASCII, but paths in diagnostics may not be).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Installs the trace sinks the flags request. An unopenable `--trace`
 /// target is a *warning*, not an error: observability never changes
 /// the fill's outcome or exit code (mid-run sink failures are handled
@@ -746,64 +732,16 @@ fn finalize_tracing(opts: &Options, report: &JsonReport, run_ok: bool) {
     }
 }
 
-/// Serializes the `--stats-json` document: the pipeline's report
-/// fields plus every counter total, span aggregate, and histogram the
-/// trace layer collected.
+/// Writes the `--stats-json` document: the pipeline's report fields
+/// plus every counter total, span aggregate, and histogram the trace
+/// layer collected.
 fn write_stats_json(
     path: &str,
     report: &JsonReport,
     snap: &minitrace::Snapshot,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n  \"report\": {");
-    for (i, (key, value)) in report.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}: {value}", json_str(key)));
-    }
-    out.push_str("\n  },\n  \"counters\": {");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\n    {}: {value}", json_str(name)));
-    }
-    out.push_str("\n  },\n  \"spans\": [");
-    for (i, s) in snap.spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": {}, \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \
-             \"p95_ns\": {}, \"max_ns\": {}}}",
-            json_str(&s.name),
-            s.count,
-            s.total_ns,
-            s.p50_ns,
-            s.p95_ns,
-            s.max_ns
-        ));
-    }
-    out.push_str("\n  ],\n  \"histograms\": [");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \
-             \"max\": {}}}",
-            json_str(&h.name),
-            h.count,
-            h.sum,
-            h.p50,
-            h.p95,
-            h.max
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
     let mut file = RetryWriter::new(std::fs::File::create(path)?);
-    file.write_all(out.as_bytes())?;
+    file.write_all(minitrace::render_json(report, snap).as_bytes())?;
     file.flush()
 }
 
@@ -891,9 +829,12 @@ fn run_streaming(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> 
         return Err(CliError::new(exit::NO_PATTERNS, "no patterns in input"));
     }
     sink.commit()?;
-    json.push(("mode", json_str("streaming")));
-    json.push(("fill", json_str(opts.fill.label())));
-    json.push(("order", json_str(opts.order.map_or("keep", |o| o.label()))));
+    json.push(("mode", json_string("streaming")));
+    json.push(("fill", json_string(opts.fill.label())));
+    json.push((
+        "order",
+        json_string(opts.order.map_or("keep", |o| o.label())),
+    ));
     json.push(("cubes", report.cubes.to_string()));
     json.push(("width", report.width.to_string()));
     json.push(("x_count", report.x_count.to_string()));
@@ -1050,14 +991,25 @@ fn run_monolithic(opts: &Options, json: &mut JsonReport) -> Result<(), CliError>
         }
         _ => opts.fill.fill_with(&ordered, &objective),
     };
-    debug_assert!(CubeSet::is_filling_of(&filled, &ordered));
+    if !CubeSet::is_filling_of(&filled, &ordered) {
+        return Err(CliError::new(
+            exit::SOLVE,
+            format!(
+                "{} fill is not a filling of its input (a fill bug)",
+                opts.fill.label()
+            ),
+        ));
+    }
     drop(ordered);
 
     if let Some((len, width, x_percent, before)) = given {
         let after = peak_toggles(&filled).map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
-        json.push(("mode", json_str("monolithic")));
-        json.push(("fill", json_str(opts.fill.label())));
-        json.push(("order", json_str(opts.order.map_or("keep", |o| o.label()))));
+        json.push(("mode", json_string("monolithic")));
+        json.push(("fill", json_string(opts.fill.label())));
+        json.push((
+            "order",
+            json_string(opts.order.map_or("keep", |o| o.label())),
+        ));
         json.push(("cubes", len.to_string()));
         json.push(("width", width.to_string()));
         json.push(("x_percent", format!("{x_percent:.1}")));

@@ -353,7 +353,7 @@ impl<W: Write> Write for FaultyWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::RetryReader;
+    use dpfill_cubes::retry::{self, RetryReader};
     use std::io::{BufRead, BufReader};
 
     const DATA: &[u8] = b"0X1X\n1XX0\nXXXX\n10X1\n";
@@ -473,7 +473,7 @@ mod tests {
             .on_op(1, OpFault::Short(2))
             .on_op(2, OpFault::Interrupt);
         let mut w = FaultyWriter::new(Vec::new(), plan);
-        crate::retry::write_all(&mut w, DATA).unwrap();
+        retry::write_all(&mut w, DATA).unwrap();
         assert_eq!(w.log().interrupts, 2);
         assert_eq!(w.log().shorts, 1);
         assert_eq!(w.into_inner(), DATA);
@@ -490,7 +490,7 @@ mod tests {
             assert_eq!(read_all(r).unwrap(), DATA, "seed {seed} read drifted");
             // Writing through retry::write_all must recover everything.
             let mut w = FaultyWriter::new(Vec::new(), plan);
-            crate::retry::write_all(&mut w, DATA).unwrap();
+            retry::write_all(&mut w, DATA).unwrap();
             assert_eq!(w.into_inner(), DATA, "seed {seed} write drifted");
         }
     }
