@@ -598,6 +598,11 @@ impl Coloring {
     pub fn color(&self, i: usize) -> u32 {
         self.colors[i]
     }
+
+    /// The per-interval colors, by value.
+    pub(crate) fn into_colors(self) -> Vec<u32> {
+        self.colors
+    }
 }
 
 /// Peaks achieved by a verified coloring.
@@ -1196,6 +1201,21 @@ impl BcpInstance {
             colors[i] = chosen as u32;
         }
         Ok(Coloring { colors })
+    }
+
+    /// The preference step both fill pipelines run after the solve:
+    /// [`BcpInstance::shift_within_slack`] at the solution's achieved
+    /// peak, then [`BcpInstance::verify`] of the shifted coloring.
+    pub(crate) fn shift_solution(
+        &self,
+        solution: &mut BcpSolution,
+        desire: &[i8],
+    ) -> Result<(), BcpError> {
+        let shifted =
+            self.shift_within_slack(&solution.coloring, desire, solution.peak.with_baseline)?;
+        solution.peak = self.verify(&shifted)?;
+        solution.coloring = shifted;
+        Ok(())
     }
 
     /// Solves with the generalized (baseline-aware) algorithm under

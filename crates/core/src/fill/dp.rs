@@ -207,17 +207,9 @@ impl DpFill {
         if !mapping.desire().is_empty() {
             // Secondary objective: slide intervals toward their
             // preferred rest value without raising the achieved peak.
-            let shifted = instance
-                .shift_within_slack(
-                    &solution.coloring,
-                    mapping.desire(),
-                    solution.peak.with_baseline,
-                )
+            instance
+                .shift_solution(&mut solution, mapping.desire())
                 .map_err(|e| fill_error(FillErrorSource::Solve(e)))?;
-            solution.peak = instance
-                .verify(&shifted)
-                .map_err(|e| fill_error(FillErrorSource::Solve(e)))?;
-            solution.coloring = shifted;
         }
         let filled = mapping.apply_coloring(&solution.coloring);
         let objective_peak = solution.peak.with_baseline;

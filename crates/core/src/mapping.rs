@@ -7,39 +7,108 @@
 //! * pre-fills the *safe* don't-cares — leading/trailing runs, `v X…X v`
 //!   runs and all-`X` rows — as whole-word mask splices (they provably
 //!   never need a toggle);
-//! * emits one BCP [`Interval`] per `v X…X w` transition stretch (the one
-//!   unavoidable toggle whose position is free);
+//! * records one [`IntervalSite`] — one BCP [`Interval`] — per
+//!   `v X…X w` transition stretch (the one unavoidable toggle whose
+//!   position is free);
 //! * tallies *forced toggles* (adjacent opposite care bits) into the
 //!   instance baseline.
 //!
 //! [`MatrixMapping::apply_coloring`] then reconstructs the filled matrix
 //! from a BCP coloring: an interval colored `j` splices its stretch with
 //! the left value through column `j` and the right value from column
-//! `j+1` (paper §V-D), and the result transposes back to cubes.
+//! `j+1` (paper §V-D) through `splice_colored`, the kernel the
+//! streaming emit pass runs per window, and transposes back to cubes.
 
-use dpfill_cubes::packed::PackedMatrix;
+use dpfill_cubes::packed::{PackedBits, PackedMatrix};
 use dpfill_cubes::stretch::{for_each_stretch_dense, is_dense_row, scan_row_mut, Stretch};
 use dpfill_cubes::{Bit, CubeSet, PinMatrix};
 
-use crate::bcp::{BcpInstance, Coloring};
+use crate::bcp::{BcpError, BcpInstance, Coloring};
 use crate::objective::{FillObjective, ObjectiveError};
 use crate::Interval;
 
-/// One analysis chunk's events: interval sites plus forced
-/// `(row, transition)` toggles.
-type ChunkSites = (Vec<IntervalSite>, Vec<(usize, usize)>);
-
-/// Where an interval came from: the row and the delimiting care columns.
+/// Where an interval came from: the row and the delimiting care columns
+/// (16 bytes — both pipelines keep one per stretch from scan to splice).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntervalSite {
     /// Pin row of the stretch.
-    pub row: usize,
+    pub row: u32,
     /// Column of the left care bit (`k` in the paper).
-    pub left: usize,
+    pub left: u32,
     /// Column of the right care bit (`l` in the paper).
-    pub right: usize,
+    pub right: u32,
     /// Value of the left care bit.
     pub left_value: Bit,
+}
+
+/// The BCP instance of both pipelines: per site, in site order (which
+/// fixes the EDF tie-breaks), the interval `(left, right − 1)` charged
+/// `weights[row]` (unit when `None`), over the forced-toggle `baseline`.
+pub(crate) fn build_instance(
+    sites: &[IntervalSite],
+    weights: Option<&[u64]>,
+    baseline: Vec<u64>,
+) -> Result<BcpInstance, BcpError> {
+    let mut instance = BcpInstance::new(baseline.len());
+    instance.set_baseline(baseline)?;
+    for site in sites {
+        let load = weights.map_or(1, |w| w[site.row as usize]);
+        instance.add_weighted_interval(Interval::new(site.left, site.right - 1), load)?;
+    }
+    Ok(instance)
+}
+
+/// Per-site shift desires toward `preferred[row]` for
+/// [`BcpInstance::shift_within_slack`]: `+1` favors a late toggle (hold
+/// the left value), `-1` an early one, `0` no preference.
+pub(crate) fn desires(sites: &[IntervalSite], preferred: &[Bit]) -> Vec<i8> {
+    sites
+        .iter()
+        .map(|site| match preferred[site.row as usize] {
+            Bit::X => 0,
+            p if p == site.left_value => 1,
+            _ => -1,
+        })
+        .collect()
+}
+
+/// The §V-D splice of one pin row: each of the row's `sites` (left to
+/// right) colored `j` holds its left care value through column `j` and
+/// the opposite value after it, clipped to the columns
+/// `[start, start + row.len())` that `row` holds — a whole row for
+/// [`MatrixMapping::apply_coloring`], one window in streaming.
+///
+/// # Panics
+///
+/// Panics if a spliced site's color falls outside its stretch window.
+pub(crate) fn splice_colored(
+    row: &mut PackedBits,
+    start: usize,
+    sites: &[IntervalSite],
+    colors: &[u32],
+) {
+    let end = start + row.len();
+    // A row's stretch interiors are disjoint and ordered, so the sites
+    // overlapping the held columns are one contiguous run.
+    let lo = sites.partition_point(|s| s.right as usize <= start);
+    let hi = sites.partition_point(|s| (s.left as usize) + 1 < end);
+    let mut fill = |from: usize, to: usize, value: Bit| {
+        let (from, to) = (from.max(start), to.min(end));
+        if from < to {
+            row.fill_range(from - start, to - start, value);
+        }
+    };
+    for (site, &color) in sites[lo..hi].iter().zip(&colors[lo..hi]) {
+        assert!(
+            site.left <= color && color < site.right,
+            "color {color} outside stretch window [{}, {})",
+            site.left,
+            site.right
+        );
+        let split = color as usize + 1;
+        fill(site.left as usize + 1, split, site.left_value);
+        fill(split, site.right as usize, !site.left_value);
+    }
 }
 
 /// The analyzed matrix: safe pre-fill applied, intervals extracted,
@@ -50,9 +119,8 @@ pub struct MatrixMapping {
     instance: BcpInstance,
     sites: Vec<IntervalSite>,
     /// Secondary-objective shift direction per interval (aligned with
-    /// `sites`): `+1` favors late transitions (hold the left value),
-    /// `-1` early ones, `0` no preference. Empty when the objective has
-    /// no fill-value preference.
+    /// `sites`, see [`desires`]). Empty when the objective has no
+    /// fill-value preference.
     desire: Vec<i8>,
 }
 
@@ -161,8 +229,7 @@ impl MatrixMapping {
     ) -> Result<MatrixMapping, ObjectiveError> {
         objective.check_width(matrix.rows())?;
         let cols = matrix.cols();
-        let num_colors = cols.saturating_sub(1);
-        let chunks: Vec<ChunkSites> =
+        let chunks: Vec<(Vec<IntervalSite>, Vec<_>)> =
             minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
                 let mut sites = Vec::new();
                 let mut forced = Vec::new();
@@ -179,9 +246,9 @@ impl MatrixMapping {
                             right,
                             left_value,
                         } => sites.push(IntervalSite {
-                            row,
-                            left,
-                            right,
+                            row: row as u32,
+                            left: left as u32,
+                            right: right as u32,
                             left_value,
                         }),
                         Stretch::ForcedToggle { col } => forced.push((row, col)),
@@ -207,39 +274,24 @@ impl MatrixMapping {
             });
 
         let weights = objective.weights();
-        let preferred = objective.preferred();
-        let mut instance = BcpInstance::new(num_colors);
         let mut sites = Vec::new();
-        let mut desire = Vec::new();
+        let mut baseline = vec![0u64; cols.saturating_sub(1)];
         for (chunk_sites, chunk_forced) in chunks {
-            for site in chunk_sites {
-                // Interval (k, l-1): the toggle may sit at any
-                // transition between columns left and right.
-                let interval = Interval::new(site.left as u32, (site.right - 1) as u32);
-                let load = weights.map_or(1, |w| w[site.row]);
-                instance
-                    .add_weighted_interval(interval, load)
-                    .unwrap_or_else(|e| {
-                        unreachable!("stretch bounds and table weights are valid: {e}")
-                    });
-                if let Some(pref) = preferred {
-                    desire.push(match pref[site.row] {
-                        Bit::X => 0,
-                        p if p == site.left_value => 1,
-                        _ => -1,
-                    });
-                }
-                sites.push(site);
-            }
+            sites.extend(chunk_sites);
             for (row, col) in chunk_forced {
-                let load = weights.map_or(1, |w| w[row]);
-                instance
-                    .add_baseline(col, load)
-                    .map_err(|_| ObjectiveError::Overflow {
+                let slot = &mut baseline[col];
+                *slot = slot.checked_add(weights.map_or(1, |w| w[row])).ok_or(
+                    ObjectiveError::Overflow {
                         what: "weighted forced-toggle load on one transition",
-                    })?;
+                    },
+                )?;
             }
         }
+        let instance = build_instance(&sites, weights, baseline)
+            .unwrap_or_else(|e| unreachable!("stretch bounds and table weights are valid: {e}"));
+        let desire = objective
+            .preferred()
+            .map_or_else(Vec::new, |preferred| desires(&sites, preferred));
         Ok(MatrixMapping {
             prefilled: matrix,
             instance,
@@ -278,13 +330,13 @@ impl MatrixMapping {
     }
 
     /// Reconstructs the fully filled matrix from a coloring
-    /// (paper §V-D) and returns it as a cube set. Each stretch is written
-    /// as two mask splices on its packed row.
+    /// (paper §V-D) and returns it as a cube set: each row's stretches
+    /// go through `splice_colored` as two mask splices apiece.
     ///
     /// Sites are row-major (the analysis emits them that way), so row
-    /// chunks fan out across the pool and each worker binary-searches
-    /// its slice of sites/colors — disjoint rows, disjoint splices, and
-    /// a result independent of the execution interleaving.
+    /// chunks fan out across the pool and each worker walks its slice of
+    /// sites/colors — disjoint rows, disjoint splices, and a result
+    /// independent of the execution interleaving.
     ///
     /// # Panics
     ///
@@ -297,28 +349,15 @@ impl MatrixMapping {
             self.sites.len(),
             "coloring does not match interval count"
         );
-        debug_assert!(
-            self.sites.windows(2).all(|w| w[0].row <= w[1].row),
-            "sites must be row-major"
-        );
         let mut matrix = self.prefilled.clone();
         let sites = &self.sites;
         let colors = coloring.colors();
         minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
-            let end = start + rows.len();
-            let lo = sites.partition_point(|s| s.row < start);
-            let hi = sites.partition_point(|s| s.row < end);
-            for (site, &color) in sites[lo..hi].iter().zip(&colors[lo..hi]) {
-                let j = color as usize;
-                assert!(
-                    site.left <= j && j < site.right,
-                    "color {j} outside stretch window [{}, {})",
-                    site.left,
-                    site.right
-                );
-                let row = &mut rows[site.row - start];
-                row.fill_range(site.left + 1, j + 1, site.left_value);
-                row.fill_range(j + 1, site.right, !site.left_value);
+            let mut lo = sites.partition_point(|s| (s.row as usize) < start);
+            for (r, row) in (start..).zip(rows.iter_mut()) {
+                let hi = lo + sites[lo..].partition_point(|s| s.row as usize == r);
+                splice_colored(row, 0, &sites[lo..hi], &colors[lo..hi]);
+                lo = hi;
             }
         });
         debug_assert_eq!(matrix.x_count(), 0, "all X bits must be filled");

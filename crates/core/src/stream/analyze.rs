@@ -3,7 +3,8 @@
 //! [`WindowedAnalyzer`] consumes a cube set **one window of columns at a
 //! time** (each window arrives as a transposed [`PackedMatrix`]) and
 //! emits exactly the event stream of the monolithic
-//! [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk:
+//! [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk, by
+//! the same [`classify_arrival`] rule:
 //!
 //! * *safe* runs (leading / trailing / `v X…X v` / all-`X`) become
 //!   [`Segment`]s — fill instructions the emit pass splices back in;
@@ -25,16 +26,17 @@
 //! bit-identical at any thread count.
 
 use dpfill_cubes::packed::PackedMatrix;
+use dpfill_cubes::stretch::{classify_arrival, Stretch};
 use dpfill_cubes::Bit;
 
 use crate::bcp::IncrementalBound;
 use crate::mapping::IntervalSite;
 
-/// One horizontal fill instruction: pin row `row`, columns
-/// `[start, end)` become `value`. Produced for safe runs during
-/// analysis and for both halves of a colored transition stretch after
-/// the solve; ranges never cover a care bit, so splicing them is always
-/// legal.
+use super::plan::group_by_row;
+
+/// One safe-run fill instruction: pin row `row`, columns `[start, end)`
+/// become `value`. Ranges never cover a care bit, so splicing them is
+/// always legal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Segment {
     /// Pin row.
@@ -57,13 +59,6 @@ impl Segment {
             value,
         }
     }
-}
-
-/// Per-pin scan state carried across windows: the last care bit seen,
-/// as `(global column, value)`.
-#[derive(Clone, Copy, Default)]
-struct PinState {
-    last_care: Option<(usize, Bit)>,
 }
 
 /// Everything the analysis pass learned about the full set.
@@ -93,7 +88,9 @@ pub(crate) struct Analysis {
 /// The streaming analyzer: feed windows left to right, then
 /// [`WindowedAnalyzer::finish`].
 pub(crate) struct WindowedAnalyzer {
-    states: Vec<PinState>,
+    /// Per-pin scan state carried across windows: the last care bit
+    /// seen, as `(global column, value)`.
+    states: Vec<Option<(usize, Bit)>>,
     segments: Vec<Segment>,
     sites: Vec<IntervalSite>,
     baseline: Vec<u64>,
@@ -121,7 +118,7 @@ impl WindowedAnalyzer {
             assert_eq!(w.len(), width, "weight table width mismatch");
         }
         WindowedAnalyzer {
-            states: vec![PinState::default(); width],
+            states: vec![None; width],
             segments: Vec::new(),
             sites: Vec::new(),
             baseline: Vec::new(),
@@ -162,32 +159,30 @@ impl WindowedAnalyzer {
                     let row = row0 + i;
                     for (pos, value) in rows[row].care_positions() {
                         let col = start_col + pos;
-                        match state.last_care {
-                            None => {
-                                // First care bit of the row: a leading
-                                // X-run copies it backwards.
-                                if col > 0 {
-                                    segments.push(Segment::new(row, 0, col, value));
-                                }
+                        match classify_arrival(*state, col, value) {
+                            // A leading X-run copies the first care bit
+                            // backwards.
+                            Some(Stretch::Leading { first_care }) => {
+                                segments.push(Segment::new(row, 0, first_care, value));
                             }
-                            Some((left, left_value)) => {
-                                if col == left + 1 {
-                                    if left_value.conflicts(value) {
-                                        forced.push((row, left));
-                                    }
-                                } else if left_value == value {
-                                    segments.push(Segment::new(row, left + 1, col, left_value));
-                                } else {
-                                    sites.push(IntervalSite {
-                                        row,
-                                        left,
-                                        right: col,
-                                        left_value,
-                                    });
-                                }
+                            Some(Stretch::SameValue { left, right, value }) => {
+                                segments.push(Segment::new(row, left + 1, right, value));
                             }
+                            Some(Stretch::Transition {
+                                left,
+                                right,
+                                left_value,
+                            }) => sites.push(IntervalSite {
+                                row: row as u32,
+                                left: left as u32,
+                                right: right as u32,
+                                left_value,
+                            }),
+                            Some(Stretch::ForcedToggle { col }) => forced.push((row, col)),
+                            // Trailing runs and all-X rows close at finish.
+                            Some(Stretch::Trailing { .. } | Stretch::AllX) | None => {}
                         }
-                        state.last_care = Some((col, value));
+                        *state = Some((col, value));
                     }
                 }
                 (segments, sites, forced)
@@ -201,8 +196,11 @@ impl WindowedAnalyzer {
             for site in &sites {
                 // Interval (left, right-1): the exact interval (and the
                 // exact load) the global solve will add for this site.
-                self.bound
-                    .add_load(site.left, site.right - 1, self.weight(site.row));
+                self.bound.add_load(
+                    site.left as usize,
+                    site.right as usize - 1,
+                    self.weight(site.row as usize),
+                );
             }
             self.sites.extend(sites);
             for (row, col) in forced {
@@ -217,11 +215,6 @@ impl WindowedAnalyzer {
                 self.bound.add_baseline(col, w);
             }
         }
-    }
-
-    /// Columns ingested so far.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// The running lower bound certified by the incremental ladder over
@@ -242,7 +235,7 @@ impl WindowedAnalyzer {
         (self.segments.len() * size_of::<Segment>()
             + self.sites.len() * size_of::<IntervalSite>()
             + self.baseline.len() * size_of::<u64>()
-            + self.states.len() * size_of::<PinState>()
+            + self.states.len() * size_of::<Option<(usize, Bit)>>()
             + self
                 .weights
                 .as_ref()
@@ -251,12 +244,12 @@ impl WindowedAnalyzer {
     }
 
     /// Closes every still-open run (trailing X-runs, all-`X` rows) and
-    /// returns the full analysis, with sites sorted into the monolithic
+    /// returns the full analysis, with sites grouped into the monolithic
     /// row-major order.
     pub fn finish(mut self) -> Analysis {
         let n = self.cols;
         for (row, state) in self.states.iter().enumerate() {
-            match state.last_care {
+            match *state {
                 None => {
                     if n > 0 {
                         // All-X row: the safe splice fills it with zero.
@@ -270,14 +263,14 @@ impl WindowedAnalyzer {
                 }
             }
         }
-        // Windows surface a pin's stretches left-to-right but interleave
-        // pins; the monolithic walk is strictly row-major. The sort key
-        // (row, left) is unique per site, so this reproduces the exact
-        // interval insertion order the EDF tie-breaks depend on.
-        self.sites.sort_unstable_by_key(|s| (s.row, s.left));
+        // Windows surface a pin's stretches left to right but interleave
+        // pins; the monolithic walk is strictly row-major. Grouping by
+        // row keeps each row's arrival order, so this reproduces the
+        // exact (row, left) interval order the EDF tie-breaks depend on.
+        let (sites, _) = group_by_row(self.sites, self.states.len(), |s| s.row);
         Analysis {
             segments: self.segments,
-            sites: self.sites,
+            sites,
             baseline: self.baseline,
             cols: n,
             warm_lb: self.bound.current(),

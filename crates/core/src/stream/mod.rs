@@ -14,7 +14,7 @@
 //! * the **cube planes** — `2 · ⌈width/64⌉` words per cube, the memory
 //!   that actually hurts at industrial pattern volumes;
 //! * the **classification events** — one scalar record per X-stretch
-//!   (interval, site, or safe-run segment) plus one counter per
+//!   (a 16-byte interval site or safe-run segment) plus one counter per
 //!   transition.
 //!
 //! The pipeline streams the planes and keeps the events:
@@ -25,15 +25,19 @@
 //!    spanning any number of windows are stitched *exactly* — the
 //!    event stream equals the monolithic
 //!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk,
-//!    then the sites sort into its row-major order. The window's cubes
-//!    are dropped as soon as the next window arrives.
+//!    and a stable group-by-row puts the sites in its row-major order.
+//!    The window's cubes are dropped as soon as the next window
+//!    arrives.
 //! 2. **Solve**: the *same* global
 //!    [`BcpInstance::solve`](crate::BcpInstance::solve) the monolithic
-//!    DP-fill runs, on the identical instance — identical lower bound,
-//!    identical EDF coloring, no cubes resident at all.
-//! 3. **Emit pass** ([`plan::FillPlan`]): windows are re-read, filled
-//!    by clipped word splices of the resolved plan (the same
-//!    `fill_range` splices `apply_coloring` performs), scored with the
+//!    DP-fill runs, on the identical instance built by the same
+//!    function — identical lower bound, identical EDF coloring, no
+//!    cubes resident at all. The row-major sites and their colors are
+//!    then the fill plan ([`plan::FillPlan`]), next to pass 1's safe
+//!    runs.
+//! 3. **Emit pass**: windows are re-read and filled by the plan's
+//!    clipped splices — the colored sites through the one §V-D kernel
+//!    `apply_coloring` runs on whole rows — scored with the
 //!    one-dispatch batched toggle sweeps (the boundary transition is
 //!    stitched against the retained last cube of the previous window),
 //!    and written out as each window retires. Window batches are
@@ -101,11 +105,11 @@ use dpfill_cubes::format::{PatternError, PatternStream, PatternWriter};
 use dpfill_cubes::packed::{PackedBits, PackedMatrix};
 use dpfill_cubes::{Bit, CubeSet};
 
-use crate::bcp::{BcpInstance, SolveOptions};
+use crate::bcp::SolveOptions;
 use crate::fill::{DpFillError, FillErrorSource, FillMethod};
+use crate::mapping::{build_instance, desires};
 use crate::objective::{FillObjective, ObjectiveError};
 use crate::ordering::OrderingError;
-use crate::Interval;
 
 use analyze::{Analysis, WindowedAnalyzer};
 use budget::BudgetGovernor;
@@ -239,7 +243,7 @@ impl Default for StreamOptions {
 }
 
 /// What a streaming run measured while emitting.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StreamReport {
     /// Cubes processed (0 means the input held no patterns and nothing
     /// was written).
@@ -275,8 +279,8 @@ pub struct StreamReport {
     /// the solve). Zero for single-pass fills, which have no pass 1.
     pub pass1_ns: u64,
     /// Wall-clock nanoseconds of the plan resolution (the global BCP
-    /// solve for DP, the copy-left splice for MT). Zero for
-    /// single-pass fills.
+    /// solve for DP, the copy-left coloring for MT, then the plan
+    /// build). Zero for single-pass fills.
     pub solve_ns: u64,
     /// Wall-clock nanoseconds of pass 2 (re-stream, fill, score, emit)
     /// — the only pass for per-cube fills.
@@ -430,52 +434,52 @@ pub struct StreamingFill {
     opts: StreamOptions,
 }
 
-/// The resolved fill plan for the emit pass.
-enum ResolvedFill {
-    /// Splice the precomputed segment plan (DP, MT).
-    Planned(FillPlan),
-    /// Per-cube fill needing only the cube (and its global index).
-    Local,
-}
-
-/// Where the emit pass reads its (possibly reordered) cube stream.
-enum EmitSource<R: Read> {
+/// Where a pass reads its (possibly reordered) windows.
+enum WindowSource<R: Read> {
     /// Straight from the pattern reader — no ordering; the only source
     /// whose output is byte-identical to the unordered monolithic run.
     Direct(PatternStream<R>),
-    /// Replay of the permutation pass 1 recorded (two-pass planned
-    /// fills under a banded ordering).
+    /// Replay of the permutation pass 1 recorded (pass 2 of a planned
+    /// fill under a banded ordering).
     Replay(ReplayStream<R>),
-    /// Live banded reordering (single-pass per-cube fills under a
-    /// banded ordering — there is no pass 1 to record a permutation).
-    Live(ReorderStage<R>),
+    /// Live banded reordering: pass 1 of a planned fill, which records
+    /// the permutation, or the only pass of a per-cube fill.
+    Reorder(ReorderStage<R>),
 }
 
-impl<R: Read> EmitSource<R> {
-    fn next_window(&mut self, max: usize, win_idx: usize) -> Result<Option<CubeSet>, StreamError> {
+impl<R: Read> WindowSource<R> {
+    /// The next window of at most `max` cubes. `warm_lb` is the banded
+    /// I-ordering's warm bound: the analyzer's running bound in pass 1,
+    /// 0 when no analyzer runs.
+    fn next_window(
+        &mut self,
+        max: usize,
+        warm_lb: u64,
+        win_idx: usize,
+    ) -> Result<Option<CubeSet>, StreamError> {
         match self {
-            EmitSource::Direct(s) => Ok(s.next_window(max)?),
-            EmitSource::Replay(s) => s.next_window(max),
-            // No analyzer runs for a single-pass fill, so the warm
-            // bound fed to the in-ring search is trivial.
-            EmitSource::Live(s) => s.next_window(max, 0, win_idx),
+            WindowSource::Direct(s) => Ok(s.next_window(max)?),
+            WindowSource::Replay(s) => s.next_window(max),
+            WindowSource::Reorder(s) => s.next_window(max, warm_lb, win_idx),
+        }
+    }
+
+    /// The width before the first window: a reorder stage peeks one cube
+    /// into its ring, so a band that could cover the whole set is sized
+    /// before the ring's first fill and orders all of it.
+    fn peek_width(&mut self) -> Result<Option<usize>, StreamError> {
+        match self {
+            WindowSource::Reorder(s) => s.peek_width(),
+            _ => Ok(None),
         }
     }
 
     /// Original cubes read from the underlying pattern stream.
     fn cubes_read(&self) -> usize {
         match self {
-            EmitSource::Direct(s) => s.cubes_read(),
-            EmitSource::Replay(s) => s.cubes_read(),
-            EmitSource::Live(s) => s.cubes_read(),
-        }
-    }
-
-    fn width(&self) -> Option<usize> {
-        match self {
-            EmitSource::Direct(s) => s.width(),
-            EmitSource::Replay(s) => s.width(),
-            EmitSource::Live(s) => s.width(),
+            WindowSource::Direct(s) => s.cubes_read(),
+            WindowSource::Replay(s) => s.cubes_read(),
+            WindowSource::Reorder(s) => s.cubes_read(),
         }
     }
 
@@ -483,35 +487,61 @@ impl<R: Read> EmitSource<R> {
     /// / replay buffer), on top of the windows in flight.
     fn peak_resident_cubes(&self) -> usize {
         match self {
-            EmitSource::Direct(_) => 0,
-            EmitSource::Replay(s) => s.peak_resident_cubes(),
-            EmitSource::Live(s) => s.peak_resident_cubes(),
+            WindowSource::Direct(_) => 0,
+            WindowSource::Replay(s) => s.peak_resident_cubes(),
+            WindowSource::Reorder(s) => s.peak_resident_cubes(),
         }
     }
 
     /// Bytes the source holds resident — charged to the budget
-    /// governor alongside the plan.
+    /// governor alongside the analyzer's events or the plan.
     fn resident_bytes(&self) -> u64 {
         match self {
-            EmitSource::Direct(_) => 0,
-            EmitSource::Replay(s) => s.resident_bytes(),
-            EmitSource::Live(s) => s.resident_bytes(),
+            WindowSource::Direct(_) => 0,
+            WindowSource::Replay(s) => s.resident_bytes(),
+            WindowSource::Reorder(s) => s.resident_bytes(),
         }
+    }
+}
+
+/// A pass's resolved cube width and window size, plus the governor
+/// that shrinks the window under [`WindowSpec::MemoryBudgetMiB`].
+struct Windowing {
+    width: usize,
+    window: usize,
+    governor: Option<BudgetGovernor>,
+}
+
+impl Windowing {
+    /// Charges the pass's resident fixed costs to the governor (a no-op
+    /// for fixed windows) and adopts its possibly halved window.
+    fn charge(&mut self, pass: StreamPass, at: usize, bytes: u64) -> Result<(), StreamError> {
+        if let Some(g) = &mut self.governor {
+            g.charge(pass, at, bytes)?;
+            self.window = g.window();
+        }
+        Ok(())
+    }
+
+    fn into_events(self) -> Vec<DegradeEvent> {
+        self.governor
+            .map(BudgetGovernor::into_events)
+            .unwrap_or_default()
     }
 }
 
 /// Everything pass 1 produced.
 struct AnalyzeOutcome {
     plan: FillPlan,
-    cubes: usize,
-    width: usize,
+    /// `(cubes, width)` seen by the analysis pass.
+    shape: (usize, usize),
     /// The recorded output-position → original-index permutation, when
     /// a banded ordering ran during pass 1; pass 2 replays it.
     perm: Option<Vec<u32>>,
     degradations: Vec<DegradeEvent>,
     /// Wall-clock spent streaming the analysis (excluding the solve).
     pass1_ns: u64,
-    /// Wall-clock spent resolving the plan (solve / splice).
+    /// Wall-clock spent resolving the plan (solve and plan build).
     solve_ns: u64,
 }
 
@@ -539,24 +569,34 @@ impl StreamingFill {
     }
 
     /// Validates the configured objective against the stream's cube
-    /// width, as soon as the width is known.
-    fn check_objective(&self, width: usize, cubes: usize) -> Result<(), StreamError> {
+    /// width, as soon as the width is known, and sizes the pass's
+    /// windows for it.
+    fn windowing(&self, width: usize) -> Result<Windowing, StreamError> {
         self.opts.objective.check_width(width).map_err(|e| {
             StreamError::Solve(DpFillError {
                 source: FillErrorSource::Objective(e),
-                shape: (cubes, width),
+                shape: (0, width),
             })
+        })?;
+        let governor = match self.opts.window {
+            WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
+            WindowSpec::Cubes(_) => None,
+        };
+        Ok(Windowing {
+            width,
+            window: self.opts.window.window_for_width(width)?,
+            governor,
         })
     }
 
-    /// The per-pin weights the analyzer charges, or `None` for unit
-    /// weights — keeping the unit path's state (and bytes) identical to
-    /// an objective-less build.
-    fn analyzer_weights(&self) -> Option<Vec<u64>> {
+    /// The per-pin weights the analyzer, the solve and the emit scoring
+    /// charge, or `None` for unit weights — keeping the unit path's
+    /// state (and bytes) identical to an objective-less build.
+    fn weights(&self) -> Option<&[u64]> {
         if self.opts.objective.is_unit() {
             None
         } else {
-            self.opts.objective.weights().map(<[u64]>::to_vec)
+            self.opts.objective.weights()
         }
     }
 
@@ -587,44 +627,24 @@ impl StreamingFill {
         mut open: impl FnMut() -> io::Result<R>,
         sink: W,
     ) -> Result<StreamReport, StreamError> {
-        let resolved = match self.opts.fill {
-            FillMethod::Dp | FillMethod::Mt => self.analyze(&mut open)?.map(|outcome| {
-                let pass1 = (outcome.cubes, outcome.width);
-                (
-                    ResolvedFill::Planned(outcome.plan),
-                    Some(pass1),
-                    outcome.perm,
-                    outcome.degradations,
-                    (outcome.pass1_ns, outcome.solve_ns),
-                )
-            }),
-            FillMethod::Zero | FillMethod::One | FillMethod::Adj | FillMethod::Random(_) => {
-                // Single pass; totals are discovered while emitting (and
-                // any banded ordering runs live in the emit loop).
-                Some((ResolvedFill::Local, None, None, Vec::new(), (0, 0)))
-            }
+        let planned = match self.opts.fill {
+            FillMethod::Dp | FillMethod::Mt => match self.analyze(&mut open)? {
+                Some(outcome) => Some(outcome),
+                None => {
+                    return Ok(StreamReport {
+                        baseline_peak: self.opts.collect_baseline.then_some(0),
+                        ..StreamReport::default()
+                    })
+                }
+            },
+            // Single pass; totals are discovered while emitting (and any
+            // banded ordering runs live in the emit loop).
+            FillMethod::Zero | FillMethod::One | FillMethod::Adj | FillMethod::Random(_) => None,
             FillMethod::B | FillMethod::XStat => {
                 return Err(StreamError::UnsupportedFill(self.opts.fill))
             }
         };
-        let Some((fill, pass1, perm, degradations, phase_ns)) = resolved else {
-            return Ok(StreamReport {
-                cubes: 0,
-                width: 0,
-                window_cubes: 0,
-                windows: 0,
-                x_count: 0,
-                peak_toggles: 0,
-                objective_peak: 0,
-                baseline_peak: self.opts.collect_baseline.then_some(0),
-                resident_peak_cubes: 0,
-                degradations: Vec::new(),
-                pass1_ns: 0,
-                solve_ns: 0,
-                pass2_ns: 0,
-            });
-        };
-        self.emit(&mut open, sink, &fill, pass1, perm, degradations, phase_ns)
+        self.emit(&mut open, sink, planned)
     }
 
     /// Convenience wrapper reading from a filesystem path.
@@ -640,42 +660,45 @@ impl StreamingFill {
         self.run(|| std::fs::File::open(path), sink)
     }
 
-    /// Pass 1: stream every window through the stitching analyzer, then
-    /// solve globally and resolve the fill plan. Returns `None` on an
-    /// empty input.
+    /// Pass 1: stream every window through the stitching analyzer — with
+    /// a banded ordering, through the reorder stage first, whose
+    /// permutation pass 2 replays — then solve globally and resolve the
+    /// fill plan. Returns `None` on an empty input.
     fn analyze<R: Read>(
         &self,
         open: &mut impl FnMut() -> io::Result<R>,
     ) -> Result<Option<AnalyzeOutcome>, StreamError> {
         let pass_start = Instant::now();
-        let mut stream = PatternStream::new(open().map_err(StreamError::Open)?);
-        if let Some(order) = self.opts.order {
-            return self.analyze_ordered(stream, order);
-        }
-        // The first window is a single cube: the width (and with it a
-        // budget-derived window size) is unknown until one row is read.
-        let Some(first) = stream.next_window(1)? else {
-            return Ok(None);
+        let stream = PatternStream::new(open().map_err(StreamError::Open)?);
+        let mut source = match self.opts.order {
+            Some(order) => WindowSource::Reorder(ReorderStage::new(stream, order)),
+            None => WindowSource::Direct(stream),
         };
-        let width = first.width();
-        self.check_objective(width, 0)?;
-        let mut governor = match self.opts.window {
-            WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
-            WindowSpec::Cubes(_) => None,
-        };
-        let mut window = self.opts.window.window_for_width(width)?;
-        let mut analyzer = WindowedAnalyzer::with_weights(width, self.analyzer_weights());
+        // Without a peeked width, window 0 is a single cube: the width
+        // (and with it a budget-derived window size) is unknown until
+        // one row is read.
+        let mut sizing = source
+            .peek_width()?
+            .map(|w| self.windowing(w))
+            .transpose()?;
+        let mut analyzer: Option<WindowedAnalyzer> = None;
         let mut win_idx = 0usize;
         let mut offset = 0usize;
-        let mut first = Some(first);
         loop {
-            let set = match first.take() {
-                Some(set) => set,
-                None => match stream.next_window(window)? {
-                    Some(set) => set,
-                    None => break,
-                },
+            // The analyzer's incremental ladder doubles as the banded
+            // I-ordering's warm bound: everything already frozen out of
+            // the ring is a certified floor on the final bottleneck.
+            let warm_lb = analyzer.as_ref().map_or(0, WindowedAnalyzer::warm_bound);
+            let max = sizing.as_ref().map_or(1, |s| s.window);
+            let Some(set) = source.next_window(max, warm_lb, win_idx)? else {
+                break;
             };
+            if sizing.is_none() {
+                sizing = Some(self.windowing(set.width())?);
+            }
+            let analyzer = analyzer.get_or_insert_with(|| {
+                WindowedAnalyzer::with_weights(set.width(), self.weights().map(<[u64]>::to_vec))
+            });
             let cubes = offset..offset + set.len();
             offset = cubes.end;
             // Contain worker panics at the window boundary: the minipool
@@ -698,160 +721,65 @@ impl StreamingFill {
                     message: panic_message(payload.as_ref()),
                 });
             }
-            if let Some(g) = &mut governor {
-                g.charge(StreamPass::Analyze, win_idx, analyzer.event_bytes())?;
-                window = g.window();
+            if let Some(s) = &mut sizing {
+                let bytes = analyzer.event_bytes() + source.resident_bytes();
+                s.charge(StreamPass::Analyze, win_idx, bytes)?;
             }
             win_idx += 1;
         }
-        let cubes = analyzer.cols();
-        let analysis = analyzer.finish();
-        let pass1_ns = pass_start.elapsed().as_nanos() as u64;
-        let solve_start = Instant::now();
-        let plan = self.resolve_plan(analysis, cubes, width)?;
-        Ok(Some(AnalyzeOutcome {
-            plan,
-            cubes,
-            width,
-            perm: None,
-            degradations: governor
-                .map(BudgetGovernor::into_events)
-                .unwrap_or_default(),
-            pass1_ns,
-            solve_ns: solve_start.elapsed().as_nanos() as u64,
-        }))
-    }
-
-    /// Pass 1 with a banded streaming ordering: the reorder stage sits
-    /// between the reader and the analyzer, so the analyzer (and
-    /// therefore the plan, the solve, and the emitted bytes) sees the
-    /// *reordered* stream. The stage's permutation is recorded for the
-    /// emit pass to replay, and its ring is charged to the budget
-    /// governor alongside the analyzer's event stream.
-    fn analyze_ordered<R: Read>(
-        &self,
-        stream: PatternStream<R>,
-        order: BandedOrder,
-    ) -> Result<Option<AnalyzeOutcome>, StreamError> {
-        let pass_start = Instant::now();
-        let mut stage = ReorderStage::new(stream, order);
-        // One cube is peeked (into the ring, nothing forwarded) to
-        // learn the width before the window size must be resolved.
-        let Some(width) = stage.peek_width()? else {
+        let (Some(analyzer), Some(sizing)) = (analyzer, sizing) else {
             return Ok(None);
         };
-        self.check_objective(width, 0)?;
-        let mut governor = match self.opts.window {
-            WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
-            WindowSpec::Cubes(_) => None,
-        };
-        let mut window = self.opts.window.window_for_width(width)?;
-        let mut analyzer = WindowedAnalyzer::with_weights(width, self.analyzer_weights());
-        let mut win_idx = 0usize;
-        let mut offset = 0usize;
-        // The analyzer's incremental ladder doubles as the banded
-        // I-ordering's warm bound: everything already frozen out of the
-        // ring is a certified floor on the final bottleneck.
-        while let Some(set) = stage.next_window(window, analyzer.warm_bound(), win_idx)? {
-            let cubes = offset..offset + set.len();
-            offset = cubes.end;
-            let _span = minitrace::span_with(
-                "stream.window.analyze",
-                &[("window", win_idx.into()), ("cubes", set.len().into())],
-            );
-            let ingest = catch_unwind(AssertUnwindSafe(|| {
-                if self.opts.chaos.panic_in_analyze == Some(win_idx) {
-                    panic!("chaos: injected panic while analyzing window {win_idx}");
-                }
-                analyzer.ingest(&PackedMatrix::from_packed_set(set.as_packed()));
-            }));
-            if let Err(payload) = ingest {
-                return Err(StreamError::WindowPanicked {
-                    window: win_idx,
-                    cubes,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
-            if let Some(g) = &mut governor {
-                g.charge(
-                    StreamPass::Analyze,
-                    win_idx,
-                    analyzer.event_bytes() + stage.resident_bytes(),
-                )?;
-                window = g.window();
-            }
-            win_idx += 1;
-        }
-        let cubes = analyzer.cols();
         let analysis = analyzer.finish();
         let pass1_ns = pass_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
-        let plan = self.resolve_plan(analysis, cubes, width)?;
+        let shape = (analysis.cols, sizing.width);
+        let plan = self.resolve_plan(analysis, shape)?;
         Ok(Some(AnalyzeOutcome {
             plan,
-            cubes,
-            width,
-            perm: Some(stage.into_perm()),
-            degradations: governor
-                .map(BudgetGovernor::into_events)
-                .unwrap_or_default(),
+            shape,
+            perm: match source {
+                WindowSource::Reorder(stage) => Some(stage.into_perm()),
+                _ => None,
+            },
+            degradations: sizing.into_events(),
             pass1_ns,
             solve_ns: solve_start.elapsed().as_nanos() as u64,
         }))
     }
 
-    /// Turns a finished analysis into the emit pass's fill plan: the
-    /// global BCP solve for DP, the copy-left splice for MT.
+    /// Turns a finished analysis of `shape` (`(cubes, width)`) into the
+    /// emit pass's fill plan: the sites keep their row-major order and
+    /// take their colors from the global BCP solve for DP, or from the
+    /// copy-left coloring for MT.
     fn resolve_plan(
         &self,
         analysis: Analysis,
-        cubes: usize,
-        width: usize,
+        shape: (usize, usize),
     ) -> Result<FillPlan, StreamError> {
         let _span = minitrace::span_with(
             "stream.solve",
             &[
                 ("sites", analysis.sites.len().into()),
                 ("segments", analysis.segments.len().into()),
-                ("cubes", cubes.into()),
+                ("cubes", shape.0.into()),
             ],
         );
-        let solve_error = |source| {
-            StreamError::Solve(DpFillError {
-                source: FillErrorSource::Solve(source),
-                shape: (cubes, width),
-            })
-        };
-        let objective_error = |e| {
-            StreamError::Solve(DpFillError {
-                source: FillErrorSource::Objective(e),
-                shape: (cubes, width),
-            })
-        };
+        let fill_error = |source| StreamError::Solve(DpFillError { source, shape });
+        let solve_error = |e| fill_error(FillErrorSource::Solve(e));
         if analysis.overflow {
-            return Err(objective_error(ObjectiveError::Overflow {
-                what: "weighted forced-toggle load on one transition",
-            }));
+            return Err(fill_error(FillErrorSource::Objective(
+                ObjectiveError::Overflow {
+                    what: "weighted forced-toggle load on one transition",
+                },
+            )));
         }
-        let plan = match self.opts.fill {
+        let colors = match self.opts.fill {
             FillMethod::Dp => {
-                let num_colors = analysis.cols.saturating_sub(1);
-                let weights = self.analyzer_weights();
-                let mut instance = BcpInstance::new(num_colors);
-                for site in &analysis.sites {
-                    // Stretch bounds are valid transitions by
-                    // construction; a violation is a solver-input bug
-                    // and surfaces as a typed Solve error, not a panic.
-                    let interval = Interval::new(site.left as u32, (site.right - 1) as u32);
-                    match &weights {
-                        Some(w) => instance
-                            .add_weighted_interval(interval, w[site.row])
-                            .map_err(solve_error)?,
-                        None => instance.add_interval(interval).map_err(solve_error)?,
-                    }
-                }
-                instance
-                    .set_baseline(analysis.baseline)
+                // Stretch bounds are valid transitions by construction;
+                // a violation is a solver-input bug and surfaces as a
+                // typed Solve error, not a panic.
+                let instance = build_instance(&analysis.sites, self.weights(), analysis.baseline)
                     .map_err(solve_error)?;
                 // The same global solve as the monolithic DpFill: same
                 // instance, same lower bound, same EDF coloring — warmed
@@ -864,117 +792,70 @@ impl StreamingFill {
                     })
                     .map_err(solve_error)?;
                 if let Some(preferred) = self.opts.objective.preferred() {
-                    // The monolithic DpFill's preference tie-break,
-                    // verbatim: slide stretches toward their preferred
-                    // rest value wherever the achieved peak allows.
-                    let desire: Vec<i8> = analysis
-                        .sites
-                        .iter()
-                        .map(|site| match preferred[site.row] {
-                            Bit::X => 0,
-                            p if p == site.left_value => 1,
-                            _ => -1,
-                        })
-                        .collect();
-                    solution.coloring = instance
-                        .shift_within_slack(
-                            &solution.coloring,
-                            &desire,
-                            solution.peak.with_baseline,
-                        )
+                    // The monolithic DpFill's preference tie-break.
+                    instance
+                        .shift_solution(&mut solution, &desires(&analysis.sites, preferred))
                         .map_err(solve_error)?;
                 }
-                FillPlan::with_coloring(
-                    width,
-                    analysis.segments,
-                    &analysis.sites,
-                    &solution.coloring,
-                )
+                solution.coloring.into_colors()
             }
-            FillMethod::Mt => FillPlan::with_copy_left(width, analysis.segments, &analysis.sites),
+            // MT-fill copies each stretch's left care value through the
+            // whole run: the toggle sits at its last transition, exactly
+            // like `fill_runs_copy_left` on the full pin row.
+            FillMethod::Mt => analysis.sites.iter().map(|s| s.right - 1).collect(),
             _ => unreachable!("plans only resolve for planned fills"),
         };
-        Ok(plan)
+        let _plan = minitrace::span("stream.plan");
+        Ok(FillPlan::new(
+            shape.1,
+            analysis.segments,
+            analysis.sites,
+            colors,
+        ))
     }
 
     /// Pass 2 (or the only pass for per-cube fills): re-stream the
     /// windows, fill each batch on the pool, score with the batched
     /// sweeps, and emit as windows retire.
-    #[allow(clippy::too_many_arguments)]
     fn emit<R: Read, W: Write>(
         &self,
         open: &mut impl FnMut() -> io::Result<R>,
         sink: W,
-        fill: &ResolvedFill,
-        pass1: Option<(usize, usize)>,
-        perm: Option<Vec<u32>>,
-        mut degradations: Vec<DegradeEvent>,
-        phase_ns: (u64, u64),
+        mut planned: Option<AnalyzeOutcome>,
     ) -> Result<StreamReport, StreamError> {
         let pass_start = Instant::now();
         let stream = PatternStream::new(open().map_err(StreamError::Open)?);
+        let pass1 = planned.as_ref().map(|o| o.shape);
+        let perm = planned.as_mut().and_then(|o| o.perm.take());
+        let plan = planned.as_ref().map(|o| &o.plan);
         let mut source = match (perm, pass1, self.opts.order) {
-            (Some(perm), Some(p1), _) => EmitSource::Replay(ReplayStream::new(stream, perm, p1)),
-            (None, None, Some(order)) => EmitSource::Live(ReorderStage::new(stream, order)),
-            _ => EmitSource::Direct(stream),
+            (Some(perm), Some(p1), _) => WindowSource::Replay(ReplayStream::new(stream, perm, p1)),
+            (None, None, Some(order)) => WindowSource::Reorder(ReorderStage::new(stream, order)),
+            _ => WindowSource::Direct(stream),
         };
         let mut writer = PatternWriter::new(sink);
         let batch_windows = minipool::current_threads().max(1);
         // The emit pass's fixed memory cost: the resolved plan (and the
         // objective's weight table, kept resident for scoring) stays
         // for its whole duration.
-        let plan_bytes = match fill {
-            ResolvedFill::Planned(plan) => plan.approx_bytes(),
-            ResolvedFill::Local => 0,
-        } + self.opts.objective.resident_bytes();
+        let plan_bytes =
+            plan.map_or(0, FillPlan::approx_bytes) + self.opts.objective.resident_bytes();
         // Weighted emit scoring (None = the unit metric, where
         // `objective_peak` just mirrors `peak_toggles`).
-        let score_weights = if self.opts.objective.is_unit() {
-            None
-        } else {
-            self.opts.objective.weights()
-        };
+        let score_weights = self.weights();
         let score_overflow = |_| StreamError::Overflow {
             what: "weighted toggle score".to_string(),
         };
 
-        let mut width: Option<usize> = pass1.map(|(_, w)| w);
-        let mut governor: Option<BudgetGovernor> = None;
-        let mut window = None;
-        if let Some(w) = width {
-            match self.opts.window {
-                WindowSpec::MemoryBudgetMiB(mib) => {
-                    let mut g = BudgetGovernor::new(mib, w)?;
-                    // Budget pressure known up front (the plan) is
-                    // charged before the first window is read.
-                    g.charge(StreamPass::Emit, 0, plan_bytes)?;
-                    window = Some(g.window());
-                    governor = Some(g);
-                }
-                WindowSpec::Cubes(_) => {
-                    window = Some(self.opts.window.window_for_width(w)?);
-                }
-            }
-        }
-        if let EmitSource::Live(stage) = &mut source {
-            // Resolve the window before the first ring fill: the first
-            // `next_window` call must already use the full band ×
-            // window capacity, or a band that could cover the whole
-            // set would order only its first sliver globally.
-            if let Some(w) = stage.peek_width()? {
-                self.check_objective(w, 0)?;
-                width = Some(w);
-                match self.opts.window {
-                    WindowSpec::MemoryBudgetMiB(mib) => {
-                        let g = BudgetGovernor::new(mib, w)?;
-                        window = Some(g.window());
-                        governor = Some(g);
-                    }
-                    WindowSpec::Cubes(_) => {
-                        window = Some(self.opts.window.window_for_width(w)?);
-                    }
-                }
-            }
+        let width = match pass1 {
+            Some((_, w)) => Some(w),
+            None => source.peek_width()?,
+        };
+        let mut sizing = width.map(|w| self.windowing(w)).transpose()?;
+        if let (Some(s), Some(_)) = (&mut sizing, plan) {
+            // Budget pressure known up front (the plan) is charged
+            // before the first window is read.
+            s.charge(StreamPass::Emit, 0, plan_bytes)?;
         }
         let mut header_written = false;
         let mut offset = 0usize;
@@ -993,23 +874,12 @@ impl StreamingFill {
             // Gather one batch of windows for the pool.
             let mut batch: Vec<(usize, CubeSet)> = Vec::new();
             while batch.len() < batch_windows {
-                let Some(set) = source.next_window(window.unwrap_or(1), windows + batch.len())?
-                else {
+                let max = sizing.as_ref().map_or(1, |s| s.window);
+                let Some(set) = source.next_window(max, 0, windows + batch.len())? else {
                     break;
                 };
-                if width.is_none() {
-                    self.check_objective(set.width(), 0)?;
-                    width = Some(set.width());
-                    match self.opts.window {
-                        WindowSpec::MemoryBudgetMiB(mib) => {
-                            let g = BudgetGovernor::new(mib, set.width())?;
-                            window = Some(g.window());
-                            governor = Some(g);
-                        }
-                        WindowSpec::Cubes(_) => {
-                            window = Some(self.opts.window.window_for_width(set.width())?);
-                        }
-                    }
+                if sizing.is_none() {
+                    sizing = Some(self.windowing(set.width())?);
                 }
                 let off = offset;
                 offset += set.len();
@@ -1047,7 +917,7 @@ impl StreamingFill {
                     range
                         .map(|i| {
                             catch_unwind(AssertUnwindSafe(|| {
-                                self.fill_window(&batch[i].1, batch[i].0, fill, windows + i)
+                                self.fill_window(&batch[i].1, batch[i].0, plan, windows + i)
                             }))
                             .map_err(|payload| panic_message(payload.as_ref()))
                         })
@@ -1056,20 +926,18 @@ impl StreamingFill {
                 .into_iter()
                 .flatten()
                 .collect();
-            let mut filled = Vec::with_capacity(outcomes.len());
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                match outcome {
-                    Ok(set) => filled.push(set),
-                    Err(message) => {
-                        let (off, original) = &batch[i];
-                        return Err(StreamError::WindowPanicked {
-                            window: windows + i,
-                            cubes: *off..*off + original.len(),
-                            message,
-                        });
-                    }
-                }
-            }
+            let filled = outcomes
+                .into_iter()
+                .zip(&batch)
+                .enumerate()
+                .map(|(i, (outcome, (off, original)))| {
+                    outcome.map_err(|message| StreamError::WindowPanicked {
+                        window: windows + i,
+                        cubes: *off..*off + original.len(),
+                        message,
+                    })
+                })
+                .collect::<Result<Vec<CubeSet>, StreamError>>()?;
             let batch_cubes: usize = batch.iter().map(|(_, set)| set.len()).sum();
             resident_peak = resident_peak.max(2 * batch_cubes + 2 + source.peak_resident_cubes());
 
@@ -1095,25 +963,20 @@ impl StreamingFill {
                         ("stitch_overlap", u64::from(stitch.is_some()).into()),
                     ],
                 );
-                if let Some(toggles) = stitch {
-                    peak = peak.max(toggles);
-                }
                 // One-dispatch batched sweep over the window's
                 // transitions (PR-4 kernels).
-                for t in packed.toggle_profile() {
-                    peak = peak.max(t);
-                }
+                let profile = packed.toggle_profile();
+                peak = profile
+                    .into_iter()
+                    .fold(peak.max(stitch.unwrap_or(0)), usize::max);
                 if let Some(ws) = score_weights {
                     WEIGHTED_SCORE_WINDOWS.add(1);
                     if let Some(tail) = &filled_tail {
-                        objective_peak = objective_peak.max(
-                            tail.weighted_hamming(packed.cube(0), ws)
-                                .map_err(score_overflow)?,
-                        );
+                        let t = tail.weighted_hamming(packed.cube(0), ws);
+                        objective_peak = objective_peak.max(t.map_err(score_overflow)?);
                     }
-                    for t in packed.weighted_toggle_profile(ws).map_err(score_overflow)? {
-                        objective_peak = objective_peak.max(t);
-                    }
+                    let profile = packed.weighted_toggle_profile(ws).map_err(score_overflow)?;
+                    objective_peak = profile.into_iter().fold(objective_peak, u64::max);
                 }
                 filled_tail = Some(packed.cube(packed.len() - 1).clone());
                 if self.opts.collect_baseline {
@@ -1121,44 +984,41 @@ impl StreamingFill {
                     for cube in zeroed.cubes_mut() {
                         cube.fill_x_with(Bit::Zero);
                     }
-                    if let Some(tail) = &zero_tail {
-                        baseline_peak = baseline_peak.max(tail.hamming(zeroed.cube(0)));
-                    }
-                    for t in zeroed.toggle_profile() {
-                        baseline_peak = baseline_peak.max(t);
-                    }
+                    let stitch = zero_tail.as_ref().map_or(0, |t| t.hamming(zeroed.cube(0)));
+                    let profile = zeroed.toggle_profile();
+                    baseline_peak = profile
+                        .into_iter()
+                        .fold(baseline_peak.max(stitch), usize::max);
                     zero_tail = Some(zeroed.cube(zeroed.len() - 1).clone());
                 }
                 writer.set(filled).map_err(StreamError::Write)?;
             }
             windows += batch.len();
-            if let Some(g) = &mut governor {
-                g.charge(
-                    StreamPass::Emit,
-                    windows.saturating_sub(1),
-                    plan_bytes + source.resident_bytes(),
-                )?;
-                window = Some(g.window());
+            if let Some(s) = &mut sizing {
+                let bytes = plan_bytes + source.resident_bytes();
+                s.charge(StreamPass::Emit, windows.saturating_sub(1), bytes)?;
             }
         }
 
         if let Some((c1, w1)) = pass1 {
-            let found = (source.cubes_read(), source.width().unwrap_or(w1));
-            if found.0 != c1 {
+            // Every window read was checked against the pass-1 width.
+            if source.cubes_read() != c1 {
                 return Err(StreamError::SourceChanged {
                     expected: (c1, w1),
-                    found,
+                    found: (source.cubes_read(), w1),
                 });
             }
         }
         writer.finish().map_err(StreamError::Write)?;
-        if let Some(g) = governor {
-            degradations.extend(g.into_events());
-        }
+        let (width, window_cubes) = sizing.as_ref().map_or((0, 0), |s| (s.width, s.window));
+        let (mut degradations, pass1_ns, solve_ns) = planned.map_or((Vec::new(), 0, 0), |o| {
+            (o.degradations, o.pass1_ns, o.solve_ns)
+        });
+        degradations.extend(sizing.map(Windowing::into_events).unwrap_or_default());
         Ok(StreamReport {
             cubes: offset,
-            width: width.unwrap_or(0),
-            window_cubes: window.unwrap_or(0),
+            width,
+            window_cubes,
             windows,
             x_count,
             peak_toggles: peak,
@@ -1170,8 +1030,8 @@ impl StreamingFill {
             baseline_peak: self.opts.collect_baseline.then_some(baseline_peak),
             resident_peak_cubes: resident_peak,
             degradations,
-            pass1_ns: phase_ns.0,
-            solve_ns: phase_ns.1,
+            pass1_ns,
+            solve_ns,
             pass2_ns: pass_start.elapsed().as_nanos() as u64,
         })
     }
@@ -1186,7 +1046,7 @@ impl StreamingFill {
         &self,
         original: &CubeSet,
         offset: usize,
-        fill: &ResolvedFill,
+        plan: Option<&FillPlan>,
         win_idx: usize,
     ) -> CubeSet {
         let _span = minitrace::span_with(
@@ -1196,14 +1056,14 @@ impl StreamingFill {
         if self.opts.chaos.panic_in_fill == Some(win_idx) {
             panic!("chaos: injected panic in the fill worker of window {win_idx}");
         }
-        match fill {
-            ResolvedFill::Planned(plan) => {
+        match plan {
+            Some(plan) => {
                 let mut matrix = PackedMatrix::from_packed_set(original.as_packed());
                 plan.apply_window(&mut matrix, offset);
                 debug_assert_eq!(matrix.x_count(), 0, "the plan covers every X");
                 CubeSet::from_packed(matrix.to_packed_set())
             }
-            ResolvedFill::Local => match self.opts.fill {
+            None => match self.opts.fill {
                 FillMethod::Zero | FillMethod::One | FillMethod::Adj => {
                     self.opts.fill.fill(original)
                 }

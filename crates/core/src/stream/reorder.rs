@@ -224,11 +224,6 @@ impl<R: Read> ReorderStage<R> {
         self.read
     }
 
-    /// The stream width, once known.
-    pub fn width(&self) -> Option<usize> {
-        self.width
-    }
-
     /// High-water mark of resident ring cubes over the whole run.
     pub fn peak_resident_cubes(&self) -> usize {
         self.peak_ring
@@ -347,11 +342,6 @@ impl<R: Read> ReplayStream<R> {
     /// Original cubes read from the underlying stream.
     pub fn cubes_read(&self) -> usize {
         self.stream.cubes_read()
-    }
-
-    /// The stream width, once known.
-    pub fn width(&self) -> Option<usize> {
-        self.stream.width()
     }
 
     /// High-water mark of cubes buffered ahead of the emit cursor.

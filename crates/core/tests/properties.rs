@@ -189,7 +189,7 @@ proptest! {
         let stretch_x: usize = mapping
             .sites()
             .iter()
-            .map(|s| s.right - s.left - 1)
+            .map(|s| (s.right - s.left - 1) as usize)
             .sum();
         prop_assert_eq!(mapping.prefilled().x_count(), stretch_x);
     }

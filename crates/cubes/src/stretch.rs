@@ -110,10 +110,12 @@ impl Stretch {
 }
 
 /// The stretch emitted on arriving at care bit `(pos, value)` with
-/// `prev` the previous care bit (if any) — the single classification
-/// rule shared by every scanner in this module.
+/// `prev` the previous care bit (if any): the rule of the packed
+/// care-by-care scanners and of the streaming analyzer, which carries
+/// `prev` across windows. [`RowStretches::analyze`] keeps its own copy
+/// as the scalar reference those scanners are tested against.
 #[inline]
-fn classify_arrival(prev: Option<(usize, Bit)>, pos: usize, value: Bit) -> Option<Stretch> {
+pub fn classify_arrival(prev: Option<(usize, Bit)>, pos: usize, value: Bit) -> Option<Stretch> {
     match prev {
         None => (pos > 0).then_some(Stretch::Leading { first_care: pos }),
         Some((left, lv)) => {

@@ -805,7 +805,8 @@ fn run_streaming(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> 
         fill: opts.fill,
         order,
         header: Some(output_header(opts)),
-        collect_baseline: opts.stats,
+        // Both reports carry the 0-fill baseline.
+        collect_baseline: opts.stats || opts.stats_json.is_some(),
         chaos: chaos_from_env()?,
         objective: objective.clone(),
         ..StreamOptions::default()

@@ -170,7 +170,12 @@ fn trace_file_is_wellformed_jsonl_with_balanced_spans() {
     assert_eq!(enters, exits, "unbalanced spans");
     assert!(counters > 0, "no counters recorded");
     // The layers the tentpole threads through all show up.
-    for name in ["stream.window.fill", "stream.solve", "bcp.solve"] {
+    for name in [
+        "stream.window.fill",
+        "stream.solve",
+        "stream.plan",
+        "bcp.solve",
+    ] {
         assert!(text.contains(name), "{name} missing from trace");
     }
 }
@@ -277,6 +282,24 @@ fn stats_json_is_a_machine_readable_superset_of_stats() {
     ] {
         assert!(text.contains(key), "{key} missing from stats-json: {text}");
     }
+    // The streamed report carries the baseline `--stats` prints, with
+    // or without `--stats` on the command line.
+    let (_, stats, ok) = run_xfill(
+        &[
+            "--fill", "dp", "--order", "keep", "--window", "2", "--stats",
+        ],
+        INPUT,
+    );
+    assert!(ok, "stderr: {stats}");
+    let baseline = stats
+        .split("0-fill(as-given) ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no baseline in --stats: {stats}"));
+    assert!(
+        text.contains(&format!("\"baseline_peak\": {baseline},")),
+        "baseline_peak is not {baseline}: {text}"
+    );
 
     // The monolithic pipeline writes its own (smaller) report.
     let mono = Scratch::new("stats-mono.json");
