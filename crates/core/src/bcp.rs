@@ -29,11 +29,13 @@
 //! solver certifies the *same value* without the quadratic sweep; the
 //! DP itself lives in `dpfill-oracle` as the differential reference:
 //!
-//! 1. **Window ladder** ([`IncrementalBound`] online, a one-pass pyramid
-//!    in batch): monotone maxima over power-of-two *aligned* color
-//!    windows. Every ladder candidate is the density of a real window,
-//!    so it never exceeds the true bound — it is a warm start, not an
-//!    approximation that must be trusted.
+//! 1. **Window ladder** ([`IncrementalBound`], fed online by the
+//!    analyzer and in one pass in batch): monotone maxima over
+//!    power-of-two *aligned* color windows, each load counted once at
+//!    its aligned level and the pyramid folded on read. Every ladder
+//!    candidate is the density of a real window, so it never exceeds
+//!    the true bound — it is a warm start, not an approximation that
+//!    must be trusted.
 //! 2. **Parametric certification**: EDF feasibility at peak `P` is
 //!    monotone in `P`, and the minimum feasible `P` *equals* the
 //!    windowed lower bound — infeasibility below the bound is the
@@ -205,37 +207,33 @@ fn bitlen(x: usize) -> usize {
 }
 
 /// A lower bound on the BCP optimum maintained **incrementally** as
-/// interval sites and baseline loads arrive, in any order.
+/// interval sites and baseline loads arrive, in any order — the one
+/// window ladder, fed online by the analyzer and in one pass in batch.
 ///
-/// The structure is a ladder of monotone window maxima: level `l` holds
-/// one load counter per *aligned* color window `[q·2^l, (q+1)·2^l)`,
-/// and a load `[lo, hi]` is counted at every level whose aligned window
-/// contains it whole (all `l ≥ bitlen(lo XOR hi)`). Each counter is a
-/// real window's load, so `⌈count / 2^l⌉` is a valid lower bound and
-/// [`IncrementalBound::current`] — the maximum over all counters —
-/// **never exceeds the true windowed bound**. It is exact on aligned
-/// witnesses and within the probe budget of
-/// [`BcpInstance::solve_with`]'s parametric certification otherwise,
-/// which is why it serves as [`SolveOptions::warm_lb`].
+/// Each load `[lo, hi]` is counted once, in its *aligned* window
+/// `[q·2^l, (q+1)·2^l)` at level `l = bitlen(lo XOR hi)`
+/// ([`Interval::aligned_level`]); [`IncrementalBound::current`] folds
+/// the O(C) pyramid, each window adding its two halves, so every window
+/// holds exactly the load fully inside it. That is a real window's
+/// load, so `⌈load / 2^l⌉` — and the maximum over all windows — **never
+/// exceeds the true windowed bound**. It is exact on aligned witnesses
+/// and within the probe budget of [`BcpInstance::solve_with`]'s
+/// parametric certification otherwise, which is why it serves as
+/// [`SolveOptions::warm_lb`].
 ///
 /// All arithmetic saturates: a saturated counter undercounts, which
-/// only weakens (never invalidates) the bound. Levels grow on demand —
-/// no upfront color count is needed, so the streaming analyzer can feed
-/// sites as they are discovered; a freshly grown level's first window
-/// covers every position seen so far and is seeded with the running
-/// total.
+/// only weakens (never invalidates) the bound, and a saturating sum of
+/// non-negative terms is `min(total, u64::MAX)` in any order. Levels
+/// grow on demand, so the analyzer can feed sites as it finds them.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalBound {
-    /// `levels[l][q]` = load fully inside aligned window
+    /// `levels[l][q]` = the recorded load whose aligned window is
     /// `[q·2^l, (q+1)·2^l)`.
     levels: Vec<Vec<u64>>,
-    /// Saturating total of all recorded loads (seeds new top levels).
-    total: u64,
 }
 
-/// Levels are capped at window width `2^63`; any event that would need
-/// a higher level pins the ladder at the cap (no level is ever created
-/// afterwards, keeping top-level seeding sound).
+/// Levels are capped at window width `2^63`; a load that would need a
+/// higher level is not counted (an undercount keeps the bound valid).
 const MAX_LADDER_LEVELS: usize = 64;
 
 impl IncrementalBound {
@@ -264,36 +262,36 @@ impl IncrementalBound {
     pub fn add_load(&mut self, lo: usize, hi: usize, amount: u64) {
         assert!(lo <= hi, "load window {lo} > {hi}");
         BCP_LADDER_LOADS.add(1);
-        // Grow the ladder so some level's aligned window covers `hi`.
-        // Every previously recorded position fits strictly below any
-        // level grown now (its own growth call saw to that), so seeding
-        // a new level's first window with the running total is exact.
-        let want = (bitlen(hi) + 1).min(MAX_LADDER_LEVELS);
-        while self.levels.len() < want {
-            self.levels.push(vec![self.total]);
+        let l = bitlen(lo ^ hi);
+        if l >= MAX_LADDER_LEVELS {
+            return;
         }
-        let first = bitlen(lo ^ hi);
-        for l in first..self.levels.len() {
-            let idx = hi >> l;
-            let level = &mut self.levels[l];
-            if level.len() <= idx {
-                level.resize(idx + 1, 0);
-            }
-            level[idx] = level[idx].saturating_add(amount);
+        if self.levels.len() <= l {
+            self.levels.resize_with(l + 1, Vec::new);
         }
-        self.total = self.total.saturating_add(amount);
+        let (level, q) = (&mut self.levels[l], hi >> l);
+        if level.len() <= q {
+            level.resize(q + 1, 0);
+        }
+        level[q] = level[q].saturating_add(amount);
     }
 
-    /// The best window-density bound over everything recorded so far.
-    /// Monotone in the recorded loads and never above the true windowed
-    /// lower bound.
+    /// The best window-density bound over everything recorded so far,
+    /// folding the pyramid level by level in O(C). Monotone in the
+    /// recorded loads and never above the true windowed lower bound.
     pub fn current(&self) -> u64 {
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
         let mut best = 0u64;
-        for (l, level) in self.levels.iter().enumerate() {
-            let width = 1u64 << l;
-            for &count in level {
-                best = best.max(count.div_ceil(width));
-            }
+        let mut below: Vec<u64> = Vec::new();
+        for (l, own) in self.levels.iter().enumerate() {
+            below = (0..own.len().max(below.len().div_ceil(2)))
+                .map(|q| {
+                    at(own, q)
+                        .saturating_add(at(&below, 2 * q))
+                        .saturating_add(at(&below, 2 * q + 1))
+                })
+                .collect();
+            best = below.iter().fold(best, |b, &n| b.max(n.div_ceil(1 << l)));
         }
         best
     }
@@ -831,57 +829,22 @@ impl BcpInstance {
         .is_ok()
     }
 
-    /// The batch form of the [`IncrementalBound`] ladder: the best
-    /// `⌈load / 2^l⌉` over every power-of-two aligned color window, with
-    /// interval `i` weighing `load(i)`. One pass counts each interval at
-    /// its [`Interval::aligned_level`] — the finest aligned window
-    /// holding it whole — and an O(C) pyramid then adds each level's
-    /// window pairs into the next level, so level `l`'s window `q` ends
-    /// up holding exactly the load fully inside `[q·2^l, (q+1)·2^l)`.
-    /// Valid (never above the true bound) by the window-density
-    /// argument. Saturation undercounts, keeping every level a valid
-    /// bound; a saturating sum of non-negative terms is
-    /// `min(total, u64::MAX)` in any order, so the pyramid saturates
-    /// exactly like a per-level recount.
+    /// The batch bound of the [`IncrementalBound`] ladder: the best
+    /// `⌈load / 2^l⌉` over every power-of-two aligned color window,
+    /// with interval `i` weighing `load(i)` — one pass feeding each
+    /// interval (and, `with_baseline`, each forced load) to a ladder,
+    /// which counts it once at its aligned level and folds the pyramid.
     fn ladder_best(&self, load: impl Fn(usize) -> u64, with_baseline: bool) -> u64 {
-        let c = self.num_colors;
-        if c == 0 {
-            return 0;
-        }
-        // Level `l` has `((c − 1) >> l) + 1` windows, stored from `off[l]`.
-        let top = bitlen(c - 1);
-        let mut off = vec![0usize; top + 2];
-        for l in 0..=top {
-            off[l + 1] = off[l] + ((c - 1) >> l) + 1;
-        }
-        let mut counts = vec![0u64; off[top + 1]];
+        let mut ladder = IncrementalBound::new();
         for (i, iv) in self.intervals.iter().enumerate() {
-            let l = iv.aligned_level() as usize;
-            let slot = &mut counts[off[l] + (iv.start() as usize >> l)];
-            *slot = slot.saturating_add(load(i));
+            ladder.add_load(iv.start() as usize, iv.end() as usize, load(i));
         }
         if with_baseline {
-            for (slot, &b) in counts.iter_mut().zip(&self.baseline) {
-                *slot = slot.saturating_add(b);
+            for (t, &b) in self.baseline.iter().enumerate() {
+                ladder.add_baseline(t, b);
             }
         }
-        let mut best = 0u64;
-        for l in 0..=top {
-            let (below, rest) = counts.split_at_mut(off[l]);
-            let level = &mut rest[..off[l + 1] - off[l]];
-            if l > 0 {
-                let prev = &below[off[l - 1]..];
-                for (q, slot) in level.iter_mut().enumerate() {
-                    let pair = prev[2 * q].saturating_add(prev.get(2 * q + 1).map_or(0, |&n| n));
-                    *slot = slot.saturating_add(pair);
-                }
-            }
-            let width = 1u64 << l;
-            for &n in level.iter() {
-                best = best.max(n.div_ceil(width));
-            }
-        }
-        best
+        ladder.current()
     }
 
     /// The parametric lower-bound engine: start from the best cheap

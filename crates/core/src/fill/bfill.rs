@@ -9,9 +9,9 @@ use super::FillStrategy;
 
 /// B-fill: a *balanced* greedy cousin of DP-fill.
 ///
-/// Like DP-fill it works on the interval view of the matrix (safe
-/// pre-fill applied, one interval per `v X…X w` stretch, forced toggles
-/// as baseline). Unlike DP-fill it assigns intervals one at a time —
+/// Like DP-fill it works on the interval view of the matrix (one
+/// interval per `v X…X w` stretch, forced toggles as baseline; every
+/// other `X` copies the care value to its left). Unlike DP-fill it assigns intervals one at a time —
 /// tightest window first — to the currently least-loaded admissible
 /// transition, with no lower-bound certificate. It is strong in practice
 /// (the second-best column of the paper's tables) but provably

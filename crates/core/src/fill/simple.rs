@@ -1,10 +1,12 @@
 //! Constant, random and adjacent fills, all running on the packed
 //! two-plane representation: constants are whole-word mask writes,
 //! random fill blends one random word per 64 pins, and the MT/Adj run
-//! fills are mask splices over the care plane. Cubes (and, for MT-fill,
-//! pin rows) are independent, so every fill chunks them across the
-//! current [`minipool`] pool; outputs are bit-identical at any thread
-//! count because each worker only writes its own rows.
+//! fills are the word-parallel copy-left kernel
+//! ([`PackedBits::fill_copy_left`](dpfill_cubes::packed::PackedBits::fill_copy_left))
+//! seeded with the first care value. Cubes (and, for MT-fill, pin rows)
+//! are independent, so every fill chunks them across the current
+//! [`minipool`] pool; outputs are bit-identical at any thread count
+//! because each worker only writes its own rows.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,6 +15,7 @@ use dpfill_cubes::packed::PackedMatrix;
 use dpfill_cubes::{Bit, CubeSet};
 
 use super::FillStrategy;
+use crate::mapping::leading_value;
 
 /// Fills every `X` with `0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -82,15 +85,23 @@ impl FillStrategy for RandomFill {
     }
 
     fn fill(&self, cubes: &CubeSet) -> CubeSet {
+        self.fill_from(cubes, 0)
+    }
+}
+
+impl RandomFill {
+    /// Fills `cubes` as the cubes `first..` of a longer sequence — the
+    /// streamed windows' entry point, which never changes the stream.
+    pub(crate) fn fill_from(&self, cubes: &CubeSet, first: usize) -> CubeSet {
         let seed = self.seed;
         let mut filled = cubes.clone();
         minipool::parallel_chunks_mut(filled.packed_cubes_mut(), 16, |start, chunk| {
-            for (i, cube) in chunk.iter_mut().enumerate() {
+            for (i, cube) in (first + start..).zip(chunk) {
                 // Per-cube stream keyed by the cube's global index: the
-                // same bits land whether the set is walked serially or
-                // chunked across workers.
+                // same bits land whether the set is walked serially,
+                // chunked across workers or streamed in windows.
                 let mut rng = StdRng::seed_from_u64(
-                    seed ^ ((start + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
                 // One random word covers 64 pins; the blend keeps care
                 // bits.
@@ -119,7 +130,7 @@ impl FillStrategy for MtFill {
         let mut matrix = PackedMatrix::from_packed_set(cubes.as_packed());
         minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |_, rows| {
             for r in rows {
-                r.fill_runs_copy_left(Bit::Zero);
+                r.fill_copy_left(leading_value(r));
             }
         });
         CubeSet::from_packed(matrix.to_packed_set())
@@ -143,7 +154,7 @@ impl FillStrategy for AdjFill {
         let mut filled = cubes.clone();
         minipool::parallel_chunks_mut(filled.packed_cubes_mut(), 16, |_, chunk| {
             for cube in chunk {
-                cube.fill_runs_copy_left(Bit::Zero);
+                cube.fill_copy_left(leading_value(cube));
             }
         });
         filled

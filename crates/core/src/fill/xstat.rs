@@ -1,11 +1,12 @@
-//! The XStat two-phase fill (Trinadh et al. [22]), running on the packed
-//! two-plane matrix: phase 1 splices every stretch with word masks,
-//! phase 2 counts definite toggles with the word-level adjacent-conflict
-//! scan.
+//! The XStat two-phase fill (Trinadh et al. [22]), on the DP-fill
+//! mapping: phase 1 is the matrix analysis, phase 2 a greedy coloring
+//! of each stretch's two middle transitions, and the fill is the
+//! mapping's copy-left-then-flip reconstruction.
 
-use dpfill_cubes::packed::PackedMatrix;
-use dpfill_cubes::stretch::{scan_row_mut, Stretch};
-use dpfill_cubes::{Bit, CubeSet};
+use dpfill_cubes::CubeSet;
+
+use crate::bcp::test_support;
+use crate::mapping::MatrixMapping;
 
 use super::FillStrategy;
 
@@ -21,6 +22,11 @@ use super::FillStrategy;
 ///   its left). Choices are made greedily against the running
 ///   per-transition toggle counts, lightest side first.
 ///
+/// Phase 1 leaves no toggle but the forced ones (a halved stretch is
+/// `v…v X w…w`), so phase 2 starts from the mapping's forced baseline,
+/// and each middle choice is a BCP color: `mid − 1` (toggle on its
+/// left) or `mid`.
+///
 /// The greedy phase-1 halving is what costs optimality: it shrinks each
 /// stretch's window to two transitions *before* seeing the global
 /// picture, which is exactly the weakness the paper's Fig 1 illustrates.
@@ -33,82 +39,31 @@ impl FillStrategy for XStatFill {
     }
 
     fn fill(&self, cubes: &CubeSet) -> CubeSet {
-        let mut matrix = PackedMatrix::from_packed_set(cubes.as_packed());
-        let cols = matrix.cols();
-        let transitions = cols.saturating_sub(1);
-
-        // Phase 1 fans row chunks across the pool: the fused scan+splice
-        // halves each stretch in place and records the surviving middle
-        // `X`s; per-chunk pending lists merge in row order, matching the
-        // serial scan. Pending entries: (row, x_col, left_value).
-        let mut pending: Vec<(usize, usize, Bit)> =
-            minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
-                let mut pending = Vec::new();
-                for (i, r) in rows.iter_mut().enumerate() {
-                    let row = start + i;
-                    scan_row_mut(r, |r, s| {
-                        if s.splice_safe(r, cols) {
-                            return;
-                        }
-                        if let Stretch::Transition {
-                            left,
-                            right,
-                            left_value,
-                        } = s
-                        {
-                            // Phase 1: splice toward the middle, keep one
-                            // X at the midpoint column.
-                            let mid = (left + right) / 2;
-                            let mid = mid.clamp(left + 1, right - 1);
-                            r.fill_range(left + 1, mid, left_value);
-                            r.fill_range(mid + 1, right, !left_value);
-                            pending.push((row, mid, left_value));
-                        }
-                    });
-                }
-                pending
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-        // Phase 2: count all definite toggles (the middles are still X,
-        // so they do not count), then resolve middles greedily. The
-        // per-transition tallies accumulate per chunk and sum in chunk
-        // order — pure addition, independent of the interleaving.
-        let mut load = vec![0u64; transitions];
-        for chunk_load in minipool::parallel_chunks(matrix.packed_rows(), 4, |_, rows| {
-            let mut tally = vec![0u64; transitions];
-            for r in rows {
-                r.for_each_adjacent_conflict(|t| tally[t] += 1);
-            }
-            tally
-        }) {
-            for (total, part) in load.iter_mut().zip(chunk_load) {
-                *total += part;
-            }
-        }
+        let mapping = MatrixMapping::analyze(cubes);
+        let sites = mapping.sites();
+        let mut load = mapping.instance().baseline().to_vec();
+        // Phase 1 keeps one X at the stretch's midpoint column.
+        let mid = |i: usize| {
+            let (left, right) = (sites[i].left as usize, sites[i].right as usize);
+            ((left + right) / 2).clamp(left + 1, right - 1)
+        };
         // Lightest-neighbourhood decisions first (the "statistical"
         // ordering: constrained middles with one heavy side decided while
-        // alternatives remain).
-        pending.sort_by_key(|&(_, col, _)| {
-            let left_t = col - 1;
-            let right_t = col;
-            load[left_t].min(load[right_t])
-        });
-        for (row, col, left_value) in pending {
-            let left_t = col - 1; // toggle if X takes the right value
-            let right_t = col; // toggle if X takes the left value
-            if load[left_t] < load[right_t] {
-                matrix.row_mut(row).set(col, !left_value);
-                load[left_t] += 1;
-            } else {
-                matrix.row_mut(row).set(col, left_value);
-                load[right_t] += 1;
-            }
+        // alternatives remain); ties keep row-major order.
+        let mut pending: Vec<(u64, usize)> = (0..sites.len())
+            .map(|i| (load[mid(i) - 1].min(load[mid(i)]), i))
+            .collect();
+        pending.sort_unstable();
+        let mut colors = vec![0u32; sites.len()];
+        for (_, i) in pending {
+            let m = mid(i);
+            // Toggle on the lighter side: at `m − 1` when the middle
+            // takes the right value, at `m` when it keeps the left.
+            let t = if load[m - 1] < load[m] { m - 1 } else { m };
+            colors[i] = t as u32;
+            load[t] += 1;
         }
-        debug_assert_eq!(matrix.x_count(), 0);
-        CubeSet::from_packed(matrix.to_packed_set())
+        mapping.apply_coloring(&test_support::coloring(colors))
     }
 }
 

@@ -2,33 +2,32 @@
 //!
 //! [`MatrixMapping::analyze`] packs the cube set into the two-plane
 //! representation, transposes it with the word-blocked bit transpose, and
-//! walks every pin row with the `trailing_zeros` stretch scanner:
+//! runs the windowed analyzer over the whole matrix as one window — the
+//! same scan the streaming pipeline runs window by window:
 //!
-//! * pre-fills the *safe* don't-cares — leading/trailing runs, `v X…X v`
-//!   runs and all-`X` rows — as whole-word mask splices (they provably
-//!   never need a toggle);
 //! * records one [`IntervalSite`] — one BCP [`Interval`] — per
 //!   `v X…X w` transition stretch (the one unavoidable toggle whose
 //!   position is free);
 //! * tallies *forced toggles* (adjacent opposite care bits) into the
 //!   instance baseline.
 //!
-//! [`MatrixMapping::apply_coloring`] then reconstructs the filled matrix
-//! from a BCP coloring: an interval colored `j` splices its stretch with
-//! the left value through column `j` and the right value from column
-//! `j+1` (paper §V-D) through `splice_colored`, the kernel the
-//! streaming emit pass runs per window, and transposes back to cubes.
+//! Every other `X` is *safe*: it takes the nearest care value and never
+//! toggles, so nothing is stored for it. [`MatrixMapping::apply_coloring`]
+//! reconstructs the filled matrix from a BCP coloring through
+//! `fill_row`, the one row kernel the streaming emit pass also runs per
+//! window: a word-parallel copy-left fill, then each interval colored `j`
+//! flips its stretch's columns after `j` to the right value (paper §V-D).
 
 use dpfill_cubes::packed::{PackedBits, PackedMatrix};
-use dpfill_cubes::stretch::{for_each_stretch_dense, is_dense_row, scan_row_mut, Stretch};
 use dpfill_cubes::{Bit, CubeSet, PinMatrix};
 
 use crate::bcp::{BcpError, BcpInstance, Coloring};
 use crate::objective::{FillObjective, ObjectiveError};
+use crate::stream::analyze::WindowedAnalyzer;
 use crate::Interval;
 
 /// Where an interval came from: the row and the delimiting care columns
-/// (16 bytes — both pipelines keep one per stretch from scan to splice).
+/// (16 bytes — both pipelines keep one per stretch from scan to fill).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IntervalSite {
     /// Pin row of the stretch.
@@ -72,32 +71,36 @@ pub(crate) fn desires(sites: &[IntervalSite], preferred: &[Bit]) -> Vec<i8> {
         .collect()
 }
 
-/// The §V-D splice of one pin row: each of the row's `sites` (left to
-/// right) colored `j` holds its left care value through column `j` and
-/// the opposite value after it, clipped to the columns
-/// `[start, start + row.len())` that `row` holds — a whole row for
-/// [`MatrixMapping::apply_coloring`], one window in streaming.
+/// The value a vector's leading `X`-run copies: its first care value,
+/// or zero when it has none.
+pub(crate) fn leading_value(bits: &PackedBits) -> bool {
+    bits.first_care().is_some_and(|i| bits.get(i) == Bit::One)
+}
+
+/// Fills one pin row holding columns `[start, start + row.len())`:
+/// every `X` copies the nearest care value to its left (`carry` is the
+/// value left of the held columns), then each of the row's `sites`
+/// (left to right) colored `j` flips its columns `j + 1 .. right` to the
+/// opposite of its left value, clipped to the held columns (paper §V-D).
+/// A whole row for [`MatrixMapping::apply_coloring`], one window in
+/// streaming.
 ///
 /// # Panics
 ///
-/// Panics if a spliced site's color falls outside its stretch window.
-pub(crate) fn splice_colored(
+/// Panics if a flipped site's color falls outside its stretch window.
+pub(crate) fn fill_row(
     row: &mut PackedBits,
     start: usize,
+    carry: bool,
     sites: &[IntervalSite],
     colors: &[u32],
 ) {
+    row.fill_copy_left(carry);
     let end = start + row.len();
     // A row's stretch interiors are disjoint and ordered, so the sites
     // overlapping the held columns are one contiguous run.
     let lo = sites.partition_point(|s| s.right as usize <= start);
     let hi = sites.partition_point(|s| (s.left as usize) + 1 < end);
-    let mut fill = |from: usize, to: usize, value: Bit| {
-        let (from, to) = (from.max(start), to.min(end));
-        if from < to {
-            row.fill_range(from - start, to - start, value);
-        }
-    };
     for (site, &color) in sites[lo..hi].iter().zip(&colors[lo..hi]) {
         assert!(
             site.left <= color && color < site.right,
@@ -105,17 +108,19 @@ pub(crate) fn splice_colored(
             site.left,
             site.right
         );
-        let split = color as usize + 1;
-        fill(site.left as usize + 1, split, site.left_value);
-        fill(split, site.right as usize, !site.left_value);
+        let from = (color as usize + 1).max(start);
+        let to = (site.right as usize).min(end);
+        if from < to {
+            row.fill_range(from - start, to - start, !site.left_value);
+        }
     }
 }
 
-/// The analyzed matrix: safe pre-fill applied, intervals extracted,
-/// forced toggles tallied.
+/// The analyzed matrix: intervals extracted, forced toggles tallied,
+/// and the transposed input kept for the fill.
 #[derive(Clone, Debug)]
 pub struct MatrixMapping {
-    prefilled: PackedMatrix,
+    matrix: PackedMatrix,
     instance: BcpInstance,
     sites: Vec<IntervalSite>,
     /// Secondary-objective shift direction per interval (aligned with
@@ -190,26 +195,13 @@ impl MatrixMapping {
         Self::analyze_packed(PackedMatrix::from_pin_matrix(&matrix))
     }
 
-    /// Analyzes an already-packed matrix.
-    ///
-    /// Pin rows are independent, so row chunks fan out across the
-    /// current [`minipool`] pool. Per row the scan is density-adaptive:
-    ///
-    /// * **sparse rows** run the fused scan+splice ([`scan_row_mut`]) —
-    ///   applying the safe mask splices in place, no per-row
-    ///   `Vec<Stretch>`;
-    /// * **dense rows** (the ROADMAP's dense-care fast path) classify by
-    ///   X-run hops and take forced toggles word-wise off the
-    ///   adjacent-conflict mask ([`for_each_stretch_dense`]): a mostly
-    ///   specified row costs a handful of events instead of one
-    ///   classification per care bit, and a fully specified row never
-    ///   classifies a stretch at all.
-    ///
-    /// Both scanners emit the identical event stream (differential-
-    /// tested in `crates/core/tests/dense_fastpath.rs`), and the chunks
-    /// merge back **in row order**, so the interval sequence, the sites
-    /// and the baseline are bit-identical to the serial sparse walk at
-    /// any thread count.
+    /// Analyzes an already-packed matrix: the windowed analyzer's scan
+    /// over the whole matrix as one window. Pin rows fan out across the
+    /// current [`minipool`] pool, each row density-adaptive (care
+    /// arrivals on sparse rows, X-run hops on dense ones), and the
+    /// chunks merge back **in row order**, so the interval sequence,
+    /// the sites and the baseline are bit-identical at any thread count
+    /// and to any windowing of the same columns.
     pub fn analyze_packed(matrix: PackedMatrix) -> MatrixMapping {
         Self::analyze_packed_with(matrix, &FillObjective::default())
             .unwrap_or_else(|e| unreachable!("the default objective carries no table: {e}"))
@@ -224,78 +216,29 @@ impl MatrixMapping {
     ///
     /// See [`MatrixMapping::analyze_with`].
     pub fn analyze_packed_with(
-        mut matrix: PackedMatrix,
+        matrix: PackedMatrix,
         objective: &FillObjective,
     ) -> Result<MatrixMapping, ObjectiveError> {
         objective.check_width(matrix.rows())?;
-        let cols = matrix.cols();
-        let chunks: Vec<(Vec<IntervalSite>, Vec<_>)> =
-            minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
-                let mut sites = Vec::new();
-                let mut forced = Vec::new();
-                // Scratch for the dense path, reused across the chunk's
-                // rows: events are classified from the pristine planes
-                // first, then the safe splices apply (splices only write
-                // X positions, so classification stays valid).
-                let mut events: Vec<Stretch> = Vec::new();
-                for (i, r) in rows.iter_mut().enumerate() {
-                    let row = start + i;
-                    let mut on_unsafe = |s: Stretch| match s {
-                        Stretch::Transition {
-                            left,
-                            right,
-                            left_value,
-                        } => sites.push(IntervalSite {
-                            row: row as u32,
-                            left: left as u32,
-                            right: right as u32,
-                            left_value,
-                        }),
-                        Stretch::ForcedToggle { col } => forced.push((row, col)),
-                        _ => unreachable!("safe stretches handled by splice_safe"),
-                    };
-                    if is_dense_row(r) {
-                        events.clear();
-                        for_each_stretch_dense(r, |s| events.push(s));
-                        for &s in &events {
-                            if !s.splice_safe(r, cols) {
-                                on_unsafe(s);
-                            }
-                        }
-                    } else {
-                        scan_row_mut(r, |r, s| {
-                            if !s.splice_safe(r, cols) {
-                                on_unsafe(s);
-                            }
-                        });
-                    }
-                }
-                (sites, forced)
-            });
-
         let weights = objective.weights();
-        let mut sites = Vec::new();
-        let mut baseline = vec![0u64; cols.saturating_sub(1)];
-        for (chunk_sites, chunk_forced) in chunks {
-            sites.extend(chunk_sites);
-            for (row, col) in chunk_forced {
-                let slot = &mut baseline[col];
-                *slot = slot.checked_add(weights.map_or(1, |w| w[row])).ok_or(
-                    ObjectiveError::Overflow {
-                        what: "weighted forced-toggle load on one transition",
-                    },
-                )?;
-            }
+        let mut analyzer =
+            WindowedAnalyzer::with_weights(matrix.rows(), weights.map(<[u64]>::to_vec));
+        analyzer.ingest(&matrix);
+        let analysis = analyzer.finish();
+        if analysis.overflow {
+            return Err(ObjectiveError::Overflow {
+                what: "weighted forced-toggle load on one transition",
+            });
         }
-        let instance = build_instance(&sites, weights, baseline)
+        let instance = build_instance(&analysis.sites, weights, analysis.baseline)
             .unwrap_or_else(|e| unreachable!("stretch bounds and table weights are valid: {e}"));
         let desire = objective
             .preferred()
-            .map_or_else(Vec::new, |preferred| desires(&sites, preferred));
+            .map_or_else(Vec::new, |preferred| desires(&analysis.sites, preferred));
         Ok(MatrixMapping {
-            prefilled: matrix,
+            matrix,
             instance,
-            sites,
+            sites: analysis.sites,
             desire,
         })
     }
@@ -318,24 +261,19 @@ impl MatrixMapping {
         &self.sites
     }
 
-    /// The packed matrix with all safe fills applied; only transition
-    /// stretches still hold `X`.
-    pub fn prefilled(&self) -> &PackedMatrix {
-        &self.prefilled
-    }
-
     /// Number of forced toggles summed over all transitions.
     pub fn forced_total(&self) -> u64 {
         self.instance.baseline().iter().sum()
     }
 
     /// Reconstructs the fully filled matrix from a coloring
-    /// (paper §V-D) and returns it as a cube set: each row's stretches
-    /// go through `splice_colored` as two mask splices apiece.
+    /// (paper §V-D) and returns it as a cube set: each row goes through
+    /// `fill_row` with its first care value as the carry (zero for an
+    /// all-`X` row).
     ///
     /// Sites are row-major (the analysis emits them that way), so row
     /// chunks fan out across the pool and each worker walks its slice of
-    /// sites/colors — disjoint rows, disjoint splices, and a result
+    /// sites/colors — disjoint rows, disjoint fills, and a result
     /// independent of the execution interleaving.
     ///
     /// # Panics
@@ -349,14 +287,15 @@ impl MatrixMapping {
             self.sites.len(),
             "coloring does not match interval count"
         );
-        let mut matrix = self.prefilled.clone();
+        let mut matrix = self.matrix.clone();
         let sites = &self.sites;
         let colors = coloring.colors();
         minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
             let mut lo = sites.partition_point(|s| (s.row as usize) < start);
             for (r, row) in (start..).zip(rows.iter_mut()) {
                 let hi = lo + sites[lo..].partition_point(|s| s.row as usize == r);
-                splice_colored(row, 0, &sites[lo..hi], &colors[lo..hi]);
+                let carry = leading_value(row);
+                fill_row(row, 0, carry, &sites[lo..hi], &colors[lo..hi]);
                 lo = hi;
             }
         });
@@ -381,7 +320,6 @@ mod tests {
         let cubes = set(&["X", "0", "X", "0", "X"]);
         let m = MatrixMapping::analyze(&cubes);
         assert_eq!(m.instance().intervals().len(), 0);
-        assert_eq!(m.prefilled().x_count(), 0);
         assert_eq!(m.forced_total(), 0);
         let filled = m.apply_coloring(&m.instance().solve().unwrap().coloring);
         assert_eq!(peak_toggles(&filled).unwrap(), 0);
@@ -491,7 +429,6 @@ mod tests {
         let via_set = MatrixMapping::analyze(&cubes.reordered(&order).unwrap());
         assert_eq!(direct.instance(), via_set.instance());
         assert_eq!(direct.sites(), via_set.sites());
-        assert_eq!(direct.prefilled(), via_set.prefilled());
     }
 
     #[test]
@@ -553,7 +490,6 @@ mod tests {
             MatrixMapping::analyze_with(&cubes, &FillObjective::peak_toggles()).unwrap();
         assert_eq!(plain.instance(), via_objective.instance());
         assert_eq!(plain.sites(), via_objective.sites());
-        assert_eq!(plain.prefilled(), via_objective.prefilled());
         assert!(via_objective.desire().is_empty());
     }
 

@@ -1,32 +1,37 @@
-//! Windowed matrix analysis with exact boundary stitching.
+//! Windowed matrix analysis with exact boundary stitching — the one
+//! analyzer of both pipelines.
 //!
 //! [`WindowedAnalyzer`] consumes a cube set **one window of columns at a
 //! time** (each window arrives as a transposed [`PackedMatrix`]) and
-//! emits exactly the event stream of the monolithic
-//! [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk, by
-//! the same [`classify_arrival`] rule:
+//! classifies care arrivals by the [`classify_arrival`] rule:
 //!
-//! * *safe* runs (leading / trailing / `v X…X v` / all-`X`) become
-//!   [`Segment`]s — fill instructions the emit pass splices back in;
 //! * `v X…X w` transition stretches become [`IntervalSite`]s — BCP
 //!   intervals whose toggle position the global solve decides;
-//! * adjacent opposite care bits become per-transition baseline loads.
+//! * adjacent opposite care bits become per-transition baseline loads;
+//! * every other `X` is safe — it copies the nearest care value in the
+//!   fill — so nothing is stored for it beyond each row's first care
+//!   value, which a leading `X`-run copies.
 //!
 //! The analyzer carries **per-pin scan state** (the last care bit seen)
 //! across window boundaries, so a stretch that spans any number of
 //! windows — including stretches far longer than the window, the
 //! "window smaller than the overlap" case — is classified exactly as if
 //! the whole row were resident: the previous window's frozen tail *is*
-//! the carried state. Only the classification events survive a window;
-//! the cubes themselves are dropped when the caller moves on.
+//! the carried state. Per window, a sparse row classifies care arrival
+//! by care arrival; a dense row stitches its first care bit to the
+//! carried state, takes the in-window events from the X-run scanner
+//! ([`for_each_stretch_dense`]) and carries its last care bit. Only the
+//! classification events survive a window; the cubes themselves are
+//! dropped when the caller moves on.
 //!
-//! Pin rows are independent, so each window's scan fans the per-pin
-//! states out over the current [`minipool`] pool in deterministic
-//! chunks; per-chunk events merge in chunk order, making the stream
-//! bit-identical at any thread count.
+//! [`MatrixMapping`](crate::MatrixMapping) runs the same analyzer over
+//! a whole matrix as one window. Pin rows are independent, so each
+//! window's scan fans the per-pin states out over the current
+//! [`minipool`] pool in deterministic chunks; per-chunk events merge in
+//! chunk order, making the stream bit-identical at any thread count.
 
-use dpfill_cubes::packed::PackedMatrix;
-use dpfill_cubes::stretch::{classify_arrival, Stretch};
+use dpfill_cubes::packed::{PackedBits, PackedMatrix};
+use dpfill_cubes::stretch::{classify_arrival, for_each_stretch_dense, is_dense_row, Stretch};
 use dpfill_cubes::Bit;
 
 use crate::bcp::IncrementalBound;
@@ -34,70 +39,48 @@ use crate::mapping::IntervalSite;
 
 use super::plan::group_by_row;
 
-/// One safe-run fill instruction: pin row `row`, columns `[start, end)`
-/// become `value`. Ranges never cover a care bit, so splicing them is
-/// always legal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Segment {
-    /// Pin row.
-    pub row: u32,
-    /// First column (cube index) of the run.
-    pub start: u32,
-    /// One past the last column of the run.
-    pub end: u32,
-    /// The fill value.
-    pub value: Bit,
-}
-
-impl Segment {
-    fn new(row: usize, start: usize, end: usize, value: Bit) -> Segment {
-        debug_assert!(start < end, "segments are non-empty");
-        Segment {
-            row: row as u32,
-            start: start as u32,
-            end: end as u32,
-            value,
-        }
-    }
-}
-
 /// Everything the analysis pass learned about the full set.
 pub(crate) struct Analysis {
-    /// Safe-run fill instructions, in discovery order.
-    pub segments: Vec<Segment>,
-    /// Transition stretches in monolithic order (row-major, then left
-    /// column) — the exact interval insertion order of
-    /// [`MatrixMapping::analyze`](crate::MatrixMapping::analyze), so the
-    /// EDF solve ties break identically.
+    /// Transition stretches in row-major order, then by left column —
+    /// the interval insertion order both pipelines solve, so the EDF
+    /// ties break identically.
     pub sites: Vec<IntervalSite>,
     /// Forced toggles per transition (length `cols.saturating_sub(1)`),
     /// in objective units when the analyzer carries weights.
     pub baseline: Vec<u64>,
     /// Total columns (cubes) analyzed.
     pub cols: usize,
+    /// Bit `r` (in 64-bit words) is pin `r`'s first care value — what
+    /// its leading `X`-run copies; zero for an all-`X` pin.
+    pub first_values: Vec<u64>,
     /// The lower bound certified online while events arrived (the
     /// [`IncrementalBound`] ladder's final value) — a warm start for the
     /// global solve, never above the true bound.
     pub warm_lb: u64,
     /// Set when accumulating a weighted baseline overflowed `u64`; the
-    /// plan resolution turns this into a typed error instead of solving
-    /// on a silently saturated instance.
+    /// callers turn this into a typed error instead of solving on a
+    /// silently saturated instance.
     pub overflow: bool,
 }
 
-/// The streaming analyzer: feed windows left to right, then
+/// One chunk's events of one window: sites, forced toggles as
+/// `(row, transition)`, and the rows whose first care value is 1.
+type ChunkEvents = (Vec<IntervalSite>, Vec<(u32, u32)>, Vec<u32>);
+
+/// The windowed analyzer: feed windows left to right, then
 /// [`WindowedAnalyzer::finish`].
 pub(crate) struct WindowedAnalyzer {
     /// Per-pin scan state carried across windows: the last care bit
     /// seen, as `(global column, value)`.
     states: Vec<Option<(usize, Bit)>>,
-    segments: Vec<Segment>,
+    first_values: Vec<u64>,
     sites: Vec<IntervalSite>,
     baseline: Vec<u64>,
     cols: usize,
+    windows: usize,
     /// Per-pin objective weights (`None` = the unit metric); charged to
     /// the interval loads of the online ladder and to the forced
-    /// baseline, exactly like the weighted monolithic mapping.
+    /// baseline.
     weights: Option<Vec<u64>>,
     /// A weighted baseline accumulation left `u64` (see
     /// [`Analysis::overflow`]).
@@ -107,6 +90,56 @@ pub(crate) struct WindowedAnalyzer {
     /// starts from this value instead of rebuilding its ladder from the
     /// full event list.
     bound: IncrementalBound,
+}
+
+/// Scans one pin row's window `[start, start + row.len())` against the
+/// row's carried `state`, appending its events to `out`.
+fn scan_row(
+    row: &PackedBits,
+    pin: u32,
+    start: usize,
+    state: &mut Option<(usize, Bit)>,
+    out: &mut ChunkEvents,
+) {
+    let (sites, forced, first_ones) = out;
+    // In-window columns shift by `start`; the stitch is already global.
+    let mut record = |s: Stretch, shift: usize| match s {
+        Stretch::Transition {
+            left,
+            right,
+            left_value,
+        } => sites.push(IntervalSite {
+            row: pin,
+            left: (shift + left) as u32,
+            right: (shift + right) as u32,
+            left_value,
+        }),
+        Stretch::ForcedToggle { col } => forced.push((pin, (shift + col) as u32)),
+        // Safe runs are filled by copy-left, never stored.
+        _ => {}
+    };
+    let mut arrive = |state: &mut Option<(usize, Bit)>, col: usize, value: Bit| {
+        if state.is_none() && value == Bit::One {
+            first_ones.push(pin);
+        }
+        if let Some(s) = classify_arrival(*state, col, value) {
+            record(s, 0);
+        }
+        *state = Some((col, value));
+    };
+    if is_dense_row(row) {
+        let Some((first, value)) = row.next_care_at_or_after(0) else {
+            return;
+        };
+        arrive(state, start + first, value);
+        for_each_stretch_dense(row, |s| record(s, start));
+        let last = row.last_care().unwrap_or(first);
+        *state = Some((start + last, row.get(last)));
+    } else {
+        for (pos, value) in row.care_positions() {
+            arrive(state, start + pos, value);
+        }
+    }
 }
 
 impl WindowedAnalyzer {
@@ -119,10 +152,11 @@ impl WindowedAnalyzer {
         }
         WindowedAnalyzer {
             states: vec![None; width],
-            segments: Vec::new(),
+            first_values: vec![0; width.div_ceil(64)],
             sites: Vec::new(),
             baseline: Vec::new(),
             cols: 0,
+            windows: 0,
             weights,
             overflow: false,
             bound: IncrementalBound::new(),
@@ -147,52 +181,22 @@ impl WindowedAnalyzer {
         let rows = matrix.packed_rows();
         assert!(
             start_col + matrix.cols() <= u32::MAX as usize,
-            "streaming analysis supports at most 2^32 - 1 cubes"
+            "the analysis supports at most 2^32 - 1 cubes"
         );
-        type ChunkEvents = (Vec<Segment>, Vec<IntervalSite>, Vec<(usize, usize)>);
         let chunks: Vec<ChunkEvents> =
             minipool::parallel_chunks_mut(&mut self.states, 4, |row0, states| {
-                let mut segments = Vec::new();
-                let mut sites = Vec::new();
-                let mut forced = Vec::new();
-                for (i, state) in states.iter_mut().enumerate() {
-                    let row = row0 + i;
-                    for (pos, value) in rows[row].care_positions() {
-                        let col = start_col + pos;
-                        match classify_arrival(*state, col, value) {
-                            // A leading X-run copies the first care bit
-                            // backwards.
-                            Some(Stretch::Leading { first_care }) => {
-                                segments.push(Segment::new(row, 0, first_care, value));
-                            }
-                            Some(Stretch::SameValue { left, right, value }) => {
-                                segments.push(Segment::new(row, left + 1, right, value));
-                            }
-                            Some(Stretch::Transition {
-                                left,
-                                right,
-                                left_value,
-                            }) => sites.push(IntervalSite {
-                                row: row as u32,
-                                left: left as u32,
-                                right: right as u32,
-                                left_value,
-                            }),
-                            Some(Stretch::ForcedToggle { col }) => forced.push((row, col)),
-                            // Trailing runs and all-X rows close at finish.
-                            Some(Stretch::Trailing { .. } | Stretch::AllX) | None => {}
-                        }
-                        *state = Some((col, value));
-                    }
+                let mut events = ChunkEvents::default();
+                for (row, state) in (row0..).zip(states.iter_mut()) {
+                    scan_row(&rows[row], row as u32, start_col, state, &mut events);
                 }
-                (segments, sites, forced)
+                events
             });
         self.cols = start_col + matrix.cols();
+        self.windows += 1;
         // Transition t needs both cubes t and t+1 read; every event below
         // is therefore strictly inside the seen prefix.
         self.baseline.resize(self.cols.saturating_sub(1), 0);
-        for (segments, sites, forced) in chunks {
-            self.segments.extend(segments);
+        for (sites, forced, first_ones) in chunks {
             for site in &sites {
                 // Interval (left, right-1): the exact interval (and the
                 // exact load) the global solve will add for this site.
@@ -204,15 +208,18 @@ impl WindowedAnalyzer {
             }
             self.sites.extend(sites);
             for (row, col) in forced {
-                let w = self.weight(row);
+                let (w, col) = (self.weight(row as usize), col as usize);
                 match self.baseline[col].checked_add(w) {
                     Some(v) => self.baseline[col] = v,
                     None => self.overflow = true,
                 }
                 // The ladder saturates internally, which keeps its
                 // bound valid (never above the true one) even past an
-                // overflow the plan resolution will reject anyway.
+                // overflow the callers reject anyway.
                 self.bound.add_baseline(col, w);
+            }
+            for pin in first_ones {
+                self.first_values[pin as usize / 64] |= 1 << (pin % 64);
             }
         }
     }
@@ -225,16 +232,15 @@ impl WindowedAnalyzer {
         self.bound.current()
     }
 
-    /// Bytes held by the scalar event stream (segments, sites,
-    /// baseline, per-pin states, the incremental-bound ladder) — the
+    /// Bytes held by the analysis (sites, baseline, per-pin states and
+    /// first values, the weights, the incremental-bound ladder) — the
     /// content-driven resident cost the memory-budget governor charges
-    /// after each window. Grows with the input's X-structure, not with
-    /// the window size.
+    /// after each window. Grows with the input's transition stretches,
+    /// not with its safe runs or the window size.
     pub fn event_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.segments.len() * size_of::<Segment>()
-            + self.sites.len() * size_of::<IntervalSite>()
-            + self.baseline.len() * size_of::<u64>()
+        (self.sites.len() * size_of::<IntervalSite>()
+            + (self.baseline.len() + self.first_values.len()) * size_of::<u64>()
             + self.states.len() * size_of::<Option<(usize, Bit)>>()
             + self
                 .weights
@@ -243,36 +249,23 @@ impl WindowedAnalyzer {
             + self.bound.approx_bytes()
     }
 
-    /// Closes every still-open run (trailing X-runs, all-`X` rows) and
-    /// returns the full analysis, with sites grouped into the monolithic
-    /// row-major order.
-    pub fn finish(mut self) -> Analysis {
-        let n = self.cols;
-        for (row, state) in self.states.iter().enumerate() {
-            match *state {
-                None => {
-                    if n > 0 {
-                        // All-X row: the safe splice fills it with zero.
-                        self.segments.push(Segment::new(row, 0, n, Bit::Zero));
-                    }
-                }
-                Some((last, value)) => {
-                    if last + 1 < n {
-                        self.segments.push(Segment::new(row, last + 1, n, value));
-                    }
-                }
-            }
-        }
+    /// Returns the full analysis, with sites grouped into row-major
+    /// order.
+    pub fn finish(self) -> Analysis {
         // Windows surface a pin's stretches left to right but interleave
-        // pins; the monolithic walk is strictly row-major. Grouping by
-        // row keeps each row's arrival order, so this reproduces the
-        // exact (row, left) interval order the EDF tie-breaks depend on.
-        let (sites, _) = group_by_row(self.sites, self.states.len(), |s| s.row);
+        // pins; grouping by row keeps each row's arrival order, which
+        // reproduces the (row, left) interval order the EDF tie-breaks
+        // depend on. One window's sites are row-major already.
+        let sites = if self.windows > 1 {
+            group_by_row(self.sites, self.states.len(), |s| s.row).0
+        } else {
+            self.sites
+        };
         Analysis {
-            segments: self.segments,
             sites,
             baseline: self.baseline,
-            cols: n,
+            cols: self.cols,
+            first_values: self.first_values,
             warm_lb: self.bound.current(),
             overflow: self.overflow,
         }
@@ -398,18 +391,45 @@ mod tests {
         assert_eq!(analysis.sites.len(), 1);
         assert_eq!(analysis.sites[0].left, 0);
         assert_eq!(analysis.sites[0].right, 11);
-        assert!(analysis.segments.is_empty());
     }
 
     #[test]
-    fn all_x_and_trailing_rows_close_at_finish() {
-        // Pin 0 all-X; pin 1 care at column 0 then X forever.
+    fn first_values_are_what_leading_runs_copy() {
+        // Pin 0 all-X; pin 1 first care 1 at column 2; pin 2 first care
+        // 0 at column 0; pin 3 first care 1 at column 0.
+        let cubes = CubeSet::parse_rows(&["XX01", "XXX0", "X1X1"]).unwrap();
+        for window in [1, 2, 3] {
+            let analysis = analyze_windowed(&cubes, window);
+            assert_eq!(analysis.first_values, [0b1010], "window {window}");
+        }
+        // All-X and trailing runs leave no event at all: pin 0 all-X,
+        // pin 1 care 1 at column 0 then X forever.
         let cubes = CubeSet::parse_rows(&["X1", "XX", "XX"]).unwrap();
         let analysis = analyze_windowed(&cubes, 1);
-        let mut segments = analysis.segments.clone();
-        segments.sort_by_key(|s| s.row);
-        assert_eq!(segments[0], Segment::new(0, 0, 3, Bit::Zero));
-        assert_eq!(segments[1], Segment::new(1, 1, 3, Bit::One));
         assert!(analysis.sites.is_empty());
+        assert_eq!(analysis.first_values, [0b10]);
+    }
+
+    #[test]
+    fn dense_rows_stitch_like_sparse_rows() {
+        // Mostly-care rows take the X-run arm in every window; each
+        // window must stitch to the carried state exactly.
+        for seed in [6u64, 7, 8] {
+            let cubes = random_cube_set(40, 150, 0.1, seed);
+            let mapping = MatrixMapping::analyze(&cubes);
+            for window in [1, 5, 64, 150] {
+                let analysis = analyze_windowed(&cubes, window);
+                assert_eq!(
+                    analysis.sites,
+                    mapping.sites(),
+                    "seed {seed} window {window}"
+                );
+                assert_eq!(
+                    analysis.baseline,
+                    mapping.instance().baseline(),
+                    "seed {seed} window {window}"
+                );
+            }
+        }
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! A `--memory-budget` run promises bounded resident memory, but the
 //! resident set is not just the cube planes the window formula sizes:
-//! the analyzer's scalar **event stream** (segments, interval sites,
-//! per-transition baseline, and the incremental-bound ladder that
-//! warm-starts the global solve) grows with input *content*, not with
-//! the window. A hostile input can blow through the budget mid-run while
+//! the analyzer's scalar **event stream** (interval sites, the
+//! per-transition baseline, the incremental-bound ladder that
+//! warm-starts the global solve, and the per-cube digests) grows with
+//! input *content* and length, not with the window. A hostile input can blow through the budget mid-run while
 //! every window stays small. [`BudgetGovernor`] owns the response:
 //!
 //! * the budget → window derivation reserves **1/8 of the budget as

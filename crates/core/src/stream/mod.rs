@@ -13,36 +13,32 @@
 //!
 //! * the **cube planes** — `2 · ⌈width/64⌉` words per cube, the memory
 //!   that actually hurts at industrial pattern volumes;
-//! * the **classification events** — one scalar record per X-stretch
-//!   (a 16-byte interval site or safe-run segment) plus one counter per
-//!   transition.
+//! * the **classification events** — one 16-byte interval site per
+//!   `v X…X w` stretch plus one counter per transition. Every other `X`
+//!   copies the nearest care value to its left and is never stored.
 //!
 //! The pipeline streams the planes and keeps the events:
 //!
-//! 1. **Analysis pass** ([`analyze::WindowedAnalyzer`]): each window is
-//!    transposed and scanned; per-pin scan state (the frozen tail of
-//!    the previous window) carries across the boundary, so stretches
-//!    spanning any number of windows are stitched *exactly* — the
-//!    event stream equals the monolithic
-//!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) walk,
-//!    and a stable group-by-row puts the sites in its row-major order.
-//!    The window's cubes are dropped as soon as the next window
+//! 1. **Analysis pass** ([`analyze::WindowedAnalyzer`], the analyzer
+//!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) runs as
+//!    one window): per-pin scan state carries across window boundaries,
+//!    so stretches spanning any number of windows are stitched
+//!    *exactly*, and a stable group-by-row puts the sites in row-major
+//!    order. Each pin's first care value and a 64-bit digest of each
+//!    cube are recorded; the cubes are dropped as the next window
 //!    arrives.
 //! 2. **Solve**: the *same* global
 //!    [`BcpInstance::solve`](crate::BcpInstance::solve) the monolithic
 //!    DP-fill runs, on the identical instance built by the same
-//!    function — identical lower bound, identical EDF coloring, no
-//!    cubes resident at all. The row-major sites and their colors are
-//!    then the fill plan ([`plan::FillPlan`]), next to pass 1's safe
-//!    runs.
-//! 3. **Emit pass**: windows are re-read and filled by the plan's
-//!    clipped splices — the colored sites through the one §V-D kernel
-//!    `apply_coloring` runs on whole rows — scored with the
-//!    one-dispatch batched toggle sweeps (the boundary transition is
-//!    stitched against the retained last cube of the previous window),
-//!    and written out as each window retires. Window batches are
-//!    scheduled on the [`minipool`] pool via
-//!    [`minipool::parallel_index_chunks`].
+//!    function — no cubes resident at all. The row-major sites and
+//!    their colors are then the fill plan ([`plan::FillPlan`]).
+//! 3. **Emit pass**: windows are re-read, checked against their
+//!    digests and filled "copy-left, then flip" from the per-pin last
+//!    care value carried across windows — the row kernel
+//!    `apply_coloring` runs on whole rows — then scored with the
+//!    batched toggle sweeps (the boundary transition stitched against
+//!    the previous window's last cube) and written out as each window
+//!    retires. Window batches run on the [`minipool`] pool.
 //!
 //! Byte-identity therefore holds *by construction* — pinned by the
 //! `streaming_fill` differential suite across window sizes and thread
@@ -86,7 +82,7 @@
 //! assert_eq!(out, whole);
 //! ```
 
-mod analyze;
+pub(crate) mod analyze;
 mod budget;
 mod plan;
 mod reorder;
@@ -98,15 +94,12 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use dpfill_cubes::format::{PatternError, PatternStream, PatternWriter};
 use dpfill_cubes::packed::{PackedBits, PackedMatrix};
-use dpfill_cubes::{Bit, CubeSet};
+use dpfill_cubes::CubeSet;
 
 use crate::bcp::SolveOptions;
-use crate::fill::{DpFillError, FillErrorSource, FillMethod};
+use crate::fill::{DpFillError, FillErrorSource, FillMethod, RandomFill};
 use crate::mapping::{build_instance, desires};
 use crate::objective::{FillObjective, ObjectiveError};
 use crate::ordering::OrderingError;
@@ -114,7 +107,7 @@ use crate::ordering::OrderingError;
 use analyze::{Analysis, WindowedAnalyzer};
 use budget::BudgetGovernor;
 pub use budget::{DegradeEvent, StreamPass};
-use plan::FillPlan;
+use plan::{cube_digest, FillPlan};
 pub use reorder::BandedOrder;
 
 /// Windows whose emit scoring ran in objective units (the weighted
@@ -279,8 +272,7 @@ pub struct StreamReport {
     /// the solve). Zero for single-pass fills, which have no pass 1.
     pub pass1_ns: u64,
     /// Wall-clock nanoseconds of the plan resolution (the global BCP
-    /// solve for DP, the copy-left coloring for MT, then the plan
-    /// build). Zero for single-pass fills.
+    /// solve for DP, then the plan build). Zero for single-pass fills.
     pub solve_ns: u64,
     /// Wall-clock nanoseconds of pass 2 (re-stream, fill, score, emit)
     /// — the only pass for per-cube fills.
@@ -314,11 +306,11 @@ pub enum StreamError {
         /// `(cubes, width)` seen by the emit pass.
         found: (usize, usize),
     },
-    /// A filled window is not a filling of the cubes read for it: a
-    /// care bit changed or an `X` survived. On a two-pass fill this
-    /// means the source returned different content of the same shape
-    /// on the second pass, so the pass-1 plan no longer fits it. The
-    /// window is not emitted.
+    /// A window's cubes are not the ones pass 1 digested, or a filled
+    /// window is not a filling of the cubes read for it: the source
+    /// returned different content of the same shape on the second
+    /// pass, so the pass-1 plan no longer fits it. The window is not
+    /// emitted.
     ContentChanged {
         /// 0-based index of the rejected window.
         window: usize,
@@ -434,11 +426,37 @@ pub struct StreamingFill {
     opts: StreamOptions,
 }
 
+/// The 0-fill peak of the as-given input: cubes observed in arrival
+/// order, the boundary transition stitched through the last one. A
+/// 0-filled cube's values are its value plane (zero at `X`), so a
+/// transition toggles wherever two value planes differ.
+#[derive(Default)]
+struct ZeroFillPeak {
+    tail: Option<PackedBits>,
+    peak: usize,
+}
+
+impl ZeroFillPeak {
+    /// Folds the next cubes read from the input into the peak.
+    fn observe(&mut self, cubes: &[PackedBits]) {
+        let next = cubes.iter().skip(usize::from(self.tail.is_none()));
+        for (a, b) in self.tail.iter().chain(cubes).zip(next) {
+            let words = a.value_words().iter().zip(b.value_words());
+            let toggles: usize = words.map(|(x, y)| (x ^ y).count_ones() as usize).sum();
+            self.peak = self.peak.max(toggles);
+        }
+        if let Some(last) = cubes.last() {
+            self.tail = Some(last.clone());
+        }
+    }
+}
+
 /// Where a pass reads its (possibly reordered) windows.
 enum WindowSource<R: Read> {
     /// Straight from the pattern reader — no ordering; the only source
     /// whose output is byte-identical to the unordered monolithic run.
-    Direct(PatternStream<R>),
+    /// Tracks the as-given 0-fill peak when asked to.
+    Direct(PatternStream<R>, Option<ZeroFillPeak>),
     /// Replay of the permutation pass 1 recorded (pass 2 of a planned
     /// fill under a banded ordering).
     Replay(ReplayStream<R>),
@@ -448,19 +466,44 @@ enum WindowSource<R: Read> {
 }
 
 impl<R: Read> WindowSource<R> {
-    /// The next window of at most `max` cubes. `warm_lb` is the banded
-    /// I-ordering's warm bound: the analyzer's running bound in pass 1,
-    /// 0 when no analyzer runs.
+    /// The source of a pass that reads the input in arrival order:
+    /// direct, or through the banded reorder stage when `order` is set.
+    /// With `baseline`, the as-given 0-fill peak is taken as cubes are
+    /// read, before any reordering.
+    fn arrivals(stream: PatternStream<R>, order: Option<BandedOrder>, baseline: bool) -> Self {
+        let zero_peak = baseline.then(ZeroFillPeak::default);
+        match order {
+            Some(order) => {
+                let mut stage = ReorderStage::new(stream, order);
+                stage.zero_peak = zero_peak;
+                WindowSource::Reorder(stage)
+            }
+            None => WindowSource::Direct(stream, zero_peak),
+        }
+    }
+
+    /// The next window of at most `max` cubes. A reorder stage hands
+    /// the banded I-ordering the `analyzer`'s running bound as its warm
+    /// bound (0 when no analyzer runs); it is that bound's only reader.
     fn next_window(
         &mut self,
         max: usize,
-        warm_lb: u64,
+        analyzer: Option<&WindowedAnalyzer>,
         win_idx: usize,
     ) -> Result<Option<CubeSet>, StreamError> {
         match self {
-            WindowSource::Direct(s) => Ok(s.next_window(max)?),
+            WindowSource::Direct(s, zero_peak) => {
+                let set = s.next_window(max)?;
+                if let (Some(z), Some(set)) = (zero_peak, &set) {
+                    z.observe(set.as_packed().cubes());
+                }
+                Ok(set)
+            }
             WindowSource::Replay(s) => s.next_window(max),
-            WindowSource::Reorder(s) => s.next_window(max, warm_lb, win_idx),
+            WindowSource::Reorder(s) => {
+                let warm_lb = analyzer.map_or(0, WindowedAnalyzer::warm_bound);
+                s.next_window(max, warm_lb, win_idx)
+            }
         }
     }
 
@@ -477,7 +520,7 @@ impl<R: Read> WindowSource<R> {
     /// Original cubes read from the underlying pattern stream.
     fn cubes_read(&self) -> usize {
         match self {
-            WindowSource::Direct(s) => s.cubes_read(),
+            WindowSource::Direct(s, _) => s.cubes_read(),
             WindowSource::Replay(s) => s.cubes_read(),
             WindowSource::Reorder(s) => s.cubes_read(),
         }
@@ -487,7 +530,7 @@ impl<R: Read> WindowSource<R> {
     /// / replay buffer), on top of the windows in flight.
     fn peak_resident_cubes(&self) -> usize {
         match self {
-            WindowSource::Direct(_) => 0,
+            WindowSource::Direct(..) => 0,
             WindowSource::Replay(s) => s.peak_resident_cubes(),
             WindowSource::Reorder(s) => s.peak_resident_cubes(),
         }
@@ -497,9 +540,20 @@ impl<R: Read> WindowSource<R> {
     /// governor alongside the analyzer's events or the plan.
     fn resident_bytes(&self) -> u64 {
         match self {
-            WindowSource::Direct(_) => 0,
+            WindowSource::Direct(..) => 0,
             WindowSource::Replay(s) => s.resident_bytes(),
             WindowSource::Reorder(s) => s.resident_bytes(),
+        }
+    }
+
+    /// The as-given 0-fill peak of the cubes read so far, when tracked.
+    fn zero_fill_peak(&self) -> Option<usize> {
+        match self {
+            WindowSource::Direct(_, z)
+            | WindowSource::Reorder(ReorderStage { zero_peak: z, .. }) => {
+                z.as_ref().map(|z| z.peak)
+            }
+            WindowSource::Replay(_) => None,
         }
     }
 }
@@ -538,6 +592,8 @@ struct AnalyzeOutcome {
     /// The recorded output-position → original-index permutation, when
     /// a banded ordering ran during pass 1; pass 2 replays it.
     perm: Option<Vec<u32>>,
+    /// The as-given 0-fill peak, taken while pass 1 read the input.
+    baseline_peak: Option<usize>,
     degradations: Vec<DegradeEvent>,
     /// Wall-clock spent streaming the analysis (excluding the solve).
     pass1_ns: u64,
@@ -662,18 +718,17 @@ impl StreamingFill {
 
     /// Pass 1: stream every window through the stitching analyzer — with
     /// a banded ordering, through the reorder stage first, whose
-    /// permutation pass 2 replays — then solve globally and resolve the
-    /// fill plan. Returns `None` on an empty input.
+    /// permutation pass 2 replays — digesting each cube, then solve
+    /// globally and resolve the fill plan. Returns `None` on an empty
+    /// input.
     fn analyze<R: Read>(
         &self,
         open: &mut impl FnMut() -> io::Result<R>,
     ) -> Result<Option<AnalyzeOutcome>, StreamError> {
         let pass_start = Instant::now();
         let stream = PatternStream::new(open().map_err(StreamError::Open)?);
-        let mut source = match self.opts.order {
-            Some(order) => WindowSource::Reorder(ReorderStage::new(stream, order)),
-            None => WindowSource::Direct(stream),
-        };
+        let mut source =
+            WindowSource::arrivals(stream, self.opts.order, self.opts.collect_baseline);
         // Without a peeked width, window 0 is a single cube: the width
         // (and with it a budget-derived window size) is unknown until
         // one row is read.
@@ -682,15 +737,15 @@ impl StreamingFill {
             .map(|w| self.windowing(w))
             .transpose()?;
         let mut analyzer: Option<WindowedAnalyzer> = None;
+        let mut digests: Vec<u64> = Vec::new();
         let mut win_idx = 0usize;
         let mut offset = 0usize;
         loop {
             // The analyzer's incremental ladder doubles as the banded
             // I-ordering's warm bound: everything already frozen out of
             // the ring is a certified floor on the final bottleneck.
-            let warm_lb = analyzer.as_ref().map_or(0, WindowedAnalyzer::warm_bound);
             let max = sizing.as_ref().map_or(1, |s| s.window);
-            let Some(set) = source.next_window(max, warm_lb, win_idx)? else {
+            let Some(set) = source.next_window(max, analyzer.as_ref(), win_idx)? else {
                 break;
             };
             if sizing.is_none() {
@@ -701,6 +756,7 @@ impl StreamingFill {
             });
             let cubes = offset..offset + set.len();
             offset = cubes.end;
+            digests.extend(set.as_packed().cubes().iter().map(cube_digest));
             // Contain worker panics at the window boundary: the minipool
             // scope rethrows a task panic on this thread, so catching
             // here covers the pooled per-pin fan-out inside `ingest`.
@@ -722,7 +778,8 @@ impl StreamingFill {
                 });
             }
             if let Some(s) = &mut sizing {
-                let bytes = analyzer.event_bytes() + source.resident_bytes();
+                let digest_bytes = 8 * digests.len() as u64;
+                let bytes = analyzer.event_bytes() + digest_bytes + source.resident_bytes();
                 s.charge(StreamPass::Analyze, win_idx, bytes)?;
             }
             win_idx += 1;
@@ -734,10 +791,11 @@ impl StreamingFill {
         let pass1_ns = pass_start.elapsed().as_nanos() as u64;
         let solve_start = Instant::now();
         let shape = (analysis.cols, sizing.width);
-        let plan = self.resolve_plan(analysis, shape)?;
+        let plan = self.resolve_plan(analysis, digests, shape)?;
         Ok(Some(AnalyzeOutcome {
             plan,
             shape,
+            baseline_peak: source.zero_fill_peak(),
             perm: match source {
                 WindowSource::Reorder(stage) => Some(stage.into_perm()),
                 _ => None,
@@ -748,20 +806,21 @@ impl StreamingFill {
         }))
     }
 
-    /// Turns a finished analysis of `shape` (`(cubes, width)`) into the
-    /// emit pass's fill plan: the sites keep their row-major order and
-    /// take their colors from the global BCP solve for DP, or from the
-    /// copy-left coloring for MT.
+    /// Turns a finished analysis of `shape` (`(cubes, width)`) and pass
+    /// 1's per-cube `digests` into the emit pass's fill plan: for DP the
+    /// sites keep their row-major order and take their colors from the
+    /// global BCP solve; MT-fill is copy-left with no flips, so its plan
+    /// holds no sites.
     fn resolve_plan(
         &self,
         analysis: Analysis,
+        digests: Vec<u64>,
         shape: (usize, usize),
     ) -> Result<FillPlan, StreamError> {
         let _span = minitrace::span_with(
             "stream.solve",
             &[
                 ("sites", analysis.sites.len().into()),
-                ("segments", analysis.segments.len().into()),
                 ("cubes", shape.0.into()),
             ],
         );
@@ -774,7 +833,7 @@ impl StreamingFill {
                 },
             )));
         }
-        let colors = match self.opts.fill {
+        let (sites, colors) = match self.opts.fill {
             FillMethod::Dp => {
                 // Stretch bounds are valid transitions by construction;
                 // a violation is a solver-input bug and surfaces as a
@@ -797,26 +856,27 @@ impl StreamingFill {
                         .shift_solution(&mut solution, &desires(&analysis.sites, preferred))
                         .map_err(solve_error)?;
                 }
-                solution.coloring.into_colors()
+                (analysis.sites, solution.coloring.into_colors())
             }
             // MT-fill copies each stretch's left care value through the
-            // whole run: the toggle sits at its last transition, exactly
-            // like `fill_runs_copy_left` on the full pin row.
-            FillMethod::Mt => analysis.sites.iter().map(|s| s.right - 1).collect(),
+            // whole run: the coloring `right − 1`, which flips nothing.
+            FillMethod::Mt => (Vec::new(), Vec::new()),
             _ => unreachable!("plans only resolve for planned fills"),
         };
         let _plan = minitrace::span("stream.plan");
         Ok(FillPlan::new(
             shape.1,
-            analysis.segments,
-            analysis.sites,
+            analysis.first_values,
+            sites,
             colors,
+            digests,
         ))
     }
 
     /// Pass 2 (or the only pass for per-cube fills): re-stream the
-    /// windows, fill each batch on the pool, score with the batched
-    /// sweeps, and emit as windows retire.
+    /// windows, check each against pass 1's digests, fill each batch on
+    /// the pool, score with the batched sweeps, and emit as windows
+    /// retire.
     fn emit<R: Read, W: Write>(
         &self,
         open: &mut impl FnMut() -> io::Result<R>,
@@ -828,10 +888,12 @@ impl StreamingFill {
         let pass1 = planned.as_ref().map(|o| o.shape);
         let perm = planned.as_mut().and_then(|o| o.perm.take());
         let plan = planned.as_ref().map(|o| &o.plan);
-        let mut source = match (perm, pass1, self.opts.order) {
-            (Some(perm), Some(p1), _) => WindowSource::Replay(ReplayStream::new(stream, perm, p1)),
-            (None, None, Some(order)) => WindowSource::Reorder(ReorderStage::new(stream, order)),
-            _ => WindowSource::Direct(stream),
+        // A planned fill took the as-given baseline in pass 1; a
+        // single-pass fill takes it here, where cubes arrive.
+        let mut source = match (perm, pass1) {
+            (Some(perm), Some(p1)) => WindowSource::Replay(ReplayStream::new(stream, perm, p1)),
+            (None, Some(_)) => WindowSource::Direct(stream, None),
+            _ => WindowSource::arrivals(stream, self.opts.order, self.opts.collect_baseline),
         };
         let mut writer = PatternWriter::new(sink);
         let batch_windows = minipool::current_threads().max(1);
@@ -857,25 +919,27 @@ impl StreamingFill {
             // before the first window is read.
             s.charge(StreamPass::Emit, 0, plan_bytes)?;
         }
+        // Per pin, the last care value read so far (each pin's first
+        // care value before any): what the next window's X-runs copy.
+        let mut carry = plan.map_or_else(Vec::new, FillPlan::initial_carry);
         let mut header_written = false;
         let mut offset = 0usize;
         let mut windows = 0usize;
         let mut x_count = 0usize;
         let mut peak = 0usize;
         let mut objective_peak = 0u64;
-        let mut baseline_peak = 0usize;
         let mut resident_peak = 0usize;
         // The one-cube overlap: the previous window's frozen tail, for
         // stitching the boundary transition into the toggle metrics.
         let mut filled_tail: Option<PackedBits> = None;
-        let mut zero_tail: Option<PackedBits> = None;
 
         loop {
-            // Gather one batch of windows for the pool.
-            let mut batch: Vec<(usize, CubeSet)> = Vec::new();
+            // Gather one batch of windows for the pool, each with the
+            // carry into its first column.
+            let mut batch: Vec<(usize, CubeSet, Vec<u64>)> = Vec::new();
             while batch.len() < batch_windows {
                 let max = sizing.as_ref().map_or(1, |s| s.window);
-                let Some(set) = source.next_window(max, 0, windows + batch.len())? else {
+                let Some(set) = source.next_window(max, None, windows + batch.len())? else {
                     break;
                 };
                 if sizing.is_none() {
@@ -883,19 +947,24 @@ impl StreamingFill {
                 }
                 let off = offset;
                 offset += set.len();
-                if let Some((c1, w1)) = pass1 {
+                let mut window_carry = Vec::new();
+                if let (Some((c1, w1)), Some(plan)) = (pass1, plan) {
                     // A width change or a source that *grew* since the
                     // analysis pass must fail here, before any cube
-                    // beyond the plan's columns is "filled" (its X bits
-                    // would have no covering segment).
+                    // beyond the plan's columns is "filled"; a
+                    // same-shape content change fails on the digests.
                     if set.width() != w1 || offset > c1 {
                         return Err(StreamError::SourceChanged {
                             expected: (c1, w1),
                             found: (source.cubes_read(), set.width()),
                         });
                     }
+                    let window = windows + batch.len();
+                    window_carry = plan
+                        .admit(off, set.as_packed().cubes(), &mut carry)
+                        .ok_or(StreamError::ContentChanged { window })?;
                 }
-                batch.push((off, set));
+                batch.push((off, set, window_carry));
             }
             if batch.is_empty() {
                 break;
@@ -916,8 +985,10 @@ impl StreamingFill {
                 minipool::parallel_index_chunks(batch.len(), 1, |range| {
                     range
                         .map(|i| {
+                            let (off, set, carry) = &batch[i];
+                            let plan = plan.map(|p| (p, carry.as_slice()));
                             catch_unwind(AssertUnwindSafe(|| {
-                                self.fill_window(&batch[i].1, batch[i].0, plan, windows + i)
+                                self.fill_window(set, *off, plan, windows + i)
                             }))
                             .map_err(|payload| panic_message(payload.as_ref()))
                         })
@@ -930,7 +1001,7 @@ impl StreamingFill {
                 .into_iter()
                 .zip(&batch)
                 .enumerate()
-                .map(|(i, (outcome, (off, original)))| {
+                .map(|(i, (outcome, (off, original, _)))| {
                     outcome.map_err(|message| StreamError::WindowPanicked {
                         window: windows + i,
                         cubes: *off..*off + original.len(),
@@ -938,10 +1009,10 @@ impl StreamingFill {
                     })
                 })
                 .collect::<Result<Vec<CubeSet>, StreamError>>()?;
-            let batch_cubes: usize = batch.iter().map(|(_, set)| set.len()).sum();
+            let batch_cubes: usize = batch.iter().map(|(_, set, _)| set.len()).sum();
             resident_peak = resident_peak.max(2 * batch_cubes + 2 + source.peak_resident_cubes());
 
-            for (i, ((_, original), filled)) in batch.iter().zip(&filled).enumerate() {
+            for (i, ((_, original, _), filled)) in batch.iter().zip(&filled).enumerate() {
                 if !CubeSet::is_filling_of(filled, original) {
                     return Err(StreamError::ContentChanged {
                         window: windows + i,
@@ -979,18 +1050,6 @@ impl StreamingFill {
                     objective_peak = profile.into_iter().fold(objective_peak, u64::max);
                 }
                 filled_tail = Some(packed.cube(packed.len() - 1).clone());
-                if self.opts.collect_baseline {
-                    let mut zeroed = original.as_packed().clone();
-                    for cube in zeroed.cubes_mut() {
-                        cube.fill_x_with(Bit::Zero);
-                    }
-                    let stitch = zero_tail.as_ref().map_or(0, |t| t.hamming(zeroed.cube(0)));
-                    let profile = zeroed.toggle_profile();
-                    baseline_peak = profile
-                        .into_iter()
-                        .fold(baseline_peak.max(stitch), usize::max);
-                    zero_tail = Some(zeroed.cube(zeroed.len() - 1).clone());
-                }
                 writer.set(filled).map_err(StreamError::Write)?;
             }
             windows += batch.len();
@@ -1011,6 +1070,9 @@ impl StreamingFill {
         }
         writer.finish().map_err(StreamError::Write)?;
         let (width, window_cubes) = sizing.as_ref().map_or((0, 0), |s| (s.width, s.window));
+        let baseline_peak = planned
+            .as_ref()
+            .map_or_else(|| source.zero_fill_peak(), |o| o.baseline_peak);
         let (mut degradations, pass1_ns, solve_ns) = planned.map_or((Vec::new(), 0, 0), |o| {
             (o.degradations, o.pass1_ns, o.solve_ns)
         });
@@ -1027,7 +1089,7 @@ impl StreamingFill {
             } else {
                 peak as u64
             },
-            baseline_peak: self.opts.collect_baseline.then_some(baseline_peak),
+            baseline_peak,
             resident_peak_cubes: resident_peak,
             degradations,
             pass1_ns,
@@ -1036,17 +1098,17 @@ impl StreamingFill {
         })
     }
 
-    /// Fills one window. Planned fills splice the window slice of the
-    /// global plan; per-cube fills run directly (R-fill keyed by the
-    /// cube's **global** index, so windowing never changes its stream).
-    /// Runs inside a pooled task under `catch_unwind`: a panic here —
-    /// including the deliberate [`ChaosPlan`] one — is contained and
-    /// attributed to `win_idx`.
+    /// Fills one window. Planned fills run the global plan over the
+    /// window from the carry into its first column; per-cube fills run
+    /// directly (R-fill keyed by the cube's **global** index, so
+    /// windowing never changes its stream). Runs inside a pooled task
+    /// under `catch_unwind`: a panic here — including the deliberate
+    /// [`ChaosPlan`] one — is contained and attributed to `win_idx`.
     fn fill_window(
         &self,
         original: &CubeSet,
         offset: usize,
-        plan: Option<&FillPlan>,
+        plan: Option<(&FillPlan, &[u64])>,
         win_idx: usize,
     ) -> CubeSet {
         let _span = minitrace::span_with(
@@ -1057,28 +1119,17 @@ impl StreamingFill {
             panic!("chaos: injected panic in the fill worker of window {win_idx}");
         }
         match plan {
-            Some(plan) => {
+            Some((plan, carry)) => {
                 let mut matrix = PackedMatrix::from_packed_set(original.as_packed());
-                plan.apply_window(&mut matrix, offset);
-                debug_assert_eq!(matrix.x_count(), 0, "the plan covers every X");
+                plan.apply_window(&mut matrix, offset, carry);
+                debug_assert_eq!(matrix.x_count(), 0, "copy-left fills every X");
                 CubeSet::from_packed(matrix.to_packed_set())
             }
             None => match self.opts.fill {
                 FillMethod::Zero | FillMethod::One | FillMethod::Adj => {
                     self.opts.fill.fill(original)
                 }
-                FillMethod::Random(seed) => {
-                    let mut filled = original.clone();
-                    for (i, cube) in filled.packed_cubes_mut().iter_mut().enumerate() {
-                        // The exact per-cube stream of RandomFill, keyed
-                        // by the global cube index.
-                        let mut rng = StdRng::seed_from_u64(
-                            seed ^ ((offset + i) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        );
-                        cube.fill_x_from_words(|_| rng.next_u64());
-                    }
-                    filled
-                }
+                FillMethod::Random(seed) => RandomFill::new(seed).fill_from(original, offset),
                 _ => unreachable!("planned fills never reach the local arm"),
             },
         }
@@ -1088,7 +1139,7 @@ impl StreamingFill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpfill_cubes::format;
+    use dpfill_cubes::{format, Bit};
 
     fn run_windowed(text: &str, fill: FillMethod, window: WindowSpec) -> (Vec<u8>, StreamReport) {
         let opts = StreamOptions {

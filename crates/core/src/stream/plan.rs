@@ -1,39 +1,35 @@
 //! The resolved fill plan: every `X` of the input mapped to its value.
 //!
-//! After the analysis pass and the plan resolution (the global BCP
-//! solve for DP-fill, warm-started by the analyzer's online bound; the
-//! copy-left coloring `right − 1` for MT-fill) the whole fill is two
-//! row-major event lists:
+//! Every planned fill is "copy-left, then flip": each `X` takes the
+//! nearest care value to its left, and a transition stretch colored `j`
+//! flips its columns after `j` to its right value. The plan is each
+//! pin's first care value (what a leading `X`-run copies) and the
+//! solve's row-major [`IntervalSite`]s with their colors — none for
+//! MT-fill, which is copy-left with no flips.
 //!
-//! * pass 1's safe runs, as [`Segment`]s;
-//! * the solve's [`IntervalSite`]s, in the order the solve read them,
-//!   with their colors.
-//!
-//! [`FillPlan`] indexes both by pin row so the emit pass can splice any
-//! **window** of columns without the rest of the matrix being resident:
-//! a safe run overlapping the window is clipped to it, and the colored
-//! sites go through [`splice_colored`], the §V-D kernel the monolithic
+//! The emit pass carries each pin's last care value across windows, so
+//! [`FillPlan`] fills any **window** of columns through [`fill_row`],
+//! the row kernel
 //! [`MatrixMapping::apply_coloring`](crate::MatrixMapping::apply_coloring)
-//! runs on whole rows.
+//! runs on whole rows. The plan also holds pass 1's 64-bit digest of
+//! each cube, which pass 2 checks before filling a window.
 
-use dpfill_cubes::packed::PackedMatrix;
+use dpfill_cubes::packed::{PackedBits, PackedMatrix};
 
-use crate::mapping::{splice_colored, IntervalSite};
-
-use super::analyze::Segment;
+use crate::mapping::{fill_row, IntervalSite};
 
 /// A window-sliceable description of the complete fill.
 pub(crate) struct FillPlan {
-    /// Safe runs grouped by row; per row they are disjoint and ordered,
-    /// so both their starts and their ends are increasing.
-    runs: Vec<Segment>,
-    /// `runs[run_index[r]..run_index[r + 1]]` are row `r`'s safe runs.
-    run_index: Vec<usize>,
+    /// Bit `r` is pin `r`'s first care value (see
+    /// [`Analysis::first_values`](super::analyze::Analysis::first_values)).
+    first_values: Vec<u64>,
     /// Transition stretches in row-major order, and the color of each.
     sites: Vec<IntervalSite>,
     colors: Vec<u32>,
     /// `sites[site_index[r]..site_index[r + 1]]` are row `r`'s sites.
     site_index: Vec<usize>,
+    /// Pass 1's digest of each cube, in stream order.
+    digests: Vec<u64>,
 }
 
 /// `index[r]..index[r + 1]` is row `r`'s run in a row-grouped event
@@ -69,64 +65,100 @@ pub(super) fn group_by_row<T: Copy>(
     (grouped, index)
 }
 
+/// A 64-bit digest of one cube's plane words. Each step is a bijection
+/// of the running state for a fixed word, so cubes that differ in a
+/// single word always digest differently.
+pub(super) fn cube_digest(cube: &PackedBits) -> u64 {
+    const K: u64 = 0x517C_C1B7_2722_0A95;
+    let words = cube.care_words().iter().chain(cube.value_words());
+    words.fold(cube.len() as u64, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(K)
+    })
+}
+
 impl FillPlan {
-    /// Builds a plan from pass 1's safe runs (in discovery order) and
-    /// the row-major `sites` colored by `colors`.
+    /// Builds a plan from pass 1's per-pin first values, the row-major
+    /// `sites` colored by `colors`, and the per-cube `digests`.
     ///
     /// # Panics
     ///
     /// Panics if `colors` and `sites` differ in length.
     pub fn new(
         width: usize,
-        runs: Vec<Segment>,
+        first_values: Vec<u64>,
         sites: Vec<IntervalSite>,
         colors: Vec<u32>,
+        digests: Vec<u64>,
     ) -> FillPlan {
         assert_eq!(
             colors.len(),
             sites.len(),
             "coloring does not match interval count"
         );
-        let (runs, run_index) = group_by_row(runs, width, |s| s.row);
         let site_index = row_index(&sites, width, |s| s.row);
         FillPlan {
-            runs,
-            run_index,
+            first_values,
             sites,
             colors,
             site_index,
+            digests,
         }
     }
 
     /// Bytes held by the resolved plan — resident for the whole emit
-    /// pass, charged against the memory budget up front.
+    /// pass, charged against the memory budget up front: 20 B per site
+    /// (the site and its color), the row index, the first-value bits
+    /// and 8 B of digest per cube. Safe runs cost nothing.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.runs.len() * size_of::<Segment>()
-            + self.sites.len() * (size_of::<IntervalSite>() + size_of::<u32>())
-            + (self.run_index.len() + self.site_index.len()) * size_of::<usize>()) as u64
+        (self.sites.len() * (size_of::<IntervalSite>() + size_of::<u32>())
+            + self.site_index.len() * size_of::<usize>()
+            + (self.first_values.len() + self.digests.len()) * size_of::<u64>()) as u64
     }
 
-    /// Splices every safe run and colored site overlapping columns
-    /// `[start_col, start_col + matrix.cols())` into the window,
-    /// clipped. Rows are disjoint, so row chunks fan out over the
-    /// current [`minipool`] pool; per row the overlapping runs are a
+    /// The carry into the first window: each pin's first care value.
+    pub fn initial_carry(&self) -> Vec<u64> {
+        self.first_values.clone()
+    }
+
+    /// Admits the window `cubes`, read at stream offset `start`: checks
+    /// each against the digest pass 1 recorded there and folds it into
+    /// the per-pin `carry` (pins a cube specifies take its value, word by
+    /// word). Returns the carry into the window's first column, or
+    /// `None` when a cube is not the one pass 1 read.
+    pub fn admit(&self, start: usize, cubes: &[PackedBits], carry: &mut [u64]) -> Option<Vec<u64>> {
+        let digests = self.digests.get(start..start + cubes.len())?;
+        let into = carry.to_vec();
+        for (cube, &digest) in cubes.iter().zip(digests) {
+            if cube_digest(cube) != digest {
+                return None;
+            }
+            let planes = cube.care_words().iter().zip(cube.value_words());
+            for (c, (&care, &val)) in carry.iter_mut().zip(planes) {
+                *c = (*c & !care) | val;
+            }
+        }
+        Some(into)
+    }
+
+    /// Fills columns `[start_col, start_col + matrix.cols())` in place:
+    /// every row goes through [`fill_row`] with its bit of `carry` (the
+    /// pin's last care value before the window, or its first care value
+    /// before any). Rows are disjoint, so row chunks fan out over the
+    /// current [`minipool`] pool; per row the overlapping sites are a
     /// contiguous slice found by two binary searches.
-    pub fn apply_window(&self, matrix: &mut PackedMatrix, start_col: usize) {
-        let a = start_col;
-        let b = start_col + matrix.cols();
+    pub fn apply_window(&self, matrix: &mut PackedMatrix, start_col: usize, carry: &[u64]) {
         minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |row0, rows| {
             for (r, row) in (row0..).zip(rows.iter_mut()) {
-                let runs = &self.runs[self.run_index[r]..self.run_index[r + 1]];
-                let lo = runs.partition_point(|s| s.end as usize <= a);
-                let hi = runs.partition_point(|s| (s.start as usize) < b);
-                for s in &runs[lo..hi] {
-                    let s0 = (s.start as usize).max(a) - a;
-                    let s1 = (s.end as usize).min(b) - a;
-                    row.fill_range(s0, s1, s.value);
-                }
-                let sites = self.site_index[r]..self.site_index[r + 1];
-                splice_colored(row, a, &self.sites[sites.clone()], &self.colors[sites]);
+                let (lo, hi) = (self.site_index[r], self.site_index[r + 1]);
+                let bit = carry[r / 64] >> (r % 64) & 1 == 1;
+                fill_row(
+                    row,
+                    start_col,
+                    bit,
+                    &self.sites[lo..hi],
+                    &self.colors[lo..hi],
+                );
             }
         });
     }
@@ -152,14 +184,38 @@ mod tests {
         PackedMatrix::from_packed_set(&slice)
     }
 
-    /// Splices `cubes` window by window through a plan colored by
-    /// `color` and asserts the result equals the monolithic
-    /// `apply_coloring` of the same coloring, at every window size in
-    /// {1, 2, 3, 5}.
+    /// Fills `cubes` window by window through `plan`, carrying each
+    /// pin's last care value across windows of `size` cubes like the
+    /// emit pass does.
+    fn fill_windowed(cubes: &CubeSet, plan: &FillPlan, size: usize) -> CubeSet {
+        let mut carry = plan.initial_carry();
+        let mut out = PackedCubeSet::new(cubes.width());
+        for start in (0..cubes.len()).step_by(size) {
+            let end = (start + size).min(cubes.len());
+            let read = &cubes.as_packed().cubes()[start..end];
+            let into = plan.admit(start, read, &mut carry).expect("pass 1's cubes");
+            let mut m = window(cubes, start, end);
+            plan.apply_window(&mut m, start, &into);
+            for cube in m.to_packed_set().cubes() {
+                out.push(cube.clone());
+            }
+        }
+        CubeSet::from_packed(out)
+    }
+
+    /// Fills `cubes` window by window through a plan colored by `color`
+    /// and asserts the result equals the monolithic `apply_coloring` of
+    /// the same coloring, at every window size in {1, 2, 3, 5}.
     fn assert_windows_match_whole_set(cubes: &CubeSet, color: impl Fn(&IntervalSite) -> u32) {
         let mapping = MatrixMapping::analyze(cubes);
         let colors: Vec<u32> = mapping.sites().iter().map(&color).collect();
         let whole = mapping.apply_coloring(&coloring(colors.clone()));
+        let digests = cubes
+            .as_packed()
+            .cubes()
+            .iter()
+            .map(cube_digest)
+            .collect::<Vec<_>>();
         for size in [1, 2, 3, 5] {
             let mut analyzer = WindowedAnalyzer::with_weights(cubes.width(), None);
             for start in (0..cubes.len()).step_by(size) {
@@ -169,19 +225,12 @@ mod tests {
             assert_eq!(analysis.sites, mapping.sites(), "window {size}");
             let plan = FillPlan::new(
                 cubes.width(),
-                analysis.segments,
+                analysis.first_values,
                 analysis.sites,
                 colors.clone(),
+                digests.clone(),
             );
-            let mut out = PackedCubeSet::new(cubes.width());
-            for start in (0..cubes.len()).step_by(size) {
-                let mut m = window(cubes, start, (start + size).min(cubes.len()));
-                plan.apply_window(&mut m, start);
-                for cube in m.to_packed_set().cubes() {
-                    out.push(cube.clone());
-                }
-            }
-            assert_eq!(CubeSet::from_packed(out), whole, "window {size}");
+            assert_eq!(fill_windowed(cubes, &plan, size), whole, "window {size}");
         }
     }
 
@@ -191,26 +240,60 @@ mod tests {
         // of 2.
         let cubes = CubeSet::parse_rows(&["0", "X", "X", "X", "X", "0"]).unwrap();
         assert_windows_match_whole_set(&cubes, |s| s.left);
-        let plan = FillPlan::new(
-            1,
-            vec![Segment {
-                row: 0,
-                start: 1,
-                end: 5,
-                value: Bit::One,
-            }],
-            Vec::new(),
-            Vec::new(),
-        );
-        let mut out = Vec::new();
-        for start in (0..6).step_by(2) {
-            let mut m = window(&cubes, start, start + 2);
-            plan.apply_window(&mut m, start);
-            for c in m.to_packed_set().cubes() {
-                out.push(c.to_string());
-            }
-        }
-        assert_eq!(out, ["0", "1", "1", "1", "1", "0"]);
+        // The stretch 0 X X X X 1 colored 1 flips columns [2, 5) to one,
+        // clipped to each window of 2.
+        let cubes = CubeSet::parse_rows(&["0", "X", "X", "X", "X", "1"]).unwrap();
+        let site = IntervalSite {
+            row: 0,
+            left: 0,
+            right: 5,
+            left_value: Bit::Zero,
+        };
+        let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
+        let plan = FillPlan::new(1, vec![0], vec![site], vec![1], digests);
+        let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        assert_eq!(out, ["0", "0", "1", "1", "1", "1"]);
+    }
+
+    #[test]
+    fn safe_runs_copy_the_carried_care_value_across_windows() {
+        // Pin 0: a `1 X…X 1` run spanning three windows of 2; pin 1: a
+        // leading run (first care 0 at column 4) and a trailing run.
+        let cubes = CubeSet::parse_rows(&["1X", "XX", "XX", "XX", "X0", "1X"]).unwrap();
+        assert_windows_match_whole_set(&cubes, |s| s.left);
+        let analysis = {
+            let mut analyzer = WindowedAnalyzer::with_weights(2, None);
+            analyzer.ingest(&window(&cubes, 0, 6));
+            analyzer.finish()
+        };
+        assert!(analysis.sites.is_empty());
+        let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
+        let plan = FillPlan::new(2, analysis.first_values, Vec::new(), Vec::new(), digests);
+        let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
+            .iter()
+            .map(|c| c.to_string())
+            .collect();
+        assert_eq!(out, ["10", "10", "10", "10", "10", "10"]);
+    }
+
+    #[test]
+    fn digests_catch_a_same_shape_change() {
+        let cubes = CubeSet::parse_rows(&["00", "11"]).unwrap();
+        let changed = CubeSet::parse_rows(&["01", "10"]).unwrap();
+        let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
+        let plan = FillPlan::new(2, vec![0b10], Vec::new(), Vec::new(), digests);
+        let (read, other) = (cubes.as_packed().cubes(), changed.as_packed().cubes());
+        let mut carry = plan.initial_carry();
+        assert_eq!(plan.admit(0, read, &mut carry), Some(vec![0b10]));
+        assert_eq!(carry, [0b11], "both pins last read 1");
+        assert_eq!(plan.admit(1, &read[1..], &mut [0]), Some(vec![0]));
+        assert_eq!(plan.admit(0, &other[..1], &mut [0]), None);
+        assert_eq!(plan.admit(1, &other[1..], &mut [0]), None);
+        // Past the digested cubes nothing is admitted.
+        assert_eq!(plan.admit(2, &read[..1], &mut [0]), None);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use dpfill_cubes::CubeSet;
 use crate::ordering::{BandContext, BandedMethod, OrderingError};
 
 use super::budget::bytes_per_cube;
-use super::{panic_message, StreamError};
+use super::{panic_message, StreamError, ZeroFillPeak};
 
 /// A banded streaming ordering: which method, and how many windows the
 /// ring holds.
@@ -86,6 +86,8 @@ pub(crate) struct ReorderStage<R: Read> {
     dirty: bool,
     width: Option<usize>,
     peak_ring: usize,
+    /// The as-given 0-fill peak, taken as cubes arrive, when tracked.
+    pub(super) zero_peak: Option<ZeroFillPeak>,
 }
 
 impl<R: Read> ReorderStage<R> {
@@ -101,6 +103,7 @@ impl<R: Read> ReorderStage<R> {
             dirty: false,
             width: None,
             peak_ring: 0,
+            zero_peak: None,
         }
     }
 
@@ -120,6 +123,9 @@ impl<R: Read> ReorderStage<R> {
             match self.stream.next_window(capacity - self.ring.len())? {
                 Some(set) => {
                     self.width.get_or_insert(set.width());
+                    if let Some(z) = &mut self.zero_peak {
+                        z.observe(set.as_packed().cubes());
+                    }
                     for cube in set.as_packed().cubes() {
                         self.ring.push_back((self.read as u32, cube.clone()));
                         self.read += 1;

@@ -384,3 +384,35 @@ fn content_change_under_a_banded_order_fails_typed() {
         "expected ContentChanged, got {result:?}"
     );
 }
+
+#[test]
+fn content_change_that_overwrites_no_care_bit_fails_on_the_digest() {
+    // Pass 2's cubes are fully specified, so every fill of them is a
+    // filling: only pass 1's per-cube digests can see the change.
+    for order in [None, Some(BandedOrder::new(BandedMethod::Interleave))] {
+        for window in [1, 2] {
+            let mut calls = 0usize;
+            let mut out = Vec::new();
+            let result = StreamingFill::new(StreamOptions {
+                order,
+                ..opts(WindowSpec::Cubes(window), FillMethod::Dp)
+            })
+            .run(
+                || {
+                    calls += 1;
+                    Ok(if calls == 1 { "00\n11\n" } else { "01\n10\n" }.as_bytes())
+                },
+                &mut out,
+            );
+            match result {
+                Err(StreamError::ContentChanged { window: 0 }) => {}
+                other => panic!("order {order:?} window {window}: got {other:?}"),
+            }
+            assert!(
+                out.is_empty(),
+                "order {order:?} window {window}: emitted {:?}",
+                String::from_utf8_lossy(&out)
+            );
+        }
+    }
+}

@@ -11,43 +11,37 @@ use dpfill_core::fill::DpFill;
 use dpfill_core::mapping::MatrixMapping;
 use dpfill_core::Interval;
 use dpfill_cubes::gen::random_cube_set;
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
+use dpfill_cubes::packed::PackedCubeSet;
 use dpfill_cubes::stretch::{RowStretches, Stretch};
 use dpfill_cubes::{peak_toggles, Bit, CubeSet, PackedBits, TestCube};
 use proptest::prelude::*;
 
 /// The mapping outputs rebuilt from the scalar classifier: intervals and
-/// baseline in row-major order, and the prefilled matrix with every safe
-/// stretch spliced.
-fn reference_mapping(set: &CubeSet) -> (Vec<Interval>, Vec<u64>, PackedMatrix) {
+/// baseline in row-major order.
+fn reference_mapping(set: &CubeSet) -> (Vec<Interval>, Vec<u64>) {
     let cols = set.len();
     let scalar = set.to_pin_matrix();
-    let mut prefilled = PackedMatrix::from_packed_set(set.as_packed());
     let mut intervals = Vec::new();
     let mut baseline = vec![0u64; cols.saturating_sub(1)];
     for r in 0..scalar.rows() {
         for &s in RowStretches::analyze(scalar.row(r)).stretches() {
-            if s.splice_safe(prefilled.row_mut(r), cols) {
-                continue;
-            }
             match s {
                 Stretch::Transition { left, right, .. } => {
                     intervals.push(Interval::new(left as u32, (right - 1) as u32));
                 }
                 Stretch::ForcedToggle { col } => baseline[col] += 1,
-                _ => unreachable!("safe stretches handled by splice_safe"),
+                _ => {}
             }
         }
     }
-    (intervals, baseline, prefilled)
+    (intervals, baseline)
 }
 
 fn assert_mapping_matches_reference(set: &CubeSet) {
-    let (intervals, baseline, prefilled) = reference_mapping(set);
+    let (intervals, baseline) = reference_mapping(set);
     let mapping = MatrixMapping::analyze(set);
     assert_eq!(mapping.instance().intervals(), intervals.as_slice());
     assert_eq!(mapping.instance().baseline(), baseline.as_slice());
-    assert_eq!(mapping.prefilled(), &prefilled);
     // Downstream: the DP fill over the (possibly dense-scanned) mapping
     // still produces a legal filling with the optimal peak.
     if !set.is_empty() {
@@ -108,7 +102,6 @@ proptest! {
             let parallel = minipool::with_pool(&pool, || MatrixMapping::analyze(&set));
             prop_assert_eq!(parallel.instance(), serial.instance(), "threads {}", threads);
             prop_assert_eq!(parallel.sites(), serial.sites(), "threads {}", threads);
-            prop_assert_eq!(parallel.prefilled(), serial.prefilled(), "threads {}", threads);
         }
     }
 }
@@ -122,7 +115,6 @@ fn fully_specified_sets_take_the_word_wise_path() {
         assert_mapping_matches_reference(&set);
         let mapping = MatrixMapping::analyze(&set);
         assert!(mapping.instance().intervals().is_empty());
-        assert_eq!(mapping.prefilled().x_count(), 0);
         // The baseline equals the unfilled set's toggle profile (no X
         // means every toggle is forced).
         let profile = PackedCubeSet::from(&set).toggle_profile();

@@ -25,7 +25,6 @@ struct PipelineOutputs {
     intervals: Vec<Interval>,
     baseline: Vec<u64>,
     sites: Vec<IntervalSite>,
-    prefilled: PackedMatrix,
     stats: StretchStats,
     fills: Vec<(&'static str, CubeSet)>,
     dp_peak: u64,
@@ -71,7 +70,6 @@ fn pipeline_outputs(set: &CubeSet) -> PipelineOutputs {
         intervals: mapping.instance().intervals().to_vec(),
         baseline: mapping.instance().baseline().to_vec(),
         sites: mapping.sites().to_vec(),
-        prefilled: mapping.prefilled().clone(),
         stats,
         fills,
         dp_peak: report.peak,

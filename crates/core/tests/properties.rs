@@ -3,7 +3,6 @@
 
 use dpfill_core::bcp::BcpInstance;
 use dpfill_core::fill::{DpFill, DpMode, FillMethod, FillStrategy};
-use dpfill_core::mapping::MatrixMapping;
 use dpfill_core::ordering::{is_permutation, OrderingMethod};
 use dpfill_core::Interval;
 use dpfill_cubes::{peak_toggles, Bit, CubeSet, TestCube};
@@ -179,18 +178,5 @@ proptest! {
         ] {
             prop_assert!(is_permutation(&m.order(&cubes).unwrap(), cubes.len()));
         }
-    }
-
-    /// The matrix mapping preserves the X budget: prefilled X bits are
-    /// exactly the interval stretches.
-    #[test]
-    fn mapping_prefill_accounts_for_all_x(cubes in arb_cube_set(6, 6)) {
-        let mapping = MatrixMapping::analyze(&cubes);
-        let stretch_x: usize = mapping
-            .sites()
-            .iter()
-            .map(|s| (s.right - s.left - 1) as usize)
-            .sum();
-        prop_assert_eq!(mapping.prefilled().x_count(), stretch_x);
     }
 }

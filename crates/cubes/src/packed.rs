@@ -256,11 +256,9 @@ impl PackedBits {
     }
 
     /// First care bit at column `pos` or later, if any — the resumable
-    /// probe behind [`crate::stretch::scan_row_mut`]. Unlike
-    /// [`PackedBits::care_positions`] it holds no iterator state, so the
-    /// caller may interleave probes with plane writes at columns below
-    /// `pos` (mask splices of already-classified stretches) without
-    /// invalidating anything: each probe re-reads the planes from `pos`.
+    /// probe of the X-run scanner. Unlike [`PackedBits::care_positions`]
+    /// it holds no iterator state: each probe re-reads the planes from
+    /// `pos`.
     pub fn next_care_at_or_after(&self, pos: usize) -> Option<(usize, Bit)> {
         let mut w = pos / WORD;
         if w >= self.care.len() {
@@ -632,37 +630,32 @@ impl PackedBits {
         }
     }
 
-    /// MT/Adj-style run fill, entirely by mask splices: every `X` run
-    /// copies the care value to its left, a leading run copies the first
-    /// care value, and an all-`X` vector becomes all `default`.
+    /// Copy-left fill: every `X` takes the nearest care value to its
+    /// left, and a leading `X`-run takes `carry_in` (the value left of
+    /// column 0). Returns the filled value of the last column — the
+    /// carry into a continuation of this row — or `carry_in` when the
+    /// row is empty.
     ///
-    /// This reproduces MT-fill semantics bit-for-bit along a pin row,
-    /// and Adj-fill semantics along a cube.
-    pub fn fill_runs_copy_left(&mut self, default: Bit) {
-        let Some(first) = self.first_care() else {
-            self.fill_range(0, self.len, default);
-            return;
-        };
-        let first_value = self.get(first);
-        self.fill_range(0, first, first_value);
-        let mut prev: Option<(usize, Bit)> = None;
-        // Collect splices first: care_positions borrows self immutably.
-        let mut splices: Vec<(usize, usize, Bit)> = Vec::new();
-        for (pos, value) in self.care_positions() {
-            if let Some((p, pv)) = prev {
-                if pos > p + 1 {
-                    splices.push((p + 1, pos, pv));
-                }
-            }
-            prev = Some((pos, value));
+    /// Word-parallel: with `x` the live `X` positions of a word, `g`
+    /// marks each `X`-run whose left neighbour holds a 1 (the value
+    /// plane is zero at `X`), and `x + g` carries through exactly those
+    /// runs, clearing them — so `x & !(x + g)` is the set of `X`s to
+    /// fill with 1.
+    pub fn fill_copy_left(&mut self, carry_in: bool) -> bool {
+        let tail = tail_mask(self.len);
+        let n = self.care.len();
+        let mut carry = u64::from(carry_in);
+        for (w, (cw, vw)) in self.care.iter_mut().zip(self.val.iter_mut()).enumerate() {
+            let live = if w + 1 == n { tail } else { u64::MAX };
+            let x = !*cw & live;
+            let g = ((*vw << 1) | carry) & x;
+            *vw |= x & !x.wrapping_add(g);
+            *cw |= x;
+            carry = *vw >> 63;
         }
-        if let Some((p, pv)) = prev {
-            if p + 1 < self.len {
-                splices.push((p + 1, self.len, pv));
-            }
-        }
-        for (lo, hi, v) in splices {
-            self.fill_range(lo, hi, v);
+        match self.len {
+            0 => carry_in,
+            len => self.val[n - 1] >> ((len - 1) % WORD) & 1 == 1,
         }
     }
 }
@@ -1548,17 +1541,63 @@ mod tests {
     }
 
     #[test]
-    fn fill_runs_copy_left_matches_mt_semantics() {
+    fn fill_copy_left_matches_mt_semantics() {
+        // The carry is what the leading run copies: the first care value
+        // for MT/Adj semantics, zero for an all-X vector.
         let mut p = PackedBits::from_bits(&bits("XX0XX1XXX0XX"));
-        p.fill_runs_copy_left(Bit::Zero);
+        assert!(!p.fill_copy_left(false));
         assert_eq!(
             p.to_bits(),
             bits("000001111000"),
             "leading copies first care, runs copy left, trailing copies last"
         );
         let mut all_x = PackedBits::all_x(5);
-        all_x.fill_runs_copy_left(Bit::Zero);
+        assert!(!all_x.fill_copy_left(false));
         assert_eq!(all_x.to_bits(), bits("00000"));
+    }
+
+    #[test]
+    fn fill_copy_left_matches_a_per_bit_reference() {
+        let mut seed = 0xC0FF_EE00_D15C_0123u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for len in 0..=200usize {
+            for round in 0..6 {
+                // Rounds vary the X density, so long runs cross words.
+                let row: Vec<Bit> = (0..len)
+                    .map(|_| match next() % (2 + round * 3) {
+                        0 => Bit::Zero,
+                        1 => Bit::One,
+                        _ => Bit::X,
+                    })
+                    .collect();
+                for carry_in in [false, true] {
+                    let mut expect = row.clone();
+                    let mut last = Bit::from_bool(carry_in);
+                    for b in &mut expect {
+                        if b.is_care() {
+                            last = *b;
+                        } else {
+                            *b = last;
+                        }
+                    }
+                    let mut packed = PackedBits::from_bits(&row);
+                    let carry_out = packed.fill_copy_left(carry_in);
+                    assert_eq!(packed.to_bits(), expect, "len {len} round {round}");
+                    assert_eq!(
+                        carry_out,
+                        last == Bit::One,
+                        "len {len} round {round} carry {carry_in}"
+                    );
+                    // Canonical planes: derived equality stays structural.
+                    assert_eq!(packed, PackedBits::from_bits(&expect));
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! toggles*; they are not stretches but are reported here because the
 //! generalized solver needs them as baseline loads.
 //!
+//! Only transition stretches and forced toggles carry information past
+//! the scan: every other `X` takes the nearest care value (the
+//! copy-left fill, [`PackedBits::fill_copy_left`]) and never toggles, so
+//! the safe stretches are filled, not stored.
+//!
 //! Fig 2(c) of the paper plots the statistics of stretch lengths for
 //! different test-vector orderings; [`StretchStats`] reproduces those
 //! numbers.
@@ -67,34 +72,6 @@ pub enum Stretch {
 }
 
 impl Stretch {
-    /// Applies the *safe* fill for this stretch to a packed row as a
-    /// mask splice and returns `true`: leading/trailing runs copy the
-    /// nearest care value, `v X…X v` runs copy `v`, all-`X` rows become
-    /// zero. [`Stretch::Transition`] and [`Stretch::ForcedToggle`] are
-    /// *not* safe — the caller must handle them — and return `false`
-    /// untouched.
-    ///
-    /// Shared by the BCP matrix mapping and the XStat phase-1 fill so
-    /// the splice boundaries live in exactly one place.
-    pub fn splice_safe(&self, row: &mut PackedBits, cols: usize) -> bool {
-        match *self {
-            Stretch::AllX => row.fill_range(0, cols, Bit::Zero),
-            Stretch::Leading { first_care } => {
-                let v = row.get(first_care);
-                row.fill_range(0, first_care, v);
-            }
-            Stretch::Trailing { last_care } => {
-                let v = row.get(last_care);
-                row.fill_range(last_care + 1, cols, v);
-            }
-            Stretch::SameValue { left, right, value } => {
-                row.fill_range(left + 1, right, value);
-            }
-            Stretch::Transition { .. } | Stretch::ForcedToggle { .. } => return false,
-        }
-        true
-    }
-
     /// Number of `X` bits covered by this stretch (`0` for forced toggles).
     pub fn x_len(&self, row_len: usize) -> usize {
         match *self {
@@ -111,8 +88,9 @@ impl Stretch {
 
 /// The stretch emitted on arriving at care bit `(pos, value)` with
 /// `prev` the previous care bit (if any): the rule of the packed
-/// care-by-care scanners and of the streaming analyzer, which carries
-/// `prev` across windows. [`RowStretches::analyze`] keeps its own copy
+/// care-by-care scanners and of the windowed analyzer, which carries
+/// `prev` across windows (and stitches each dense window's first care
+/// bit with it). [`RowStretches::analyze`] keeps its own copy
 /// as the scalar reference those scanners are tested against.
 #[inline]
 pub fn classify_arrival(prev: Option<(usize, Bit)>, pos: usize, value: Bit) -> Option<Stretch> {
@@ -152,10 +130,9 @@ fn classify_end(prev: Option<(usize, Bit)>, n: usize) -> Option<Stretch> {
 /// Visits every classified feature of a packed row in left-to-right
 /// order without allocating — the `trailing_zeros` scanner of
 /// [`RowStretches::analyze_packed`] as a callback API. This is what the
-/// aggregation paths ([`StretchStats::of_packed`], the mapping's
-/// per-chunk interval extraction) run per row, so the scan stays off the
-/// allocator even when thousands of rows are in flight across the
-/// thread pool.
+/// aggregation paths ([`StretchStats::of_packed`]) run per row, so the
+/// scan stays off the allocator even when thousands of rows are in
+/// flight across the thread pool.
 pub fn for_each_stretch(row: &PackedBits, mut f: impl FnMut(Stretch)) {
     let mut prev: Option<(usize, Bit)> = None;
     for (pos, value) in row.care_positions() {
@@ -260,35 +237,6 @@ pub fn for_each_stretch_auto(row: &PackedBits, f: impl FnMut(Stretch)) {
         for_each_stretch_dense(row, f)
     } else {
         for_each_stretch(row, f)
-    }
-}
-
-/// Scans a packed row while letting the callback **mutate it**: `f`
-/// receives the row and each classified stretch, and may apply mask
-/// splices (e.g. [`Stretch::splice_safe`]) as the scan goes — the
-/// fused scan+splice used by the matrix mapping and the XStat phase-1
-/// fill, with no per-row `Vec<Stretch>` materialization.
-///
-/// The scan resumes from a plain column cursor via
-/// [`PackedBits::next_care_at_or_after`], re-reading the planes on every
-/// probe, so the callback may freely rewrite columns **to the left of
-/// the reported stretch's right edge** (for [`Stretch::Leading`], below
-/// `first_care`; for [`Stretch::SameValue`]/[`Stretch::Transition`],
-/// below `right`). [`Stretch::Trailing`] and [`Stretch::AllX`] end the
-/// scan, so those callbacks may write anywhere. Writing at or beyond the
-/// cursor would instead be observed by subsequent probes — don't.
-pub fn scan_row_mut(row: &mut PackedBits, mut f: impl FnMut(&mut PackedBits, Stretch)) {
-    let mut prev: Option<(usize, Bit)> = None;
-    let mut cursor = 0usize;
-    while let Some((pos, value)) = row.next_care_at_or_after(cursor) {
-        if let Some(s) = classify_arrival(prev, pos, value) {
-            f(row, s);
-        }
-        prev = Some((pos, value));
-        cursor = pos + 1;
-    }
-    if let Some(s) = classify_end(prev, row.len()) {
-        f(row, s);
     }
 }
 
@@ -792,47 +740,6 @@ mod tests {
                 "seed {seed}"
             );
         }
-    }
-
-    #[test]
-    fn scan_row_mut_fuses_scan_and_safe_splice() {
-        use crate::packed::PackedBits;
-        // Reference: analyze first, then splice — the pre-visitor order.
-        for seed in 0..10u64 {
-            let len = 50 + seed as usize * 23; // crosses word boundaries
-            let set = crate::gen::random_cube_set(1, len, 0.7, seed);
-            let m = set.to_pin_matrix();
-            let packed = PackedBits::from_bits(m.row(0));
-
-            let mut reference = packed.clone();
-            let mut ref_unsafe = Vec::new();
-            for &s in RowStretches::analyze_packed(&reference).stretches() {
-                if !s.splice_safe(&mut reference, len) {
-                    ref_unsafe.push(s);
-                }
-            }
-
-            let mut fused = packed.clone();
-            let mut fused_unsafe = Vec::new();
-            scan_row_mut(&mut fused, |row, s| {
-                if !s.splice_safe(row, len) {
-                    fused_unsafe.push(s);
-                }
-            });
-            assert_eq!(fused, reference, "seed {seed}");
-            assert_eq!(fused_unsafe, ref_unsafe, "seed {seed}");
-        }
-        // Degenerate rows.
-        let mut empty = PackedBits::all_x(0);
-        scan_row_mut(&mut empty, |_, _| panic!("no stretches in an empty row"));
-        let mut all_x = PackedBits::all_x(70);
-        let mut seen = Vec::new();
-        scan_row_mut(&mut all_x, |row, s| {
-            seen.push(s);
-            s.splice_safe(row, 70);
-        });
-        assert_eq!(seen, vec![Stretch::AllX]);
-        assert_eq!(all_x.x_count(), 0);
     }
 
     #[test]

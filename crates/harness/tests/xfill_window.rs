@@ -418,3 +418,48 @@ fn empty_input_is_rejected_in_streaming_mode() {
     assert!(out.is_empty());
     assert!(stderr.contains("no patterns"), "stderr: {stderr}");
 }
+
+/// The `"baseline_peak"` a run writes to `--stats-json`.
+fn stats_json_baseline(args: &[&str], input: &str, tag: &str) -> usize {
+    let path = std::env::temp_dir().join(format!(
+        "xfill-window-baseline-{}-{tag}.json",
+        std::process::id()
+    ));
+    let mut args = args.to_vec();
+    args.extend(["--stats-json", path.to_str().expect("utf-8 temp path")]);
+    let (_, stderr, ok) = run_xfill(&args, input);
+    assert!(ok, "{args:?} failed: {stderr}");
+    let text = std::fs::read_to_string(&path).expect("stats-json written");
+    let _ = std::fs::remove_file(&path);
+    text.split("\"baseline_peak\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no baseline_peak in {text}"))
+}
+
+#[test]
+fn streamed_as_given_baseline_is_the_input_order_peak() {
+    // "0-fill(as-given)" is the 0-fill peak of the input in arrival
+    // order in every mode: an ordered stream must not report the peak
+    // of its reordered output. 97 cubes: --window 10 --band 16 lets the
+    // ring swallow the whole set, --band 1 streams ten windows.
+    let cubes = dpfill_cubes::gen::random_cube_set(37, 97, 0.78, 5);
+    let input = dpfill_cubes::format::patterns_to_string(&cubes, None);
+    for order in ["interleave", "xstat"] {
+        let mono = stats_json_baseline(&["--fill", "dp", "--order", order], &input, order);
+        for band in ["16", "1"] {
+            let streamed = stats_json_baseline(
+                &[
+                    "--fill", "dp", "--order", order, "--window", "10", "--band", band,
+                ],
+                &input,
+                &format!("{order}-{band}"),
+            );
+            assert_eq!(
+                streamed, mono,
+                "--order {order} --band {band}: streamed baseline_peak differs"
+            );
+        }
+    }
+}
