@@ -459,6 +459,25 @@ impl Deadlines {
         !self.release_load.is_empty()
     }
 
+    /// Can every interval be placed with peak `peak` (per-color capacity
+    /// `peak − baseline_t`, or `peak` without a baseline)? One
+    /// deadline-sum sweep, O(C + k); monotone in `peak`. On weighted
+    /// buckets this is the fractional relaxation: preemptive EDF is
+    /// optimal for divisible jobs with release times and deadlines, and
+    /// the minimum feasible integral peak equals
+    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
+    /// (Gale–Hoffman on contiguous windows) — a true lower bound for
+    /// the integral weighted problem.
+    fn probe(&self, baseline: Option<&[u64]>, peak: u64) -> bool {
+        BCP_PROBES.add(1);
+        let capacity = |t: usize| baseline.map_or(peak, |b| peak.saturating_sub(b[t]));
+        if self.weighted() {
+            self.feasible(capacity, |r| self.release_load[r])
+        } else {
+            self.feasible(capacity, |_| 1)
+        }
+    }
+
     /// Can every load be placed within per-color capacity `capacity`,
     /// each color filling its earliest deadlines first? Loads are
     /// divisible (a color may take part of a deadline's sum), which is
@@ -556,6 +575,174 @@ impl Deadlines {
             // Everything still pending is due at the last color.
             _ => Err(c as u32 - 1),
         }
+    }
+}
+
+/// The cheap true lower bounds every certification starts from: the
+/// largest baseline and the global density `⌈(loads + Σ baseline) / C⌉`
+/// (`⌈loads / C⌉` without a baseline). Saturation undercounts, keeping
+/// the candidate a valid bound.
+fn density_floor(colors: usize, baseline: Option<&[u64]>, loads: u64) -> u64 {
+    let Some(baseline) = baseline else {
+        return loads.div_ceil(colors as u64);
+    };
+    let total = baseline.iter().fold(loads, |a, &b| a.saturating_add(b));
+    let max = baseline.iter().copied().max().unwrap_or(0);
+    max.max(total.div_ceil(colors as u64))
+}
+
+/// What overflows when a unit-load bound search leaves `u64`.
+const UNIT_BOUND_OVERFLOW: &str = "BCP lower bound (exceeds u64)";
+
+/// The minimum peak at or above `lo` that the monotone probe `feasible`
+/// accepts: galloping to an infeasible/feasible bracket, then k-ary
+/// narrowing with one probe per pool thread. The probe is monotone, so
+/// the result is deterministic at any thread count. With `lo` at most
+/// the true bound the result is that bound; with `lo` above it, `lo`.
+/// A gallop that reaches `u64::MAX` infeasible is
+/// [`BcpError::Overflow`] naming `what`.
+fn min_feasible_peak(
+    lo: u64,
+    what: &'static str,
+    feasible: impl Fn(u64) -> bool + Sync,
+) -> Result<u64, BcpError> {
+    if feasible(lo) {
+        // lo never exceeds the true bound, and the true bound is the
+        // minimum feasible peak — so feasibility at lo pins lo == bound.
+        return Ok(lo);
+    }
+    // Gallop to an infeasible/feasible bracket (bad, good].
+    let mut bad = lo;
+    let mut step = 1u64;
+    let mut good;
+    loop {
+        let p = bad.saturating_add(step);
+        if feasible(p) {
+            good = p;
+            break;
+        }
+        if p == u64::MAX {
+            return Err(BcpError::Overflow { what });
+        }
+        bad = p;
+        step = step.saturating_mul(2);
+    }
+    // Narrow with a panel of pivots, one probe per pool thread. The
+    // result is the minimum feasible peak regardless of panel width.
+    while good - bad > 1 {
+        let gap = good - bad - 1;
+        let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
+        let pivots: Vec<u64> = (1..=m)
+            .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
+            .collect();
+        let feas = minipool::parallel_indexed(pivots.len(), |i| feasible(pivots[i]));
+        match feas.iter().position(|&f| f) {
+            Some(j) => {
+                good = pivots[j];
+                if j > 0 {
+                    bad = pivots[j - 1];
+                }
+            }
+            None => bad = pivots[m as usize - 1],
+        }
+    }
+    Ok(good)
+}
+
+/// One chunk of intervals grouped by their end color: the intervals
+/// ending at color `e` start at `starts[by_end[e]..by_end[e + 1]]`
+/// (`by_end` has one entry per color plus one).
+pub(crate) struct EndGroups {
+    pub starts: Vec<u32>,
+    pub by_end: Vec<usize>,
+}
+
+/// The generalized unit-load lower bound of an interval multiset over a
+/// per-color baseline, without a [`BcpInstance`]: the same value
+/// [`BcpInstance::lower_bound`] certifies for the instance those
+/// intervals and that baseline would build (the bound depends only on
+/// the multiset), from the same engine. The I-ordering scores its
+/// candidate orders through it: one probe decides whether a candidate
+/// beats a value, and only a winner is certified.
+///
+/// The problem is indexed mirrored, color `t` as `C − 1 − t`. The
+/// candidate scan finds intervals in end order, which the mirror turns
+/// into the release order the EDF probe sweeps, so the index is built
+/// by sequential copies. A mirrored coloring is a coloring at the same
+/// peak, so feasibility, and the bound, are the same.
+pub(crate) struct UnitBound {
+    /// The baseline, mirrored.
+    baseline: Vec<u64>,
+    dl: Deadlines,
+}
+
+impl UnitBound {
+    /// Indexes the intervals of `chunks` (inclusive colors) over
+    /// `baseline`, one entry per color.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk's `by_end` does not cover the colors or an
+    /// interval starts past them.
+    pub(crate) fn new(chunks: &[EndGroups], mut baseline: Vec<u64>) -> UnitBound {
+        let c = baseline.len();
+        baseline.reverse();
+        let last = c.saturating_sub(1) as u32;
+        let mut release_off = Vec::with_capacity(c + 1);
+        let mut release_end = Vec::with_capacity(chunks.iter().map(|g| g.starts.len()).sum());
+        release_off.push(0);
+        for e in (0..c).rev() {
+            for g in chunks {
+                let group = &g.starts[g.by_end[e]..g.by_end[e + 1]];
+                release_end.extend(group.iter().map(|&start| last - start));
+            }
+            release_off.push(release_end.len());
+        }
+        let dl = Deadlines {
+            release_off,
+            release_end,
+            release_load: Vec::new(),
+            release_slot: Vec::new(),
+            deadline_off: Vec::new(),
+            slot_interval: Vec::new(),
+        };
+        UnitBound { baseline, dl }
+    }
+
+    /// Is the bound at most `peak`? One EDF probe, which places the
+    /// intervals only: a peak below the largest baseline is infeasible
+    /// before any is placed.
+    pub(crate) fn feasible(&self, peak: u64) -> bool {
+        self.baseline.iter().all(|&b| b <= peak) && self.dl.probe(Some(&self.baseline), peak)
+    }
+
+    /// `max(floor, bound)`: the bound itself for any `floor` at or
+    /// below it, certified like [`BcpInstance::lower_bound`] from the
+    /// ladder, the density candidates and `floor`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
+    pub(crate) fn certify(&self, floor: u64) -> Result<u64, BcpError> {
+        let c = self.baseline.len();
+        if c == 0 {
+            return Ok(floor);
+        }
+        let (off, ends) = (&self.dl.release_off, &self.dl.release_end);
+        let mut ladder = IncrementalBound::new();
+        for t in 0..c {
+            for &end in &ends[off[t]..off[t + 1]] {
+                ladder.add_load(t, end as usize, 1);
+            }
+        }
+        for (t, &b) in self.baseline.iter().enumerate() {
+            ladder.add_baseline(t, b);
+        }
+        let baseline = Some(self.baseline.as_slice());
+        let lo = floor
+            .max(ladder.current())
+            .max(density_floor(c, baseline, ends.len() as u64));
+        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, |p| self.dl.probe(baseline, p))
     }
 }
 
@@ -789,31 +976,6 @@ impl BcpInstance {
         self.certified_bound(&Deadlines::new(self, weighted, false), true, None)
     }
 
-    /// Can every interval be placed with peak `peak` (per-color capacity
-    /// `peak − baseline_t` when `with_baseline`, else `peak`)? One
-    /// deadline-sum sweep, O(C + k); monotone in `peak`. On weighted
-    /// buckets this is the fractional relaxation: preemptive EDF is
-    /// optimal for divisible jobs with release times and deadlines, and
-    /// the minimum feasible integral peak equals
-    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
-    /// (Gale–Hoffman on contiguous windows) — a true lower bound for
-    /// the integral weighted problem.
-    fn probe_feasible(&self, dl: &Deadlines, peak: u64, with_baseline: bool) -> bool {
-        BCP_PROBES.add(1);
-        let capacity = |t: usize| {
-            if with_baseline {
-                peak.saturating_sub(self.baseline[t])
-            } else {
-                peak
-            }
-        };
-        if dl.weighted() {
-            dl.feasible(capacity, |r| dl.release_load[r])
-        } else {
-            dl.feasible(capacity, |_| 1)
-        }
-    }
-
     /// Weighted integral feasibility probe: one blocking-EDF sweep
     /// ([`Deadlines::sweep`]). Success certifies an achievable peak;
     /// failure does **not** certify infeasibility (weighted bottleneck
@@ -850,14 +1012,13 @@ impl BcpInstance {
     /// The parametric lower-bound engine: start from the best cheap
     /// candidate (the ladder — or for unit loads `warm` instead of it —
     /// plus the max-baseline and global-density candidates, all true
-    /// lower bounds), then find the minimum feasible peak by galloping
-    /// and k-ary narrowing with one probe per pool thread. That minimum
-    /// *is* the windowed bound: below it some window is overfull
-    /// (pigeonhole), at it EDF succeeds (Hall). The probe is monotone,
-    /// so the result is deterministic at any thread count. On weighted
-    /// buckets it is the fractional bound; warm candidates stay valid
-    /// there because loads are ≥ 1, so any unit-load bound is below the
-    /// weighted bound. Weighted bounds are always baseline-aware.
+    /// lower bounds), then find the minimum feasible peak by
+    /// [`min_feasible_peak`]. That minimum *is* the windowed bound:
+    /// below it some window is overfull (pigeonhole), at it EDF succeeds
+    /// (Hall). On weighted buckets it is the fractional bound; warm
+    /// candidates stay valid there because loads are ≥ 1, so any
+    /// unit-load bound is below the weighted bound. Weighted bounds are
+    /// always baseline-aware.
     fn certified_bound(
         &self,
         dl: &Deadlines,
@@ -869,7 +1030,7 @@ impl BcpInstance {
             return Ok(0);
         }
         let weighted = dl.weighted();
-        let (mut lo, loads) = if weighted {
+        let (lo, loads) = if weighted {
             let ladder = self.ladder_best(|i| self.interval_load(i), true);
             let total = (0..self.intervals.len())
                 .map(|i| self.interval_load(i))
@@ -879,66 +1040,14 @@ impl BcpInstance {
             let lo = warm.unwrap_or_else(|| self.ladder_best(|_| 1, with_baseline));
             (lo, self.intervals.len() as u64)
         };
-        if with_baseline {
-            lo = lo.max(self.baseline.iter().copied().max().unwrap_or(0));
-            // Saturation undercounts, keeping the candidate a valid bound.
-            let total = self
-                .baseline
-                .iter()
-                .fold(loads, |a, &b| a.saturating_add(b));
-            lo = lo.max(total.div_ceil(c as u64));
+        let baseline = with_baseline.then_some(self.baseline.as_slice());
+        let what = if weighted {
+            "weighted BCP lower bound (exceeds u64)"
         } else {
-            lo = lo.max(loads.div_ceil(c as u64));
-        }
-        if self.probe_feasible(dl, lo, with_baseline) {
-            // lo never exceeds the true bound, and the true bound is the
-            // minimum feasible peak — so feasibility at lo pins lo == bound.
-            return Ok(lo);
-        }
-        // Gallop to an infeasible/feasible bracket (bad, good].
-        let mut bad = lo;
-        let mut step = 1u64;
-        let mut good;
-        loop {
-            let p = bad.saturating_add(step);
-            if self.probe_feasible(dl, p, with_baseline) {
-                good = p;
-                break;
-            }
-            if p == u64::MAX {
-                return Err(BcpError::Overflow {
-                    what: if weighted {
-                        "weighted BCP lower bound (exceeds u64)"
-                    } else {
-                        "BCP lower bound (exceeds u64)"
-                    },
-                });
-            }
-            bad = p;
-            step = step.saturating_mul(2);
-        }
-        // Narrow with a panel of pivots, one probe per pool thread. The
-        // result is the minimum feasible peak regardless of panel width.
-        while good - bad > 1 {
-            let gap = good - bad - 1;
-            let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
-            let pivots: Vec<u64> = (1..=m)
-                .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
-                .collect();
-            let feas = minipool::parallel_indexed(pivots.len(), |i| {
-                self.probe_feasible(dl, pivots[i], with_baseline)
-            });
-            match feas.iter().position(|&f| f) {
-                Some(j) => {
-                    good = pivots[j];
-                    if j > 0 {
-                        bad = pivots[j - 1];
-                    }
-                }
-                None => bad = pivots[m as usize - 1],
-            }
-        }
-        Ok(good)
+            UNIT_BOUND_OVERFLOW
+        };
+        let lo = lo.max(density_floor(c, baseline, loads));
+        min_feasible_peak(lo, what, |p| dl.probe(baseline, p))
     }
 
     /// The smallest blocking-EDF-feasible peak at or above the weighted
@@ -1665,6 +1774,55 @@ mod tests {
             inst.ladder_best(load, true),
             ladder_per_level(&inst, load, true)
         );
+    }
+
+    #[test]
+    fn unit_bound_decides_and_certifies_the_instance_bound() {
+        let mut seed = 0xB0D5u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x14057B7EF767814F);
+            (seed >> 33) % m
+        };
+        for c in [1usize, 2, 3, 7, 64, 65, 300] {
+            for (k, max_base) in [(0u64, 0u64), (0, 5), (40, 0), (90, 4), (400, 9)] {
+                let mut inst = BcpInstance::new(c);
+                // Two chunks grouped by end, as the candidate scan hands
+                // them over.
+                let mut chunks = vec![Vec::new(), Vec::new()];
+                for i in 0..k {
+                    let s = next(c as u64) as u32;
+                    let e = s + next(c as u64 - u64::from(s)) as u32;
+                    inst.add_interval(Interval::new(s, e)).unwrap();
+                    chunks[i as usize % 2].push((s, e));
+                }
+                let baseline: Vec<u64> = (0..c).map(|_| next(max_base + 1)).collect();
+                inst.set_baseline(baseline.clone()).unwrap();
+                let groups: Vec<EndGroups> = chunks
+                    .into_iter()
+                    .map(|mut pairs: Vec<(u32, u32)>| {
+                        pairs.sort_by_key(|&(_, e)| e);
+                        let mut by_end = vec![0; c + 1];
+                        for &(_, e) in &pairs {
+                            by_end[e as usize + 1] += 1;
+                        }
+                        for t in 0..c {
+                            by_end[t + 1] += by_end[t];
+                        }
+                        let starts = pairs.iter().map(|&(s, _)| s).collect();
+                        EndGroups { starts, by_end }
+                    })
+                    .collect();
+                let bound = UnitBound::new(&groups, baseline);
+                let lb = inst.lower_bound().unwrap();
+                assert_eq!(bound.certify(0).unwrap(), lb, "c {c} k {k}");
+                assert_eq!(bound.certify(lb + 3).unwrap(), lb + 3, "c {c} k {k}");
+                for p in lb.saturating_sub(3)..=lb + 1 {
+                    assert_eq!(bound.feasible(p), p >= lb, "c {c} k {k} peak {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -157,39 +157,6 @@ impl MatrixMapping {
         Self::analyze_packed_with(PackedMatrix::from_packed_set(cubes.as_packed()), objective)
     }
 
-    /// Analyzes `cubes` *as seen through* the permutation `order`
-    /// without materializing a reordered set: the gather happens inside
-    /// the word-blocked transpose. This is the candidate-evaluation
-    /// kernel of the I-ordering's Algorithm 3 loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index in `order` is out of range.
-    pub fn analyze_reordered(cubes: &CubeSet, order: &[usize]) -> MatrixMapping {
-        Self::analyze_packed(PackedMatrix::from_reordered_set(cubes.as_packed(), order))
-    }
-
-    /// [`MatrixMapping::analyze_reordered`] under a [`FillObjective`]
-    /// (see [`MatrixMapping::analyze_with`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`MatrixMapping::analyze_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index in `order` is out of range.
-    pub fn analyze_reordered_with(
-        cubes: &CubeSet,
-        order: &[usize],
-        objective: &FillObjective,
-    ) -> Result<MatrixMapping, ObjectiveError> {
-        Self::analyze_packed_with(
-            PackedMatrix::from_reordered_set(cubes.as_packed(), order),
-            objective,
-        )
-    }
-
     /// Analyzes an already-transposed scalar matrix.
     pub fn analyze_matrix(matrix: PinMatrix) -> MatrixMapping {
         Self::analyze_packed(PackedMatrix::from_pin_matrix(&matrix))
@@ -423,12 +390,15 @@ mod tests {
 
     #[test]
     fn reordered_analysis_matches_materialized_reorder() {
+        // The I-ordering scores a candidate order by scanning the cubes
+        // in that order; its bound is the mapping's of the reordered set.
         let cubes = set(&["0X1X0", "1XX00", "X01XX", "0XXX1", "10X0X", "XX10X"]);
         let order = [2, 0, 3, 5, 1, 4];
-        let direct = MatrixMapping::analyze_reordered(&cubes, &order);
         let via_set = MatrixMapping::analyze(&cubes.reordered(&order).unwrap());
-        assert_eq!(direct.instance(), via_set.instance());
-        assert_eq!(direct.sites(), via_set.sites());
+        assert_eq!(
+            crate::ordering::IOrdering::bottleneck(&cubes, &order).unwrap(),
+            via_set.instance().lower_bound().unwrap()
+        );
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! * the **tail** — the last cube already frozen into the output order,
 //!   so the first ring cube can be chosen *relative* to it;
 //! * the **warm lower bound** — the frozen prefix's contribution to the
-//!   optimal peak, maintained online by the analyzer's
+//!   optimal peak in unit toggles, maintained online by the analyzer's
 //!   [`IncrementalBound`](crate::bcp::IncrementalBound) ladder, which
 //!   lets the banded I-ordering's exit rule account for loads it can no
 //!   longer see.
+//!
+//! The banded I-ordering scores a ring candidate like the global one:
+//! one cube-major scan of the packed cubes in candidate order, then
+//! feasibility probes on the bound problem (see
+//! [`IOrdering::bottleneck`]).
 //!
 //! When there is **no** tail (the ring holds the entire input), both
 //! banded orderings delegate to their global counterparts verbatim, so
@@ -24,7 +29,8 @@
 use dpfill_cubes::packed::{PackedBits, PackedCubeSet};
 use dpfill_cubes::CubeSet;
 
-use super::interleave::bottleneck_value;
+use super::interleave::sorted_by_x_count;
+use super::search::{scan, search};
 use super::xstat::complete_permutation;
 use super::{IOrdering, OrderingError, OrderingStrategy, PackedCubes, XStatOrdering};
 
@@ -35,9 +41,10 @@ pub struct BandContext<'a> {
     /// `None` means nothing has been forwarded yet — the ring is the
     /// whole set seen so far.
     pub tail: Option<&'a PackedBits>,
-    /// Lower bound on the optimal peak contributed by the frozen
-    /// prefix (the analyzer's incremental ladder). Candidate ring
-    /// orders cannot beat it, so the I-ordering's exit rule compares
+    /// Lower bound on the optimal unit peak (toggles, under any
+    /// objective) contributed by the frozen prefix: the analyzer's
+    /// unit-load incremental ladder. Candidate ring orders cannot beat
+    /// it, so the I-ordering's exit rule compares
     /// `max(warm_lb, local bottleneck)` per candidate.
     pub warm_lb: u64,
 }
@@ -126,6 +133,13 @@ fn extend_with_tail(ring: &CubeSet, tail: &PackedBits) -> CubeSet {
 /// as soon as the combined bound stops improving (once the frozen
 /// prefix dominates, no ring order can help and the search exits at the
 /// first candidate).
+///
+/// Candidates are decided, not certified. Under `warm_lb > 0` the first
+/// candidate costs one probe at `warm_lb`: when its bottleneck is at
+/// most `warm_lb` its value is `warm_lb` and no later candidate can
+/// beat it. Every later candidate costs one probe against the best
+/// value so far, and only a winner is certified. The order is the one a
+/// search certifying every candidate picks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BandedIOrdering {
     max_k: Option<usize>,
@@ -163,50 +177,27 @@ impl BandedOrdering for BandedIOrdering {
             return global.order(ring);
         };
         let n = ring.len();
+        let _span = minitrace::span_with(
+            "ordering.order",
+            &[("cubes", n.into()), ("warm_lb", ctx.warm_lb.into())],
+        );
         if n <= 1 {
             return Ok((0..n).collect());
         }
         let ext = extend_with_tail(ring, tail);
-
-        // T' over the ring: ascending don't-care count, stable by index.
-        let x_counts = ring.x_counts();
-        let mut sorted: Vec<usize> = (0..n).collect();
-        sorted.sort_by_key(|&i| (x_counts[i], i));
-
-        let mut best: Option<(u64, Vec<usize>)> = None;
+        let sorted = sorted_by_x_count(ring);
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1).max(1);
-        // Same speculative-pair scheme as the global search: candidates
-        // are pure, the exit rule replays in k order, so the chosen
-        // order is bit-identical at any thread count.
-        let batch = minipool::current_threads().clamp(1, 2);
-        let mut k = 1usize;
-        'search: while k <= k_cap {
-            let hi = k.saturating_add(batch - 1).min(k_cap);
-            let ks: Vec<usize> = (k..=hi).collect();
-            let sorted_ref = &sorted;
-            let ext_ref = &ext;
-            let evals = minipool::parallel_indexed(ks.len(), |i| {
-                let ring_order = IOrdering::schedule_for_k(sorted_ref, ks[i]);
-                // Extended candidate: the tail stays first, ring cubes
-                // shift by one.
-                let mut candidate = Vec::with_capacity(n + 1);
-                candidate.push(0usize);
-                candidate.extend(ring_order.iter().map(|&i| i + 1));
-                let value = bottleneck_value(ext_ref, &candidate);
-                (ring_order, value)
-            });
-            for (ring_order, value) in evals {
-                let value = value?.max(ctx.warm_lb);
-                match &best {
-                    Some((b, _)) if value >= *b => break 'search,
-                    _ => best = Some((value, ring_order)),
-                }
-            }
-            k = hi + 1;
-        }
-        Ok(best
-            .map(|(_, order)| order)
-            .unwrap_or_else(|| (0..n).collect()))
+        let trace = search(k_cap, ctx.warm_lb, false, n + 1, |k| {
+            let ring_order = IOrdering::schedule_for_k(&sorted, k);
+            // Extended candidate: the tail stays first, ring cubes shift
+            // by one.
+            let candidate: Vec<usize> = std::iter::once(0)
+                .chain(ring_order.iter().map(|&i| i + 1))
+                .collect();
+            let bound = scan(&ext, &candidate)?;
+            Ok((ring_order, bound))
+        })?;
+        Ok(trace.order)
     }
 }
 

@@ -1,7 +1,6 @@
 use dpfill_cubes::CubeSet;
 
-use crate::mapping::MatrixMapping;
-
+use super::search::{scan, search};
 use super::{OrderingError, OrderingStrategy};
 
 /// The paper's I-ordering (Algorithm 3): interleaved test-vector
@@ -18,7 +17,11 @@ use super::{OrderingError, OrderingStrategy};
 /// `k` starts at 1 and grows while the bottleneck value (the optimal
 /// DP-fill peak of the candidate order, computed with Algorithms 1+2)
 /// keeps improving — the paper observes O(log n) growth steps
-/// (Fig 2(a)/(b)), which [`IOrderingTrace`] lets you reproduce.
+/// (Fig 2(a)/(b)), which [`IOrderingTrace`] lets you reproduce. A
+/// candidate is scored by one cube-major scan of the packed cubes in its
+/// order ([`IOrdering::bottleneck`]); [`OrderingStrategy::order`] then
+/// decides each later candidate with one feasibility probe against the
+/// best value and certifies only winners.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IOrdering {
     max_k: Option<usize>,
@@ -84,14 +87,36 @@ impl IOrdering {
         order
     }
 
-    /// Runs Algorithm 3, returning the full trace.
+    /// The optimal bottleneck (DP-fill peak) of `cubes` under `order` —
+    /// Algorithm 3's candidate value and the y-axis of Fig 2(a). The
+    /// cubes are read in `order` straight from their packed planes: no
+    /// reordered set, no transpose and no interval sites are built.
+    ///
+    /// # Errors
+    ///
+    /// [`OrderingError::MalformedSchedule`] when `order` is not a
+    /// permutation of the cubes; [`OrderingError::Bound`] when the bound
+    /// overflows the load model (absurd inputs only).
+    pub fn bottleneck(cubes: &CubeSet, order: &[usize]) -> Result<u64, OrderingError> {
+        Ok(scan(cubes, order)?.certify(0)?)
+    }
+
+    /// Runs Algorithm 3, certifying every candidate's value, and returns
+    /// the full trace.
     ///
     /// # Errors
     ///
     /// [`OrderingError::Bound`] when a candidate's bottleneck evaluation
     /// overflows the load model (absurd inputs only).
     pub fn order_with_trace(&self, cubes: &CubeSet) -> Result<IOrderingTrace, OrderingError> {
+        self.run(cubes, true)
+    }
+
+    /// Algorithm 3 over the whole set; `certify_all` as in
+    /// [`search`]. Traced as an `ordering.order` span.
+    fn run(&self, cubes: &CubeSet, certify_all: bool) -> Result<IOrderingTrace, OrderingError> {
         let n = cubes.len();
+        let _span = minitrace::span_with("ordering.order", &[("cubes", n.into())]);
         if n <= 2 {
             return Ok(IOrderingTrace {
                 k_values: Vec::new(),
@@ -100,88 +125,28 @@ impl IOrdering {
                 order: (0..n).collect(),
             });
         }
-        // T': ascending don't-care count, stable by index.
-        let x_counts = cubes.x_counts();
-        let mut sorted: Vec<usize> = (0..n).collect();
-        sorted.sort_by_key(|&i| (x_counts[i], i));
-
-        let mut k_values = Vec::new();
-        let mut bottlenecks = Vec::new();
-        let mut best: Option<(u64, usize, Vec<usize>)> = None;
+        let sorted = sorted_by_x_count(cubes);
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1);
-        // Speculative pairs: on a multi-thread pool two candidate
-        // factors are scored concurrently (each candidate's bottleneck
-        // is a full analyze, itself fanned out across the same pool),
-        // then the paper's exit rule is replayed over the pair **in k
-        // order**. Evaluations past the stopping k are discarded, so
-        // the trace, the chosen k and the order are bit-identical to
-        // the serial loop; a 1-thread pool degenerates to exactly that
-        // loop. The batch is capped at 2 — the exit rule typically
-        // fires at small k, so wider speculation would mostly burn
-        // full-matrix analyses that get thrown away.
-        let batch = minipool::current_threads().clamp(1, 2);
-        let mut k = 1usize;
-        'search: while k <= k_cap {
-            let hi = k.saturating_add(batch - 1).min(k_cap);
-            let ks: Vec<usize> = (k..=hi).collect();
-            let sorted_ref = &sorted;
-            let evals = minipool::parallel_indexed(ks.len(), |i| {
-                let candidate = Self::schedule_for_k(sorted_ref, ks[i]);
-                let value = bottleneck_value(cubes, &candidate);
-                (candidate, value)
-            });
-            for (i, (candidate, value)) in evals.into_iter().enumerate() {
-                // A speculative evaluation past a failing one is
-                // discarded unseen: errors propagate in k order, exactly
-                // like the serial loop.
-                let value = value?;
-                k_values.push(ks[i]);
-                bottlenecks.push(value);
-                match &best {
-                    Some((b, _, _)) if value >= *b => {
-                        // Paper's exit rule: stop as soon as k stops
-                        // helping.
-                        break 'search;
-                    }
-                    _ => best = Some((value, ks[i], candidate)),
-                }
-            }
-            k = hi + 1;
+        // Each candidate's scan fans its pin words out over the pool, so
+        // candidates run one after another in k order.
+        let mut trace = search(k_cap, 0, certify_all, n, |k| {
+            let candidate = Self::schedule_for_k(&sorted, k);
+            let bound = scan(cubes, &candidate)?;
+            Ok((candidate, bound))
+        })?;
+        if trace.chosen_k == 0 {
+            trace.order = (0..n).collect();
         }
-        let (_, chosen_k, order) = best.unwrap_or_else(|| (0, 0, (0..n).collect()));
-        Ok(IOrderingTrace {
-            k_values,
-            bottleneck_values: bottlenecks,
-            chosen_k,
-            order,
-        })
+        Ok(trace)
     }
 }
 
-/// The optimal bottleneck (DP-fill peak) of `cubes` under `order` — the
-/// candidate-evaluation step of Algorithm 3 and the y-axis of Fig 2(a).
-///
-/// Walks the packed rows natively: the permutation is gathered inside
-/// the word-blocked transpose ([`MatrixMapping::analyze_reordered`]), so
-/// no reordered cube set is ever materialized per candidate `k`.
-pub(crate) fn bottleneck_value(cubes: &CubeSet, order: &[usize]) -> Result<u64, OrderingError> {
-    // The gather-transpose would silently duplicate/drop cubes on a
-    // malformed schedule, so keep the permutation check the old
-    // `reordered(...).expect(...)` path provided — always on, since the
-    // O(n) scan is negligible next to the O(n·w) analysis it guards. It
-    // used to be an `assert!`, which a pooled streaming worker reported
-    // as an opaque `WindowPanicked`; both it and the bound overflow
-    // below are typed errors now.
-    if !crate::ordering::is_permutation(order, cubes.len()) {
-        return Err(OrderingError::MalformedSchedule {
-            len: order.len(),
-            expected: cubes.len(),
-        });
-    }
-    MatrixMapping::analyze_reordered(cubes, order)
-        .instance()
-        .lower_bound()
-        .map_err(OrderingError::from)
+/// `T'`: cube indices by ascending don't-care count, stable by index.
+pub(super) fn sorted_by_x_count(cubes: &CubeSet) -> Vec<usize> {
+    let x_counts = cubes.x_counts();
+    let mut sorted: Vec<usize> = (0..cubes.len()).collect();
+    sorted.sort_by_key(|&i| (x_counts[i], i));
+    sorted
 }
 
 impl OrderingStrategy for IOrdering {
@@ -189,8 +154,12 @@ impl OrderingStrategy for IOrdering {
         "I-order"
     }
 
+    /// Algorithm 3 deciding instead of certifying: a candidate after the
+    /// first costs one probe against the best value, and only a winner
+    /// is certified. The order equals
+    /// [`IOrdering::order_with_trace`]'s.
     fn order(&self, cubes: &CubeSet) -> Result<Vec<usize>, OrderingError> {
-        Ok(self.order_with_trace(cubes)?.order)
+        Ok(self.run(cubes, false)?.order)
     }
 }
 
@@ -289,7 +258,7 @@ mod tests {
         // worker surfaced as an opaque `WindowPanicked`.
         let cubes = CubeSet::parse_rows(&["0X", "1X", "XX"]).unwrap();
         for bad in [&[0usize, 1][..], &[0, 1, 1], &[0, 1, 3]] {
-            let err = bottleneck_value(&cubes, bad).unwrap_err();
+            let err = IOrdering::bottleneck(&cubes, bad).unwrap_err();
             match err {
                 crate::ordering::OrderingError::MalformedSchedule { len, expected } => {
                     assert_eq!(len, bad.len());
@@ -300,6 +269,6 @@ mod tests {
             assert!(err.to_string().contains("not a permutation"), "{err}");
         }
         // A well-formed schedule still evaluates.
-        assert!(bottleneck_value(&cubes, &[2, 0, 1]).is_ok());
+        assert!(IOrdering::bottleneck(&cubes, &[2, 0, 1]).is_ok());
     }
 }

@@ -14,6 +14,7 @@ mod banded;
 mod interleave;
 mod isa;
 mod packed;
+mod search;
 mod tool;
 mod xstat;
 

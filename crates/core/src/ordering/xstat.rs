@@ -5,7 +5,7 @@ use super::{OrderingError, OrderingStrategy, PackedCubes};
 /// Appends every unvisited index to `order` in ascending index order.
 ///
 /// The chaining loop's "an unvisited cube always exists" invariant is
-/// load-bearing for downstream `reordered()` / gather-transpose callers:
+/// load-bearing for downstream `reordered()` callers:
 /// they require a *permutation*. If the invariant ever breaks, falling
 /// back to index order for the stragglers keeps the result a
 /// permutation instead of a truncated vector.
@@ -85,7 +85,7 @@ impl OrderingStrategy for XStatOrdering {
             // runs n-1 times after seeding one). If that invariant ever
             // breaks, finish with the stragglers in index order — a
             // `break` here used to return a *truncated* vector, which
-            // downstream `reordered()` / gather-transpose callers treat
+            // downstream `reordered()` callers treat
             // as a malformed permutation.
             let Some((_, _, next)) = best else {
                 complete_permutation(&mut order, &visited);

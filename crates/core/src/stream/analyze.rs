@@ -53,9 +53,11 @@ pub(crate) struct Analysis {
     /// Bit `r` (in 64-bit words) is pin `r`'s first care value — what
     /// its leading `X`-run copies; zero for an all-`X` pin.
     pub first_values: Vec<u64>,
-    /// The lower bound certified online while events arrived (the
-    /// [`IncrementalBound`] ladder's final value) — a warm start for the
-    /// global solve, never above the true bound.
+    /// The unit-load lower bound certified online while events arrived
+    /// (the [`IncrementalBound`] ladder's final value, one load per site
+    /// and per forced toggle) — a warm start for the global solve, never
+    /// above the true bound: the unit bound itself, and below a weighted
+    /// bound because every weighted load is ≥ 1.
     pub warm_lb: u64,
     /// Set when accumulating a weighted baseline overflowed `u64`; the
     /// callers turn this into a typed error instead of solving on a
@@ -79,16 +81,15 @@ pub(crate) struct WindowedAnalyzer {
     cols: usize,
     windows: usize,
     /// Per-pin objective weights (`None` = the unit metric); charged to
-    /// the interval loads of the online ladder and to the forced
-    /// baseline.
+    /// the forced baseline. The online ladder counts unit loads.
     weights: Option<Vec<u64>>,
     /// A weighted baseline accumulation left `u64` (see
     /// [`Analysis::overflow`]).
     overflow: bool,
-    /// The BCP lower bound, maintained as sites and forced toggles are
-    /// discovered — by the time the stream ends, the global solve
-    /// starts from this value instead of rebuilding its ladder from the
-    /// full event list.
+    /// The unit-load BCP lower bound, maintained as sites and forced
+    /// toggles are discovered — by the time the stream ends, the global
+    /// solve starts from this value instead of rebuilding its ladder
+    /// from the full event list.
     bound: IncrementalBound,
 }
 
@@ -143,9 +144,11 @@ fn scan_row(
 }
 
 impl WindowedAnalyzer {
-    /// An analyzer whose events are charged in objective units:
-    /// `weights[row]` per stretch interval and per forced toggle.
-    /// `None` (and all-unit weights) give the unit peak-toggle metric.
+    /// An analyzer whose forced baseline is charged in objective units,
+    /// `weights[row]` per forced toggle; the sites carry their row, so
+    /// the solve weighs them. `None` (and all-unit weights) give the
+    /// unit peak-toggle metric. The running bound counts unit loads
+    /// either way.
     pub fn with_weights(width: usize, weights: Option<Vec<u64>>) -> WindowedAnalyzer {
         if let Some(w) = &weights {
             assert_eq!(w.len(), width, "weight table width mismatch");
@@ -198,13 +201,10 @@ impl WindowedAnalyzer {
         self.baseline.resize(self.cols.saturating_sub(1), 0);
         for (sites, forced, first_ones) in chunks {
             for site in &sites {
-                // Interval (left, right-1): the exact interval (and the
-                // exact load) the global solve will add for this site.
-                self.bound.add_load(
-                    site.left as usize,
-                    site.right as usize - 1,
-                    self.weight(site.row as usize),
-                );
+                // Interval (left, right-1): the exact interval the global
+                // solve will add for this site, at unit load.
+                self.bound
+                    .add_load(site.left as usize, site.right as usize - 1, 1);
             }
             self.sites.extend(sites);
             for (row, col) in forced {
@@ -213,10 +213,7 @@ impl WindowedAnalyzer {
                     Some(v) => self.baseline[col] = v,
                     None => self.overflow = true,
                 }
-                // The ladder saturates internally, which keeps its
-                // bound valid (never above the true one) even past an
-                // overflow the callers reject anyway.
-                self.bound.add_baseline(col, w);
+                self.bound.add_baseline(col, 1);
             }
             for pin in first_ones {
                 self.first_values[pin as usize / 64] |= 1 << (pin % 64);
@@ -224,10 +221,11 @@ impl WindowedAnalyzer {
         }
     }
 
-    /// The running lower bound certified by the incremental ladder over
-    /// everything ingested so far. Valid mid-stream: the reorder stage
-    /// feeds it to the banded I-ordering as the frozen prefix's
-    /// warm bound.
+    /// The running unit-load lower bound certified by the incremental
+    /// ladder over everything ingested so far, the same under any
+    /// objective. Valid mid-stream: the reorder stage feeds it to the
+    /// banded I-ordering as the frozen prefix's warm bound, in the unit
+    /// bottlenecks that search compares.
     pub fn warm_bound(&self) -> u64 {
         self.bound.current()
     }
@@ -290,6 +288,11 @@ mod tests {
         window: usize,
         weights: Option<Vec<u64>>,
     ) -> Analysis {
+        feed_windows(cubes, window, weights).finish()
+    }
+
+    /// An analyzer fed `cubes` in windows of `window` columns.
+    fn feed_windows(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) -> WindowedAnalyzer {
         let mut analyzer = WindowedAnalyzer::with_weights(cubes.width(), weights);
         let packed = cubes.as_packed();
         let mut start = 0;
@@ -302,7 +305,7 @@ mod tests {
             analyzer.ingest(&PackedMatrix::from_packed_set(&slice));
             start = end;
         }
-        analyzer.finish()
+        analyzer
     }
 
     #[test]
@@ -365,6 +368,29 @@ mod tests {
                     analysis.warm_lb <= lb,
                     "seed {seed} window {window}: warm {} > weighted bound {lb}",
                     analysis.warm_lb
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_bound_counts_unit_loads_under_any_objective() {
+        // The banded I-ordering compares the warm bound with unit
+        // bottlenecks, so a weighted analyzer must report the unweighted
+        // one's bound, not a bound in objective units.
+        for seed in [1u64, 2, 3] {
+            let cubes = random_cube_set(40, 21, 0.5, seed);
+            let weights: Vec<u64> = (0..cubes.width())
+                .map(|i| 1 + (i as u64 * 13) % 97)
+                .collect();
+            for window in [1, 3, 8, 21] {
+                let unit = feed_windows(&cubes, window, None);
+                let weighted = feed_windows(&cubes, window, Some(weights.clone()));
+                assert!(unit.warm_bound() > 0, "seed {seed}: no events");
+                assert_eq!(
+                    weighted.warm_bound(),
+                    unit.warm_bound(),
+                    "seed {seed} window {window}"
                 );
             }
         }

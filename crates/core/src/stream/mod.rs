@@ -210,8 +210,10 @@ pub struct StreamOptions {
     /// The fill objective. The default
     /// ([`FillObjective::peak_toggles`]) keeps every code path and every
     /// emitted byte identical to a build without the objective layer; a
-    /// weighted objective charges the analyzer's ladder, the global
-    /// solve and the emitted metrics in objective units, and a
+    /// weighted objective charges the global solve and the emitted
+    /// metrics in objective units (the analyzer's online ladder stays a
+    /// unit-load bound: a valid warm start for the weighted solve, and
+    /// in the units the banded I-ordering compares), and a
     /// preference-carrying objective applies the slack-shift tie-break
     /// after the solve — exactly like the monolithic
     /// [`DpFill::with_objective`](crate::fill::DpFill::with_objective).

@@ -2,9 +2,9 @@
 //! banded runs must emit a filled **permutation** of the input at every
 //! band and thread count, collapse to the monolithic *ordered* pipeline
 //! whenever the ring covers the whole set, and the in-ring searches
-//! must be bit-identical between the serial path and the speculative
-//! pool fan-out. Same shape as `parallel_differential.rs`: one
-//! reference run, structural equality per configuration, no tolerance.
+//! must be bit-identical between the serial path and the pool fan-out.
+//! Same shape as `parallel_differential.rs`: one reference run,
+//! structural equality per configuration, no tolerance.
 
 use dpfill_core::fill::FillMethod;
 use dpfill_core::ordering::{
@@ -148,8 +148,7 @@ proptest! {
 
     /// The in-ring searches themselves (with a frozen tail, the shape
     /// the pipeline exercises) are bit-identical between the serial
-    /// path and the speculative pool fan-out — including the I-order
-    /// trace the speculative evaluation could reorder.
+    /// path and the pool fan-out — including the I-order trace.
     #[test]
     fn in_ring_searches_match_serial_at_any_thread_count(set in arb_cube_set()) {
         prop_assume!(set.len() >= 2);
@@ -177,7 +176,7 @@ proptest! {
             prop_assert_eq!(
                 &serial_trace,
                 &par_trace,
-                "speculative I-order trace drifted at {} threads",
+                "I-order trace drifted at {} threads",
                 threads
             );
         }

@@ -1202,31 +1202,7 @@ impl PackedMatrix {
     /// [`transpose64`], so the cost is `rows·cols/64` word ops instead of
     /// `rows·cols` bit scatters.
     pub fn from_packed_set(set: &PackedCubeSet) -> PackedMatrix {
-        Self::gather_transpose(set, set.len(), |col| col)
-    }
-
-    /// Word-blocked transpose of `set` *as seen through* the permutation
-    /// `order`: column `p` of the result is cube `order[p]`. The gather
-    /// happens during tile loading, so candidate orderings (the
-    /// I-ordering's Algorithm 3 loop) never materialize a reordered cube
-    /// set at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index in `order` is out of range.
-    pub fn from_reordered_set(set: &PackedCubeSet, order: &[usize]) -> PackedMatrix {
-        Self::gather_transpose(set, order.len(), |col| order[col])
-    }
-
-    /// The shared tile kernel behind [`PackedMatrix::from_packed_set`]
-    /// and [`PackedMatrix::from_reordered_set`]: matrix column `col`
-    /// reads cube `cube_index(col)`.
-    fn gather_transpose(
-        set: &PackedCubeSet,
-        cols: usize,
-        cube_index: impl Fn(usize) -> usize,
-    ) -> PackedMatrix {
-        let rows = set.width();
+        let (rows, cols) = (set.width(), set.len());
         let mut m = PackedMatrix::all_x(rows, cols);
         let mut care_tile = [0u64; 64];
         let mut val_tile = [0u64; 64];
@@ -1234,8 +1210,7 @@ impl PackedMatrix {
             for cube_block in 0..words_for(cols) {
                 let cube_lo = cube_block * WORD;
                 let cube_hi = (cube_lo + WORD).min(cols);
-                for (t, col) in (cube_lo..cube_hi).enumerate() {
-                    let cube = &set.cubes[cube_index(col)];
+                for (t, cube) in set.cubes[cube_lo..cube_hi].iter().enumerate() {
                     care_tile[t] = cube.care[pin_block];
                     val_tile[t] = cube.val[pin_block];
                 }
@@ -1638,26 +1613,6 @@ mod tests {
             let scalar = set.to_pin_matrix();
             assert_eq!(m.to_pin_matrix(), scalar, "{w}x{n} vs scalar");
             assert_eq!(PackedMatrix::from_pin_matrix(&scalar), m);
-        }
-    }
-
-    #[test]
-    fn reordered_gather_transpose_matches_materialized_reorder() {
-        // Shapes spanning several 64-wide tiles on both axes, so the
-        // gather path exercises the same boundary handling as the
-        // identity transpose.
-        for (w, n, seed) in [
-            (5usize, 3usize, 1u64),
-            (65, 63, 2),
-            (130, 70, 3),
-            (200, 129, 4),
-        ] {
-            let set = random_cube_set(w, n, 0.6, seed);
-            let packed = PackedCubeSet::from(&set);
-            let order: Vec<usize> = (0..n).rev().collect();
-            let gathered = PackedMatrix::from_reordered_set(&packed, &order);
-            let materialized = PackedMatrix::from_packed_set(&packed.reordered(&order));
-            assert_eq!(gathered, materialized, "{w}x{n}");
         }
     }
 

@@ -288,6 +288,10 @@ fn check_event(obj: &Json, open: &mut HashMap<u64, String>) -> Result<&'static s
             want_u64(obj, "ts")?;
             want_u64(obj, "dur_ns")?;
             let name = want_str(obj, "name")?;
+            match obj.get("attrs") {
+                None | Some(Json::Obj(_)) => {}
+                Some(_) => return Err("\"attrs\" is not an object".to_string()),
+            }
             match open.remove(&id) {
                 Some(entered) if entered == name => Ok("exit"),
                 Some(entered) => Err(format!(

@@ -337,3 +337,69 @@ fn stats_prints_the_aggregate_table() {
     );
     assert!(stderr.contains("bcp.ladder.loads"), "counters: {stderr}");
 }
+
+#[test]
+fn the_interleave_search_traces_each_candidate_under_its_ordering_span() {
+    for (tag, args) in [
+        ("mono", &["--fill", "dp", "--order", "interleave"][..]),
+        (
+            "banded",
+            &[
+                "--fill",
+                "dp",
+                "--order",
+                "interleave",
+                "--window",
+                "2",
+                "--band",
+                "2",
+            ][..],
+        ),
+    ] {
+        let trace = Scratch::new(&format!("search-{tag}.jsonl"));
+        let mut argv = args.to_vec();
+        argv.extend(["--trace", trace.as_str()]);
+        let (_, stderr, ok) = run_xfill(&argv, INPUT);
+        assert!(ok, "{tag}: {stderr}");
+        let text = std::fs::read_to_string(&trace.0).expect("trace written");
+        let number = |line: &str, key: &str| -> String {
+            let at = line.find(key).unwrap_or_else(|| panic!("{key}: {line}")) + key.len();
+            line[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect()
+        };
+        let order_ids: Vec<String> = text
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"enter\"") && l.contains("\"name\":\"ordering.order\""))
+            .map(|l| number(l, "\"id\":"))
+            .collect();
+        assert!(
+            !order_ids.is_empty(),
+            "{tag}: no ordering.order span: {text}"
+        );
+        let candidates: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"name\":\"ordering.candidate\""))
+            .collect();
+        assert!(!candidates.is_empty(), "{tag}: no ordering.candidate span");
+        for line in candidates {
+            if line.contains("\"ev\":\"enter\"") {
+                assert!(
+                    order_ids.contains(&number(line, "\"parent\":")),
+                    "{tag}: candidate outside an ordering.order span: {line}"
+                );
+                assert!(
+                    line.contains("\"k\":") && line.contains("\"cubes\":"),
+                    "{line}"
+                );
+            } else {
+                assert!(
+                    line.contains("\"outcome\":\"certified\"")
+                        || line.contains("\"outcome\":\"probed\""),
+                    "{tag}: candidate exit without an outcome: {line}"
+                );
+            }
+        }
+    }
+}
