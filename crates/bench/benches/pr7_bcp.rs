@@ -9,14 +9,9 @@
 //! coloring bytes (pinned by `crates/core/tests/bcp_sharded.rs`); these
 //! rows measure only wall-clock.
 //!
-//! Run
-//!
 //! ```sh
-//! CRITERION_JSON=BENCH_pr7.json cargo bench -p dpfill-bench \
-//!     --bench pr7_bcp
+//! cargo bench -p dpfill-bench --bench pr7_bcp
 //! ```
-//!
-//! to refresh the committed `BENCH_pr7.json` baseline.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -74,7 +69,7 @@ fn bench_bcp_pr7(c: &mut Criterion) {
             });
         }
 
-        // Coloring: one EDF sweep over the deadline buckets.
+        // Coloring: one earliest-fit sweep in deadline order.
         group.bench_function(format!("color/serial/c{colors}"), |b| {
             b.iter(|| black_box(inst.color_edf(lb).expect("feasible").colors().len()))
         });

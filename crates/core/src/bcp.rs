@@ -41,29 +41,26 @@
 //!    windowed lower bound — infeasibility below the bound is the
 //!    pigeonhole argument on the violating window, feasibility at the
 //!    bound is Hall's condition. Galloping + k-ary search from the warm
-//!    start finds that minimum with O(log) EDF probes of O(C + k) each;
+//!    start finds that minimum with O(log) probes of one sweep each;
 //!    the k-ary rounds probe one pivot per pool thread (deterministic:
 //!    the answer is the minimum feasible peak however the pivots are
 //!    scheduled).
 //!
-//! # How the EDF sweeps run
+//! # How the sweeps run
 //!
-//! Every sweep — feasibility probe, weighted search and coloring — reads
-//! one index built per solve by counting sort: intervals grouped by
-//! start color (when they are *released*) and, per end color (their
-//! *deadline*), a bucket of slots in interval-index order. Slots in
-//! `(deadline, index)` order are exactly the pop order of a binary heap
-//! keyed on `(end, index)`, so no heap is needed:
-//!
-//! * **probes** keep one load sum per deadline and a bitset pyramid of
-//!   the non-empty deadlines — intervals sharing a deadline are
-//!   interchangeable for feasibility, so a color drains whole deadline
-//!   sums at a time;
-//! * **exact sweeps** (the colorings and the weighted blocking probe)
-//!   keep a bitset pyramid over slots; each color takes released slots
-//!   in ascending order from its own deadline bucket on, which is the
-//!   heap's order, so colorings and [`BcpError::Infeasible`] reports are
-//!   those of the textbook heap sweep (differential-tested against it).
+//! Every sweep — feasibility probe, weighted search and coloring —
+//! walks the intervals once in `(end, index)` order, from contiguous
+//! per-end arrays, and places each in the earliest open colors at or
+//! after its start. A union-find over the colors finds them: a color is
+//! joined to its successor once it is full or, in the blocking sweep,
+//! once an interval does not fit it. The probes *pour* divisible loads
+//! (exact for unit loads, the fractional relaxation for weighted ones);
+//! the blocking probe and every coloring *fit* each load in one color.
+//! An interval's color in the textbook heap sweep depends only on the
+//! intervals before it in `(end, index)` order (the exchange argument
+//! for unit jobs with release times and deadlines), so the colorings
+//! and [`BcpError::Infeasible`] reports are the heap sweep's
+//! (differential-tested against it).
 
 use std::error::Error;
 use std::fmt;
@@ -71,8 +68,10 @@ use std::fmt;
 use crate::Interval;
 
 /// Solver activity (relaxed no-ops unless a [`minitrace`] sink is
-/// live): ladder maintenance and parametric feasibility probes.
-static BCP_LADDER_LOADS: minitrace::Counter = minitrace::Counter::new("bcp.ladder.loads");
+/// live): loads fed to ladders, added once per feed rather than per
+/// load, and parametric feasibility probes.
+pub(crate) static BCP_LADDER_LOADS: minitrace::Counter =
+    minitrace::Counter::new("bcp.ladder.loads");
 static BCP_PROBES: minitrace::Counter = minitrace::Counter::new("bcp.probes");
 
 /// Errors from BCP construction and solving.
@@ -261,7 +260,6 @@ impl IncrementalBound {
     /// Panics if `lo > hi`.
     pub fn add_load(&mut self, lo: usize, hi: usize, amount: u64) {
         assert!(lo <= hi, "load window {lo} > {hi}");
-        BCP_LADDER_LOADS.add(1);
         let l = bitlen(lo ^ hi);
         if l >= MAX_LADDER_LEVELS {
             return;
@@ -305,276 +303,148 @@ impl IncrementalBound {
     }
 }
 
-/// A bitset with a summary pyramid: bit `i` of level `l + 1` is set
-/// exactly when word `i` of level `l` is non-zero. Insert, remove and
-/// "next member at or after `i`" each touch at most one word per level,
-/// so the EDF sweeps find their next deadline or slot in O(log₆₄ n)
-/// word operations however sparse the set is.
-struct BitPyramid {
-    levels: Vec<Vec<u64>>,
+/// Intervals grouped by end color: those ending at color `e` start at
+/// `starts[by_end[e]..by_end[e + 1]]` (`by_end` has one entry per color
+/// plus one). The I-order scan emits one per chunk of pins.
+pub(crate) struct EndGroups {
+    pub starts: Vec<u32>,
+    pub by_end: Vec<usize>,
 }
 
-impl BitPyramid {
-    /// An empty set over positions `0..n`.
-    fn new(n: usize) -> BitPyramid {
-        let mut levels = Vec::new();
-        let mut words = n.div_ceil(64).max(1);
-        loop {
-            levels.push(vec![0u64; words]);
-            if words == 1 {
-                return BitPyramid { levels };
+/// One sweep: [`OpenColors::place`]s every interval of `chunks` in end
+/// order, chunk by chunk within an end, position `r` weighing `loads[r]`
+/// (one chunk; 1 when `loads` is empty), and reports each placement to
+/// `place(r, color)`. The error is the end of the first interval that
+/// finds no room.
+fn sweep(
+    chunks: &[EndGroups],
+    loads: &[u64],
+    mut colors: OpenColors,
+    divisible: bool,
+    mut place: impl FnMut(usize, u32),
+) -> Result<(), u32> {
+    for e in 0..colors.room.len() {
+        for g in chunks {
+            for r in g.by_end[e]..g.by_end[e + 1] {
+                let load = loads.get(r).copied().unwrap_or(1);
+                let t = colors.place(g.starts[r], e, load, divisible);
+                place(r, t.ok_or(e as u32)?);
             }
-            words = words.div_ceil(64);
         }
     }
+    Ok(())
+}
 
-    fn insert(&mut self, mut i: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[i >> 6];
-            let was_empty = *word == 0;
-            *word |= 1 << (i & 63);
-            if !was_empty {
-                return;
-            }
-            i >>= 6;
-        }
+/// One feasibility probe: does a [`sweep`] place every interval? The
+/// `divisible` (pour) probe is exact for unit loads, however the
+/// intervals sharing an end are ordered; on weighted loads it is the
+/// fractional relaxation, whose minimum feasible peak is `max(max_t
+/// baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)` (Gale–Hoffman on
+/// contiguous windows), a true lower bound for the integral weighted
+/// problem. The blocking (fit) probe's success certifies an achievable
+/// peak; its failure does not certify infeasibility.
+fn probe(chunks: &[EndGroups], loads: &[u64], colors: OpenColors, divisible: bool) -> bool {
+    BCP_PROBES.add(1);
+    sweep(chunks, loads, colors, divisible, |_, _| {}).is_ok()
+}
+
+/// The open colors of one sweep: a union-find over the colors `0..=C`
+/// (`C` a sentinel that never closes) whose root from `t` is the
+/// earliest open color at or after `t`, and each color's room.
+struct OpenColors {
+    next: Vec<u32>,
+    room: Vec<u64>,
+}
+
+impl OpenColors {
+    /// Each color's room at `peak`: `peak − baseline_t` (saturating), or
+    /// `peak` without a baseline. A color without room starts closed.
+    fn new(colors: usize, baseline: Option<&[u64]>, peak: u64) -> OpenColors {
+        let room: Vec<u64> = match baseline {
+            Some(b) => b.iter().map(|&b| peak.saturating_sub(b)).collect(),
+            None => vec![peak; colors],
+        };
+        let next = (0..=colors)
+            .map(|t| (t + usize::from(room.get(t) == Some(&0))) as u32)
+            .collect();
+        OpenColors { next, room }
     }
 
-    fn remove(&mut self, mut i: usize) {
-        for level in &mut self.levels {
-            let word = &mut level[i >> 6];
-            *word &= !(1 << (i & 63));
-            if *word != 0 {
-                return;
-            }
-            i >>= 6;
+    /// The earliest open color at or after `t`, halving the path walked.
+    fn find(&mut self, mut t: usize) -> usize {
+        while self.next[t] as usize != t {
+            self.next[t] = self.next[self.next[t] as usize];
+            t = self.next[t] as usize;
         }
+        t
     }
 
-    /// The smallest member `>= i`.
-    fn next(&self, mut i: usize) -> Option<usize> {
-        // Climb until some word holds a member at or after `i`...
-        let mut l = 0;
-        loop {
-            let w = i >> 6;
-            let bits = self.levels[l].get(w)? & (!0u64 << (i & 63));
-            if bits != 0 {
-                i = (w << 6) | bits.trailing_zeros() as usize;
-                break;
+    /// Places `load` in the open colors of `[start, end]`, earliest
+    /// first: the color that takes its last part, or `None`. A color the
+    /// load exceeds closes; a `divisible` load (pour) first fills it, an
+    /// indivisible one (fit) is blocked by it, as a heap sweep's head
+    /// blocks its color.
+    fn place(&mut self, start: u32, end: usize, mut load: u64, divisible: bool) -> Option<u32> {
+        let mut t = self.find(start as usize);
+        while t <= end {
+            if load <= self.room[t] {
+                self.room[t] -= load;
+                if self.room[t] == 0 {
+                    self.next[t] = t as u32 + 1;
+                }
+                return Some(t as u32);
             }
-            l += 1;
-            if l == self.levels.len() {
-                return None;
+            if divisible {
+                load -= self.room[t];
             }
-            i = w + 1;
+            self.next[t] = t as u32 + 1;
+            t = self.find(t);
         }
-        // ...then descend along the lowest non-empty words.
-        while l > 0 {
-            l -= 1;
-            i = (i << 6) | self.levels[l][i].trailing_zeros() as usize;
-        }
-        Some(i)
+        None
     }
 }
 
-/// The deadline buckets every EDF sweep of one solve shares, built once
-/// by counting sort. Interval `i` is *released* at its start color and
-/// *due* at its end color.
-///
-/// * `release_*[release_off[t]..release_off[t + 1]]` are the intervals
-///   released at color `t` (interval-index order): each one's deadline,
-///   its load (weighted probes only) and its slot (exact sweeps only).
-/// * `slot_interval[deadline_off[e]..deadline_off[e + 1]]` is deadline
-///   `e`'s bucket: its intervals in index order. Slots therefore run in
-///   `(end, index)` order — the order a heap keyed on `(end, index)`
-///   pops them.
-///
-/// Interval indices and slots are `u32`, like [`Coloring`]'s colors.
-struct Deadlines {
-    release_off: Vec<usize>,
-    release_end: Vec<u32>,
-    /// Empty when the sweeps run on unit loads.
-    release_load: Vec<u64>,
-    /// Empty unless built for exact sweeps.
-    release_slot: Vec<u32>,
-    deadline_off: Vec<usize>,
-    /// Empty unless built for exact sweeps.
-    slot_interval: Vec<u32>,
+/// An instance's intervals in `(end, index)` order, counting-sorted by
+/// end once per call: start, interval index and (weighted only) load.
+struct ByEnd {
+    groups: EndGroups,
+    index: Vec<u32>,
+    /// Empty on unit instances.
+    loads: Vec<u64>,
 }
 
-impl Deadlines {
-    /// Buckets `inst`'s intervals. `weighted` records each release's
-    /// load (otherwise probes count every interval as 1); `exact` adds
-    /// the slot order the exact sweeps pop from.
-    fn new(inst: &BcpInstance, weighted: bool, exact: bool) -> Deadlines {
-        let c = inst.num_colors;
+impl ByEnd {
+    fn new(inst: &BcpInstance) -> ByEnd {
         let k = inst.intervals.len();
-        let mut release_off = vec![0usize; c + 1];
-        let mut deadline_off = vec![0usize; if exact { c + 1 } else { 0 }];
+        let mut by_end = vec![0usize; inst.num_colors + 1];
         for iv in &inst.intervals {
-            release_off[iv.start() as usize + 1] += 1;
-            if exact {
-                deadline_off[iv.end() as usize + 1] += 1;
-            }
+            by_end[iv.end() as usize + 1] += 1;
         }
-        for t in 0..c {
-            release_off[t + 1] += release_off[t];
-            if exact {
-                deadline_off[t + 1] += deadline_off[t];
-            }
+        for e in 1..by_end.len() {
+            by_end[e] += by_end[e - 1];
         }
-        let weighted = weighted && !inst.loads.is_empty();
-        let mut release_end = vec![0u32; k];
-        let mut release_load = vec![0u64; if weighted { k } else { 0 }];
-        let mut release_slot = vec![0u32; if exact { k } else { 0 }];
-        let mut slot_interval = vec![0u32; if exact { k } else { 0 }];
-        let mut next_release = release_off.clone();
-        let mut next_slot = deadline_off.clone();
+        let mut next = by_end.clone();
+        let (mut starts, mut index) = (vec![0u32; k], vec![0u32; k]);
+        let mut loads = vec![0u64; inst.loads.len()];
         for (i, iv) in inst.intervals.iter().enumerate() {
-            let r = &mut next_release[iv.start() as usize];
-            release_end[*r] = iv.end();
-            if weighted {
-                release_load[*r] = inst.loads[i];
+            let r = next[iv.end() as usize];
+            next[iv.end() as usize] += 1;
+            starts[r] = iv.start();
+            index[r] = i as u32;
+            if let Some(&w) = inst.loads.get(i) {
+                loads[r] = w;
             }
-            if exact {
-                let s = &mut next_slot[iv.end() as usize];
-                release_slot[*r] = *s as u32;
-                slot_interval[*s] = i as u32;
-                *s += 1;
-            }
-            *r += 1;
         }
-        Deadlines {
-            release_off,
-            release_end,
-            release_load,
-            release_slot,
-            deadline_off,
-            slot_interval,
+        ByEnd {
+            groups: EndGroups { starts, by_end },
+            index,
+            loads,
         }
     }
 
-    /// Do the probes weigh intervals by their loads?
-    fn weighted(&self) -> bool {
-        !self.release_load.is_empty()
-    }
-
-    /// Can every interval be placed with peak `peak` (per-color capacity
-    /// `peak − baseline_t`, or `peak` without a baseline)? One
-    /// deadline-sum sweep, O(C + k); monotone in `peak`. On weighted
-    /// buckets this is the fractional relaxation: preemptive EDF is
-    /// optimal for divisible jobs with release times and deadlines, and
-    /// the minimum feasible integral peak equals
-    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
-    /// (Gale–Hoffman on contiguous windows) — a true lower bound for
-    /// the integral weighted problem.
-    fn probe(&self, baseline: Option<&[u64]>, peak: u64) -> bool {
-        BCP_PROBES.add(1);
-        let capacity = |t: usize| baseline.map_or(peak, |b| peak.saturating_sub(b[t]));
-        if self.weighted() {
-            self.feasible(capacity, |r| self.release_load[r])
-        } else {
-            self.feasible(capacity, |_| 1)
-        }
-    }
-
-    /// Can every load be placed within per-color capacity `capacity`,
-    /// each color filling its earliest deadlines first? Loads are
-    /// divisible (a color may take part of a deadline's sum), which is
-    /// exact for unit loads — intervals sharing a deadline are
-    /// interchangeable — and the fractional relaxation for weighted
-    /// ones. Sums are `u128`: `k` loads of up to `u64::MAX` each cannot
-    /// overflow them, so no load is ever lost to saturation.
-    fn feasible(&self, capacity: impl Fn(usize) -> u64, load: impl Fn(usize) -> u64) -> bool {
-        let c = self.release_off.len() - 1;
-        let mut due = vec![0u128; c];
-        let mut open = BitPyramid::new(c);
-        for t in 0..c {
-            for r in self.release_off[t]..self.release_off[t + 1] {
-                let e = self.release_end[r] as usize;
-                if due[e] == 0 {
-                    open.insert(e);
-                }
-                due[e] += u128::from(load(r));
-            }
-            // Every deadline before `t - 1` drained at an earlier color.
-            if t > 0 && due[t - 1] > 0 {
-                return false;
-            }
-            let mut quota = u128::from(capacity(t));
-            let mut from = t;
-            while quota > 0 {
-                let Some(e) = open.next(from) else {
-                    break;
-                };
-                let take = quota.min(due[e]);
-                due[e] -= take;
-                quota -= take;
-                if due[e] > 0 {
-                    break;
-                }
-                open.remove(e);
-                from = e + 1;
-            }
-        }
-        open.next(0).is_none()
-    }
-
-    /// The exact EDF sweep: at each color, release the intervals
-    /// starting there, then take pending intervals in `(end, index)`
-    /// order while the head's load fits the color's remaining
-    /// `capacity` ("blocking" EDF: the head blocks the color even when a
-    /// lighter later-deadline interval would fit; the fit test is
-    /// checked, so loads never sum past `u64::MAX`). Each placement is
-    /// reported to `place(interval, color)`. Returns the deadline of
-    /// the first missed interval.
-    ///
-    /// A missed deadline is always the previous color's: each color
-    /// first checks that bucket, so an interval due at `t − 1` still
-    /// pending at `t` fails exactly where a heap sweep would pop or
-    /// peek it, and with unit loads the placements are the textbook
-    /// quota-`capacity(t)` EDF's.
-    fn sweep(
-        &self,
-        capacity: impl Fn(usize) -> u64,
-        load: impl Fn(usize) -> u64,
-        mut place: impl FnMut(usize, u32),
-    ) -> Result<(), u32> {
-        let c = self.release_off.len() - 1;
-        let mut pending = BitPyramid::new(self.slot_interval.len());
-        let mut waiting = 0usize;
-        for t in 0..c {
-            let released = self.release_off[t]..self.release_off[t + 1];
-            waiting += released.len();
-            for &slot in &self.release_slot[released] {
-                pending.insert(slot as usize);
-            }
-            if waiting == 0 {
-                continue;
-            }
-            let mut head = pending.next(self.deadline_off[t.saturating_sub(1)]);
-            if t > 0 && head.is_some_and(|s| s < self.deadline_off[t]) {
-                return Err(t as u32 - 1);
-            }
-            let quota = capacity(t);
-            let mut used = 0u64;
-            while let Some(s) = head {
-                let i = self.slot_interval[s] as usize;
-                match used.checked_add(load(i)) {
-                    Some(next) if next <= quota => used = next,
-                    _ => break,
-                }
-                pending.remove(s);
-                waiting -= 1;
-                place(i, t as u32);
-                head = pending.next(s + 1);
-            }
-        }
-        match waiting {
-            0 => Ok(()),
-            // Everything still pending is due at the last color.
-            _ => Err(c as u32 - 1),
-        }
+    /// The loads a sweep weighs: none (unit) in the paper's problem.
+    fn loads(&self, baseline: Option<&[u64]>) -> &[u64] {
+        baseline.map_or(&[], |_| &self.loads)
     }
 }
 
@@ -594,21 +464,26 @@ fn density_floor(colors: usize, baseline: Option<&[u64]>, loads: u64) -> u64 {
 /// What overflows when a unit-load bound search leaves `u64`.
 const UNIT_BOUND_OVERFLOW: &str = "BCP lower bound (exceeds u64)";
 
-/// The minimum peak at or above `lo` that the monotone probe `feasible`
-/// accepts: galloping to an infeasible/feasible bracket, then k-ary
-/// narrowing with one probe per pool thread. The probe is monotone, so
-/// the result is deterministic at any thread count. With `lo` at most
-/// the true bound the result is that bound; with `lo` above it, `lo`.
-/// A gallop that reaches `u64::MAX` infeasible is
-/// [`BcpError::Overflow`] naming `what`.
+/// The widest k-ary panel of a monotone peak search.
+const MAX_PANEL: u64 = 16;
+
+/// The minimum peak at or above `lo` that the probe `feasible` accepts:
+/// galloping to an infeasible/feasible bracket, then k-ary narrowing
+/// with one probe per pool thread, at most `max_panel`. A monotone probe
+/// gives the same result at any thread count: with `lo` at most the true
+/// bound it is that bound; with `lo` above it, `lo`. A probe that need
+/// not be monotone takes `max_panel` 1, a serial bisection that returns
+/// an accepted peak at any thread count. A gallop that reaches
+/// `u64::MAX` rejected is [`BcpError::Overflow`] naming `what`.
 fn min_feasible_peak(
     lo: u64,
     what: &'static str,
+    max_panel: u64,
     feasible: impl Fn(u64) -> bool + Sync,
 ) -> Result<u64, BcpError> {
     if feasible(lo) {
-        // lo never exceeds the true bound, and the true bound is the
-        // minimum feasible peak — so feasibility at lo pins lo == bound.
+        // A monotone probe's lo never exceeds the true bound, which is
+        // the minimum feasible peak — so feasibility at lo pins lo == bound.
         return Ok(lo);
     }
     // Gallop to an infeasible/feasible bracket (bad, good].
@@ -631,7 +506,7 @@ fn min_feasible_peak(
     // result is the minimum feasible peak regardless of panel width.
     while good - bad > 1 {
         let gap = good - bad - 1;
-        let m = (minipool::current_threads().max(1) as u64).min(gap).min(16);
+        let m = (minipool::current_threads().max(1) as u64).min(gap.min(max_panel));
         let pivots: Vec<u64> = (1..=m)
             .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
             .collect();
@@ -649,14 +524,6 @@ fn min_feasible_peak(
     Ok(good)
 }
 
-/// One chunk of intervals grouped by their end color: the intervals
-/// ending at color `e` start at `starts[by_end[e]..by_end[e + 1]]`
-/// (`by_end` has one entry per color plus one).
-pub(crate) struct EndGroups {
-    pub starts: Vec<u32>,
-    pub by_end: Vec<usize>,
-}
-
 /// The generalized unit-load lower bound of an interval multiset over a
 /// per-color baseline, without a [`BcpInstance`]: the same value
 /// [`BcpInstance::lower_bound`] certifies for the instance those
@@ -665,60 +532,41 @@ pub(crate) struct EndGroups {
 /// candidate orders through it: one probe decides whether a candidate
 /// beats a value, and only a winner is certified.
 ///
-/// The problem is indexed mirrored, color `t` as `C − 1 − t`. The
-/// candidate scan finds intervals in end order, which the mirror turns
-/// into the release order the EDF probe sweeps, so the index is built
-/// by sequential copies. A mirrored coloring is a coloring at the same
-/// peak, so feasibility, and the bound, are the same.
+/// It probes the scan's per-chunk groups in place: a unit probe does not
+/// depend on the order of the intervals sharing an end.
 pub(crate) struct UnitBound {
-    /// The baseline, mirrored.
+    chunks: Vec<EndGroups>,
     baseline: Vec<u64>,
-    dl: Deadlines,
 }
 
 impl UnitBound {
-    /// Indexes the intervals of `chunks` (inclusive colors) over
-    /// `baseline`, one entry per color.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chunk's `by_end` does not cover the colors or an
-    /// interval starts past them.
-    pub(crate) fn new(chunks: &[EndGroups], mut baseline: Vec<u64>) -> UnitBound {
-        let c = baseline.len();
-        baseline.reverse();
-        let last = c.saturating_sub(1) as u32;
-        let mut release_off = Vec::with_capacity(c + 1);
-        let mut release_end = Vec::with_capacity(chunks.iter().map(|g| g.starts.len()).sum());
-        release_off.push(0);
-        for e in (0..c).rev() {
-            for g in chunks {
-                let group = &g.starts[g.by_end[e]..g.by_end[e + 1]];
-                release_end.extend(group.iter().map(|&start| last - start));
-            }
-            release_off.push(release_end.len());
-        }
-        let dl = Deadlines {
-            release_off,
-            release_end,
-            release_load: Vec::new(),
-            release_slot: Vec::new(),
-            deadline_off: Vec::new(),
-            slot_interval: Vec::new(),
-        };
-        UnitBound { baseline, dl }
+    /// The intervals of `chunks` (inclusive colors) over `baseline`, one
+    /// entry per color.
+    pub(crate) fn new(chunks: Vec<EndGroups>, baseline: Vec<u64>) -> UnitBound {
+        UnitBound { chunks, baseline }
     }
 
-    /// Is the bound at most `peak`? One EDF probe, which places the
+    /// Is the bound at most `peak`? One pour probe, which places the
     /// intervals only: a peak below the largest baseline is infeasible
     /// before any is placed.
     pub(crate) fn feasible(&self, peak: u64) -> bool {
-        self.baseline.iter().all(|&b| b <= peak) && self.dl.probe(Some(&self.baseline), peak)
+        self.baseline.iter().all(|&b| b <= peak) && self.pour(peak)
+    }
+
+    /// The pour [`probe`] at `peak`.
+    fn pour(&self, peak: u64) -> bool {
+        let colors = OpenColors::new(self.baseline.len(), Some(&self.baseline), peak);
+        probe(&self.chunks, &[], colors, true)
     }
 
     /// `max(floor, bound)`: the bound itself for any `floor` at or
     /// below it, certified like [`BcpInstance::lower_bound`] from the
     /// ladder, the density candidates and `floor`.
+    ///
+    /// The ladder is fed mirrored, color `t` as `C − 1 − t`. Either
+    /// orientation gives a valid warm start, but the aligned windows are
+    /// not mirror-symmetric, so the choice moves the probe count (never
+    /// the bound).
     ///
     /// # Errors
     ///
@@ -728,21 +576,25 @@ impl UnitBound {
         if c == 0 {
             return Ok(floor);
         }
-        let (off, ends) = (&self.dl.release_off, &self.dl.release_end);
+        let last = c - 1;
         let mut ladder = IncrementalBound::new();
-        for t in 0..c {
-            for &end in &ends[off[t]..off[t + 1]] {
-                ladder.add_load(t, end as usize, 1);
+        for g in &self.chunks {
+            for e in 0..c {
+                for &start in &g.starts[g.by_end[e]..g.by_end[e + 1]] {
+                    ladder.add_load(last - e, last - start as usize, 1);
+                }
             }
         }
         for (t, &b) in self.baseline.iter().enumerate() {
-            ladder.add_baseline(t, b);
+            ladder.add_baseline(last - t, b);
         }
+        let k: usize = self.chunks.iter().map(|g| g.starts.len()).sum();
+        BCP_LADDER_LOADS.add((k + c) as u64);
         let baseline = Some(self.baseline.as_slice());
         let lo = floor
             .max(ladder.current())
-            .max(density_floor(c, baseline, ends.len() as u64));
-        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, |p| self.dl.probe(baseline, p))
+            .max(density_floor(c, baseline, k as u64));
+        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, MAX_PANEL, |p| self.pour(p))
     }
 }
 
@@ -954,7 +806,7 @@ impl BcpInstance {
     ///
     /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
     pub fn lower_bound_paper(&self) -> Result<u64, BcpError> {
-        self.certified_bound(&Deadlines::new(self, false, false), false, None)
+        self.certified_bound(&ByEnd::new(self), None, None)
     }
 
     /// Generalized lower bound for the true objective
@@ -972,23 +824,7 @@ impl BcpInstance {
     /// though the integral weighted optimum may exceed it (the problem
     /// is NP-hard).
     pub fn lower_bound(&self) -> Result<u64, BcpError> {
-        let weighted = !self.is_unit();
-        self.certified_bound(&Deadlines::new(self, weighted, false), true, None)
-    }
-
-    /// Weighted integral feasibility probe: one blocking-EDF sweep
-    /// ([`Deadlines::sweep`]). Success certifies an achievable peak;
-    /// failure does **not** certify infeasibility (weighted bottleneck
-    /// coloring is NP-hard and blocking EDF is a heuristic above the
-    /// fractional bound).
-    fn probe_feasible_blocking(&self, dl: &Deadlines, peak: u64) -> bool {
-        BCP_PROBES.add(1);
-        dl.sweep(
-            |t| peak.saturating_sub(self.baseline[t]),
-            |i| self.interval_load(i),
-            |_, _| {},
-        )
-        .is_ok()
+        self.certified_bound(&ByEnd::new(self), Some(&self.baseline), None)
     }
 
     /// The batch bound of the [`IncrementalBound`] ladder: the best
@@ -1006,6 +842,8 @@ impl BcpInstance {
                 ladder.add_baseline(t, b);
             }
         }
+        let colors = if with_baseline { self.num_colors } else { 0 };
+        BCP_LADDER_LOADS.add((self.intervals.len() + colors) as u64);
         ladder.current()
     }
 
@@ -1013,97 +851,54 @@ impl BcpInstance {
     /// candidate (the ladder — or for unit loads `warm` instead of it —
     /// plus the max-baseline and global-density candidates, all true
     /// lower bounds), then find the minimum feasible peak by
-    /// [`min_feasible_peak`]. That minimum *is* the windowed bound:
-    /// below it some window is overfull (pigeonhole), at it EDF succeeds
-    /// (Hall). On weighted buckets it is the fractional bound; warm
-    /// candidates stay valid there because loads are ≥ 1, so any
-    /// unit-load bound is below the weighted bound. Weighted bounds are
-    /// always baseline-aware.
+    /// [`min_feasible_peak`] over pour [`probe`]s. That minimum *is* the
+    /// windowed bound: below it some window is overfull (pigeonhole), at
+    /// it EDF succeeds (Hall). On weighted loads it is the fractional
+    /// bound; warm candidates stay valid there because loads are ≥ 1, so
+    /// any unit-load bound is below the weighted bound.
     fn certified_bound(
         &self,
-        dl: &Deadlines,
-        with_baseline: bool,
+        by_end: &ByEnd,
+        baseline: Option<&[u64]>,
         warm: Option<u64>,
     ) -> Result<u64, BcpError> {
         let c = self.num_colors;
         if c == 0 {
             return Ok(0);
         }
-        let weighted = dl.weighted();
-        let (lo, loads) = if weighted {
+        let loads = by_end.loads(baseline);
+        let (lo, total, what) = if loads.is_empty() {
+            let lo = warm.unwrap_or_else(|| self.ladder_best(|_| 1, baseline.is_some()));
+            (lo, self.intervals.len() as u64, UNIT_BOUND_OVERFLOW)
+        } else {
             let ladder = self.ladder_best(|i| self.interval_load(i), true);
-            let total = (0..self.intervals.len())
-                .map(|i| self.interval_load(i))
-                .fold(0u64, |a, w| a.saturating_add(w));
-            (warm.unwrap_or(0).max(ladder), total)
-        } else {
-            let lo = warm.unwrap_or_else(|| self.ladder_best(|_| 1, with_baseline));
-            (lo, self.intervals.len() as u64)
+            let total = loads.iter().fold(0u64, |a, &w| a.saturating_add(w));
+            let what = "weighted BCP lower bound (exceeds u64)";
+            (warm.unwrap_or(0).max(ladder), total, what)
         };
-        let baseline = with_baseline.then_some(self.baseline.as_slice());
-        let what = if weighted {
-            "weighted BCP lower bound (exceeds u64)"
-        } else {
-            UNIT_BOUND_OVERFLOW
-        };
-        let lo = lo.max(density_floor(c, baseline, loads));
-        min_feasible_peak(lo, what, |p| dl.probe(baseline, p))
+        let lo = lo.max(density_floor(c, baseline, total));
+        let chunks = std::slice::from_ref(&by_end.groups);
+        min_feasible_peak(lo, what, MAX_PANEL, |p| {
+            probe(chunks, loads, OpenColors::new(c, baseline, p), true)
+        })
     }
 
-    /// The smallest blocking-EDF-feasible peak at or above the weighted
-    /// bound `lb`, by deterministic galloping and serial bisection
-    /// (blocking feasibility need not be monotone, so the search must
-    /// not depend on the thread count).
-    fn blocking_target(&self, dl: &Deadlines, lb: u64) -> Result<u64, BcpError> {
-        if self.probe_feasible_blocking(dl, lb) {
-            return Ok(lb);
-        }
-        let mut bad = lb;
-        let mut step = 1u64;
-        let mut good;
-        loop {
-            let p = bad.saturating_add(step);
-            if self.probe_feasible_blocking(dl, p) {
-                good = p;
-                break;
-            }
-            if p == u64::MAX {
-                return Err(BcpError::Overflow {
-                    what: "weighted BCP peak (exceeds u64)",
-                });
-            }
-            bad = p;
-            step = step.saturating_mul(2);
-        }
-        // Bisect; the invariant "good is feasible" holds throughout, so
-        // the result is a deterministic achievable peak even if the
-        // predicate has non-monotone pockets.
-        while good - bad > 1 {
-            let mid = bad + (good - bad) / 2;
-            if self.probe_feasible_blocking(dl, mid) {
-                good = mid;
-            } else {
-                bad = mid;
-            }
-        }
-        Ok(good)
-    }
-
-    /// Colors by one exact sweep over `dl` ([`Deadlines::sweep`]);
-    /// a missed deadline reports the `attempted` peak.
-    fn color_sweep(
+    /// Colors by one fit [`sweep`] at `peak`; a missed interval reports
+    /// `peak` and its end.
+    fn color_at(
         &self,
-        dl: &Deadlines,
-        attempted: u64,
-        capacity: impl Fn(usize) -> u64,
-        load: impl Fn(usize) -> u64,
+        by_end: &ByEnd,
+        peak: u64,
+        baseline: Option<&[u64]>,
+        loads: &[u64],
     ) -> Result<Coloring, BcpError> {
         let mut colors = vec![u32::MAX; self.intervals.len()];
-        dl.sweep(capacity, load, |i, t| colors[i] = t)
-            .map_err(|color| BcpError::Infeasible {
-                peak: attempted,
-                color,
-            })?;
+        let open = OpenColors::new(self.num_colors, baseline, peak);
+        let chunks = std::slice::from_ref(&by_end.groups);
+        sweep(chunks, loads, open, false, |r, t| {
+            colors[by_end.index[r] as usize] = t
+        })
+        .map_err(|color| BcpError::Infeasible { peak, color })?;
         Ok(Coloring { colors })
     }
 
@@ -1116,8 +911,7 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] if `lb` is below the true lower
     /// bound (cannot happen when `lb = self.lower_bound_paper()`).
     pub fn color_greedy_paper(&self, lb: u64) -> Result<Coloring, BcpError> {
-        let dl = Deadlines::new(self, false, true);
-        self.color_sweep(&dl, lb, |_| lb, |_| 1)
+        self.color_at(&ByEnd::new(self), lb, None, &[])
     }
 
     /// Earliest-deadline-first coloring with per-color capacity
@@ -1129,8 +923,7 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
     /// generalized lower bound.
     pub fn color_edf(&self, peak: u64) -> Result<Coloring, BcpError> {
-        let dl = Deadlines::new(self, false, true);
-        self.color_sweep(&dl, peak, |t| peak.saturating_sub(self.baseline[t]), |_| 1)
+        self.color_at(&ByEnd::new(self), peak, Some(&self.baseline), &[])
     }
 
     /// Weighted [`BcpInstance::color_edf`]: blocking-EDF sweep with
@@ -1143,13 +936,8 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
     /// meet `peak`.
     pub fn color_edf_weighted(&self, peak: u64) -> Result<Coloring, BcpError> {
-        let dl = Deadlines::new(self, false, true);
-        self.color_sweep(
-            &dl,
-            peak,
-            |t| peak.saturating_sub(self.baseline[t]),
-            |i| self.interval_load(i),
-        )
+        let by_end = ByEnd::new(self);
+        self.color_at(&by_end, peak, Some(&self.baseline), &by_end.loads)
     }
 
     /// Verifies a coloring: every interval colored inside its window.
@@ -1314,91 +1102,61 @@ impl BcpInstance {
     /// coloring's verified peak differs from the certified bound) would
     /// indicate a solver bug.
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        let _span = self.solve_span();
-        if self.is_unit() {
-            self.solve_unit(true, opts.warm_lb)
-        } else {
-            self.solve_weighted(opts.warm_lb)
-        }
+        self.solve_by(Some(&self.baseline), opts.warm_lb)
     }
 
-    /// Opens the `bcp.solve` span both solvers run under.
-    fn solve_span(&self) -> minitrace::SpanGuard {
-        minitrace::span_with(
+    /// The solve; without a baseline, the paper's unit-load problem. A
+    /// unit solve colors at the bound, and its verified peak must equal
+    /// it (the optimality certificate; paper mode ignores loads, so on
+    /// weighted instances its verified peak, which counts them, is not
+    /// compared). A weighted solve colors at the smallest
+    /// blocking-feasible peak at or above the fractional bound (a serial
+    /// [`min_feasible_peak`], as blocking feasibility need not be
+    /// monotone), then closes any remaining gap with a bounded exact
+    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
+    /// `peak == lower_bound` is not guaranteed beyond the search budget;
+    /// inside it the peak is exactly optimal (differential-tested against
+    /// the `dpfill-oracle` brute force).
+    fn solve_by(
+        &self,
+        baseline: Option<&[u64]>,
+        warm: Option<u64>,
+    ) -> Result<BcpSolution, BcpError> {
+        let _span = minitrace::span_with(
             "bcp.solve",
             &[
                 ("intervals", self.intervals.len().into()),
                 ("colors", self.num_colors.into()),
                 ("unit", u64::from(self.is_unit()).into()),
             ],
-        )
-    }
-
-    /// The unit-load solve: certify the bound (baseline-aware or the
-    /// paper's), color with EDF at it, and check the optimality
-    /// certificate — the verified peak must equal the bound. Paper mode
-    /// ignores loads, so on weighted instances its verified peak (which
-    /// counts them) is not compared.
-    fn solve_unit(&self, with_baseline: bool, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
-        let dl = Deadlines::new(self, false, true);
+        );
+        let by_end = ByEnd::new(self);
+        let loads = by_end.loads(baseline);
         let lb = {
             let _span = minitrace::span("bcp.bound");
-            self.certified_bound(&dl, with_baseline, warm)?
+            self.certified_bound(&by_end, baseline, warm)?
+        };
+        let target = if loads.is_empty() {
+            lb
+        } else {
+            let _span = minitrace::span("bcp.search");
+            let chunks = std::slice::from_ref(&by_end.groups);
+            min_feasible_peak(lb, "weighted BCP peak (exceeds u64)", 1, |p| {
+                let colors = OpenColors::new(self.num_colors, baseline, p);
+                probe(chunks, loads, colors, false)
+            })?
         };
         let _span = minitrace::span("bcp.color");
-        let capacity = |t: usize| {
-            if with_baseline {
-                lb.saturating_sub(self.baseline[t])
-            } else {
-                lb
-            }
-        };
-        let coloring = self.color_sweep(&dl, lb, capacity, |_| 1)?;
-        let peak = self.verify(&coloring)?;
-        let achieved = if with_baseline {
-            peak.with_baseline
-        } else {
-            peak.intervals_only
-        };
+        let mut coloring = self.color_at(&by_end, target, baseline, loads)?;
+        let mut peak = self.verify(&coloring)?;
+        let achieved = baseline.map_or(peak.intervals_only, |_| peak.with_baseline);
         if achieved != lb && self.is_unit() {
             return Err(BcpError::BoundNotMet {
                 bound: lb,
                 peak: achieved,
             });
         }
-        Ok(BcpSolution {
-            coloring,
-            lower_bound: lb,
-            peak,
-        })
-    }
-
-    /// Weighted solve: certify the fractional windowed bound, find a
-    /// blocking-EDF-feasible peak ([`BcpInstance::blocking_target`]),
-    /// color at it, then close any remaining gap with a bounded exact
-    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
-    /// `peak == lower_bound` is not guaranteed on instances beyond the
-    /// search budget; inside it the peak is exactly optimal
-    /// (differential-tested against the `dpfill-oracle` brute force).
-    fn solve_weighted(&self, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
-        let dl = Deadlines::new(self, true, true);
-        let lb = {
-            let _span = minitrace::span("bcp.bound");
-            self.certified_bound(&dl, true, warm)?
-        };
-        let target = {
-            let _span = minitrace::span("bcp.search");
-            self.blocking_target(&dl, lb)?
-        };
-        let _span = minitrace::span("bcp.color");
-        let mut coloring = self.color_sweep(
-            &dl,
-            target,
-            |t| target.saturating_sub(self.baseline[t]),
-            |i| self.interval_load(i),
-        )?;
-        let mut peak = self.verify(&coloring)?;
-        if peak.with_baseline > lb {
+        if !loads.is_empty() && peak.with_baseline > lb {
             if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
                 let improved = Coloring { colors: improved };
                 let improved_peak = self.verify(&improved)?;
@@ -1519,8 +1277,7 @@ impl BcpInstance {
     /// [`BcpError::Infeasible`] or [`BcpError::BoundNotMet`] would
     /// indicate a solver bug.
     pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
-        let _span = self.solve_span();
-        self.solve_unit(false, None)
+        self.solve_by(None, None)
     }
 }
 
@@ -1814,7 +1571,7 @@ mod tests {
                         EndGroups { starts, by_end }
                     })
                     .collect();
-                let bound = UnitBound::new(&groups, baseline);
+                let bound = UnitBound::new(groups, baseline);
                 let lb = inst.lower_bound().unwrap();
                 assert_eq!(bound.certify(0).unwrap(), lb, "c {c} k {k}");
                 assert_eq!(bound.certify(lb + 3).unwrap(), lb + 3, "c {c} k {k}");
@@ -1823,37 +1580,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bit_pyramid_finds_the_next_member() {
-        // Sizes across one, two and three summary levels.
-        for n in [1usize, 63, 64, 65, 4095, 4096, 4097, 300_000] {
-            let mut set = BitPyramid::new(n);
-            let mut reference = std::collections::BTreeSet::new();
-            let mut x = n as u64;
-            for step in 0..2_000 {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                let i = (x >> 20) as usize % n;
-                if step % 3 == 2 {
-                    let gone = reference.iter().next().copied().unwrap_or(i);
-                    if reference.remove(&gone) {
-                        set.remove(gone);
-                    }
-                } else if reference.insert(i) {
-                    set.insert(i);
-                }
-                let probe = (x >> 40) as usize % n;
-                assert_eq!(
-                    set.next(probe),
-                    reference.range(probe..).next().copied(),
-                    "n {n} step {step} from {probe}"
-                );
-            }
-            assert_eq!(set.next(0), reference.iter().next().copied());
-            assert_eq!(set.next(n), None);
-        }
-        assert_eq!(BitPyramid::new(0).next(0), None);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! pin-row chunks on the current [`minipool`] pool (see
 //! [`MatrixMapping`]); the BCP solve between them certifies the
 //! parametric lower bound (its probe panels also on the pool) and
-//! colors with one deadline-bucket EDF sweep (see [`crate::bcp`]). The
-//! filled set is bit-identical at any thread count.
+//! colors with one earliest-fit sweep in deadline order (see
+//! [`crate::bcp`]). The filled set is bit-identical at any thread count.
 
 use std::error::Error;
 use std::fmt;

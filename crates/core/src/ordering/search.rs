@@ -70,7 +70,7 @@ pub(crate) fn scan(cubes: &CubeSet, order: &[usize]) -> Result<UnitBound, Orderi
         }
         groups.push(chunk);
     }
-    Ok(UnitBound::new(&groups, baseline))
+    Ok(UnitBound::new(groups, baseline))
 }
 
 /// [`scan`] over the pin words `words`: the chunk's intervals, grouped

@@ -34,7 +34,7 @@ use dpfill_cubes::packed::{PackedBits, PackedMatrix};
 use dpfill_cubes::stretch::{classify_arrival, for_each_stretch_dense, is_dense_row, Stretch};
 use dpfill_cubes::Bit;
 
-use crate::bcp::IncrementalBound;
+use crate::bcp::{IncrementalBound, BCP_LADDER_LOADS};
 use crate::mapping::IntervalSite;
 
 use super::plan::group_by_row;
@@ -199,7 +199,9 @@ impl WindowedAnalyzer {
         // Transition t needs both cubes t and t+1 read; every event below
         // is therefore strictly inside the seen prefix.
         self.baseline.resize(self.cols.saturating_sub(1), 0);
+        let mut loads = 0;
         for (sites, forced, first_ones) in chunks {
+            loads += sites.len() + forced.len();
             for site in &sites {
                 // Interval (left, right-1): the exact interval the global
                 // solve will add for this site, at unit load.
@@ -219,6 +221,7 @@ impl WindowedAnalyzer {
                 self.first_values[pin as usize / 64] |= 1 << (pin % 64);
             }
         }
+        BCP_LADDER_LOADS.add(loads as u64);
     }
 
     /// The running unit-load lower bound certified by the incremental

@@ -1,4 +1,4 @@
-//! Differential suite for the BCP sweeps: the deadline-bucket kernels
+//! Differential suite for the BCP sweeps: the earliest-fit kernels
 //! behind `color_edf`, `color_greedy_paper`, `color_edf_weighted` and
 //! the lower bounds must reproduce the textbook binary-heap EDF sweeps
 //! exactly — the same coloring, or the same `Infeasible { peak, color }`

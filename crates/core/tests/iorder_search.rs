@@ -16,7 +16,9 @@ use dpfill_cubes::packed::PackedCubeSet;
 use dpfill_cubes::CubeSet;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-const WIDTHS: [usize; 5] = [1, 63, 64, 65, 130];
+/// The scan splits pins into chunks of at least 8 words, so 520 and
+/// 1,100 pins scan as two and three chunks, probed group by group.
+const WIDTHS: [usize; 7] = [1, 63, 64, 65, 130, 520, 1100];
 const COUNTS: [usize; 6] = [1, 2, 3, 5, 17, 40];
 const X_DENSITIES: [f64; 5] = [0.0, 0.3, 0.6, 0.9, 1.0];
 

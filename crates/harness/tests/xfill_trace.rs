@@ -336,6 +336,14 @@ fn stats_prints_the_aggregate_table() {
         "aggregate table missing: {stderr}"
     );
     assert!(stderr.contains("bcp.ladder.loads"), "counters: {stderr}");
+    // Ladder feeders add their load counts once per feed; the total
+    // stays one load per interval site and per forced toggle the
+    // analyzer finds: 8 on this input.
+    let loads = stderr
+        .lines()
+        .find_map(|line| line.strip_prefix("bcp.ladder.loads"))
+        .map(str::trim);
+    assert_eq!(loads, Some("8"), "counters: {stderr}");
 }
 
 #[test]
