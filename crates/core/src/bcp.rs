@@ -404,10 +404,14 @@ impl OpenColors {
     }
 }
 
-/// An instance's intervals in `(end, index)` order, counting-sorted by
-/// end once per call: start, interval index and (weighted only) load.
+/// An instance's intervals in `(end, index)` order: start, interval
+/// index and (weighted only) load. An instance already in that order
+/// (the analyzer's `(end, pin)` order) is read in place, with no
+/// scatter and the identity as its index; any other is counting-sorted
+/// by end once per call.
 struct ByEnd {
     groups: EndGroups,
+    /// Empty when the instance is already in end order.
     index: Vec<u32>,
     /// Empty on unit instances.
     loads: Vec<u64>,
@@ -415,7 +419,6 @@ struct ByEnd {
 
 impl ByEnd {
     fn new(inst: &BcpInstance) -> ByEnd {
-        let k = inst.intervals.len();
         let mut by_end = vec![0usize; inst.num_colors + 1];
         for iv in &inst.intervals {
             by_end[iv.end() as usize + 1] += 1;
@@ -423,6 +426,15 @@ impl ByEnd {
         for e in 1..by_end.len() {
             by_end[e] += by_end[e - 1];
         }
+        if inst.intervals.is_sorted_by_key(|iv| iv.end()) {
+            let starts = inst.intervals.iter().map(|iv| iv.start()).collect();
+            return ByEnd {
+                groups: EndGroups { starts, by_end },
+                index: Vec::new(),
+                loads: inst.loads.clone(),
+            };
+        }
+        let k = inst.intervals.len();
         let mut next = by_end.clone();
         let (mut starts, mut index) = (vec![0u32; k], vec![0u32; k]);
         let mut loads = vec![0u64; inst.loads.len()];
@@ -440,6 +452,11 @@ impl ByEnd {
             index,
             loads,
         }
+    }
+
+    /// The instance index of sweep position `r`.
+    fn interval(&self, r: usize) -> usize {
+        self.index.get(r).map_or(r, |&i| i as usize)
     }
 
     /// The loads a sweep weighs: none (unit) in the paper's problem.
@@ -676,6 +693,25 @@ impl BcpInstance {
         }
     }
 
+    /// The instance of `intervals` (ends inside `baseline`), interval
+    /// `i` weighing `loads[i]`; all-unit `loads` are stored empty.
+    pub(crate) fn with_intervals(
+        intervals: Vec<Interval>,
+        baseline: Vec<u64>,
+        loads: Vec<u64>,
+    ) -> BcpInstance {
+        debug_assert!(intervals
+            .iter()
+            .all(|iv| (iv.end() as usize) < baseline.len()));
+        let unit = loads.iter().all(|&w| w == 1);
+        BcpInstance {
+            num_colors: baseline.len(),
+            intervals,
+            baseline,
+            loads: if unit { Vec::new() } else { loads },
+        }
+    }
+
     /// Adds an interval.
     ///
     /// # Errors
@@ -896,7 +932,7 @@ impl BcpInstance {
         let open = OpenColors::new(self.num_colors, baseline, peak);
         let chunks = std::slice::from_ref(&by_end.groups);
         sweep(chunks, loads, open, false, |r, t| {
-            colors[by_end.index[r] as usize] = t
+            colors[by_end.interval(r)] = t
         })
         .map_err(|color| BcpError::Infeasible { peak, color })?;
         Ok(Coloring { colors })
@@ -1005,6 +1041,18 @@ impl BcpInstance {
         desire: &[i8],
         peak: u64,
     ) -> Result<Coloring, BcpError> {
+        self.shift_walking(coloring, desire, peak, 0..self.intervals.len())
+    }
+
+    /// [`BcpInstance::shift_within_slack`], visiting the intervals in
+    /// the order `walk` (a permutation of the instance indices).
+    fn shift_walking(
+        &self,
+        coloring: &Coloring,
+        desire: &[i8],
+        peak: u64,
+        walk: impl Iterator<Item = usize>,
+    ) -> Result<Coloring, BcpError> {
         if desire.len() != self.intervals.len() {
             return Err(BcpError::InvalidColoring(format!(
                 "{} desires for {} intervals",
@@ -1025,7 +1073,7 @@ impl BcpInstance {
             load[color as usize] += self.interval_load(i);
         }
         let mut colors = coloring.colors.clone();
-        for i in 0..colors.len() {
+        for i in walk {
             let dir = desire[i];
             if dir == 0 {
                 continue;
@@ -1064,15 +1112,22 @@ impl BcpInstance {
     }
 
     /// The preference step both fill pipelines run after the solve:
-    /// [`BcpInstance::shift_within_slack`] at the solution's achieved
-    /// peak, then [`BcpInstance::verify`] of the shifted coloring.
+    /// the slack shift at the solution's achieved peak, visiting the
+    /// intervals in the order `walk`, then [`BcpInstance::verify`] of
+    /// the shifted coloring.
     pub(crate) fn shift_solution(
         &self,
         solution: &mut BcpSolution,
         desire: &[i8],
+        walk: &[u32],
     ) -> Result<(), BcpError> {
-        let shifted =
-            self.shift_within_slack(&solution.coloring, desire, solution.peak.with_baseline)?;
+        let walk = walk.iter().map(|&i| i as usize);
+        let shifted = self.shift_walking(
+            &solution.coloring,
+            desire,
+            solution.peak.with_baseline,
+            walk,
+        )?;
         solution.peak = self.verify(&shifted)?;
         solution.coloring = shifted;
         Ok(())

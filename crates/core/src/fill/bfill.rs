@@ -1,4 +1,6 @@
-//! Balanced bottleneck greedy fill.
+//! Balanced bottleneck greedy fill: the DP-fill mapping's intervals,
+//! placed greedily in `(length, start, pin)` order, and its
+//! filled-value plane sweep.
 
 use dpfill_cubes::CubeSet;
 
@@ -35,11 +37,11 @@ impl FillStrategy for BFill {
         let mut load: Vec<u64> = instance.baseline().to_vec();
 
         // Process tightest windows first so constrained intervals are not
-        // starved by flexible ones.
+        // starved by flexible ones; ties by start, then by pin.
         let mut order: Vec<usize> = (0..instance.intervals().len()).collect();
-        order.sort_by_key(|&i| {
+        order.sort_unstable_by_key(|&i| {
             let iv = instance.intervals()[i];
-            (iv.len(), iv.start())
+            (iv.len(), iv.start(), mapping.pins()[i])
         });
 
         let mut colors = vec![0u32; instance.intervals().len()];

@@ -1,18 +1,18 @@
 //! DP-fill: the paper's optimal X-filling algorithm.
 //!
-//! The matrix analysis and the §V-D reconstruction both fan out over
-//! pin-row chunks on the current [`minipool`] pool (see
-//! [`MatrixMapping`]); the BCP solve between them certifies the
-//! parametric lower bound (its probe panels also on the pool) and
-//! colors with one earliest-fit sweep in deadline order (see
-//! [`crate::bcp`]). The filled set is bit-identical at any thread count.
+//! One cube-major scan (see [`MatrixMapping`], pin words on the current
+//! [`minipool`] pool) hands the BCP solve its intervals in `(end, pin)`
+//! order: the solve certifies the parametric lower bound and colors in
+//! one earliest-fit sweep in that order, with no sort (see
+//! [`crate::bcp`]); the §V-D reconstruction fills cube by cube from the
+//! colored pins. The filled set is bit-identical at any thread count.
 
 use std::error::Error;
 use std::fmt;
 
 use dpfill_cubes::CubeSet;
 
-use crate::bcp::{BcpError, BcpSolution};
+use crate::bcp::{BcpError, BcpSolution, SolveOptions};
 use crate::mapping::MatrixMapping;
 use crate::objective::{FillObjective, ObjectiveError};
 
@@ -200,15 +200,19 @@ impl DpFill {
             .map_err(|e| fill_error(FillErrorSource::Objective(e)))?;
         let instance = mapping.instance();
         let mut solution = match self.mode {
-            DpMode::Exact => instance.solve(),
+            // The analyzer's online ladder is the solve's own warm start.
+            DpMode::Exact => instance.solve_with(&SolveOptions {
+                warm_lb: Some(mapping.warm_lb()),
+            }),
             DpMode::PaperExact => instance.solve_paper(),
         }
         .map_err(|e| fill_error(FillErrorSource::Solve(e)))?;
         if !mapping.desire().is_empty() {
             // Secondary objective: slide intervals toward their
-            // preferred rest value without raising the achieved peak.
+            // preferred rest value without raising the achieved peak,
+            // visiting them by pin, then by start.
             instance
-                .shift_solution(&mut solution, mapping.desire())
+                .shift_solution(&mut solution, mapping.desire(), &mapping.shift_order())
                 .map_err(|e| fill_error(FillErrorSource::Solve(e)))?;
         }
         let filled = mapping.apply_coloring(&solution.coloring);

@@ -10,9 +10,9 @@
 //! | [`ZeroFill`]/[`OneFill`] | constants |
 //! | [`RandomFill`] | seeded random bits |
 //! | [`MtFill`] | minimum-transition temporal fill: copy the previous care value along each pin row |
-//! | [`AdjFill`] | scan-chain adjacent fill (within each cube), per Wu et al. [21] |
+//! | [`AdjFill`] | scan-chain adjacent fill (within each cube), per Wu et al. \[21\] |
 //! | [`BFill`] | balanced greedy: place each stretch toggle on the lightest admissible transition |
-//! | [`XStatFill`] | two-phase statistical fill, per Trinadh et al. [22] |
+//! | [`XStatFill`] | two-phase statistical fill, per Trinadh et al. \[22\] |
 //! | [`DpFill`] | the paper's optimal dynamic-programming fill |
 
 mod bfill;
@@ -55,9 +55,9 @@ pub enum FillMethod {
     B,
     /// DP-fill (optimal), baseline-aware.
     Dp,
-    /// XStat two-phase fill [22].
+    /// XStat two-phase fill \[22\].
     XStat,
-    /// Scan-chain adjacent fill [21].
+    /// Scan-chain adjacent fill \[21\].
     Adj,
 }
 
@@ -91,7 +91,8 @@ impl FillMethod {
         self.fill_with(cubes, &crate::objective::FillObjective::default())
     }
 
-    /// Runs the fill under an explicit [`FillObjective`].
+    /// Runs the fill under an explicit
+    /// [`FillObjective`](crate::objective::FillObjective).
     ///
     /// Only DP-fill consumes the objective (it is the only optimizer
     /// here); the heuristic fills are objective-blind and produce the

@@ -1,21 +1,22 @@
 //! Constant, random and adjacent fills, all running on the packed
 //! two-plane representation: constants are whole-word mask writes,
-//! random fill blends one random word per 64 pins, and the MT/Adj run
-//! fills are the word-parallel copy-left kernel
+//! random fill blends one random word per 64 pins, Adj-fill runs the
+//! word-parallel copy-left kernel
 //! ([`PackedBits::fill_copy_left`](dpfill_cubes::packed::PackedBits::fill_copy_left))
-//! seeded with the first care value. Cubes (and, for MT-fill, pin rows)
-//! are independent, so every fill chunks them across the current
-//! [`minipool`] pool; outputs are bit-identical at any thread count
-//! because each worker only writes its own rows.
+//! along each cube, and MT-fill is DP-fill's cube-major filled-value
+//! plane with no flips: seeded with each pin's first care value, it
+//! carries each pin's last care value from cube to cube. Cubes are
+//! independent for every fill but MT, so those chunk them across the
+//! current [`minipool`] pool; outputs are bit-identical at any thread
+//! count because each worker only writes its own cubes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dpfill_cubes::packed::PackedMatrix;
 use dpfill_cubes::{Bit, CubeSet};
 
 use super::FillStrategy;
-use crate::mapping::leading_value;
+use crate::mapping::{fill_cubes, first_values, leading_value, Flips};
 
 /// Fills every `X` with `0`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -127,17 +128,14 @@ impl FillStrategy for MtFill {
     }
 
     fn fill(&self, cubes: &CubeSet) -> CubeSet {
-        let mut matrix = PackedMatrix::from_packed_set(cubes.as_packed());
-        minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |_, rows| {
-            for r in rows {
-                r.fill_copy_left(leading_value(r));
-            }
-        });
-        CubeSet::from_packed(matrix.to_packed_set())
+        let mut filled = cubes.clone();
+        let mut plane = first_values(cubes.as_packed().cubes(), cubes.width());
+        fill_cubes(filled.packed_cubes_mut(), 0, &mut plane, &Flips::default());
+        filled
     }
 }
 
-/// Scan-chain adjacent fill (Wu et al. [21]): within each **cube**, an
+/// Scan-chain adjacent fill (Wu et al. \[21\]): within each **cube**, an
 /// `X` copies the previous specified bit in scan order; leading `X`s copy
 /// the first care bit; all-`X` cubes become all zeros. This targets shift
 /// power in LOS testing (neighbouring scan cells get equal values) rather

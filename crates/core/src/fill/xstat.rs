@@ -1,7 +1,8 @@
-//! The XStat two-phase fill (Trinadh et al. [22]), on the DP-fill
-//! mapping: phase 1 is the matrix analysis, phase 2 a greedy coloring
-//! of each stretch's two middle transitions, and the fill is the
-//! mapping's copy-left-then-flip reconstruction.
+//! The XStat two-phase fill (Trinadh et al. \[22\]), on the DP-fill
+//! mapping: phase 1 is the cube-major analysis, phase 2 a greedy
+//! coloring of each stretch's two middle transitions in `(load, pin,
+//! left column)` order, and the fill is the mapping's filled-value
+//! plane sweep.
 
 use dpfill_cubes::CubeSet;
 
@@ -40,22 +41,27 @@ impl FillStrategy for XStatFill {
 
     fn fill(&self, cubes: &CubeSet) -> CubeSet {
         let mapping = MatrixMapping::analyze(cubes);
-        let sites = mapping.sites();
+        let (intervals, pins) = (mapping.instance().intervals(), mapping.pins());
         let mut load = mapping.instance().baseline().to_vec();
-        // Phase 1 keeps one X at the stretch's midpoint column.
+        // Phase 1 keeps one X at the stretch's midpoint column: the
+        // stretch runs from care column `start` to care column `end + 1`.
         let mid = |i: usize| {
-            let (left, right) = (sites[i].left as usize, sites[i].right as usize);
+            let iv = intervals[i];
+            let (left, right) = (iv.start() as usize, iv.end() as usize + 1);
             ((left + right) / 2).clamp(left + 1, right - 1)
         };
         // Lightest-neighbourhood decisions first (the "statistical"
         // ordering: constrained middles with one heavy side decided while
-        // alternatives remain); ties keep row-major order.
-        let mut pending: Vec<(u64, usize)> = (0..sites.len())
-            .map(|i| (load[mid(i) - 1].min(load[mid(i)]), i))
+        // alternatives remain); ties by pin, then by left column.
+        let mut pending: Vec<(u64, u32, u32, usize)> = (0..intervals.len())
+            .map(|i| {
+                let light = load[mid(i) - 1].min(load[mid(i)]);
+                (light, pins[i], intervals[i].start(), i)
+            })
             .collect();
         pending.sort_unstable();
-        let mut colors = vec![0u32; sites.len()];
-        for (_, i) in pending {
+        let mut colors = vec![0u32; intervals.len()];
+        for (.., i) in pending {
             let m = mid(i);
             // Toggle on the lighter side: at `m − 1` when the middle
             // takes the right value, at `m` when it keeps the left.

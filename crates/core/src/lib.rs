@@ -14,11 +14,11 @@
 //! * [`mapping`] — the matrix ↔ BCP reduction (§V-C) and the solution
 //!   reconstruction (§V-D);
 //! * [`fill`] — [`fill::DpFill`] plus every baseline of Tables II–IV
-//!   (MT/R/0/1/B, XStat [22], Adj-fill [21]);
+//!   (MT/R/0/1/B, XStat \[22\], Adj-fill \[21\]);
 //! * [`objective`] — pluggable fill objectives ([`FillObjective`]):
 //!   weighted per-pin toggle loads and leakage/IR-drop preferences,
 //!   compiled to fixed-point weight tables the solver consumes exactly;
-//! * [`ordering`] — Tool, XStat [22], simulated-annealing (ISA, [20]) and
+//! * [`ordering`] — Tool, XStat \[22\], simulated-annealing (ISA, \[20\]) and
 //!   the paper's I-ordering (Algorithm 3, [`ordering::IOrdering`]);
 //! * [`pipeline`] — ordering+fill techniques and the sweeps behind the
 //!   paper's tables;
@@ -62,7 +62,7 @@ pub use bcp::{
     BcpError, BcpInstance, BcpSolution, Coloring, IncrementalBound, SolveOptions, VerifiedPeak,
 };
 pub use interval::Interval;
-pub use mapping::{IntervalSite, MatrixMapping};
+pub use mapping::MatrixMapping;
 pub use objective::{FillObjective, ObjectiveError, ObjectiveKind, WeightTable};
 pub use pipeline::{
     percent_improvement, sweep_fills, sweep_fills_with, Technique, TechniqueResult,

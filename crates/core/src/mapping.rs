@@ -1,74 +1,110 @@
 //! Mapping between test-cube matrices and BCP instances (paper §V-C/V-D).
 //!
-//! [`MatrixMapping::analyze`] packs the cube set into the two-plane
-//! representation, transposes it with the word-blocked bit transpose, and
-//! runs the windowed analyzer over the whole matrix as one window — the
-//! same scan the streaming pipeline runs window by window:
+//! [`MatrixMapping::analyze`] runs the cube-major analyzer over the
+//! packed cube set as one window — the same scan the streaming pipeline
+//! runs window by window, with no transpose:
 //!
-//! * records one [`IntervalSite`] — one BCP [`Interval`] — per
-//!   `v X…X w` transition stretch (the one unavoidable toggle whose
-//!   position is free);
-//! * tallies *forced toggles* (adjacent opposite care bits) into the
+//! * each `v X…X w` transition stretch (the one unavoidable toggle
+//!   whose position is free) becomes one BCP [`Interval`](crate::Interval), recorded as
+//!   its start and pin in `(end, pin)` order — the order every BCP sweep
+//!   walks, so the solve reads the instance in place;
+//! * *forced toggles* (adjacent opposite care bits) are tallied into the
 //!   instance baseline.
 //!
-//! Every other `X` is *safe*: it takes the nearest care value and never
-//! toggles, so nothing is stored for it. [`MatrixMapping::apply_coloring`]
-//! reconstructs the filled matrix from a BCP coloring through
-//! `fill_row`, the one row kernel the streaming emit pass also runs per
-//! window: a word-parallel copy-left fill, then each interval colored `j`
-//! flips its stretch's columns after `j` to the right value (paper §V-D).
+//! Every other `X` is *safe*: it takes the nearest care value to its
+//! left and never toggles, so nothing is stored for it beyond each pin's
+//! first care value. [`MatrixMapping::apply_coloring`] reconstructs the
+//! filled set cube by cube (paper §V-D) through the kernel the streaming
+//! emit pass also runs per window: a filled-value plane `F`, seeded with
+//! each pin's first care value, fills cube `t` as
+//! `F ← ((F ^ flips(t − 1)) & !C_t) | (V_t & C_t)`, where `flips(j)` are
+//! the pins whose stretch the coloring gives color `j`. A stretch
+//! colored `j` thus holds its left value through cube `j` and its right
+//! value from cube `j + 1`.
 
-use dpfill_cubes::packed::{PackedBits, PackedMatrix};
-use dpfill_cubes::{Bit, CubeSet, PinMatrix};
+use dpfill_cubes::packed::PackedBits;
+use dpfill_cubes::{Bit, CubeSet};
 
-use crate::bcp::{BcpError, BcpInstance, Coloring};
+use crate::bcp::{BcpInstance, Coloring};
 use crate::objective::{FillObjective, ObjectiveError};
-use crate::stream::analyze::WindowedAnalyzer;
-use crate::Interval;
+use crate::stream::analyze::{Analysis, Analyzer};
 
-/// Where an interval came from: the row and the delimiting care columns
-/// (16 bytes — both pipelines keep one per stretch from scan to fill).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IntervalSite {
-    /// Pin row of the stretch.
-    pub row: u32,
-    /// Column of the left care bit (`k` in the paper).
-    pub left: u32,
-    /// Column of the right care bit (`l` in the paper).
-    pub right: u32,
-    /// Value of the left care bit.
-    pub left_value: Bit,
+/// Each interval's pin, bucketed by its color: the pins whose filled
+/// value flips at each transition.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Flips {
+    pins: Vec<u32>,
+    /// `pins[at[j]..at[j + 1]]` flip at transition `j` (empty: none).
+    at: Vec<usize>,
 }
 
-/// The BCP instance of both pipelines: per site, in site order (which
-/// fixes the EDF tie-breaks), the interval `(left, right − 1)` charged
-/// `weights[row]` (unit when `None`), over the forced-toggle `baseline`.
-pub(crate) fn build_instance(
-    sites: &[IntervalSite],
-    weights: Option<&[u64]>,
-    baseline: Vec<u64>,
-) -> Result<BcpInstance, BcpError> {
-    let mut instance = BcpInstance::new(baseline.len());
-    instance.set_baseline(baseline)?;
-    for site in sites {
-        let load = weights.map_or(1, |w| w[site.row as usize]);
-        instance.add_weighted_interval(Interval::new(site.left, site.right - 1), load)?;
+impl Flips {
+    /// Buckets `pins[i]` by `colors[i]` over `num_colors` colors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or a color is out of range.
+    pub fn new(pins: &[u32], colors: &[u32], num_colors: usize) -> Flips {
+        assert_eq!(
+            colors.len(),
+            pins.len(),
+            "coloring does not match interval count"
+        );
+        let (pins, at) = bucket(colors, num_colors, |i| pins[i]);
+        Flips { pins, at }
     }
-    Ok(instance)
+
+    /// Bytes held: 4 B per flip and 8 B per transition.
+    pub fn approx_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.pins.len() * size_of::<u32>() + self.at.len() * size_of::<usize>()) as u64
+    }
+
+    /// Applies the flips of the transition into cube `t` to `plane`.
+    fn apply(&self, t: usize, plane: &mut [u64]) {
+        if let Some(&[lo, hi]) = t.checked_sub(1).and_then(|j| self.at.get(j..j + 2)) {
+            for &pin in &self.pins[lo..hi] {
+                plane[pin as usize / 64] ^= 1 << (pin % 64);
+            }
+        }
+    }
 }
 
-/// Per-site shift desires toward `preferred[row]` for
-/// [`BcpInstance::shift_within_slack`]: `+1` favors a late toggle (hold
-/// the left value), `-1` an early one, `0` no preference.
-pub(crate) fn desires(sites: &[IntervalSite], preferred: &[Bit]) -> Vec<i8> {
-    sites
-        .iter()
-        .map(|site| match preferred[site.row as usize] {
-            Bit::X => 0,
-            p if p == site.left_value => 1,
-            _ => -1,
-        })
-        .collect()
+/// Advances the filled-value plane `carry` (the plane after cube
+/// `t0 − 1`, or each pin's first care value before any) over `cubes`,
+/// cubes `t0..` of the set: the flips into each cube, then its care
+/// bits. The plane after a cube is that cube filled.
+pub(crate) fn advance(cubes: &[PackedBits], t0: usize, carry: &mut [u64], flips: &Flips) {
+    for (t, cube) in (t0..).zip(cubes) {
+        flips.apply(t, carry);
+        let planes = cube.care_words().iter().zip(cube.value_words());
+        for (f, (&care, &val)) in carry.iter_mut().zip(planes) {
+            *f = (*f & !care) | val;
+        }
+    }
+}
+
+/// Fills `cubes` in place while [`advance`]-ing `carry` over them.
+pub(crate) fn fill_cubes(cubes: &mut [PackedBits], t0: usize, carry: &mut [u64], flips: &Flips) {
+    for (t, cube) in (t0..).zip(cubes) {
+        advance(std::slice::from_ref(cube), t, carry, flips);
+        cube.fill_x_from_words(|w| carry[w]);
+    }
+}
+
+/// Each pin's first care value over `cubes` of `width` pins, one bit per
+/// pin (zero for an all-`X` pin).
+pub(crate) fn first_values(cubes: &[PackedBits], width: usize) -> Vec<u64> {
+    let words = width.div_ceil(64);
+    let (mut first, mut seen) = (vec![0u64; words], vec![0u64; words]);
+    for cube in cubes {
+        let planes = cube.care_words().iter().zip(cube.value_words());
+        for ((f, s), (&care, &val)) in first.iter_mut().zip(seen.iter_mut()).zip(planes) {
+            *f |= val & care & !*s;
+            *s |= care;
+        }
+    }
+    first
 }
 
 /// The value a vector's leading `X`-run copies: its first care value,
@@ -77,155 +113,159 @@ pub(crate) fn leading_value(bits: &PackedBits) -> bool {
     bits.first_care().is_some_and(|i| bits.get(i) == Bit::One)
 }
 
-/// Fills one pin row holding columns `[start, start + row.len())`:
-/// every `X` copies the nearest care value to its left (`carry` is the
-/// value left of the held columns), then each of the row's `sites`
-/// (left to right) colored `j` flips its columns `j + 1 .. right` to the
-/// opposite of its left value, clipped to the held columns (paper §V-D).
-/// A whole row for [`MatrixMapping::apply_coloring`], one window in
-/// streaming.
-///
-/// # Panics
-///
-/// Panics if a flipped site's color falls outside its stretch window.
-pub(crate) fn fill_row(
-    row: &mut PackedBits,
-    start: usize,
-    carry: bool,
-    sites: &[IntervalSite],
-    colors: &[u32],
-) {
-    row.fill_copy_left(carry);
-    let end = start + row.len();
-    // A row's stretch interiors are disjoint and ordered, so the sites
-    // overlapping the held columns are one contiguous run.
-    let lo = sites.partition_point(|s| s.right as usize <= start);
-    let hi = sites.partition_point(|s| (s.left as usize) + 1 < end);
-    for (site, &color) in sites[lo..hi].iter().zip(&colors[lo..hi]) {
-        assert!(
-            site.left <= color && color < site.right,
-            "color {color} outside stretch window [{}, {})",
-            site.left,
-            site.right
-        );
-        let from = (color as usize + 1).max(start);
-        let to = (site.right as usize).min(end);
-        if from < to {
-            row.fill_range(from - start, to - start, !site.left_value);
-        }
+/// A stable counting sort: `value(i)` for every `i`, grouped by
+/// `keys[i] < buckets`, and the offset of each group (one more than
+/// `buckets`).
+fn bucket(keys: &[u32], buckets: usize, value: impl Fn(usize) -> u32) -> (Vec<u32>, Vec<usize>) {
+    let mut at = vec![0usize; buckets + 1];
+    for &k in keys {
+        at[k as usize + 1] += 1;
     }
+    for b in 1..at.len() {
+        at[b] += at[b - 1];
+    }
+    let (mut next, mut out) = (at.clone(), vec![0u32; keys.len()]);
+    for (i, &k) in keys.iter().enumerate() {
+        out[next[k as usize]] = value(i);
+        next[k as usize] += 1;
+    }
+    (out, at)
 }
 
-/// The analyzed matrix: intervals extracted, forced toggles tallied,
-/// and the transposed input kept for the fill.
+/// The interval indices of `pins` (in `(end, pin)` order) in `(pin,
+/// start)` order, over `width` pins: the order the preference shift
+/// walks.
+pub(crate) fn pin_order(pins: &[u32], width: usize) -> Vec<u32> {
+    bucket(pins, width, |i| i as u32).0
+}
+
+/// Per-interval shift desires toward `preferred[pin]` for
+/// [`BcpInstance::shift_within_slack`]: `+1` favors a late toggle (hold
+/// the left value), `-1` an early one, `0` no preference.
+pub(crate) fn desires(pins: &[u32], lefts: &[bool], preferred: &[Bit]) -> Vec<i8> {
+    pins.iter()
+        .zip(lefts)
+        .map(|(&pin, &left)| match preferred[pin as usize] {
+            Bit::X => 0,
+            p if p == Bit::from_bool(left) => 1,
+            _ => -1,
+        })
+        .collect()
+}
+
+/// The BCP instance of an analysis, in its `(end, pin)` order: interval
+/// `i` charged `weights[pins[i]]` (unit when `None`), over the forced
+/// baseline. Takes the intervals and the baseline.
+pub(crate) fn instance(analysis: &mut Analysis, weights: Option<&[u64]>) -> BcpInstance {
+    let loads = weights.map_or_else(Vec::new, |w| {
+        analysis.pins.iter().map(|&p| w[p as usize]).collect()
+    });
+    let intervals = std::mem::take(&mut analysis.intervals);
+    BcpInstance::with_intervals(intervals, std::mem::take(&mut analysis.baseline), loads)
+}
+
+/// The analyzed set: intervals extracted, forced toggles tallied, and
+/// the input kept for the fill.
 #[derive(Clone, Debug)]
 pub struct MatrixMapping {
-    matrix: PackedMatrix,
+    cubes: CubeSet,
     instance: BcpInstance,
-    sites: Vec<IntervalSite>,
+    /// The pin of each interval, aligned with the instance.
+    pins: Vec<u32>,
+    first_values: Vec<u64>,
     /// Secondary-objective shift direction per interval (aligned with
-    /// `sites`, see [`desires`]). Empty when the objective has no
+    /// the instance, see [`desires`]). Empty when the objective has no
     /// fill-value preference.
     desire: Vec<i8>,
+    /// The analyzer's online unit bound (see [`Analysis::warm_lb`]).
+    warm_lb: u64,
 }
 
 impl MatrixMapping {
-    /// Analyzes a cube set (columns = cubes) per the paper's mapping.
-    /// The set is already packed, so this is the word-blocked transpose
-    /// plus the `trailing_zeros` stretch scan — no scalar work.
+    /// Analyzes a cube set (columns = cubes) per the paper's mapping:
+    /// one cube-major scan of the packed planes, with pin words fanned
+    /// out across the current [`minipool`] pool. The intervals, the
+    /// baseline and the fill are bit-identical at any thread count and
+    /// to any windowing of the same cubes.
     pub fn analyze(cubes: &CubeSet) -> MatrixMapping {
-        Self::analyze_packed(PackedMatrix::from_packed_set(cubes.as_packed()))
+        Self::analyze_with(cubes, &FillObjective::default())
+            .unwrap_or_else(|e| unreachable!("the default objective carries no table: {e}"))
     }
 
     /// [`MatrixMapping::analyze`] under a [`FillObjective`]: each
-    /// interval carries the objective's fixed-point weight for its pin
-    /// row, forced toggles charge the weighted baseline, and the
+    /// interval carries the objective's fixed-point weight for its pin,
+    /// forced toggles charge the weighted baseline, and the
     /// per-interval shift desires ([`MatrixMapping::desire`]) encode
-    /// the fill-value preference. With the default objective this is
-    /// exactly [`MatrixMapping::analyze`].
+    /// the fill-value preference. The scan itself is identical, so with
+    /// the default objective this is exactly [`MatrixMapping::analyze`].
     ///
     /// # Errors
     ///
     /// Returns [`ObjectiveError::WidthMismatch`] when the weight table
-    /// does not cover the matrix's pin rows, and
-    /// [`ObjectiveError::Overflow`] when a weighted forced-toggle load
-    /// exceeds `u64`.
+    /// does not cover the set's pins, and [`ObjectiveError::Overflow`]
+    /// when a weighted forced-toggle load exceeds `u64`.
     pub fn analyze_with(
         cubes: &CubeSet,
         objective: &FillObjective,
     ) -> Result<MatrixMapping, ObjectiveError> {
-        Self::analyze_packed_with(PackedMatrix::from_packed_set(cubes.as_packed()), objective)
-    }
-
-    /// Analyzes an already-transposed scalar matrix.
-    pub fn analyze_matrix(matrix: PinMatrix) -> MatrixMapping {
-        Self::analyze_packed(PackedMatrix::from_pin_matrix(&matrix))
-    }
-
-    /// Analyzes an already-packed matrix: the windowed analyzer's scan
-    /// over the whole matrix as one window. Pin rows fan out across the
-    /// current [`minipool`] pool, each row density-adaptive (care
-    /// arrivals on sparse rows, X-run hops on dense ones), and the
-    /// chunks merge back **in row order**, so the interval sequence,
-    /// the sites and the baseline are bit-identical at any thread count
-    /// and to any windowing of the same columns.
-    pub fn analyze_packed(matrix: PackedMatrix) -> MatrixMapping {
-        Self::analyze_packed_with(matrix, &FillObjective::default())
-            .unwrap_or_else(|e| unreachable!("the default objective carries no table: {e}"))
-    }
-
-    /// [`MatrixMapping::analyze_packed`] under a [`FillObjective`] (see
-    /// [`MatrixMapping::analyze_with`]). The scan itself is identical —
-    /// the objective only changes how the emitted events charge the BCP
-    /// instance — so the unit-objective mapping stays bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// See [`MatrixMapping::analyze_with`].
-    pub fn analyze_packed_with(
-        matrix: PackedMatrix,
-        objective: &FillObjective,
-    ) -> Result<MatrixMapping, ObjectiveError> {
-        objective.check_width(matrix.rows())?;
+        objective.check_width(cubes.width())?;
         let weights = objective.weights();
-        let mut analyzer =
-            WindowedAnalyzer::with_weights(matrix.rows(), weights.map(<[u64]>::to_vec));
-        analyzer.ingest(&matrix);
-        let analysis = analyzer.finish();
+        let preferred = objective.preferred();
+        let mut analyzer = Analyzer::new(
+            cubes.width(),
+            weights.map(<[u64]>::to_vec),
+            preferred.is_some(),
+        );
+        analyzer.ingest(cubes.as_packed().cubes());
+        let mut analysis = analyzer.finish();
         if analysis.overflow {
             return Err(ObjectiveError::Overflow {
                 what: "weighted forced-toggle load on one transition",
             });
         }
-        let instance = build_instance(&analysis.sites, weights, analysis.baseline)
-            .unwrap_or_else(|e| unreachable!("stretch bounds and table weights are valid: {e}"));
-        let desire = objective
-            .preferred()
-            .map_or_else(Vec::new, |preferred| desires(&analysis.sites, preferred));
+        let instance = instance(&mut analysis, weights);
+        let desire = preferred.map_or_else(Vec::new, |preferred| {
+            desires(&analysis.pins, &analysis.lefts, preferred)
+        });
         Ok(MatrixMapping {
-            matrix,
+            cubes: cubes.clone(),
             instance,
-            sites: analysis.sites,
+            pins: analysis.pins,
+            first_values: analysis.first_values,
             desire,
+            warm_lb: analysis.warm_lb,
         })
     }
 
     /// Per-interval shift desires for the objective's fill-value
-    /// preference (aligned with [`MatrixMapping::sites`]; empty when
+    /// preference (aligned with `instance().intervals()`; empty when
     /// the objective has none). Feed to
     /// [`BcpInstance::shift_within_slack`] with the solved peak.
     pub fn desire(&self) -> &[i8] {
         &self.desire
     }
 
-    /// The BCP instance extracted from the matrix.
+    /// The BCP instance extracted from the set, its intervals in
+    /// `(end, pin)` order.
     pub fn instance(&self) -> &BcpInstance {
         &self.instance
     }
 
-    /// Interval provenance, aligned with `instance().intervals()`.
-    pub fn sites(&self) -> &[IntervalSite] {
-        &self.sites
+    /// The pin of each interval, aligned with `instance().intervals()`.
+    pub(crate) fn pins(&self) -> &[u32] {
+        &self.pins
+    }
+
+    /// The analyzer's online unit-load bound: a valid
+    /// [`SolveOptions::warm_lb`](crate::SolveOptions::warm_lb).
+    pub(crate) fn warm_lb(&self) -> u64 {
+        self.warm_lb
+    }
+
+    /// The order DP-fill's preference shift visits the intervals in:
+    /// by pin, then by start.
+    pub(crate) fn shift_order(&self) -> Vec<u32> {
+        pin_order(&self.pins, self.cubes.width())
     }
 
     /// Number of forced toggles summed over all transitions.
@@ -233,15 +273,10 @@ impl MatrixMapping {
         self.instance.baseline().iter().sum()
     }
 
-    /// Reconstructs the fully filled matrix from a coloring
-    /// (paper §V-D) and returns it as a cube set: each row goes through
-    /// `fill_row` with its first care value as the carry (zero for an
-    /// all-`X` row).
-    ///
-    /// Sites are row-major (the analysis emits them that way), so row
-    /// chunks fan out across the pool and each worker walks its slice of
-    /// sites/colors — disjoint rows, disjoint fills, and a result
-    /// independent of the execution interleaving.
+    /// Reconstructs the fully filled set from a coloring (paper §V-D):
+    /// the coloring's pins are bucketed by color, then one cube-major
+    /// sweep of the filled-value plane fills every cube (see the module
+    /// docs), starting from each pin's first care value.
     ///
     /// # Panics
     ///
@@ -249,31 +284,28 @@ impl MatrixMapping {
     /// or out-of-window colors) — obtain colorings from the BCP solvers,
     /// which guarantee validity.
     pub fn apply_coloring(&self, coloring: &Coloring) -> CubeSet {
+        let colors = coloring.colors();
         assert_eq!(
-            coloring.colors().len(),
-            self.sites.len(),
+            colors.len(),
+            self.pins.len(),
             "coloring does not match interval count"
         );
-        let mut matrix = self.matrix.clone();
-        let sites = &self.sites;
-        let colors = coloring.colors();
-        minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |start, rows| {
-            let mut lo = sites.partition_point(|s| (s.row as usize) < start);
-            for (r, row) in (start..).zip(rows.iter_mut()) {
-                let hi = lo + sites[lo..].partition_point(|s| s.row as usize == r);
-                let carry = leading_value(row);
-                fill_row(row, 0, carry, &sites[lo..hi], &colors[lo..hi]);
-                lo = hi;
-            }
-        });
-        debug_assert_eq!(matrix.x_count(), 0, "all X bits must be filled");
-        CubeSet::from_packed(matrix.to_packed_set())
+        for (iv, &color) in self.instance.intervals().iter().zip(colors) {
+            assert!(iv.contains(color), "color {color} outside interval {iv}");
+        }
+        let flips = Flips::new(&self.pins, colors, self.instance.num_colors());
+        let mut filled = self.cubes.clone();
+        let mut carry = self.first_values.clone();
+        fill_cubes(filled.packed_cubes_mut(), 0, &mut carry, &flips);
+        debug_assert_eq!(filled.x_count(), 0, "all X bits must be filled");
+        filled
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Interval;
     use dpfill_cubes::peak_toggles;
 
     fn set(rows: &[&str]) -> CubeSet {
@@ -307,9 +339,7 @@ mod tests {
         let cubes = set(&["0", "X", "X", "1"]);
         let m = MatrixMapping::analyze(&cubes);
         assert_eq!(m.instance().intervals(), &[Interval::new(0, 2)]);
-        assert_eq!(m.sites()[0].left, 0);
-        assert_eq!(m.sites()[0].right, 3);
-        assert_eq!(m.sites()[0].left_value, Bit::Zero);
+        assert_eq!(m.pins(), &[0]);
     }
 
     #[test]
@@ -345,7 +375,7 @@ mod tests {
         // 1 X 0: one interval [0,1]; left value one.
         let cubes = set(&["1", "X", "0"]);
         let m = MatrixMapping::analyze(&cubes);
-        assert_eq!(m.sites()[0].left_value, Bit::One);
+        assert_eq!(m.instance().intervals(), &[Interval::new(0, 1)]);
         let sol = m.instance().solve().unwrap();
         let filled = m.apply_coloring(&sol.coloring);
         assert_eq!(peak_toggles(&filled).unwrap(), 1);
@@ -459,7 +489,7 @@ mod tests {
         let via_objective =
             MatrixMapping::analyze_with(&cubes, &FillObjective::peak_toggles()).unwrap();
         assert_eq!(plain.instance(), via_objective.instance());
-        assert_eq!(plain.sites(), via_objective.sites());
+        assert_eq!(plain.pins(), via_objective.pins());
         assert!(via_objective.desire().is_empty());
     }
 

@@ -9,7 +9,7 @@ use crate::fill::{FillStrategy, MtFill};
 use super::{OrderingError, OrderingStrategy, PackedCubes};
 
 /// Simulated-annealing vector ordering, reconstructing the
-/// ordering-based low-power technique of Girard et al. [20] ("ISA" in
+/// ordering-based low-power technique of Girard et al. \[20\] ("ISA" in
 /// the paper's Table V).
 ///
 /// The original work orders *fully specified* vectors to reduce test

@@ -6,8 +6,8 @@
 //! | Ordering | Idea |
 //! |----------|------|
 //! | [`ToolOrdering`] | the ATPG emission order (the paper's TetraMax™ order) |
-//! | [`XStatOrdering`] | greedy nearest-neighbour chaining by conflict distance, per [22] |
-//! | [`IsaOrdering`] | simulated annealing over orderings of the MT-filled patterns, reconstructing Girard et al. [20] |
+//! | [`XStatOrdering`] | greedy nearest-neighbour chaining by conflict distance, per \[22\] |
+//! | [`IsaOrdering`] | simulated annealing over orderings of the MT-filled patterns, reconstructing Girard et al. \[20\] |
 //! | [`IOrdering`] | the paper's Algorithm 3: interleave X-poor and X-rich cubes, growing the interleave factor `k` while the bottleneck improves |
 
 mod banded;
@@ -104,9 +104,9 @@ pub trait OrderingStrategy {
 pub enum OrderingMethod {
     /// ATPG emission order (identity).
     Tool,
-    /// XStat greedy nearest-neighbour ordering [22].
+    /// XStat greedy nearest-neighbour ordering \[22\].
     XStat,
-    /// Simulated-annealing ordering [20] with the given seed.
+    /// Simulated-annealing ordering \[20\] with the given seed.
     Isa(u64),
     /// The paper's I-ordering (Algorithm 3).
     Interleaved,

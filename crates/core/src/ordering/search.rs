@@ -3,18 +3,17 @@
 //!
 //! A candidate's value is the optimal DP-fill peak of the cubes in its
 //! order: the generalized BCP lower bound of that order's intervals and
-//! forced toggles. [`scan`] finds both by reading the packed cubes in
-//! candidate order, one 64-pin word at a time, with no transpose and no
-//! interval sites; [`UnitBound`] holds the bound problem. [`search`]
+//! forced toggles. [`scan`] finds both with the analyzer's cube-major
+//! kernel, reading the packed cubes in candidate order one 64-pin word
+//! at a time, with no transpose and no pins; [`UnitBound`] holds the
+//! bound problem. [`search`]
 //! then runs the paper's exit rule, deciding a candidate with one probe
 //! and certifying only a winner.
 
-use std::ops::Range;
-
-use dpfill_cubes::packed::PackedBits;
 use dpfill_cubes::CubeSet;
 
 use crate::bcp::{EndGroups, UnitBound};
+use crate::stream::analyze::{scan_words, WordState};
 
 use super::{is_permutation, IOrderingTrace, OrderingError};
 
@@ -25,14 +24,11 @@ use super::{is_permutation, IOrderingTrace, OrderingError};
 /// baseline of the §V-C mapping of the reordered set, so the bound is
 /// the mapping's.
 ///
-/// The scan is cube-major: pin words fan out over the current
-/// [`minipool`] pool, and each word carries its previous care plane
-/// `P`, the copy-left value plane `L` (each pin's last care value), the
-/// seen plane `S` and a run start per pin. At cube `t` with care plane
-/// `C` and value plane `V`, the pins of `C & !P & S & (V ^ L)` close the
-/// interval (run start, `t − 1`), the pins of `P & !C` start a run at
-/// `t − 1`, and `C & P & (V ^ L)` are forced toggles on transition
-/// `t − 1`.
+/// The scan is the analyzer's cube-major kernel
+/// ([`scan_words`](crate::stream::analyze::scan_words)) over the cubes
+/// in candidate order, with no transpose and no pins recorded: pin words
+/// fan out over the current [`minipool`] pool, and each chunk's
+/// intervals, grouped by end as they close, are probed in place.
 ///
 /// # Errors
 ///
@@ -60,68 +56,22 @@ pub(crate) fn scan(cubes: &CubeSet, order: &[usize]) -> Result<UnitBound, Orderi
     // At least 8 words a chunk: each cube then hands a chunk one whole
     // 64-byte line of each plane.
     let chunks = minipool::parallel_index_chunks(cubes.width().div_ceil(64), 8, |words| {
-        scan_words(planes, order, words, colors)
+        let mut states = vec![WordState::EMPTY; words.len()];
+        let in_order = order.iter().map(|&c| &planes[c]);
+        scan_words(in_order, 0, &mut states, words.start, (false, false), None)
     });
     let mut baseline = vec![0u64; colors];
     let mut groups = Vec::with_capacity(chunks.len());
-    for (chunk, forced) in chunks {
-        for (total, n) in baseline.iter_mut().zip(forced) {
+    for ev in chunks {
+        for (total, &n) in baseline.iter_mut().zip(&ev.forced) {
             *total += u64::from(n);
         }
-        groups.push(chunk);
+        groups.push(EndGroups {
+            starts: ev.starts,
+            by_end: ev.by_end,
+        });
     }
     Ok(UnitBound::new(groups, baseline))
-}
-
-/// [`scan`] over the pin words `words`: the chunk's intervals, grouped
-/// by end as they close, and its forced toggles per transition.
-fn scan_words(
-    planes: &[PackedBits],
-    order: &[usize],
-    words: Range<usize>,
-    colors: usize,
-) -> (EndGroups, Vec<u32>) {
-    let n = words.len();
-    let (mut prev, mut left, mut seen) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
-    let mut run_start = vec![0u32; n * 64];
-    let mut starts = Vec::new();
-    let mut by_end = vec![0usize; colors + 1];
-    let mut forced = vec![0u32; colors];
-    for (t, &cube) in order.iter().enumerate() {
-        let care = &planes[cube].care_words()[words.clone()];
-        let value = &planes[cube].value_words()[words.clone()];
-        // Transition t - 1 ends at cube t; nothing below fires at t = 0
-        // because `P` and `S` are still empty.
-        let at = (t as u32).wrapping_sub(1);
-        if t > 0 {
-            by_end[t - 1] = starts.len();
-        }
-        let mut toggles = 0u32;
-        for w in 0..n {
-            let (c, v, p) = (care[w], value[w], prev[w]);
-            let runs = &mut run_start[w * 64..w * 64 + 64];
-            let flips = v ^ left[w];
-            let mut closes = c & !p & seen[w] & flips;
-            while closes != 0 {
-                starts.push(runs[closes.trailing_zeros() as usize]);
-                closes &= closes - 1;
-            }
-            let mut opens = p & !c;
-            while opens != 0 {
-                runs[opens.trailing_zeros() as usize] = at;
-                opens &= opens - 1;
-            }
-            toggles += (c & p & flips).count_ones();
-            left[w] = (left[w] & !c) | v;
-            seen[w] |= c;
-            prev[w] = c;
-        }
-        if toggles != 0 {
-            forced[at as usize] += toggles;
-        }
-    }
-    by_end[colors] = starts.len();
-    (EndGroups { starts, by_end }, forced)
 }
 
 /// Algorithm 3's search for the interleave factor, shared by the global

@@ -17,7 +17,7 @@ pub(crate) fn complete_permutation(order: &mut Vec<usize>, visited: &[bool]) {
     }
 }
 
-/// XStat's vector ordering [22]: greedy nearest-neighbour chaining on
+/// XStat's vector ordering \[22\]: greedy nearest-neighbour chaining on
 /// *conflict distance*.
 ///
 /// Starting from the most specified cube (fewest `X`s — its toggles are

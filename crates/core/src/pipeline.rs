@@ -43,19 +43,19 @@ impl Technique {
         Technique::new(OrderingMethod::Interleaved, FillMethod::Dp)
     }
 
-    /// Reconstruction of Girard et al. [20]: SA ordering of MT-filled
+    /// Reconstruction of Girard et al. \[20\]: SA ordering of MT-filled
     /// vectors.
     pub fn isa(seed: u64) -> Technique {
         Technique::new(OrderingMethod::Isa(seed), FillMethod::Mt)
     }
 
-    /// Reconstruction of Wu et al. [21]: tool order + scan-chain
+    /// Reconstruction of Wu et al. \[21\]: tool order + scan-chain
     /// adjacent fill.
     pub fn adj_fill() -> Technique {
         Technique::new(OrderingMethod::Tool, FillMethod::Adj)
     }
 
-    /// Reconstruction of Trinadh et al. [22]: XStat ordering + XStat
+    /// Reconstruction of Trinadh et al. \[22\]: XStat ordering + XStat
     /// fill.
     pub fn xstat() -> Technique {
         Technique::new(OrderingMethod::XStat, FillMethod::XStat)

@@ -1,248 +1,283 @@
-//! Windowed matrix analysis with exact boundary stitching — the one
-//! analyzer of both pipelines.
+//! The one analyzer of both pipelines: a cube-major scan of the packed
+//! cubes, 64 pins at a time, with no transpose.
 //!
-//! [`WindowedAnalyzer`] consumes a cube set **one window of columns at a
-//! time** (each window arrives as a transposed [`PackedMatrix`]) and
-//! classifies care arrivals by the [`classify_arrival`] rule:
+//! Each 64-pin word carries a [`WordState`]: the previous cube's care
+//! plane `P`, the copy-left plane `L` (each pin's last care value), the
+//! seen plane `S`, each pin's first care value and run start. At cube
+//! `t` with care plane `C` and value plane `V`, the pins of
+//! `C & !P & S & (V ^ L)` close a `v X…X w` stretch, the BCP interval
+//! (run start, `t − 1`); `C & P & (V ^ L)` are forced toggles on
+//! transition `t − 1`; and `P & !C` open an `X`-run at `t − 1`. Every
+//! other `X` is safe: the fill copies the care value to its left.
 //!
-//! * `v X…X w` transition stretches become [`IntervalSite`]s — BCP
-//!   intervals whose toggle position the global solve decides;
-//! * adjacent opposite care bits become per-transition baseline loads;
-//! * every other `X` is safe — it copies the nearest care value in the
-//!   fill — so nothing is stored for it beyond each row's first care
-//!   value, which a leading `X`-run copies.
-//!
-//! The analyzer carries **per-pin scan state** (the last care bit seen)
-//! across window boundaries, so a stretch that spans any number of
-//! windows — including stretches far longer than the window, the
-//! "window smaller than the overlap" case — is classified exactly as if
-//! the whole row were resident: the previous window's frozen tail *is*
-//! the carried state. Per window, a sparse row classifies care arrival
-//! by care arrival; a dense row stitches its first care bit to the
-//! carried state, takes the in-window events from the X-run scanner
-//! ([`for_each_stretch_dense`]) and carries its last care bit. Only the
-//! classification events survive a window; the cubes themselves are
-//! dropped when the caller moves on.
-//!
-//! [`MatrixMapping`](crate::MatrixMapping) runs the same analyzer over
-//! a whole matrix as one window. Pin rows are independent, so each
-//! window's scan fans the per-pin states out over the current
-//! [`minipool`] pool in deterministic chunks; per-chunk events merge in
-//! chunk order, making the stream bit-identical at any thread count.
+//! [`Analyzer`] carries the word states across windows, so a stretch
+//! spanning any number of windows closes exactly as if the set were
+//! resident, and windows close intervals in global end order: the list
+//! grows in `(end, pin)` order, the order every BCP sweep walks. Pin
+//! words fan out over the current [`minipool`] pool in contiguous
+//! chunks that merge end by end in chunk order, so the result is the
+//! same at any thread count and windowing.
+//! [`MatrixMapping`](crate::MatrixMapping) runs it over the whole set as
+//! one window; the I-ordering's candidate scan runs [`scan_words`]
+//! without recording pins.
 
-use dpfill_cubes::packed::{PackedBits, PackedMatrix};
-use dpfill_cubes::stretch::{classify_arrival, for_each_stretch_dense, is_dense_row, Stretch};
-use dpfill_cubes::Bit;
+use dpfill_cubes::packed::PackedBits;
 
 use crate::bcp::{IncrementalBound, BCP_LADDER_LOADS};
-use crate::mapping::IntervalSite;
+use crate::Interval;
 
-use super::plan::group_by_row;
+/// The scan state of one 64-pin word, carried from cube to cube and
+/// across windows.
+#[derive(Clone, Copy)]
+pub(crate) struct WordState {
+    /// `P`: the previous cube's care plane.
+    prev: u64,
+    /// `L`: each pin's last care value.
+    left: u64,
+    /// `S`: the pins that have carried a care bit.
+    seen: u64,
+    /// Each pin's first care value.
+    first: u64,
+    /// Each pin's run start: the cube of the care bit left of its
+    /// current `X`-run.
+    runs: [u32; 64],
+}
 
-/// Everything the analysis pass learned about the full set.
-pub(crate) struct Analysis {
-    /// Transition stretches in row-major order, then by left column —
-    /// the interval insertion order both pipelines solve, so the EDF
-    /// ties break identically.
-    pub sites: Vec<IntervalSite>,
-    /// Forced toggles per transition (length `cols.saturating_sub(1)`),
-    /// in objective units when the analyzer carries weights.
-    pub baseline: Vec<u64>,
-    /// Total columns (cubes) analyzed.
-    pub cols: usize,
-    /// Bit `r` (in 64-bit words) is pin `r`'s first care value — what
-    /// its leading `X`-run copies; zero for an all-`X` pin.
-    pub first_values: Vec<u64>,
-    /// The unit-load lower bound certified online while events arrived
-    /// (the [`IncrementalBound`] ladder's final value, one load per site
-    /// and per forced toggle) — a warm start for the global solve, never
-    /// above the true bound: the unit bound itself, and below a weighted
-    /// bound because every weighted load is ≥ 1.
-    pub warm_lb: u64,
-    /// Set when accumulating a weighted baseline overflowed `u64`; the
-    /// callers turn this into a typed error instead of solving on a
-    /// silently saturated instance.
+impl WordState {
+    /// The state before the first cube.
+    pub const EMPTY: WordState = WordState {
+        prev: 0,
+        left: 0,
+        seen: 0,
+        first: 0,
+        runs: [0; 64],
+    };
+}
+
+/// What one chunk of pin words found in a run of cubes.
+#[derive(Default)]
+pub(crate) struct Events {
+    /// Each closed interval's start; `starts[by_end[i]..by_end[i + 1]]`
+    /// end at the run's `i`-th transition.
+    pub starts: Vec<u32>,
+    pub by_end: Vec<usize>,
+    /// Each interval's pin and left care value, when asked for.
+    pub pins: Vec<u32>,
+    pub lefts: Vec<bool>,
+    /// Forced toggles per transition, unit and weighed by the weights.
+    pub forced: Vec<u32>,
+    pub weighted: Vec<u64>,
+    /// A weighted sum left `u64`.
     pub overflow: bool,
 }
 
-/// One chunk's events of one window: sites, forced toggles as
-/// `(row, transition)`, and the rows whose first care value is 1.
-type ChunkEvents = (Vec<IntervalSite>, Vec<(u32, u32)>, Vec<u32>);
+/// Scans `cubes`, whose first is cube `t0` of the set, over the pin
+/// words `w0..w0 + words.len()` carried in `words` (see the module
+/// docs), recording each interval's pin and left care value when asked
+/// and weighing forced toggles by `weights`. Transition `t − 1` ends at
+/// cube `t`, so the run's transitions start at `t0 − 1` (at 0 when `t0`
+/// is 0: the first cube has none).
+pub(crate) fn scan_words<'a>(
+    cubes: impl Iterator<Item = &'a PackedBits>,
+    t0: usize,
+    words: &mut [WordState],
+    w0: usize,
+    (pins, lefts): (bool, bool),
+    weights: Option<&[u64]>,
+) -> Events {
+    let mut ev = Events::default();
+    let span = w0..w0 + words.len();
+    for (t, cube) in (t0..).zip(cubes) {
+        let care = &cube.care_words()[span.clone()];
+        let value = &cube.value_words()[span.clone()];
+        // Nothing below fires at t = 0: `P` and `S` are still empty.
+        let at = (t as u32).wrapping_sub(1);
+        if t > 0 {
+            ev.by_end.push(ev.starts.len());
+        }
+        let (mut toggles, mut weighted) = (0u32, 0u64);
+        for (w, st) in words.iter_mut().enumerate() {
+            let (c, v, p) = (care[w], value[w], st.prev);
+            let flips = v ^ st.left;
+            let mut closes = c & !p & st.seen & flips;
+            while closes != 0 {
+                let b = closes.trailing_zeros();
+                ev.starts.push(st.runs[b as usize]);
+                if pins {
+                    ev.pins.push(((w0 + w) * 64) as u32 + b);
+                }
+                if lefts {
+                    ev.lefts.push(st.left >> b & 1 == 1);
+                }
+                closes &= closes - 1;
+            }
+            let mut opens = p & !c;
+            while opens != 0 {
+                st.runs[opens.trailing_zeros() as usize] = at;
+                opens &= opens - 1;
+            }
+            let forced = c & p & flips;
+            toggles += forced.count_ones();
+            if let Some(weights) = weights {
+                let mut bits = forced;
+                while bits != 0 {
+                    let pin = (w0 + w) * 64 + bits.trailing_zeros() as usize;
+                    ev.overflow |= weighted.checked_add(weights[pin]).is_none();
+                    weighted = weighted.saturating_add(weights[pin]);
+                    bits &= bits - 1;
+                }
+            }
+            st.first |= v & c & !st.seen;
+            st.left = (st.left & !c) | v;
+            st.seen |= c;
+            st.prev = c;
+        }
+        if t > 0 {
+            ev.forced.push(toggles);
+            if weights.is_some() {
+                ev.weighted.push(weighted);
+            }
+        }
+    }
+    ev.by_end.push(ev.starts.len());
+    ev
+}
 
-/// The windowed analyzer: feed windows left to right, then
-/// [`WindowedAnalyzer::finish`].
-pub(crate) struct WindowedAnalyzer {
-    /// Per-pin scan state carried across windows: the last care bit
-    /// seen, as `(global column, value)`.
-    states: Vec<Option<(usize, Bit)>>,
-    first_values: Vec<u64>,
-    sites: Vec<IntervalSite>,
-    baseline: Vec<u64>,
-    cols: usize,
-    windows: usize,
-    /// Per-pin objective weights (`None` = the unit metric); charged to
-    /// the forced baseline. The online ladder counts unit loads.
+/// Everything the analysis learned about the full set.
+#[derive(Default)]
+pub(crate) struct Analysis {
+    /// Each transition stretch's interval, in `(end, pin)` order.
+    pub intervals: Vec<Interval>,
+    /// The pin of each interval.
+    pub pins: Vec<u32>,
+    /// The left care value of each interval (empty unless asked for).
+    pub lefts: Vec<bool>,
+    /// Forced toggles per transition, in objective units under weights.
+    pub baseline: Vec<u64>,
+    /// Total columns (cubes) analyzed.
+    pub cols: usize,
+    /// Bit `r` is pin `r`'s first care value (zero for an all-`X` pin).
+    pub first_values: Vec<u64>,
+    /// The [`IncrementalBound`] ladder's unit-load bound: a warm start
+    /// for the solve, the unit bound itself and below a weighted one.
+    pub warm_lb: u64,
+    /// A weighted baseline sum left `u64` (a typed error upstream).
+    pub overflow: bool,
+}
+
+/// The analyzer: feed windows left to right, then
+/// [`Analyzer::finish`].
+pub(crate) struct Analyzer {
+    /// Per-word scan state carried across windows.
+    words: Vec<WordState>,
+    /// What the windows so far found.
+    out: Analysis,
+    /// Per-pin weights of the forced baseline (`None`: unit).
     weights: Option<Vec<u64>>,
-    /// A weighted baseline accumulation left `u64` (see
-    /// [`Analysis::overflow`]).
-    overflow: bool,
-    /// The unit-load BCP lower bound, maintained as sites and forced
-    /// toggles are discovered — by the time the stream ends, the global
-    /// solve starts from this value instead of rebuilding its ladder
-    /// from the full event list.
+    /// Record each interval's left care value.
+    lefts: bool,
+    /// The online unit-load ladder (see [`Analysis::warm_lb`]).
     bound: IncrementalBound,
 }
 
-/// Scans one pin row's window `[start, start + row.len())` against the
-/// row's carried `state`, appending its events to `out`.
-fn scan_row(
-    row: &PackedBits,
-    pin: u32,
-    start: usize,
-    state: &mut Option<(usize, Bit)>,
-    out: &mut ChunkEvents,
-) {
-    let (sites, forced, first_ones) = out;
-    // In-window columns shift by `start`; the stitch is already global.
-    let mut record = |s: Stretch, shift: usize| match s {
-        Stretch::Transition {
-            left,
-            right,
-            left_value,
-        } => sites.push(IntervalSite {
-            row: pin,
-            left: (shift + left) as u32,
-            right: (shift + right) as u32,
-            left_value,
-        }),
-        Stretch::ForcedToggle { col } => forced.push((pin, (shift + col) as u32)),
-        // Safe runs are filled by copy-left, never stored.
-        _ => {}
-    };
-    let mut arrive = |state: &mut Option<(usize, Bit)>, col: usize, value: Bit| {
-        if state.is_none() && value == Bit::One {
-            first_ones.push(pin);
-        }
-        if let Some(s) = classify_arrival(*state, col, value) {
-            record(s, 0);
-        }
-        *state = Some((col, value));
-    };
-    if is_dense_row(row) {
-        let Some((first, value)) = row.next_care_at_or_after(0) else {
-            return;
-        };
-        arrive(state, start + first, value);
-        for_each_stretch_dense(row, |s| record(s, start));
-        let last = row.last_care().unwrap_or(first);
-        *state = Some((start + last, row.get(last)));
-    } else {
-        for (pos, value) in row.care_positions() {
-            arrive(state, start + pos, value);
-        }
-    }
-}
-
-impl WindowedAnalyzer {
-    /// An analyzer whose forced baseline is charged in objective units,
-    /// `weights[row]` per forced toggle; the sites carry their row, so
-    /// the solve weighs them. `None` (and all-unit weights) give the
-    /// unit peak-toggle metric. The running bound counts unit loads
-    /// either way.
-    pub fn with_weights(width: usize, weights: Option<Vec<u64>>) -> WindowedAnalyzer {
+impl Analyzer {
+    /// An analyzer of `width` pins charging `weights[pin]` per forced
+    /// toggle (`None`: the unit metric; the running bound counts unit
+    /// loads either way), keeping each interval's left value if `lefts`.
+    pub fn new(width: usize, weights: Option<Vec<u64>>, lefts: bool) -> Analyzer {
         if let Some(w) = &weights {
             assert_eq!(w.len(), width, "weight table width mismatch");
         }
-        WindowedAnalyzer {
-            states: vec![None; width],
-            first_values: vec![0; width.div_ceil(64)],
-            sites: Vec::new(),
-            baseline: Vec::new(),
-            cols: 0,
-            windows: 0,
+        Analyzer {
+            words: vec![WordState::EMPTY; width.div_ceil(64)],
+            out: Analysis::default(),
             weights,
-            overflow: false,
+            lefts,
             bound: IncrementalBound::new(),
         }
     }
 
-    /// The objective weight of pin `row` (1 under the unit metric).
-    fn weight(&self, row: usize) -> u64 {
-        self.weights.as_ref().map_or(1, |w| w[row])
-    }
-
-    /// Ingests the next window, already transposed to pin rows. The
-    /// window's columns are `[self.cols, self.cols + matrix.cols())`.
+    /// Ingests the next window of cubes: columns `[self.cols,
+    /// self.cols + cubes.len())`.
     ///
     /// # Panics
     ///
-    /// Panics if the window's row count differs from the analyzer's
-    /// width.
-    pub fn ingest(&mut self, matrix: &PackedMatrix) {
-        assert_eq!(matrix.rows(), self.states.len(), "window width changed");
-        let start_col = self.cols;
-        let rows = matrix.packed_rows();
+    /// Panics beyond `u32::MAX` cubes, the analysis's column range.
+    pub fn ingest(&mut self, cubes: &[PackedBits]) {
+        let t0 = self.out.cols;
         assert!(
-            start_col + matrix.cols() <= u32::MAX as usize,
+            t0 + cubes.len() <= u32::MAX as usize,
             "the analysis supports at most 2^32 - 1 cubes"
         );
-        let chunks: Vec<ChunkEvents> =
-            minipool::parallel_chunks_mut(&mut self.states, 4, |row0, states| {
-                let mut events = ChunkEvents::default();
-                for (row, state) in (row0..).zip(states.iter_mut()) {
-                    scan_row(&rows[row], row as u32, start_col, state, &mut events);
+        let (record, weights) = ((true, self.lefts), self.weights.as_deref());
+        // At least 8 words a chunk: each cube then hands a chunk one
+        // whole 64-byte line of each plane.
+        let chunks = minipool::parallel_chunks_mut(&mut self.words, 8, |w0, words| {
+            scan_words(cubes.iter(), t0, words, w0, record, weights)
+        });
+        let out = &mut self.out;
+        out.cols = t0 + cubes.len();
+        // The window's transitions: one per cube after the set's first.
+        let first = t0.saturating_sub(1);
+        let transitions = cubes.len() - usize::from(t0 == 0 && !cubes.is_empty());
+        let before = out.intervals.len();
+        let mut forced_count = 0u64;
+        for i in 0..transitions {
+            let at = first + i;
+            let (mut unit, mut weighted) = (0u64, 0u64);
+            for ch in &chunks {
+                let (lo, hi) = (ch.by_end[i], ch.by_end[i + 1]);
+                for &start in &ch.starts[lo..hi] {
+                    self.bound.add_load(start as usize, at, 1);
+                    out.intervals.push(Interval::new(start, at as u32));
                 }
-                events
-            });
-        self.cols = start_col + matrix.cols();
-        self.windows += 1;
-        // Transition t needs both cubes t and t+1 read; every event below
-        // is therefore strictly inside the seen prefix.
-        self.baseline.resize(self.cols.saturating_sub(1), 0);
-        let mut loads = 0;
-        for (sites, forced, first_ones) in chunks {
-            loads += sites.len() + forced.len();
-            for site in &sites {
-                // Interval (left, right-1): the exact interval the global
-                // solve will add for this site, at unit load.
-                self.bound
-                    .add_load(site.left as usize, site.right as usize - 1, 1);
-            }
-            self.sites.extend(sites);
-            for (row, col) in forced {
-                let (w, col) = (self.weight(row as usize), col as usize);
-                match self.baseline[col].checked_add(w) {
-                    Some(v) => self.baseline[col] = v,
-                    None => self.overflow = true,
+                out.pins.extend_from_slice(&ch.pins[lo..hi]);
+                if self.lefts {
+                    out.lefts.extend_from_slice(&ch.lefts[lo..hi]);
                 }
-                self.bound.add_baseline(col, 1);
+                unit += u64::from(ch.forced[i]);
+                if let Some(&w) = ch.weighted.get(i) {
+                    out.overflow |= weighted.checked_add(w).is_none();
+                    weighted = weighted.saturating_add(w);
+                }
             }
-            for pin in first_ones {
-                self.first_values[pin as usize / 64] |= 1 << (pin % 64);
+            let total = if self.weights.is_some() {
+                weighted
+            } else {
+                unit
+            };
+            out.baseline.push(total);
+            if unit != 0 {
+                self.bound.add_baseline(at, unit);
             }
+            forced_count += unit;
         }
-        BCP_LADDER_LOADS.add(loads as u64);
+        out.overflow |= chunks.iter().any(|ch| ch.overflow);
+        BCP_LADDER_LOADS.add((out.intervals.len() - before) as u64 + forced_count);
     }
 
-    /// The running unit-load lower bound certified by the incremental
-    /// ladder over everything ingested so far, the same under any
-    /// objective. Valid mid-stream: the reorder stage feeds it to the
-    /// banded I-ordering as the frozen prefix's warm bound, in the unit
-    /// bottlenecks that search compares.
+    /// The running unit-load ladder bound over everything ingested so
+    /// far, under any objective: the banded I-ordering's warm bound for
+    /// the frozen prefix, in the unit bottlenecks that search compares.
     pub fn warm_bound(&self) -> u64 {
         self.bound.current()
     }
 
-    /// Bytes held by the analysis (sites, baseline, per-pin states and
-    /// first values, the weights, the incremental-bound ladder) — the
-    /// content-driven resident cost the memory-budget governor charges
-    /// after each window. Grows with the input's transition stretches,
-    /// not with its safe runs or the window size.
+    /// Bytes held by the analysis — the content-driven resident cost
+    /// the memory-budget governor charges after each window: 12 B per
+    /// interval (the interval and its pin, plus 1 B of left value under
+    /// a preference), 8 B of baseline per transition, the per-word
+    /// states, the weights and the incremental-bound ladder. Grows with
+    /// the input's transition stretches, not with its safe runs or the
+    /// window size.
     pub fn event_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.sites.len() * size_of::<IntervalSite>()
-            + (self.baseline.len() + self.first_values.len()) * size_of::<u64>()
-            + self.states.len() * size_of::<Option<(usize, Bit)>>()
+        let out = &self.out;
+        (out.intervals.len() * size_of::<Interval>()
+            + out.pins.len() * size_of::<u32>()
+            + out.lefts.len() * size_of::<bool>()
+            + out.baseline.len() * size_of::<u64>()
+            + self.words.len() * size_of::<WordState>()
             + self
                 .weights
                 .as_ref()
@@ -250,26 +285,11 @@ impl WindowedAnalyzer {
             + self.bound.approx_bytes()
     }
 
-    /// Returns the full analysis, with sites grouped into row-major
-    /// order.
-    pub fn finish(self) -> Analysis {
-        // Windows surface a pin's stretches left to right but interleave
-        // pins; grouping by row keeps each row's arrival order, which
-        // reproduces the (row, left) interval order the EDF tie-breaks
-        // depend on. One window's sites are row-major already.
-        let sites = if self.windows > 1 {
-            group_by_row(self.sites, self.states.len(), |s| s.row).0
-        } else {
-            self.sites
-        };
-        Analysis {
-            sites,
-            baseline: self.baseline,
-            cols: self.cols,
-            first_values: self.first_values,
-            warm_lb: self.bound.current(),
-            overflow: self.overflow,
-        }
+    /// Returns the full analysis.
+    pub fn finish(mut self) -> Analysis {
+        self.out.first_values = self.words.iter().map(|w| w.first).collect();
+        self.out.warm_lb = self.bound.current();
+        self.out
     }
 }
 
@@ -281,34 +301,27 @@ mod tests {
 
     use crate::MatrixMapping;
 
-    /// Feeds `cubes` to the analyzer in windows of `window` columns.
+    /// Feeds `cubes` to the analyzer in windows of `window` cubes.
     fn analyze_windowed(cubes: &CubeSet, window: usize) -> Analysis {
-        analyze_windowed_weighted(cubes, window, None)
+        feed_windows(cubes, window, None).finish()
     }
 
-    fn analyze_windowed_weighted(
-        cubes: &CubeSet,
-        window: usize,
-        weights: Option<Vec<u64>>,
-    ) -> Analysis {
-        feed_windows(cubes, window, weights).finish()
-    }
-
-    /// An analyzer fed `cubes` in windows of `window` columns.
-    fn feed_windows(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) -> WindowedAnalyzer {
-        let mut analyzer = WindowedAnalyzer::with_weights(cubes.width(), weights);
-        let packed = cubes.as_packed();
-        let mut start = 0;
-        while start < cubes.len() {
-            let end = (start + window).min(cubes.len());
-            let mut slice = dpfill_cubes::packed::PackedCubeSet::new(cubes.width());
-            for i in start..end {
-                slice.push(packed.cube(i).clone());
-            }
-            analyzer.ingest(&PackedMatrix::from_packed_set(&slice));
-            start = end;
+    /// An analyzer fed `cubes` in windows of `window` cubes.
+    fn feed_windows(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) -> Analyzer {
+        let mut analyzer = Analyzer::new(cubes.width(), weights, false);
+        for chunk in cubes.as_packed().cubes().chunks(window) {
+            analyzer.ingest(chunk);
         }
         analyzer
+    }
+
+    /// Asserts the windowed analysis is the monolithic mapping's
+    /// instance: the same intervals and pins in the same order, and
+    /// the same baseline.
+    fn assert_matches_mapping(analysis: &Analysis, mapping: &MatrixMapping, what: &str) {
+        assert_eq!(analysis.intervals, mapping.instance().intervals(), "{what}");
+        assert_eq!(analysis.pins, mapping.pins(), "{what}");
+        assert_eq!(analysis.baseline, mapping.instance().baseline(), "{what}");
     }
 
     #[test]
@@ -318,20 +331,15 @@ mod tests {
             let mapping = MatrixMapping::analyze(&cubes);
             for window in [1, 2, 7, 33, 64] {
                 let analysis = analyze_windowed(&cubes, window);
-                assert_eq!(
-                    analysis.sites,
-                    mapping.sites(),
-                    "seed {seed} window {window}"
-                );
-                assert_eq!(
-                    analysis.baseline,
-                    mapping.instance().baseline(),
-                    "seed {seed} window {window}"
+                assert_matches_mapping(
+                    &analysis,
+                    &mapping,
+                    &format!("seed {seed} window {window}"),
                 );
                 assert_eq!(analysis.cols, cubes.len());
                 // The online ladder is a valid warm start for the solve:
                 // never above the true bound, identical at every window
-                // size (it sees the same events).
+                // size (it sees the same intervals).
                 let lb = mapping.instance().lower_bound().unwrap();
                 assert!(
                     analysis.warm_lb <= lb,
@@ -355,16 +363,11 @@ mod tests {
             let mapping = MatrixMapping::analyze_with(&cubes, &objective).unwrap();
             let lb = mapping.instance().lower_bound().unwrap();
             for window in [1, 3, 8, 21] {
-                let analysis = analyze_windowed_weighted(&cubes, window, Some(weights.clone()));
-                assert_eq!(
-                    analysis.sites,
-                    mapping.sites(),
-                    "seed {seed} window {window}"
-                );
-                assert_eq!(
-                    analysis.baseline,
-                    mapping.instance().baseline(),
-                    "seed {seed} window {window}"
+                let analysis = feed_windows(&cubes, window, Some(weights.clone())).finish();
+                assert_matches_mapping(
+                    &analysis,
+                    &mapping,
+                    &format!("seed {seed} window {window}"),
                 );
                 assert!(!analysis.overflow);
                 assert!(
@@ -389,7 +392,7 @@ mod tests {
             for window in [1, 3, 8, 21] {
                 let unit = feed_windows(&cubes, window, None);
                 let weighted = feed_windows(&cubes, window, Some(weights.clone()));
-                assert!(unit.warm_bound() > 0, "seed {seed}: no events");
+                assert!(unit.warm_bound() > 0, "seed {seed}: no intervals");
                 assert_eq!(
                     weighted.warm_bound(),
                     unit.warm_bound(),
@@ -402,10 +405,20 @@ mod tests {
     #[test]
     fn weighted_baseline_overflow_is_flagged_not_wrapped() {
         // Two adjacent forced toggles on two max-weight pins hit the
-        // same transition: the sum leaves u64 and must be flagged.
+        // same transition: the sum leaves u64 and must be flagged, in
+        // one window and across two.
         let cubes = CubeSet::parse_rows(&["00", "11"]).unwrap();
-        let analysis = analyze_windowed_weighted(&cubes, 1, Some(vec![u64::MAX, u64::MAX]));
-        assert!(analysis.overflow);
+        for window in [1, 2] {
+            let analysis = feed_windows(&cubes, window, Some(vec![u64::MAX, u64::MAX])).finish();
+            assert!(analysis.overflow, "window {window}");
+        }
+        // Pins in different chunks: the merge of two chunk sums flags it.
+        let wide = random_cube_set(1100, 2, 0.0, 9);
+        let weights = vec![u64::MAX / 2; 1100];
+        let mut analyzer = Analyzer::new(1100, Some(weights), false);
+        let pool = minipool::ThreadPool::new(4);
+        minipool::with_pool(&pool, || analyzer.ingest(wide.as_packed().cubes()));
+        assert!(analyzer.finish().overflow);
     }
 
     #[test]
@@ -417,9 +430,8 @@ mod tests {
         rows.push("1");
         let cubes = CubeSet::parse_rows(&rows).unwrap();
         let analysis = analyze_windowed(&cubes, 2);
-        assert_eq!(analysis.sites.len(), 1);
-        assert_eq!(analysis.sites[0].left, 0);
-        assert_eq!(analysis.sites[0].right, 11);
+        assert_eq!(analysis.intervals, [Interval::new(0, 10)]);
+        assert_eq!(analysis.pins, [0]);
     }
 
     #[test]
@@ -431,34 +443,154 @@ mod tests {
             let analysis = analyze_windowed(&cubes, window);
             assert_eq!(analysis.first_values, [0b1010], "window {window}");
         }
-        // All-X and trailing runs leave no event at all: pin 0 all-X,
+        // All-X and trailing runs leave no interval at all: pin 0 all-X,
         // pin 1 care 1 at column 0 then X forever.
         let cubes = CubeSet::parse_rows(&["X1", "XX", "XX"]).unwrap();
         let analysis = analyze_windowed(&cubes, 1);
-        assert!(analysis.sites.is_empty());
+        assert!(analysis.intervals.is_empty());
         assert_eq!(analysis.first_values, [0b10]);
     }
 
     #[test]
     fn dense_rows_stitch_like_sparse_rows() {
-        // Mostly-care rows take the X-run arm in every window; each
-        // window must stitch to the carried state exactly.
+        // Mostly-care pins close a stretch or a forced toggle at almost
+        // every cube; each window must stitch to the carried state
+        // exactly, and wide sets split into several word chunks.
         for seed in [6u64, 7, 8] {
-            let cubes = random_cube_set(40, 150, 0.1, seed);
-            let mapping = MatrixMapping::analyze(&cubes);
-            for window in [1, 5, 64, 150] {
-                let analysis = analyze_windowed(&cubes, window);
-                assert_eq!(
-                    analysis.sites,
-                    mapping.sites(),
-                    "seed {seed} window {window}"
-                );
-                assert_eq!(
-                    analysis.baseline,
-                    mapping.instance().baseline(),
-                    "seed {seed} window {window}"
-                );
+            for width in [40, 1100] {
+                let cubes = random_cube_set(width, 150, 0.1, seed);
+                let mapping = MatrixMapping::analyze(&cubes);
+                for window in [1, 5, 64, 150] {
+                    let analysis = analyze_windowed(&cubes, window);
+                    let what = format!("seed {seed} width {width} window {window}");
+                    assert_matches_mapping(&analysis, &mapping, &what);
+                }
             }
+        }
+    }
+
+    #[test]
+    fn the_analysis_charges_twelve_bytes_per_interval() {
+        // The governor's per-interval charge is what the analysis keeps
+        // per interval: the interval and its pin.
+        let cubes = random_cube_set(70, 33, 0.6, 11);
+        let analyzer = feed_windows(&cubes, 7, None);
+        let without = {
+            let mut empty = Analyzer::new(70, None, false);
+            empty.ingest(&[]);
+            empty.event_bytes()
+        };
+        let n = analyzer.out.intervals.len() as u64;
+        let per_interval = (std::mem::size_of::<Interval>() + std::mem::size_of::<u32>()) as u64;
+        let per_cube = std::mem::size_of::<u64>() as u64;
+        let cols = cubes.len() as u64 - 1;
+        let expected = without + n * per_interval + cols * per_cube + analyzer.bound.approx_bytes();
+        assert_eq!(analyzer.event_bytes(), expected);
+        assert!(per_interval <= 16);
+    }
+}
+
+/// The cube-major analyzer and filled-value plane against the pin-major
+/// references of `dpfill-oracle`, on word-boundary widths, any window
+/// and any thread count.
+#[cfg(test)]
+mod oracle {
+    use dpfill_cubes::gen::random_cube_set;
+    use dpfill_cubes::packed::PackedCubeSet;
+    use dpfill_cubes::CubeSet;
+    use proptest::prelude::*;
+
+    use super::Analyzer;
+    use crate::mapping::Flips;
+    use crate::stream::plan::{cube_digest, FillPlan};
+
+    const WIDTHS: [usize; 7] = [1, 63, 64, 65, 130, 520, 1100];
+    const DENSITIES: [f64; 5] = [0.0, 0.3, 0.6, 0.95, 1.0];
+
+    /// A color inside `[start, end]` that depends on the interval alone,
+    /// so both sides color it alike whatever their order.
+    fn color(pin: u32, start: u32, end: u32) -> u32 {
+        start + (pin.wrapping_mul(7) ^ start.wrapping_mul(13)) % (end - start + 1)
+    }
+
+    fn check(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) {
+        let reference = dpfill_oracle::analyze_pin_major(cubes, window, weights.as_deref());
+        let mut analyzer = Analyzer::new(cubes.width(), weights, true);
+        for chunk in cubes.as_packed().cubes().chunks(window) {
+            analyzer.ingest(chunk);
+        }
+        let a = analyzer.finish();
+        // The interval multiset as (pin, start, end), with left values.
+        let mut sites: Vec<_> = (a.intervals.iter().zip(&a.pins).zip(&a.lefts))
+            .map(|((iv, &pin), &left)| (pin, iv.start(), iv.end(), left))
+            .collect();
+        let in_order = sites
+            .windows(2)
+            .all(|p| (p[0].2, p[0].0) < (p[1].2, p[1].0));
+        assert!(in_order, "intervals not in (end, pin) order");
+        sites.sort_unstable();
+        let expected: Vec<_> = (reference.sites.iter())
+            .map(|s| (s.pin, s.start, s.end, s.left_value))
+            .collect();
+        assert_eq!(sites, expected, "intervals");
+        assert_eq!(a.baseline, reference.baseline, "baseline");
+        assert_eq!(a.first_values, reference.first_values, "first values");
+        assert_eq!(a.warm_lb, reference.warm_lb, "warm bound");
+        assert_eq!(a.overflow, reference.overflow, "overflow");
+        // The windowed filled-value plane against the row splice.
+        let colors: Vec<u32> = (a.intervals.iter().zip(&a.pins))
+            .map(|(iv, &pin)| color(pin, iv.start(), iv.end()))
+            .collect();
+        let spliced_colors: Vec<u32> = (reference.sites.iter())
+            .map(|s| color(s.pin, s.start, s.end))
+            .collect();
+        let spliced = dpfill_oracle::splice_fill(
+            cubes,
+            &reference.first_values,
+            &reference.sites,
+            &spliced_colors,
+        );
+        let flips = Flips::new(&a.pins, &colors, a.baseline.len());
+        let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
+        let plan = FillPlan::new(a.first_values, flips, digests);
+        let mut carry = plan.initial_carry();
+        let mut filled = PackedCubeSet::new(cubes.width());
+        for (i, chunk) in cubes.as_packed().cubes().chunks(window).enumerate() {
+            let into = plan
+                .admit(i * window, chunk, &mut carry)
+                .expect("same cubes");
+            let set = CubeSet::from_packed(PackedCubeSet::from_rows(cubes.width(), chunk.to_vec()));
+            for cube in plan
+                .fill_window(&set, i * window, &into)
+                .as_packed()
+                .cubes()
+            {
+                filled.push(cube.clone());
+            }
+        }
+        let filled = CubeSet::from_packed(filled);
+        assert_eq!(filled, spliced, "fill");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cube_major_analysis_and_fill_match_the_pin_major_reference(
+            w in 0..WIDTHS.len(),
+            count in 0usize..40,
+            d in 0..DENSITIES.len(),
+            seed in 0u64..u64::MAX,
+            window in 0usize..4,
+            threads in 0usize..3,
+            weighted in 0u8..2,
+        ) {
+            let (width, density) = (WIDTHS[w], DENSITIES[d]);
+            let cubes = random_cube_set(width, count, density, seed);
+            let window = [1, 2, 7, count.max(1)][window];
+            let weights = (weighted == 1).then(|| (0..width as u64).map(|p| 1 + p % 5).collect());
+            let pool = minipool::ThreadPool::new([1, 2, 8][threads]);
+            minipool::with_pool(&pool, || check(&cubes, window, weights));
         }
     }
 }

@@ -104,9 +104,13 @@ pub(crate) fn bytes_per_cube(width: usize) -> u64 {
     (width as u64).div_ceil(64).max(1) * 16
 }
 
-/// The per-window-cube cost of the plane model: about four plane copies
-/// per in-flight cube (parsed window, transpose, filled transpose,
-/// emitted set) across a batch of `threads` windows.
+/// Plane copies of one in-flight cube: the parsed window and the filled
+/// one. The analysis and the fill read and write cubes in place, with no
+/// transposed copy.
+const PLANE_COPIES: u64 = 2;
+
+/// The per-window-cube cost of the plane model: [`PLANE_COPIES`] plane
+/// copies per in-flight cube across a batch of `threads` windows.
 ///
 /// # Errors
 ///
@@ -114,7 +118,7 @@ pub(crate) fn bytes_per_cube(width: usize) -> u64 {
 /// width that used to wrap the unchecked formula to a zero divisor.
 fn window_cube_cost(width: usize, threads: usize) -> Result<u64, StreamError> {
     bytes_per_cube(width)
-        .checked_mul(4)
+        .checked_mul(PLANE_COPIES)
         .and_then(|v| v.checked_mul(threads.max(1) as u64))
         .ok_or_else(|| overflow("per-cube window memory (width x planes x threads)"))
 }
@@ -143,8 +147,8 @@ pub(crate) fn window_for_budget(
 /// shrinks the window under pressure. One governor per pass.
 pub(crate) struct BudgetGovernor {
     budget: u64,
-    /// `4 · bytes_per_cube · threads` — the plane bytes one window cube
-    /// costs.
+    /// `PLANE_COPIES · bytes_per_cube · threads` — the plane bytes one
+    /// window cube costs.
     cube_cost: u64,
     window: usize,
     events: Vec<DegradeEvent>,
@@ -238,17 +242,33 @@ mod tests {
     #[test]
     fn window_derivation_reserves_headroom() {
         // 1 MiB budget, width 64 (16 plane bytes/cube), one thread:
-        // 7/8 MiB / (4 · 16) = 14336 cubes.
-        assert_eq!(window_for_budget(1, 64, 1).unwrap(), 14336);
+        // 7/8 MiB / (2 · 16) = 28672 cubes.
+        assert_eq!(window_for_budget(1, 64, 1).unwrap(), 28672);
         // More threads shrink the per-thread window.
-        assert_eq!(window_for_budget(1, 64, 2).unwrap(), 7168);
+        assert_eq!(window_for_budget(1, 64, 2).unwrap(), 14336);
         // A tiny budget floors at one cube.
         assert_eq!(window_for_budget(1, 1 << 24, 1).unwrap(), 1);
     }
 
     #[test]
+    fn the_plane_model_counts_the_cubes_it_holds() {
+        // One cube's plane bytes are its two planes' words, and a window
+        // cube costs the parsed and the filled copy, per thread.
+        for width in [1, 63, 64, 65, 130, 1100] {
+            let cube = dpfill_cubes::packed::PackedBits::all_x(width);
+            let planes = std::mem::size_of_val(cube.care_words())
+                + std::mem::size_of_val(cube.value_words());
+            assert_eq!(bytes_per_cube(width), planes as u64, "width {width}");
+            for threads in [1, 2, 8] {
+                let cost = window_cube_cost(width, threads).unwrap();
+                assert_eq!(cost, 2 * planes as u64 * threads as u64);
+            }
+        }
+    }
+
+    #[test]
     fn absurd_widths_overflow_as_typed_errors_not_wraps() {
-        // The unchecked formula used to wrap `4 * bytes_per_cube *
+        // The unchecked formula used to wrap `copies * bytes_per_cube *
         // threads` to zero here and divide by it.
         let err = window_for_budget(1, usize::MAX, 4).unwrap_err();
         assert!(matches!(err, StreamError::Overflow { .. }), "{err}");

@@ -13,32 +13,35 @@
 //!
 //! * the **cube planes** — `2 · ⌈width/64⌉` words per cube, the memory
 //!   that actually hurts at industrial pattern volumes;
-//! * the **classification events** — one 16-byte interval site per
+//! * the **intervals** — one `(start, pin)` pair (8 bytes) per
 //!   `v X…X w` stretch plus one counter per transition. Every other `X`
 //!   copies the nearest care value to its left and is never stored.
 //!
-//! The pipeline streams the planes and keeps the events:
+//! The pipeline streams the planes and keeps the intervals:
 //!
-//! 1. **Analysis pass** ([`analyze::WindowedAnalyzer`], the analyzer
+//! 1. **Analysis pass** (the cube-major analyzer
 //!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) runs as
-//!    one window): per-pin scan state carries across window boundaries,
-//!    so stretches spanning any number of windows are stitched
-//!    *exactly*, and a stable group-by-row puts the sites in row-major
-//!    order. Each pin's first care value and a 64-bit digest of each
-//!    cube are recorded; the cubes are dropped as the next window
-//!    arrives.
+//!    one window): each 64-pin word's scan state carries across window
+//!    boundaries, so stretches spanning any number of windows close
+//!    *exactly*, and windows close intervals in global end order, so
+//!    the interval list is in `(end, pin)` order as it grows. Each pin's
+//!    first care value and a 64-bit digest of each cube are recorded;
+//!    the cubes are read in place, with no transpose, and dropped as the
+//!    next window arrives.
 //! 2. **Solve**: the *same* global
 //!    [`BcpInstance::solve`](crate::BcpInstance::solve) the monolithic
 //!    DP-fill runs, on the identical instance built by the same
-//!    function — no cubes resident at all. The row-major sites and
-//!    their colors are then the fill plan ([`plan::FillPlan`]).
+//!    function, read in place in its `(end, pin)` order — no cubes
+//!    resident at all. The colored pins, bucketed by color, and the
+//!    first care values are then the fill plan.
 //! 3. **Emit pass**: windows are re-read, checked against their
-//!    digests and filled "copy-left, then flip" from the per-pin last
-//!    care value carried across windows — the row kernel
-//!    `apply_coloring` runs on whole rows — then scored with the
-//!    batched toggle sweeps (the boundary transition stitched against
-//!    the previous window's last cube) and written out as each window
-//!    retires. Window batches run on the [`minipool`] pool.
+//!    digests and filled from the filled-value plane `F` carried across
+//!    windows — the kernel `apply_coloring` runs on the whole set:
+//!    `F ← ((F ^ flips(t − 1)) & !C_t) | (V_t & C_t)` fills cube `t` —
+//!    then scored with the batched toggle sweeps (the boundary
+//!    transition stitched against the previous window's last cube) and
+//!    written out as each window retires. Window batches run on the
+//!    [`minipool`] pool.
 //!
 //! Byte-identity therefore holds *by construction* — pinned by the
 //! `streaming_fill` differential suite across window sizes and thread
@@ -49,7 +52,7 @@
 //!
 //! A global ordering needs the whole set; a streaming run can still
 //! reorder within a bounded horizon. Setting [`StreamOptions::order`]
-//! interposes the [`reorder`] stage: a ring of `band × window` cubes is
+//! interposes the reorder stage: a ring of `band × window` cubes is
 //! kept resident and re-ordered (in-window I-order or online XStat,
 //! chained against the last emitted cube) before windows are frozen out
 //! to the analyzer and the fill. The two-pass fills record the
@@ -95,16 +98,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use dpfill_cubes::format::{PatternError, PatternStream, PatternWriter};
-use dpfill_cubes::packed::{PackedBits, PackedMatrix};
+use dpfill_cubes::packed::PackedBits;
 use dpfill_cubes::CubeSet;
 
 use crate::bcp::SolveOptions;
 use crate::fill::{DpFillError, FillErrorSource, FillMethod, RandomFill};
-use crate::mapping::{build_instance, desires};
+use crate::mapping::{desires, instance, pin_order, Flips};
 use crate::objective::{FillObjective, ObjectiveError};
 use crate::ordering::OrderingError;
 
-use analyze::{Analysis, WindowedAnalyzer};
+use analyze::{Analysis, Analyzer};
 use budget::BudgetGovernor;
 pub use budget::{DegradeEvent, StreamPass};
 use plan::{cube_digest, FillPlan};
@@ -131,13 +134,13 @@ impl WindowSpec {
     /// Resolves the window size for a known cube width.
     ///
     /// The memory model: one resident cube costs `2 · ⌈width/64⌉ · 8`
-    /// bytes of plane words, and the pipeline holds about four plane
-    /// copies per in-flight cube (the parsed window, its transpose, the
-    /// filled transpose and the emitted set) across a batch of
-    /// `threads` windows. The budget is divided accordingly — minus a
-    /// 1/8 headroom reserve for the scalar event stream and overlap
-    /// tails (see [`budget`]) — and the window never drops below one
-    /// cube.
+    /// bytes of plane words, and the pipeline holds two plane copies per
+    /// in-flight cube (the parsed window and the filled one: the
+    /// analysis and the fill work on the cubes in place, with no
+    /// transpose) across a batch of `threads` windows. The budget is
+    /// divided accordingly — minus a 1/8 headroom reserve for the
+    /// analysis, the plan and the overlap tails (see the budget
+    /// governor) — and the window never drops below one cube.
     ///
     /// # Errors
     ///
@@ -490,7 +493,7 @@ impl<R: Read> WindowSource<R> {
     fn next_window(
         &mut self,
         max: usize,
-        analyzer: Option<&WindowedAnalyzer>,
+        analyzer: Option<&Analyzer>,
         win_idx: usize,
     ) -> Result<Option<CubeSet>, StreamError> {
         match self {
@@ -503,7 +506,7 @@ impl<R: Read> WindowSource<R> {
             }
             WindowSource::Replay(s) => s.next_window(max),
             WindowSource::Reorder(s) => {
-                let warm_lb = analyzer.map_or(0, WindowedAnalyzer::warm_bound);
+                let warm_lb = analyzer.map_or(0, Analyzer::warm_bound);
                 s.next_window(max, warm_lb, win_idx)
             }
         }
@@ -738,7 +741,7 @@ impl StreamingFill {
             .peek_width()?
             .map(|w| self.windowing(w))
             .transpose()?;
-        let mut analyzer: Option<WindowedAnalyzer> = None;
+        let mut analyzer: Option<Analyzer> = None;
         let mut digests: Vec<u64> = Vec::new();
         let mut win_idx = 0usize;
         let mut offset = 0usize;
@@ -754,7 +757,10 @@ impl StreamingFill {
                 sizing = Some(self.windowing(set.width())?);
             }
             let analyzer = analyzer.get_or_insert_with(|| {
-                WindowedAnalyzer::with_weights(set.width(), self.weights().map(<[u64]>::to_vec))
+                let weights = self.weights().map(<[u64]>::to_vec);
+                let lefts = matches!(self.opts.fill, FillMethod::Dp)
+                    && self.opts.objective.preferred().is_some();
+                Analyzer::new(set.width(), weights, lefts)
             });
             let cubes = offset..offset + set.len();
             offset = cubes.end;
@@ -770,7 +776,7 @@ impl StreamingFill {
                 if self.opts.chaos.panic_in_analyze == Some(win_idx) {
                     panic!("chaos: injected panic while analyzing window {win_idx}");
                 }
-                analyzer.ingest(&PackedMatrix::from_packed_set(set.as_packed()));
+                analyzer.ingest(set.as_packed().cubes());
             }));
             if let Err(payload) = ingest {
                 return Err(StreamError::WindowPanicked {
@@ -810,19 +816,20 @@ impl StreamingFill {
 
     /// Turns a finished analysis of `shape` (`(cubes, width)`) and pass
     /// 1's per-cube `digests` into the emit pass's fill plan: for DP the
-    /// sites keep their row-major order and take their colors from the
-    /// global BCP solve; MT-fill is copy-left with no flips, so its plan
-    /// holds no sites.
+    /// global BCP solve colors the analysis's intervals, read in place
+    /// in their `(end, pin)` order, and their pins are bucketed by
+    /// color; MT-fill is copy-left with no flips, so its plan holds
+    /// none.
     fn resolve_plan(
         &self,
-        analysis: Analysis,
+        mut analysis: Analysis,
         digests: Vec<u64>,
         shape: (usize, usize),
     ) -> Result<FillPlan, StreamError> {
         let _span = minitrace::span_with(
             "stream.solve",
             &[
-                ("sites", analysis.sites.len().into()),
+                ("sites", analysis.intervals.len().into()),
                 ("cubes", shape.0.into()),
             ],
         );
@@ -835,44 +842,37 @@ impl StreamingFill {
                 },
             )));
         }
-        let (sites, colors) = match self.opts.fill {
+        let flips = match self.opts.fill {
             FillMethod::Dp => {
-                // Stretch bounds are valid transitions by construction;
-                // a violation is a solver-input bug and surfaces as a
-                // typed Solve error, not a panic.
-                let instance = build_instance(&analysis.sites, self.weights(), analysis.baseline)
-                    .map_err(solve_error)?;
-                // The same global solve as the monolithic DpFill: same
-                // instance, same lower bound, same EDF coloring — warmed
-                // by the bound the analyzer certified online, so the
-                // solve starts at (usually *at*) the answer instead of
-                // re-deriving it from the whole event stream.
+                let instance = instance(&mut analysis, self.weights());
+                // The monolithic DpFill's solve of the same instance,
+                // warmed by the bound the analyzer certified online.
                 let mut solution = instance
                     .solve_with(&SolveOptions {
                         warm_lb: Some(analysis.warm_lb),
                     })
                     .map_err(solve_error)?;
                 if let Some(preferred) = self.opts.objective.preferred() {
-                    // The monolithic DpFill's preference tie-break.
+                    // The monolithic DpFill's preference tie-break, in
+                    // its (pin, start) order.
+                    let desire = desires(&analysis.pins, &analysis.lefts, preferred);
+                    let walk = pin_order(&analysis.pins, shape.1);
                     instance
-                        .shift_solution(&mut solution, &desires(&analysis.sites, preferred))
+                        .shift_solution(&mut solution, &desire, &walk)
                         .map_err(solve_error)?;
                 }
-                (analysis.sites, solution.coloring.into_colors())
+                let (num_colors, colors) = (instance.num_colors(), solution.coloring.into_colors());
+                drop(instance);
+                Flips::new(&analysis.pins, &colors, num_colors)
             }
             // MT-fill copies each stretch's left care value through the
-            // whole run: the coloring `right − 1`, which flips nothing.
-            FillMethod::Mt => (Vec::new(), Vec::new()),
+            // whole run: the coloring at each interval's end, which
+            // flips nothing before the run's right care bit.
+            FillMethod::Mt => Flips::default(),
             _ => unreachable!("plans only resolve for planned fills"),
         };
         let _plan = minitrace::span("stream.plan");
-        Ok(FillPlan::new(
-            shape.1,
-            analysis.first_values,
-            sites,
-            colors,
-            digests,
-        ))
+        Ok(FillPlan::new(analysis.first_values, flips, digests))
     }
 
     /// Pass 2 (or the only pass for per-cube fills): re-stream the
@@ -1122,10 +1122,9 @@ impl StreamingFill {
         }
         match plan {
             Some((plan, carry)) => {
-                let mut matrix = PackedMatrix::from_packed_set(original.as_packed());
-                plan.apply_window(&mut matrix, offset, carry);
-                debug_assert_eq!(matrix.x_count(), 0, "copy-left fills every X");
-                CubeSet::from_packed(matrix.to_packed_set())
+                let filled = plan.fill_window(original, offset, carry);
+                debug_assert_eq!(filled.x_count(), 0, "copy-left fills every X");
+                filled
             }
             None => match self.opts.fill {
                 FillMethod::Zero | FillMethod::One | FillMethod::Adj => {
@@ -1409,14 +1408,14 @@ mod tests {
     #[test]
     fn memory_budget_resolves_to_a_window() {
         // 1 MiB budget, width 64 (16 bytes of planes per cube), one
-        // thread: 7/8 MiB (1/8 is event headroom) / (4 · 16) = 14336.
+        // thread: 7/8 MiB (1/8 is event headroom) / (2 · 16) = 28672.
         let w = WindowSpec::MemoryBudgetMiB(1).window_for_width(64).unwrap();
         assert!(w >= 1);
         let pool = minipool::ThreadPool::new(1);
         let w1 = minipool::with_pool(&pool, || {
             WindowSpec::MemoryBudgetMiB(1).window_for_width(64).unwrap()
         });
-        assert_eq!(w1, 14336);
+        assert_eq!(w1, 28672);
         // A tiny budget never drops below one cube.
         assert_eq!(
             WindowSpec::MemoryBudgetMiB(1)
@@ -1424,11 +1423,18 @@ mod tests {
                 .unwrap(),
             1
         );
-        // An absurd width overflows as a typed error, not a wrap.
-        assert!(matches!(
-            WindowSpec::MemoryBudgetMiB(1).window_for_width(usize::MAX),
-            Err(StreamError::Overflow { .. })
-        ));
+        // An absurd width overflows as a typed error, not a wrap: two
+        // plane copies of a usize::MAX-pin cube (2^63 bytes) per thread
+        // leave u64 at two threads; at one they fit, and the window
+        // floors at one cube.
+        let absurd = |threads| {
+            let pool = minipool::ThreadPool::new(threads);
+            minipool::with_pool(&pool, || {
+                WindowSpec::MemoryBudgetMiB(1).window_for_width(usize::MAX)
+            })
+        };
+        assert!(matches!(absurd(2), Err(StreamError::Overflow { .. })));
+        assert_eq!(absurd(1).unwrap(), 1);
         let (out, report) = run_windowed(
             "0XX1\nXX0X\n1X0X\n",
             FillMethod::Dp,

@@ -1,68 +1,33 @@
 //! The resolved fill plan: every `X` of the input mapped to its value.
 //!
-//! Every planned fill is "copy-left, then flip": each `X` takes the
-//! nearest care value to its left, and a transition stretch colored `j`
-//! flips its columns after `j` to its right value. The plan is each
-//! pin's first care value (what a leading `X`-run copies) and the
-//! solve's row-major [`IntervalSite`]s with their colors — none for
-//! MT-fill, which is copy-left with no flips.
+//! Every planned fill runs the filled-value plane of
+//! [`MatrixMapping::apply_coloring`](crate::MatrixMapping::apply_coloring):
+//! each `X` takes the nearest care value to its left, and a transition
+//! stretch colored `j` flips its pin from cube `j + 1` on. The plan is
+//! each pin's first care value (what a leading `X`-run copies) and the
+//! solve's pins bucketed by color ([`Flips`]) — none for MT-fill, which
+//! is copy-left with no flips.
 //!
-//! The emit pass carries each pin's last care value across windows, so
-//! [`FillPlan`] fills any **window** of columns through [`fill_row`],
-//! the row kernel
-//! [`MatrixMapping::apply_coloring`](crate::MatrixMapping::apply_coloring)
-//! runs on whole rows. The plan also holds pass 1's 64-bit digest of
-//! each cube, which pass 2 checks before filling a window.
+//! The emit pass carries the filled-value plane `F` across windows, so
+//! [`FillPlan`] fills any **window** of cubes with the kernel the
+//! monolithic reconstruction runs on the whole set. The plan also holds
+//! pass 1's 64-bit digest of each cube, which pass 2 checks before
+//! filling a window.
 
-use dpfill_cubes::packed::{PackedBits, PackedMatrix};
+use dpfill_cubes::packed::PackedBits;
+use dpfill_cubes::CubeSet;
 
-use crate::mapping::{fill_row, IntervalSite};
+use crate::mapping::{advance, fill_cubes, Flips};
 
 /// A window-sliceable description of the complete fill.
 pub(crate) struct FillPlan {
     /// Bit `r` is pin `r`'s first care value (see
     /// [`Analysis::first_values`](super::analyze::Analysis::first_values)).
     first_values: Vec<u64>,
-    /// Transition stretches in row-major order, and the color of each.
-    sites: Vec<IntervalSite>,
-    colors: Vec<u32>,
-    /// `sites[site_index[r]..site_index[r + 1]]` are row `r`'s sites.
-    site_index: Vec<usize>,
+    /// The pins that flip at each transition.
+    flips: Flips,
     /// Pass 1's digest of each cube, in stream order.
     digests: Vec<u64>,
-}
-
-/// `index[r]..index[r + 1]` is row `r`'s run in a row-grouped event
-/// list of `width` rows.
-fn row_index<T>(events: &[T], width: usize, row: impl Fn(&T) -> u32) -> Vec<usize> {
-    let mut index = vec![0usize; width + 1];
-    for event in events {
-        index[row(event) as usize + 1] += 1;
-    }
-    for r in 0..width {
-        index[r + 1] += index[r];
-    }
-    index
-}
-
-/// Groups events by row with a stable counting sort in
-/// O(events + width). A row's events arrive left to right, window after
-/// window, so grouping by row alone reproduces the `(row, column)`
-/// order. Returns the grouped events and their row index.
-pub(super) fn group_by_row<T: Copy>(
-    events: Vec<T>,
-    width: usize,
-    row: impl Fn(&T) -> u32,
-) -> (Vec<T>, Vec<usize>) {
-    let index = row_index(&events, width, &row);
-    let mut next = index.clone();
-    let mut grouped = events.clone();
-    for event in events {
-        let slot = &mut next[row(&event) as usize];
-        grouped[*slot] = event;
-        *slot += 1;
-    }
-    (grouped, index)
 }
 
 /// A 64-bit digest of one cube's plane words. Each step is a bijection
@@ -77,90 +42,54 @@ pub(super) fn cube_digest(cube: &PackedBits) -> u64 {
 }
 
 impl FillPlan {
-    /// Builds a plan from pass 1's per-pin first values, the row-major
-    /// `sites` colored by `colors`, and the per-cube `digests`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `colors` and `sites` differ in length.
-    pub fn new(
-        width: usize,
-        first_values: Vec<u64>,
-        sites: Vec<IntervalSite>,
-        colors: Vec<u32>,
-        digests: Vec<u64>,
-    ) -> FillPlan {
-        assert_eq!(
-            colors.len(),
-            sites.len(),
-            "coloring does not match interval count"
-        );
-        let site_index = row_index(&sites, width, |s| s.row);
+    /// Builds a plan from pass 1's per-pin first values, the solve's
+    /// `flips` and the per-cube `digests`.
+    pub fn new(first_values: Vec<u64>, flips: Flips, digests: Vec<u64>) -> FillPlan {
         FillPlan {
             first_values,
-            sites,
-            colors,
-            site_index,
+            flips,
             digests,
         }
     }
 
     /// Bytes held by the resolved plan — resident for the whole emit
-    /// pass, charged against the memory budget up front: 20 B per site
-    /// (the site and its color), the row index, the first-value bits
-    /// and 8 B of digest per cube. Safe runs cost nothing.
+    /// pass, charged against the memory budget up front: 4 B per
+    /// interval (its pin, bucketed by color) and 8 B per transition of
+    /// bucket offset, the first-value bits and 8 B of digest per cube.
+    /// Safe runs cost nothing.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        (self.sites.len() * (size_of::<IntervalSite>() + size_of::<u32>())
-            + self.site_index.len() * size_of::<usize>()
-            + (self.first_values.len() + self.digests.len()) * size_of::<u64>()) as u64
+        self.flips.approx_bytes()
+            + ((self.first_values.len() + self.digests.len()) * size_of::<u64>()) as u64
     }
 
-    /// The carry into the first window: each pin's first care value.
+    /// The plane before the first cube: each pin's first care value.
     pub fn initial_carry(&self) -> Vec<u64> {
         self.first_values.clone()
     }
 
     /// Admits the window `cubes`, read at stream offset `start`: checks
-    /// each against the digest pass 1 recorded there and folds it into
-    /// the per-pin `carry` (pins a cube specifies take its value, word by
-    /// word). Returns the carry into the window's first column, or
-    /// `None` when a cube is not the one pass 1 read.
+    /// each against the digest pass 1 recorded there and advances the
+    /// filled-value plane `carry` over the window. Returns the plane
+    /// before the window's first cube, or `None` when a cube is not the
+    /// one pass 1 read.
     pub fn admit(&self, start: usize, cubes: &[PackedBits], carry: &mut [u64]) -> Option<Vec<u64>> {
         let digests = self.digests.get(start..start + cubes.len())?;
-        let into = carry.to_vec();
-        for (cube, &digest) in cubes.iter().zip(digests) {
-            if cube_digest(cube) != digest {
-                return None;
-            }
-            let planes = cube.care_words().iter().zip(cube.value_words());
-            for (c, (&care, &val)) in carry.iter_mut().zip(planes) {
-                *c = (*c & !care) | val;
-            }
+        if cubes.iter().zip(digests).any(|(c, &d)| cube_digest(c) != d) {
+            return None;
         }
+        let into = carry.to_vec();
+        advance(cubes, start, carry, &self.flips);
         Some(into)
     }
 
-    /// Fills columns `[start_col, start_col + matrix.cols())` in place:
-    /// every row goes through [`fill_row`] with its bit of `carry` (the
-    /// pin's last care value before the window, or its first care value
-    /// before any). Rows are disjoint, so row chunks fan out over the
-    /// current [`minipool`] pool; per row the overlapping sites are a
-    /// contiguous slice found by two binary searches.
-    pub fn apply_window(&self, matrix: &mut PackedMatrix, start_col: usize, carry: &[u64]) {
-        minipool::parallel_chunks_mut(matrix.packed_rows_mut(), 4, |row0, rows| {
-            for (r, row) in (row0..).zip(rows.iter_mut()) {
-                let (lo, hi) = (self.site_index[r], self.site_index[r + 1]);
-                let bit = carry[r / 64] >> (r % 64) & 1 == 1;
-                fill_row(
-                    row,
-                    start_col,
-                    bit,
-                    &self.sites[lo..hi],
-                    &self.colors[lo..hi],
-                );
-            }
-        });
+    /// Fills the window `original`, cubes `start..` of the stream, from
+    /// the plane `carry` before its first cube.
+    pub fn fill_window(&self, original: &CubeSet, start: usize, carry: &[u64]) -> CubeSet {
+        let mut filled = original.clone();
+        let mut plane = carry.to_vec();
+        fill_cubes(filled.packed_cubes_mut(), start, &mut plane, &self.flips);
+        filled
     }
 }
 
@@ -169,24 +98,14 @@ mod tests {
     use super::*;
     use dpfill_cubes::gen::random_cube_set;
     use dpfill_cubes::packed::PackedCubeSet;
-    use dpfill_cubes::{Bit, CubeSet};
 
     use crate::bcp::test_support::coloring;
-    use crate::stream::analyze::WindowedAnalyzer;
-    use crate::MatrixMapping;
+    use crate::stream::analyze::Analyzer;
+    use crate::{Interval, MatrixMapping};
 
-    /// The cubes `[start, end)` of `cubes`, transposed to pin rows.
-    fn window(cubes: &CubeSet, start: usize, end: usize) -> PackedMatrix {
-        let mut slice = PackedCubeSet::new(cubes.width());
-        for i in start..end {
-            slice.push(cubes.as_packed().cube(i).clone());
-        }
-        PackedMatrix::from_packed_set(&slice)
-    }
-
-    /// Fills `cubes` window by window through `plan`, carrying each
-    /// pin's last care value across windows of `size` cubes like the
-    /// emit pass does.
+    /// Fills `cubes` window by window through `plan`, carrying the
+    /// filled-value plane across windows of `size` cubes like the emit
+    /// pass does.
     fn fill_windowed(cubes: &CubeSet, plan: &FillPlan, size: usize) -> CubeSet {
         let mut carry = plan.initial_carry();
         let mut out = PackedCubeSet::new(cubes.width());
@@ -194,9 +113,9 @@ mod tests {
             let end = (start + size).min(cubes.len());
             let read = &cubes.as_packed().cubes()[start..end];
             let into = plan.admit(start, read, &mut carry).expect("pass 1's cubes");
-            let mut m = window(cubes, start, end);
-            plan.apply_window(&mut m, start, &into);
-            for cube in m.to_packed_set().cubes() {
+            let window =
+                CubeSet::from_packed(PackedCubeSet::from_rows(cubes.width(), read.to_vec()));
+            for cube in plan.fill_window(&window, start, &into).as_packed().cubes() {
                 out.push(cube.clone());
             }
         }
@@ -206,30 +125,23 @@ mod tests {
     /// Fills `cubes` window by window through a plan colored by `color`
     /// and asserts the result equals the monolithic `apply_coloring` of
     /// the same coloring, at every window size in {1, 2, 3, 5}.
-    fn assert_windows_match_whole_set(cubes: &CubeSet, color: impl Fn(&IntervalSite) -> u32) {
+    fn assert_windows_match_whole_set(cubes: &CubeSet, color: impl Fn(Interval, u32) -> u32) {
         let mapping = MatrixMapping::analyze(cubes);
-        let colors: Vec<u32> = mapping.sites().iter().map(&color).collect();
+        let colors: Vec<u32> = (mapping.instance().intervals().iter())
+            .zip(mapping.pins())
+            .map(|(&iv, &pin)| color(iv, pin))
+            .collect();
         let whole = mapping.apply_coloring(&coloring(colors.clone()));
-        let digests = cubes
-            .as_packed()
-            .cubes()
-            .iter()
-            .map(cube_digest)
-            .collect::<Vec<_>>();
+        let digests: Vec<u64> = cubes.as_packed().cubes().iter().map(cube_digest).collect();
         for size in [1, 2, 3, 5] {
-            let mut analyzer = WindowedAnalyzer::with_weights(cubes.width(), None);
-            for start in (0..cubes.len()).step_by(size) {
-                analyzer.ingest(&window(cubes, start, (start + size).min(cubes.len())));
+            let mut analyzer = Analyzer::new(cubes.width(), None, false);
+            for chunk in cubes.as_packed().cubes().chunks(size) {
+                analyzer.ingest(chunk);
             }
             let analysis = analyzer.finish();
-            assert_eq!(analysis.sites, mapping.sites(), "window {size}");
-            let plan = FillPlan::new(
-                cubes.width(),
-                analysis.first_values,
-                analysis.sites,
-                colors.clone(),
-                digests.clone(),
-            );
+            assert_eq!(analysis.pins, mapping.pins(), "window {size}");
+            let flips = Flips::new(&analysis.pins, &colors, mapping.instance().num_colors());
+            let plan = FillPlan::new(analysis.first_values, flips, digests.clone());
             assert_eq!(fill_windowed(cubes, &plan, size), whole, "window {size}");
         }
     }
@@ -239,18 +151,12 @@ mod tests {
         // One pin, 6 cubes, one safe run [1, 5) of zeros across windows
         // of 2.
         let cubes = CubeSet::parse_rows(&["0", "X", "X", "X", "X", "0"]).unwrap();
-        assert_windows_match_whole_set(&cubes, |s| s.left);
-        // The stretch 0 X X X X 1 colored 1 flips columns [2, 5) to one,
-        // clipped to each window of 2.
+        assert_windows_match_whole_set(&cubes, |iv, _| iv.start());
+        // The stretch 0 X X X X 1 colored 1 flips from cube 2 on,
+        // across windows of 2.
         let cubes = CubeSet::parse_rows(&["0", "X", "X", "X", "X", "1"]).unwrap();
-        let site = IntervalSite {
-            row: 0,
-            left: 0,
-            right: 5,
-            left_value: Bit::Zero,
-        };
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
-        let plan = FillPlan::new(1, vec![0], vec![site], vec![1], digests);
+        let plan = FillPlan::new(vec![0], Flips::new(&[0], &[1], 5), digests);
         let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
             .iter()
             .map(|c| c.to_string())
@@ -263,15 +169,15 @@ mod tests {
         // Pin 0: a `1 X…X 1` run spanning three windows of 2; pin 1: a
         // leading run (first care 0 at column 4) and a trailing run.
         let cubes = CubeSet::parse_rows(&["1X", "XX", "XX", "XX", "X0", "1X"]).unwrap();
-        assert_windows_match_whole_set(&cubes, |s| s.left);
+        assert_windows_match_whole_set(&cubes, |iv, _| iv.start());
         let analysis = {
-            let mut analyzer = WindowedAnalyzer::with_weights(2, None);
-            analyzer.ingest(&window(&cubes, 0, 6));
+            let mut analyzer = Analyzer::new(2, None, false);
+            analyzer.ingest(cubes.as_packed().cubes());
             analyzer.finish()
         };
-        assert!(analysis.sites.is_empty());
+        assert!(analysis.intervals.is_empty());
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
-        let plan = FillPlan::new(2, analysis.first_values, Vec::new(), Vec::new(), digests);
+        let plan = FillPlan::new(analysis.first_values, Flips::default(), digests);
         let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
             .iter()
             .map(|c| c.to_string())
@@ -284,7 +190,7 @@ mod tests {
         let cubes = CubeSet::parse_rows(&["00", "11"]).unwrap();
         let changed = CubeSet::parse_rows(&["01", "10"]).unwrap();
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
-        let plan = FillPlan::new(2, vec![0b10], Vec::new(), Vec::new(), digests);
+        let plan = FillPlan::new(vec![0b10], Flips::default(), digests);
         let (read, other) = (cubes.as_packed().cubes(), changed.as_packed().cubes());
         let mut carry = plan.initial_carry();
         assert_eq!(plan.admit(0, read, &mut carry), Some(vec![0b10]));
@@ -308,8 +214,10 @@ mod tests {
         ];
         let cubes = CubeSet::parse_rows(&rows).unwrap();
         for j in 0..8u32 {
-            assert_windows_match_whole_set(&cubes, |s| if s.row == 0 { j } else { s.left });
-            assert_windows_match_whole_set(&cubes, |s| if s.row == 0 { j } else { s.right - 1 });
+            let first = |iv: Interval, pin| if pin == 0 { j } else { iv.start() };
+            assert_windows_match_whole_set(&cubes, first);
+            let last = |iv: Interval, pin| if pin == 0 { j } else { iv.end() };
+            assert_windows_match_whole_set(&cubes, last);
         }
     }
 
@@ -319,40 +227,40 @@ mod tests {
             let cubes = random_cube_set(9, 23, density, seed);
             // First transition, MT (last transition), middle, and a
             // hashed spread of positions.
-            assert_windows_match_whole_set(&cubes, |s| s.left);
-            assert_windows_match_whole_set(&cubes, |s| s.right - 1);
-            assert_windows_match_whole_set(&cubes, |s| (s.left + s.right - 1) / 2);
-            assert_windows_match_whole_set(&cubes, |s| {
-                s.left + (s.row * 7 + s.left * 13) % (s.right - s.left)
+            assert_windows_match_whole_set(&cubes, |iv, _| iv.start());
+            assert_windows_match_whole_set(&cubes, |iv, _| iv.end());
+            assert_windows_match_whole_set(&cubes, |iv, _| (iv.start() + iv.end()) / 2);
+            assert_windows_match_whole_set(&cubes, |iv, pin| {
+                iv.start() + (pin * 7 + iv.start() * 13) % iv.len() as u32
             });
         }
     }
 
     #[test]
     fn mt_coloring_copies_the_left_value_through_each_run() {
-        // MT-fill is the coloring `right − 1`: the streamed splice must
-        // equal the monolithic MT fill.
+        // MT-fill is the coloring `end`: the streamed fill must equal
+        // the monolithic MT fill.
         use crate::fill::{FillStrategy, MtFill};
         let cubes = random_cube_set(11, 19, 0.8, 7);
         let mapping = MatrixMapping::analyze(&cubes);
-        let colors = mapping.sites().iter().map(|s| s.right - 1).collect();
+        let colors = mapping.instance().intervals().iter().map(|iv| iv.end());
         assert_eq!(
-            mapping.apply_coloring(&coloring(colors)),
+            mapping.apply_coloring(&coloring(colors.collect())),
             MtFill.fill(&cubes)
         );
-        assert_windows_match_whole_set(&cubes, |s| s.right - 1);
+        assert_windows_match_whole_set(&cubes, |iv, _| iv.end());
     }
 
     #[test]
-    fn sites_are_sixteen_bytes() {
-        assert_eq!(std::mem::size_of::<IntervalSite>(), 16);
-    }
-
-    #[test]
-    fn grouping_by_row_is_stable() {
-        let events = [(2u32, 0), (0, 1), (2, 2), (1, 3), (0, 4)];
-        let (grouped, index) = group_by_row(events.to_vec(), 3, |e| e.0);
-        assert_eq!(grouped, [(0, 1), (0, 4), (1, 3), (2, 0), (2, 2)]);
-        assert_eq!(index, [0, 2, 3, 5]);
+    fn the_plan_charges_four_bytes_per_interval() {
+        // 4 B per bucketed pin, 8 B per transition offset, first-value
+        // words and digests: the governor's model is the structures'.
+        let flips = Flips::new(&[0, 1, 0], &[0, 1, 2], 3);
+        let plan = FillPlan::new(vec![0], flips, vec![0; 4]);
+        let per = std::mem::size_of::<u32>() as u64;
+        let per_color = std::mem::size_of::<usize>() as u64;
+        let word = std::mem::size_of::<u64>() as u64;
+        assert_eq!(plan.approx_bytes(), 3 * per + 4 * per_color + 5 * word);
+        assert!(per <= 16);
     }
 }

@@ -178,14 +178,52 @@ fn dp_fill_certificate_holds_on_word_boundary_shapes() {
 
 #[test]
 fn scalar_and_packed_entry_points_agree() {
+    // The cube-major mapping of the packed set against the pin-major
+    // reference scan of the scalar transpose: the same intervals (the
+    // mapping lists them by end, the reference by pin), the same
+    // baseline, and the same fill of one coloring.
     let cubes = CubeSet::parse_rows(&["0X1X0", "1XX00", "X01XX", "0XXX1"]).unwrap();
     let from_set = MatrixMapping::analyze(&cubes);
-    let from_scalar = MatrixMapping::analyze_matrix(pin_matrix_scalar(&cubes));
-    assert_eq!(from_set.instance(), from_scalar.instance());
-    assert_eq!(from_set.sites(), from_scalar.sites());
+    let scalar = dpfill_cubes::packed::PackedMatrix::from_pin_matrix(&pin_matrix_scalar(&cubes));
+    let from_scalar = dpfill_oracle::analyze_rows(&scalar);
+    let mut by_pin: Vec<(u32, u32, u32)> = from_scalar
+        .sites
+        .iter()
+        .map(|s| (s.start, s.end, s.pin))
+        .collect();
+    by_pin.sort_by_key(|&(_, end, pin)| (end, pin));
+    let intervals: Vec<(u32, u32)> = from_set
+        .instance()
+        .intervals()
+        .iter()
+        .map(|iv| (iv.start(), iv.end()))
+        .collect();
+    let reference: Vec<(u32, u32)> = by_pin.iter().map(|&(s, e, _)| (s, e)).collect();
+    assert_eq!(intervals, reference);
+    assert_eq!(
+        from_set.instance().baseline(),
+        from_scalar.baseline.as_slice()
+    );
     let coloring = from_set.instance().solve().unwrap().coloring;
+    // Map each reference site to its color by (end, pin) position.
+    let colors: Vec<u32> = from_scalar
+        .sites
+        .iter()
+        .map(|s| {
+            let at = by_pin
+                .iter()
+                .position(|&(start, end, pin)| (start, end, pin) == (s.start, s.end, s.pin))
+                .unwrap();
+            coloring.color(at)
+        })
+        .collect();
     assert_eq!(
         from_set.apply_coloring(&coloring),
-        from_scalar.apply_coloring(&coloring)
+        dpfill_oracle::splice_fill(
+            &cubes,
+            &from_scalar.first_values,
+            &from_scalar.sites,
+            &colors
+        )
     );
 }

@@ -7,7 +7,7 @@
 //! structural equality per configuration, no tolerance anywhere.
 
 use dpfill_core::fill::{DpFill, FillMethod};
-use dpfill_core::mapping::{IntervalSite, MatrixMapping};
+use dpfill_core::mapping::MatrixMapping;
 use dpfill_core::ordering::{
     IOrdering, IOrderingTrace, IsaOrdering, OrderingStrategy, XStatOrdering,
 };
@@ -24,7 +24,6 @@ use proptest::prelude::*;
 struct PipelineOutputs {
     intervals: Vec<Interval>,
     baseline: Vec<u64>,
-    sites: Vec<IntervalSite>,
     stats: StretchStats,
     fills: Vec<(&'static str, CubeSet)>,
     dp_peak: u64,
@@ -69,7 +68,6 @@ fn pipeline_outputs(set: &CubeSet) -> PipelineOutputs {
     PipelineOutputs {
         intervals: mapping.instance().intervals().to_vec(),
         baseline: mapping.instance().baseline().to_vec(),
-        sites: mapping.sites().to_vec(),
         stats,
         fills,
         dp_peak: report.peak,

@@ -27,7 +27,7 @@
 //!   the raw material of the paper's interval mapping and of Fig 2(c);
 //! * [`gen`] — seeded random cube generators used for tests and for the
 //!   profile-driven reproduction mode;
-//! * [`format`] — a plain-text pattern format (one `01X` string per
+//! * [`format`](mod@format) — a plain-text pattern format (one `01X` string per
 //!   line), parsed by streaming characters straight into plane words;
 //! * [`retry`] — the bounded deterministic-backoff retry policy every
 //!   I/O path routes through (`EINTR` absorption, temp-file collisions).

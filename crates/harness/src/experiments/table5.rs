@@ -15,11 +15,11 @@ pub struct Table5Row {
     pub ckt: String,
     /// Best existing fill under the tool ordering (paper column 1).
     pub tool_best: u64,
-    /// ISA [20]: simulated-annealing ordering + MT-fill.
+    /// ISA \[20\]: simulated-annealing ordering + MT-fill.
     pub isa: u64,
-    /// Adj-fill [21]: tool ordering + scan-adjacent fill.
+    /// Adj-fill \[21\]: tool ordering + scan-adjacent fill.
     pub adj: u64,
-    /// XStat [22]: XStat ordering + XStat fill.
+    /// XStat \[22\]: XStat ordering + XStat fill.
     pub xstat: u64,
     /// Proposed: I-ordering + DP-fill.
     pub proposed: u64,

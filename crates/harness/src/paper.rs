@@ -8,8 +8,8 @@
 /// MT, R, 0, 1, B, DP.
 pub const FILL_LABELS: [&str; 6] = ["MT-fill", "R-fill", "0-fill", "1-fill", "B-fill", "DP-fill"];
 
-/// Technique columns of Tables V–VI: Tool(best), ISA [20], Adj-fill [21],
-/// XStat [22], Proposed.
+/// Technique columns of Tables V–VI: Tool(best), ISA \[20\], Adj-fill \[21\],
+/// XStat \[22\], Proposed.
 pub const TECHNIQUE_LABELS: [&str; 5] = ["Tool", "ISA", "Adj-fill", "XStat", "Proposed"];
 
 /// One benchmark's published numbers.

@@ -3,7 +3,7 @@ use crate::{Levelization, Netlist, SignalId};
 /// The *combinational view* of a (possibly sequential) netlist.
 ///
 /// Under the state-preserving DFT scheme the paper assumes (first-level
-/// hold, [18]), the combinational logic sees scan patterns applied one
+/// hold, \[18\]), the combinational logic sees scan patterns applied one
 /// after another, so ATPG and power analysis work on the combinational
 /// core with flip-flops opened up:
 ///

@@ -14,6 +14,9 @@
 //!   ([`toggle_profile_scalar`] and friends);
 //! * the cube-at-a-time pattern parser ([`parse_patterns_scalar`]) and
 //!   the per-bit transpose ([`pin_matrix_scalar`]);
+//! * the pin-major windowed analysis ([`analyze_pin_major`]) and row
+//!   splice fill ([`splice_fill`]) behind the cube-major analyzer and
+//!   filled-value plane;
 //! * [`faultio`] — deterministic fault-injection readers and writers
 //!   for the chaos suites.
 //!
@@ -21,12 +24,14 @@
 //! accessors, so a production refactor that keeps the API keeps them
 //! valid.
 
+mod analysis;
 mod bcp;
 mod distance;
 pub mod faultio;
 mod format;
 mod matrix;
 
+pub use analysis::{analyze_pin_major, analyze_rows, splice_fill, PinMajorAnalysis, Site};
 pub use bcp::{brute_force_min_peak, lower_bound_dp, lower_bound_naive};
 pub use distance::{
     hamming_distance_scalar, peak_toggles_scalar, toggle_profile_scalar, total_toggles_scalar,

@@ -2,7 +2,7 @@
 //!
 //! Excessive peak capture power does not fail chips directly; the
 //! *voltage droop* it causes on the power grid does (paper §I, refs
-//! [3], [4]): gates slow down under reduced supply and the at-speed
+//! \[3\], \[4\]): gates slow down under reduced supply and the at-speed
 //! capture samples a late transition, flagging a good chip as defective.
 //!
 //! This module closes that loop with a first-order grid model: the

@@ -5,7 +5,7 @@
 //! is applied by shifting a pattern in (while shifting the previous
 //! response out), then capturing. The DP-fill paper (§III) assumes a DFT
 //! scheme that *preserves the combinational state* during shifting
-//! (first-level hold, their ref. [18]): the combinational core then sees
+//! (first-level hold, their ref. \[18\]): the combinational core then sees
 //! the launch patterns back-to-back, which is what turns peak capture
 //! power into the peak Hamming distance between consecutive filled
 //! patterns.
@@ -20,7 +20,7 @@
 //!   property check that shift cycles contribute zero combinational
 //!   toggles;
 //! * [`wtm`] / [`shift_power_profile`] — the weighted-transitions metric
-//!   of scan-in vectors (shift power, which Adj-fill [21] optimizes).
+//!   of scan-in vectors (shift power, which Adj-fill \[21\] optimizes).
 
 mod apply;
 mod chain;

@@ -8,7 +8,7 @@ use crate::{ScanChains, ScanError};
 /// al.): a transition between positions `p` and `p+1` of an `L`-cell
 /// chain is weighted by `L - p - 1` — the number of shift cycles it
 /// travels through the chain. `X` bits count as no transition (they can
-/// always be filled to avoid one; Adj-fill [21] does exactly that).
+/// always be filled to avoid one; Adj-fill \[21\] does exactly that).
 pub fn wtm(chain_vector: &[Bit]) -> u64 {
     let l = chain_vector.len();
     let mut total = 0u64;
