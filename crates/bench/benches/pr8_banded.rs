@@ -64,6 +64,7 @@ fn bench_banded(c: &mut Criterion) {
         let global = match method {
             BandedMethod::Interleave => OrderingMethod::Interleaved,
             BandedMethod::XStat => OrderingMethod::XStat,
+            BandedMethod::Isa(seed) => OrderingMethod::Isa(seed),
         };
         let order = global
             .order(&cubes)

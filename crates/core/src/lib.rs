@@ -22,9 +22,9 @@
 //!   the paper's I-ordering (Algorithm 3, [`ordering::IOrdering`]);
 //! * [`pipeline`] — ordering+fill techniques and the sweeps behind the
 //!   paper's tables;
-//! * [`stream`] — the bounded-memory streaming pipeline: windowed
-//!   analyze→fill→emit with exact overlap stitching, byte-identical to
-//!   the monolithic run.
+//! * [`stream`] — the fill driver: windowed analyze→fill→emit with
+//!   exact overlap stitching in bounded memory, byte-identical to its
+//!   one-resident-window case over the whole set.
 //!
 //! # Quickstart
 //!

@@ -27,7 +27,7 @@ use dpfill_cubes::{Bit, CubeSet};
 
 use crate::bcp::{BcpInstance, Coloring};
 use crate::objective::{FillObjective, ObjectiveError};
-use crate::stream::analyze::{Analysis, Analyzer};
+use crate::stream::analyze::{Analysis, Analyzer, Keep};
 
 /// Each interval's pin, bucketed by its color: the pins whose filled
 /// value flips at each transition.
@@ -164,11 +164,11 @@ pub(crate) fn instance(analysis: &mut Analysis, weights: Option<&[u64]>) -> BcpI
     BcpInstance::with_intervals(intervals, std::mem::take(&mut analysis.baseline), loads)
 }
 
-/// The analyzed set: intervals extracted, forced toggles tallied, and
-/// the input kept for the fill.
+/// The analyzed set: intervals extracted and forced toggles tallied,
+/// borrowing the input for the fill.
 #[derive(Clone, Debug)]
-pub struct MatrixMapping {
-    cubes: CubeSet,
+pub struct MatrixMapping<'a> {
+    cubes: &'a CubeSet,
     instance: BcpInstance,
     /// The pin of each interval, aligned with the instance.
     pins: Vec<u32>,
@@ -181,13 +181,13 @@ pub struct MatrixMapping {
     warm_lb: u64,
 }
 
-impl MatrixMapping {
+impl<'a> MatrixMapping<'a> {
     /// Analyzes a cube set (columns = cubes) per the paper's mapping:
     /// one cube-major scan of the packed planes, with pin words fanned
     /// out across the current [`minipool`] pool. The intervals, the
     /// baseline and the fill are bit-identical at any thread count and
     /// to any windowing of the same cubes.
-    pub fn analyze(cubes: &CubeSet) -> MatrixMapping {
+    pub fn analyze(cubes: &'a CubeSet) -> MatrixMapping<'a> {
         Self::analyze_with(cubes, &FillObjective::default())
             .unwrap_or_else(|e| unreachable!("the default objective carries no table: {e}"))
     }
@@ -205,17 +205,18 @@ impl MatrixMapping {
     /// does not cover the set's pins, and [`ObjectiveError::Overflow`]
     /// when a weighted forced-toggle load exceeds `u64`.
     pub fn analyze_with(
-        cubes: &CubeSet,
+        cubes: &'a CubeSet,
         objective: &FillObjective,
-    ) -> Result<MatrixMapping, ObjectiveError> {
+    ) -> Result<MatrixMapping<'a>, ObjectiveError> {
         objective.check_width(cubes.width())?;
         let weights = objective.weights();
         let preferred = objective.preferred();
-        let mut analyzer = Analyzer::new(
-            cubes.width(),
-            weights.map(<[u64]>::to_vec),
-            preferred.is_some(),
-        );
+        let keep = if preferred.is_some() {
+            Keep::Lefts
+        } else {
+            Keep::Intervals
+        };
+        let mut analyzer = Analyzer::new(cubes.width(), weights.map(<[u64]>::to_vec), keep);
         analyzer.ingest(cubes.as_packed().cubes());
         let mut analysis = analyzer.finish();
         if analysis.overflow {
@@ -228,7 +229,7 @@ impl MatrixMapping {
             desires(&analysis.pins, &analysis.lefts, preferred)
         });
         Ok(MatrixMapping {
-            cubes: cubes.clone(),
+            cubes,
             instance,
             pins: analysis.pins,
             first_values: analysis.first_values,
@@ -275,8 +276,9 @@ impl MatrixMapping {
 
     /// Reconstructs the fully filled set from a coloring (paper §V-D):
     /// the coloring's pins are bucketed by color, then one cube-major
-    /// sweep of the filled-value plane fills every cube (see the module
-    /// docs), starting from each pin's first care value.
+    /// sweep of the filled-value plane fills a copy of the analyzed set
+    /// (see the module docs), starting from each pin's first care value.
+    /// That copy is the only one the mapping makes.
     ///
     /// # Panics
     ///
@@ -424,7 +426,8 @@ mod tests {
         // in that order; its bound is the mapping's of the reordered set.
         let cubes = set(&["0X1X0", "1XX00", "X01XX", "0XXX1", "10X0X", "XX10X"]);
         let order = [2, 0, 3, 5, 1, 4];
-        let via_set = MatrixMapping::analyze(&cubes.reordered(&order).unwrap());
+        let reordered = cubes.reordered(&order).unwrap();
+        let via_set = MatrixMapping::analyze(&reordered);
         assert_eq!(
             crate::ordering::IOrdering::bottleneck(&cubes, &order).unwrap(),
             via_set.instance().lower_bound().unwrap()

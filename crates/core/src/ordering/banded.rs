@@ -21,10 +21,12 @@
 //! feasibility probes on the bound problem (see
 //! [`IOrdering::bottleneck`]).
 //!
-//! When there is **no** tail (the ring holds the entire input), both
+//! When there is **no** tail (the ring holds the entire input), the
 //! banded orderings delegate to their global counterparts verbatim, so
-//! a band that covers the whole set reproduces the monolithic
+//! a band that covers the whole set reproduces the whole-set
 //! permutation bit for bit — the identity the differential suite pins.
+//! A resident run orders its one window this way, and ISA
+//! ([`BandedMethod::Isa`]) runs only there.
 
 use dpfill_cubes::packed::{PackedBits, PackedCubeSet};
 use dpfill_cubes::CubeSet;
@@ -32,7 +34,7 @@ use dpfill_cubes::CubeSet;
 use super::interleave::sorted_by_x_count;
 use super::search::{scan, search};
 use super::xstat::complete_permutation;
-use super::{IOrdering, OrderingError, OrderingStrategy, PackedCubes, XStatOrdering};
+use super::{IOrdering, IsaOrdering, OrderingError, OrderingStrategy, PackedCubes, XStatOrdering};
 
 /// Context a banded ordering receives about the frozen prefix.
 #[derive(Clone, Copy, Debug)]
@@ -76,14 +78,18 @@ pub trait BandedOrdering {
         -> Result<Vec<usize>, OrderingError>;
 }
 
-/// The banded orderings the streaming CLI can run, as an enum for
-/// dispatch and labeling.
+/// The orderings the streaming driver can run over a ring, as an enum
+/// for dispatch and labeling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BandedMethod {
     /// Banded I-ordering (Algorithm 3 replayed over the ring).
     Interleave,
     /// Online XStat (greedy chaining against the last emitted cube).
     XStat,
+    /// Simulated annealing with the given seed ([`IsaOrdering`]), for a
+    /// ring holding the whole set only: behind a frozen prefix it is
+    /// [`OrderingError::NeedsWholeSet`].
+    Isa(u64),
 }
 
 impl BandedMethod {
@@ -92,6 +98,7 @@ impl BandedMethod {
         match self {
             BandedMethod::Interleave => "I-order",
             BandedMethod::XStat => "XStat-order",
+            BandedMethod::Isa(_) => "ISA",
         }
     }
 
@@ -99,7 +106,8 @@ impl BandedMethod {
     ///
     /// # Errors
     ///
-    /// [`OrderingError`] when a candidate evaluation fails.
+    /// [`OrderingError`] when a candidate evaluation fails, or when a
+    /// whole-set ordering meets a frozen prefix.
     pub fn order_band(
         self,
         ring: &CubeSet,
@@ -108,6 +116,10 @@ impl BandedMethod {
         match self {
             BandedMethod::Interleave => BandedIOrdering::new().order_band(ring, ctx),
             BandedMethod::XStat => BandedXStatOrdering.order_band(ring, ctx),
+            BandedMethod::Isa(seed) => match ctx.tail {
+                None => IsaOrdering::new(seed).order(ring),
+                Some(_) => Err(OrderingError::NeedsWholeSet(self.label())),
+            },
         }
     }
 }

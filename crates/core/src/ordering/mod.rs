@@ -52,6 +52,9 @@ pub enum OrderingError {
     /// Evaluating a candidate's bottleneck value failed in the load
     /// model (overflow on absurd inputs).
     Bound(BcpError),
+    /// The named ordering needs the whole set, but the ring it was
+    /// asked to order follows a frozen prefix.
+    NeedsWholeSet(&'static str),
 }
 
 impl fmt::Display for OrderingError {
@@ -62,6 +65,9 @@ impl fmt::Display for OrderingError {
                 "candidate schedule of length {len} is not a permutation of 0..{expected}"
             ),
             OrderingError::Bound(e) => write!(f, "candidate bottleneck evaluation failed: {e}"),
+            OrderingError::NeedsWholeSet(method) => {
+                write!(f, "{method} needs the whole pattern set resident")
+            }
         }
     }
 }
@@ -69,7 +75,7 @@ impl fmt::Display for OrderingError {
 impl Error for OrderingError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            OrderingError::MalformedSchedule { .. } => None,
+            OrderingError::MalformedSchedule { .. } | OrderingError::NeedsWholeSet(_) => None,
             OrderingError::Bound(e) => Some(e),
         }
     }

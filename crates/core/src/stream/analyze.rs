@@ -165,6 +165,19 @@ pub(crate) struct Analysis {
     pub overflow: bool,
 }
 
+/// What the analyzer keeps of each closed stretch. Every stretch feeds
+/// the unit ladder whatever is kept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Keep {
+    /// Nothing: MT-fill's plan reads only the first care values.
+    Nothing,
+    /// Its interval and pin.
+    Intervals,
+    /// Its interval, pin and left care value (for a fill-value
+    /// preference's shift).
+    Lefts,
+}
+
 /// The analyzer: feed windows left to right, then
 /// [`Analyzer::finish`].
 pub(crate) struct Analyzer {
@@ -174,8 +187,7 @@ pub(crate) struct Analyzer {
     out: Analysis,
     /// Per-pin weights of the forced baseline (`None`: unit).
     weights: Option<Vec<u64>>,
-    /// Record each interval's left care value.
-    lefts: bool,
+    keep: Keep,
     /// The online unit-load ladder (see [`Analysis::warm_lb`]).
     bound: IncrementalBound,
 }
@@ -183,8 +195,8 @@ pub(crate) struct Analyzer {
 impl Analyzer {
     /// An analyzer of `width` pins charging `weights[pin]` per forced
     /// toggle (`None`: the unit metric; the running bound counts unit
-    /// loads either way), keeping each interval's left value if `lefts`.
-    pub fn new(width: usize, weights: Option<Vec<u64>>, lefts: bool) -> Analyzer {
+    /// loads either way), keeping what `keep` asks of each stretch.
+    pub fn new(width: usize, weights: Option<Vec<u64>>, keep: Keep) -> Analyzer {
         if let Some(w) = &weights {
             assert_eq!(w.len(), width, "weight table width mismatch");
         }
@@ -192,7 +204,7 @@ impl Analyzer {
             words: vec![WordState::EMPTY; width.div_ceil(64)],
             out: Analysis::default(),
             weights,
-            lefts,
+            keep,
             bound: IncrementalBound::new(),
         }
     }
@@ -209,7 +221,9 @@ impl Analyzer {
             t0 + cubes.len() <= u32::MAX as usize,
             "the analysis supports at most 2^32 - 1 cubes"
         );
-        let (record, weights) = ((true, self.lefts), self.weights.as_deref());
+        // (pins, lefts): what each chunk records beside each start.
+        let record = (self.keep != Keep::Nothing, self.keep == Keep::Lefts);
+        let weights = self.weights.as_deref();
         // At least 8 words a chunk: each cube then hands a chunk one
         // whole 64-byte line of each plane.
         let chunks = minipool::parallel_chunks_mut(&mut self.words, 8, |w0, words| {
@@ -220,8 +234,7 @@ impl Analyzer {
         // The window's transitions: one per cube after the set's first.
         let first = t0.saturating_sub(1);
         let transitions = cubes.len() - usize::from(t0 == 0 && !cubes.is_empty());
-        let before = out.intervals.len();
-        let mut forced_count = 0u64;
+        let mut loads = 0u64;
         for i in 0..transitions {
             let at = first + i;
             let (mut unit, mut weighted) = (0u64, 0u64);
@@ -229,10 +242,14 @@ impl Analyzer {
                 let (lo, hi) = (ch.by_end[i], ch.by_end[i + 1]);
                 for &start in &ch.starts[lo..hi] {
                     self.bound.add_load(start as usize, at, 1);
-                    out.intervals.push(Interval::new(start, at as u32));
+                    if record.0 {
+                        out.intervals.push(Interval::new(start, at as u32));
+                    }
                 }
-                out.pins.extend_from_slice(&ch.pins[lo..hi]);
-                if self.lefts {
+                if record.0 {
+                    out.pins.extend_from_slice(&ch.pins[lo..hi]);
+                }
+                if record.1 {
                     out.lefts.extend_from_slice(&ch.lefts[lo..hi]);
                 }
                 unit += u64::from(ch.forced[i]);
@@ -250,10 +267,11 @@ impl Analyzer {
             if unit != 0 {
                 self.bound.add_baseline(at, unit);
             }
-            forced_count += unit;
+            loads += unit;
         }
         out.overflow |= chunks.iter().any(|ch| ch.overflow);
-        BCP_LADDER_LOADS.add((out.intervals.len() - before) as u64 + forced_count);
+        loads += chunks.iter().map(|ch| ch.starts.len() as u64).sum::<u64>();
+        BCP_LADDER_LOADS.add(loads);
     }
 
     /// The running unit-load ladder bound over everything ingested so
@@ -308,7 +326,7 @@ mod tests {
 
     /// An analyzer fed `cubes` in windows of `window` cubes.
     fn feed_windows(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) -> Analyzer {
-        let mut analyzer = Analyzer::new(cubes.width(), weights, false);
+        let mut analyzer = Analyzer::new(cubes.width(), weights, Keep::Intervals);
         for chunk in cubes.as_packed().cubes().chunks(window) {
             analyzer.ingest(chunk);
         }
@@ -415,7 +433,7 @@ mod tests {
         // Pins in different chunks: the merge of two chunk sums flags it.
         let wide = random_cube_set(1100, 2, 0.0, 9);
         let weights = vec![u64::MAX / 2; 1100];
-        let mut analyzer = Analyzer::new(1100, Some(weights), false);
+        let mut analyzer = Analyzer::new(1100, Some(weights), Keep::Intervals);
         let pool = minipool::ThreadPool::new(4);
         minipool::with_pool(&pool, || analyzer.ingest(wide.as_packed().cubes()));
         assert!(analyzer.finish().overflow);
@@ -476,7 +494,7 @@ mod tests {
         let cubes = random_cube_set(70, 33, 0.6, 11);
         let analyzer = feed_windows(&cubes, 7, None);
         let without = {
-            let mut empty = Analyzer::new(70, None, false);
+            let mut empty = Analyzer::new(70, None, Keep::Intervals);
             empty.ingest(&[]);
             empty.event_bytes()
         };
@@ -500,7 +518,7 @@ mod oracle {
     use dpfill_cubes::CubeSet;
     use proptest::prelude::*;
 
-    use super::Analyzer;
+    use super::{Analyzer, Keep};
     use crate::mapping::Flips;
     use crate::stream::plan::{cube_digest, FillPlan};
 
@@ -515,7 +533,7 @@ mod oracle {
 
     fn check(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) {
         let reference = dpfill_oracle::analyze_pin_major(cubes, window, weights.as_deref());
-        let mut analyzer = Analyzer::new(cubes.width(), weights, true);
+        let mut analyzer = Analyzer::new(cubes.width(), weights, Keep::Lefts);
         for chunk in cubes.as_packed().cubes().chunks(window) {
             analyzer.ingest(chunk);
         }

@@ -48,6 +48,12 @@
 //! counts — and the resident-cube bound is the window batch plus the
 //! one-cube overlap tails.
 //!
+//! # One resident window
+//!
+//! [`StreamingFill::run_resident`] is the same driver over a set the
+//! caller already holds, as one window with no frozen prefix, so a
+//! ring ordering is the global one; the CLI's whole-set runs are it.
+//!
 //! # Banded streaming orderings
 //!
 //! A global ordering needs the whole set; a streaming run can still
@@ -105,9 +111,9 @@ use crate::bcp::SolveOptions;
 use crate::fill::{DpFillError, FillErrorSource, FillMethod, RandomFill};
 use crate::mapping::{desires, instance, pin_order, Flips};
 use crate::objective::{FillObjective, ObjectiveError};
-use crate::ordering::OrderingError;
+use crate::ordering::{BandContext, OrderingError};
 
-use analyze::{Analysis, Analyzer};
+use analyze::{Analysis, Analyzer, Keep};
 use budget::BudgetGovernor;
 pub use budget::{DegradeEvent, StreamPass};
 use plan::{cube_digest, FillPlan};
@@ -170,24 +176,18 @@ pub struct ChaosPlan {
     pub panic_in_analyze: Option<usize>,
 }
 
-impl ChaosPlan {
-    /// True when no fault is scheduled.
-    pub fn is_inert(&self) -> bool {
-        *self == ChaosPlan::default()
-    }
-}
-
 /// Configuration of a [`StreamingFill`] run.
 #[derive(Clone, Debug)]
 pub struct StreamOptions {
-    /// Window sizing (cubes or memory budget).
+    /// Window sizing (cubes or memory budget); a resident run holds one
+    /// window and does not consult it.
     pub window: WindowSpec,
     /// The fill to run. Supported: [`FillMethod::Dp`], [`FillMethod::Mt`]
     /// (two-pass, globally solved/stitched) and the per-cube
     /// [`FillMethod::Zero`]/[`FillMethod::One`]/[`FillMethod::Adj`]/
     /// [`FillMethod::Random`] (single pass). [`FillMethod::B`] and
-    /// [`FillMethod::XStat`] need the whole set resident and are
-    /// rejected.
+    /// [`FillMethod::XStat`] need the whole set resident: bounded runs
+    /// reject them, [`StreamingFill::run_resident`] runs them.
     pub fill: FillMethod,
     /// Optional banded streaming ordering (see [`BandedOrder`] and
     /// [`reorder`](self)'s docs). `None` keeps the input order — the
@@ -320,6 +320,14 @@ pub enum StreamError {
         /// 0-based index of the rejected window.
         window: usize,
     },
+    /// A fill of a resident window is not a filling of it: a fill bug,
+    /// since the window was never re-read.
+    NotAFilling {
+        /// The fill that ran.
+        fill: FillMethod,
+        /// 0-based index of the window.
+        window: usize,
+    },
     /// A worker panicked while processing one window; the panic was
     /// contained at the window boundary instead of unwinding through
     /// the caller.
@@ -373,6 +381,11 @@ impl fmt::Display for StreamError {
                 f,
                 "window {window} is not a filling of its input: the pattern source \
                  changed content between passes"
+            ),
+            StreamError::NotAFilling { fill, window } => write!(
+                f,
+                "{} fill of window {window} is not a filling of its input (a fill bug)",
+                fill.label()
             ),
             StreamError::WindowPanicked {
                 window,
@@ -531,23 +544,15 @@ impl<R: Read> WindowSource<R> {
         }
     }
 
-    /// High-water mark of cubes the source itself held resident (ring
-    /// / replay buffer), on top of the windows in flight.
-    fn peak_resident_cubes(&self) -> usize {
+    /// What the source itself holds (ring / replay buffer), on top of
+    /// the windows in flight: the high-water mark of its cubes, and the
+    /// bytes it holds now, charged to the budget governor alongside the
+    /// analyzer's events or the plan.
+    fn held(&self) -> (usize, u64) {
         match self {
-            WindowSource::Direct(..) => 0,
-            WindowSource::Replay(s) => s.peak_resident_cubes(),
-            WindowSource::Reorder(s) => s.peak_resident_cubes(),
-        }
-    }
-
-    /// Bytes the source holds resident — charged to the budget
-    /// governor alongside the analyzer's events or the plan.
-    fn resident_bytes(&self) -> u64 {
-        match self {
-            WindowSource::Direct(..) => 0,
-            WindowSource::Replay(s) => s.resident_bytes(),
-            WindowSource::Reorder(s) => s.resident_bytes(),
+            WindowSource::Direct(..) => (0, 0),
+            WindowSource::Replay(s) => (s.peak_resident_cubes(), s.resident_bytes()),
+            WindowSource::Reorder(s) => (s.peak_resident_cubes(), s.resident_bytes()),
         }
     }
 
@@ -597,13 +602,24 @@ struct AnalyzeOutcome {
     /// The recorded output-position → original-index permutation, when
     /// a banded ordering ran during pass 1; pass 2 replays it.
     perm: Option<Vec<u32>>,
-    /// The as-given 0-fill peak, taken while pass 1 read the input.
-    baseline_peak: Option<usize>,
-    degradations: Vec<DegradeEvent>,
-    /// Wall-clock spent streaming the analysis (excluding the solve).
-    pass1_ns: u64,
-    /// Wall-clock spent resolving the plan (solve and plan build).
-    solve_ns: u64,
+    /// Pass 1's part of the report: the as-given baseline taken while
+    /// it read the input, its degradations and the pass-1 and solve
+    /// times.
+    report: StreamReport,
+}
+
+/// One window admitted to the emit pass: its stream offset, its cubes
+/// and, for a planned fill, the filled-value plane before its first
+/// cube.
+type Admitted = (usize, CubeSet, Vec<u64>);
+
+/// What the emit pass measured over the windows retired so far, and
+/// the last cube it emitted: the one-cube overlap that stitches the
+/// boundary transition into the next window's metrics.
+#[derive(Default)]
+struct Retired {
+    report: StreamReport,
+    tail: Option<PackedBits>,
 }
 
 /// Renders a contained panic payload: panics carry a `&str` or `String`
@@ -618,27 +634,42 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Wall-clock nanoseconds since `start`.
+fn nanos(start: Instant) -> u64 {
+    start.elapsed().as_nanos() as u64
+}
+
+/// Runs `f`, containing a panic as [`StreamError::WindowPanicked`] at
+/// window `window`, which covers the global cube range `cubes`.
+fn contain<T>(window: usize, cubes: Range<usize>, f: impl FnOnce() -> T) -> Result<T, StreamError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| StreamError::WindowPanicked {
+        window,
+        cubes,
+        message: panic_message(payload.as_ref()),
+    })
+}
+
 impl StreamingFill {
     /// Creates a driver.
     pub fn new(opts: StreamOptions) -> StreamingFill {
         StreamingFill { opts }
     }
 
-    /// The configuration.
-    pub fn options(&self) -> &StreamOptions {
-        &self.opts
-    }
-
-    /// Validates the configured objective against the stream's cube
-    /// width, as soon as the width is known, and sizes the pass's
-    /// windows for it.
-    fn windowing(&self, width: usize) -> Result<Windowing, StreamError> {
+    /// Validates the configured objective against the cube width, as
+    /// soon as the width is known.
+    fn check_width(&self, width: usize) -> Result<(), StreamError> {
         self.opts.objective.check_width(width).map_err(|e| {
             StreamError::Solve(DpFillError {
                 source: FillErrorSource::Objective(e),
                 shape: (0, width),
             })
-        })?;
+        })
+    }
+
+    /// Validates the objective against a stream's cube width and sizes
+    /// the pass's windows for it.
+    fn windowing(&self, width: usize) -> Result<Windowing, StreamError> {
+        self.check_width(width)?;
         let governor = match self.opts.window {
             WindowSpec::MemoryBudgetMiB(mib) => Some(BudgetGovernor::new(mib, width)?),
             WindowSpec::Cubes(_) => None,
@@ -659,6 +690,42 @@ impl StreamingFill {
         } else {
             self.opts.objective.weights()
         }
+    }
+
+    /// The analyzer of a planned fill over `width` pins. MT-fill's plan
+    /// reads only the first care values, so its analyzer keeps no
+    /// stretch: each one only feeds the unit ladder, the banded
+    /// I-ordering's warm bound.
+    fn analyzer(&self, width: usize) -> Analyzer {
+        let keep = match self.opts.fill {
+            FillMethod::Mt => Keep::Nothing,
+            _ if self.opts.objective.preferred().is_some() => Keep::Lefts,
+            _ => Keep::Intervals,
+        };
+        Analyzer::new(width, self.weights().map(<[u64]>::to_vec), keep)
+    }
+
+    /// Feeds window `win_idx`, cubes `cubes` of the stream, to the
+    /// analyzer. A panic in it (the pooled per-word fan-out rethrows on
+    /// this thread), the [`ChaosPlan`] one included, is contained at the
+    /// window.
+    fn ingest(
+        &self,
+        analyzer: &mut Analyzer,
+        set: &CubeSet,
+        win_idx: usize,
+        cubes: Range<usize>,
+    ) -> Result<(), StreamError> {
+        let _span = minitrace::span_with(
+            "stream.window.analyze",
+            &[("window", win_idx.into()), ("cubes", set.len().into())],
+        );
+        contain(win_idx, cubes, || {
+            if self.opts.chaos.panic_in_analyze == Some(win_idx) {
+                panic!("chaos: injected panic while analyzing window {win_idx}");
+            }
+            analyzer.ingest(set.as_packed().cubes());
+        })
     }
 
     /// How many times [`StreamingFill::run`] will call `open`: 2 for
@@ -682,7 +749,8 @@ impl StreamingFill {
     ///
     /// # Errors
     ///
-    /// See [`StreamError`].
+    /// See [`StreamError`]. B-fill and XStat-fill need the whole set,
+    /// here [`StreamError::UnsupportedFill`].
     pub fn run<R: Read, W: Write>(
         &self,
         mut open: impl FnMut() -> io::Result<R>,
@@ -721,6 +789,94 @@ impl StreamingFill {
         self.run(|| std::fs::File::open(path), sink)
     }
 
+    /// Runs the pipeline over one resident window: `cubes`, the whole
+    /// set, already read by the caller, is analyzed, solved, filled,
+    /// scored and emitted like any window, but nothing is re-read,
+    /// spooled or digested, and [`StreamOptions::window`] is not
+    /// consulted. The as-given baseline is taken before ordering; a
+    /// [`StreamOptions::order`] is its ring ordering with no frozen
+    /// prefix, the global ordering (ISA included). B-fill and
+    /// XStat-fill, which bounded windows reject, run here.
+    ///
+    /// On an empty set, nothing is written and the report has
+    /// `cubes == 0`.
+    ///
+    /// # Errors
+    ///
+    /// See [`StreamError`]; a fill whose output is not a filling of the
+    /// set is a [`StreamError::NotAFilling`].
+    pub fn run_resident<W: Write>(
+        &self,
+        cubes: CubeSet,
+        sink: W,
+    ) -> Result<StreamReport, StreamError> {
+        let start = Instant::now();
+        let baseline_peak = self.opts.collect_baseline.then(|| {
+            let mut zero = ZeroFillPeak::default();
+            zero.observe(cubes.as_packed().cubes());
+            zero.peak
+        });
+        let mut report = StreamReport {
+            width: cubes.width(),
+            window_cubes: cubes.len(),
+            baseline_peak,
+            ..StreamReport::default()
+        };
+        if cubes.is_empty() {
+            return Ok(report);
+        }
+        self.check_width(report.width)?;
+        let cubes = self.order_resident(cubes)?;
+        // Only DP-fill plans: MT-fill's plan would hold the first care
+        // values alone, which its fill of the one window finds itself.
+        // A single-pass fill's ordering belongs to its only pass.
+        let mut pass2_start = start;
+        let plan = match self.opts.fill {
+            FillMethod::Dp => {
+                let mut analyzer = self.analyzer(report.width);
+                self.ingest(&mut analyzer, &cubes, 0, 0..cubes.len())?;
+                report.pass1_ns = nanos(start);
+                let shape = (cubes.len(), report.width);
+                let plan = self.resolve_plan(analyzer.finish(), Vec::new(), shape)?;
+                report.solve_ns = nanos(start) - report.pass1_ns;
+                pass2_start = Instant::now();
+                Some(plan)
+            }
+            _ => None,
+        };
+        let carry = plan.as_ref().map_or_else(Vec::new, FillPlan::initial_carry);
+        let mut writer = PatternWriter::new(sink);
+        let mut done = Retired { report, tail: None };
+        self.retire(
+            vec![(0, cubes, carry)],
+            plan.as_ref(),
+            &mut writer,
+            &mut done,
+            0,
+            false,
+        )?;
+        writer.finish().map_err(StreamError::Write)?;
+        done.report.pass2_ns = nanos(pass2_start);
+        Ok(done.report)
+    }
+
+    /// Applies [`StreamOptions::order`] to the resident set: the ring
+    /// ordering with no frozen prefix, contained at window 0.
+    fn order_resident(&self, cubes: CubeSet) -> Result<CubeSet, StreamError> {
+        let Some(order) = self.opts.order else {
+            return Ok(cubes);
+        };
+        let whole = BandContext::whole_set();
+        let perm = contain(0, 0..cubes.len(), || order.method.order_band(&cubes, whole))??;
+        let malformed = OrderingError::MalformedSchedule {
+            len: perm.len(),
+            expected: cubes.len(),
+        };
+        cubes
+            .reordered(&perm)
+            .map_err(|_| StreamError::Order(malformed))
+    }
+
     /// Pass 1: stream every window through the stitching analyzer — with
     /// a banded ordering, through the reorder stage first, whose
     /// permutation pass 2 replays — digesting each cube, then solve
@@ -744,7 +900,6 @@ impl StreamingFill {
         let mut analyzer: Option<Analyzer> = None;
         let mut digests: Vec<u64> = Vec::new();
         let mut win_idx = 0usize;
-        let mut offset = 0usize;
         loop {
             // The analyzer's incremental ladder doubles as the banded
             // I-ordering's warm bound: everything already frozen out of
@@ -756,38 +911,13 @@ impl StreamingFill {
             if sizing.is_none() {
                 sizing = Some(self.windowing(set.width())?);
             }
-            let analyzer = analyzer.get_or_insert_with(|| {
-                let weights = self.weights().map(<[u64]>::to_vec);
-                let lefts = matches!(self.opts.fill, FillMethod::Dp)
-                    && self.opts.objective.preferred().is_some();
-                Analyzer::new(set.width(), weights, lefts)
-            });
-            let cubes = offset..offset + set.len();
-            offset = cubes.end;
+            let analyzer = analyzer.get_or_insert_with(|| self.analyzer(set.width()));
+            let offset = digests.len();
             digests.extend(set.as_packed().cubes().iter().map(cube_digest));
-            // Contain worker panics at the window boundary: the minipool
-            // scope rethrows a task panic on this thread, so catching
-            // here covers the pooled per-pin fan-out inside `ingest`.
-            let _span = minitrace::span_with(
-                "stream.window.analyze",
-                &[("window", win_idx.into()), ("cubes", set.len().into())],
-            );
-            let ingest = catch_unwind(AssertUnwindSafe(|| {
-                if self.opts.chaos.panic_in_analyze == Some(win_idx) {
-                    panic!("chaos: injected panic while analyzing window {win_idx}");
-                }
-                analyzer.ingest(set.as_packed().cubes());
-            }));
-            if let Err(payload) = ingest {
-                return Err(StreamError::WindowPanicked {
-                    window: win_idx,
-                    cubes,
-                    message: panic_message(payload.as_ref()),
-                });
-            }
+            self.ingest(analyzer, &set, win_idx, offset..digests.len())?;
             if let Some(s) = &mut sizing {
                 let digest_bytes = 8 * digests.len() as u64;
-                let bytes = analyzer.event_bytes() + digest_bytes + source.resident_bytes();
+                let bytes = analyzer.event_bytes() + digest_bytes + source.held().1;
                 s.charge(StreamPass::Analyze, win_idx, bytes)?;
             }
             win_idx += 1;
@@ -796,21 +926,25 @@ impl StreamingFill {
             return Ok(None);
         };
         let analysis = analyzer.finish();
-        let pass1_ns = pass_start.elapsed().as_nanos() as u64;
+        let pass1_ns = nanos(pass_start);
         let solve_start = Instant::now();
         let shape = (analysis.cols, sizing.width);
         let plan = self.resolve_plan(analysis, digests, shape)?;
+        let report = StreamReport {
+            baseline_peak: source.zero_fill_peak(),
+            degradations: sizing.into_events(),
+            pass1_ns,
+            solve_ns: nanos(solve_start),
+            ..StreamReport::default()
+        };
         Ok(Some(AnalyzeOutcome {
             plan,
             shape,
-            baseline_peak: source.zero_fill_peak(),
             perm: match source {
                 WindowSource::Reorder(stage) => Some(stage.into_perm()),
                 _ => None,
             },
-            degradations: sizing.into_events(),
-            pass1_ns,
-            solve_ns: solve_start.elapsed().as_nanos() as u64,
+            report,
         }))
     }
 
@@ -876,9 +1010,10 @@ impl StreamingFill {
     }
 
     /// Pass 2 (or the only pass for per-cube fills): re-stream the
-    /// windows, check each against pass 1's digests, fill each batch on
-    /// the pool, score with the batched sweeps, and emit as windows
-    /// retire.
+    /// windows, check each against pass 1's digests, and [`retire`]
+    /// them in batches of one window per thread.
+    ///
+    /// [`retire`]: StreamingFill::retire
     fn emit<R: Read, W: Write>(
         &self,
         open: &mut impl FnMut() -> io::Result<R>,
@@ -889,6 +1024,7 @@ impl StreamingFill {
         let stream = PatternStream::new(open().map_err(StreamError::Open)?);
         let pass1 = planned.as_ref().map(|o| o.shape);
         let perm = planned.as_mut().and_then(|o| o.perm.take());
+        let report = planned.as_mut().map(|o| std::mem::take(&mut o.report));
         let plan = planned.as_ref().map(|o| &o.plan);
         // A planned fill took the as-given baseline in pass 1; a
         // single-pass fill takes it here, where cubes arrive.
@@ -904,12 +1040,6 @@ impl StreamingFill {
         // for its whole duration.
         let plan_bytes =
             plan.map_or(0, FillPlan::approx_bytes) + self.opts.objective.resident_bytes();
-        // Weighted emit scoring (None = the unit metric, where
-        // `objective_peak` just mirrors `peak_toggles`).
-        let score_weights = self.weights();
-        let score_overflow = |_| StreamError::Overflow {
-            what: "weighted toggle score".to_string(),
-        };
 
         let width = match pass1 {
             Some((_, w)) => Some(w),
@@ -924,24 +1054,20 @@ impl StreamingFill {
         // Per pin, the last care value read so far (each pin's first
         // care value before any): what the next window's X-runs copy.
         let mut carry = plan.map_or_else(Vec::new, FillPlan::initial_carry);
-        let mut header_written = false;
         let mut offset = 0usize;
-        let mut windows = 0usize;
-        let mut x_count = 0usize;
-        let mut peak = 0usize;
-        let mut objective_peak = 0u64;
-        let mut resident_peak = 0usize;
-        // The one-cube overlap: the previous window's frozen tail, for
-        // stitching the boundary transition into the toggle metrics.
-        let mut filled_tail: Option<PackedBits> = None;
+        let mut done = Retired {
+            report: report.unwrap_or_default(),
+            tail: None,
+        };
 
         loop {
             // Gather one batch of windows for the pool, each with the
-            // carry into its first column.
-            let mut batch: Vec<(usize, CubeSet, Vec<u64>)> = Vec::new();
+            // carry into its first cube.
+            let mut batch: Vec<Admitted> = Vec::new();
             while batch.len() < batch_windows {
                 let max = sizing.as_ref().map_or(1, |s| s.window);
-                let Some(set) = source.next_window(max, None, windows + batch.len())? else {
+                let window = done.report.windows + batch.len();
+                let Some(set) = source.next_window(max, None, window)? else {
                     break;
                 };
                 if sizing.is_none() {
@@ -961,7 +1087,6 @@ impl StreamingFill {
                             found: (source.cubes_read(), set.width()),
                         });
                     }
-                    let window = windows + batch.len();
                     window_carry = plan
                         .admit(off, set.as_packed().cubes(), &mut carry)
                         .ok_or(StreamError::ContentChanged { window })?;
@@ -971,93 +1096,11 @@ impl StreamingFill {
             if batch.is_empty() {
                 break;
             }
-            if !header_written {
-                if let Some(h) = &self.opts.header {
-                    writer.header(h).map_err(StreamError::Write)?;
-                }
-                header_written = true;
-            }
-            // One task per window on the pool; results return in window
-            // order, so emission (and the stitched metrics) stay
-            // deterministic at any thread count. Each window's fill is
-            // wrapped in catch_unwind *inside* its pooled task, so a
-            // worker panic is contained with exact window attribution
-            // instead of unwinding through the pool scope.
-            let outcomes: Vec<Result<CubeSet, String>> =
-                minipool::parallel_index_chunks(batch.len(), 1, |range| {
-                    range
-                        .map(|i| {
-                            let (off, set, carry) = &batch[i];
-                            let plan = plan.map(|p| (p, carry.as_slice()));
-                            catch_unwind(AssertUnwindSafe(|| {
-                                self.fill_window(set, *off, plan, windows + i)
-                            }))
-                            .map_err(|payload| panic_message(payload.as_ref()))
-                        })
-                        .collect::<Vec<Result<CubeSet, String>>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            let filled = outcomes
-                .into_iter()
-                .zip(&batch)
-                .enumerate()
-                .map(|(i, (outcome, (off, original, _)))| {
-                    outcome.map_err(|message| StreamError::WindowPanicked {
-                        window: windows + i,
-                        cubes: *off..*off + original.len(),
-                        message,
-                    })
-                })
-                .collect::<Result<Vec<CubeSet>, StreamError>>()?;
-            let batch_cubes: usize = batch.iter().map(|(_, set, _)| set.len()).sum();
-            resident_peak = resident_peak.max(2 * batch_cubes + 2 + source.peak_resident_cubes());
-
-            for (i, ((_, original, _), filled)) in batch.iter().zip(&filled).enumerate() {
-                if !CubeSet::is_filling_of(filled, original) {
-                    return Err(StreamError::ContentChanged {
-                        window: windows + i,
-                    });
-                }
-                x_count += original.x_count();
-                let packed = filled.as_packed();
-                let stitch = filled_tail
-                    .as_ref()
-                    .map(|tail| tail.hamming(packed.cube(0)));
-                let _span = minitrace::span_with(
-                    "stream.window.emit",
-                    &[
-                        ("window", (windows + i).into()),
-                        ("cubes", filled.len().into()),
-                        // The boundary transition stitched across the
-                        // one-cube overlap with the previous window.
-                        ("stitch_toggles", stitch.unwrap_or(0).into()),
-                        ("stitch_overlap", u64::from(stitch.is_some()).into()),
-                    ],
-                );
-                // One-dispatch batched sweep over the window's
-                // transitions (PR-4 kernels).
-                let profile = packed.toggle_profile();
-                peak = profile
-                    .into_iter()
-                    .fold(peak.max(stitch.unwrap_or(0)), usize::max);
-                if let Some(ws) = score_weights {
-                    WEIGHTED_SCORE_WINDOWS.add(1);
-                    if let Some(tail) = &filled_tail {
-                        let t = tail.weighted_hamming(packed.cube(0), ws);
-                        objective_peak = objective_peak.max(t.map_err(score_overflow)?);
-                    }
-                    let profile = packed.weighted_toggle_profile(ws).map_err(score_overflow)?;
-                    objective_peak = profile.into_iter().fold(objective_peak, u64::max);
-                }
-                filled_tail = Some(packed.cube(packed.len() - 1).clone());
-                writer.set(filled).map_err(StreamError::Write)?;
-            }
-            windows += batch.len();
+            let (held, held_bytes) = source.held();
+            self.retire(batch, plan, &mut writer, &mut done, held, true)?;
             if let Some(s) = &mut sizing {
-                let bytes = plan_bytes + source.resident_bytes();
-                s.charge(StreamPass::Emit, windows.saturating_sub(1), bytes)?;
+                let bytes = plan_bytes + held_bytes;
+                s.charge(StreamPass::Emit, done.report.windows - 1, bytes)?;
             }
         }
 
@@ -1071,40 +1114,119 @@ impl StreamingFill {
             }
         }
         writer.finish().map_err(StreamError::Write)?;
-        let (width, window_cubes) = sizing.as_ref().map_or((0, 0), |s| (s.width, s.window));
-        let baseline_peak = planned
-            .as_ref()
-            .map_or_else(|| source.zero_fill_peak(), |o| o.baseline_peak);
-        let (mut degradations, pass1_ns, solve_ns) = planned.map_or((Vec::new(), 0, 0), |o| {
-            (o.degradations, o.pass1_ns, o.solve_ns)
-        });
-        degradations.extend(sizing.map(Windowing::into_events).unwrap_or_default());
-        Ok(StreamReport {
-            cubes: offset,
-            width,
-            window_cubes,
-            windows,
-            x_count,
-            peak_toggles: peak,
-            objective_peak: if score_weights.is_some() {
-                objective_peak
-            } else {
-                peak as u64
-            },
-            baseline_peak,
-            resident_peak_cubes: resident_peak,
-            degradations,
-            pass1_ns,
-            solve_ns,
-            pass2_ns: pass_start.elapsed().as_nanos() as u64,
+        let r = &mut done.report;
+        (r.width, r.window_cubes) = sizing.as_ref().map_or((0, 0), |s| (s.width, s.window));
+        if pass1.is_none() {
+            r.baseline_peak = source.zero_fill_peak();
+        }
+        (r.degradations).extend(sizing.map(Windowing::into_events).unwrap_or_default());
+        r.pass2_ns = nanos(pass_start);
+        Ok(done.report)
+    }
+
+    /// Fills a batch of admitted windows on the pool, one task each,
+    /// checks each is a filling of the cubes read for it, scores it with
+    /// the batched toggle sweeps (the boundary transition stitched
+    /// against the previous window's last cube) and emits it, in window
+    /// order at any thread count. `held` is the cubes the source holds
+    /// besides the batch. A filled window that is not a filling of its
+    /// cubes is [`StreamError::ContentChanged`] when they were `reread`
+    /// from the source, and [`StreamError::NotAFilling`] otherwise.
+    fn retire<W: Write>(
+        &self,
+        batch: Vec<Admitted>,
+        plan: Option<&FillPlan>,
+        writer: &mut PatternWriter<W>,
+        done: &mut Retired,
+        held: usize,
+        reread: bool,
+    ) -> Result<(), StreamError> {
+        let first = done.report.windows;
+        if let (0, Some(h)) = (first, &self.opts.header) {
+            writer.header(h).map_err(StreamError::Write)?;
+        }
+        // Each window's fill is wrapped in catch_unwind *inside* its
+        // pooled task, so a worker panic is contained with exact window
+        // attribution instead of unwinding through the pool scope.
+        let filled = minipool::parallel_index_chunks(batch.len(), 1, |range| {
+            range
+                .map(|i| {
+                    let (off, set, carry) = &batch[i];
+                    let plan = plan.map(|p| (p, carry.as_slice()));
+                    contain(first + i, *off..*off + set.len(), || {
+                        self.fill_window(set, *off, plan, first + i)
+                    })
+                })
+                .collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect::<Result<Vec<CubeSet>, StreamError>>()?;
+        let r = &mut done.report;
+        let batch_cubes: usize = batch.iter().map(|(_, set, _)| set.len()).sum();
+        r.resident_peak_cubes = r.resident_peak_cubes.max(2 * batch_cubes + 2 + held);
+        let score_overflow = |_| StreamError::Overflow {
+            what: "weighted toggle score".to_string(),
+        };
+        for ((_, original, _), filled) in batch.iter().zip(filled) {
+            let window = r.windows;
+            if !CubeSet::is_filling_of(&filled, original) {
+                return Err(if reread {
+                    StreamError::ContentChanged { window }
+                } else {
+                    StreamError::NotAFilling {
+                        fill: self.opts.fill,
+                        window,
+                    }
+                });
+            }
+            r.x_count += original.x_count();
+            let packed = filled.as_packed();
+            let stitch = done.tail.as_ref().map(|tail| tail.hamming(packed.cube(0)));
+            let _span = minitrace::span_with(
+                "stream.window.emit",
+                &[
+                    ("window", window.into()),
+                    ("cubes", filled.len().into()),
+                    // The boundary transition stitched across the
+                    // one-cube overlap with the previous window.
+                    ("stitch_toggles", stitch.unwrap_or(0).into()),
+                    ("stitch_overlap", u64::from(stitch.is_some()).into()),
+                ],
+            );
+            // One-dispatch batched sweep over the window's transitions
+            // (PR-4 kernels).
+            let profile = packed.toggle_profile();
+            let peak = stitch.unwrap_or(0).max(r.peak_toggles);
+            r.peak_toggles = profile.into_iter().fold(peak, usize::max);
+            r.objective_peak = match self.weights() {
+                // Under unit weights the objective peak is the toggle peak.
+                None => r.peak_toggles as u64,
+                Some(ws) => {
+                    WEIGHTED_SCORE_WINDOWS.add(1);
+                    let mut peak = r.objective_peak;
+                    if let Some(tail) = &done.tail {
+                        let t = tail.weighted_hamming(packed.cube(0), ws);
+                        peak = peak.max(t.map_err(score_overflow)?);
+                    }
+                    let profile = packed.weighted_toggle_profile(ws).map_err(score_overflow)?;
+                    profile.into_iter().fold(peak, u64::max)
+                }
+            };
+            done.tail = Some(packed.cube(packed.len() - 1).clone());
+            writer.set(&filled).map_err(StreamError::Write)?;
+            r.windows += 1;
+            r.cubes += filled.len();
+        }
+        Ok(())
     }
 
     /// Fills one window. Planned fills run the global plan over the
-    /// window from the carry into its first column; per-cube fills run
+    /// window from the carry into its first cube; the others run
     /// directly (R-fill keyed by the cube's **global** index, so
-    /// windowing never changes its stream). Runs inside a pooled task
-    /// under `catch_unwind`: a panic here — including the deliberate
+    /// windowing never changes its stream; MT-, B- and XStat-fill run
+    /// directly only on a resident whole set). Runs inside a pooled task under
+    /// `catch_unwind`: a panic here — including the deliberate
     /// [`ChaosPlan`] one — is contained and attributed to `win_idx`.
     fn fill_window(
         &self,
@@ -1120,19 +1242,14 @@ impl StreamingFill {
         if self.opts.chaos.panic_in_fill == Some(win_idx) {
             panic!("chaos: injected panic in the fill worker of window {win_idx}");
         }
-        match plan {
-            Some((plan, carry)) => {
+        match (plan, self.opts.fill) {
+            (Some((plan, carry)), _) => {
                 let filled = plan.fill_window(original, offset, carry);
                 debug_assert_eq!(filled.x_count(), 0, "copy-left fills every X");
                 filled
             }
-            None => match self.opts.fill {
-                FillMethod::Zero | FillMethod::One | FillMethod::Adj => {
-                    self.opts.fill.fill(original)
-                }
-                FillMethod::Random(seed) => RandomFill::new(seed).fill_from(original, offset),
-                _ => unreachable!("planned fills never reach the local arm"),
-            },
+            (None, FillMethod::Random(seed)) => RandomFill::new(seed).fill_from(original, offset),
+            (None, fill) => fill.fill_with(original, &self.opts.objective),
         }
     }
 }
@@ -1475,6 +1592,7 @@ mod tests {
         let global = match method {
             BandedMethod::Interleave => OrderingMethod::Interleaved,
             BandedMethod::XStat => OrderingMethod::XStat,
+            BandedMethod::Isa(seed) => OrderingMethod::Isa(seed),
         };
         let order = global.order(&cubes).unwrap();
         let filled = fill.fill(&cubes.reordered(&order).unwrap());
@@ -1581,6 +1699,142 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, StreamError::SourceChanged { .. }), "{err}");
+    }
+
+    fn resident(text: &str, opts: StreamOptions) -> Result<(Vec<u8>, StreamReport), StreamError> {
+        let mut out = Vec::new();
+        let cubes = format::parse_patterns(text).unwrap();
+        let report = StreamingFill::new(opts).run_resident(cubes, &mut out)?;
+        Ok((out, report))
+    }
+
+    #[test]
+    fn a_resident_run_is_the_whole_set_pipeline() {
+        use crate::ordering::BandedMethod;
+        // Every fill, the whole-set B and XStat included, under every
+        // ordering, ISA included: the global ordering, then the fill.
+        let as_given = dpfill_cubes::peak_toggles(
+            &FillMethod::Zero.fill(&format::parse_patterns(ORDERED_TEXT).unwrap()),
+        )
+        .unwrap();
+        for method in [
+            None,
+            Some(BandedMethod::Interleave),
+            Some(BandedMethod::XStat),
+            Some(BandedMethod::Isa(5)),
+        ] {
+            for fill in [
+                FillMethod::Dp,
+                FillMethod::Mt,
+                FillMethod::B,
+                FillMethod::XStat,
+                FillMethod::Zero,
+                FillMethod::Adj,
+                FillMethod::Random(0xBEEF),
+            ] {
+                let opts = StreamOptions {
+                    fill,
+                    order: method.map(BandedOrder::new),
+                    collect_baseline: true,
+                    ..StreamOptions::default()
+                };
+                let (out, report) = resident(ORDERED_TEXT, opts).unwrap();
+                let expected = match method {
+                    None => monolithic(ORDERED_TEXT, fill),
+                    Some(m) => monolithic_ordered(ORDERED_TEXT, fill, m),
+                };
+                let what = format!("{} under {method:?}", fill.label());
+                assert_eq!(out, expected, "{what}");
+                assert_eq!((report.cubes, report.width), (7, 4), "{what}");
+                assert_eq!((report.windows, report.window_cubes), (1, 7), "{what}");
+                assert_eq!(report.baseline_peak, Some(as_given), "{what}");
+                let filled = format::parse_patterns(std::str::from_utf8(&out).unwrap()).unwrap();
+                let peak = dpfill_cubes::peak_toggles(&filled).unwrap();
+                assert_eq!(report.peak_toggles, peak, "{what}");
+            }
+        }
+        let (out, report) = resident("# none\n", StreamOptions::default()).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(report.cubes, 0);
+    }
+
+    #[test]
+    fn isa_orders_a_ring_only_when_it_holds_the_whole_set() {
+        use crate::ordering::BandedMethod;
+        let isa = BandedMethod::Isa(5);
+        let (out, _) = run_ordered(
+            ORDERED_TEXT,
+            FillMethod::Dp,
+            2,
+            BandedOrder::with_band(isa, 4),
+        );
+        assert_eq!(out, monolithic_ordered(ORDERED_TEXT, FillMethod::Dp, isa));
+        let opts = StreamOptions {
+            window: WindowSpec::Cubes(2),
+            order: Some(BandedOrder::with_band(isa, 1)),
+            ..StreamOptions::default()
+        };
+        let err = StreamingFill::new(opts)
+            .run(|| Ok(ORDERED_TEXT.as_bytes()), &mut Vec::new())
+            .unwrap_err();
+        assert!(
+            matches!(err, StreamError::Order(OrderingError::NeedsWholeSet("ISA"))),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resident_panics_are_contained_at_window_zero() {
+        for chaos in [
+            ChaosPlan {
+                panic_in_fill: Some(0),
+                panic_in_analyze: None,
+            },
+            ChaosPlan {
+                panic_in_fill: None,
+                panic_in_analyze: Some(0),
+            },
+        ] {
+            let opts = StreamOptions {
+                chaos,
+                ..StreamOptions::default()
+            };
+            match resident(ORDERED_TEXT, opts).unwrap_err() {
+                StreamError::WindowPanicked { window, cubes, .. } => {
+                    assert_eq!((window, cubes), (0, 0..7), "{chaos:?}");
+                }
+                other => panic!("{chaos:?}: expected a contained panic, got {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn mt_pass_one_keeps_no_stretch() {
+        // MT-fill's plan reads only the first care values, so its pass 1
+        // holds no per-stretch bytes; its unit ladder, the banded
+        // I-ordering's warm bound, still sees every stretch.
+        let cubes = dpfill_cubes::gen::random_cube_set(70, 40, 0.6, 5);
+        let analyzed = |fill| {
+            let driver = StreamingFill::new(StreamOptions {
+                fill,
+                ..StreamOptions::default()
+            });
+            let mut analyzer = driver.analyzer(cubes.width());
+            analyzer.ingest(cubes.as_packed().cubes());
+            (
+                analyzer.event_bytes(),
+                analyzer.warm_bound(),
+                analyzer.finish(),
+            )
+        };
+        let (mt_bytes, mt_bound, mt) = analyzed(FillMethod::Mt);
+        let (dp_bytes, dp_bound, dp) = analyzed(FillMethod::Dp);
+        assert!(mt.intervals.is_empty() && mt.pins.is_empty());
+        assert!(!dp.intervals.is_empty());
+        let per_stretch =
+            (std::mem::size_of::<crate::Interval>() + std::mem::size_of::<u32>()) as u64;
+        assert_eq!(dp_bytes - mt_bytes, dp.intervals.len() as u64 * per_stretch);
+        assert_eq!((mt_bound, &mt.first_values), (dp_bound, &dp.first_values));
     }
 
     #[test]

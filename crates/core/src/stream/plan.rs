@@ -100,7 +100,7 @@ mod tests {
     use dpfill_cubes::packed::PackedCubeSet;
 
     use crate::bcp::test_support::coloring;
-    use crate::stream::analyze::Analyzer;
+    use crate::stream::analyze::{Analyzer, Keep};
     use crate::{Interval, MatrixMapping};
 
     /// Fills `cubes` window by window through `plan`, carrying the
@@ -134,7 +134,7 @@ mod tests {
         let whole = mapping.apply_coloring(&coloring(colors.clone()));
         let digests: Vec<u64> = cubes.as_packed().cubes().iter().map(cube_digest).collect();
         for size in [1, 2, 3, 5] {
-            let mut analyzer = Analyzer::new(cubes.width(), None, false);
+            let mut analyzer = Analyzer::new(cubes.width(), None, Keep::Intervals);
             for chunk in cubes.as_packed().cubes().chunks(size) {
                 analyzer.ingest(chunk);
             }
@@ -171,7 +171,7 @@ mod tests {
         let cubes = CubeSet::parse_rows(&["1X", "XX", "XX", "XX", "X0", "1X"]).unwrap();
         assert_windows_match_whole_set(&cubes, |iv, _| iv.start());
         let analysis = {
-            let mut analyzer = Analyzer::new(2, None, false);
+            let mut analyzer = Analyzer::new(2, None, Keep::Intervals);
             analyzer.ingest(cubes.as_packed().cubes());
             analyzer.finish()
         };

@@ -29,7 +29,6 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io::Read;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dpfill_cubes::format::PatternStream;
 use dpfill_cubes::packed::{PackedBits, PackedCubeSet};
@@ -38,7 +37,7 @@ use dpfill_cubes::CubeSet;
 use crate::ordering::{BandContext, BandedMethod, OrderingError};
 
 use super::budget::bytes_per_cube;
-use super::{panic_message, StreamError, ZeroFillPeak};
+use super::{contain, StreamError, ZeroFillPeak};
 
 /// A banded streaming ordering: which method, and how many windows the
 /// ring holds.
@@ -160,17 +159,8 @@ impl<R: Read> ReorderStage<R> {
         // pool; contain a worker panic here exactly like the analyzer
         // and fill workers do, attributed to the resident output span.
         let method = self.order.method;
-        let ordered = catch_unwind(AssertUnwindSafe(|| method.order_band(&set, ctx)));
-        let order = match ordered {
-            Ok(result) => result.map_err(StreamError::Order)?,
-            Err(payload) => {
-                return Err(StreamError::WindowPanicked {
-                    window: win_idx,
-                    cubes: self.perm.len()..self.perm.len() + n,
-                    message: panic_message(payload.as_ref()),
-                })
-            }
-        };
+        let resident = self.perm.len()..self.perm.len() + n;
+        let order = contain(win_idx, resident, || method.order_band(&set, ctx))??;
         let mut slots: Vec<Option<(u32, PackedBits)>> = self.ring.drain(..).map(Some).collect();
         for &p in &order {
             if let Some(entry) = slots.get_mut(p).and_then(Option::take) {

@@ -49,6 +49,7 @@ fn monolithic_ordered(set: &CubeSet, fill: FillMethod, method: BandedMethod) -> 
     let global = match method {
         BandedMethod::Interleave => OrderingMethod::Interleaved,
         BandedMethod::XStat => OrderingMethod::XStat,
+        BandedMethod::Isa(seed) => OrderingMethod::Isa(seed),
     };
     let order = global.order(set).unwrap();
     let filled = fill.fill(&set.reordered(&order).unwrap());

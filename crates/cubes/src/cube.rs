@@ -58,12 +58,6 @@ impl TestCube {
         &self.bits
     }
 
-    /// Mutable access to the bits (used by fill algorithms).
-    #[inline]
-    pub fn bits_mut(&mut self) -> &mut [Bit] {
-        &mut self.bits
-    }
-
     /// Consumes the cube and returns the underlying bit vector.
     #[inline]
     pub fn into_bits(self) -> Vec<Bit> {

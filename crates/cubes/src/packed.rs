@@ -1055,49 +1055,6 @@ impl PackedCubeSet {
         Ok(peak)
     }
 
-    /// Weighted one-vs-all distance sweep — the weighted twin of
-    /// [`PackedCubeSet::distances_from`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PackedCubeSet::weighted_toggle_profile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= self.len()`.
-    pub fn weighted_distances_from(
-        &self,
-        from: usize,
-        weights: &[u64],
-    ) -> Result<Vec<u64>, CubeError> {
-        let anchor = &self.cubes[from];
-        self.cubes
-            .iter()
-            .map(|c| anchor.weighted_hamming(c, weights))
-            .collect()
-    }
-
-    /// Weighted batched distance sweep over arbitrary index pairs — the
-    /// weighted twin of [`PackedCubeSet::hamming_pairs`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PackedCubeSet::weighted_toggle_profile`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn weighted_hamming_pairs(
-        &self,
-        pairs: &[(usize, usize)],
-        weights: &[u64],
-    ) -> Result<Vec<u64>, CubeError> {
-        pairs
-            .iter()
-            .map(|&(a, b)| self.cubes[a].weighted_hamming(&self.cubes[b], weights))
-            .collect()
-    }
-
     /// Total number of `X` bits.
     pub fn x_count(&self) -> usize {
         self.cubes.iter().map(PackedBits::x_count).sum()

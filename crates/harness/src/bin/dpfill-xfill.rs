@@ -14,27 +14,25 @@
 //!   --threads N           fan the analyze/fill pipeline over N threads
 //!                         (0 or absent: DPFILL_THREADS env, else one
 //!                         thread per core; output is identical at any N)
-//!   --window CUBES        bounded-memory streaming mode: run the
-//!                         pipeline over windows of CUBES cubes.
-//!                         interleave/xstat orderings run *banded*
-//!                         (see --band); --order keep is byte-identical
-//!                         to the monolithic run, and a band covering
-//!                         the whole set is byte-identical to the
-//!                         monolithic ordered run
+//!   --window CUBES        bound memory: run the pipeline over windows of
+//!                         CUBES cubes. interleave/xstat orderings run
+//!                         *banded* (see --band); --order keep is
+//!                         byte-identical to the whole-set run, and a
+//!                         band covering the whole set is byte-identical
+//!                         to the whole-set ordered run
 //!   --memory-budget MB    like --window, but derive the window size
 //!                         from a resident-memory budget in MiB
-//!   --band B              streaming lookahead for the banded
-//!                         orderings: a ring of B windows is held
-//!                         resident and re-ordered before windows
-//!                         freeze out (default: 2; needs streaming
-//!                         mode and an ordering)
+//!   --band B              lookahead of the banded orderings: a ring of
+//!                         B windows is held resident and re-ordered
+//!                         before windows freeze out (default: 2; needs
+//!                         --window or --memory-budget and an ordering)
 //!   --objective OBJ       peak-toggles|weighted|leakage|ir-drop
 //!                         (default: peak-toggles — the paper's metric,
 //!                         byte-identical to builds without the flag).
 //!                         weighted needs --weights; leakage/ir-drop
 //!                         derive their tables from --circuit (or
 //!                         --weights), falling back to synthetic models
-//!                         in monolithic mode
+//!                         in whole-set runs
 //!   --weights FILE        per-pin weight table (one line per pin:
 //!                         `WEIGHT [0|1|-]`, `#` comments); supplies or
 //!                         overrides the objective's physical model
@@ -49,6 +47,16 @@
 //!                         (report fields + per-span aggregates +
 //!                         counter totals) as JSON
 //! ```
+//!
+//! There is one pipeline, the streaming driver
+//! ([`StreamingFill`]): analyze → solve → fill → score → emit, window
+//! by window. Without `--window`/`--memory-budget` the input is read
+//! once and the whole set is its one resident window
+//! ([`StreamingFill::run_resident`]): global orderings and the
+//! whole-set B- and XStat-fills run there. With either flag the input
+//! is streamed in bounded windows (and stdin spooled when the fill
+//! reads it twice). Both runs share the `--output` sink, the exit
+//! codes, the `--stats` lines and the `--stats-json` report.
 //!
 //! All diagnostics — `--stats`, the aggregate trace table, warnings —
 //! go to **stderr**; stdout carries only the filled patterns. Tracing
@@ -67,9 +75,10 @@
 //! backstop.
 //!
 //! The `DPFILL_CHAOS` environment variable (`fill:N`, `analyze:N`, or
-//! both comma-separated) makes the streaming pipeline panic inside the
-//! worker of 0-based window `N` — the fault-injection hook behind the
-//! chaos suite, proving panics are contained as exit 7, not crashes.
+//! both comma-separated) makes every run panic inside the worker of
+//! 0-based window `N` (a whole-set run has only window 0) — the
+//! fault-injection hook behind the chaos suite, proving panics are
+//! contained as exit 7, not crashes.
 //!
 //! Example:
 //!
@@ -84,15 +93,15 @@ use std::panic::catch_unwind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use dpfill_core::fill::{DpFill, DpFillError, FillErrorSource, FillMethod};
-use dpfill_core::ordering::{BandedMethod, OrderingMethod};
+use dpfill_core::fill::{DpFillError, FillErrorSource, FillMethod};
+use dpfill_core::ordering::BandedMethod;
 use dpfill_core::stream::{
-    BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamingFill, WindowSpec,
+    BandedOrder, ChaosPlan, StreamError, StreamOptions, StreamReport, StreamingFill, WindowSpec,
 };
 use dpfill_core::{FillObjective, ObjectiveError, ObjectiveKind, WeightTable};
-use dpfill_cubes::format::PatternError;
+use dpfill_cubes::format::{self, PatternError};
 use dpfill_cubes::retry::{self, RetryReader, RetryWriter};
-use dpfill_cubes::{format, peak_toggles, weighted_peak_toggles, Bit, CubeSet};
+use dpfill_cubes::{Bit, CubeSet};
 use dpfill_netlist::CombView;
 use dpfill_power::{input_switch_caps, CapacitanceModel, GridModel, LeakageModel, PowerConfig};
 use minitrace::json_string;
@@ -101,7 +110,7 @@ use minitrace::json_string;
 /// fill jobs dispatch on these (retry transient I/O, page on solver
 /// bugs, raise the budget on 8) without parsing diagnostics.
 mod exit {
-    /// Bad arguments or a configuration streaming cannot honor.
+    /// Bad arguments or a configuration bounded windows cannot honor.
     pub const USAGE: u8 = 2;
     /// Opening or reading the pattern input failed.
     pub const INPUT_IO: u8 = 3;
@@ -123,8 +132,8 @@ mod exit {
     /// The input held no patterns.
     pub const NO_PATTERNS: u8 = 10;
     /// The global BCP solve failed, its coloring missed the lower bound
-    /// it certified, or a monolithic fill's output is not a filling of
-    /// its input (a solver or fill bug, never expected).
+    /// it certified, or a whole-set run's fill is not a filling of its
+    /// input (a solver or fill bug, never expected).
     pub const SOLVE: u8 = 11;
     /// The weight table behind `--objective`/`--weights` is invalid
     /// (parse error, zero/non-finite weight, width mismatch with the
@@ -132,8 +141,6 @@ mod exit {
     pub const BAD_WEIGHTS: u8 = 12;
     /// A panic escaped all containment — the `main` backstop (EX_SOFTWARE).
     pub const PANIC: u8 = 70;
-    /// Any failure without a more specific class.
-    pub const OTHER: u8 = 1;
 }
 
 /// A diagnosed failure: one message for stderr, one exit code for the
@@ -156,8 +163,8 @@ impl CliError {
     }
 }
 
-/// Maps a streaming-pipeline failure to its exit code; `label` names
-/// the input source in the diagnostic.
+/// Maps a pipeline failure to its exit code; `label` names the input
+/// source in the diagnostic.
 fn stream_error(label: &str, e: &StreamError) -> CliError {
     let code = match e {
         StreamError::Open(_) | StreamError::Pattern(PatternError::Io(_)) => exit::INPUT_IO,
@@ -165,7 +172,7 @@ fn stream_error(label: &str, e: &StreamError) -> CliError {
         StreamError::Write(_) => exit::OUTPUT,
         StreamError::Solve(e) => dp_fill_error_code(e),
         StreamError::UnsupportedFill(_) => exit::USAGE,
-        StreamError::Order(_) => exit::SOLVE,
+        StreamError::Order(_) | StreamError::NotAFilling { .. } => exit::SOLVE,
         StreamError::SourceChanged { .. } | StreamError::ContentChanged { .. } => {
             exit::SOURCE_CHANGED
         }
@@ -188,28 +195,12 @@ fn dp_fill_error_code(e: &DpFillError) -> u8 {
     }
 }
 
-/// Maps a monolithic-parse failure (I/O vs malformed line) to its code.
-fn pattern_error(label: Option<&str>, e: &PatternError) -> CliError {
-    let code = match e {
-        PatternError::Io(_) => exit::INPUT_IO,
-        PatternError::Cube(_) => exit::MALFORMED,
-    };
-    match label {
-        Some(l) => CliError::new(code, format!("{l}: {e}")),
-        None => CliError::new(code, e.to_string()),
-    }
-}
-
 struct Options {
     input: Option<String>,
     output: Option<String>,
     fill: FillMethod,
-    order: Option<OrderingMethod>,
-    /// True when `--order` was passed on the command line. Streaming
-    /// mode treats the two differently: an *explicit* `--order isa` is
-    /// rejected by name, while the default silently resolves to the
-    /// banded interleave ordering.
-    order_explicit: bool,
+    /// `None` keeps the input order.
+    order: Option<BandedMethod>,
     threads: Option<usize>,
     window: Option<usize>,
     memory_budget: Option<usize>,
@@ -227,8 +218,7 @@ fn parse_args() -> Result<Options, String> {
         input: None,
         output: None,
         fill: FillMethod::Dp,
-        order: Some(OrderingMethod::Interleaved),
-        order_explicit: false,
+        order: Some(BandedMethod::Interleave),
         threads: None,
         window: None,
         memory_budget: None,
@@ -257,52 +247,28 @@ fn parse_args() -> Result<Options, String> {
                 };
             }
             "--order" => {
-                opts.order_explicit = true;
                 opts.order = match args.next().as_deref() {
                     Some("keep") => None,
-                    Some("interleave") => Some(OrderingMethod::Interleaved),
-                    Some("xstat") => Some(OrderingMethod::XStat),
-                    Some("isa") => Some(OrderingMethod::Isa(0x15A)),
+                    Some("interleave") => Some(BandedMethod::Interleave),
+                    Some("xstat") => Some(BandedMethod::XStat),
+                    Some("isa") => Some(BandedMethod::Isa(0x15A)),
                     other => return Err(format!("unknown --order {other:?}")),
                 };
             }
-            "--threads" => {
-                let value = args.next().ok_or("--threads needs a count")?;
-                opts.threads = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--threads {value:?} is not a count"))?,
-                );
-            }
+            "--threads" => opts.threads = Some(count(&arg, args.next(), "count", None)?),
             "--window" => {
-                let value = args.next().ok_or("--window needs a cube count")?;
-                let cubes = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--window {value:?} is not a cube count"))?;
-                if cubes == 0 {
-                    return Err("--window needs at least one cube".to_owned());
-                }
-                opts.window = Some(cubes);
+                opts.window = Some(count(&arg, args.next(), "cube count", Some("one cube"))?);
             }
             "--memory-budget" => {
-                let value = args.next().ok_or("--memory-budget needs a size in MiB")?;
-                let mib = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--memory-budget {value:?} is not a size in MiB"))?;
-                if mib == 0 {
-                    return Err("--memory-budget needs at least 1 MiB".to_owned());
-                }
-                opts.memory_budget = Some(mib);
+                opts.memory_budget = Some(count(&arg, args.next(), "size in MiB", Some("1 MiB"))?);
             }
             "--band" => {
-                let value = args.next().ok_or("--band needs a window count")?;
-                let band = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--band {value:?} is not a window count"))?;
-                if band == 0 {
-                    return Err("--band needs at least one window".to_owned());
-                }
-                opts.band = Some(band);
+                opts.band = Some(count(
+                    &arg,
+                    args.next(),
+                    "window count",
+                    Some("one window"),
+                )?);
             }
             "--objective" => {
                 opts.objective = match args.next().as_deref() {
@@ -350,9 +316,25 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Parses `value`, the argument of `flag`, as a count of `what`;
+/// `least` names the smallest allowed count when zero is not.
+fn count(
+    flag: &str,
+    value: Option<String>,
+    what: &str,
+    least: Option<&str>,
+) -> Result<usize, String> {
+    let value = value.ok_or(format!("{flag} needs a {what}"))?;
+    let n = (value.parse::<usize>()).map_err(|_| format!("{flag} {value:?} is not a {what}"))?;
+    match least {
+        Some(least) if n == 0 => Err(format!("{flag} needs at least {least}")),
+        _ => Ok(n),
+    }
+}
+
 /// The chaos-injection hook: `DPFILL_CHAOS=fill:N` (or `analyze:N`, or
-/// both comma-separated) panics the streaming worker of 0-based window
-/// `N` — inert when unset.
+/// both comma-separated) panics the worker of 0-based window `N` —
+/// inert when unset.
 fn chaos_from_env() -> Result<ChaosPlan, CliError> {
     let Ok(spec) = std::env::var("DPFILL_CHAOS") else {
         return Ok(ChaosPlan::default());
@@ -380,6 +362,24 @@ fn weights_from_file(path: &str) -> Result<WeightTable, CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::new(exit::INPUT_IO, format!("cannot open {path}: {e}")))?;
     WeightTable::parse(&text).map_err(|e| CliError::new(exit::BAD_WEIGHTS, format!("{path}: {e}")))
+}
+
+/// The netlist-free model of a physical objective over `width` pins.
+fn synthetic_table(kind: ObjectiveKind, width: usize) -> Result<WeightTable, ObjectiveError> {
+    match kind {
+        // No dynamic weighting, rest low: every CMOS stack leaks least
+        // fully off.
+        ObjectiveKind::Leakage => WeightTable::new(vec![1; width], Some(vec![Bit::Zero; width])),
+        // A triangular hotspot peaking at the center column: the
+        // classic worst-droop spot of a uniform grid.
+        _ => {
+            let mid = (width.saturating_sub(1)) as f64 / 2.0;
+            let profile: Vec<f64> = (0..width)
+                .map(|i| 2.0 - (i as f64 - mid).abs() / (mid + 1.0))
+                .collect();
+            WeightTable::from_f64(&profile, None)
+        }
+    }
 }
 
 /// Compiles the physical leakage/IR-drop vectors of an ITC'99
@@ -413,10 +413,10 @@ fn table_from_circuit(name: &str, kind: ObjectiveKind) -> Result<WeightTable, Cl
 }
 
 /// Resolves `--objective`/`--weights`/`--circuit` into the objective
-/// both pipelines minimize. `width` is the pattern width when already
-/// known (monolithic mode); the physical objectives fall back to
-/// width-sized synthetic models without it only in that mode, so the
-/// streaming pipeline requires `--weights` or `--circuit` for them.
+/// the run minimizes. `width` is the pattern width when already known
+/// (a whole-set run); the physical objectives fall back to width-sized
+/// synthetic models only with it, so a bounded run requires
+/// `--weights` or `--circuit` for them.
 fn objective_for(opts: &Options, width: Option<usize>) -> Result<FillObjective, CliError> {
     if opts.weights.is_some() && opts.objective == ObjectiveKind::PeakToggles {
         return Err(CliError::usage(
@@ -439,53 +439,29 @@ fn objective_for(opts: &Options, width: Option<usize>) -> Result<FillObjective, 
             Some(path) => Ok(FillObjective::weighted(weights_from_file(path)?)),
             None => Err(CliError::usage("--objective weighted needs --weights FILE")),
         },
-        ObjectiveKind::Leakage => {
+        kind => {
+            let name = kind.label();
             let table = match (&opts.weights, &opts.circuit, width) {
                 (Some(path), _, _) => weights_from_file(path)?,
-                (None, Some(name), _) => table_from_circuit(name, opts.objective)?,
-                // Netlist-free fallback: no dynamic weighting, rest
-                // low — every CMOS stack leaks least fully off.
-                (None, None, Some(width)) => {
-                    WeightTable::new(vec![1; width], Some(vec![Bit::Zero; width])).map_err(|e| {
-                        CliError::new(exit::BAD_WEIGHTS, format!("synthetic leakage model: {e}"))
-                    })?
-                }
+                (None, Some(circuit), _) => table_from_circuit(circuit, kind)?,
+                (None, None, Some(width)) => synthetic_table(kind, width).map_err(|e| {
+                    CliError::new(exit::BAD_WEIGHTS, format!("synthetic {name} model: {e}"))
+                })?,
                 (None, None, None) => {
-                    return Err(CliError::usage(
-                        "--objective leakage in streaming mode needs --circuit or --weights",
-                    ))
+                    return Err(CliError::usage(format!(
+                        "--objective {name} in streaming mode needs --circuit or --weights"
+                    )))
                 }
             };
-            Ok(FillObjective::leakage(table))
-        }
-        ObjectiveKind::IrDrop => {
-            let table = match (&opts.weights, &opts.circuit, width) {
-                (Some(path), _, _) => weights_from_file(path)?,
-                (None, Some(name), _) => table_from_circuit(name, opts.objective)?,
-                // Netlist-free fallback: a triangular hotspot peaking
-                // at the center column — the classic worst-droop spot
-                // of a uniform grid.
-                (None, None, Some(width)) => {
-                    let mid = (width.saturating_sub(1)) as f64 / 2.0;
-                    let profile: Vec<f64> = (0..width)
-                        .map(|i| 2.0 - (i as f64 - mid).abs() / (mid + 1.0))
-                        .collect();
-                    WeightTable::from_f64(&profile, None).map_err(|e| {
-                        CliError::new(exit::BAD_WEIGHTS, format!("synthetic ir-drop model: {e}"))
-                    })?
-                }
-                (None, None, None) => {
-                    return Err(CliError::usage(
-                        "--objective ir-drop in streaming mode needs --circuit or --weights",
-                    ))
-                }
-            };
-            Ok(FillObjective::ir_drop(table))
+            Ok(match kind {
+                ObjectiveKind::Leakage => FillObjective::leakage(table),
+                _ => FillObjective::ir_drop(table),
+            })
         }
     }
 }
 
-/// A spool file for non-seekable stdin in streaming mode; removed on
+/// A spool file for non-seekable stdin in a bounded run; removed on
 /// drop.
 struct Spool {
     path: PathBuf,
@@ -545,27 +521,12 @@ impl Drop for Spool {
     }
 }
 
-/// The header comment both pipelines write above the filled patterns.
-fn output_header(opts: &Options) -> String {
-    format!(
-        "filled by dpfill-xfill: {} / {}",
-        opts.order.map_or("keep", |o| o.label()),
-        opts.fill.label()
-    )
+/// The `--order` label of the header and the report.
+fn order_label(opts: &Options) -> &'static str {
+    opts.order.map_or("keep", BandedMethod::label)
 }
 
-fn open_sink(output: &Option<String>) -> Result<Box<dyn Write>, CliError> {
-    match output {
-        Some(path) => {
-            let file = std::fs::File::create(path)
-                .map_err(|e| CliError::new(exit::OUTPUT, format!("cannot write {path}: {e}")))?;
-            Ok(Box::new(BufWriter::new(file)))
-        }
-        None => Ok(Box::new(BufWriter::new(std::io::stdout().lock()))),
-    }
-}
-
-/// A streaming `--output` sink that never damages a pre-existing file
+/// An `--output` sink that never damages a pre-existing file
 /// on failure: bytes go to a sibling temp file (created lazily on the
 /// first write, via the exclusive nonce pattern), which
 /// [`StreamSink::commit`] renames over the final path only after the
@@ -578,8 +539,8 @@ enum StreamSink {
     Stdout(BufWriter<std::io::StdoutLock<'static>>),
     File {
         path: String,
-        tmp: Option<PathBuf>,
-        file: Option<BufWriter<std::fs::File>>,
+        /// The temp sibling and its writer, once the first byte arrives.
+        tmp: Option<(PathBuf, BufWriter<std::fs::File>)>,
         committed: bool,
     },
 }
@@ -590,7 +551,6 @@ impl StreamSink {
             Some(path) => StreamSink::File {
                 path: path.clone(),
                 tmp: None,
-                file: None,
                 committed: false,
             },
             None => StreamSink::Stdout(BufWriter::new(std::io::stdout().lock())),
@@ -603,20 +563,14 @@ impl StreamSink {
     fn commit(&mut self) -> Result<(), CliError> {
         if let StreamSink::File {
             path,
-            tmp,
-            file,
+            tmp: Some((tmp, file)),
             committed,
         } = self
         {
-            if let (Some(writer), Some(tmp_path)) = (file.as_mut(), tmp.as_ref()) {
-                writer
-                    .flush()
-                    .and_then(|()| std::fs::rename(tmp_path, &*path))
-                    .map_err(|e| {
-                        CliError::new(exit::OUTPUT, format!("cannot write {path}: {e}"))
-                    })?;
-                *committed = true;
-            }
+            file.flush()
+                .and_then(|()| std::fs::rename(tmp, &*path))
+                .map_err(|e| CliError::new(exit::OUTPUT, format!("cannot write {path}: {e}")))?;
+            *committed = true;
         }
         Ok(())
     }
@@ -626,10 +580,8 @@ impl Write for StreamSink {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             StreamSink::Stdout(w) => w.write(buf),
-            StreamSink::File {
-                path, tmp, file, ..
-            } => {
-                if file.is_none() {
+            StreamSink::File { path, tmp, .. } => {
+                if tmp.is_none() {
                     // Sibling of the target (so the commit rename never
                     // crosses filesystems), opened exclusively so a
                     // pre-planted path can be neither followed nor
@@ -643,11 +595,10 @@ impl Write for StreamSink {
                     .map_err(|e| {
                         std::io::Error::new(e.kind(), format!("cannot write {path}: {e}"))
                     })?;
-                    *tmp = Some(tmp_path);
-                    *file = Some(BufWriter::new(created));
+                    *tmp = Some((tmp_path, BufWriter::new(created)));
                 }
-                match file.as_mut() {
-                    Some(f) => f.write(buf),
+                match tmp {
+                    Some((_, f)) => f.write(buf),
                     None => unreachable!("the temp file was just created"),
                 }
             }
@@ -657,10 +608,10 @@ impl Write for StreamSink {
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
             StreamSink::Stdout(w) => w.flush(),
-            StreamSink::File { file, .. } => match file {
-                Some(f) => f.flush(),
-                None => Ok(()),
-            },
+            StreamSink::File {
+                tmp: Some((_, f)), ..
+            } => f.flush(),
+            StreamSink::File { .. } => Ok(()),
         }
     }
 }
@@ -668,7 +619,7 @@ impl Write for StreamSink {
 impl Drop for StreamSink {
     fn drop(&mut self) {
         if let StreamSink::File {
-            tmp: Some(tmp),
+            tmp: Some((tmp, _)),
             committed: false,
             ..
         } = self
@@ -723,184 +674,63 @@ fn finalize_tracing(opts: &Options, report: &JsonReport, run_ok: bool) {
             eprint!("{table}");
         }
     }
-    if run_ok {
-        if let Some(path) = &opts.stats_json {
-            if let Err(e) = write_stats_json(path, report, &snap) {
-                eprintln!("warning: stats-json: cannot write {path}: {e}");
-            }
+    // The `--stats-json` document: the report fields plus every counter
+    // total, span aggregate and histogram the trace layer collected.
+    if let (true, Some(path)) = (run_ok, &opts.stats_json) {
+        let json = minitrace::render_json(report, &snap);
+        let written = std::fs::File::create(path).and_then(|file| {
+            let mut file = RetryWriter::new(file);
+            file.write_all(json.as_bytes())?;
+            file.flush()
+        });
+        if let Err(e) = written {
+            eprintln!("warning: stats-json: cannot write {path}: {e}");
         }
     }
 }
 
-/// Writes the `--stats-json` document: the pipeline's report fields
-/// plus every counter total, span aggregate, and histogram the trace
-/// layer collected.
-fn write_stats_json(
-    path: &str,
-    report: &JsonReport,
-    snap: &minitrace::Snapshot,
-) -> std::io::Result<()> {
-    let mut file = RetryWriter::new(std::fs::File::create(path)?);
-    file.write_all(minitrace::render_json(report, snap).as_bytes())?;
-    file.flush()
-}
-
-/// Resolves the ordering a streaming run applies. `--order keep` keeps
-/// arrival order (byte-identical to the monolithic unordered run);
+/// Resolves the ring ordering of a bounded run. `--order keep` keeps
+/// arrival order (byte-identical to the whole-set unordered run);
 /// interleave/xstat — including the interleave *default* — run banded
 /// over a ring of `--band` windows; the whole-set ISA ordering is
 /// rejected by name.
-fn streaming_order(opts: &Options) -> Result<Option<BandedOrder>, CliError> {
-    let method = match opts.order {
-        None => {
-            if opts.band.is_some() {
-                return Err(CliError::usage(
-                    "--band configures the banded streaming orderings; it has no \
-                     effect with --order keep",
-                ));
-            }
-            return Ok(None);
-        }
-        Some(OrderingMethod::Interleaved) => BandedMethod::Interleave,
-        Some(OrderingMethod::XStat) => BandedMethod::XStat,
-        Some(other) => {
-            debug_assert!(opts.order_explicit, "only --order can select {other:?}");
-            return Err(CliError::usage(format!(
-                "--order {} needs the whole pattern set resident; streaming mode \
-                 (--window/--memory-budget) supports --order keep, interleave or xstat",
-                match other {
-                    OrderingMethod::Isa(_) => "isa",
-                    OrderingMethod::Tool => "tool",
-                    _ => unreachable!("interleave and xstat stream banded"),
-                }
-            )));
-        }
-    };
-    Ok(Some(match opts.band {
-        Some(band) => BandedOrder::with_band(method, band),
-        None => BandedOrder::new(method),
-    }))
+fn banded_order(opts: &Options) -> Result<Option<BandedOrder>, CliError> {
+    match (opts.order, opts.band) {
+        (None, Some(_)) => Err(CliError::usage(
+            "--band configures the banded streaming orderings; it has no \
+             effect with --order keep",
+        )),
+        (Some(BandedMethod::Isa(_)), _) => Err(CliError::usage(
+            "--order isa needs the whole pattern set resident; streaming mode \
+             (--window/--memory-budget) supports --order keep, interleave or xstat",
+        )),
+        (order, band) => Ok(order.map(|method| match band {
+            Some(band) => BandedOrder::with_band(method, band),
+            None => BandedOrder::new(method),
+        })),
+    }
 }
 
-/// The bounded-memory streaming mode behind `--window`/`--memory-budget`:
-/// windowed analyze→solve→fill→emit — with `--order keep` byte-identical
-/// to the monolithic run at every window size and thread count, with a
-/// banded ordering byte-identical to the monolithic *ordered* run
-/// whenever the band covers the whole set.
-fn run_streaming(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> {
-    if opts.window.is_some() && opts.memory_budget.is_some() {
-        return Err(CliError::usage(
-            "pass either --window or --memory-budget, not both",
-        ));
-    }
-    let order = streaming_order(opts)?;
-    let objective = objective_for(opts, None)?;
-    let window = match (opts.window, opts.memory_budget) {
-        (Some(cubes), _) => WindowSpec::Cubes(cubes),
-        (None, Some(mib)) => WindowSpec::MemoryBudgetMiB(mib),
-        (None, None) => unreachable!("streaming mode implies one of the flags"),
-    };
-    let driver = StreamingFill::new(StreamOptions {
-        window,
+/// The driver's options both runs share; a bounded run sets its window.
+fn stream_options(
+    opts: &Options,
+    order: Option<BandedOrder>,
+    objective: &FillObjective,
+) -> Result<StreamOptions, CliError> {
+    Ok(StreamOptions {
         fill: opts.fill,
         order,
-        header: Some(output_header(opts)),
-        // Both reports carry the 0-fill baseline.
+        header: Some(format!(
+            "filled by dpfill-xfill: {} / {}",
+            order_label(opts),
+            opts.fill.label()
+        )),
+        // The report carries the 0-fill baseline.
         collect_baseline: opts.stats || opts.stats_json.is_some(),
         chaos: chaos_from_env()?,
         objective: objective.clone(),
         ..StreamOptions::default()
-    });
-    let label = opts.input.as_deref().unwrap_or("<stdin>");
-    // The planned fills read the input twice, so stdin is spooled to a
-    // temp file for them (both passes must see identical bytes). The
-    // per-cube fills open the source exactly once and stream stdin
-    // directly — no extra disk traffic.
-    let mut sink = StreamSink::new(&opts.output);
-    let report = match (&opts.input, driver.input_passes() > 1) {
-        (Some(path), _) => driver.run_path(Path::new(path), &mut sink),
-        (None, true) => {
-            let spool = Spool::from_stdin()?;
-            driver.run_path(&spool.path, &mut sink)
-        }
-        (None, false) => driver.run(|| Ok(std::io::stdin().lock()), &mut sink),
-    }
-    .map_err(|e| stream_error(label, &e))?;
-    if report.cubes == 0 {
-        return Err(CliError::new(exit::NO_PATTERNS, "no patterns in input"));
-    }
-    sink.commit()?;
-    json.push(("mode", json_string("streaming")));
-    json.push(("fill", json_string(opts.fill.label())));
-    json.push((
-        "order",
-        json_string(opts.order.map_or("keep", |o| o.label())),
-    ));
-    json.push(("cubes", report.cubes.to_string()));
-    json.push(("width", report.width.to_string()));
-    json.push(("x_count", report.x_count.to_string()));
-    json.push((
-        "baseline_peak",
-        report
-            .baseline_peak
-            .map_or_else(|| "null".to_owned(), |p| p.to_string()),
-    ));
-    json.push(("peak_toggles", report.peak_toggles.to_string()));
-    json.push(("objective_peak", report.objective_peak.to_string()));
-    json.push(("windows", report.windows.to_string()));
-    json.push(("window_cubes", report.window_cubes.to_string()));
-    json.push((
-        "resident_peak_cubes",
-        report.resident_peak_cubes.to_string(),
-    ));
-    json.push(("degradations", report.degradations.len().to_string()));
-    json.push(("pass1_ns", report.pass1_ns.to_string()));
-    json.push(("solve_ns", report.solve_ns.to_string()));
-    json.push(("pass2_ns", report.pass2_ns.to_string()));
-    if opts.stats {
-        let total_bits = (report.cubes * report.width) as f64;
-        eprintln!(
-            "{} cubes x {} pins, {:.1}% X; peak toggles: 0-fill(as-given) {} -> {} {}",
-            report.cubes,
-            report.width,
-            100.0 * report.x_count as f64 / total_bits,
-            report.baseline_peak.unwrap_or(0),
-            opts.fill.label(),
-            report.peak_toggles
-        );
-        if objective.kind() != ObjectiveKind::PeakToggles {
-            eprintln!(
-                "objective {}: weighted peak {} (fixed-point units)",
-                objective.label(),
-                report.objective_peak
-            );
-        }
-        eprintln!(
-            "streamed {} windows of {} cubes; peak resident cubes {}",
-            report.windows, report.window_cubes, report.resident_peak_cubes
-        );
-        // Wall-clock per-phase totals (always measured, `--trace` or
-        // not). Single-pass fills have no analyze/solve phases and
-        // report 0 there.
-        eprintln!(
-            "phase totals: pass-1 {} ns, solve {} ns, pass-2 {} ns",
-            report.pass1_ns, report.solve_ns, report.pass2_ns
-        );
-        if let Some(order) = order {
-            eprintln!(
-                "banded ordering: {} over a ring of {} windows ({} cubes lookahead)",
-                order.method.label(),
-                order.band,
-                order.band * report.window_cubes
-            );
-        }
-        // Every graceful window halving a --memory-budget run took, so
-        // a degraded (but byte-identical) run is observable.
-        for event in &report.degradations {
-            eprintln!("budget degradation: {event}");
-        }
-    }
-    Ok(())
+    })
 }
 
 fn run(opts: &Options) -> Result<(), CliError> {
@@ -921,134 +751,168 @@ fn run(opts: &Options) -> Result<(), CliError> {
     }
     install_tracing(opts);
     let mut json: JsonReport = Vec::new();
-    let result = if opts.window.is_some() || opts.memory_budget.is_some() {
-        run_streaming(opts, &mut json)
-    } else if opts.band.is_some() {
-        Err(CliError::usage(
-            "--band needs streaming mode: pass --window or --memory-budget",
-        ))
-    } else {
-        run_monolithic(opts, &mut json)
-    };
+    let result = fill(opts, &mut json);
     finalize_tracing(opts, &json, result.is_ok());
     result
 }
 
-/// The whole-set pipeline: parse everything, order, fill, emit.
-fn run_monolithic(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> {
-    // Stream the pattern file straight into the packed cube planes —
-    // the input never exists in memory as text or scalar bits, and a
-    // malformed cube aborts the read at its line (no cubes are
-    // collected past the first error).
-    let cubes = match &opts.input {
-        Some(path) => {
-            let file = std::fs::File::open(path)
-                .map_err(|e| CliError::new(exit::INPUT_IO, format!("cannot open {path}: {e}")))?;
-            format::read_patterns(file).map_err(|e| pattern_error(Some(path), &e))?
+/// The one pipeline. Without `--window`/`--memory-budget` it reads the
+/// set once, builds the objective for its width and runs the driver
+/// over the set as one resident window; with either flag it streams
+/// the input through bounded windows — with `--order keep`
+/// byte-identical to the whole-set run at every window size and thread
+/// count, with a banded ordering byte-identical to the whole-set
+/// *ordered* run whenever the band covers the whole set.
+fn fill(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> {
+    let window = match (opts.window, opts.memory_budget) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::usage(
+                "pass either --window or --memory-budget, not both",
+            ))
+        }
+        (Some(cubes), None) => Some(WindowSpec::Cubes(cubes)),
+        (None, Some(mib)) => Some(WindowSpec::MemoryBudgetMiB(mib)),
+        (None, None) => None,
+    };
+    let label = opts.input.as_deref().unwrap_or("<stdin>");
+    let no_patterns = || CliError::new(exit::NO_PATTERNS, "no patterns in input");
+    let mut sink = StreamSink::new(&opts.output);
+    let (report, ring, objective) = match window {
+        Some(window) => {
+            let ring = banded_order(opts)?;
+            let objective = objective_for(opts, None)?;
+            let driver = StreamingFill::new(StreamOptions {
+                window,
+                ..stream_options(opts, ring, &objective)?
+            });
+            // The planned fills read the input twice, so stdin is
+            // spooled to a temp file for them (both passes must see
+            // identical bytes). The per-cube fills open the source
+            // exactly once and stream stdin directly — no extra disk
+            // traffic.
+            let report = match (&opts.input, driver.input_passes() > 1) {
+                (Some(path), _) => driver.run_path(Path::new(path), &mut sink),
+                (None, true) => {
+                    let spool = Spool::from_stdin()?;
+                    driver.run_path(&spool.path, &mut sink)
+                }
+                (None, false) => driver.run(|| Ok(std::io::stdin().lock()), &mut sink),
+            };
+            (report, ring, objective)
         }
         None => {
-            format::read_patterns(std::io::stdin().lock()).map_err(|e| pattern_error(None, &e))?
-        }
-    };
-    if cubes.is_empty() {
-        return Err(CliError::new(exit::NO_PATTERNS, "no patterns in input"));
-    }
-    let objective = objective_for(opts, Some(cubes.width()))?;
-    objective
-        .check_width(cubes.width())
-        .map_err(|e| CliError::new(exit::BAD_WEIGHTS, e.to_string()))?;
-
-    // The `--stats` inputs describe the set as given, so take them
-    // before ordering: the unordered set is then dropped once reordered.
-    let given = if opts.stats || opts.stats_json.is_some() {
-        let baseline = peak_toggles(&FillMethod::Zero.fill(&cubes))
-            .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
-        Some((cubes.len(), cubes.width(), cubes.x_percent(), baseline))
-    } else {
-        None
-    };
-    let ordered: CubeSet = match opts.order {
-        None => cubes,
-        Some(method) => {
-            let order = method
-                .order(&cubes)
-                .map_err(|e| CliError::new(exit::SOLVE, e.to_string()))?;
-            let reordered = cubes
-                .reordered(&order)
-                .map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
-            drop(cubes);
-            reordered
-        }
-    };
-    let filled = match opts.fill {
-        // DP-fill's solver failures exit with their class instead of
-        // the panic behind the infallible `fill_with`.
-        FillMethod::Dp => {
-            DpFill::new()
-                .with_objective(objective.clone())
-                .try_run(&ordered)
-                .map_err(|e| CliError::new(dp_fill_error_code(&e), e.to_string()))?
-                .filled
-        }
-        _ => opts.fill.fill_with(&ordered, &objective),
-    };
-    if !CubeSet::is_filling_of(&filled, &ordered) {
-        return Err(CliError::new(
-            exit::SOLVE,
-            format!(
-                "{} fill is not a filling of its input (a fill bug)",
-                opts.fill.label()
-            ),
-        ));
-    }
-    drop(ordered);
-
-    if let Some((len, width, x_percent, before)) = given {
-        let after = peak_toggles(&filled).map_err(|e| CliError::new(exit::OTHER, e.to_string()))?;
-        json.push(("mode", json_string("monolithic")));
-        json.push(("fill", json_string(opts.fill.label())));
-        json.push((
-            "order",
-            json_string(opts.order.map_or("keep", |o| o.label())),
-        ));
-        json.push(("cubes", len.to_string()));
-        json.push(("width", width.to_string()));
-        json.push(("x_percent", format!("{x_percent:.1}")));
-        json.push(("baseline_peak", before.to_string()));
-        json.push(("peak_toggles", after.to_string()));
-        if opts.stats {
-            eprintln!(
-                "{len} cubes x {width} pins, {x_percent:.1}% X; peak toggles: \
-                 0-fill(as-given) {before} -> {} {after}",
-                opts.fill.label(),
-            );
-        }
-        if let Some(weights) = objective.weights() {
-            let weighted = weighted_peak_toggles(&filled, weights)
-                .map_err(|e| CliError::new(exit::OVERFLOW, e.to_string()))?;
-            json.push(("objective_peak", weighted.to_string()));
-            if opts.stats {
-                eprintln!(
-                    "objective {}: weighted peak {} (fixed-point units)",
-                    objective.label(),
-                    weighted
-                );
+            if opts.band.is_some() {
+                return Err(CliError::usage(
+                    "--band needs streaming mode: pass --window or --memory-budget",
+                ));
             }
+            // Stream the pattern file straight into the packed cube
+            // planes: the input never exists in memory as text, and a
+            // malformed cube aborts the read at its line.
+            let read = || -> Result<CubeSet, StreamError> {
+                Ok(match &opts.input {
+                    Some(path) => format::read_patterns(
+                        std::fs::File::open(path).map_err(StreamError::Open)?,
+                    )?,
+                    None => format::read_patterns(std::io::stdin().lock())?,
+                })
+            };
+            let cubes = read().map_err(|e| stream_error(label, &e))?;
+            if cubes.is_empty() {
+                return Err(no_patterns());
+            }
+            let objective = objective_for(opts, Some(cubes.width()))?;
+            let order = opts.order.map(BandedOrder::new);
+            let driver = StreamingFill::new(stream_options(opts, order, &objective)?);
+            (driver.run_resident(cubes, &mut sink), None, objective)
         }
+    };
+    let report = report.map_err(|e| stream_error(label, &e))?;
+    if report.cubes == 0 {
+        return Err(no_patterns());
     }
-
-    // Emit incrementally — no full-set String is ever buffered, on
-    // either pipeline.
-    let header = output_header(opts);
-    let sink = open_sink(&opts.output)?;
-    format::write_patterns(sink, &filled, Some(&header)).map_err(|e| {
-        let message = match &opts.output {
-            Some(path) => format!("cannot write {path}: {e}"),
-            None => format!("cannot write patterns: {e}"),
-        };
-        CliError::new(exit::OUTPUT, message)
-    })?;
+    sink.commit()?;
+    push_report(json, opts, window.is_some(), &report);
+    if opts.stats {
+        print_stats(opts, &report, ring, &objective);
+    }
     Ok(())
+}
+
+/// The `--stats-json` report, one shape for both runs: `mode` tells a
+/// bounded run (`streaming`) from a whole-set one (`monolithic`).
+fn push_report(json: &mut JsonReport, opts: &Options, streaming: bool, r: &StreamReport) {
+    let mode = if streaming { "streaming" } else { "monolithic" };
+    let baseline = r.baseline_peak.map_or("null".into(), |p| p.to_string());
+    json.extend([
+        ("schema_version", "1".to_owned()),
+        ("mode", json_string(mode)),
+        ("fill", json_string(opts.fill.label())),
+        ("order", json_string(order_label(opts))),
+        ("cubes", r.cubes.to_string()),
+        ("width", r.width.to_string()),
+        ("x_count", r.x_count.to_string()),
+        ("baseline_peak", baseline),
+        ("peak_toggles", r.peak_toggles.to_string()),
+        ("objective_peak", r.objective_peak.to_string()),
+        ("windows", r.windows.to_string()),
+        ("window_cubes", r.window_cubes.to_string()),
+        ("resident_peak_cubes", r.resident_peak_cubes.to_string()),
+        ("degradations", r.degradations.len().to_string()),
+        ("pass1_ns", r.pass1_ns.to_string()),
+        ("solve_ns", r.solve_ns.to_string()),
+        ("pass2_ns", r.pass2_ns.to_string()),
+    ]);
+}
+
+/// The `--stats` lines, on stderr. `ring` is a bounded run's banded
+/// ordering.
+fn print_stats(
+    opts: &Options,
+    report: &StreamReport,
+    ring: Option<BandedOrder>,
+    objective: &FillObjective,
+) {
+    let total_bits = (report.cubes * report.width) as f64;
+    eprintln!(
+        "{} cubes x {} pins, {:.1}% X; peak toggles: 0-fill(as-given) {} -> {} {}",
+        report.cubes,
+        report.width,
+        100.0 * report.x_count as f64 / total_bits,
+        report.baseline_peak.unwrap_or(0),
+        opts.fill.label(),
+        report.peak_toggles
+    );
+    if objective.kind() != ObjectiveKind::PeakToggles {
+        eprintln!(
+            "objective {}: weighted peak {} (fixed-point units)",
+            objective.label(),
+            report.objective_peak
+        );
+    }
+    eprintln!(
+        "windows: {} of {} cubes; peak resident cubes {}",
+        report.windows, report.window_cubes, report.resident_peak_cubes
+    );
+    // Wall-clock per-phase totals (always measured, `--trace` or not).
+    // Single-pass fills have no analyze/solve phases and report 0 there.
+    eprintln!(
+        "phase totals: pass-1 {} ns, solve {} ns, pass-2 {} ns",
+        report.pass1_ns, report.solve_ns, report.pass2_ns
+    );
+    if let Some(order) = ring {
+        eprintln!(
+            "banded ordering: {} over a ring of {} windows ({} cubes lookahead)",
+            order.method.label(),
+            order.band,
+            order.band * report.window_cubes
+        );
+    }
+    // Every graceful window halving a --memory-budget run took, so a
+    // degraded (but byte-identical) run is observable.
+    for event in &report.degradations {
+        eprintln!("budget degradation: {event}");
+    }
 }
 
 fn main() -> ExitCode {

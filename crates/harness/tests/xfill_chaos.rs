@@ -212,6 +212,58 @@ fn chaos_panic_with_output_file_keeps_the_target_intact_and_leaks_nothing() {
 }
 
 #[test]
+fn whole_set_runs_contain_panics_and_never_clobber_the_output() {
+    // Without --window the set is one resident window, window 0: a
+    // panic in its analysis or its fill exits 7 naming it, and a
+    // pre-existing --output keeps its bytes with no temp sibling left.
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.subsec_nanos());
+    let dir = std::env::temp_dir();
+    let name = format!("xfill-chaos-whole-{}-{nanos}.pat", std::process::id());
+    let out_path = dir.join(&name);
+    for spec in ["fill:0", "analyze:0"] {
+        std::fs::write(&out_path, "precious bytes\n").expect("write output file");
+        let run = run_xfill_env(
+            &[
+                "--order",
+                "keep",
+                "--fill",
+                "dp",
+                "--output",
+                out_path.to_str().expect("utf-8 path"),
+            ],
+            INPUT,
+            &[("DPFILL_CHAOS", spec)],
+        );
+        assert_eq!(
+            run.code,
+            Some(EXIT_WINDOW_PANICKED),
+            "DPFILL_CHAOS={spec} stderr: {}",
+            run.stderr
+        );
+        assert!(
+            run.stderr.contains("worker panicked") && run.stderr.contains("window 0"),
+            "DPFILL_CHAOS={spec} stderr: {}",
+            run.stderr
+        );
+        assert_eq!(
+            std::fs::read_to_string(&out_path).expect("read output"),
+            "precious bytes\n",
+            "DPFILL_CHAOS={spec} clobbered the output"
+        );
+        let leaked: Vec<String> = std::fs::read_dir(&dir)
+            .expect("scan temp dir")
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&format!("{name}.tmp.")))
+            .collect();
+        assert!(leaked.is_empty(), "DPFILL_CHAOS={spec} leaked {leaked:?}");
+    }
+    let _ = std::fs::remove_file(&out_path);
+}
+
+#[test]
 fn killed_consumer_mid_emit_exits_typed_and_leaks_no_spool() {
     // A private TMPDIR so the spool-leak scan sees only this run.
     let nanos = std::time::SystemTime::now()

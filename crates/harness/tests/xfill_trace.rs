@@ -320,6 +320,77 @@ fn stats_json_is_a_machine_readable_superset_of_stats() {
     assert!(text.contains("\"peak_toggles\""), "{text}");
 }
 
+/// The `--stats-json` report keys, in order: one schema for whole-set
+/// and windowed runs.
+const REPORT_KEYS: [&str; 17] = [
+    "schema_version",
+    "mode",
+    "fill",
+    "order",
+    "cubes",
+    "width",
+    "x_count",
+    "baseline_peak",
+    "peak_toggles",
+    "objective_peak",
+    "windows",
+    "window_cubes",
+    "resident_peak_cubes",
+    "degradations",
+    "pass1_ns",
+    "solve_ns",
+    "pass2_ns",
+];
+
+#[test]
+fn stats_json_report_has_one_versioned_schema() {
+    for (tag, mode, args) in [
+        (
+            "whole",
+            "monolithic",
+            &["--fill", "dp", "--order", "interleave"][..],
+        ),
+        (
+            "windowed",
+            "streaming",
+            &["--fill", "dp", "--order", "keep", "--window", "3"][..],
+        ),
+    ] {
+        let path = Scratch::new(&format!("schema-{tag}.json"));
+        let mut argv = args.to_vec();
+        argv.extend(["--stats-json", path.as_str()]);
+        let (_, stderr, ok) = run_xfill(&argv, INPUT);
+        assert!(ok, "{tag}: {stderr}");
+        let text = std::fs::read_to_string(&path.0).expect("stats-json written");
+        let report = text
+            .split("\"report\": {")
+            .nth(1)
+            .and_then(|rest| rest.split('}').next())
+            .unwrap_or_else(|| panic!("{tag}: no report in {text}"));
+        let keys: Vec<&str> = report
+            .lines()
+            .filter_map(|line| line.trim().strip_prefix('"')?.split('"').next())
+            .collect();
+        assert_eq!(keys, REPORT_KEYS, "{tag}: {text}");
+        assert!(report.contains("\"schema_version\": 1,"), "{tag}: {text}");
+        assert!(
+            report.contains(&format!("\"mode\": \"{mode}\"")),
+            "{tag}: {text}"
+        );
+    }
+}
+
+#[test]
+fn whole_set_stats_list_the_driver_spans() {
+    // A run without --window is the driver over one resident window:
+    // its solve, fill and emit show up under their driver spans.
+    let (_, stderr, ok) = run_xfill(&["--fill", "dp", "--order", "keep", "--stats"], INPUT);
+    assert!(ok, "stderr: {stderr}");
+    for span in ["stream.solve", "stream.window.fill", "stream.window.emit"] {
+        assert!(stderr.contains(span), "{span} missing: {stderr}");
+    }
+}
+
 #[test]
 fn stats_prints_the_aggregate_table() {
     let (_, stderr, ok) = run_xfill(
