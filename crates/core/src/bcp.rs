@@ -49,9 +49,13 @@
 //! # How the sweeps run
 //!
 //! Every sweep — feasibility probe, weighted search and coloring —
-//! walks the intervals once in `(end, index)` order, from contiguous
-//! per-end arrays, and places each in the earliest open colors at or
-//! after its start. A union-find over the colors finds them: a color is
+//! walks the intervals once in `(end, index)` order and places each in
+//! the earliest open colors at or after its start. The sweep input
+//! (`ByEnd`) is the scan's own output: per chunk of pin words, the
+//! stretches grouped by end, walked end by end and chunk by chunk within
+//! an end, which is `(end, pin)` order, so the pipelines bound, color,
+//! verify and shift their analysis in place. A [`BcpInstance`] in any
+//! other order is counting-sorted by end once per call. A union-find over the colors finds them: a color is
 //! joined to its successor once it is full or, in the blocking sweep,
 //! once an interval does not fit it. The probes *pour* divisible loads
 //! (exact for unit loads, the fractional relaxation for weighted ones);
@@ -212,13 +216,18 @@ fn bitlen(x: usize) -> usize {
 /// Each load `[lo, hi]` is counted once, in its *aligned* window
 /// `[q·2^l, (q+1)·2^l)` at level `l = bitlen(lo XOR hi)`
 /// ([`Interval::aligned_level`]); [`IncrementalBound::current`] folds
-/// the O(C) pyramid, each window adding its two halves, so every window
+/// the pyramid, each window adding its two halves, so every window
 /// holds exactly the load fully inside it. That is a real window's
 /// load, so `⌈load / 2^l⌉` — and the maximum over all windows — **never
 /// exceeds the true windowed bound**. It is exact on aligned witnesses
 /// and within the probe budget of [`BcpInstance::solve_with`]'s
 /// parametric certification otherwise, which is why it serves as
 /// [`SolveOptions::warm_lb`].
+///
+/// The fold is kept between reads. Loads only raise window sums, so a
+/// read re-folds only the windows at or after the earliest color loaded
+/// since the previous read: a stream read after each of its windows
+/// costs time linear in its colors, not quadratic.
 ///
 /// All arithmetic saturates: a saturated counter undercounts, which
 /// only weakens (never invalidates) the bound, and a saturating sum of
@@ -229,11 +238,37 @@ pub struct IncrementalBound {
     /// `levels[l][q]` = the recorded load whose aligned window is
     /// `[q·2^l, (q+1)·2^l)`.
     levels: Vec<Vec<u64>>,
+    /// `folded[l - 1][q]` = the load fully inside window `q` of level
+    /// `l ≥ 1`, as of the last fold (level 0's is its own load).
+    folded: Vec<Vec<u64>>,
+    /// The best window density of the last fold.
+    best: u64,
+    /// The earliest color loaded since the last fold (`usize::MAX`:
+    /// none; a new ladder folds from color 0).
+    dirty: usize,
 }
 
 /// Levels are capped at window width `2^63`; a load that would need a
 /// higher level is not counted (an undercount keeps the bound valid).
 const MAX_LADDER_LEVELS: usize = 64;
+
+/// Counts `amount` of load placeable anywhere in `[lo, hi]` at its
+/// aligned level of `levels`, whose level-`l` counters start at window
+/// `origin >> l` (`hi` at or after `origin`).
+fn count_load(levels: &mut Vec<Vec<u64>>, origin: usize, lo: usize, hi: usize, amount: u64) {
+    let l = bitlen(lo ^ hi);
+    if l >= MAX_LADDER_LEVELS {
+        return;
+    }
+    if levels.len() <= l {
+        levels.resize_with(l + 1, Vec::new);
+    }
+    let (level, q) = (&mut levels[l], (hi >> l) - (origin >> l));
+    if level.len() <= q {
+        level.resize(q + 1, 0);
+    }
+    level[q] = level[q].saturating_add(amount);
+}
 
 impl IncrementalBound {
     /// An empty ladder (bound 0).
@@ -260,92 +295,674 @@ impl IncrementalBound {
     /// Panics if `lo > hi`.
     pub fn add_load(&mut self, lo: usize, hi: usize, amount: u64) {
         assert!(lo <= hi, "load window {lo} > {hi}");
-        let l = bitlen(lo ^ hi);
-        if l >= MAX_LADDER_LEVELS {
+        count_load(&mut self.levels, 0, lo, hi, amount);
+        self.dirty = self.dirty.min(lo);
+    }
+
+    /// Records every load of `delta`, as if each were added here.
+    pub(crate) fn absorb(&mut self, delta: LadderDelta) {
+        self.dirty = self.dirty.min(delta.origin);
+        if self.levels.is_empty() && delta.origin == 0 {
+            // A first delta from color 0 (a whole set) is the ladder.
+            self.levels = delta.levels;
             return;
         }
-        if self.levels.len() <= l {
-            self.levels.resize_with(l + 1, Vec::new);
+        if self.levels.len() < delta.levels.len() {
+            self.levels.resize_with(delta.levels.len(), Vec::new);
         }
-        let (level, q) = (&mut self.levels[l], hi >> l);
-        if level.len() <= q {
-            level.resize(q + 1, 0);
+        for (l, counts) in delta.levels.iter().enumerate() {
+            let (level, base) = (&mut self.levels[l], delta.origin >> l);
+            if level.len() < base + counts.len() {
+                level.resize(base + counts.len(), 0);
+            }
+            for (total, &n) in level[base..].iter_mut().zip(counts) {
+                *total = total.saturating_add(n);
+            }
         }
-        level[q] = level[q].saturating_add(amount);
     }
 
-    /// The best window-density bound over everything recorded so far,
-    /// folding the pyramid level by level in O(C). Monotone in the
-    /// recorded loads and never above the true windowed lower bound.
-    pub fn current(&self) -> u64 {
+    /// The best window-density bound over everything recorded so far.
+    /// Monotone in the recorded loads and never above the true windowed
+    /// lower bound. Re-folds the pyramid level by level from the
+    /// earliest color loaded since the previous call (from color 0 on a
+    /// level the previous fold did not reach).
+    pub fn current(&mut self) -> u64 {
+        let dirty = std::mem::replace(&mut self.dirty, usize::MAX);
+        if dirty == usize::MAX {
+            return self.best;
+        }
         let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
-        let mut best = 0u64;
-        let mut below: Vec<u64> = Vec::new();
-        for (l, own) in self.levels.iter().enumerate() {
-            below = (0..own.len().max(below.len().div_ceil(2)))
-                .map(|q| {
-                    at(own, q)
-                        .saturating_add(at(&below, 2 * q))
-                        .saturating_add(at(&below, 2 * q + 1))
-                })
-                .collect();
-            best = below.iter().fold(best, |b, &n| b.max(n.div_ceil(1 << l)));
+        let Some((base, upper)) = self.levels.split_first() else {
+            return self.best;
+        };
+        // Level 0's windows hold their own load.
+        let reached = self.folded.len() + 1;
+        self.best = (base.iter().skip(dirty)).fold(self.best, |b, &n| b.max(n));
+        self.folded.resize_with(upper.len(), Vec::new);
+        for (i, own) in upper.iter().enumerate() {
+            let l = i + 1;
+            let (lower, sums) = self.folded.split_at_mut(i);
+            let below = lower.last().map_or(base.as_slice(), Vec::as_slice);
+            let sums = &mut sums[0];
+            let len = own.len().max(below.len().div_ceil(2));
+            sums.resize(len, 0);
+            let from = if l < reached { dirty >> l } else { 0 };
+            for (q, sum) in sums.iter_mut().enumerate().skip(from) {
+                *sum = at(own, q)
+                    .saturating_add(at(below, 2 * q))
+                    .saturating_add(at(below, 2 * q + 1));
+                self.best = self.best.max(sum.div_ceil(1 << l));
+            }
         }
-        best
+        self.best
     }
 
-    /// Bytes held by the ladder — charged against the streaming memory
-    /// budget alongside the event stream.
+    /// Bytes held by the ladder and its fold — charged against the
+    /// streaming memory budget alongside the event stream.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let counters: usize = self.levels.iter().map(Vec::len).sum();
-        (counters * size_of::<u64>() + self.levels.len() * size_of::<Vec<u64>>()) as u64
+        let levels = self.levels.iter().chain(&self.folded);
+        let counters: usize = levels.clone().map(Vec::len).sum();
+        (counters * size_of::<u64>() + levels.count() * size_of::<Vec<u64>>()) as u64
     }
 }
 
-/// Intervals grouped by end color: those ending at color `e` start at
-/// `starts[by_end[e]..by_end[e + 1]]` (`by_end` has one entry per color
-/// plus one). The I-order scan emits one per chunk of pins.
+/// Unit loads for an [`IncrementalBound`] that all end at or after one
+/// color: the stretches one scan chunk closes in a window, counted on
+/// the pool and [absorbed](IncrementalBound::absorb) after it.
+pub(crate) struct LadderDelta {
+    origin: usize,
+    levels: Vec<Vec<u64>>,
+}
+
+impl LadderDelta {
+    /// An empty delta for loads ending at or after color `origin`.
+    pub(crate) fn new(origin: usize) -> LadderDelta {
+        LadderDelta {
+            origin,
+            levels: Vec::new(),
+        }
+    }
+
+    /// Records one unit load placeable anywhere in `[lo, hi]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `hi` is before the origin.
+    pub(crate) fn add_unit(&mut self, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi >= self.origin, "load window {lo}..={hi}");
+        count_load(&mut self.levels, self.origin, lo, hi, 1);
+    }
+}
+
+/// Intervals grouped by end color, as one scan chunk of pin words closes
+/// them (by ascending pin within an end) or as an instance lists them:
+/// those ending at color `e` start at `starts[by_end[e]..by_end[e + 1]]`,
+/// and `by_end` has one entry per color plus one. A scan appends colors
+/// window by window.
+#[derive(Clone, Debug)]
 pub(crate) struct EndGroups {
     pub starts: Vec<u32>,
     pub by_end: Vec<usize>,
+    /// Each interval's key, aligned with `starts` when recorded: its pin
+    /// in a scan, its index in an instance (empty: its position).
+    pub keys: Vec<u32>,
+    /// Each interval's left care value, aligned with `starts` when
+    /// recorded.
+    pub lefts: Vec<bool>,
 }
 
-/// One sweep: [`OpenColors::place`]s every interval of `chunks` in end
-/// order, chunk by chunk within an end, position `r` weighing `loads[r]`
-/// (one chunk; 1 when `loads` is empty), and reports each placement to
-/// `place(r, color)`. The error is the end of the first interval that
-/// finds no room.
-fn sweep(
-    chunks: &[EndGroups],
-    loads: &[u64],
-    mut colors: OpenColors,
-    divisible: bool,
-    mut place: impl FnMut(usize, u32),
-) -> Result<(), u32> {
-    for e in 0..colors.room.len() {
-        for g in chunks {
-            for r in g.by_end[e]..g.by_end[e + 1] {
-                let load = loads.get(r).copied().unwrap_or(1);
-                let t = colors.place(g.starts[r], e, load, divisible);
-                place(r, t.ok_or(e as u32)?);
+impl Default for EndGroups {
+    fn default() -> EndGroups {
+        EndGroups {
+            starts: Vec::new(),
+            by_end: vec![0],
+            keys: Vec::new(),
+            lefts: Vec::new(),
+        }
+    }
+}
+
+impl EndGroups {
+    /// The key of interval `i`.
+    fn key(&self, i: usize) -> usize {
+        self.keys.get(i).map_or(i, |&k| k as usize)
+    }
+}
+
+/// The one sweep input: end-grouped chunks, walked end by end and chunk
+/// by chunk within an end — a scan's `(end, pin)` order, an instance's
+/// `(end, index)` order — over a per-color baseline. Interval `i`
+/// weighs `weights[key]`: its pin's weight in a scan, its own load in an
+/// instance, and the intervals are *unit* when every one weighs 1. A
+/// coloring lists its colors in walk order (by key for an instance).
+///
+/// An interval's color in the textbook heap sweep depends only on the
+/// intervals before it in walk order, so every sweep, bound and
+/// coloring reads the scan's groups in place, with no sort.
+#[derive(Clone, Copy)]
+pub(crate) struct ByEnd<'a> {
+    chunks: &'a [EndGroups],
+    baseline: &'a [u64],
+    weights: &'a [u64],
+    unit: bool,
+    keyed: bool,
+}
+
+/// One interval a slack shift visits: its coloring slot, the color it
+/// moves toward (its end to move late, its start to move early) and its
+/// load.
+pub(crate) type Visit = (usize, u32, u64);
+
+impl<'a> ByEnd<'a> {
+    /// The intervals of `chunks` (each with one `by_end` entry per color
+    /// of `baseline`, plus one) weighing `weights[pin]` (unit when
+    /// `None`), colored in walk order.
+    pub(crate) fn new(
+        chunks: &'a [EndGroups],
+        baseline: &'a [u64],
+        weights: Option<&'a [u64]>,
+    ) -> ByEnd<'a> {
+        ByEnd::with(chunks, baseline, weights.unwrap_or(&[]), false)
+    }
+
+    fn with(
+        chunks: &'a [EndGroups],
+        baseline: &'a [u64],
+        weights: &'a [u64],
+        keyed: bool,
+    ) -> ByEnd<'a> {
+        let unit = weights.is_empty()
+            || (chunks.iter()).all(|g| (0..g.starts.len()).all(|i| weights[g.key(i)] == 1));
+        ByEnd {
+            chunks,
+            baseline,
+            weights,
+            unit,
+            keyed,
+        }
+    }
+
+    /// The number of colors.
+    fn colors(&self) -> usize {
+        self.baseline.len()
+    }
+
+    /// The number of intervals.
+    pub(crate) fn len(&self) -> usize {
+        self.chunks.iter().map(|g| g.starts.len()).sum()
+    }
+
+    /// Every interval in walk order: its start and end, its chunk and its
+    /// position there.
+    pub(crate) fn intervals(&self) -> impl Iterator<Item = (u32, usize, &'a EndGroups, usize)> {
+        let chunks = self.chunks;
+        (0..self.colors()).flat_map(move |e| {
+            chunks.iter().flat_map(move |g| {
+                (g.by_end[e]..g.by_end[e + 1]).map(move |i| (g.starts[i], e, g, i))
+            })
+        })
+    }
+
+    /// The load of pin (or instance index) `key`: 1 on unit intervals.
+    pub(crate) fn weight(&self, key: usize) -> u64 {
+        if self.unit {
+            1
+        } else {
+            self.weights[key]
+        }
+    }
+
+    /// Where a coloring keeps the color of interval `i` of `g`, the
+    /// `r`-th walked.
+    fn slot(&self, r: usize, g: &EndGroups, i: usize) -> usize {
+        if self.keyed {
+            g.key(i)
+        } else {
+            r
+        }
+    }
+
+    /// One sweep: [`OpenColors::place`]s every interval in walk order,
+    /// weighing its load when `weighed` (else 1), and reports each
+    /// placement to `place(slot, color)`. The error is the end of the
+    /// first interval that finds no room.
+    fn sweep(
+        &self,
+        mut colors: OpenColors,
+        weighed: bool,
+        divisible: bool,
+        mut place: impl FnMut(usize, u32),
+    ) -> Result<(), u32> {
+        let mut r = 0;
+        for e in 0..colors.room.len() {
+            for g in self.chunks {
+                for i in g.by_end[e]..g.by_end[e + 1] {
+                    let load = if weighed { self.weight(g.key(i)) } else { 1 };
+                    let t = colors.place(g.starts[i], e, load, divisible);
+                    place(self.slot(r, g, i), t.ok_or(e as u32)?);
+                    r += 1;
+                }
             }
         }
+        Ok(())
+    }
+
+    /// One feasibility probe at `peak` over `baseline`: does a [`sweep`]
+    /// place every interval? The `divisible` (pour) probe is exact for
+    /// unit loads, however the intervals sharing an end are ordered; on
+    /// weighted loads it is the fractional relaxation, whose minimum
+    /// feasible peak is `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] +
+    /// B[i][j])/(j−i+1)⌉)` (Gale–Hoffman on contiguous windows), a true
+    /// lower bound for the integral weighted problem. The blocking (fit)
+    /// probe's success certifies an achievable peak; its failure does
+    /// not certify infeasibility.
+    ///
+    /// [`sweep`]: ByEnd::sweep
+    fn probe(&self, baseline: Option<&[u64]>, peak: u64, weighed: bool, divisible: bool) -> bool {
+        BCP_PROBES.add(1);
+        let colors = OpenColors::new(self.colors(), baseline, peak);
+        self.sweep(colors, weighed, divisible, |_, _| {}).is_ok()
+    }
+
+    /// Is the unit-load bound over the baseline at most `peak`? One pour
+    /// probe, which places the intervals only: a peak below the largest
+    /// baseline is infeasible before any is placed. The I-ordering
+    /// decides a candidate with it against the best value so far.
+    pub(crate) fn feasible(&self, peak: u64) -> bool {
+        self.baseline.iter().all(|&b| b <= peak)
+            && self.probe(Some(self.baseline), peak, false, true)
+    }
+
+    /// `max(floor, bound)` for the unit-load bound over the baseline: the
+    /// bound itself for any `floor` at or below it, certified like
+    /// [`BcpInstance::lower_bound`] from the ladder, the density
+    /// candidates and `floor`. The I-ordering certifies its winners with
+    /// it.
+    ///
+    /// The ladder is fed mirrored, color `t` as `C − 1 − t`. Either
+    /// orientation gives a valid warm start, but the aligned windows are
+    /// not mirror-symmetric, so the choice moves the probe count (never
+    /// the bound).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
+    pub(crate) fn certify(&self, floor: u64) -> Result<u64, BcpError> {
+        let c = self.colors();
+        if c == 0 {
+            return Ok(floor);
+        }
+        let last = c - 1;
+        let mut ladder = IncrementalBound::new();
+        for g in self.chunks {
+            for e in 0..c {
+                for &start in &g.starts[g.by_end[e]..g.by_end[e + 1]] {
+                    ladder.add_load(last - e, last - start as usize, 1);
+                }
+            }
+        }
+        for (t, &b) in self.baseline.iter().enumerate() {
+            ladder.add_baseline(last - t, b);
+        }
+        let k = self.len();
+        BCP_LADDER_LOADS.add((k + c) as u64);
+        let baseline = Some(self.baseline);
+        let lo = floor
+            .max(ladder.current())
+            .max(density_floor(c, baseline, k as u64));
+        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, MAX_PANEL, |p| {
+            self.probe(baseline, p, false, true)
+        })
+    }
+
+    /// The batch bound of the [`IncrementalBound`] ladder: the best
+    /// `⌈load / 2^l⌉` over every power-of-two aligned color window, each
+    /// interval weighing its load when `weighed` (else 1) — one pass
+    /// feeding each interval (and, `with_baseline`, each forced load) to
+    /// a ladder, which counts it once at its aligned level and folds the
+    /// pyramid.
+    fn ladder_best(&self, weighed: bool, with_baseline: bool) -> u64 {
+        let mut ladder = IncrementalBound::new();
+        for (start, end, g, i) in self.intervals() {
+            let load = if weighed { self.weight(g.key(i)) } else { 1 };
+            ladder.add_load(start as usize, end, load);
+        }
+        let colors = if with_baseline { self.colors() } else { 0 };
+        for (t, &b) in self.baseline[..colors].iter().enumerate() {
+            ladder.add_baseline(t, b);
+        }
+        BCP_LADDER_LOADS.add((self.len() + colors) as u64);
+        ladder.current()
+    }
+
+    /// The parametric lower-bound engine over `baseline` (none: the
+    /// paper's problem, loads ignored): start from the best cheap
+    /// candidate (the ladder — or for unit loads `warm` instead of it —
+    /// plus the max-baseline and global-density candidates, all true
+    /// lower bounds), then find the minimum feasible peak by
+    /// [`min_feasible_peak`] over pour probes. That minimum *is* the
+    /// windowed bound: below it some window is overfull (pigeonhole), at
+    /// it EDF succeeds (Hall). On weighted loads it is the fractional
+    /// bound; warm candidates stay valid there because loads are ≥ 1, so
+    /// any unit-load bound is below the weighted bound.
+    fn certified_bound(
+        &self,
+        baseline: Option<&[u64]>,
+        warm: Option<u64>,
+    ) -> Result<u64, BcpError> {
+        let c = self.colors();
+        if c == 0 {
+            return Ok(0);
+        }
+        let weighed = baseline.is_some() && !self.unit;
+        let (lo, total, what) = if weighed {
+            let ladder = self.ladder_best(true, true);
+            let total = (self.intervals()).fold(0u64, |a, (_, _, g, i)| {
+                a.saturating_add(self.weight(g.key(i)))
+            });
+            let what = "weighted BCP lower bound (exceeds u64)";
+            (warm.unwrap_or(0).max(ladder), total, what)
+        } else {
+            let lo = warm.unwrap_or_else(|| self.ladder_best(false, baseline.is_some()));
+            (lo, self.len() as u64, UNIT_BOUND_OVERFLOW)
+        };
+        let lo = lo.max(density_floor(c, baseline, total));
+        min_feasible_peak(lo, what, MAX_PANEL, |p| {
+            self.probe(baseline, p, weighed, true)
+        })
+    }
+
+    /// Colors by one fit sweep at `peak`; a missed interval reports
+    /// `peak` and its end.
+    fn color_at(
+        &self,
+        peak: u64,
+        baseline: Option<&[u64]>,
+        weighed: bool,
+    ) -> Result<Coloring, BcpError> {
+        let mut colors = vec![u32::MAX; self.len()];
+        let open = OpenColors::new(self.colors(), baseline, peak);
+        self.sweep(open, weighed, false, |slot, t| colors[slot] = t)
+            .map_err(|color| BcpError::Infeasible { peak, color })?;
+        Ok(Coloring { colors })
+    }
+
+    /// The verified peaks of `coloring` and its per-color interval loads,
+    /// checking every interval's color is inside its window.
+    fn color_loads(&self, coloring: &Coloring) -> Result<(VerifiedPeak, Vec<u64>), BcpError> {
+        check_length(coloring, self.len())?;
+        let mut load = vec![0u64; self.colors()];
+        for (r, (start, end, g, i)) in self.intervals().enumerate() {
+            let iv = Interval::new(start, end as u32);
+            let color = coloring.colors[self.slot(r, g, i)];
+            charge(&mut load, iv, color, self.weight(g.key(i)))?;
+        }
+        Ok((peaks(&load, self.baseline)?, load))
+    }
+
+    /// The generalized solve over the baseline, warmed by `warm` (see
+    /// [`BcpInstance::solve_with`]), coloring in walk order.
+    ///
+    /// # Errors
+    ///
+    /// As [`BcpInstance::solve_with`].
+    pub(crate) fn solve_with(&self, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
+        self.solve(Some(self.baseline), warm)
+    }
+
+    /// The solve; without a baseline, the paper's unit-load problem. A
+    /// unit solve colors at the bound, and its verified peak must equal
+    /// it (the optimality certificate; paper mode ignores loads, so on
+    /// weighted intervals its verified peak, which counts them, is not
+    /// compared). A weighted solve colors at the smallest
+    /// blocking-feasible peak at or above the fractional bound (a serial
+    /// [`min_feasible_peak`], as blocking feasibility need not be
+    /// monotone), then closes any remaining gap with a bounded exact
+    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
+    /// `peak == lower_bound` is not guaranteed beyond the search budget;
+    /// inside it the peak is exactly optimal (differential-tested against
+    /// the `dpfill-oracle` brute force).
+    fn solve(&self, baseline: Option<&[u64]>, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
+        let _span = minitrace::span_with(
+            "bcp.solve",
+            &[
+                ("intervals", self.len().into()),
+                ("colors", self.colors().into()),
+                ("unit", u64::from(self.unit).into()),
+            ],
+        );
+        let weighed = baseline.is_some() && !self.unit;
+        let lb = {
+            let _span = minitrace::span("bcp.bound");
+            self.certified_bound(baseline, warm)?
+        };
+        let target = if weighed {
+            let _span = minitrace::span("bcp.search");
+            min_feasible_peak(lb, "weighted BCP peak (exceeds u64)", 1, |p| {
+                self.probe(baseline, p, true, false)
+            })?
+        } else {
+            lb
+        };
+        let _span = minitrace::span("bcp.color");
+        let mut coloring = self.color_at(target, baseline, weighed)?;
+        let mut peak = self.color_loads(&coloring)?.0;
+        let achieved = baseline.map_or(peak.intervals_only, |_| peak.with_baseline);
+        if achieved != lb && self.unit {
+            return Err(BcpError::BoundNotMet {
+                bound: lb,
+                peak: achieved,
+            });
+        }
+        if weighed && peak.with_baseline > lb {
+            if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
+                let improved = Coloring { colors: improved };
+                let improved_peak = self.color_loads(&improved)?.0;
+                if improved_peak.with_baseline < peak.with_baseline {
+                    coloring = improved;
+                    peak = improved_peak;
+                }
+            }
+        }
+        Ok(BcpSolution {
+            coloring,
+            lower_bound: lb,
+            peak,
+        })
+    }
+
+    /// Bounded deterministic branch-and-bound over interval placements:
+    /// seeded with `seed_peak` (the greedy result, strict upper bound)
+    /// and cut off at `lb` (provably optimal when reached). Intervals
+    /// are visited tightest-deadline first, ties by start, then walk
+    /// order (an instance's index order within an end); the node budget
+    /// and depth gate bound worst-case work, so large instances simply
+    /// keep the greedy coloring. Entirely serial — identical at any
+    /// thread count.
+    fn exact_refine(&self, lb: u64, seed_peak: u64) -> Option<Vec<u32>> {
+        const NODE_BUDGET: u64 = 2_000_000;
+        const MAX_DEPTH: usize = 2_000;
+        let k = self.len();
+        if k == 0 || k > MAX_DEPTH || seed_peak <= lb {
+            return None;
+        }
+        // Each interval in walk order: (start, end, load, slot).
+        let items: Vec<(u32, u32, u64, usize)> = (self.intervals().enumerate())
+            .map(|(r, (s, e, g, i))| (s, e as u32, self.weight(g.key(i)), self.slot(r, g, i)))
+            .collect();
+        let mut order: Vec<u32> = (0..k as u32).collect();
+        order.sort_unstable_by_key(|&r| {
+            let (s, e, _, _) = items[r as usize];
+            (e, s, r)
+        });
+        struct Search<'a> {
+            items: &'a [(u32, u32, u64, usize)],
+            order: Vec<u32>,
+            load: Vec<u64>,
+            colors: Vec<u32>,
+            best: Option<Vec<u32>>,
+            best_peak: u64,
+            lb: u64,
+            budget: u64,
+        }
+        impl Search<'_> {
+            fn dfs(&mut self, depth: usize, cur_peak: u64) {
+                if self.best_peak == self.lb || self.budget == 0 {
+                    return;
+                }
+                if depth == self.order.len() {
+                    if cur_peak < self.best_peak {
+                        self.best_peak = cur_peak;
+                        self.best = Some(self.colors.clone());
+                    }
+                    return;
+                }
+                let (start, end, w, slot) = self.items[self.order[depth] as usize];
+                for t in start..=end {
+                    if self.budget == 0 {
+                        return;
+                    }
+                    self.budget -= 1;
+                    let at = t as usize;
+                    let new_load = self.load[at].saturating_add(w);
+                    // Prune: this color would already match the best peak.
+                    if new_load >= self.best_peak {
+                        continue;
+                    }
+                    self.load[at] = new_load;
+                    self.colors[slot] = t;
+                    self.dfs(depth + 1, cur_peak.max(new_load));
+                    self.load[at] = new_load - w;
+                    if self.best_peak == self.lb {
+                        return;
+                    }
+                }
+            }
+        }
+        let mut search = Search {
+            items: &items,
+            order,
+            // `load` carries the baseline, so per-color sums are the
+            // true objective directly.
+            load: self.baseline.to_vec(),
+            colors: vec![u32::MAX; k],
+            best: None,
+            best_peak: seed_peak,
+            lb,
+            budget: NODE_BUDGET,
+        };
+        let start_peak = search.load.iter().copied().max().unwrap_or(0);
+        search.dfs(0, start_peak);
+        search.best
+    }
+
+    /// The preference step after the solve: the slack shift of
+    /// [`BcpInstance::shift_within_slack`] at the solution's achieved
+    /// peak, over the `visits` in their order, then a verification of
+    /// the shifted coloring.
+    ///
+    /// # Errors
+    ///
+    /// [`BcpError::InvalidColoring`] when the solution's coloring is
+    /// malformed or above its own peak; [`BcpError::Overflow`] when
+    /// verification overflows.
+    pub(crate) fn shift_solution(
+        &self,
+        solution: &mut BcpSolution,
+        visits: impl Iterator<Item = Visit>,
+    ) -> Result<(), BcpError> {
+        let peak = solution.peak.with_baseline;
+        let (verified, mut load) = self.color_loads(&solution.coloring)?;
+        check_budget(verified, peak)?;
+        shift_toward(
+            &mut solution.coloring.colors,
+            &mut load,
+            self.baseline,
+            peak,
+            visits,
+        );
+        solution.peak = self.color_loads(&solution.coloring)?.0;
+        Ok(())
+    }
+}
+
+/// [`BcpError::InvalidColoring`] unless `coloring` has `len` colors.
+fn check_length(coloring: &Coloring, len: usize) -> Result<(), BcpError> {
+    if coloring.colors.len() != len {
+        return Err(BcpError::InvalidColoring(format!(
+            "{} colors for {len} intervals",
+            coloring.colors.len()
+        )));
     }
     Ok(())
 }
 
-/// One feasibility probe: does a [`sweep`] place every interval? The
-/// `divisible` (pour) probe is exact for unit loads, however the
-/// intervals sharing an end are ordered; on weighted loads it is the
-/// fractional relaxation, whose minimum feasible peak is `max(max_t
-/// baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)` (Gale–Hoffman on
-/// contiguous windows), a true lower bound for the integral weighted
-/// problem. The blocking (fit) probe's success certifies an achievable
-/// peak; its failure does not certify infeasibility.
-fn probe(chunks: &[EndGroups], loads: &[u64], colors: OpenColors, divisible: bool) -> bool {
-    BCP_PROBES.add(1);
-    sweep(chunks, loads, colors, divisible, |_, _| {}).is_ok()
+/// Adds `iv`'s load `w` to `color`'s, which must be inside `iv`.
+fn charge(load: &mut [u64], iv: Interval, color: u32, w: u64) -> Result<(), BcpError> {
+    if !iv.contains(color) {
+        return Err(BcpError::InvalidColoring(format!(
+            "interval {iv} colored {color}"
+        )));
+    }
+    let slot = &mut load[color as usize];
+    *slot = slot.checked_add(w).ok_or(BcpError::Overflow {
+        what: "verified peak (load + baseline)",
+    })?;
+    Ok(())
+}
+
+/// The peaks of per-color interval loads over `baseline`.
+fn peaks(load: &[u64], baseline: &[u64]) -> Result<VerifiedPeak, BcpError> {
+    let intervals_only = load.iter().copied().max().unwrap_or(0);
+    let mut with_baseline = baseline.iter().copied().max().unwrap_or(0);
+    for (l, b) in load.iter().zip(baseline) {
+        let peak = l.checked_add(*b).ok_or(BcpError::Overflow {
+            what: "verified peak (load + baseline)",
+        })?;
+        with_baseline = with_baseline.max(peak);
+    }
+    Ok(VerifiedPeak {
+        with_baseline,
+        intervals_only,
+    })
+}
+
+/// [`BcpError::InvalidColoring`] when a coloring's verified peak is
+/// above the shift budget `peak`.
+fn check_budget(verified: VerifiedPeak, peak: u64) -> Result<(), BcpError> {
+    if verified.with_baseline > peak {
+        return Err(BcpError::InvalidColoring(format!(
+            "verified peak {} exceeds shift budget {peak}",
+            verified.with_baseline
+        )));
+    }
+    Ok(())
+}
+
+/// Moves each visited interval `(slot, to, load)` of `colors`, whose
+/// per-color interval loads are `load`, to the farthest color toward
+/// `to` that still fits under `peak` over `baseline` (or leaves it).
+fn shift_toward(
+    colors: &mut [u32],
+    load: &mut [u64],
+    baseline: &[u64],
+    peak: u64,
+    visits: impl Iterator<Item = Visit>,
+) {
+    for (slot, to, w) in visits {
+        let (cur, to) = (colors[slot] as usize, to as usize);
+        load[cur] -= w;
+        let fits = |t: &usize| baseline[*t].saturating_add(load[*t]).saturating_add(w) <= peak;
+        let moved = if to > cur {
+            (cur + 1..=to).rev().find(fits)
+        } else {
+            (to..cur).find(fits)
+        };
+        let chosen = moved.unwrap_or(cur);
+        load[chosen] += w;
+        colors[slot] = chosen as u32;
+    }
 }
 
 /// The open colors of one sweep: a union-find over the colors `0..=C`
@@ -401,67 +1018,6 @@ impl OpenColors {
             t = self.find(t);
         }
         None
-    }
-}
-
-/// An instance's intervals in `(end, index)` order: start, interval
-/// index and (weighted only) load. An instance already in that order
-/// (the analyzer's `(end, pin)` order) is read in place, with no
-/// scatter and the identity as its index; any other is counting-sorted
-/// by end once per call.
-struct ByEnd {
-    groups: EndGroups,
-    /// Empty when the instance is already in end order.
-    index: Vec<u32>,
-    /// Empty on unit instances.
-    loads: Vec<u64>,
-}
-
-impl ByEnd {
-    fn new(inst: &BcpInstance) -> ByEnd {
-        let mut by_end = vec![0usize; inst.num_colors + 1];
-        for iv in &inst.intervals {
-            by_end[iv.end() as usize + 1] += 1;
-        }
-        for e in 1..by_end.len() {
-            by_end[e] += by_end[e - 1];
-        }
-        if inst.intervals.is_sorted_by_key(|iv| iv.end()) {
-            let starts = inst.intervals.iter().map(|iv| iv.start()).collect();
-            return ByEnd {
-                groups: EndGroups { starts, by_end },
-                index: Vec::new(),
-                loads: inst.loads.clone(),
-            };
-        }
-        let k = inst.intervals.len();
-        let mut next = by_end.clone();
-        let (mut starts, mut index) = (vec![0u32; k], vec![0u32; k]);
-        let mut loads = vec![0u64; inst.loads.len()];
-        for (i, iv) in inst.intervals.iter().enumerate() {
-            let r = next[iv.end() as usize];
-            next[iv.end() as usize] += 1;
-            starts[r] = iv.start();
-            index[r] = i as u32;
-            if let Some(&w) = inst.loads.get(i) {
-                loads[r] = w;
-            }
-        }
-        ByEnd {
-            groups: EndGroups { starts, by_end },
-            index,
-            loads,
-        }
-    }
-
-    /// The instance index of sweep position `r`.
-    fn interval(&self, r: usize) -> usize {
-        self.index.get(r).map_or(r, |&i| i as usize)
-    }
-
-    /// The loads a sweep weighs: none (unit) in the paper's problem.
-    fn loads(&self, baseline: Option<&[u64]>) -> &[u64] {
-        baseline.map_or(&[], |_| &self.loads)
     }
 }
 
@@ -539,80 +1095,6 @@ fn min_feasible_peak(
         }
     }
     Ok(good)
-}
-
-/// The generalized unit-load lower bound of an interval multiset over a
-/// per-color baseline, without a [`BcpInstance`]: the same value
-/// [`BcpInstance::lower_bound`] certifies for the instance those
-/// intervals and that baseline would build (the bound depends only on
-/// the multiset), from the same engine. The I-ordering scores its
-/// candidate orders through it: one probe decides whether a candidate
-/// beats a value, and only a winner is certified.
-///
-/// It probes the scan's per-chunk groups in place: a unit probe does not
-/// depend on the order of the intervals sharing an end.
-pub(crate) struct UnitBound {
-    chunks: Vec<EndGroups>,
-    baseline: Vec<u64>,
-}
-
-impl UnitBound {
-    /// The intervals of `chunks` (inclusive colors) over `baseline`, one
-    /// entry per color.
-    pub(crate) fn new(chunks: Vec<EndGroups>, baseline: Vec<u64>) -> UnitBound {
-        UnitBound { chunks, baseline }
-    }
-
-    /// Is the bound at most `peak`? One pour probe, which places the
-    /// intervals only: a peak below the largest baseline is infeasible
-    /// before any is placed.
-    pub(crate) fn feasible(&self, peak: u64) -> bool {
-        self.baseline.iter().all(|&b| b <= peak) && self.pour(peak)
-    }
-
-    /// The pour [`probe`] at `peak`.
-    fn pour(&self, peak: u64) -> bool {
-        let colors = OpenColors::new(self.baseline.len(), Some(&self.baseline), peak);
-        probe(&self.chunks, &[], colors, true)
-    }
-
-    /// `max(floor, bound)`: the bound itself for any `floor` at or
-    /// below it, certified like [`BcpInstance::lower_bound`] from the
-    /// ladder, the density candidates and `floor`.
-    ///
-    /// The ladder is fed mirrored, color `t` as `C − 1 − t`. Either
-    /// orientation gives a valid warm start, but the aligned windows are
-    /// not mirror-symmetric, so the choice moves the probe count (never
-    /// the bound).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
-    pub(crate) fn certify(&self, floor: u64) -> Result<u64, BcpError> {
-        let c = self.baseline.len();
-        if c == 0 {
-            return Ok(floor);
-        }
-        let last = c - 1;
-        let mut ladder = IncrementalBound::new();
-        for g in &self.chunks {
-            for e in 0..c {
-                for &start in &g.starts[g.by_end[e]..g.by_end[e + 1]] {
-                    ladder.add_load(last - e, last - start as usize, 1);
-                }
-            }
-        }
-        for (t, &b) in self.baseline.iter().enumerate() {
-            ladder.add_baseline(last - t, b);
-        }
-        let k: usize = self.chunks.iter().map(|g| g.starts.len()).sum();
-        BCP_LADDER_LOADS.add((k + c) as u64);
-        let baseline = Some(self.baseline.as_slice());
-        let lo = floor
-            .max(ladder.current())
-            .max(density_floor(c, baseline, k as u64));
-        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, MAX_PANEL, |p| self.pour(p))
-    }
 }
 
 /// A BCP instance: intervals over `num_colors` colors plus optional
@@ -833,6 +1315,52 @@ impl BcpInstance {
         &self.baseline
     }
 
+    /// The intervals grouped by end and keyed by index: read in place
+    /// when already in end order (the mapping's order), else
+    /// counting-sorted by end, stably.
+    fn groups(&self) -> EndGroups {
+        let mut by_end = vec![0usize; self.num_colors + 1];
+        for iv in &self.intervals {
+            by_end[iv.end() as usize + 1] += 1;
+        }
+        for e in 1..by_end.len() {
+            by_end[e] += by_end[e - 1];
+        }
+        if self.intervals.is_sorted_by_key(|iv| iv.end()) {
+            let starts = self.intervals.iter().map(|iv| iv.start()).collect();
+            return EndGroups {
+                starts,
+                by_end,
+                ..EndGroups::default()
+            };
+        }
+        let k = self.intervals.len();
+        let mut next = by_end.clone();
+        let (mut starts, mut keys) = (vec![0u32; k], vec![0u32; k]);
+        for (i, iv) in self.intervals.iter().enumerate() {
+            let r = next[iv.end() as usize];
+            next[iv.end() as usize] += 1;
+            starts[r] = iv.start();
+            keys[r] = i as u32;
+        }
+        EndGroups {
+            starts,
+            by_end,
+            keys,
+            lefts: Vec::new(),
+        }
+    }
+
+    /// The sweep input of this instance's `groups`, coloring by index.
+    fn by_end<'a>(&'a self, groups: &'a EndGroups) -> ByEnd<'a> {
+        ByEnd::with(
+            std::slice::from_ref(groups),
+            &self.baseline,
+            &self.loads,
+            true,
+        )
+    }
+
     /// The paper's Algorithm 1 bound (baseline ignored), computed by
     /// the sub-quadratic parametric engine. Equal to the Algorithm 1 row
     /// DP without the baseline wherever the DP does not overflow
@@ -842,7 +1370,8 @@ impl BcpInstance {
     ///
     /// Returns [`BcpError::Overflow`] when the bound exceeds `u64`.
     pub fn lower_bound_paper(&self) -> Result<u64, BcpError> {
-        self.certified_bound(&ByEnd::new(self), None, None)
+        let groups = self.groups();
+        self.by_end(&groups).certified_bound(None, None)
     }
 
     /// Generalized lower bound for the true objective
@@ -860,82 +1389,9 @@ impl BcpInstance {
     /// though the integral weighted optimum may exceed it (the problem
     /// is NP-hard).
     pub fn lower_bound(&self) -> Result<u64, BcpError> {
-        self.certified_bound(&ByEnd::new(self), Some(&self.baseline), None)
-    }
-
-    /// The batch bound of the [`IncrementalBound`] ladder: the best
-    /// `⌈load / 2^l⌉` over every power-of-two aligned color window,
-    /// with interval `i` weighing `load(i)` — one pass feeding each
-    /// interval (and, `with_baseline`, each forced load) to a ladder,
-    /// which counts it once at its aligned level and folds the pyramid.
-    fn ladder_best(&self, load: impl Fn(usize) -> u64, with_baseline: bool) -> u64 {
-        let mut ladder = IncrementalBound::new();
-        for (i, iv) in self.intervals.iter().enumerate() {
-            ladder.add_load(iv.start() as usize, iv.end() as usize, load(i));
-        }
-        if with_baseline {
-            for (t, &b) in self.baseline.iter().enumerate() {
-                ladder.add_baseline(t, b);
-            }
-        }
-        let colors = if with_baseline { self.num_colors } else { 0 };
-        BCP_LADDER_LOADS.add((self.intervals.len() + colors) as u64);
-        ladder.current()
-    }
-
-    /// The parametric lower-bound engine: start from the best cheap
-    /// candidate (the ladder — or for unit loads `warm` instead of it —
-    /// plus the max-baseline and global-density candidates, all true
-    /// lower bounds), then find the minimum feasible peak by
-    /// [`min_feasible_peak`] over pour [`probe`]s. That minimum *is* the
-    /// windowed bound: below it some window is overfull (pigeonhole), at
-    /// it EDF succeeds (Hall). On weighted loads it is the fractional
-    /// bound; warm candidates stay valid there because loads are ≥ 1, so
-    /// any unit-load bound is below the weighted bound.
-    fn certified_bound(
-        &self,
-        by_end: &ByEnd,
-        baseline: Option<&[u64]>,
-        warm: Option<u64>,
-    ) -> Result<u64, BcpError> {
-        let c = self.num_colors;
-        if c == 0 {
-            return Ok(0);
-        }
-        let loads = by_end.loads(baseline);
-        let (lo, total, what) = if loads.is_empty() {
-            let lo = warm.unwrap_or_else(|| self.ladder_best(|_| 1, baseline.is_some()));
-            (lo, self.intervals.len() as u64, UNIT_BOUND_OVERFLOW)
-        } else {
-            let ladder = self.ladder_best(|i| self.interval_load(i), true);
-            let total = loads.iter().fold(0u64, |a, &w| a.saturating_add(w));
-            let what = "weighted BCP lower bound (exceeds u64)";
-            (warm.unwrap_or(0).max(ladder), total, what)
-        };
-        let lo = lo.max(density_floor(c, baseline, total));
-        let chunks = std::slice::from_ref(&by_end.groups);
-        min_feasible_peak(lo, what, MAX_PANEL, |p| {
-            probe(chunks, loads, OpenColors::new(c, baseline, p), true)
-        })
-    }
-
-    /// Colors by one fit [`sweep`] at `peak`; a missed interval reports
-    /// `peak` and its end.
-    fn color_at(
-        &self,
-        by_end: &ByEnd,
-        peak: u64,
-        baseline: Option<&[u64]>,
-        loads: &[u64],
-    ) -> Result<Coloring, BcpError> {
-        let mut colors = vec![u32::MAX; self.intervals.len()];
-        let open = OpenColors::new(self.num_colors, baseline, peak);
-        let chunks = std::slice::from_ref(&by_end.groups);
-        sweep(chunks, loads, open, false, |r, t| {
-            colors[by_end.interval(r)] = t
-        })
-        .map_err(|color| BcpError::Infeasible { peak, color })?;
-        Ok(Coloring { colors })
+        let groups = self.groups();
+        self.by_end(&groups)
+            .certified_bound(Some(&self.baseline), None)
     }
 
     /// Algorithm 2: earliest-deadline greedy coloring with a per-color
@@ -947,7 +1403,8 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] if `lb` is below the true lower
     /// bound (cannot happen when `lb = self.lower_bound_paper()`).
     pub fn color_greedy_paper(&self, lb: u64) -> Result<Coloring, BcpError> {
-        self.color_at(&ByEnd::new(self), lb, None, &[])
+        let groups = self.groups();
+        self.by_end(&groups).color_at(lb, None, false)
     }
 
     /// Earliest-deadline-first coloring with per-color capacity
@@ -959,7 +1416,9 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when `peak` is below the
     /// generalized lower bound.
     pub fn color_edf(&self, peak: u64) -> Result<Coloring, BcpError> {
-        self.color_at(&ByEnd::new(self), peak, Some(&self.baseline), &[])
+        let groups = self.groups();
+        self.by_end(&groups)
+            .color_at(peak, Some(&self.baseline), false)
     }
 
     /// Weighted [`BcpInstance::color_edf`]: blocking-EDF sweep with
@@ -972,8 +1431,9 @@ impl BcpInstance {
     /// Returns [`BcpError::Infeasible`] when the blocking sweep cannot
     /// meet `peak`.
     pub fn color_edf_weighted(&self, peak: u64) -> Result<Coloring, BcpError> {
-        let by_end = ByEnd::new(self);
-        self.color_at(&by_end, peak, Some(&self.baseline), &by_end.loads)
+        let groups = self.groups();
+        self.by_end(&groups)
+            .color_at(peak, Some(&self.baseline), true)
     }
 
     /// Verifies a coloring: every interval colored inside its window.
@@ -985,39 +1445,18 @@ impl BcpInstance {
     /// malformed and [`BcpError::Overflow`] when an achieved per-color
     /// peak exceeds `u64`.
     pub fn verify(&self, coloring: &Coloring) -> Result<VerifiedPeak, BcpError> {
-        if coloring.colors.len() != self.intervals.len() {
-            return Err(BcpError::InvalidColoring(format!(
-                "{} colors for {} intervals",
-                coloring.colors.len(),
-                self.intervals.len()
-            )));
-        }
+        Ok(self.color_loads(coloring)?.0)
+    }
+
+    /// [`BcpInstance::verify`] in instance order, with the per-color
+    /// interval loads.
+    fn color_loads(&self, coloring: &Coloring) -> Result<(VerifiedPeak, Vec<u64>), BcpError> {
+        check_length(coloring, self.intervals.len())?;
         let mut load = vec![0u64; self.num_colors];
-        for (i, (iv, &color)) in self.intervals.iter().zip(&coloring.colors).enumerate() {
-            if !iv.contains(color) {
-                return Err(BcpError::InvalidColoring(format!(
-                    "interval {iv} colored {color}"
-                )));
-            }
-            let slot = &mut load[color as usize];
-            *slot = slot
-                .checked_add(self.interval_load(i))
-                .ok_or(BcpError::Overflow {
-                    what: "verified peak (load + baseline)",
-                })?;
+        for (i, (&iv, &color)) in self.intervals.iter().zip(&coloring.colors).enumerate() {
+            charge(&mut load, iv, color, self.interval_load(i))?;
         }
-        let intervals_only = load.iter().copied().max().unwrap_or(0);
-        let mut with_baseline = self.baseline.iter().copied().max().unwrap_or(0);
-        for (l, b) in load.iter().zip(&self.baseline) {
-            let peak = l.checked_add(*b).ok_or(BcpError::Overflow {
-                what: "verified peak (load + baseline)",
-            })?;
-            with_baseline = with_baseline.max(peak);
-        }
-        Ok(VerifiedPeak {
-            with_baseline,
-            intervals_only,
-        })
+        Ok((peaks(&load, &self.baseline)?, load))
     }
 
     /// Secondary-objective tie-break: shifts each interval as far as
@@ -1060,59 +1499,24 @@ impl BcpInstance {
                 self.intervals.len()
             )));
         }
-        let verified = self.verify(coloring)?;
-        if verified.with_baseline > peak {
-            return Err(BcpError::InvalidColoring(format!(
-                "verified peak {} exceeds shift budget {peak}",
-                verified.with_baseline
-            )));
-        }
-        let mut load = vec![0u64; self.num_colors];
-        for (i, &color) in coloring.colors.iter().enumerate() {
-            // verify() above proved these sums fit in u64.
-            load[color as usize] += self.interval_load(i);
-        }
-        let mut colors = coloring.colors.clone();
-        for i in walk {
-            let dir = desire[i];
-            if dir == 0 {
-                continue;
-            }
+        let (verified, mut load) = self.color_loads(coloring)?;
+        check_budget(verified, peak)?;
+        let visits = walk.filter_map(|i| {
             let iv = self.intervals[i];
-            let w = self.interval_load(i);
-            let cur = colors[i] as usize;
-            load[cur] -= w;
-            let fits = |t: usize, load: &[u64]| {
-                self.baseline[t].saturating_add(load[t]).saturating_add(w) <= peak
+            let to = match desire[i] {
+                0 => return None,
+                d if d > 0 => iv.end(),
+                _ => iv.start(),
             };
-            let mut chosen = cur;
-            if dir > 0 {
-                // Farthest color to the right that still fits.
-                let mut t = iv.end() as usize;
-                while t > cur {
-                    if fits(t, &load) {
-                        chosen = t;
-                        break;
-                    }
-                    t -= 1;
-                }
-            } else {
-                // Farthest color to the left that still fits.
-                for t in iv.start() as usize..cur {
-                    if fits(t, &load) {
-                        chosen = t;
-                        break;
-                    }
-                }
-            }
-            load[chosen] += w;
-            colors[i] = chosen as u32;
-        }
+            Some((i, to, self.interval_load(i)))
+        });
+        let mut colors = coloring.colors.clone();
+        shift_toward(&mut colors, &mut load, &self.baseline, peak, visits);
         Ok(Coloring { colors })
     }
 
-    /// The preference step both fill pipelines run after the solve:
-    /// the slack shift at the solution's achieved peak, visiting the
+    /// The preference step of the library's DP-fill after the solve: the
+    /// slack shift at the solution's achieved peak, visiting the
     /// intervals in the order `walk`, then [`BcpInstance::verify`] of
     /// the shifted coloring.
     pub(crate) fn shift_solution(
@@ -1157,156 +1561,8 @@ impl BcpInstance {
     /// coloring's verified peak differs from the certified bound) would
     /// indicate a solver bug.
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
-        self.solve_by(Some(&self.baseline), opts.warm_lb)
-    }
-
-    /// The solve; without a baseline, the paper's unit-load problem. A
-    /// unit solve colors at the bound, and its verified peak must equal
-    /// it (the optimality certificate; paper mode ignores loads, so on
-    /// weighted instances its verified peak, which counts them, is not
-    /// compared). A weighted solve colors at the smallest
-    /// blocking-feasible peak at or above the fractional bound (a serial
-    /// [`min_feasible_peak`], as blocking feasibility need not be
-    /// monotone), then closes any remaining gap with a bounded exact
-    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
-    /// `peak == lower_bound` is not guaranteed beyond the search budget;
-    /// inside it the peak is exactly optimal (differential-tested against
-    /// the `dpfill-oracle` brute force).
-    fn solve_by(
-        &self,
-        baseline: Option<&[u64]>,
-        warm: Option<u64>,
-    ) -> Result<BcpSolution, BcpError> {
-        let _span = minitrace::span_with(
-            "bcp.solve",
-            &[
-                ("intervals", self.intervals.len().into()),
-                ("colors", self.num_colors.into()),
-                ("unit", u64::from(self.is_unit()).into()),
-            ],
-        );
-        let by_end = ByEnd::new(self);
-        let loads = by_end.loads(baseline);
-        let lb = {
-            let _span = minitrace::span("bcp.bound");
-            self.certified_bound(&by_end, baseline, warm)?
-        };
-        let target = if loads.is_empty() {
-            lb
-        } else {
-            let _span = minitrace::span("bcp.search");
-            let chunks = std::slice::from_ref(&by_end.groups);
-            min_feasible_peak(lb, "weighted BCP peak (exceeds u64)", 1, |p| {
-                let colors = OpenColors::new(self.num_colors, baseline, p);
-                probe(chunks, loads, colors, false)
-            })?
-        };
-        let _span = minitrace::span("bcp.color");
-        let mut coloring = self.color_at(&by_end, target, baseline, loads)?;
-        let mut peak = self.verify(&coloring)?;
-        let achieved = baseline.map_or(peak.intervals_only, |_| peak.with_baseline);
-        if achieved != lb && self.is_unit() {
-            return Err(BcpError::BoundNotMet {
-                bound: lb,
-                peak: achieved,
-            });
-        }
-        if !loads.is_empty() && peak.with_baseline > lb {
-            if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
-                let improved = Coloring { colors: improved };
-                let improved_peak = self.verify(&improved)?;
-                if improved_peak.with_baseline < peak.with_baseline {
-                    coloring = improved;
-                    peak = improved_peak;
-                }
-            }
-        }
-        Ok(BcpSolution {
-            coloring,
-            lower_bound: lb,
-            peak,
-        })
-    }
-
-    /// Bounded deterministic branch-and-bound over interval placements:
-    /// seeded with `seed_peak` (the greedy result, strict upper bound)
-    /// and cut off at `lb` (provably optimal when reached). Intervals
-    /// are visited tightest-deadline first; the node budget and depth
-    /// gate bound worst-case work, so large instances simply keep the
-    /// greedy coloring. Entirely serial — identical at any thread count.
-    fn exact_refine(&self, lb: u64, seed_peak: u64) -> Option<Vec<u32>> {
-        const NODE_BUDGET: u64 = 2_000_000;
-        const MAX_DEPTH: usize = 2_000;
-        let k = self.intervals.len();
-        if k == 0 || k > MAX_DEPTH || seed_peak <= lb {
-            return None;
-        }
-        let mut order: Vec<u32> = (0..k as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let iv = self.intervals[i as usize];
-            (iv.end(), iv.start(), i)
-        });
-        struct Search<'a> {
-            inst: &'a BcpInstance,
-            order: Vec<u32>,
-            load: Vec<u64>,
-            colors: Vec<u32>,
-            best: Option<Vec<u32>>,
-            best_peak: u64,
-            lb: u64,
-            budget: u64,
-        }
-        impl Search<'_> {
-            fn dfs(&mut self, depth: usize, cur_peak: u64) {
-                if self.best_peak == self.lb || self.budget == 0 {
-                    return;
-                }
-                if depth == self.order.len() {
-                    if cur_peak < self.best_peak {
-                        self.best_peak = cur_peak;
-                        self.best = Some(self.colors.clone());
-                    }
-                    return;
-                }
-                let idx = self.order[depth] as usize;
-                let iv = self.inst.intervals[idx];
-                let w = self.inst.interval_load(idx);
-                for t in iv.start()..=iv.end() {
-                    if self.budget == 0 {
-                        return;
-                    }
-                    self.budget -= 1;
-                    let slot = t as usize;
-                    let new_load = self.load[slot].saturating_add(w);
-                    // Prune: this color would already match the best peak.
-                    if new_load >= self.best_peak {
-                        continue;
-                    }
-                    self.load[slot] = new_load;
-                    self.colors[idx] = t;
-                    self.dfs(depth + 1, cur_peak.max(new_load));
-                    self.load[slot] = new_load - w;
-                    if self.best_peak == self.lb {
-                        return;
-                    }
-                }
-            }
-        }
-        let mut search = Search {
-            inst: self,
-            order,
-            // `load` carries the baseline, so per-color sums are the
-            // true objective directly.
-            load: self.baseline.clone(),
-            colors: vec![u32::MAX; k],
-            best: None,
-            best_peak: seed_peak,
-            lb,
-            budget: NODE_BUDGET,
-        };
-        let start_peak = search.load.iter().copied().max().unwrap_or(0);
-        search.dfs(0, start_peak);
-        search.best
+        let groups = self.groups();
+        self.by_end(&groups).solve_with(opts.warm_lb)
     }
 
     /// Solves with the generalized (baseline-aware) algorithm and no
@@ -1332,7 +1588,8 @@ impl BcpInstance {
     /// [`BcpError::Infeasible`] or [`BcpError::BoundNotMet`] would
     /// indicate a solver bug.
     pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
-        self.solve_by(None, None)
+        let groups = self.groups();
+        self.by_end(&groups).solve(None, None)
     }
 }
 
@@ -1559,15 +1816,17 @@ mod tests {
                     inst.set_baseline((0..c).map(|_| next(max_base)).collect())
                         .unwrap();
                 }
+                let groups = inst.groups();
+                let by_end = inst.by_end(&groups);
                 for with_baseline in [false, true] {
                     let load = |i| inst.interval_load(i);
                     assert_eq!(
-                        inst.ladder_best(load, with_baseline),
+                        by_end.ladder_best(true, with_baseline),
                         ladder_per_level(&inst, load, with_baseline),
                         "c {c} k {k} loads <= {max_load} baseline < {max_base}"
                     );
                     assert_eq!(
-                        inst.ladder_best(|_| 1, with_baseline),
+                        by_end.ladder_best(false, with_baseline),
                         ladder_per_level(&inst, |_| 1, with_baseline)
                     );
                 }
@@ -1581,11 +1840,10 @@ mod tests {
         }
         inst.set_baseline(vec![u64::MAX; 5]).unwrap();
         let load = |i| inst.interval_load(i);
-        assert_eq!(inst.ladder_best(load, true), u64::MAX);
-        assert_eq!(
-            inst.ladder_best(load, true),
-            ladder_per_level(&inst, load, true)
-        );
+        let groups = inst.groups();
+        let best = inst.by_end(&groups).ladder_best(true, true);
+        assert_eq!(best, u64::MAX);
+        assert_eq!(best, ladder_per_level(&inst, load, true));
     }
 
     #[test]
@@ -1623,10 +1881,14 @@ mod tests {
                             by_end[t + 1] += by_end[t];
                         }
                         let starts = pairs.iter().map(|&(s, _)| s).collect();
-                        EndGroups { starts, by_end }
+                        EndGroups {
+                            starts,
+                            by_end,
+                            ..EndGroups::default()
+                        }
                     })
                     .collect();
-                let bound = UnitBound::new(groups, baseline);
+                let bound = ByEnd::new(&groups, &baseline, None);
                 let lb = inst.lower_bound().unwrap();
                 assert_eq!(bound.certify(0).unwrap(), lb, "c {c} k {k}");
                 assert_eq!(bound.certify(lb + 3).unwrap(), lb + 3, "c {c} k {k}");
@@ -1647,6 +1909,73 @@ mod tests {
         );
         let boxed: Box<dyn Error> = Box::new(err.clone());
         assert_eq!(boxed.to_string(), err.to_string());
+    }
+
+    /// The fold [`IncrementalBound::current`] keeps, taken afresh:
+    /// every level's windows summed from their two halves.
+    fn fresh_fold(ladder: &IncrementalBound) -> u64 {
+        let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+        let mut best = 0u64;
+        let mut below: Vec<u64> = Vec::new();
+        for (l, own) in ladder.levels.iter().enumerate() {
+            below = (0..own.len().max(below.len().div_ceil(2)))
+                .map(|q| {
+                    at(own, q)
+                        .saturating_add(at(&below, 2 * q))
+                        .saturating_add(at(&below, 2 * q + 1))
+                })
+                .collect();
+            best = below.iter().fold(best, |b, &n| b.max(n.div_ceil(1 << l)));
+        }
+        best
+    }
+
+    #[test]
+    fn incremental_fold_matches_a_fresh_fold_after_every_add() {
+        let mut seed = 0xF01Du64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x14057B7EF767814F);
+            (seed >> 33) % m
+        };
+        // Loads, forced loads and window deltas land anywhere, in any
+        // order, and heavy ones saturate the coarse levels; reads come
+        // after every add, or only now and then.
+        for (colors, max_load, every) in [
+            (1u64, 3u64, 1u64),
+            (9, 3, 1),
+            (300, 5, 1),
+            (5000, 2, 1),
+            (5000, 2, 7),
+            (300, u64::MAX / 3, 1),
+        ] {
+            let mut ladder = IncrementalBound::new();
+            for step in 0..600u64 {
+                let hi = next(colors) as usize;
+                let lo = hi - next(hi as u64 + 1) as usize;
+                match next(3) {
+                    0 => ladder.add_load(lo, hi, 1 + next(max_load)),
+                    1 => ladder.add_baseline(hi, 1 + next(max_load)),
+                    _ => {
+                        let mut delta = LadderDelta::new(lo);
+                        for _ in 0..next(6) {
+                            let end = lo + next((colors - lo as u64).min(40)) as usize;
+                            delta.add_unit(end - next(end as u64 + 1) as usize, end);
+                        }
+                        ladder.absorb(delta);
+                    }
+                }
+                if step % every == 0 {
+                    assert_eq!(
+                        ladder.current(),
+                        fresh_fold(&ladder),
+                        "{colors} colors, step {step}"
+                    );
+                }
+            }
+            assert_eq!(ladder.current(), fresh_fold(&ladder), "{colors} colors");
+        }
     }
 
     #[test]
@@ -1807,5 +2136,128 @@ mod tests {
         assert!(inst
             .shift_within_slack(&sol.coloring, &[0, 0, 0], 0)
             .is_err());
+    }
+}
+
+/// The in-place solve of an analysis against the public instance its
+/// stretches expand to: wide sets scan as several chunks, fed window by
+/// window, under unit and weighted loads and a fill-value preference.
+#[cfg(test)]
+mod in_place {
+    use dpfill_cubes::gen::random_cube_set;
+    use dpfill_cubes::Bit;
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::mapping::shift_preferred;
+    use crate::stream::analyze::{Analyzer, Keep};
+
+    /// The instance's colors listed in walk order through `walk_of`, the
+    /// walk position of each instance interval.
+    fn walk_colors(coloring: &Coloring, walk_of: &[usize]) -> Vec<u32> {
+        let mut colors = vec![u32::MAX; walk_of.len()];
+        for (j, &r) in walk_of.iter().enumerate() {
+            colors[r] = coloring.colors()[j];
+        }
+        colors
+    }
+
+    fn check(width: usize, count: usize, density: f64, seed: u64, window: usize, loads: u8) {
+        let cubes = random_cube_set(width, count, density, seed);
+        let weights: Option<Vec<u64>> =
+            (loads > 0).then(|| (0..width as u64).map(|p| 1 + (p * 7 + seed) % 5).collect());
+        let preferred: Option<Vec<Bit>> = (loads == 2).then(|| {
+            (0..width)
+                .map(|p| [Bit::Zero, Bit::One, Bit::X][(p + seed as usize) % 3])
+                .collect()
+        });
+        let keep = if loads == 2 { Keep::Lefts } else { Keep::Pins };
+        let mut analyzer = Analyzer::new(width, weights.clone(), keep);
+        for w in cubes.as_packed().cubes().chunks(window) {
+            analyzer.ingest(w);
+        }
+        let a = analyzer.finish();
+        assert!(a.chunks.len() > 1, "{} chunk", a.chunks.len());
+        let stretches = a.by_end(weights.as_deref());
+        // The expanded instance lists the stretches by (pin, start): the
+        // instance sorts them back by end, and within an end its index
+        // order is the walk's pin order. Stretches match by (end, pin).
+        let mut sites: Vec<(u32, u32, u32, usize)> = (stretches.intervals().enumerate())
+            .map(|(r, (start, end, g, i))| (g.keys[i], start, end as u32, r))
+            .collect();
+        sites.sort_unstable();
+        let mut inst = BcpInstance::new(a.baseline.len());
+        inst.set_baseline(a.baseline.clone()).unwrap();
+        for &(pin, start, end, _) in &sites {
+            let w = weights.as_ref().map_or(1, |w| w[pin as usize]);
+            inst.add_weighted_interval(Interval::new(start, end), w)
+                .unwrap();
+        }
+        let walk_of: Vec<usize> = sites.iter().map(|s| s.3).collect();
+        let opts = SolveOptions {
+            warm_lb: Some(a.warm_lb),
+        };
+        let (mut got, mut want) = match (stretches.solve_with(opts.warm_lb), inst.solve_with(&opts))
+        {
+            (Ok(got), Ok(want)) => (got, want),
+            (got, want) => {
+                assert_eq!(got.err(), want.err());
+                return;
+            }
+        };
+        assert_eq!(got.lower_bound, want.lower_bound);
+        assert_eq!(got.peak, want.peak);
+        assert_eq!(got.coloring.colors(), walk_colors(&want.coloring, &walk_of));
+        // Below the bound the sweeps miss the same deadline.
+        if let Some(peak) = got.lower_bound.checked_sub(1) {
+            let weighed = !stretches.unit;
+            let below = stretches.color_at(peak, Some(&a.baseline), weighed);
+            let expected = match weighed {
+                true => inst.color_edf_weighted(peak),
+                false => inst.color_edf(peak),
+            };
+            match (below, expected) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.colors(), walk_colors(&want, &walk_of))
+                }
+                (got, want) => assert_eq!(got.err(), want.err()),
+            }
+        }
+        if let Some(preferred) = preferred {
+            shift_preferred(&stretches, &mut got, &preferred).unwrap();
+            let desire: Vec<i8> = (sites.iter())
+                .map(|&(pin, _, _, r)| {
+                    let (_, _, g, i) = stretches.intervals().nth(r).unwrap();
+                    match preferred[pin as usize] {
+                        Bit::X => 0,
+                        p if p == Bit::from_bool(g.lefts[i]) => 1,
+                        _ => -1,
+                    }
+                })
+                .collect();
+            let walk: Vec<u32> = (0..sites.len() as u32).collect();
+            inst.shift_solution(&mut want, &desire, &walk).unwrap();
+            assert_eq!(got.peak, want.peak);
+            assert_eq!(got.coloring.colors(), walk_colors(&want.coloring, &walk_of));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn in_place_solve_matches_the_expanded_instance(
+            width in 1024usize..1400,
+            count in 2usize..40,
+            density in 0usize..4,
+            seed in 0u64..u64::MAX,
+            window in 0usize..3,
+            threads in 0usize..2,
+            loads in 0u8..3,
+        ) {
+            let (window, density) = ([1, 7, count][window], [0.2, 0.5, 0.75, 0.95][density]);
+            let pool = minipool::ThreadPool::new([4, 8][threads]);
+            minipool::with_pool(&pool, || check(width, count, density, seed, window, loads));
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! runs window by window, with no transpose:
 //!
 //! * each `v X…X w` transition stretch (the one unavoidable toggle
-//!   whose position is free) becomes one BCP [`Interval`](crate::Interval), recorded as
+//!   whose position is free) becomes one BCP [`Interval`], recorded as
 //!   its start and pin in `(end, pin)` order — the order every BCP sweep
 //!   walks, so the solve reads the instance in place;
 //! * *forced toggles* (adjacent opposite care bits) are tallied into the
@@ -25,9 +25,10 @@
 use dpfill_cubes::packed::PackedBits;
 use dpfill_cubes::{Bit, CubeSet};
 
-use crate::bcp::{BcpInstance, Coloring};
+use crate::bcp::{BcpError, BcpInstance, BcpSolution, ByEnd, Coloring};
 use crate::objective::{FillObjective, ObjectiveError};
-use crate::stream::analyze::{Analysis, Analyzer, Keep};
+use crate::stream::analyze::{Analyzer, Keep};
+use crate::Interval;
 
 /// Each interval's pin, bucketed by its color: the pins whose filled
 /// value flips at each transition.
@@ -39,19 +40,27 @@ pub(crate) struct Flips {
 }
 
 impl Flips {
-    /// Buckets `pins[i]` by `colors[i]` over `num_colors` colors.
+    /// Buckets the `i`-th of `pins` by `colors[i]` over `num_colors`
+    /// colors.
     ///
     /// # Panics
     ///
     /// Panics if the lengths differ or a color is out of range.
-    pub fn new(pins: &[u32], colors: &[u32], num_colors: usize) -> Flips {
+    pub fn new(pins: impl IntoIterator<Item = u32>, colors: &[u32], num_colors: usize) -> Flips {
+        let at = offsets(colors, num_colors);
+        let (mut next, mut out) = (at.clone(), vec![0u32; colors.len()]);
+        let mut placed = 0;
+        for (pin, &c) in pins.into_iter().zip(colors) {
+            out[next[c as usize]] = pin;
+            next[c as usize] += 1;
+            placed += 1;
+        }
         assert_eq!(
+            placed,
             colors.len(),
-            pins.len(),
             "coloring does not match interval count"
         );
-        let (pins, at) = bucket(colors, num_colors, |i| pins[i]);
-        Flips { pins, at }
+        Flips { pins: out, at }
     }
 
     /// Bytes held: 4 B per flip and 8 B per transition.
@@ -113,10 +122,9 @@ pub(crate) fn leading_value(bits: &PackedBits) -> bool {
     bits.first_care().is_some_and(|i| bits.get(i) == Bit::One)
 }
 
-/// A stable counting sort: `value(i)` for every `i`, grouped by
-/// `keys[i] < buckets`, and the offset of each group (one more than
-/// `buckets`).
-fn bucket(keys: &[u32], buckets: usize, value: impl Fn(usize) -> u32) -> (Vec<u32>, Vec<usize>) {
+/// The start of each of `buckets` groups of `keys` (keys below
+/// `buckets`) in a stable counting sort by key, and the end of the last.
+fn offsets(keys: &[u32], buckets: usize) -> Vec<usize> {
     let mut at = vec![0usize; buckets + 1];
     for &k in keys {
         at[k as usize + 1] += 1;
@@ -124,44 +132,71 @@ fn bucket(keys: &[u32], buckets: usize, value: impl Fn(usize) -> u32) -> (Vec<u3
     for b in 1..at.len() {
         at[b] += at[b - 1];
     }
-    let (mut next, mut out) = (at.clone(), vec![0u32; keys.len()]);
-    for (i, &k) in keys.iter().enumerate() {
-        out[next[k as usize]] = value(i);
-        next[k as usize] += 1;
-    }
-    (out, at)
+    at
 }
 
 /// The interval indices of `pins` (in `(end, pin)` order) in `(pin,
 /// start)` order, over `width` pins: the order the preference shift
 /// walks.
 pub(crate) fn pin_order(pins: &[u32], width: usize) -> Vec<u32> {
-    bucket(pins, width, |i| i as u32).0
+    let mut next = offsets(pins, width);
+    let mut out = vec![0u32; pins.len()];
+    for (i, &pin) in pins.iter().enumerate() {
+        out[next[pin as usize]] = i as u32;
+        next[pin as usize] += 1;
+    }
+    out
 }
 
-/// Per-interval shift desires toward `preferred[pin]` for
-/// [`BcpInstance::shift_within_slack`]: `+1` favors a late toggle (hold
-/// the left value), `-1` an early one, `0` no preference.
-pub(crate) fn desires(pins: &[u32], lefts: &[bool], preferred: &[Bit]) -> Vec<i8> {
-    pins.iter()
-        .zip(lefts)
-        .map(|(&pin, &left)| match preferred[pin as usize] {
-            Bit::X => 0,
-            p if p == Bit::from_bool(left) => 1,
-            _ => -1,
-        })
-        .collect()
+/// The shift desire of a stretch with left care value `left` toward the
+/// preferred rest value `preferred`: `+1` favors a late toggle (hold the
+/// left value), `-1` an early one, `0` no preference.
+fn desire(preferred: Bit, left: bool) -> i8 {
+    match preferred {
+        Bit::X => 0,
+        p if p == Bit::from_bool(left) => 1,
+        _ => -1,
+    }
 }
 
-/// The BCP instance of an analysis, in its `(end, pin)` order: interval
-/// `i` charged `weights[pins[i]]` (unit when `None`), over the forced
-/// baseline. Takes the intervals and the baseline.
-pub(crate) fn instance(analysis: &mut Analysis, weights: Option<&[u64]>) -> BcpInstance {
-    let loads = weights.map_or_else(Vec::new, |w| {
-        analysis.pins.iter().map(|&p| w[p as usize]).collect()
+/// The preference step of a solve read in place: the slack shift of
+/// [`BcpInstance::shift_within_slack`] toward each pin's `preferred`
+/// rest value, at the solution's achieved peak, walking the stretches
+/// by pin, then by start (a pin's load read once), then a verification
+/// of the shifted coloring. The stretches must keep their left values.
+pub(crate) fn shift_preferred(
+    stretches: &ByEnd,
+    solution: &mut BcpSolution,
+    preferred: &[Bit],
+) -> Result<(), BcpError> {
+    // Each stretch of a pin with a preference, bucketed by pin in walk
+    // order: its coloring slot and the color it moves toward.
+    let width = preferred.len();
+    let mut at = vec![0usize; width + 1];
+    for (_, _, g, i) in stretches.intervals() {
+        let pin = g.keys[i] as usize;
+        at[pin + 1] += usize::from(preferred[pin] != Bit::X);
+    }
+    for p in 1..at.len() {
+        at[p] += at[p - 1];
+    }
+    let (mut next, mut toward) = (at.clone(), vec![(0u32, 0u32); at[width]]);
+    for (r, (start, end, g, i)) in stretches.intervals().enumerate() {
+        let pin = g.keys[i] as usize;
+        let to = match desire(preferred[pin], g.lefts[i]) {
+            0 => continue,
+            d if d > 0 => end as u32,
+            _ => start,
+        };
+        toward[next[pin]] = (r as u32, to);
+        next[pin] += 1;
+    }
+    let visits = (0..width).flat_map(|pin| {
+        let w = stretches.weight(pin);
+        let bucket = toward[at[pin]..at[pin + 1]].iter();
+        bucket.map(move |&(r, to)| (r as usize, to, w))
     });
-    let intervals = std::mem::take(&mut analysis.intervals);
-    BcpInstance::with_intervals(intervals, std::mem::take(&mut analysis.baseline), loads)
+    stretches.shift_solution(solution, visits)
 }
 
 /// The analyzed set: intervals extracted and forced toggles tallied,
@@ -174,7 +209,7 @@ pub struct MatrixMapping<'a> {
     pins: Vec<u32>,
     first_values: Vec<u64>,
     /// Secondary-objective shift direction per interval (aligned with
-    /// the instance, see [`desires`]). Empty when the objective has no
+    /// the instance, see [`desire`]). Empty when the objective has no
     /// fill-value preference.
     desire: Vec<i8>,
     /// The analyzer's online unit bound (see [`Analysis::warm_lb`]).
@@ -214,26 +249,36 @@ impl<'a> MatrixMapping<'a> {
         let keep = if preferred.is_some() {
             Keep::Lefts
         } else {
-            Keep::Intervals
+            Keep::Pins
         };
         let mut analyzer = Analyzer::new(cubes.width(), weights.map(<[u64]>::to_vec), keep);
         analyzer.ingest(cubes.as_packed().cubes());
-        let mut analysis = analyzer.finish();
+        let analysis = analyzer.finish();
         if analysis.overflow {
             return Err(ObjectiveError::Overflow {
                 what: "weighted forced-toggle load on one transition",
             });
         }
-        let instance = instance(&mut analysis, weights);
-        let desire = preferred.map_or_else(Vec::new, |preferred| {
-            desires(&analysis.pins, &analysis.lefts, preferred)
-        });
+        // The public instance lists the stretches in walk order, (end,
+        // pin), each charged its pin's weight.
+        let k = analysis.stretches();
+        let (mut intervals, mut pins) = (Vec::with_capacity(k), Vec::with_capacity(k));
+        let mut desires = Vec::new();
+        for (start, end, g, i) in analysis.by_end(None).intervals() {
+            intervals.push(Interval::new(start, end as u32));
+            pins.push(g.keys[i]);
+            if let Some(preferred) = preferred {
+                desires.push(desire(preferred[g.keys[i] as usize], g.lefts[i]));
+            }
+        }
+        let loads =
+            weights.map_or_else(Vec::new, |w| pins.iter().map(|&p| w[p as usize]).collect());
         Ok(MatrixMapping {
             cubes,
-            instance,
-            pins: analysis.pins,
+            instance: BcpInstance::with_intervals(intervals, analysis.baseline, loads),
+            pins,
             first_values: analysis.first_values,
-            desire,
+            desire: desires,
             warm_lb: analysis.warm_lb,
         })
     }
@@ -295,7 +340,11 @@ impl<'a> MatrixMapping<'a> {
         for (iv, &color) in self.instance.intervals().iter().zip(colors) {
             assert!(iv.contains(color), "color {color} outside interval {iv}");
         }
-        let flips = Flips::new(&self.pins, colors, self.instance.num_colors());
+        let flips = Flips::new(
+            self.pins.iter().copied(),
+            colors,
+            self.instance.num_colors(),
+        );
         let mut filled = self.cubes.clone();
         let mut carry = self.first_values.clone();
         fill_cubes(filled.packed_cubes_mut(), 0, &mut carry, &flips);

@@ -35,6 +35,7 @@ use super::interleave::sorted_by_x_count;
 use super::search::{scan, search};
 use super::xstat::complete_permutation;
 use super::{IOrdering, IsaOrdering, OrderingError, OrderingStrategy, PackedCubes, XStatOrdering};
+use crate::stream::analyze::Keep;
 
 /// Context a banded ordering receives about the frozen prefix.
 #[derive(Clone, Copy, Debug)]
@@ -199,15 +200,15 @@ impl BandedOrdering for BandedIOrdering {
         let ext = extend_with_tail(ring, tail);
         let sorted = sorted_by_x_count(ring);
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1).max(1);
-        let trace = search(k_cap, ctx.warm_lb, false, n + 1, |k| {
+        let (trace, _) = search(k_cap, ctx.warm_lb, false, n + 1, |k| {
             let ring_order = IOrdering::schedule_for_k(&sorted, k);
             // Extended candidate: the tail stays first, ring cubes shift
             // by one.
             let candidate: Vec<usize> = std::iter::once(0)
                 .chain(ring_order.iter().map(|&i| i + 1))
                 .collect();
-            let bound = scan(&ext, &candidate)?;
-            Ok((ring_order, bound))
+            let scanned = scan(&ext, &candidate, Keep::Starts, None)?;
+            Ok((ring_order, scanned))
         })?;
         Ok(trace.order)
     }

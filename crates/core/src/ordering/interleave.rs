@@ -2,6 +2,7 @@ use dpfill_cubes::CubeSet;
 
 use super::search::{scan, search};
 use super::{OrderingError, OrderingStrategy};
+use crate::stream::analyze::{Analysis, Keep};
 
 /// The paper's I-ordering (Algorithm 3): interleaved test-vector
 /// ordering.
@@ -98,7 +99,7 @@ impl IOrdering {
     /// permutation of the cubes; [`OrderingError::Bound`] when the bound
     /// overflows the load model (absurd inputs only).
     pub fn bottleneck(cubes: &CubeSet, order: &[usize]) -> Result<u64, OrderingError> {
-        Ok(scan(cubes, order)?.certify(0)?)
+        Ok(scan(cubes, order, Keep::Starts, None)?.bound().certify(0)?)
     }
 
     /// Runs Algorithm 3, certifying every candidate's value, and returns
@@ -109,35 +110,64 @@ impl IOrdering {
     /// [`OrderingError::Bound`] when a candidate's bottleneck evaluation
     /// overflows the load model (absurd inputs only).
     pub fn order_with_trace(&self, cubes: &CubeSet) -> Result<IOrderingTrace, OrderingError> {
-        self.run(cubes, true)
+        Ok(self.run(cubes, true, Keep::Starts, None)?.0)
     }
 
-    /// Algorithm 3 over the whole set; `certify_all` as in
-    /// [`search`]. Traced as an `ordering.order` span.
-    fn run(&self, cubes: &CubeSet, certify_all: bool) -> Result<IOrderingTrace, OrderingError> {
+    /// [`OrderingStrategy::order`] that also returns the analysis of the
+    /// set in the chosen order: the winning candidate's scan, keeping
+    /// what `keep` asks of each stretch and weighing forced toggles by
+    /// `weights`, warmed by its certified bound — so a resident DP-fill
+    /// solves the scan Algorithm 3 already made. `None` when the search
+    /// evaluates no candidate (at most two cubes).
+    ///
+    /// # Errors
+    ///
+    /// As [`OrderingStrategy::order`].
+    pub(crate) fn order_analyzed(
+        &self,
+        cubes: &CubeSet,
+        keep: Keep,
+        weights: Option<&[u64]>,
+    ) -> Result<(Vec<usize>, Option<Analysis>), OrderingError> {
+        let (trace, winner) = self.run(cubes, false, keep, weights)?;
+        Ok((trace.order, winner.map(|scan| scan.analysis)))
+    }
+
+    /// Algorithm 3 over the whole set, each candidate scanned keeping
+    /// `keep` under `weights`; `certify_all` as in [`search`], which
+    /// also returns the winner's scan. Traced as an `ordering.order`
+    /// span.
+    fn run(
+        &self,
+        cubes: &CubeSet,
+        certify_all: bool,
+        keep: Keep,
+        weights: Option<&[u64]>,
+    ) -> Result<(IOrderingTrace, Option<super::search::Scan>), OrderingError> {
         let n = cubes.len();
         let _span = minitrace::span_with("ordering.order", &[("cubes", n.into())]);
         if n <= 2 {
-            return Ok(IOrderingTrace {
+            let trace = IOrderingTrace {
                 k_values: Vec::new(),
                 bottleneck_values: Vec::new(),
                 chosen_k: 0,
                 order: (0..n).collect(),
-            });
+            };
+            return Ok((trace, None));
         }
         let sorted = sorted_by_x_count(cubes);
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1);
         // Each candidate's scan fans its pin words out over the pool, so
         // candidates run one after another in k order.
-        let mut trace = search(k_cap, 0, certify_all, n, |k| {
+        let (mut trace, winner) = search(k_cap, 0, certify_all, n, |k| {
             let candidate = Self::schedule_for_k(&sorted, k);
-            let bound = scan(cubes, &candidate)?;
-            Ok((candidate, bound))
+            let scanned = scan(cubes, &candidate, keep, weights)?;
+            Ok((candidate, scanned))
         })?;
         if trace.chosen_k == 0 {
             trace.order = (0..n).collect();
         }
-        Ok(trace)
+        Ok((trace, winner))
     }
 }
 
@@ -159,7 +189,7 @@ impl OrderingStrategy for IOrdering {
     /// is certified. The order equals
     /// [`IOrdering::order_with_trace`]'s.
     fn order(&self, cubes: &CubeSet) -> Result<Vec<usize>, OrderingError> {
-        Ok(self.run(cubes, false)?.order)
+        Ok(self.run(cubes, false, Keep::Starts, None)?.0.order)
     }
 }
 

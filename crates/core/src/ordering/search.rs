@@ -5,30 +5,56 @@
 //! order: the generalized BCP lower bound of that order's intervals and
 //! forced toggles. [`scan`] finds both with the analyzer's cube-major
 //! kernel, reading the packed cubes in candidate order one 64-pin word
-//! at a time, with no transpose and no pins; [`UnitBound`] holds the
-//! bound problem. [`search`]
-//! then runs the paper's exit rule, deciding a candidate with one probe
-//! and certifying only a winner.
+//! at a time, with no transpose; [`ByEnd`] reads the bound problem in
+//! place. [`search`] then runs the paper's exit rule, deciding a
+//! candidate with one probe and certifying only a winner, and hands the
+//! winner's scan back: a resident DP-fill solves it as its analysis.
 
 use dpfill_cubes::CubeSet;
 
-use crate::bcp::{EndGroups, UnitBound};
-use crate::stream::analyze::{scan_words, WordState};
+use crate::bcp::ByEnd;
+use crate::stream::analyze::{chunks, forced_totals, Analysis, Keep};
 
 use super::{is_permutation, IOrderingTrace, OrderingError};
 
-/// The bound problem of `cubes` read in `order`: each `v X…X w`
-/// stretch (v ≠ w) of a pin as the interval `(left, right − 1)` of the
-/// transitions its toggle may take, each pair of adjacent opposite care
-/// bits as one forced toggle on the baseline — the interval multiset and
-/// baseline of the §V-C mapping of the reordered set, so the bound is
-/// the mapping's.
+/// One candidate order's scan: the analysis of the cubes in that order,
+/// keeping what the scan was asked to, and the unit forced toggles the
+/// search bounds it by when the analysis's baseline weighs them.
+pub(crate) struct Scan {
+    pub analysis: Analysis,
+    /// Unit forced toggles per transition under weights (else empty:
+    /// the baseline is unit).
+    unit: Vec<u64>,
+}
+
+impl Scan {
+    /// The candidate's bound problem: its stretches over the unit forced
+    /// baseline, each of unit load.
+    pub(crate) fn bound(&self) -> ByEnd<'_> {
+        let a = &self.analysis;
+        let unit = if self.unit.is_empty() {
+            &a.baseline
+        } else {
+            &self.unit
+        };
+        ByEnd::new(&a.chunks, unit, None)
+    }
+}
+
+/// The analysis of `cubes` read in `order`: each `v X…X w` stretch (v ≠
+/// w) of a pin as the interval `(left, right − 1)` of the transitions
+/// its toggle may take, each pair of adjacent opposite care bits as one
+/// forced toggle on the baseline — the intervals and baseline of the
+/// §V-C mapping of the reordered set, so the bound is the mapping's.
+/// Each stretch keeps what `keep` asks (at least its start), forced
+/// toggles weigh `weights[pin]` (`None`: unit), and the first care
+/// values are recorded.
 ///
 /// The scan is the analyzer's cube-major kernel
-/// ([`scan_words`](crate::stream::analyze::scan_words)) over the cubes
-/// in candidate order, with no transpose and no pins recorded: pin words
-/// fan out over the current [`minipool`] pool, and each chunk's
-/// intervals, grouped by end as they close, are probed in place.
+/// ([`ChunkScan`](crate::stream::analyze::ChunkScan)) over the cubes in
+/// candidate order: pin words fan out over the current [`minipool`]
+/// pool, and each chunk's stretches, grouped by end as they close, are
+/// probed in place. No ladder is fed; the warm bound is left 0.
 ///
 /// # Errors
 ///
@@ -38,7 +64,12 @@ use super::{is_permutation, IOrderingTrace, OrderingError};
 /// # Panics
 ///
 /// Panics beyond `u32::MAX` cubes, the analysis's column range.
-pub(crate) fn scan(cubes: &CubeSet, order: &[usize]) -> Result<UnitBound, OrderingError> {
+pub(crate) fn scan(
+    cubes: &CubeSet,
+    order: &[usize],
+    keep: Keep,
+    weights: Option<&[u64]>,
+) -> Result<Scan, OrderingError> {
     // A non-permutation would silently drop or repeat cubes, so it is
     // checked always: the O(n) check is negligible next to the scan.
     if !is_permutation(order, cubes.len()) {
@@ -51,27 +82,40 @@ pub(crate) fn scan(cubes: &CubeSet, order: &[usize]) -> Result<UnitBound, Orderi
         order.len() <= u32::MAX as usize,
         "the analysis supports at most 2^32 - 1 cubes"
     );
-    let colors = order.len().saturating_sub(1);
     let planes = cubes.as_packed().cubes();
-    // At least 8 words a chunk: each cube then hands a chunk one whole
-    // 64-byte line of each plane.
-    let chunks = minipool::parallel_index_chunks(cubes.width().div_ceil(64), 8, |words| {
-        let mut states = vec![WordState::EMPTY; words.len()];
-        let in_order = order.iter().map(|&c| &planes[c]);
-        scan_words(in_order, 0, &mut states, words.start, (false, false), None)
-    });
-    let mut baseline = vec![0u64; colors];
-    let mut groups = Vec::with_capacity(chunks.len());
-    for ev in chunks {
-        for (total, &n) in baseline.iter_mut().zip(&ev.forced) {
-            *total += u64::from(n);
-        }
-        groups.push(EndGroups {
-            starts: ev.starts,
-            by_end: ev.by_end,
+    let keep = keep.max(Keep::Starts);
+    let mut scans = chunks(cubes.width());
+    let tallies = minipool::parallel_chunks_mut(&mut scans, 1, |_, scans| {
+        let tallies = scans.iter_mut().map(|ch| {
+            let in_order = order.iter().map(|&c| &planes[c]);
+            ch.scan(in_order, 0, keep, weights, None)
         });
-    }
-    Ok(UnitBound::new(groups, baseline))
+        tallies.collect::<Vec<_>>()
+    });
+    let tallies: Vec<_> = tallies.into_iter().flatten().collect();
+    let (mut unit, weighted, overflow) = forced_totals(&tallies, weights.is_some());
+    unit.resize(order.len().saturating_sub(1), 0);
+    let mut first_values = Vec::new();
+    let chunks = (scans.into_iter())
+        .map(|ch| {
+            let (first, groups) = ch.into_parts();
+            first_values.extend(first);
+            groups
+        })
+        .collect();
+    let (baseline, unit) = match weights {
+        Some(_) => (weighted, unit),
+        None => (unit, Vec::new()),
+    };
+    let analysis = Analysis {
+        chunks,
+        baseline,
+        cols: order.len(),
+        first_values,
+        warm_lb: 0,
+        overflow,
+    };
+    Ok(Scan { analysis, unit })
 }
 
 /// Algorithm 3's search for the interleave factor, shared by the global
@@ -88,6 +132,9 @@ pub(crate) fn scan(cubes: &CubeSet, order: &[usize]) -> Result<UnitBound, Orderi
 /// best value is `warm` no later candidate can beat it. The chosen order
 /// is the same either way; the trace then lists only the winners.
 ///
+/// Returns the trace and the winner's scan, its analysis's warm bound
+/// set to the winner's value: under `warm` 0 its certified bound.
+///
 /// Each evaluated candidate is an `ordering.candidate` span (`k`, the
 /// scanned `cubes`, and its `outcome`: `certified` or `probed`).
 ///
@@ -99,8 +146,8 @@ pub(crate) fn search(
     warm: u64,
     certify_all: bool,
     cubes: usize,
-    mut candidate: impl FnMut(usize) -> Result<(Vec<usize>, UnitBound), OrderingError>,
-) -> Result<IOrderingTrace, OrderingError> {
+    mut candidate: impl FnMut(usize) -> Result<(Vec<usize>, Scan), OrderingError>,
+) -> Result<(IOrderingTrace, Option<Scan>), OrderingError> {
     let mut trace = IOrderingTrace {
         k_values: Vec::new(),
         bottleneck_values: Vec::new(),
@@ -108,6 +155,7 @@ pub(crate) fn search(
         order: Vec::new(),
     };
     let mut best: Option<u64> = None;
+    let mut winner: Option<Scan> = None;
     for k in 1..=k_cap {
         if !certify_all && best.is_some_and(|b| b <= warm) {
             break;
@@ -116,7 +164,8 @@ pub(crate) fn search(
             "ordering.candidate",
             &[("k", k.into()), ("cubes", cubes.into())],
         );
-        let (order, bound) = candidate(k)?;
+        let (order, mut scan) = candidate(k)?;
+        let bound = scan.bound();
         let (value, outcome) = if certify_all {
             (bound.certify(warm)?, "certified")
         } else if let Some(b) = best {
@@ -144,6 +193,8 @@ pub(crate) fn search(
         best = Some(value);
         trace.chosen_k = k;
         trace.order = order;
+        scan.analysis.warm_lb = value;
+        winner = Some(scan);
     }
-    Ok(trace)
+    Ok((trace, winner))
 }

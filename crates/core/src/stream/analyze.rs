@@ -10,21 +10,27 @@
 //! transition `t − 1`; and `P & !C` open an `X`-run at `t − 1`. Every
 //! other `X` is safe: the fill copies the care value to its left.
 //!
-//! [`Analyzer`] carries the word states across windows, so a stretch
-//! spanning any number of windows closes exactly as if the set were
-//! resident, and windows close intervals in global end order: the list
-//! grows in `(end, pin)` order, the order every BCP sweep walks. Pin
-//! words fan out over the current [`minipool`] pool in contiguous
-//! chunks that merge end by end in chunk order, so the result is the
-//! same at any thread count and windowing.
-//! [`MatrixMapping`](crate::MatrixMapping) runs it over the whole set as
-//! one window; the I-ordering's candidate scan runs [`scan_words`]
-//! without recording pins.
+//! Pin words fan out over the current [`minipool`] pool in contiguous
+//! [`ChunkScan`]s, fixed at the first window. Each chunk carries its word
+//! states across windows, so a stretch spanning any number of windows
+//! closes exactly as if the set were resident, and it appends each
+//! stretch it closes to its own [`EndGroups`]: the start, grouped by end,
+//! and the pin (ascending within an end). Walked end by end, and chunk by
+//! chunk within an end, the groups are in `(end, pin)` order — the order
+//! every BCP sweep walks — so the solve reads them in place
+//! ([`ByEnd`](crate::bcp::ByEnd)) at any thread count and windowing.
+//! Each chunk feeds its stretches to its own [`LadderDelta`] on the pool.
+//!
+//! [`Analyzer`] runs the chunks window by window for both pipelines (and
+//! [`MatrixMapping`](crate::MatrixMapping), which expands the groups
+//! into a public instance); the I-ordering's candidate scans run
+//! [`ChunkScan`]s over the cubes in candidate order.
+
+use std::ops::Range;
 
 use dpfill_cubes::packed::PackedBits;
 
-use crate::bcp::{IncrementalBound, BCP_LADDER_LOADS};
-use crate::Interval;
+use crate::bcp::{ByEnd, EndGroups, IncrementalBound, LadderDelta, BCP_LADDER_LOADS};
 
 /// The scan state of one 64-pin word, carried from cube to cube and
 /// across windows.
@@ -54,136 +60,222 @@ impl WordState {
     };
 }
 
-/// What one chunk of pin words found in a run of cubes.
-#[derive(Default)]
-pub(crate) struct Events {
-    /// Each closed interval's start; `starts[by_end[i]..by_end[i + 1]]`
-    /// end at the run's `i`-th transition.
-    pub starts: Vec<u32>,
-    pub by_end: Vec<usize>,
-    /// Each interval's pin and left care value, when asked for.
-    pub pins: Vec<u32>,
-    pub lefts: Vec<bool>,
-    /// Forced toggles per transition, unit and weighed by the weights.
-    pub forced: Vec<u32>,
-    pub weighted: Vec<u64>,
-    /// A weighted sum left `u64`.
-    pub overflow: bool,
+/// What the scan keeps of each closed stretch. Every stretch feeds the
+/// analyzer's unit ladder whatever is kept.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Keep {
+    /// Nothing: MT-fill's plan reads only the first care values.
+    Nothing,
+    /// Its start, grouped by end: what a candidate order's bound reads.
+    Starts,
+    /// Its start and pin: what DP-fill's solve and fill read.
+    Pins,
+    /// Its start, pin and left care value (for a fill-value
+    /// preference's shift).
+    Lefts,
 }
 
-/// Scans `cubes`, whose first is cube `t0` of the set, over the pin
-/// words `w0..w0 + words.len()` carried in `words` (see the module
-/// docs), recording each interval's pin and left care value when asked
-/// and weighing forced toggles by `weights`. Transition `t − 1` ends at
-/// cube `t`, so the run's transitions start at `t0 − 1` (at 0 when `t0`
-/// is 0: the first cube has none).
-pub(crate) fn scan_words<'a>(
-    cubes: impl Iterator<Item = &'a PackedBits>,
-    t0: usize,
-    words: &mut [WordState],
+/// What one chunk's scan of a run of cubes found besides its stretches.
+pub(crate) struct Tally {
+    /// Forced toggles per transition of the run, unit and weighed by the
+    /// weights.
+    forced: Vec<u32>,
+    weighted: Vec<u64>,
+    /// A weighted sum left `u64`.
+    overflow: bool,
+    /// Stretches closed.
+    stretches: u64,
+}
+
+/// One chunk of pin words: each word's scan state, and the stretches it
+/// closed, grouped by end.
+pub(crate) struct ChunkScan {
+    /// The chunk's first pin word.
     w0: usize,
-    (pins, lefts): (bool, bool),
-    weights: Option<&[u64]>,
-) -> Events {
-    let mut ev = Events::default();
-    let span = w0..w0 + words.len();
-    for (t, cube) in (t0..).zip(cubes) {
-        let care = &cube.care_words()[span.clone()];
-        let value = &cube.value_words()[span.clone()];
-        // Nothing below fires at t = 0: `P` and `S` are still empty.
-        let at = (t as u32).wrapping_sub(1);
-        if t > 0 {
-            ev.by_end.push(ev.starts.len());
+    words: Vec<WordState>,
+    groups: EndGroups,
+}
+
+impl ChunkScan {
+    /// The chunk of pin words `words`, before the first cube.
+    pub(crate) fn new(words: Range<usize>) -> ChunkScan {
+        ChunkScan {
+            w0: words.start,
+            words: vec![WordState::EMPTY; words.len()],
+            groups: EndGroups::default(),
         }
-        let (mut toggles, mut weighted) = (0u32, 0u64);
-        for (w, st) in words.iter_mut().enumerate() {
-            let (c, v, p) = (care[w], value[w], st.prev);
-            let flips = v ^ st.left;
-            let mut closes = c & !p & st.seen & flips;
-            while closes != 0 {
-                let b = closes.trailing_zeros();
-                ev.starts.push(st.runs[b as usize]);
-                if pins {
-                    ev.pins.push(((w0 + w) * 64) as u32 + b);
+    }
+
+    /// Scans `cubes`, whose first is cube `t0` of the set (see the module
+    /// docs), appending what `keep` asks of each closed stretch to the
+    /// groups, feeding each to `ladder` and weighing forced toggles by
+    /// `weights`. Transition `t − 1` ends at cube `t`, so the run's
+    /// transitions start at `t0 − 1` (at 0 when `t0` is 0: the first cube
+    /// has none).
+    pub(crate) fn scan<'a>(
+        &mut self,
+        cubes: impl Iterator<Item = &'a PackedBits>,
+        t0: usize,
+        keep: Keep,
+        weights: Option<&[u64]>,
+        mut ladder: Option<&mut LadderDelta>,
+    ) -> Tally {
+        let mut tally = Tally {
+            forced: Vec::new(),
+            weighted: Vec::new(),
+            overflow: false,
+            stretches: 0,
+        };
+        let (span, g) = (self.w0..self.w0 + self.words.len(), &mut self.groups);
+        for (t, cube) in (t0..).zip(cubes) {
+            let care = &cube.care_words()[span.clone()];
+            let value = &cube.value_words()[span.clone()];
+            // Nothing below fires at t = 0: `P` and `S` are still empty.
+            let at = (t as u32).wrapping_sub(1);
+            let (mut toggles, mut weighted) = (0u32, 0u64);
+            for (w, st) in self.words.iter_mut().enumerate() {
+                let (c, v, p) = (care[w], value[w], st.prev);
+                let flips = v ^ st.left;
+                let mut closes = c & !p & st.seen & flips;
+                tally.stretches += u64::from(closes.count_ones());
+                while closes != 0 {
+                    let b = closes.trailing_zeros();
+                    let start = st.runs[b as usize];
+                    if let Some(ladder) = ladder.as_deref_mut() {
+                        ladder.add_unit(start as usize, at as usize);
+                    }
+                    if keep >= Keep::Starts {
+                        g.starts.push(start);
+                    }
+                    if keep >= Keep::Pins {
+                        g.keys.push(((span.start + w) * 64) as u32 + b);
+                    }
+                    if keep == Keep::Lefts {
+                        g.lefts.push(st.left >> b & 1 == 1);
+                    }
+                    closes &= closes - 1;
                 }
-                if lefts {
-                    ev.lefts.push(st.left >> b & 1 == 1);
+                let mut opens = p & !c;
+                while opens != 0 {
+                    st.runs[opens.trailing_zeros() as usize] = at;
+                    opens &= opens - 1;
                 }
-                closes &= closes - 1;
+                let forced = c & p & flips;
+                toggles += forced.count_ones();
+                if let Some(weights) = weights {
+                    let mut bits = forced;
+                    while bits != 0 {
+                        let pin = (span.start + w) * 64 + bits.trailing_zeros() as usize;
+                        tally.overflow |= weighted.checked_add(weights[pin]).is_none();
+                        weighted = weighted.saturating_add(weights[pin]);
+                        bits &= bits - 1;
+                    }
+                }
+                st.first |= v & c & !st.seen;
+                st.left = (st.left & !c) | v;
+                st.seen |= c;
+                st.prev = c;
             }
-            let mut opens = p & !c;
-            while opens != 0 {
-                st.runs[opens.trailing_zeros() as usize] = at;
-                opens &= opens - 1;
-            }
-            let forced = c & p & flips;
-            toggles += forced.count_ones();
-            if let Some(weights) = weights {
-                let mut bits = forced;
-                while bits != 0 {
-                    let pin = (w0 + w) * 64 + bits.trailing_zeros() as usize;
-                    ev.overflow |= weighted.checked_add(weights[pin]).is_none();
-                    weighted = weighted.saturating_add(weights[pin]);
-                    bits &= bits - 1;
+            if t > 0 {
+                if keep >= Keep::Starts {
+                    g.by_end.push(g.starts.len());
+                }
+                tally.forced.push(toggles);
+                if weights.is_some() {
+                    tally.weighted.push(weighted);
                 }
             }
-            st.first |= v & c & !st.seen;
-            st.left = (st.left & !c) | v;
-            st.seen |= c;
-            st.prev = c;
         }
-        if t > 0 {
-            ev.forced.push(toggles);
-            if weights.is_some() {
-                ev.weighted.push(weighted);
+        tally
+    }
+}
+
+impl ChunkScan {
+    /// Each word's first care values, and the groups.
+    pub(crate) fn into_parts(self) -> (impl Iterator<Item = u64>, EndGroups) {
+        (self.words.into_iter().map(|w| w.first), self.groups)
+    }
+}
+
+/// The chunks of a scan over `width` pins: at least 8 words a chunk, so
+/// each cube hands a chunk one whole 64-byte line of each plane, split
+/// over the current pool.
+pub(crate) fn chunks(width: usize) -> Vec<ChunkScan> {
+    minipool::parallel_index_chunks(width.div_ceil(64), 8, ChunkScan::new)
+}
+
+/// The forced toggles of the chunks' `tallies` of one run, summed per
+/// transition: unit, and in objective units when `weighted` (else
+/// empty). Flags a weighted sum that leaves `u64`.
+pub(crate) fn forced_totals(tallies: &[Tally], weighted: bool) -> (Vec<u64>, Vec<u64>, bool) {
+    let transitions = tallies.first().map_or(0, |t| t.forced.len());
+    let mut overflow = tallies.iter().any(|t| t.overflow);
+    let (mut unit, mut objective) = (vec![0u64; transitions], Vec::new());
+    for t in tallies {
+        for (total, &n) in unit.iter_mut().zip(&t.forced) {
+            *total += u64::from(n);
+        }
+    }
+    if weighted {
+        objective = vec![0u64; transitions];
+        for t in tallies {
+            for (total, &w) in objective.iter_mut().zip(&t.weighted) {
+                overflow |= total.checked_add(w).is_none();
+                *total = total.saturating_add(w);
             }
         }
     }
-    ev.by_end.push(ev.starts.len());
-    ev
+    (unit, objective, overflow)
 }
 
 /// Everything the analysis learned about the full set.
 #[derive(Default)]
 pub(crate) struct Analysis {
-    /// Each transition stretch's interval, in `(end, pin)` order.
-    pub intervals: Vec<Interval>,
-    /// The pin of each interval.
-    pub pins: Vec<u32>,
-    /// The left care value of each interval (empty unless asked for).
-    pub lefts: Vec<bool>,
+    /// Each transition stretch as an interval, per chunk of pin words,
+    /// grouped by end (no chunk when nothing is kept).
+    pub chunks: Vec<EndGroups>,
     /// Forced toggles per transition, in objective units under weights.
     pub baseline: Vec<u64>,
     /// Total columns (cubes) analyzed.
     pub cols: usize,
     /// Bit `r` is pin `r`'s first care value (zero for an all-`X` pin).
     pub first_values: Vec<u64>,
-    /// The [`IncrementalBound`] ladder's unit-load bound: a warm start
-    /// for the solve, the unit bound itself and below a weighted one.
+    /// A certified unit-load bound: a warm start for the solve, the unit
+    /// bound itself and below a weighted one. The analyzer's ladder
+    /// bound, or the I-ordering's certified value of its winning order.
     pub warm_lb: u64,
     /// A weighted baseline sum left `u64` (a typed error upstream).
     pub overflow: bool,
 }
 
-/// What the analyzer keeps of each closed stretch. Every stretch feeds
-/// the unit ladder whatever is kept.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Keep {
-    /// Nothing: MT-fill's plan reads only the first care values.
-    Nothing,
-    /// Its interval and pin.
-    Intervals,
-    /// Its interval, pin and left care value (for a fill-value
-    /// preference's shift).
-    Lefts,
+impl Analysis {
+    /// The solve's sweep input: the stretches over the baseline, each
+    /// weighing `weights[pin]` (unit when `None`).
+    pub fn by_end<'a>(&'a self, weights: Option<&'a [u64]>) -> ByEnd<'a> {
+        ByEnd::new(&self.chunks, &self.baseline, weights)
+    }
+
+    /// The number of stretches kept.
+    pub fn stretches(&self) -> usize {
+        self.chunks.iter().map(|g| g.starts.len()).sum()
+    }
+
+    /// Each stretch's pin, in walk order (reads no start).
+    pub fn pins(&self) -> impl Iterator<Item = u32> + '_ {
+        let chunks = &self.chunks;
+        (0..self.baseline.len()).flat_map(move |e| {
+            (chunks.iter()).flat_map(move |g| g.keys[g.by_end[e]..g.by_end[e + 1]].iter().copied())
+        })
+    }
 }
 
 /// The analyzer: feed windows left to right, then
 /// [`Analyzer::finish`].
 pub(crate) struct Analyzer {
-    /// Per-word scan state carried across windows.
-    words: Vec<WordState>,
-    /// What the windows so far found.
+    width: usize,
+    /// The pin-word chunks, fixed at the first window.
+    chunks: Vec<ChunkScan>,
+    /// What the windows so far found besides the stretches.
     out: Analysis,
     /// Per-pin weights of the forced baseline (`None`: unit).
     weights: Option<Vec<u64>>,
@@ -201,7 +293,8 @@ impl Analyzer {
             assert_eq!(w.len(), width, "weight table width mismatch");
         }
         Analyzer {
-            words: vec![WordState::EMPTY; width.div_ceil(64)],
+            width,
+            chunks: Vec::new(),
             out: Analysis::default(),
             weights,
             keep,
@@ -221,81 +314,79 @@ impl Analyzer {
             t0 + cubes.len() <= u32::MAX as usize,
             "the analysis supports at most 2^32 - 1 cubes"
         );
-        // (pins, lefts): what each chunk records beside each start.
-        let record = (self.keep != Keep::Nothing, self.keep == Keep::Lefts);
-        let weights = self.weights.as_deref();
-        // At least 8 words a chunk: each cube then hands a chunk one
-        // whole 64-byte line of each plane.
-        let chunks = minipool::parallel_chunks_mut(&mut self.words, 8, |w0, words| {
-            scan_words(cubes.iter(), t0, words, w0, record, weights)
-        });
+        if self.chunks.is_empty() {
+            self.chunks = chunks(self.width);
+        }
+        // The window's transitions start here: one per cube after the
+        // set's first.
+        let first = t0.saturating_sub(1);
+        let (keep, weights) = (self.keep, self.weights.as_deref());
+        let found: Vec<(Tally, LadderDelta)> =
+            minipool::parallel_chunks_mut(&mut self.chunks, 1, |_, chunks| {
+                let scans = chunks.iter_mut().map(|ch| {
+                    let mut ladder = LadderDelta::new(first);
+                    let tally = ch.scan(cubes.iter(), t0, keep, weights, Some(&mut ladder));
+                    (tally, ladder)
+                });
+                scans.collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         let out = &mut self.out;
         out.cols = t0 + cubes.len();
-        // The window's transitions: one per cube after the set's first.
-        let first = t0.saturating_sub(1);
-        let transitions = cubes.len() - usize::from(t0 == 0 && !cubes.is_empty());
         let mut loads = 0u64;
-        for i in 0..transitions {
-            let at = first + i;
-            let (mut unit, mut weighted) = (0u64, 0u64);
-            for ch in &chunks {
-                let (lo, hi) = (ch.by_end[i], ch.by_end[i + 1]);
-                for &start in &ch.starts[lo..hi] {
-                    self.bound.add_load(start as usize, at, 1);
-                    if record.0 {
-                        out.intervals.push(Interval::new(start, at as u32));
-                    }
-                }
-                if record.0 {
-                    out.pins.extend_from_slice(&ch.pins[lo..hi]);
-                }
-                if record.1 {
-                    out.lefts.extend_from_slice(&ch.lefts[lo..hi]);
-                }
-                unit += u64::from(ch.forced[i]);
-                if let Some(&w) = ch.weighted.get(i) {
-                    out.overflow |= weighted.checked_add(w).is_none();
-                    weighted = weighted.saturating_add(w);
-                }
-            }
-            let total = if self.weights.is_some() {
-                weighted
-            } else {
-                unit
-            };
-            out.baseline.push(total);
-            if unit != 0 {
-                self.bound.add_baseline(at, unit);
-            }
-            loads += unit;
+        let mut tallies = Vec::with_capacity(found.len());
+        for (tally, ladder) in found {
+            self.bound.absorb(ladder);
+            loads += tally.stretches;
+            tallies.push(tally);
         }
-        out.overflow |= chunks.iter().any(|ch| ch.overflow);
-        loads += chunks.iter().map(|ch| ch.starts.len() as u64).sum::<u64>();
+        let transitions = cubes.len() - usize::from(t0 == 0 && !cubes.is_empty());
+        let (mut unit, weighted, overflow) = forced_totals(&tallies, weights.is_some());
+        // A set of no pin words closes nothing, yet has its transitions.
+        unit.resize(transitions, 0);
+        out.overflow |= overflow;
+        for (i, &n) in unit.iter().enumerate() {
+            if n != 0 {
+                self.bound.add_baseline(first + i, n);
+            }
+            loads += n;
+        }
+        out.baseline
+            .extend(if weights.is_some() { weighted } else { unit });
         BCP_LADDER_LOADS.add(loads);
     }
 
     /// The running unit-load ladder bound over everything ingested so
     /// far, under any objective: the banded I-ordering's warm bound for
     /// the frozen prefix, in the unit bottlenecks that search compares.
-    pub fn warm_bound(&self) -> u64 {
+    pub fn warm_bound(&mut self) -> u64 {
         self.bound.current()
     }
 
     /// Bytes held by the analysis — the content-driven resident cost
-    /// the memory-budget governor charges after each window: 12 B per
-    /// interval (the interval and its pin, plus 1 B of left value under
-    /// a preference), 8 B of baseline per transition, the per-word
-    /// states, the weights and the incremental-bound ladder. Grows with
-    /// the input's transition stretches, not with its safe runs or the
-    /// window size.
+    /// the memory-budget governor charges after each window: 8 B per
+    /// stretch (its start and pin, plus 1 B of left value under a
+    /// preference), per chunk 8 B of by-end offset per transition, 8 B of
+    /// baseline per transition, the per-word states, the weights and the
+    /// incremental-bound ladder. Grows with the input's transition
+    /// stretches and its length, not with its safe runs or the window
+    /// size.
     pub fn event_bytes(&self) -> u64 {
         use std::mem::size_of;
-        let out = &self.out;
-        (out.intervals.len() * size_of::<Interval>()
-            + out.pins.len() * size_of::<u32>()
-            + out.lefts.len() * size_of::<bool>()
-            + out.baseline.len() * size_of::<u64>()
-            + self.words.len() * size_of::<WordState>()
+        let chunks: usize = (self.chunks.iter())
+            .map(|ch| {
+                let g = &ch.groups;
+                g.starts.len() * size_of::<u32>()
+                    + g.keys.len() * size_of::<u32>()
+                    + g.lefts.len() * size_of::<bool>()
+                    + g.by_end.len() * size_of::<usize>()
+                    + ch.words.len() * size_of::<WordState>()
+            })
+            .sum();
+        (chunks
+            + self.out.baseline.len() * size_of::<u64>()
             + self
                 .weights
                 .as_ref()
@@ -305,8 +396,17 @@ impl Analyzer {
 
     /// Returns the full analysis.
     pub fn finish(mut self) -> Analysis {
-        self.out.first_values = self.words.iter().map(|w| w.first).collect();
-        self.out.warm_lb = self.bound.current();
+        let (out, keep) = (&mut self.out, self.keep != Keep::Nothing);
+        out.warm_lb = self.bound.current();
+        for ch in self.chunks {
+            let (first, groups) = ch.into_parts();
+            out.first_values.extend(first);
+            if keep {
+                out.chunks.push(groups);
+            }
+        }
+        // A set that was never ingested has no chunks yet.
+        out.first_values.resize(self.width.div_ceil(64), 0);
         self.out
     }
 }
@@ -317,7 +417,7 @@ mod tests {
     use dpfill_cubes::gen::random_cube_set;
     use dpfill_cubes::CubeSet;
 
-    use crate::MatrixMapping;
+    use crate::{Interval, MatrixMapping};
 
     /// Feeds `cubes` to the analyzer in windows of `window` cubes.
     fn analyze_windowed(cubes: &CubeSet, window: usize) -> Analysis {
@@ -326,19 +426,30 @@ mod tests {
 
     /// An analyzer fed `cubes` in windows of `window` cubes.
     fn feed_windows(cubes: &CubeSet, window: usize, weights: Option<Vec<u64>>) -> Analyzer {
-        let mut analyzer = Analyzer::new(cubes.width(), weights, Keep::Intervals);
+        let mut analyzer = Analyzer::new(cubes.width(), weights, Keep::Pins);
         for chunk in cubes.as_packed().cubes().chunks(window) {
             analyzer.ingest(chunk);
         }
         analyzer
     }
 
+    /// The analysis's stretches in walk order, as intervals.
+    fn intervals(analysis: &Analysis) -> Vec<Interval> {
+        (analysis.by_end(None).intervals())
+            .map(|(start, end, _, _)| Interval::new(start, end as u32))
+            .collect()
+    }
+
     /// Asserts the windowed analysis is the monolithic mapping's
     /// instance: the same intervals and pins in the same order, and
     /// the same baseline.
     fn assert_matches_mapping(analysis: &Analysis, mapping: &MatrixMapping, what: &str) {
-        assert_eq!(analysis.intervals, mapping.instance().intervals(), "{what}");
-        assert_eq!(analysis.pins, mapping.pins(), "{what}");
+        assert_eq!(
+            intervals(analysis),
+            mapping.instance().intervals(),
+            "{what}"
+        );
+        assert!(analysis.pins().eq(mapping.pins().iter().copied()), "{what}");
         assert_eq!(analysis.baseline, mapping.instance().baseline(), "{what}");
     }
 
@@ -408,8 +519,8 @@ mod tests {
                 .map(|i| 1 + (i as u64 * 13) % 97)
                 .collect();
             for window in [1, 3, 8, 21] {
-                let unit = feed_windows(&cubes, window, None);
-                let weighted = feed_windows(&cubes, window, Some(weights.clone()));
+                let mut unit = feed_windows(&cubes, window, None);
+                let mut weighted = feed_windows(&cubes, window, Some(weights.clone()));
                 assert!(unit.warm_bound() > 0, "seed {seed}: no intervals");
                 assert_eq!(
                     weighted.warm_bound(),
@@ -433,7 +544,7 @@ mod tests {
         // Pins in different chunks: the merge of two chunk sums flags it.
         let wide = random_cube_set(1100, 2, 0.0, 9);
         let weights = vec![u64::MAX / 2; 1100];
-        let mut analyzer = Analyzer::new(1100, Some(weights), Keep::Intervals);
+        let mut analyzer = Analyzer::new(1100, Some(weights), Keep::Pins);
         let pool = minipool::ThreadPool::new(4);
         minipool::with_pool(&pool, || analyzer.ingest(wide.as_packed().cubes()));
         assert!(analyzer.finish().overflow);
@@ -448,8 +559,8 @@ mod tests {
         rows.push("1");
         let cubes = CubeSet::parse_rows(&rows).unwrap();
         let analysis = analyze_windowed(&cubes, 2);
-        assert_eq!(analysis.intervals, [Interval::new(0, 10)]);
-        assert_eq!(analysis.pins, [0]);
+        assert_eq!(intervals(&analysis), [Interval::new(0, 10)]);
+        assert!(analysis.pins().eq([0]));
     }
 
     #[test]
@@ -465,7 +576,7 @@ mod tests {
         // pin 1 care 1 at column 0 then X forever.
         let cubes = CubeSet::parse_rows(&["X1", "XX", "XX"]).unwrap();
         let analysis = analyze_windowed(&cubes, 1);
-        assert!(analysis.intervals.is_empty());
+        assert_eq!(analysis.stretches(), 0);
         assert_eq!(analysis.first_values, [0b10]);
     }
 
@@ -488,23 +599,42 @@ mod tests {
     }
 
     #[test]
-    fn the_analysis_charges_twelve_bytes_per_interval() {
-        // The governor's per-interval charge is what the analysis keeps
-        // per interval: the interval and its pin.
-        let cubes = random_cube_set(70, 33, 0.6, 11);
-        let analyzer = feed_windows(&cubes, 7, None);
-        let without = {
-            let mut empty = Analyzer::new(70, None, Keep::Intervals);
-            empty.ingest(&[]);
-            empty.event_bytes()
-        };
-        let n = analyzer.out.intervals.len() as u64;
-        let per_interval = (std::mem::size_of::<Interval>() + std::mem::size_of::<u32>()) as u64;
-        let per_cube = std::mem::size_of::<u64>() as u64;
-        let cols = cubes.len() as u64 - 1;
-        let expected = without + n * per_interval + cols * per_cube + analyzer.bound.approx_bytes();
-        assert_eq!(analyzer.event_bytes(), expected);
-        assert!(per_interval <= 16);
+    fn the_analysis_charges_eight_bytes_per_stretch() {
+        // The governor's per-stretch charge is what the analysis keeps
+        // per stretch: its start and its pin, and under a preference its
+        // left value; per transition, the baseline and one by-end offset
+        // per chunk. A wide set scans as several chunks.
+        use std::mem::size_of;
+        for (width, keep, threads) in [(70, Keep::Pins, 1), (1100, Keep::Lefts, 4)] {
+            let cubes = random_cube_set(width, 33, 0.6, 11);
+            let pool = minipool::ThreadPool::new(threads);
+            let analyzer = minipool::with_pool(&pool, || {
+                let mut analyzer = Analyzer::new(width, None, keep);
+                for chunk in cubes.as_packed().cubes().chunks(7) {
+                    analyzer.ingest(chunk);
+                }
+                analyzer
+            });
+            let without = {
+                let mut empty = Analyzer::new(width, None, keep);
+                minipool::with_pool(&pool, || empty.ingest(&[]));
+                empty.event_bytes()
+            };
+            let chunks = analyzer.chunks.len() as u64;
+            let n: u64 = (analyzer.chunks.iter())
+                .map(|c| c.groups.starts.len() as u64)
+                .sum();
+            let per_stretch = (2 * size_of::<u32>()
+                + usize::from(keep == Keep::Lefts) * size_of::<bool>())
+                as u64;
+            let per_cube = (size_of::<u64>() + chunks as usize * size_of::<usize>()) as u64;
+            let cols = cubes.len() as u64 - 1;
+            let ladder = analyzer.bound.approx_bytes();
+            let expected = without + n * per_stretch + cols * per_cube + ladder;
+            assert_eq!(analyzer.event_bytes(), expected, "width {width}");
+            assert!(width < 1000 || chunks > 1, "width {width}: {chunks} chunk");
+            assert!(per_stretch <= 9);
+        }
     }
 }
 
@@ -539,8 +669,8 @@ mod oracle {
         }
         let a = analyzer.finish();
         // The interval multiset as (pin, start, end), with left values.
-        let mut sites: Vec<_> = (a.intervals.iter().zip(&a.pins).zip(&a.lefts))
-            .map(|((iv, &pin), &left)| (pin, iv.start(), iv.end(), left))
+        let mut sites: Vec<_> = (a.by_end(None).intervals())
+            .map(|(start, end, g, i)| (g.keys[i], start, end as u32, g.lefts[i]))
             .collect();
         let in_order = sites
             .windows(2)
@@ -556,8 +686,8 @@ mod oracle {
         assert_eq!(a.warm_lb, reference.warm_lb, "warm bound");
         assert_eq!(a.overflow, reference.overflow, "overflow");
         // The windowed filled-value plane against the row splice.
-        let colors: Vec<u32> = (a.intervals.iter().zip(&a.pins))
-            .map(|(iv, &pin)| color(pin, iv.start(), iv.end()))
+        let colors: Vec<u32> = (a.by_end(None).intervals())
+            .map(|(start, end, g, i)| color(g.keys[i], start, end as u32))
             .collect();
         let spliced_colors: Vec<u32> = (reference.sites.iter())
             .map(|s| color(s.pin, s.start, s.end))
@@ -568,7 +698,7 @@ mod oracle {
             &reference.sites,
             &spliced_colors,
         );
-        let flips = Flips::new(&a.pins, &colors, a.baseline.len());
+        let flips = Flips::new(a.pins(), &colors, a.baseline.len());
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
         let plan = FillPlan::new(a.first_values, flips, digests);
         let mut carry = plan.initial_carry();

@@ -3,9 +3,11 @@
 //!
 //! A `--memory-budget` run promises bounded resident memory, but the
 //! resident set is not just the cube planes the window formula sizes:
-//! the analyzer's scalar **event stream** (interval sites, the
-//! per-transition baseline, the incremental-bound ladder that
-//! warm-starts the global solve, and the per-cube digests) grows with
+//! the analyzer's scalar **event stream** (8 B per transition stretch:
+//! its start and pin, grouped by end per chunk of pin words, plus 1 B of
+//! left value under a preference; per transition the baseline and one
+//! by-end offset per chunk; the incremental-bound ladder that
+//! warm-starts the global solve; and the per-cube digests) grows with
 //! input *content* and length, not with the window. A hostile input can blow through the budget mid-run while
 //! every window stays small. [`BudgetGovernor`] owns the response:
 //!

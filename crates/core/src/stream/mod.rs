@@ -23,17 +23,18 @@
 //!    [`MatrixMapping::analyze`](crate::MatrixMapping::analyze) runs as
 //!    one window): each 64-pin word's scan state carries across window
 //!    boundaries, so stretches spanning any number of windows close
-//!    *exactly*, and windows close intervals in global end order, so
-//!    the interval list is in `(end, pin)` order as it grows. Each pin's
-//!    first care value and a 64-bit digest of each cube are recorded;
-//!    the cubes are read in place, with no transpose, and dropped as the
-//!    next window arrives.
-//! 2. **Solve**: the *same* global
-//!    [`BcpInstance::solve`](crate::BcpInstance::solve) the monolithic
-//!    DP-fill runs, on the identical instance built by the same
-//!    function, read in place in its `(end, pin)` order — no cubes
-//!    resident at all. The colored pins, bucketed by color, and the
-//!    first care values are then the fill plan.
+//!    *exactly*, and windows close intervals in global end order: each
+//!    chunk of pin words appends its stretches' starts and pins grouped
+//!    by end, walked in `(end, pin)` order. Each pin's first care value
+//!    and a 64-bit digest of each cube are recorded; the cubes are read
+//!    in place, with no transpose, and dropped as the next window
+//!    arrives.
+//! 2. **Solve**: the engine of the global
+//!    [`BcpInstance::solve`](crate::BcpInstance::solve) the library
+//!    DP-fill runs, on the same intervals in the same order, reading the
+//!    chunks' groups in place — no interval list, no cubes resident at
+//!    all. The colored pins, bucketed by color, and the first care
+//!    values are then the fill plan.
 //! 3. **Emit pass**: windows are re-read, checked against their
 //!    digests and filled from the filled-value plane `F` carried across
 //!    windows — the kernel `apply_coloring` runs on the whole set:
@@ -53,6 +54,8 @@
 //! [`StreamingFill::run_resident`] is the same driver over a set the
 //! caller already holds, as one window with no frozen prefix, so a
 //! ring ordering is the global one; the CLI's whole-set runs are it.
+//! Under the I-ordering, its DP-fill solves the analysis Algorithm 3's
+//! search made of the winning order and scans nothing again.
 //!
 //! # Banded streaming orderings
 //!
@@ -109,9 +112,9 @@ use dpfill_cubes::CubeSet;
 
 use crate::bcp::SolveOptions;
 use crate::fill::{DpFillError, FillErrorSource, FillMethod, RandomFill};
-use crate::mapping::{desires, instance, pin_order, Flips};
+use crate::mapping::{shift_preferred, Flips};
 use crate::objective::{FillObjective, ObjectiveError};
-use crate::ordering::{BandContext, OrderingError};
+use crate::ordering::{BandContext, BandedMethod, IOrdering, OrderingError};
 
 use analyze::{Analysis, Analyzer, Keep};
 use budget::BudgetGovernor;
@@ -506,7 +509,7 @@ impl<R: Read> WindowSource<R> {
     fn next_window(
         &mut self,
         max: usize,
-        analyzer: Option<&Analyzer>,
+        analyzer: Option<&mut Analyzer>,
         win_idx: usize,
     ) -> Result<Option<CubeSet>, StreamError> {
         match self {
@@ -519,7 +522,7 @@ impl<R: Read> WindowSource<R> {
             }
             WindowSource::Replay(s) => s.next_window(max),
             WindowSource::Reorder(s) => {
-                let warm_lb = analyzer.map_or(0, Analyzer::warm_bound);
+                let warm_lb = analyzer.map_or(0, |a| a.warm_bound());
                 s.next_window(max, warm_lb, win_idx)
             }
         }
@@ -692,17 +695,21 @@ impl StreamingFill {
         }
     }
 
-    /// The analyzer of a planned fill over `width` pins. MT-fill's plan
-    /// reads only the first care values, so its analyzer keeps no
-    /// stretch: each one only feeds the unit ladder, the banded
-    /// I-ordering's warm bound.
-    fn analyzer(&self, width: usize) -> Analyzer {
-        let keep = match self.opts.fill {
+    /// What a planned fill's analysis keeps of each stretch. MT-fill's
+    /// plan reads only the first care values, so it keeps none: each
+    /// stretch only feeds the unit ladder, the banded I-ordering's warm
+    /// bound.
+    fn keep(&self) -> Keep {
+        match self.opts.fill {
             FillMethod::Mt => Keep::Nothing,
             _ if self.opts.objective.preferred().is_some() => Keep::Lefts,
-            _ => Keep::Intervals,
-        };
-        Analyzer::new(width, self.weights().map(<[u64]>::to_vec), keep)
+            _ => Keep::Pins,
+        }
+    }
+
+    /// The analyzer of a planned fill over `width` pins.
+    fn analyzer(&self, width: usize) -> Analyzer {
+        Analyzer::new(width, self.weights().map(<[u64]>::to_vec), self.keep())
     }
 
     /// Feeds window `win_idx`, cubes `cubes` of the stream, to the
@@ -826,18 +833,24 @@ impl StreamingFill {
             return Ok(report);
         }
         self.check_width(report.width)?;
-        let cubes = self.order_resident(cubes)?;
+        let (cubes, scanned) = self.order_resident(cubes)?;
         // Only DP-fill plans: MT-fill's plan would hold the first care
         // values alone, which its fill of the one window finds itself.
         // A single-pass fill's ordering belongs to its only pass.
         let mut pass2_start = start;
         let plan = match self.opts.fill {
             FillMethod::Dp => {
-                let mut analyzer = self.analyzer(report.width);
-                self.ingest(&mut analyzer, &cubes, 0, 0..cubes.len())?;
+                let analysis = match scanned {
+                    Some(analysis) => analysis,
+                    None => {
+                        let mut analyzer = self.analyzer(report.width);
+                        self.ingest(&mut analyzer, &cubes, 0, 0..cubes.len())?;
+                        analyzer.finish()
+                    }
+                };
                 report.pass1_ns = nanos(start);
                 let shape = (cubes.len(), report.width);
-                let plan = self.resolve_plan(analyzer.finish(), Vec::new(), shape)?;
+                let plan = self.resolve_plan(analysis, Vec::new(), shape)?;
                 report.solve_ns = nanos(start) - report.pass1_ns;
                 pass2_start = Instant::now();
                 Some(plan)
@@ -861,20 +874,35 @@ impl StreamingFill {
     }
 
     /// Applies [`StreamOptions::order`] to the resident set: the ring
-    /// ordering with no frozen prefix, contained at window 0.
-    fn order_resident(&self, cubes: CubeSet) -> Result<CubeSet, StreamError> {
+    /// ordering with no frozen prefix, contained at window 0. A DP-fill
+    /// under the I-ordering also returns the analysis of the reordered
+    /// set, Algorithm 3's scan of its winning order (a panic in it, the
+    /// [`ChaosPlan`] one included, contained at window 0), so the set is
+    /// not scanned again; it has none when the search scanned none.
+    fn order_resident(&self, cubes: CubeSet) -> Result<(CubeSet, Option<Analysis>), StreamError> {
         let Some(order) = self.opts.order else {
-            return Ok(cubes);
+            return Ok((cubes, None));
         };
-        let whole = BandContext::whole_set();
-        let perm = contain(0, 0..cubes.len(), || order.method.order_band(&cubes, whole))??;
+        let (perm, analysis) =
+            contain(0, 0..cubes.len(), || match (order.method, self.opts.fill) {
+                (BandedMethod::Interleave, FillMethod::Dp) => {
+                    let (perm, analysis) =
+                        IOrdering::new().order_analyzed(&cubes, self.keep(), self.weights())?;
+                    if analysis.is_some() && self.opts.chaos.panic_in_analyze == Some(0) {
+                        panic!("chaos: injected panic while analyzing window 0");
+                    }
+                    Ok((perm, analysis))
+                }
+                (method, _) => {
+                    (method.order_band(&cubes, BandContext::whole_set())).map(|perm| (perm, None))
+                }
+            })??;
         let malformed = OrderingError::MalformedSchedule {
             len: perm.len(),
             expected: cubes.len(),
         };
-        cubes
-            .reordered(&perm)
-            .map_err(|_| StreamError::Order(malformed))
+        let cubes = (cubes.reordered(&perm)).map_err(|_| StreamError::Order(malformed))?;
+        Ok((cubes, analysis))
     }
 
     /// Pass 1: stream every window through the stitching analyzer — with
@@ -905,7 +933,7 @@ impl StreamingFill {
             // I-ordering's warm bound: everything already frozen out of
             // the ring is a certified floor on the final bottleneck.
             let max = sizing.as_ref().map_or(1, |s| s.window);
-            let Some(set) = source.next_window(max, analyzer.as_ref(), win_idx)? else {
+            let Some(set) = source.next_window(max, analyzer.as_mut(), win_idx)? else {
                 break;
             };
             if sizing.is_none() {
@@ -950,10 +978,10 @@ impl StreamingFill {
 
     /// Turns a finished analysis of `shape` (`(cubes, width)`) and pass
     /// 1's per-cube `digests` into the emit pass's fill plan: for DP the
-    /// global BCP solve colors the analysis's intervals, read in place
-    /// in their `(end, pin)` order, and their pins are bucketed by
-    /// color; MT-fill is copy-left with no flips, so its plan holds
-    /// none.
+    /// global BCP solve bounds, colors, verifies and shifts the
+    /// analysis's stretches in place, in their `(end, pin)` walk, and
+    /// their pins are bucketed by color; MT-fill is copy-left with no
+    /// flips, so its plan holds none.
     fn resolve_plan(
         &self,
         mut analysis: Analysis,
@@ -963,7 +991,7 @@ impl StreamingFill {
         let _span = minitrace::span_with(
             "stream.solve",
             &[
-                ("sites", analysis.intervals.len().into()),
+                ("sites", analysis.stretches().into()),
                 ("cubes", shape.0.into()),
             ],
         );
@@ -978,26 +1006,20 @@ impl StreamingFill {
         }
         let flips = match self.opts.fill {
             FillMethod::Dp => {
-                let instance = instance(&mut analysis, self.weights());
-                // The monolithic DpFill's solve of the same instance,
-                // warmed by the bound the analyzer certified online.
-                let mut solution = instance
-                    .solve_with(&SolveOptions {
-                        warm_lb: Some(analysis.warm_lb),
-                    })
-                    .map_err(solve_error)?;
+                // The library DP-fill's solve of the same intervals,
+                // warmed by the bound the analysis certified.
+                let stretches = analysis.by_end(self.weights());
+                let mut solution =
+                    (stretches.solve_with(Some(analysis.warm_lb))).map_err(solve_error)?;
                 if let Some(preferred) = self.opts.objective.preferred() {
-                    // The monolithic DpFill's preference tie-break, in
-                    // its (pin, start) order.
-                    let desire = desires(&analysis.pins, &analysis.lefts, preferred);
-                    let walk = pin_order(&analysis.pins, shape.1);
-                    instance
-                        .shift_solution(&mut solution, &desire, &walk)
-                        .map_err(solve_error)?;
+                    shift_preferred(&stretches, &mut solution, preferred).map_err(solve_error)?;
                 }
-                let (num_colors, colors) = (instance.num_colors(), solution.coloring.into_colors());
-                drop(instance);
-                Flips::new(&analysis.pins, &colors, num_colors)
+                let colors = solution.coloring.into_colors();
+                // The flips read each stretch's pin alone.
+                for g in &mut analysis.chunks {
+                    (g.starts, g.lefts) = (Vec::new(), Vec::new());
+                }
+                Flips::new(analysis.pins(), &colors, analysis.baseline.len())
             }
             // MT-fill copies each stretch's left care value through the
             // whole run: the coloring at each interval's end, which
@@ -1821,19 +1843,21 @@ mod tests {
             });
             let mut analyzer = driver.analyzer(cubes.width());
             analyzer.ingest(cubes.as_packed().cubes());
-            (
-                analyzer.event_bytes(),
-                analyzer.warm_bound(),
-                analyzer.finish(),
-            )
+            let bytes = analyzer.event_bytes();
+            (bytes, analyzer.warm_bound(), analyzer.finish())
         };
         let (mt_bytes, mt_bound, mt) = analyzed(FillMethod::Mt);
         let (dp_bytes, dp_bound, dp) = analyzed(FillMethod::Dp);
-        assert!(mt.intervals.is_empty() && mt.pins.is_empty());
-        assert!(!dp.intervals.is_empty());
-        let per_stretch =
-            (std::mem::size_of::<crate::Interval>() + std::mem::size_of::<u32>()) as u64;
-        assert_eq!(dp_bytes - mt_bytes, dp.intervals.len() as u64 * per_stretch);
+        assert!(mt.chunks.is_empty());
+        assert!(dp.stretches() > 0);
+        // DP keeps each stretch's start and pin, and per chunk one by-end
+        // offset per transition; MT keeps the one initial offset.
+        let per_stretch = 2 * std::mem::size_of::<u32>() as u64;
+        let offsets = (dp.chunks.len() * dp.baseline.len() * std::mem::size_of::<usize>()) as u64;
+        assert_eq!(
+            dp_bytes - mt_bytes,
+            dp.stretches() as u64 * per_stretch + offsets
+        );
         assert_eq!((mt_bound, &mt.first_values), (dp_bound, &dp.first_values));
     }
 

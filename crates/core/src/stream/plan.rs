@@ -134,13 +134,14 @@ mod tests {
         let whole = mapping.apply_coloring(&coloring(colors.clone()));
         let digests: Vec<u64> = cubes.as_packed().cubes().iter().map(cube_digest).collect();
         for size in [1, 2, 3, 5] {
-            let mut analyzer = Analyzer::new(cubes.width(), None, Keep::Intervals);
+            let mut analyzer = Analyzer::new(cubes.width(), None, Keep::Pins);
             for chunk in cubes.as_packed().cubes().chunks(size) {
                 analyzer.ingest(chunk);
             }
             let analysis = analyzer.finish();
-            assert_eq!(analysis.pins, mapping.pins(), "window {size}");
-            let flips = Flips::new(&analysis.pins, &colors, mapping.instance().num_colors());
+            let pins: Vec<u32> = analysis.pins().collect();
+            assert_eq!(pins, mapping.pins(), "window {size}");
+            let flips = Flips::new(pins, &colors, mapping.instance().num_colors());
             let plan = FillPlan::new(analysis.first_values, flips, digests.clone());
             assert_eq!(fill_windowed(cubes, &plan, size), whole, "window {size}");
         }
@@ -156,7 +157,7 @@ mod tests {
         // across windows of 2.
         let cubes = CubeSet::parse_rows(&["0", "X", "X", "X", "X", "1"]).unwrap();
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
-        let plan = FillPlan::new(vec![0], Flips::new(&[0], &[1], 5), digests);
+        let plan = FillPlan::new(vec![0], Flips::new([0], &[1], 5), digests);
         let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
             .iter()
             .map(|c| c.to_string())
@@ -171,11 +172,11 @@ mod tests {
         let cubes = CubeSet::parse_rows(&["1X", "XX", "XX", "XX", "X0", "1X"]).unwrap();
         assert_windows_match_whole_set(&cubes, |iv, _| iv.start());
         let analysis = {
-            let mut analyzer = Analyzer::new(2, None, Keep::Intervals);
+            let mut analyzer = Analyzer::new(2, None, Keep::Pins);
             analyzer.ingest(cubes.as_packed().cubes());
             analyzer.finish()
         };
-        assert!(analysis.intervals.is_empty());
+        assert_eq!(analysis.stretches(), 0);
         let digests = cubes.as_packed().cubes().iter().map(cube_digest).collect();
         let plan = FillPlan::new(analysis.first_values, Flips::default(), digests);
         let out: Vec<String> = fill_windowed(&cubes, &plan, 2)
@@ -255,7 +256,7 @@ mod tests {
     fn the_plan_charges_four_bytes_per_interval() {
         // 4 B per bucketed pin, 8 B per transition offset, first-value
         // words and digests: the governor's model is the structures'.
-        let flips = Flips::new(&[0, 1, 0], &[0, 1, 2], 3);
+        let flips = Flips::new([0, 1, 0], &[0, 1, 2], 3);
         let plan = FillPlan::new(vec![0], flips, vec![0; 4]);
         let per = std::mem::size_of::<u32>() as u64;
         let per_color = std::mem::size_of::<usize>() as u64;

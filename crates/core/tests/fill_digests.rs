@@ -6,7 +6,9 @@
 //!
 //! Covered: DP-fill under the unit objective, DP-fill under a leakage
 //! objective (monolithic, and streamed through a banded I-ordering at
-//! `--window 3 --band 2`), B-fill, XStat-fill and MT-fill. Three of
+//! `--window 3 --band 2`), B-fill, XStat-fill and MT-fill; on sets wide
+//! enough to scan as several chunks of pin words, the DP-fills and a
+//! resident I-ordered DP-fill under both objectives. Three of
 //! them break ties in a fixed interval order (the preference shift by
 //! `(pin, start)`, XStat-fill by `(load, pin, left)`, B-fill by
 //! `(len, start, pin)`), so these digests also pin those keys.
@@ -137,6 +139,69 @@ fn emitted_bytes_are_pinned_at_every_thread_count() {
             assert_eq!(
                 digests, want,
                 "set {width}x{count} seed {seed} at {threads} threads ({labels:?})"
+            );
+        }
+    }
+}
+
+/// A resident I-ordered DP-fill under `objective`: the whole-set
+/// pipeline, whose solve reads Algorithm 3's scan of the winning order.
+fn resident_iorder(cubes: &CubeSet, objective: FillObjective) -> Vec<u8> {
+    let opts = StreamOptions {
+        fill: FillMethod::Dp,
+        order: Some(BandedOrder::new(BandedMethod::Interleave)),
+        objective,
+        ..StreamOptions::default()
+    };
+    let mut out = Vec::new();
+    StreamingFill::new(opts)
+        .run_resident(cubes.clone(), &mut out)
+        .expect("resident run");
+    out
+}
+
+#[test]
+fn multi_chunk_bytes_are_pinned_at_every_thread_count() {
+    // 1,100 pins scan as three chunks of pin words at 1, 2 and 8
+    // threads, so every solve walks several chunks within an end. Per
+    // set, the digests of dp, dp-leakage, dp-leakage-streamed, the
+    // resident I-ordered dp and the resident I-ordered dp-leakage.
+    let sets: [(usize, usize, f64, u64); 2] = [(1100, 48, 0.75, 5), (1300, 40, 0.5, 6)];
+    let pinned: [[u64; 5]; 2] = [
+        [
+            4197737956965972051,
+            10586606793507922810,
+            10864354801710298472,
+            2586353206606333755,
+            8957014895931012291,
+        ],
+        [
+            10304647291672015612,
+            2657315092523434272,
+            150729603617852435,
+            17622411945671481074,
+            3718234731562751300,
+        ],
+    ];
+    for (&(width, count, density, seed), want) in sets.iter().zip(pinned) {
+        let cubes = random_cube_set(width, count, density, seed);
+        for threads in [1, 2, 8] {
+            let got = with_threads(threads, || {
+                let dp_leakage = DpFill::new()
+                    .with_objective(leakage(width))
+                    .try_run(&cubes)
+                    .expect("leakage DP-fill");
+                [
+                    digest(&text(&FillMethod::Dp.fill(&cubes))),
+                    digest(&text(&dp_leakage.filled)),
+                    digest(&streamed_leakage(&cubes)),
+                    digest(&resident_iorder(&cubes, FillObjective::default())),
+                    digest(&resident_iorder(&cubes, leakage(width))),
+                ]
+            });
+            assert_eq!(
+                got, want,
+                "set {width}x{count} seed {seed} at {threads} threads"
             );
         }
     }
