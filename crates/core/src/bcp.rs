@@ -40,11 +40,17 @@
 //!    monotone in `P`, and the minimum feasible `P` *equals* the
 //!    windowed lower bound — infeasibility below the bound is the
 //!    pigeonhole argument on the violating window, feasibility at the
-//!    bound is Hall's condition. Galloping + k-ary search from the warm
-//!    start finds that minimum with O(log) probes of one sweep each;
-//!    the k-ary rounds probe one pivot per pool thread (deterministic:
-//!    the answer is the minimum feasible peak however the pivots are
-//!    scheduled).
+//!    bound is Hall's condition. A probe that fails at `P` names that
+//!    window: every color in the run of closed colors ending at the
+//!    failing interval's end is full, so the run holds more than `P`
+//!    per color. Widened by one pass over right ends and one over left
+//!    ends, its density is a *witness*: a real window's density, so a
+//!    certified floor above `P` and at most the bound. One serial
+//!    gallop-and-bisect search from the warm start raises its
+//!    infeasible end to each witness and gallops to `max(witness, P +
+//!    step)`, so it takes O(log gap) probes of one sweep each however
+//!    small the witnesses, and usually two: the first failure's witness
+//!    is often the bound itself.
 //!
 //! # How the sweeps run
 //!
@@ -60,12 +66,17 @@
 //! once an interval does not fit it. The probes *pour* divisible loads
 //! (exact for unit loads, the fractional relaxation for weighted ones);
 //! the blocking probe and every coloring *fit* each load in one color.
+//! A pour places unit loads exactly as a fit does, so a unit solve's
+//! probes record their placements and the probe that certifies the
+//! bound is the coloring; the weighted blocking search keeps the
+//! placements of its last accepted probe the same way.
 //! An interval's color in the textbook heap sweep depends only on the
 //! intervals before it in `(end, index)` order (the exchange argument
 //! for unit jobs with release times and deadlines), so the colorings
 //! and [`BcpError::Infeasible`] reports are the heap sweep's
 //! (differential-tested against it).
 
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -495,6 +506,7 @@ impl<'a> ByEnd<'a> {
 
     /// Every interval in walk order: its start and end, its chunk and its
     /// position there.
+    #[cfg(test)]
     pub(crate) fn intervals(&self) -> impl Iterator<Item = (u32, usize, &'a EndGroups, usize)> {
         let chunks = self.chunks;
         (0..self.colors()).flat_map(move |e| {
@@ -523,24 +535,18 @@ impl<'a> ByEnd<'a> {
         }
     }
 
-    /// One sweep: [`OpenColors::place`]s every interval in walk order,
-    /// weighing its load when `weighed` (else 1), and reports each
-    /// placement to `place(slot, color)`. The error is the end of the
-    /// first interval that finds no room.
-    fn sweep(
+    /// Calls `visit(r, start, end, g, i)` for every interval in walk
+    /// order — the `r`-th walked, interval `i` of chunk `g` — end by
+    /// end, then chunk by chunk, stopping at the first error.
+    fn walk<E>(
         &self,
-        mut colors: OpenColors,
-        weighed: bool,
-        divisible: bool,
-        mut place: impl FnMut(usize, u32),
-    ) -> Result<(), u32> {
+        mut visit: impl FnMut(usize, u32, usize, &'a EndGroups, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut r = 0;
-        for e in 0..colors.room.len() {
+        for e in 0..self.colors() {
             for g in self.chunks {
                 for i in g.by_end[e]..g.by_end[e + 1] {
-                    let load = if weighed { self.weight(g.key(i)) } else { 1 };
-                    let t = colors.place(g.starts[i], e, load, divisible);
-                    place(self.slot(r, g, i), t.ok_or(e as u32)?);
+                    visit(r, g.starts[i], e, g, i)?;
                     r += 1;
                 }
             }
@@ -548,21 +554,141 @@ impl<'a> ByEnd<'a> {
         Ok(())
     }
 
+    /// [`ByEnd::walk`] with a visit that cannot fail.
+    pub(crate) fn each(&self, mut visit: impl FnMut(usize, u32, usize, &'a EndGroups, usize)) {
+        let Ok(()) = self.walk(|r, start, e, g, i| {
+            visit(r, start, e, g, i);
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    /// The end-grouped chunks.
+    pub(crate) fn chunks(&self) -> &'a [EndGroups] {
+        self.chunks
+    }
+
+    /// Calls `visit(start, load)` for every interval ending at color
+    /// `end`, weighing its load when `weighed` (else 1).
+    fn ending_at(&self, end: usize, weighed: bool, mut visit: impl FnMut(u32, u64)) {
+        for g in self.chunks {
+            for i in g.by_end[end]..g.by_end[end + 1] {
+                visit(g.starts[i], if weighed { self.weight(g.key(i)) } else { 1 });
+            }
+        }
+    }
+
+    /// One sweep: [`OpenColors::place`]s every interval in walk order,
+    /// weighing its load when `weighed` (else 1), and reports each
+    /// placement to `place(slot, color)`. The error is the end of the
+    /// first interval that finds no room.
+    fn sweep(
+        &self,
+        colors: &mut OpenColors,
+        weighed: bool,
+        divisible: bool,
+        mut place: impl FnMut(usize, u32),
+    ) -> Result<(), u32> {
+        self.walk(|r, start, e, g, i| {
+            let load = if weighed { self.weight(g.key(i)) } else { 1 };
+            let t = colors.place(start, e, load, divisible);
+            place(self.slot(r, g, i), t.ok_or(e as u32)?);
+            Ok(())
+        })
+    }
+
     /// One feasibility probe at `peak` over `baseline`: does a [`sweep`]
-    /// place every interval? The `divisible` (pour) probe is exact for
-    /// unit loads, however the intervals sharing an end are ordered; on
-    /// weighted loads it is the fractional relaxation, whose minimum
-    /// feasible peak is `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] +
-    /// B[i][j])/(j−i+1)⌉)` (Gale–Hoffman on contiguous windows), a true
-    /// lower bound for the integral weighted problem. The blocking (fit)
-    /// probe's success certifies an achievable peak; its failure does
-    /// not certify infeasibility.
+    /// place every interval? Each placement is reported to `place`. The
+    /// `divisible` (pour) probe is exact for unit loads, however the
+    /// intervals sharing an end are ordered; on weighted loads it is the
+    /// fractional relaxation, whose minimum feasible peak is
+    /// `max(max_t baseline_t, max_{i≤j} ⌈(W[i][j] + B[i][j])/(j−i+1)⌉)`
+    /// (Gale–Hoffman on contiguous windows), a true lower bound for the
+    /// integral weighted problem. A failed pour returns its
+    /// [`witness`], a floor above `peak` that no feasible peak is below;
+    /// unit loads fit exactly as they pour, so a unit fit does too. The
+    /// blocking (weighted fit) probe's success certifies an achievable
+    /// peak; its failure certifies nothing, and returns `peak + 1`.
     ///
     /// [`sweep`]: ByEnd::sweep
-    fn probe(&self, baseline: Option<&[u64]>, peak: u64, weighed: bool, divisible: bool) -> bool {
+    /// [`witness`]: ByEnd::witness
+    fn probe(
+        &self,
+        baseline: Option<&[u64]>,
+        peak: u64,
+        weighed: bool,
+        divisible: bool,
+        place: impl FnMut(usize, u32),
+    ) -> Result<(), u64> {
         BCP_PROBES.add(1);
-        let colors = OpenColors::new(self.colors(), baseline, peak);
-        self.sweep(colors, weighed, divisible, |_, _| {}).is_ok()
+        let mut open = OpenColors::new(self.colors(), baseline, peak);
+        let Err(end) = self.sweep(&mut open, weighed, divisible, place) else {
+            return Ok(());
+        };
+        if weighed && !divisible {
+            return Err(peak.saturating_add(1));
+        }
+        let floor = self.witness(&open, baseline, weighed, end as usize);
+        debug_assert!(
+            floor > peak || peak == u64::MAX,
+            "witness {floor} at {peak}"
+        );
+        Err(floor)
+    }
+
+    /// The floor a failed pour proves: the densest window `W` met, its
+    /// density `⌈(loads inside W + baseline of W) / |W|⌉` a real
+    /// window's, so at most the bound. `W` starts as the run of closed
+    /// colors ending at `end`, where an interval found no room. A pour
+    /// closes a color only once full, no load from before the run
+    /// reached it (the color left of it never closed) and none from
+    /// after `end` (not yet walked), so the run's own intervals overfill
+    /// it and its density exceeds the probe's peak. One pass over right
+    /// ends, then one over left ends, each reaching [`WITNESS_REACH`]
+    /// run lengths past the run, widen `W` to the densest window seen.
+    fn witness(
+        &self,
+        open: &OpenColors,
+        baseline: Option<&[u64]>,
+        weighed: bool,
+        end: usize,
+    ) -> u64 {
+        let base = |t: usize| u128::from(baseline.map_or(0, |b| b[t]));
+        let mut lo = end;
+        while lo > 0 && !open.is_open(lo - 1) {
+            lo -= 1;
+        }
+        let reach = WITNESS_REACH * (end + 1 - lo);
+        // Right ends: windows [lo, e], with every load inside them.
+        let (mut best, mut hi, mut inside) = (0u128, lo, 0u128);
+        let mut sum = 0u128;
+        for e in lo..=(end + reach).min(self.colors() - 1) {
+            sum += base(e);
+            self.ending_at(e, weighed, |start, w| {
+                if start as usize >= lo {
+                    sum += u128::from(w);
+                }
+            });
+            let density = sum.div_ceil((e + 1 - lo) as u128);
+            if density >= best {
+                (best, hi, inside) = (density, e, sum);
+            }
+        }
+        // Left ends: windows [t, hi], each adding the loads starting at t.
+        let from = lo.saturating_sub(reach);
+        let mut starting = vec![0u128; lo - from];
+        for e in from..=hi {
+            self.ending_at(e, weighed, |start, w| {
+                let at = start as usize;
+                if (from..lo).contains(&at) {
+                    starting[at - from] += u128::from(w);
+                }
+            });
+        }
+        for t in (from..lo).rev() {
+            inside += base(t) + starting[t - from];
+            best = best.max(inside.div_ceil((hi + 1 - t) as u128));
+        }
+        u64::try_from(best).unwrap_or(u64::MAX)
     }
 
     /// Is the unit-load bound over the baseline at most `peak`? One pour
@@ -571,7 +697,12 @@ impl<'a> ByEnd<'a> {
     /// decides a candidate with it against the best value so far.
     pub(crate) fn feasible(&self, peak: u64) -> bool {
         self.baseline.iter().all(|&b| b <= peak)
-            && self.probe(Some(self.baseline), peak, false, true)
+            && self.pour(Some(self.baseline), peak, false).is_ok()
+    }
+
+    /// A pour probe at `peak` that records nothing.
+    fn pour(&self, baseline: Option<&[u64]>, peak: u64, weighed: bool) -> Result<(), u64> {
+        self.probe(baseline, peak, weighed, true, |_, _| {})
     }
 
     /// `max(floor, bound)` for the unit-load bound over the baseline: the
@@ -611,9 +742,7 @@ impl<'a> ByEnd<'a> {
         let lo = floor
             .max(ladder.current())
             .max(density_floor(c, baseline, k as u64));
-        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, MAX_PANEL, |p| {
-            self.probe(baseline, p, false, true)
-        })
+        min_feasible_peak(lo, UNIT_BOUND_OVERFLOW, |p| self.pour(baseline, p, false))
     }
 
     /// The batch bound of the [`IncrementalBound`] ladder: the best
@@ -624,10 +753,10 @@ impl<'a> ByEnd<'a> {
     /// pyramid.
     fn ladder_best(&self, weighed: bool, with_baseline: bool) -> u64 {
         let mut ladder = IncrementalBound::new();
-        for (start, end, g, i) in self.intervals() {
+        self.each(|_, start, end, g, i| {
             let load = if weighed { self.weight(g.key(i)) } else { 1 };
             ladder.add_load(start as usize, end, load);
-        }
+        });
         let colors = if with_baseline { self.colors() } else { 0 };
         for (t, &b) in self.baseline[..colors].iter().enumerate() {
             ladder.add_baseline(t, b);
@@ -636,41 +765,76 @@ impl<'a> ByEnd<'a> {
         ladder.current()
     }
 
-    /// The parametric lower-bound engine over `baseline` (none: the
-    /// paper's problem, loads ignored): start from the best cheap
-    /// candidate (the ladder — or for unit loads `warm` instead of it —
-    /// plus the max-baseline and global-density candidates, all true
-    /// lower bounds), then find the minimum feasible peak by
-    /// [`min_feasible_peak`] over pour probes. That minimum *is* the
-    /// windowed bound: below it some window is overfull (pigeonhole), at
-    /// it EDF succeeds (Hall). On weighted loads it is the fractional
-    /// bound; warm candidates stay valid there because loads are ≥ 1, so
-    /// any unit-load bound is below the weighted bound.
-    fn certified_bound(
-        &self,
-        baseline: Option<&[u64]>,
-        warm: Option<u64>,
-    ) -> Result<u64, BcpError> {
+    /// Where the parametric lower-bound search over `baseline` (none:
+    /// the paper's problem, loads ignored) starts, and what overflows
+    /// when its bound leaves `u64`: the best cheap candidate — the
+    /// ladder, or for unit loads `warm` instead of it, plus the
+    /// max-baseline and global-density candidates, all true lower
+    /// bounds. On weighted loads warm candidates stay valid because
+    /// loads are ≥ 1, so any unit-load bound is below the weighted bound.
+    fn bound_start(&self, baseline: Option<&[u64]>, warm: Option<u64>) -> (u64, &'static str) {
         let c = self.colors();
         if c == 0 {
-            return Ok(0);
+            return (0, UNIT_BOUND_OVERFLOW);
         }
-        let weighed = baseline.is_some() && !self.unit;
-        let (lo, total, what) = if weighed {
+        let (lo, total, what) = if baseline.is_some() && !self.unit {
             let ladder = self.ladder_best(true, true);
-            let total = (self.intervals()).fold(0u64, |a, (_, _, g, i)| {
-                a.saturating_add(self.weight(g.key(i)))
-            });
+            let mut total = 0u64;
+            self.each(|_, _, _, g, i| total = total.saturating_add(self.weight(g.key(i))));
             let what = "weighted BCP lower bound (exceeds u64)";
             (warm.unwrap_or(0).max(ladder), total, what)
         } else {
             let lo = warm.unwrap_or_else(|| self.ladder_best(false, baseline.is_some()));
             (lo, self.len() as u64, UNIT_BOUND_OVERFLOW)
         };
-        let lo = lo.max(density_floor(c, baseline, total));
-        min_feasible_peak(lo, what, MAX_PANEL, |p| {
-            self.probe(baseline, p, weighed, true)
-        })
+        (lo.max(density_floor(c, baseline, total)), what)
+    }
+
+    /// The parametric lower-bound engine over `baseline`: from
+    /// [`ByEnd::bound_start`], the minimum feasible peak by
+    /// [`min_feasible_peak`] over pour probes. That minimum *is* the
+    /// windowed bound: below it some window is overfull (pigeonhole), at
+    /// it EDF succeeds (Hall). On weighted loads it is the fractional
+    /// bound.
+    fn certified_bound(
+        &self,
+        baseline: Option<&[u64]>,
+        warm: Option<u64>,
+    ) -> Result<u64, BcpError> {
+        let (lo, what) = self.bound_start(baseline, warm);
+        let weighed = baseline.is_some() && !self.unit;
+        min_feasible_peak(lo, what, |p| self.pour(baseline, p, weighed))
+    }
+
+    /// [`min_feasible_peak`] from `lo` over probes at `baseline`
+    /// (`weighed`, `divisible` as in [`ByEnd::probe`]), with the
+    /// coloring the accepted probe placed. A probe writes its placements
+    /// over the last one's unless that one was accepted, which a spare
+    /// buffer, allocated at the first such probe, then keeps.
+    fn colored_search(
+        &self,
+        lo: u64,
+        what: &'static str,
+        baseline: Option<&[u64]>,
+        weighed: bool,
+        divisible: bool,
+    ) -> Result<(u64, Coloring), BcpError> {
+        let (mut colors, mut kept) = (vec![u32::MAX; self.len()], Vec::new());
+        let mut accepted = false;
+        let peak = min_feasible_peak(lo, what, |p| {
+            if accepted {
+                if kept.is_empty() {
+                    kept = vec![u32::MAX; colors.len()];
+                }
+                std::mem::swap(&mut colors, &mut kept);
+            }
+            let out = self.probe(baseline, p, weighed, divisible, |slot, t| colors[slot] = t);
+            accepted = out.is_ok();
+            out
+        })?;
+        // The search returns its last accepted probe.
+        let colors = if accepted { colors } else { kept };
+        Ok((peak, Coloring { colors }))
     }
 
     /// Colors by one fit sweep at `peak`; a missed interval reports
@@ -682,8 +846,8 @@ impl<'a> ByEnd<'a> {
         weighed: bool,
     ) -> Result<Coloring, BcpError> {
         let mut colors = vec![u32::MAX; self.len()];
-        let open = OpenColors::new(self.colors(), baseline, peak);
-        self.sweep(open, weighed, false, |slot, t| colors[slot] = t)
+        let mut open = OpenColors::new(self.colors(), baseline, peak);
+        self.sweep(&mut open, weighed, false, |slot, t| colors[slot] = t)
             .map_err(|color| BcpError::Infeasible { peak, color })?;
         Ok(Coloring { colors })
     }
@@ -693,37 +857,48 @@ impl<'a> ByEnd<'a> {
     fn color_loads(&self, coloring: &Coloring) -> Result<(VerifiedPeak, Vec<u64>), BcpError> {
         check_length(coloring, self.len())?;
         let mut load = vec![0u64; self.colors()];
-        for (r, (start, end, g, i)) in self.intervals().enumerate() {
+        self.walk(|r, start, end, g, i| {
             let iv = Interval::new(start, end as u32);
             let color = coloring.colors[self.slot(r, g, i)];
-            charge(&mut load, iv, color, self.weight(g.key(i)))?;
-        }
+            charge(&mut load, iv, color, self.weight(g.key(i)))
+        })?;
         Ok((peaks(&load, self.baseline)?, load))
     }
 
     /// The generalized solve over the baseline, warmed by `warm` (see
-    /// [`BcpInstance::solve_with`]), coloring in walk order.
+    /// [`BcpInstance::solve_with`]), coloring in walk order, with the
+    /// verified per-color interval loads of its coloring.
     ///
     /// # Errors
     ///
     /// As [`BcpInstance::solve_with`].
-    pub(crate) fn solve_with(&self, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
+    pub(crate) fn solve_with(
+        &self,
+        warm: Option<u64>,
+    ) -> Result<(BcpSolution, Vec<u64>), BcpError> {
         self.solve(Some(self.baseline), warm)
     }
 
-    /// The solve; without a baseline, the paper's unit-load problem. A
-    /// unit solve colors at the bound, and its verified peak must equal
-    /// it (the optimality certificate; paper mode ignores loads, so on
-    /// weighted intervals its verified peak, which counts them, is not
-    /// compared). A weighted solve colors at the smallest
-    /// blocking-feasible peak at or above the fractional bound (a serial
-    /// [`min_feasible_peak`], as blocking feasibility need not be
-    /// monotone), then closes any remaining gap with a bounded exact
-    /// branch-and-bound. Weighted bottleneck coloring is NP-hard, so
-    /// `peak == lower_bound` is not guaranteed beyond the search budget;
-    /// inside it the peak is exactly optimal (differential-tested against
-    /// the `dpfill-oracle` brute force).
-    fn solve(&self, baseline: Option<&[u64]>, warm: Option<u64>) -> Result<BcpSolution, BcpError> {
+    /// The solve, with the verified per-color interval loads of its
+    /// coloring; without a baseline, the paper's unit-load problem. A
+    /// unit solve's bound search records its probes' placements, so the
+    /// probe that certifies the bound is the coloring, and its verified
+    /// peak must equal the bound (the optimality certificate; paper mode
+    /// ignores loads, so on weighted intervals its verified peak, which
+    /// counts them, is not compared). A weighted solve colors at the
+    /// smallest blocking-feasible peak at or above the fractional bound
+    /// (the same search over blocking probes, whose failures certify
+    /// nothing, as blocking feasibility need not be monotone), then
+    /// closes any remaining gap with a bounded exact branch-and-bound.
+    /// Weighted bottleneck coloring is NP-hard, so `peak == lower_bound`
+    /// is not guaranteed beyond the search budget; inside it the peak is
+    /// exactly optimal (differential-tested against the `dpfill-oracle`
+    /// brute force).
+    fn solve(
+        &self,
+        baseline: Option<&[u64]>,
+        warm: Option<u64>,
+    ) -> Result<(BcpSolution, Vec<u64>), BcpError> {
         let _span = minitrace::span_with(
             "bcp.solve",
             &[
@@ -733,21 +908,21 @@ impl<'a> ByEnd<'a> {
             ],
         );
         let weighed = baseline.is_some() && !self.unit;
-        let lb = {
-            let _span = minitrace::span("bcp.bound");
-            self.certified_bound(baseline, warm)?
-        };
-        let target = if weighed {
+        let (lb, mut coloring) = if weighed {
+            let lb = {
+                let _span = minitrace::span("bcp.bound");
+                self.certified_bound(baseline, warm)?
+            };
             let _span = minitrace::span("bcp.search");
-            min_feasible_peak(lb, "weighted BCP peak (exceeds u64)", 1, |p| {
-                self.probe(baseline, p, true, false)
-            })?
+            let what = "weighted BCP peak (exceeds u64)";
+            (lb, self.colored_search(lb, what, baseline, true, false)?.1)
         } else {
-            lb
+            let _span = minitrace::span("bcp.bound");
+            let (lo, what) = self.bound_start(baseline, warm);
+            self.colored_search(lo, what, baseline, false, true)?
         };
         let _span = minitrace::span("bcp.color");
-        let mut coloring = self.color_at(target, baseline, weighed)?;
-        let mut peak = self.color_loads(&coloring)?.0;
+        let (mut peak, mut load) = self.color_loads(&coloring)?;
         let achieved = baseline.map_or(peak.intervals_only, |_| peak.with_baseline);
         if achieved != lb && self.unit {
             return Err(BcpError::BoundNotMet {
@@ -758,18 +933,18 @@ impl<'a> ByEnd<'a> {
         if weighed && peak.with_baseline > lb {
             if let Some(improved) = self.exact_refine(lb, peak.with_baseline) {
                 let improved = Coloring { colors: improved };
-                let improved_peak = self.color_loads(&improved)?.0;
+                let (improved_peak, improved_load) = self.color_loads(&improved)?;
                 if improved_peak.with_baseline < peak.with_baseline {
-                    coloring = improved;
-                    peak = improved_peak;
+                    (coloring, peak, load) = (improved, improved_peak, improved_load);
                 }
             }
         }
-        Ok(BcpSolution {
+        let solution = BcpSolution {
             coloring,
             lower_bound: lb,
             peak,
-        })
+        };
+        Ok((solution, load))
     }
 
     /// Bounded deterministic branch-and-bound over interval placements:
@@ -788,9 +963,10 @@ impl<'a> ByEnd<'a> {
             return None;
         }
         // Each interval in walk order: (start, end, load, slot).
-        let items: Vec<(u32, u32, u64, usize)> = (self.intervals().enumerate())
-            .map(|(r, (s, e, g, i))| (s, e as u32, self.weight(g.key(i)), self.slot(r, g, i)))
-            .collect();
+        let mut items: Vec<(u32, u32, u64, usize)> = Vec::with_capacity(k);
+        self.each(|r, s, e, g, i| {
+            items.push((s, e as u32, self.weight(g.key(i)), self.slot(r, g, i)));
+        });
         let mut order: Vec<u32> = (0..k as u32).collect();
         order.sort_unstable_by_key(|&r| {
             let (s, e, _, _) = items[r as usize];
@@ -859,22 +1035,21 @@ impl<'a> ByEnd<'a> {
 
     /// The preference step after the solve: the slack shift of
     /// [`BcpInstance::shift_within_slack`] at the solution's achieved
-    /// peak, over the `visits` in their order, then a verification of
-    /// the shifted coloring.
+    /// peak, over the `visits` in their order, from `load`, the
+    /// per-color interval loads the solve verified for its coloring,
+    /// then a verification of the shifted coloring.
     ///
     /// # Errors
     ///
-    /// [`BcpError::InvalidColoring`] when the solution's coloring is
-    /// malformed or above its own peak; [`BcpError::Overflow`] when
-    /// verification overflows.
+    /// [`BcpError::InvalidColoring`] when the shifted coloring is
+    /// malformed; [`BcpError::Overflow`] when verification overflows.
     pub(crate) fn shift_solution(
         &self,
         solution: &mut BcpSolution,
+        mut load: Vec<u64>,
         visits: impl Iterator<Item = Visit>,
     ) -> Result<(), BcpError> {
         let peak = solution.peak.with_baseline;
-        let (verified, mut load) = self.color_loads(&solution.coloring)?;
-        check_budget(verified, peak)?;
         shift_toward(
             &mut solution.coloring.colors,
             &mut load,
@@ -987,6 +1162,11 @@ impl OpenColors {
         OpenColors { next, room }
     }
 
+    /// Whether color `t` is still open.
+    fn is_open(&self, t: usize) -> bool {
+        self.next[t] as usize == t
+    }
+
     /// The earliest open color at or after `t`, halving the path walked.
     fn find(&mut self, mut t: usize) -> usize {
         while self.next[t] as usize != t {
@@ -1037,61 +1217,53 @@ fn density_floor(colors: usize, baseline: Option<&[u64]>, loads: u64) -> u64 {
 /// What overflows when a unit-load bound search leaves `u64`.
 const UNIT_BOUND_OVERFLOW: &str = "BCP lower bound (exceeds u64)";
 
-/// The widest k-ary panel of a monotone peak search.
-const MAX_PANEL: u64 = 16;
+/// How far a [witness](ByEnd::witness) widens its run each way, in run
+/// lengths. On the seed-3 banded ledger input the first failed pour's
+/// run, [1188, 1911], widens two run lengths to the window [1188, 2975]
+/// that attains the bound; one run length takes a second failure.
+const WITNESS_REACH: usize = 2;
 
-/// The minimum peak at or above `lo` that the probe `feasible` accepts:
-/// galloping to an infeasible/feasible bracket, then k-ary narrowing
-/// with one probe per pool thread, at most `max_panel`. A monotone probe
-/// gives the same result at any thread count: with `lo` at most the true
-/// bound it is that bound; with `lo` above it, `lo`. A probe that need
-/// not be monotone takes `max_panel` 1, a serial bisection that returns
-/// an accepted peak at any thread count. A gallop that reaches
-/// `u64::MAX` rejected is [`BcpError::Overflow`] naming `what`.
+/// The minimum peak at or above `lo` that `probe` accepts. A rejecting
+/// probe returns a floor above its peak: every peak below the floor is
+/// rejected too. Gallop to a bracket, probing `max(floor, p + step)`
+/// after a rejection at `p` and doubling `step` (from 1), then bisect
+/// the bracket `[floor, accepted]`. A monotone probe with certified
+/// floors (a pour's witnesses) gives its minimum accepted peak — with
+/// `lo` at most the true bound that bound, with `lo` above it `lo` — in
+/// O(log gap) probes however small its floors. A probe that need not be
+/// monotone, returning floor `p + 1`, runs the plain gallop and
+/// bisection and gets an accepted peak. Either way the result is the
+/// last peak accepted. A rejection at `u64::MAX` is
+/// [`BcpError::Overflow`] naming `what`.
 fn min_feasible_peak(
     lo: u64,
     what: &'static str,
-    max_panel: u64,
-    feasible: impl Fn(u64) -> bool + Sync,
+    mut probe: impl FnMut(u64) -> Result<(), u64>,
 ) -> Result<u64, BcpError> {
-    if feasible(lo) {
-        // A monotone probe's lo never exceeds the true bound, which is
-        // the minimum feasible peak — so feasibility at lo pins lo == bound.
-        return Ok(lo);
-    }
-    // Gallop to an infeasible/feasible bracket (bad, good].
-    let mut bad = lo;
-    let mut step = 1u64;
-    let mut good;
-    loop {
-        let p = bad.saturating_add(step);
-        if feasible(p) {
-            good = p;
-            break;
-        }
-        if p == u64::MAX {
-            return Err(BcpError::Overflow { what });
-        }
-        bad = p;
-        step = step.saturating_mul(2);
-    }
-    // Narrow with a panel of pivots, one probe per pool thread. The
-    // result is the minimum feasible peak regardless of panel width.
-    while good - bad > 1 {
-        let gap = good - bad - 1;
-        let m = (minipool::current_threads().max(1) as u64).min(gap.min(max_panel));
-        let pivots: Vec<u64> = (1..=m)
-            .map(|i| bad + ((good - bad) as u128 * i as u128 / (m + 1) as u128) as u64)
-            .collect();
-        let feas = minipool::parallel_indexed(pivots.len(), |i| feasible(pivots[i]));
-        match feas.iter().position(|&f| f) {
-            Some(j) => {
-                good = pivots[j];
-                if j > 0 {
-                    bad = pivots[j - 1];
-                }
+    // Gallop to a bracket (bad, good]: `good` accepted, every peak up to
+    // `bad` rejected.
+    let (mut p, mut step, mut bad) = (lo, 1u64, None);
+    let mut good = loop {
+        match probe(p) {
+            Ok(()) => break p,
+            Err(_) if p == u64::MAX => return Err(BcpError::Overflow { what }),
+            Err(floor) => {
+                bad = Some(floor - 1);
+                p = floor.max(p.saturating_add(step));
+                step = step.saturating_mul(2);
             }
-            None => bad = pivots[m as usize - 1],
+        }
+    };
+    let Some(mut bad) = bad else {
+        // A monotone probe's `lo` never exceeds the true bound, which is
+        // the minimum feasible peak — so feasibility at `lo` pins it.
+        return Ok(lo);
+    };
+    while good - bad > 1 {
+        let mid = bad + (good - bad) / 2;
+        match probe(mid) {
+            Ok(()) => good = mid,
+            Err(floor) => bad = floor.min(good) - 1,
         }
     }
     Ok(good)
@@ -1562,7 +1734,7 @@ impl BcpInstance {
     /// indicate a solver bug.
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<BcpSolution, BcpError> {
         let groups = self.groups();
-        self.by_end(&groups).solve_with(opts.warm_lb)
+        Ok(self.by_end(&groups).solve_with(opts.warm_lb)?.0)
     }
 
     /// Solves with the generalized (baseline-aware) algorithm and no
@@ -1589,7 +1761,7 @@ impl BcpInstance {
     /// indicate a solver bug.
     pub fn solve_paper(&self) -> Result<BcpSolution, BcpError> {
         let groups = self.groups();
-        self.by_end(&groups).solve(None, None)
+        Ok(self.by_end(&groups).solve(None, None)?.0)
     }
 }
 
@@ -1608,6 +1780,8 @@ pub mod test_support {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn instance(n_colors: usize, ivs: &[(u32, u32)]) -> BcpInstance {
@@ -2102,6 +2276,211 @@ mod tests {
         }
     }
 
+    /// Algorithm 1's bound of `inst` by the `dpfill-oracle` row DP: at
+    /// the instance's loads over its baseline, or at unit loads with no
+    /// baseline (the paper's problem). `None` when the DP overflows.
+    fn oracle_bound(inst: &BcpInstance, paper: bool) -> Option<u64> {
+        let intervals: Vec<(u32, u32, u64)> = (inst.intervals.iter().enumerate())
+            .map(|(i, iv)| {
+                let load = if paper { 1 } else { inst.interval_load(i) };
+                (iv.start(), iv.end(), load)
+            })
+            .collect();
+        let zeros = vec![0; inst.num_colors];
+        let baseline = if paper { &zeros } else { &inst.baseline };
+        dpfill_oracle::window_bound_dp(baseline, &intervals).ok()
+    }
+
+    /// The weighted solve's peak search written out: a gallop from `lb`
+    /// by doubling steps, then a bisection, over blocking sweeps.
+    fn blocking_target(inst: &BcpInstance, lb: u64) -> u64 {
+        let fits = |p| inst.color_edf_weighted(p).is_ok();
+        if fits(lb) {
+            return lb;
+        }
+        let (mut bad, mut step) = (lb, 1u64);
+        let mut good = loop {
+            let p = bad + step;
+            if fits(p) {
+                break p;
+            }
+            (bad, step) = (p, 2 * step);
+        };
+        while good - bad > 1 {
+            let mid = bad + (good - bad) / 2;
+            if fits(mid) {
+                good = mid;
+            } else {
+                bad = mid;
+            }
+        }
+        good
+    }
+
+    /// The peaks of `from..to`: all of them, or both ends of a long range.
+    fn peaks_below(from: u64, to: u64) -> Vec<u64> {
+        if to.saturating_sub(from) <= 64 {
+            (from..to).collect()
+        } else {
+            (from..from + 32).chain(to - 32..to).collect()
+        }
+    }
+
+    /// Every pour probe below the bound fails with a witness floor in
+    /// `(peak, bound]`, and the solves color like the fit sweeps at
+    /// their targets: `color_edf` at the bound on unit loads,
+    /// `color_edf_weighted` at the blocking target on weighted ones.
+    fn assert_witnessed(inst: &BcpInstance) {
+        let groups = inst.groups();
+        let by_end = inst.by_end(&groups);
+        let max_base = inst.baseline.iter().copied().max().unwrap_or(0);
+        let general = (Some(inst.baseline()), !inst.is_unit(), max_base);
+        for (baseline, weighed, from) in [general, (None, false, 0)] {
+            let Some(bound) = oracle_bound(inst, baseline.is_none()) else {
+                continue;
+            };
+            for peak in peaks_below(from, bound) {
+                match by_end.pour(baseline, peak, weighed) {
+                    Err(floor) => assert!(
+                        peak < floor && floor <= bound,
+                        "floor {floor} at peak {peak}, bound {bound}: {inst:?}"
+                    ),
+                    Ok(()) => panic!("pour at {peak} below bound {bound}: {inst:?}"),
+                }
+            }
+            assert_eq!(by_end.pour(baseline, bound, weighed), Ok(()), "{inst:?}");
+        }
+        let sol = inst.solve().unwrap();
+        if inst.is_unit() {
+            assert_eq!(Ok(sol.coloring), inst.color_edf(sol.lower_bound));
+        } else {
+            let target = blocking_target(inst, sol.lower_bound);
+            let greedy = inst.color_edf_weighted(target).unwrap();
+            let what = "weighted BCP peak (exceeds u64)";
+            let searched =
+                by_end.colored_search(sol.lower_bound, what, Some(&inst.baseline), true, false);
+            assert_eq!(searched, Ok((target, greedy.clone())), "{inst:?}");
+            // The bounded exact search may only ever improve on it.
+            if sol.coloring != greedy {
+                let greedy_peak = inst.verify(&greedy).unwrap().with_baseline;
+                assert!(sol.peak.with_baseline < greedy_peak, "{inst:?}");
+            }
+        }
+        let paper = inst.solve_paper().unwrap();
+        assert_eq!(
+            Ok(paper.coloring),
+            inst.color_greedy_paper(paper.lower_bound)
+        );
+    }
+
+    /// Unit or weighted instances over up to 47 colors with baselines,
+    /// short intervals and long ones.
+    fn arb_instance() -> impl Strategy<Value = BcpInstance> {
+        (1u32..48, 0u64..6, any::<bool>()).prop_flat_map(|(colors, base_max, weighted)| {
+            let span = prop_oneof![0u32..4, 0..colors];
+            let load = if weighted { 1u64..10 } else { 1..2 };
+            let intervals = proptest::collection::vec((0..colors, span, load), 0..80);
+            let baseline = proptest::collection::vec(0..=base_max, colors as usize);
+            (intervals, baseline).prop_map(move |(ivs, baseline)| {
+                let mut inst = BcpInstance::new(colors as usize);
+                for (start, span, load) in ivs {
+                    let end = (start + span).min(colors - 1);
+                    inst.add_weighted_interval(Interval::new(start, end), load)
+                        .unwrap();
+                }
+                inst.set_baseline(baseline).unwrap();
+                inst
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn failed_pours_witness_floors_up_to_the_bound(inst in arb_instance()) {
+            assert_witnessed(&inst);
+        }
+    }
+
+    #[test]
+    fn saturating_loads_search_in_logarithmic_probes() {
+        let mut seed = 0x5A7u64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x14057B7EF767814F);
+            (seed >> 33) % m
+        };
+        // 2·⌈log2 gap⌉ + 4.
+        let budget = |gap: u64| 2 * (64 - gap.saturating_sub(1).leading_zeros()) + 4;
+        // The search with its probe count; one that crawls fails here
+        // rather than running on.
+        let counted = |lo, what, probe: &mut dyn FnMut(u64) -> Result<(), u64>| {
+            let mut probes = 0;
+            let found = min_feasible_peak(lo, what, |p| {
+                probes += 1;
+                assert!(probes <= budget(u64::MAX), "crawling from {lo}");
+                probe(p)
+            });
+            (found, probes)
+        };
+        let (mut bounded, mut gapped) = (0, 0);
+        // The shape of the sweep suite's random instances: up to 11
+        // colors, 15 intervals and baselines below 5, with loads near
+        // u64::MAX / 4, so a few intervals saturate a window.
+        for case in 0..3000 {
+            let colors = 1 + next(11) as u32;
+            let mut inst = BcpInstance::new(colors as usize);
+            for _ in 0..next(16) {
+                let start = next(u64::from(colors)) as u32;
+                let end = start + next(u64::from(colors - start)) as u32;
+                let load = match next(4) {
+                    0 => 1 + next(7),
+                    _ => u64::MAX / 4 - next(8),
+                };
+                inst.add_weighted_interval(Interval::new(start, end), load)
+                    .unwrap();
+            }
+            inst.set_baseline((0..colors).map(|_| next(5)).collect())
+                .unwrap();
+            let groups = inst.groups();
+            let by_end = inst.by_end(&groups);
+            let (baseline, weighed) = (Some(inst.baseline()), !inst.is_unit());
+            let (lo, what) = by_end.bound_start(baseline, None);
+            let (lb, probes) = counted(lo, what, &mut |p| by_end.pour(baseline, p, weighed));
+            let Ok(lb) = lb else {
+                assert!(
+                    probes <= budget(u64::MAX - lo),
+                    "case {case}: {probes} probes"
+                );
+                continue;
+            };
+            assert!(
+                probes <= budget(lb - lo),
+                "case {case}: {probes} probes from {lo} to {lb}"
+            );
+            if let Some(bound) = oracle_bound(&inst, false) {
+                assert_eq!(lb, bound, "case {case}");
+                bounded += 1;
+            }
+            // The blocking search: its failures certify nothing.
+            let (target, probes) = counted(lb, what, &mut |p| {
+                by_end.probe(baseline, p, true, false, |_, _| {})
+            });
+            let gap = target.unwrap_or(u64::MAX) - lb;
+            gapped += usize::from(gap > 1 << 40);
+            assert!(
+                probes <= budget(gap),
+                "case {case}: {probes} probes over {gap}"
+            );
+        }
+        assert!(
+            bounded > 100 && gapped > 100,
+            "{bounded} bounded, {gapped} gapped"
+        );
+    }
+
     #[test]
     fn shift_within_slack_moves_only_where_the_peak_allows() {
         // Three unit intervals over 3 colors, peak 1: the coloring is a
@@ -2197,8 +2576,8 @@ mod in_place {
         let opts = SolveOptions {
             warm_lb: Some(a.warm_lb),
         };
-        let (mut got, mut want) = match (stretches.solve_with(opts.warm_lb), inst.solve_with(&opts))
-        {
+        let solved = (stretches.solve_with(opts.warm_lb), inst.solve_with(&opts));
+        let ((mut got, load), mut want) = match solved {
             (Ok(got), Ok(want)) => (got, want),
             (got, want) => {
                 assert_eq!(got.err(), want.err());
@@ -2224,7 +2603,7 @@ mod in_place {
             }
         }
         if let Some(preferred) = preferred {
-            shift_preferred(&stretches, &mut got, &preferred).unwrap();
+            shift_preferred(&stretches, &mut got, load, &preferred).unwrap();
             let desire: Vec<i8> = (sites.iter())
                 .map(|&(pin, _, _, r)| {
                     let (_, _, g, i) = stretches.intervals().nth(r).unwrap();

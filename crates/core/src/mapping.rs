@@ -162,41 +162,45 @@ fn desire(preferred: Bit, left: bool) -> i8 {
 /// The preference step of a solve read in place: the slack shift of
 /// [`BcpInstance::shift_within_slack`] toward each pin's `preferred`
 /// rest value, at the solution's achieved peak, walking the stretches
-/// by pin, then by start (a pin's load read once), then a verification
-/// of the shifted coloring. The stretches must keep their left values.
+/// by pin, then by start (a pin's load read once), from `load`, the
+/// per-color interval loads the solve verified, then a verification of
+/// the shifted coloring. The stretches must keep their left values.
 pub(crate) fn shift_preferred(
     stretches: &ByEnd,
     solution: &mut BcpSolution,
+    load: Vec<u64>,
     preferred: &[Bit],
 ) -> Result<(), BcpError> {
     // Each stretch of a pin with a preference, bucketed by pin in walk
-    // order: its coloring slot and the color it moves toward.
+    // order: its coloring slot and the color it moves toward. The counts
+    // do not depend on the order, so they read the pins alone.
     let width = preferred.len();
     let mut at = vec![0usize; width + 1];
-    for (_, _, g, i) in stretches.intervals() {
-        let pin = g.keys[i] as usize;
-        at[pin + 1] += usize::from(preferred[pin] != Bit::X);
+    for g in stretches.chunks() {
+        for &pin in &g.keys {
+            at[pin as usize + 1] += usize::from(preferred[pin as usize] != Bit::X);
+        }
     }
     for p in 1..at.len() {
         at[p] += at[p - 1];
     }
     let (mut next, mut toward) = (at.clone(), vec![(0u32, 0u32); at[width]]);
-    for (r, (start, end, g, i)) in stretches.intervals().enumerate() {
+    stretches.each(|r, start, end, g, i| {
         let pin = g.keys[i] as usize;
         let to = match desire(preferred[pin], g.lefts[i]) {
-            0 => continue,
+            0 => return,
             d if d > 0 => end as u32,
             _ => start,
         };
         toward[next[pin]] = (r as u32, to);
         next[pin] += 1;
-    }
+    });
     let visits = (0..width).flat_map(|pin| {
         let w = stretches.weight(pin);
         let bucket = toward[at[pin]..at[pin + 1]].iter();
         bucket.map(move |&(r, to)| (r as usize, to, w))
     });
-    stretches.shift_solution(solution, visits)
+    stretches.shift_solution(solution, load, visits)
 }
 
 /// The analyzed set: intervals extracted and forced toggles tallied,
@@ -264,13 +268,13 @@ impl<'a> MatrixMapping<'a> {
         let k = analysis.stretches();
         let (mut intervals, mut pins) = (Vec::with_capacity(k), Vec::with_capacity(k));
         let mut desires = Vec::new();
-        for (start, end, g, i) in analysis.by_end(None).intervals() {
+        analysis.by_end(None).each(|_, start, end, g, i| {
             intervals.push(Interval::new(start, end as u32));
             pins.push(g.keys[i]);
             if let Some(preferred) = preferred {
                 desires.push(desire(preferred[g.keys[i] as usize], g.lefts[i]));
             }
-        }
+        });
         let loads =
             weights.map_or_else(Vec::new, |w| pins.iter().map(|&p| w[p as usize]).collect());
         Ok(MatrixMapping {

@@ -1009,10 +1009,15 @@ impl StreamingFill {
                 // The library DP-fill's solve of the same intervals,
                 // warmed by the bound the analysis certified.
                 let stretches = analysis.by_end(self.weights());
-                let mut solution =
+                let (mut solution, load) =
                     (stretches.solve_with(Some(analysis.warm_lb))).map_err(solve_error)?;
-                if let Some(preferred) = self.opts.objective.preferred() {
-                    shift_preferred(&stretches, &mut solution, preferred).map_err(solve_error)?;
+                match self.opts.objective.preferred() {
+                    Some(preferred) => {
+                        (shift_preferred(&stretches, &mut solution, load, preferred))
+                            .map_err(solve_error)?
+                    }
+                    // Freed before the flips are bucketed, not after.
+                    None => drop(load),
                 }
                 let colors = solution.coloring.into_colors();
                 // The flips read each stretch's pin alone.

@@ -8,9 +8,12 @@
 
 use dpfill_core::bcp::{BcpError, BcpInstance};
 
+/// What overflows when a window's load sum exceeds `u64`.
+const WINDOW_OVERFLOW: &str = "windowed load (intervals + baseline)";
+
 fn window_overflow() -> BcpError {
     BcpError::Overflow {
-        what: "windowed load (intervals + baseline)",
+        what: WINDOW_OVERFLOW,
     }
 }
 
@@ -40,22 +43,41 @@ fn counted_baseline(inst: &BcpInstance, with_baseline: bool) -> Vec<u64> {
 /// Returns [`BcpError::Overflow`] when a baseline prefix sum or a
 /// windowed load sum exceeds `u64`.
 pub fn lower_bound_dp(inst: &BcpInstance, with_baseline: bool) -> Result<u64, BcpError> {
-    let c = inst.num_colors();
+    let intervals: Vec<(u32, u32, u64)> = (inst.intervals().iter().enumerate())
+        .map(|(i, iv)| (iv.start(), iv.end(), inst.interval_load(i)))
+        .collect();
+    window_bound_dp(&counted_baseline(inst, with_baseline), &intervals)
+        .map_err(|what| BcpError::Overflow { what })
+}
+
+/// [`lower_bound_dp`] over plain data: `(start, end, load)` intervals
+/// over the `baseline.len()` colors of `baseline`. A crate's own unit
+/// tests pass this form, since the production types they build are not
+/// the ones this crate links.
+///
+/// # Errors
+///
+/// What overflowed, when a baseline prefix sum or a windowed load sum
+/// exceeds `u64`.
+pub fn window_bound_dp(
+    baseline: &[u64],
+    intervals: &[(u32, u32, u64)],
+) -> Result<u64, &'static str> {
+    let c = baseline.len();
     if c == 0 {
         return Ok(0);
     }
-    let baseline = counted_baseline(inst, with_baseline);
     // exact_by_start[i] lists (end, load) of the intervals starting at i.
     let mut exact_by_start: Vec<Vec<(usize, u64)>> = vec![Vec::new(); c];
-    for (i, iv) in inst.intervals().iter().enumerate() {
-        exact_by_start[iv.start() as usize].push((iv.end() as usize, inst.interval_load(i)));
+    for &(start, end, load) in intervals {
+        exact_by_start[start as usize].push((end as usize, load));
     }
     // pre[j] = baseline[0] + … + baseline[j − 1].
     let mut pre = vec![0u64; c + 1];
     for t in 0..c {
-        pre[t + 1] = pre[t].checked_add(baseline[t]).ok_or(BcpError::Overflow {
-            what: "baseline prefix sum",
-        })?;
+        pre[t + 1] = pre[t]
+            .checked_add(baseline[t])
+            .ok_or("baseline prefix sum")?;
     }
     let mut best = baseline.iter().copied().max().unwrap_or(0);
     // prev[j] = T[i+1][j]; cur[j] = T[i][j]. Row i is processed from the
@@ -66,7 +88,7 @@ pub fn lower_bound_dp(inst: &BcpInstance, with_baseline: bool) -> Result<u64, Bc
     for i in (0..c).rev() {
         add.fill(0);
         for &(e, w) in &exact_by_start[i] {
-            add[e] = add[e].checked_add(w).ok_or_else(window_overflow)?;
+            add[e] = add[e].checked_add(w).ok_or(WINDOW_OVERFLOW)?;
         }
         cur[..i].fill(0);
         for j in i..c {
@@ -81,10 +103,10 @@ pub fn lower_bound_dp(inst: &BcpInstance, with_baseline: bool) -> Result<u64, Bc
             cur[j] = (t_left - t_diag)
                 .checked_add(prev[j])
                 .and_then(|v| v.checked_add(add[j]))
-                .ok_or_else(window_overflow)?;
+                .ok_or(WINDOW_OVERFLOW)?;
             let numerator = cur[j]
                 .checked_add(pre[j + 1] - pre[i])
-                .ok_or_else(window_overflow)?;
+                .ok_or(WINDOW_OVERFLOW)?;
             best = best.max(numerator.div_ceil((j - i + 1) as u64));
         }
         std::mem::swap(&mut prev, &mut cur);

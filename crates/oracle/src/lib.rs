@@ -7,7 +7,8 @@
 //! one engine per decision:
 //!
 //! * Algorithm 1's O(C²) row DP as one load-weighted kernel
-//!   ([`lower_bound_dp`]), the per-window direct count
+//!   ([`lower_bound_dp`], or [`window_bound_dp`] over plain data), the
+//!   per-window direct count
 //!   ([`lower_bound_naive`]) and the exhaustive optimum
 //!   ([`brute_force_min_peak`]);
 //! * the per-bit toggle walks behind the packed popcount metrics
@@ -32,7 +33,7 @@ mod format;
 mod matrix;
 
 pub use analysis::{analyze_pin_major, analyze_rows, splice_fill, PinMajorAnalysis, Site};
-pub use bcp::{brute_force_min_peak, lower_bound_dp, lower_bound_naive};
+pub use bcp::{brute_force_min_peak, lower_bound_dp, lower_bound_naive, window_bound_dp};
 pub use distance::{
     hamming_distance_scalar, peak_toggles_scalar, toggle_profile_scalar, total_toggles_scalar,
     weighted_toggle_profile_scalar,
