@@ -691,13 +691,14 @@ impl<'a> ByEnd<'a> {
         u64::try_from(best).unwrap_or(u64::MAX)
     }
 
-    /// Is the unit-load bound over the baseline at most `peak`? One pour
-    /// probe, which places the intervals only: a peak below the largest
-    /// baseline is infeasible before any is placed. The I-ordering
-    /// decides a candidate with it against the best value so far.
+    /// Is the unit-load bound over the baseline at most `peak`? One
+    /// [`Pour`] fed every color, which places the intervals only: a peak
+    /// below a color's baseline is infeasible before any interval ending
+    /// there is placed. The banded I-ordering probes its first candidate
+    /// at its warm bound with it.
     pub(crate) fn feasible(&self, peak: u64) -> bool {
-        self.baseline.iter().all(|&b| b <= peak)
-            && self.pour(Some(self.baseline), peak, false).is_ok()
+        let chunks: Vec<_> = self.chunks.iter().collect();
+        Pour::new(self.colors(), peak).feed(&chunks, self.baseline)
     }
 
     /// A pour probe at `peak` that records nothing.
@@ -750,19 +751,22 @@ impl<'a> ByEnd<'a> {
     /// interval weighing its load when `weighed` (else 1) — one pass
     /// feeding each interval (and, `with_baseline`, each forced load) to
     /// a ladder, which counts it once at its aligned level and folds the
-    /// pyramid.
-    fn ladder_best(&self, weighed: bool, with_baseline: bool) -> u64 {
+    /// pyramid — and the intervals' total load, summed in the same walk
+    /// (saturating).
+    fn ladder_best(&self, weighed: bool, with_baseline: bool) -> (u64, u64) {
         let mut ladder = IncrementalBound::new();
+        let mut total = 0u64;
         self.each(|_, start, end, g, i| {
             let load = if weighed { self.weight(g.key(i)) } else { 1 };
             ladder.add_load(start as usize, end, load);
+            total = total.saturating_add(load);
         });
         let colors = if with_baseline { self.colors() } else { 0 };
         for (t, &b) in self.baseline[..colors].iter().enumerate() {
             ladder.add_baseline(t, b);
         }
         BCP_LADDER_LOADS.add((self.len() + colors) as u64);
-        ladder.current()
+        (ladder.current(), total)
     }
 
     /// Where the parametric lower-bound search over `baseline` (none:
@@ -778,13 +782,11 @@ impl<'a> ByEnd<'a> {
             return (0, UNIT_BOUND_OVERFLOW);
         }
         let (lo, total, what) = if baseline.is_some() && !self.unit {
-            let ladder = self.ladder_best(true, true);
-            let mut total = 0u64;
-            self.each(|_, _, _, g, i| total = total.saturating_add(self.weight(g.key(i))));
+            let (ladder, total) = self.ladder_best(true, true);
             let what = "weighted BCP lower bound (exceeds u64)";
             (warm.unwrap_or(0).max(ladder), total, what)
         } else {
-            let lo = warm.unwrap_or_else(|| self.ladder_best(false, baseline.is_some()));
+            let lo = warm.unwrap_or_else(|| self.ladder_best(false, baseline.is_some()).0);
             (lo, self.len() as u64, UNIT_BOUND_OVERFLOW)
         };
         (lo.max(density_floor(c, baseline, total)), what)
@@ -808,9 +810,8 @@ impl<'a> ByEnd<'a> {
 
     /// [`min_feasible_peak`] from `lo` over probes at `baseline`
     /// (`weighed`, `divisible` as in [`ByEnd::probe`]), with the
-    /// coloring the accepted probe placed. A probe writes its placements
-    /// over the last one's unless that one was accepted, which a spare
-    /// buffer, allocated at the first such probe, then keeps.
+    /// coloring the accepted probe placed: every probe records into one
+    /// buffer ([`recorded_search`]).
     fn colored_search(
         &self,
         lo: u64,
@@ -819,21 +820,10 @@ impl<'a> ByEnd<'a> {
         weighed: bool,
         divisible: bool,
     ) -> Result<(u64, Coloring), BcpError> {
-        let (mut colors, mut kept) = (vec![u32::MAX; self.len()], Vec::new());
-        let mut accepted = false;
-        let peak = min_feasible_peak(lo, what, |p| {
-            if accepted {
-                if kept.is_empty() {
-                    kept = vec![u32::MAX; colors.len()];
-                }
-                std::mem::swap(&mut colors, &mut kept);
-            }
-            let out = self.probe(baseline, p, weighed, divisible, |slot, t| colors[slot] = t);
-            accepted = out.is_ok();
-            out
+        let mut colors = vec![u32::MAX; self.len()];
+        let peak = recorded_search(lo, what, &mut colors, |p, colors| {
+            self.probe(baseline, p, weighed, divisible, |slot, t| colors[slot] = t)
         })?;
-        // The search returns its last accepted probe.
-        let colors = if accepted { colors } else { kept };
         Ok((peak, Coloring { colors }))
     }
 
@@ -1201,6 +1191,58 @@ impl OpenColors {
     }
 }
 
+/// A unit pour at one peak, fed color by color as a scan closes the
+/// intervals: each color takes its baseline as the scan learns it. Fed
+/// every color, it answers [`ByEnd::feasible`]; stopped early, at its
+/// first miss or at a baseline above the peak, it has already answered
+/// `false`, since the rest of the walk comes after the colors fed.
+pub(crate) struct Pour {
+    open: OpenColors,
+    peak: u64,
+    /// The colors fed so far.
+    fed: usize,
+}
+
+impl Pour {
+    /// A pour at `peak` over `colors` colors, none fed yet.
+    pub(crate) fn new(colors: usize, peak: u64) -> Pour {
+        BCP_PROBES.add(1);
+        Pour {
+            open: OpenColors::new(colors, None, peak),
+            peak,
+            fed: 0,
+        }
+    }
+
+    /// Feeds each color from the first not yet fed up to the last of
+    /// `baseline`: its baseline, then the intervals of `chunks` that end
+    /// at it, chunk by chunk — the walk of [`ByEnd::feasible`], whose
+    /// placements up to a color depend on nothing after it. Every chunk
+    /// must hold its groups up to that color. `false` at a baseline
+    /// above the peak or at the first interval that finds no room.
+    pub(crate) fn feed(&mut self, chunks: &[&EndGroups], baseline: &[u64]) -> bool {
+        let open = &mut self.open;
+        for (e, &b) in baseline.iter().enumerate().skip(self.fed) {
+            let Some(room) = self.peak.checked_sub(b) else {
+                return false;
+            };
+            open.room[e] = room;
+            if room == 0 {
+                open.next[e] = e as u32 + 1;
+            }
+            for g in chunks {
+                for &start in &g.starts[g.by_end[e]..g.by_end[e + 1]] {
+                    if open.place(start, e, 1, true).is_none() {
+                        return false;
+                    }
+                }
+            }
+        }
+        self.fed = baseline.len();
+        true
+    }
+}
+
 /// The cheap true lower bounds every certification starts from: the
 /// largest baseline and the global density `⌈(loads + Σ baseline) / C⌉`
 /// (`⌈loads / C⌉` without a baseline). Saturation undercounts, keeping
@@ -1267,6 +1309,36 @@ fn min_feasible_peak(
         }
     }
     Ok(good)
+}
+
+/// [`min_feasible_peak`] over probes `probe(p, colors)` that record
+/// their placements into `colors`, which then holds the accepted
+/// probe's placements at the returned peak. A failed probe writes over
+/// them, so when the last probe failed, the probe at the peak runs
+/// again: a probe is deterministic, so it places exactly as it did when
+/// accepted (one that does not is [`BcpError::BoundNotMet`]). One
+/// buffer, not a spare kept beside it: on glibc a freed spare the size
+/// of the coloring lifts the allocator's mmap threshold, and a later
+/// scan then grows its groups in per-thread arenas that keep their
+/// pages.
+fn recorded_search(
+    lo: u64,
+    what: &'static str,
+    colors: &mut [u32],
+    mut probe: impl FnMut(u64, &mut [u32]) -> Result<(), u64>,
+) -> Result<u64, BcpError> {
+    let mut last = Ok(());
+    let peak = min_feasible_peak(lo, what, |p| {
+        last = probe(p, colors);
+        last
+    })?;
+    if last.is_err() {
+        probe(peak, colors).map_err(|_| BcpError::BoundNotMet {
+            bound: peak,
+            peak: peak.saturating_add(1),
+        })?;
+    }
+    Ok(peak)
 }
 
 /// A BCP instance: intervals over `num_colors` colors plus optional
@@ -1992,16 +2064,18 @@ mod tests {
                 }
                 let groups = inst.groups();
                 let by_end = inst.by_end(&groups);
+                let n = inst.intervals().len();
+                let total = (0..n).fold(0u64, |t, i| t.saturating_add(inst.interval_load(i)));
                 for with_baseline in [false, true] {
                     let load = |i| inst.interval_load(i);
                     assert_eq!(
                         by_end.ladder_best(true, with_baseline),
-                        ladder_per_level(&inst, load, with_baseline),
+                        (ladder_per_level(&inst, load, with_baseline), total),
                         "c {c} k {k} loads <= {max_load} baseline < {max_base}"
                     );
                     assert_eq!(
                         by_end.ladder_best(false, with_baseline),
-                        ladder_per_level(&inst, |_| 1, with_baseline)
+                        (ladder_per_level(&inst, |_| 1, with_baseline), n as u64)
                     );
                 }
             }
@@ -2015,8 +2089,8 @@ mod tests {
         inst.set_baseline(vec![u64::MAX; 5]).unwrap();
         let load = |i| inst.interval_load(i);
         let groups = inst.groups();
-        let best = inst.by_end(&groups).ladder_best(true, true);
-        assert_eq!(best, u64::MAX);
+        let (best, total) = inst.by_end(&groups).ladder_best(true, true);
+        assert_eq!((best, total), (u64::MAX, u64::MAX));
         assert_eq!(best, ladder_per_level(&inst, load, true));
     }
 
@@ -2401,6 +2475,36 @@ mod tests {
         fn failed_pours_witness_floors_up_to_the_bound(inst in arb_instance()) {
             assert_witnessed(&inst);
         }
+    }
+
+    #[test]
+    fn a_recorded_search_keeps_the_accepted_placements() {
+        // A monotone probe accepting from `target` whose failures floor
+        // only one above their peak, so the search bisects, and often
+        // ends on a failure after the accepted probe at the target.
+        // Every probe writes its peak over a prefix that grows with it.
+        let mut repoured = 0;
+        for target in 0..70u64 {
+            for lo in [0, target / 3, target] {
+                let mut colors = [u32::MAX; 8];
+                // The search never probes a peak twice; the re-run does.
+                let mut at_target = 0;
+                let found = recorded_search(lo, "test", &mut colors, |p, colors| {
+                    at_target += usize::from(p == target);
+                    let reach = (p as usize % 7 + 2).min(colors.len());
+                    colors[..reach].fill(p as u32);
+                    if p < target {
+                        return Err(p + 1);
+                    }
+                    colors.fill(p as u32);
+                    Ok(())
+                });
+                assert_eq!(found, Ok(target), "target {target} from {lo}");
+                assert_eq!(colors, [target as u32; 8], "target {target} from {lo}");
+                repoured += usize::from(at_target > 1);
+            }
+        }
+        assert!(repoured > 0, "no search ended on a failed probe");
     }
 
     #[test]

@@ -165,12 +165,14 @@ fn desire(preferred: Bit, left: bool) -> i8 {
 /// by pin, then by start (a pin's load read once), from `load`, the
 /// per-color interval loads the solve verified, then a verification of
 /// the shifted coloring. The stretches must keep their left values.
+/// Traced as a `bcp.shift` span.
 pub(crate) fn shift_preferred(
     stretches: &ByEnd,
     solution: &mut BcpSolution,
     load: Vec<u64>,
     preferred: &[Bit],
 ) -> Result<(), BcpError> {
+    let _span = minitrace::span("bcp.shift");
     // Each stretch of a pin with a preference, bucketed by pin in walk
     // order: its coloring slot and the color it moves toward. The counts
     // do not depend on the order, so they read the pins alone.

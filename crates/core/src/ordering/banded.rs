@@ -150,8 +150,9 @@ fn extend_with_tail(ring: &CubeSet, tail: &PackedBits) -> CubeSet {
 /// Candidates are decided, not certified. Under `warm_lb > 0` the first
 /// candidate costs one probe at `warm_lb`: when its bottleneck is at
 /// most `warm_lb` its value is `warm_lb` and no later candidate can
-/// beat it. Every later candidate costs one probe against the best
-/// value so far, and only a winner is certified. The order is the one a
+/// beat it. Every later candidate is decided during its scan by one
+/// pour against the best value so far, which stops the scan at its
+/// first miss, and only a winner is certified. The order is the one a
 /// search certifying every candidate picks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BandedIOrdering {
@@ -200,14 +201,14 @@ impl BandedOrdering for BandedIOrdering {
         let ext = extend_with_tail(ring, tail);
         let sorted = sorted_by_x_count(ring);
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1).max(1);
-        let (trace, _) = search(k_cap, ctx.warm_lb, false, n + 1, |k| {
+        let (trace, _) = search(k_cap, ctx.warm_lb, false, false, n + 1, |k, ask| {
             let ring_order = IOrdering::schedule_for_k(&sorted, k);
             // Extended candidate: the tail stays first, ring cubes shift
             // by one.
             let candidate: Vec<usize> = std::iter::once(0)
                 .chain(ring_order.iter().map(|&i| i + 1))
                 .collect();
-            let scanned = scan(&ext, &candidate, Keep::Starts, None)?;
+            let scanned = scan(&ext, &candidate, Keep::Starts, None, ask)?;
             Ok((ring_order, scanned))
         })?;
         Ok(trace.order)

@@ -1,8 +1,8 @@
 use dpfill_cubes::CubeSet;
 
-use super::search::{scan, search};
+use super::search::{scan, search, Ask, Scanned};
 use super::{OrderingError, OrderingStrategy};
-use crate::stream::analyze::{Analysis, Keep};
+use crate::stream::analyze::{Analyzed, Keep};
 
 /// The paper's I-ordering (Algorithm 3): interleaved test-vector
 /// ordering.
@@ -21,8 +21,9 @@ use crate::stream::analyze::{Analysis, Keep};
 /// (Fig 2(a)/(b)), which [`IOrderingTrace`] lets you reproduce. A
 /// candidate is scored by one cube-major scan of the packed cubes in its
 /// order ([`IOrdering::bottleneck`]); [`OrderingStrategy::order`] then
-/// decides each later candidate with one feasibility probe against the
-/// best value and certifies only winners.
+/// decides each later candidate during its scan, with one feasibility
+/// pour against the best value that stops the scan at its first miss,
+/// and certifies only winners.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IOrdering {
     max_k: Option<usize>,
@@ -99,7 +100,10 @@ impl IOrdering {
     /// permutation of the cubes; [`OrderingError::Bound`] when the bound
     /// overflows the load model (absurd inputs only).
     pub fn bottleneck(cubes: &CubeSet, order: &[usize]) -> Result<u64, OrderingError> {
-        Ok(scan(cubes, order, Keep::Starts, None)?.bound().certify(0)?)
+        match scan(cubes, order, Keep::Starts, None, Ask::default())? {
+            Scanned::Full(scan) => Ok(scan.bound().certify(0)?),
+            Scanned::Beaten { .. } => unreachable!("an undecided scan reads every cube"),
+        }
     }
 
     /// Runs Algorithm 3, certifying every candidate's value, and returns
@@ -110,40 +114,48 @@ impl IOrdering {
     /// [`OrderingError::Bound`] when a candidate's bottleneck evaluation
     /// overflows the load model (absurd inputs only).
     pub fn order_with_trace(&self, cubes: &CubeSet) -> Result<IOrderingTrace, OrderingError> {
-        Ok(self.run(cubes, true, Keep::Starts, None)?.0)
+        Ok(self.run(cubes, true, Keep::Starts, None, false)?.0)
     }
 
     /// [`OrderingStrategy::order`] that also returns the analysis of the
     /// set in the chosen order: the winning candidate's scan, keeping
     /// what `keep` asks of each stretch and weighing forced toggles by
     /// `weights`, warmed by its certified bound — so a resident DP-fill
-    /// solves the scan Algorithm 3 already made. `None` when the search
-    /// evaluates no candidate (at most two cubes).
+    /// solves the scan Algorithm 3 already made. With `color`, for a
+    /// caller whose solve is the unit bound problem itself (`weights`
+    /// `None`, no preference), each winner is certified by that solve,
+    /// and the analysis is [`Analyzed::Colored`] by it: the solve is
+    /// done. `None` when the search evaluates no candidate (at most two
+    /// cubes).
     ///
     /// # Errors
     ///
-    /// As [`OrderingStrategy::order`].
+    /// As [`OrderingStrategy::order`];
+    /// [`BcpError::BoundNotMet`](crate::BcpError::BoundNotMet) when the
+    /// certifying solve's verified peak is not its bound.
     pub(crate) fn order_analyzed(
         &self,
         cubes: &CubeSet,
         keep: Keep,
         weights: Option<&[u64]>,
-    ) -> Result<(Vec<usize>, Option<Analysis>), OrderingError> {
-        let (trace, winner) = self.run(cubes, false, keep, weights)?;
-        Ok((trace.order, winner.map(|scan| scan.analysis)))
+        color: bool,
+    ) -> Result<(Vec<usize>, Option<Analyzed>), OrderingError> {
+        let (trace, winner) = self.run(cubes, false, keep, weights, color)?;
+        Ok((trace.order, winner))
     }
 
     /// Algorithm 3 over the whole set, each candidate scanned keeping
-    /// `keep` under `weights`; `certify_all` as in [`search`], which
-    /// also returns the winner's scan. Traced as an `ordering.order`
-    /// span.
+    /// `keep` under `weights`; `certify_all` and `color` as in
+    /// [`search`], which also returns the winner's analysis. Traced as
+    /// an `ordering.order` span.
     fn run(
         &self,
         cubes: &CubeSet,
         certify_all: bool,
         keep: Keep,
         weights: Option<&[u64]>,
-    ) -> Result<(IOrderingTrace, Option<super::search::Scan>), OrderingError> {
+        color: bool,
+    ) -> Result<(IOrderingTrace, Option<Analyzed>), OrderingError> {
         let n = cubes.len();
         let _span = minitrace::span_with("ordering.order", &[("cubes", n.into())]);
         if n <= 2 {
@@ -159,9 +171,9 @@ impl IOrdering {
         let k_cap = self.max_k.unwrap_or(n - 1).min(n - 1);
         // Each candidate's scan fans its pin words out over the pool, so
         // candidates run one after another in k order.
-        let (mut trace, winner) = search(k_cap, 0, certify_all, n, |k| {
+        let (mut trace, winner) = search(k_cap, 0, certify_all, color, n, |k, ask| {
             let candidate = Self::schedule_for_k(&sorted, k);
-            let scanned = scan(cubes, &candidate, keep, weights)?;
+            let scanned = scan(cubes, &candidate, keep, weights, ask)?;
             Ok((candidate, scanned))
         })?;
         if trace.chosen_k == 0 {
@@ -185,11 +197,11 @@ impl OrderingStrategy for IOrdering {
     }
 
     /// Algorithm 3 deciding instead of certifying: a candidate after the
-    /// first costs one probe against the best value, and only a winner
-    /// is certified. The order equals
+    /// first is scanned only until its pour against the best value
+    /// misses, and only a winner is certified. The order equals
     /// [`IOrdering::order_with_trace`]'s.
     fn order(&self, cubes: &CubeSet) -> Result<Vec<usize>, OrderingError> {
-        Ok(self.run(cubes, false, Keep::Starts, None)?.0.order)
+        Ok(self.run(cubes, false, Keep::Starts, None, false)?.0.order)
     }
 }
 

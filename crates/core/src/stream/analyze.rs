@@ -31,6 +31,7 @@ use std::ops::Range;
 use dpfill_cubes::packed::PackedBits;
 
 use crate::bcp::{ByEnd, EndGroups, IncrementalBound, LadderDelta, BCP_LADDER_LOADS};
+use crate::mapping::Flips;
 
 /// The scan state of one 64-pin word, carried from cube to cube and
 /// across windows.
@@ -191,6 +192,18 @@ impl ChunkScan {
 }
 
 impl ChunkScan {
+    /// Appends the starts of the stretches closed from here on to
+    /// `starts`, cleared: a buffer another scan is done with.
+    pub(crate) fn grow_starts_in(&mut self, mut starts: Vec<u32>) {
+        starts.clear();
+        self.groups.starts = starts;
+    }
+
+    /// The stretches closed so far, grouped by end.
+    pub(crate) fn groups(&self) -> &EndGroups {
+        &self.groups
+    }
+
     /// Each word's first care values, and the groups.
     pub(crate) fn into_parts(self) -> (impl Iterator<Item = u64>, EndGroups) {
         (self.words.into_iter().map(|w| w.first), self.groups)
@@ -257,7 +270,10 @@ impl Analysis {
 
     /// The number of stretches kept.
     pub fn stretches(&self) -> usize {
-        self.chunks.iter().map(|g| g.starts.len()).sum()
+        self.chunks
+            .iter()
+            .map(|g| g.by_end[g.by_end.len() - 1])
+            .sum()
     }
 
     /// Each stretch's pin, in walk order (reads no start).
@@ -266,6 +282,68 @@ impl Analysis {
         (0..self.baseline.len()).flat_map(move |e| {
             (chunks.iter()).flat_map(move |g| g.keys[g.by_end[e]..g.by_end[e + 1]].iter().copied())
         })
+    }
+}
+
+/// A finished analysis, its stretches to solve or already colored.
+pub(crate) enum Analyzed {
+    /// The stretches, for the plan to solve.
+    Stretches(Analysis),
+    /// Colored by the I-ordering's certification of its winning order.
+    Colored(Colored),
+}
+
+impl Analyzed {
+    /// The number of stretches.
+    pub fn stretches(&self) -> usize {
+        match self {
+            Analyzed::Stretches(analysis) => analysis.stretches(),
+            Analyzed::Colored(colored) => colored.analysis.stretches(),
+        }
+    }
+}
+
+/// An analysis with its stretches colored, in walk order: all a fill
+/// plan's flips read is each stretch's pin and color. Coloring drops
+/// the starts and left values, so the analysis inside is no solve input
+/// and nothing outside reaches it.
+pub(crate) struct Colored {
+    analysis: Analysis,
+    colors: Vec<u32>,
+}
+
+impl Colored {
+    /// `analysis` with its stretches colored `colors`, in walk order, and
+    /// its start buffers, chunk by chunk, for a later scan to grow its
+    /// own in.
+    pub fn new(mut analysis: Analysis, colors: Vec<u32>) -> (Colored, Vec<Vec<u32>>) {
+        let starts = (analysis.chunks.iter_mut())
+            .map(|g| {
+                g.lefts = Vec::new();
+                std::mem::take(&mut g.starts)
+            })
+            .collect();
+        (Colored { analysis, colors }, starts)
+    }
+
+    /// Each pin's first care value (see [`Analysis::first_values`]) and
+    /// the flips of the coloring.
+    pub fn into_flips(self) -> (Vec<u64>, Flips) {
+        let a = self.analysis;
+        let flips = Flips::new(a.pins(), &self.colors, a.baseline.len());
+        (a.first_values, flips)
+    }
+
+    /// The coloring, in walk order.
+    #[cfg(test)]
+    pub fn colors(&self) -> &[u32] {
+        &self.colors
+    }
+
+    /// The analysis, its starts dropped.
+    #[cfg(test)]
+    pub fn analysis(&self) -> &Analysis {
+        &self.analysis
     }
 }
 

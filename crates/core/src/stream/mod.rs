@@ -116,7 +116,7 @@ use crate::mapping::{shift_preferred, Flips};
 use crate::objective::{FillObjective, ObjectiveError};
 use crate::ordering::{BandContext, BandedMethod, IOrdering, OrderingError};
 
-use analyze::{Analysis, Analyzer, Keep};
+use analyze::{Analyzed, Analyzer, Colored, Keep};
 use budget::BudgetGovernor;
 pub use budget::{DegradeEvent, StreamPass};
 use plan::{cube_digest, FillPlan};
@@ -707,6 +707,13 @@ impl StreamingFill {
         }
     }
 
+    /// Is a DP plan's solve the unit bound problem the I-ordering
+    /// certifies its winners by (unit objective, no fill preference)?
+    /// Then the solve that certified the winner is the plan's coloring.
+    fn solves_the_unit_bound(&self) -> bool {
+        self.weights().is_none() && self.opts.objective.preferred().is_none()
+    }
+
     /// The analyzer of a planned fill over `width` pins.
     fn analyzer(&self, width: usize) -> Analyzer {
         Analyzer::new(width, self.weights().map(<[u64]>::to_vec), self.keep())
@@ -840,17 +847,17 @@ impl StreamingFill {
         let mut pass2_start = start;
         let plan = match self.opts.fill {
             FillMethod::Dp => {
-                let analysis = match scanned {
-                    Some(analysis) => analysis,
+                let analyzed = match scanned {
+                    Some(analyzed) => analyzed,
                     None => {
                         let mut analyzer = self.analyzer(report.width);
                         self.ingest(&mut analyzer, &cubes, 0, 0..cubes.len())?;
-                        analyzer.finish()
+                        Analyzed::Stretches(analyzer.finish())
                     }
                 };
                 report.pass1_ns = nanos(start);
                 let shape = (cubes.len(), report.width);
-                let plan = self.resolve_plan(analysis, Vec::new(), shape)?;
+                let plan = self.resolve_plan(analyzed, Vec::new(), shape)?;
                 report.solve_ns = nanos(start) - report.pass1_ns;
                 pass2_start = Instant::now();
                 Some(plan)
@@ -878,16 +885,21 @@ impl StreamingFill {
     /// under the I-ordering also returns the analysis of the reordered
     /// set, Algorithm 3's scan of its winning order (a panic in it, the
     /// [`ChaosPlan`] one included, contained at window 0), so the set is
-    /// not scanned again; it has none when the search scanned none.
-    fn order_resident(&self, cubes: CubeSet) -> Result<(CubeSet, Option<Analysis>), StreamError> {
+    /// not scanned again; when the plan's solve is the unit bound problem
+    /// (unit objective, no preference) the solve that certified the
+    /// winner colors it, so it is not solved again either. It has none
+    /// when the search scanned none.
+    fn order_resident(&self, cubes: CubeSet) -> Result<(CubeSet, Option<Analyzed>), StreamError> {
         let Some(order) = self.opts.order else {
             return Ok((cubes, None));
         };
         let (perm, analysis) =
             contain(0, 0..cubes.len(), || match (order.method, self.opts.fill) {
                 (BandedMethod::Interleave, FillMethod::Dp) => {
+                    let (keep, weights) = (self.keep(), self.weights());
+                    let color = self.solves_the_unit_bound();
                     let (perm, analysis) =
-                        IOrdering::new().order_analyzed(&cubes, self.keep(), self.weights())?;
+                        IOrdering::new().order_analyzed(&cubes, keep, weights, color)?;
                     if analysis.is_some() && self.opts.chaos.panic_in_analyze == Some(0) {
                         panic!("chaos: injected panic while analyzing window 0");
                     }
@@ -957,7 +969,7 @@ impl StreamingFill {
         let pass1_ns = nanos(pass_start);
         let solve_start = Instant::now();
         let shape = (analysis.cols, sizing.width);
-        let plan = self.resolve_plan(analysis, digests, shape)?;
+        let plan = self.resolve_plan(Analyzed::Stretches(analysis), digests, shape)?;
         let report = StreamReport {
             baseline_peak: source.zero_fill_peak(),
             degradations: sizing.into_events(),
@@ -979,61 +991,68 @@ impl StreamingFill {
     /// Turns a finished analysis of `shape` (`(cubes, width)`) and pass
     /// 1's per-cube `digests` into the emit pass's fill plan: for DP the
     /// global BCP solve bounds, colors, verifies and shifts the
-    /// analysis's stretches in place, in their `(end, pin)` walk, and
-    /// their pins are bucketed by color; MT-fill is copy-left with no
-    /// flips, so its plan holds none.
+    /// analysis's stretches in place, in their `(end, pin)` walk, unless
+    /// the I-ordering already colored them, and their pins are bucketed
+    /// by color; MT-fill is copy-left with no flips, so its plan holds
+    /// none.
     fn resolve_plan(
         &self,
-        mut analysis: Analysis,
+        analyzed: Analyzed,
         digests: Vec<u64>,
         shape: (usize, usize),
     ) -> Result<FillPlan, StreamError> {
         let _span = minitrace::span_with(
             "stream.solve",
             &[
-                ("sites", analysis.stretches().into()),
+                ("sites", analyzed.stretches().into()),
                 ("cubes", shape.0.into()),
             ],
         );
         let fill_error = |source| StreamError::Solve(DpFillError { source, shape });
         let solve_error = |e| fill_error(FillErrorSource::Solve(e));
-        if analysis.overflow {
-            return Err(fill_error(FillErrorSource::Objective(
-                ObjectiveError::Overflow {
-                    what: "weighted forced-toggle load on one transition",
-                },
-            )));
-        }
-        let flips = match self.opts.fill {
-            FillMethod::Dp => {
-                // The library DP-fill's solve of the same intervals,
-                // warmed by the bound the analysis certified.
-                let stretches = analysis.by_end(self.weights());
-                let (mut solution, load) =
-                    (stretches.solve_with(Some(analysis.warm_lb))).map_err(solve_error)?;
-                match self.opts.objective.preferred() {
-                    Some(preferred) => {
-                        (shift_preferred(&stretches, &mut solution, load, preferred))
-                            .map_err(solve_error)?
+        // The flips read each stretch's pin alone.
+        let (first_values, flips) = match analyzed {
+            // The solve that certified the I-ordering's winner, verified
+            // at its bound.
+            Analyzed::Colored(colored) => colored.into_flips(),
+            Analyzed::Stretches(analysis) => {
+                if analysis.overflow {
+                    return Err(fill_error(FillErrorSource::Objective(
+                        ObjectiveError::Overflow {
+                            what: "weighted forced-toggle load on one transition",
+                        },
+                    )));
+                }
+                match self.opts.fill {
+                    FillMethod::Dp => {
+                        // The library DP-fill's solve of the same
+                        // intervals, warmed by the bound the analysis
+                        // certified.
+                        let stretches = analysis.by_end(self.weights());
+                        let (mut solution, load) =
+                            (stretches.solve_with(Some(analysis.warm_lb))).map_err(solve_error)?;
+                        match self.opts.objective.preferred() {
+                            Some(preferred) => {
+                                (shift_preferred(&stretches, &mut solution, load, preferred))
+                                    .map_err(solve_error)?
+                            }
+                            // Freed before the flips are bucketed, not after.
+                            None => drop(load),
+                        }
+                        // The starts are freed before the flips are bucketed.
+                        let colored = Colored::new(analysis, solution.coloring.into_colors()).0;
+                        colored.into_flips()
                     }
-                    // Freed before the flips are bucketed, not after.
-                    None => drop(load),
+                    // MT-fill copies each stretch's left care value through
+                    // the whole run: the coloring at each interval's end,
+                    // which flips nothing before the run's right care bit.
+                    FillMethod::Mt => (analysis.first_values, Flips::default()),
+                    _ => unreachable!("plans only resolve for planned fills"),
                 }
-                let colors = solution.coloring.into_colors();
-                // The flips read each stretch's pin alone.
-                for g in &mut analysis.chunks {
-                    (g.starts, g.lefts) = (Vec::new(), Vec::new());
-                }
-                Flips::new(analysis.pins(), &colors, analysis.baseline.len())
             }
-            // MT-fill copies each stretch's left care value through the
-            // whole run: the coloring at each interval's end, which
-            // flips nothing before the run's right care bit.
-            FillMethod::Mt => Flips::default(),
-            _ => unreachable!("plans only resolve for planned fills"),
         };
         let _plan = minitrace::span("stream.plan");
-        Ok(FillPlan::new(analysis.first_values, flips, digests))
+        Ok(FillPlan::new(first_values, flips, digests))
     }
 
     /// Pass 2 (or the only pass for per-cube fills): re-stream the
@@ -1879,5 +1898,89 @@ mod tests {
             .run(|| Ok("0X\n1X\n".as_bytes()), &mut out)
             .unwrap();
         assert_eq!(String::from_utf8(out).unwrap(), "# streamed\n00\n10\n");
+    }
+}
+
+/// A resident I-ordered DP-fill under the unit objective takes the
+/// solve that certified the winner as its coloring: it must be the
+/// solve's coloring from scratch, and emit the bytes of a solved run.
+#[cfg(test)]
+mod certified {
+    use dpfill_cubes::gen::random_cube_set;
+    use dpfill_cubes::CubeSet;
+    use proptest::prelude::*;
+
+    use super::{Analyzed, Analyzer, BandedMethod, BandedOrder, IOrdering, Keep, StreamOptions};
+    use super::{FillMethod, StreamingFill};
+
+    const WIDTHS: [usize; 6] = [1, 8, 64, 65, 520, 1100];
+    const DENSITIES: [f64; 4] = [0.0, 0.5, 0.8, 1.0];
+
+    /// The resident DP-fill of `cubes`, I-ordered or as given.
+    fn resident(cubes: CubeSet, interleave: bool) -> Vec<u8> {
+        let opts = StreamOptions {
+            fill: FillMethod::Dp,
+            order: interleave.then(|| BandedOrder::new(BandedMethod::Interleave)),
+            ..StreamOptions::default()
+        };
+        let mut out = Vec::new();
+        (StreamingFill::new(opts).run_resident(cubes, &mut out)).expect("resident run");
+        out
+    }
+
+    /// Checks the certified coloring of `cubes` against the solve of a
+    /// fresh analysis of the chosen order, and the emitted bytes against
+    /// the as-given run of the reordered set. Returns the chosen `k`.
+    fn check(cubes: &CubeSet) -> usize {
+        let search = IOrdering::new();
+        let (order, analyzed) = search
+            .order_analyzed(cubes, Keep::Pins, None, true)
+            .unwrap();
+        let reordered = cubes.reordered(&order).unwrap();
+        match analyzed {
+            Some(Analyzed::Colored(colored)) => {
+                let mut analyzer = Analyzer::new(cubes.width(), None, Keep::Pins);
+                analyzer.ingest(reordered.as_packed().cubes());
+                let fresh = analyzer.finish();
+                let (solution, _) = fresh.by_end(None).solve_with(None).unwrap();
+                assert_eq!(colored.colors(), solution.coloring.colors(), "coloring");
+                let analysis = colored.analysis();
+                assert_eq!(analysis.warm_lb, solution.lower_bound, "bound");
+                assert!(analysis.pins().eq(fresh.pins()), "pins");
+                assert!(analysis.chunks.iter().all(|g| g.starts.is_empty()));
+            }
+            Some(Analyzed::Stretches(_)) => panic!("an uncolored winner"),
+            None => assert!(cubes.len() <= 2, "no winner"),
+        }
+        assert_eq!(resident(cubes.clone(), true), resident(reordered, false));
+        search.order_with_trace(cubes).unwrap().chosen_k
+    }
+
+    #[test]
+    fn a_later_winner_replaces_the_first_coloring() {
+        // k = 2 beats k = 1 on some of these sets: k = 1's coloring is
+        // dropped, and k = 2's is the one the run uses.
+        let later = (0..40u64)
+            .map(|seed| check(&random_cube_set(8, 6, 0.5, seed)))
+            .filter(|&k| k == 2)
+            .count();
+        assert!(later > 0, "no set chose k = 2");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_certified_coloring_is_the_solve_from_scratch(
+            w in 0..WIDTHS.len(),
+            count in 0usize..40,
+            d in 0..DENSITIES.len(),
+            seed in 0u64..u64::MAX,
+            threads in 0usize..3,
+        ) {
+            let cubes = random_cube_set(WIDTHS[w], count, DENSITIES[d], seed);
+            let pool = minipool::ThreadPool::new([1, 2, 8][threads]);
+            minipool::with_pool(&pool, || check(&cubes));
+        }
     }
 }

@@ -418,6 +418,7 @@ fn table_from_circuit(name: &str, kind: ObjectiveKind) -> Result<WeightTable, Cl
 /// synthetic models only with it, so a bounded run requires
 /// `--weights` or `--circuit` for them.
 fn objective_for(opts: &Options, width: Option<usize>) -> Result<FillObjective, CliError> {
+    let _span = minitrace::span("objective.build");
     if opts.weights.is_some() && opts.objective == ObjectiveKind::PeakToggles {
         return Err(CliError::usage(
             "--weights needs --objective weighted, leakage or ir-drop",
@@ -810,6 +811,7 @@ fn fill(opts: &Options, json: &mut JsonReport) -> Result<(), CliError> {
             // planes: the input never exists in memory as text, and a
             // malformed cube aborts the read at its line.
             let read = || -> Result<CubeSet, StreamError> {
+                let _span = minitrace::span("format.parse");
                 Ok(match &opts.input {
                     Some(path) => format::read_patterns(
                         std::fs::File::open(path).map_err(StreamError::Open)?,

@@ -244,6 +244,20 @@ fn weighted_solve_traces_bound_search_and_color_under_bcp_solve() {
             "{child} missing under bcp.solve: {text}"
         );
     }
+    // The weight table's preferences shift the coloring after the
+    // solve, under the driver's solve span.
+    let stream_solve: Vec<&String> = enters
+        .iter()
+        .filter(|(_, _, name)| name == "stream.solve")
+        .map(|(id, _, _)| id)
+        .collect();
+    assert_eq!(stream_solve.len(), 1, "one driver solve: {text}");
+    assert!(
+        enters
+            .iter()
+            .any(|(_, parent, name)| name == "bcp.shift" && parent == stream_solve[0]),
+        "bcp.shift missing under stream.solve: {text}"
+    );
     assert!(
         text.contains("\"name\":\"bcp.probes\""),
         "probe counter: {text}"
@@ -383,10 +397,18 @@ fn stats_json_report_has_one_versioned_schema() {
 #[test]
 fn whole_set_stats_list_the_driver_spans() {
     // A run without --window is the driver over one resident window:
-    // its solve, fill and emit show up under their driver spans.
+    // its solve, fill and emit show up under their driver spans, and
+    // the whole-set parse and the objective build before it are spanned
+    // too.
     let (_, stderr, ok) = run_xfill(&["--fill", "dp", "--order", "keep", "--stats"], INPUT);
     assert!(ok, "stderr: {stderr}");
-    for span in ["stream.solve", "stream.window.fill", "stream.window.emit"] {
+    for span in [
+        "format.parse",
+        "objective.build",
+        "stream.solve",
+        "stream.window.fill",
+        "stream.window.emit",
+    ] {
         assert!(stderr.contains(span), "{span} missing: {stderr}");
     }
 }
@@ -477,6 +499,10 @@ fn the_interleave_search_traces_each_candidate_under_its_ordering_span() {
                     line.contains("\"outcome\":\"certified\"")
                         || line.contains("\"outcome\":\"probed\""),
                     "{tag}: candidate exit without an outcome: {line}"
+                );
+                assert!(
+                    line.contains("\"cubes_scanned\":"),
+                    "{tag}: candidate exit without its scanned cubes: {line}"
                 );
             }
         }
