@@ -5,7 +5,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use dpfill_core::ordering::OrderingMethod;
 use dpfill_cubes::gen::CubeProfile;
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
 use dpfill_cubes::stretch::StretchStats;
 
 fn bench(c: &mut Criterion) {
@@ -26,8 +25,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let order = ordering.order(&cubes).expect("ordering");
                 let reordered = cubes.reordered(&order).unwrap();
-                let packed = PackedMatrix::from_packed_set(&PackedCubeSet::from(&reordered));
-                let stats = StretchStats::of_packed(&packed);
+                let stats = StretchStats::of_cubes(reordered.as_packed());
                 criterion::black_box(stats.total_stretches())
             })
         });

@@ -2,16 +2,11 @@
 //! against their scalar references, Algorithm 1 (DP lower bound),
 //! Algorithm 2 (greedy coloring), the generalized EDF solver, PODEM,
 //! fault simulation and the bit-parallel simulator — plus the ablation
-//! pair paper-exact vs baseline-aware DP-fill.
-//!
-//! The `packed_kernels` group is the PR-1 acceptance benchmark: run
+//! pair paper-exact vs baseline-aware DP-fill. Run one group with
 //!
 //! ```sh
-//! CRITERION_JSON=BENCH_pr1.json cargo bench -p dpfill-bench \
-//!     --bench micro_algorithms -- packed_kernels
+//! cargo bench -p dpfill-bench --bench micro_algorithms -- packed_kernels
 //! ```
-//!
-//! to refresh the committed `BENCH_pr1.json` baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -24,13 +19,10 @@ use dpfill_core::fill::{DpFill, DpMode, FillStrategy, MtFill};
 use dpfill_core::Interval;
 use dpfill_cubes::format::{parse_patterns, patterns_to_string, read_patterns};
 use dpfill_cubes::gen::{random_cube_set, CubeProfile};
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
-use dpfill_cubes::stretch::StretchStats;
+use dpfill_cubes::packed::PackedCubeSet;
 use dpfill_cubes::{peak_toggles, toggle_profile};
 use dpfill_netlist::CombView;
-use dpfill_oracle::{
-    parse_patterns_scalar, peak_toggles_scalar, pin_matrix_scalar, toggle_profile_scalar,
-};
+use dpfill_oracle::{parse_patterns_scalar, peak_toggles_scalar, toggle_profile_scalar};
 use dpfill_sim::{pack_patterns, PlaneSim};
 
 /// The PR-1 acceptance benchmark: packed popcount kernels vs the scalar
@@ -41,8 +33,6 @@ fn bench_packed_kernels(c: &mut Criterion) {
     group.sample_size(20);
     let cubes = random_cube_set(1024, 1024, 0.5, 0xD0E5);
     let packed = PackedCubeSet::from(&cubes);
-    let matrix = PackedMatrix::from_packed_set(&packed);
-    let pin_matrix = pin_matrix_scalar(&cubes);
 
     group.bench_function("peak_toggles/packed/1024x1024", |b| {
         b.iter(|| criterion::black_box(packed.peak_toggles()))
@@ -61,18 +51,6 @@ fn bench_packed_kernels(c: &mut Criterion) {
     });
     group.bench_function("toggle_profile/public_pack_and_count/1024x1024", |b| {
         b.iter(|| criterion::black_box(toggle_profile(&cubes).unwrap().len()))
-    });
-    group.bench_function("transpose/word_blocked/1024x1024", |b| {
-        b.iter(|| criterion::black_box(PackedMatrix::from_packed_set(&packed).rows()))
-    });
-    group.bench_function("transpose/scalar_scatter/1024x1024", |b| {
-        b.iter(|| criterion::black_box(pin_matrix_scalar(&cubes).rows()))
-    });
-    group.bench_function("stretch_scan/packed/1024x1024", |b| {
-        b.iter(|| criterion::black_box(StretchStats::of_packed(&matrix).total_stretches()))
-    });
-    group.bench_function("stretch_scan/scalar/1024x1024", |b| {
-        b.iter(|| criterion::black_box(StretchStats::of_matrix(&pin_matrix).total_stretches()))
     });
     group.bench_function("mt_fill/packed_pipeline/1024x1024", |b| {
         b.iter(|| criterion::black_box(MtFill.fill(&cubes).len()))

@@ -12,14 +12,7 @@
 //!   `io::sink()` so disk noise is excluded and the measured cost is
 //!   the tracing layer itself (buffering + JSON encoding).
 //!
-//! Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr10.json cargo bench -p dpfill-bench \
-//!     --bench pr10_trace
-//! ```
-//!
-//! to refresh the committed `BENCH_pr10.json` baseline.
+//! Run with `cargo bench -p dpfill-bench --bench pr10_trace`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -3,31 +3,21 @@
 //! runs everything inline on the caller) vs work-stealing pools of 2
 //! and 8 threads. Every configuration produces bit-identical results
 //! (pinned by `crates/core/tests/parallel_differential.rs`); only
-//! wall-clock time may differ. Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr3.json cargo bench -p dpfill-bench \
-//!     --bench pr3_parallel
-//! ```
-//!
-//! to refresh the committed `BENCH_pr3.json` baseline. Speedup over
-//! serial requires actual hardware parallelism: on a single-core
-//! container the pooled runs only measure the (small) coordination
-//! overhead under oversubscription.
+//! wall-clock time may differ. Speedup over serial requires actual
+//! hardware parallelism: on a single-core host the pooled runs only
+//! measure the (small) coordination overhead under oversubscription.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dpfill_core::fill::{DpFill, FillStrategy, MtFill, XStatFill};
 use dpfill_core::MatrixMapping;
 use dpfill_cubes::gen::random_cube_set;
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
 use dpfill_cubes::stretch::StretchStats;
 
 fn bench_parallel_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel");
     group.sample_size(20);
     let cubes = random_cube_set(1024, 1024, 0.8, 0x93);
-    let matrix = PackedMatrix::from_packed_set(&PackedCubeSet::from(&cubes));
 
     for threads in [1usize, 2, 8] {
         let label = if threads == 1 {
@@ -48,7 +38,11 @@ fn bench_parallel_pipeline(c: &mut Criterion) {
         });
         group.bench_function(format!("stretch_stats/{label}/1024x1024"), |b| {
             minipool::with_pool(&pool, || {
-                b.iter(|| criterion::black_box(StretchStats::of_packed(&matrix).total_stretches()))
+                b.iter(|| {
+                    criterion::black_box(
+                        StretchStats::of_cubes(cubes.as_packed()).total_stretches(),
+                    )
+                })
             })
         });
         group.bench_function(format!("dp_fill/{label}/1024x1024"), |b| {

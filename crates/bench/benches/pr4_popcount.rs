@@ -10,18 +10,9 @@
 //!   the auto-selected tier;
 //! * `analyze_fill/*` — the full analyze+DP-fill pipeline on the
 //!   1024×1024 set with the scalar tier forced vs the auto-selected
-//!   SIMD tier, plus the dense-care variant (20% X) where the mapping's
-//!   X-run fast path carries the analysis.
+//!   SIMD tier, plus the mapping alone on a dense-care variant (20% X).
 //!
-//! Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr4.json cargo bench -p dpfill-bench \
-//!     --bench pr4_popcount
-//! ```
-//!
-//! to refresh the committed `BENCH_pr4.json` baseline. Every
-//! configuration produces bit-identical results (pinned by
+//! Every configuration produces bit-identical results (pinned by
 //! `crates/cubes/tests/popcount_differential.rs` and
 //! `crates/core/tests/dense_fastpath.rs`); only wall-clock time may
 //! differ.
@@ -31,9 +22,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dpfill_core::fill::DpFill;
 use dpfill_core::MatrixMapping;
 use dpfill_cubes::gen::random_cube_set;
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
+use dpfill_cubes::packed::PackedCubeSet;
 use dpfill_cubes::popcount::{active_kernel, force_kernel, PopcountKernel};
-use dpfill_cubes::stretch::{for_each_stretch, for_each_stretch_dense};
 
 fn bench_popcount(c: &mut Criterion) {
     let mut group = c.benchmark_group("popcount");
@@ -85,30 +75,9 @@ fn bench_popcount(c: &mut Criterion) {
         b.iter(|| criterion::black_box(packed.total_conflicts()))
     });
 
-    // Rung 3: the two stretch scanners head-to-head on a dense-care
-    // (20% X) pin matrix — the workload the ROADMAP's fast path targets.
     let dense = random_cube_set(1024, 1024, 0.2, 0x95);
-    let dense_matrix = PackedMatrix::from_packed_set(dense.as_packed());
-    group.bench_function("scanner/care_positions/1024x1024_dense", |b| {
-        b.iter(|| {
-            let mut events = 0usize;
-            for row in dense_matrix.packed_rows() {
-                for_each_stretch(row, |_| events += 1);
-            }
-            criterion::black_box(events)
-        })
-    });
-    group.bench_function("scanner/x_runs/1024x1024_dense", |b| {
-        b.iter(|| {
-            let mut events = 0usize;
-            for row in dense_matrix.packed_rows() {
-                for_each_stretch_dense(row, |_| events += 1);
-            }
-            criterion::black_box(events)
-        })
-    });
 
-    // Rung 4: the analyze+fill pipeline, scalar tier vs auto tier, on
+    // Rung 3: the analyze+fill pipeline, scalar tier vs auto tier, on
     // the sparse (80% X) and dense-care (20% X) profiles.
     for (label, kernel) in [("scalar", PopcountKernel::Scalar), (auto.label(), auto)] {
         force_kernel(kernel);

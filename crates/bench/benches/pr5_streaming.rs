@@ -5,17 +5,9 @@
 //! Both configurations produce byte-identical output (pinned by
 //! `crates/core/tests/streaming_fill.rs`); the streaming rows measure
 //! what the two-pass windowed flow pays in wall-clock for its
-//! `O(window)` resident-cube bound — the second parse plus per-window
-//! transposes, against one big transpose.
+//! `O(window)` resident-cube bound: mostly the second parse.
 //!
-//! Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr5.json cargo bench -p dpfill-bench \
-//!     --bench pr5_streaming
-//! ```
-//!
-//! to refresh the committed `BENCH_pr5.json` baseline.
+//! Run with `cargo bench -p dpfill-bench --bench pr5_streaming`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

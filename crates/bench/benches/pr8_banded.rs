@@ -12,14 +12,7 @@
 //! * **Cost** — what does the in-ring search pay in wall-clock over
 //!   an unordered streaming run, per band width?
 //!
-//! Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr8.json cargo bench -p dpfill-bench \
-//!     --bench pr8_banded
-//! ```
-//!
-//! to refresh the committed `BENCH_pr8.json` baseline.
+//! Run with `cargo bench -p dpfill-bench --bench pr8_banded`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -13,14 +13,7 @@
 //! * **Cost** — what does the weighted solve pay in wall-clock over
 //!   the unit path, per objective?
 //!
-//! Run
-//!
-//! ```sh
-//! CRITERION_JSON=BENCH_pr9.json cargo bench -p dpfill-bench \
-//!     --bench pr9_objectives
-//! ```
-//!
-//! to refresh the committed `BENCH_pr9.json` baseline, or pass
+//! Run with `cargo bench -p dpfill-bench --bench pr9_objectives`, or pass
 //! `-- pareto-only` to print just the quality rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -607,7 +607,14 @@ impl<'a> ByEnd<'a> {
     /// [`witness`], a floor above `peak` that no feasible peak is below;
     /// unit loads fit exactly as they pour, so a unit fit does too. The
     /// blocking (weighted fit) probe's success certifies an achievable
-    /// peak; its failure certifies nothing, and returns `peak + 1`.
+    /// peak, and blocking feasibility is monotone in the peak. Compare
+    /// fits at P < P′ over the same walk: after every interval, (A)
+    /// every color closed at P′ is closed at P, and (B) every color open
+    /// at P has at least as much room at P′. P′ places each interval at
+    /// or before P's color, and every color P′ passes lacks room at P′,
+    /// hence at P, so a miss at P′ is a miss at P. A blocking failure
+    /// returns `peak + 1`. With lb the fractional bound and w_max the
+    /// largest load, a fit at lb + w_max − 1 cannot miss.
     ///
     /// [`sweep`]: ByEnd::sweep
     /// [`witness`]: ByEnd::witness
@@ -877,8 +884,9 @@ impl<'a> ByEnd<'a> {
     /// ignores loads, so on weighted intervals its verified peak, which
     /// counts them, is not compared). A weighted solve colors at the
     /// smallest blocking-feasible peak at or above the fractional bound
-    /// (the same search over blocking probes, whose failures certify
-    /// nothing, as blocking feasibility need not be monotone), then
+    /// (the same search over blocking probes; blocking feasibility is
+    /// monotone in the peak, so that peak is at most lb + w_max − 1, see
+    /// [`ByEnd::probe`]), then
     /// closes any remaining gap with a bounded exact branch-and-bound.
     /// Weighted bottleneck coloring is NP-hard, so `peak == lower_bound`
     /// is not guaranteed beyond the search budget; inside it the peak is
@@ -1272,10 +1280,10 @@ const WITNESS_REACH: usize = 2;
 /// the bracket `[floor, accepted]`. A monotone probe with certified
 /// floors (a pour's witnesses) gives its minimum accepted peak — with
 /// `lo` at most the true bound that bound, with `lo` above it `lo` — in
-/// O(log gap) probes however small its floors. A probe that need not be
-/// monotone, returning floor `p + 1`, runs the plain gallop and
-/// bisection and gets an accepted peak. Either way the result is the
-/// last peak accepted. A rejection at `u64::MAX` is
+/// O(log gap) probes however small its floors. A monotone probe whose
+/// rejections floor only `p + 1` (the blocking fit) runs the plain
+/// gallop and bisection to its minimum accepted peak at or above `lo`.
+/// Either way the result is the last peak accepted. A rejection at `u64::MAX` is
 /// [`BcpError::Overflow`] naming `what`.
 fn min_feasible_peak(
     lo: u64,
@@ -2568,7 +2576,8 @@ mod tests {
                 assert_eq!(lb, bound, "case {case}");
                 bounded += 1;
             }
-            // The blocking search: its failures certify nothing.
+            // The blocking search: monotone, but its failures floor only
+            // `p + 1`.
             let (target, probes) = counted(lb, what, &mut |p| {
                 by_end.probe(baseline, p, true, false, |_, _| {})
             });
@@ -2583,6 +2592,69 @@ mod tests {
             bounded > 100 && gapped > 100,
             "{bounded} bounded, {gapped} gapped"
         );
+    }
+
+    /// Seeded weighted instances with at least one interval (1–10
+    /// colors, 1–13 intervals, loads 1–40, baselines 0–3), each with its
+    /// fractional bound lb and its largest load w_max.
+    fn weighted_cases(count: usize) -> Vec<(BcpInstance, u64, u64)> {
+        let mut seed = 0xB10Cu64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                .wrapping_add(0x1405_7B7E_F767_814F);
+            (seed >> 33) % m
+        };
+        (0..count)
+            .map(|_| {
+                let colors = 1 + next(10) as u32;
+                let mut inst = BcpInstance::new(colors as usize);
+                let mut w_max = 0;
+                for _ in 0..1 + next(13) {
+                    let start = next(u64::from(colors)) as u32;
+                    let end = start + next(u64::from(colors - start)) as u32;
+                    let load = 1 + next(40);
+                    w_max = w_max.max(load);
+                    inst.add_weighted_interval(Interval::new(start, end), load)
+                        .unwrap();
+                }
+                inst.set_baseline((0..colors).map(|_| next(4)).collect())
+                    .unwrap();
+                let lb = inst.lower_bound().unwrap();
+                (inst, lb, w_max)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn blocking_fits_stay_feasible_above_their_first_success() {
+        // No fit succeeds below lb, a true lower bound, so the scan
+        // starts there.
+        let mut above_lb = 0;
+        for (case, (inst, lb, w_max)) in weighted_cases(4000).into_iter().enumerate() {
+            let mut first = None;
+            for peak in lb..=lb + w_max + 3 {
+                let fits = inst.color_edf_weighted(peak).is_ok();
+                match first {
+                    Some(f) => assert!(fits, "case {case}: fits at {f}, misses at {peak}"),
+                    None if fits => first = Some(peak),
+                    None => {}
+                }
+            }
+            above_lb += usize::from(first.is_some_and(|f| f > lb));
+        }
+        assert!(above_lb > 100, "{above_lb} cases first fit above lb");
+    }
+
+    #[test]
+    fn a_blocking_fit_at_lb_plus_w_max_minus_one_never_misses() {
+        for (case, (inst, lb, w_max)) in weighted_cases(4000).into_iter().enumerate() {
+            let peak = lb + w_max - 1;
+            let coloring = inst
+                .color_edf_weighted(peak)
+                .unwrap_or_else(|e| panic!("case {case}: {e:?} at {peak}"));
+            assert!(inst.verify(&coloring).unwrap().with_baseline <= peak);
+        }
     }
 
     #[test]

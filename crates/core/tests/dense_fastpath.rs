@@ -1,19 +1,18 @@
-//! Equivalence suite for the dense-care fast path: the X-run scanner
-//! (`for_each_stretch_dense`) and the density-adaptive matrix mapping
-//! built on it must be bit-identical to the care-position stretch
-//! classifier — on every density from all-X to fully specified, on
+//! Equivalence suite for the matrix mapping across care densities: its
+//! intervals and baseline must equal the scalar pin-major stretch
+//! classifier's — on every density from all-X to fully specified, on
 //! widths not divisible by 64, on empty sets, and at 1/2/8 threads.
-//! The reference is built independently from the scalar
-//! `RowStretches::analyze` walk over the scalar pin matrix, so a bug
-//! shared by both packed scanners would still be caught.
+//! The reference is the oracle's per-bit `RowStretches::analyze` walk
+//! over the scalar pin matrix, built independently of the cube-major
+//! analyzer it checks.
 
 use dpfill_core::fill::DpFill;
 use dpfill_core::mapping::MatrixMapping;
 use dpfill_core::Interval;
 use dpfill_cubes::gen::random_cube_set;
 use dpfill_cubes::packed::PackedCubeSet;
-use dpfill_cubes::stretch::{RowStretches, Stretch};
-use dpfill_cubes::{peak_toggles, Bit, CubeSet, PackedBits, TestCube};
+use dpfill_cubes::{peak_toggles, Bit, CubeSet, TestCube};
+use dpfill_oracle::{pin_matrix_scalar, RowStretches, Stretch};
 use proptest::prelude::*;
 
 /// The mapping outputs rebuilt from the scalar classifier: intervals in
@@ -21,7 +20,7 @@ use proptest::prelude::*;
 /// row-major walk) and the baseline.
 fn reference_mapping(set: &CubeSet) -> (Vec<Interval>, Vec<u64>) {
     let cols = set.len();
-    let scalar = set.to_pin_matrix();
+    let scalar = pin_matrix_scalar(set);
     let mut intervals = Vec::new();
     let mut baseline = vec![0u64; cols.saturating_sub(1)];
     for r in 0..scalar.rows() {
@@ -44,8 +43,8 @@ fn assert_mapping_matches_reference(set: &CubeSet) {
     let mapping = MatrixMapping::analyze(set);
     assert_eq!(mapping.instance().intervals(), intervals.as_slice());
     assert_eq!(mapping.instance().baseline(), baseline.as_slice());
-    // Downstream: the DP fill over the (possibly dense-scanned) mapping
-    // still produces a legal filling with the optimal peak.
+    // Downstream: the DP fill over the mapping still produces a legal
+    // filling with the optimal peak.
     if !set.is_empty() {
         let report = DpFill::new().run(set);
         assert!(CubeSet::is_filling_of(&report.filled, set));
@@ -77,24 +76,8 @@ fn arb_cube_set() -> impl Strategy<Value = CubeSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Per-row: the X-run scanner emits exactly the scalar classifier's
-    /// stretch stream at any density.
-    #[test]
-    fn dense_scanner_equals_scalar_classifier(set in arb_cube_set()) {
-        let matrix = set.to_pin_matrix();
-        for r in 0..matrix.rows() {
-            let row = matrix.row(r);
-            let packed = PackedBits::from_bits(row);
-            prop_assert_eq!(
-                RowStretches::analyze_dense(&packed),
-                RowStretches::analyze(row),
-                "row {}", r
-            );
-        }
-    }
-
-    /// Whole-pipeline: the density-adaptive mapping equals the scalar
-    /// reference, identically at 1, 2 and 8 threads.
+    /// Whole-pipeline: the mapping equals the scalar reference,
+    /// identically at 1, 2 and 8 threads.
     #[test]
     fn adaptive_mapping_equals_reference_at_all_thread_counts(set in arb_cube_set()) {
         assert_mapping_matches_reference(&set);
@@ -109,8 +92,8 @@ proptest! {
 
 #[test]
 fn fully_specified_sets_take_the_word_wise_path() {
-    // Density 0.0: every row is fully specified, so the mapping's dense
-    // branch never classifies a stretch — only forced toggles survive.
+    // Density 0.0: every pin is fully specified, so the mapping closes
+    // no stretch — only forced toggles survive.
     for seed in 0..4u64 {
         let set = random_cube_set(90, 40, 0.0, seed);
         assert_mapping_matches_reference(&set);
@@ -126,8 +109,8 @@ fn fully_specified_sets_take_the_word_wise_path() {
 
 #[test]
 fn mixed_density_matrices_agree() {
-    // Dense and sparse rows in one matrix: the per-row dispatch must
-    // splice both kinds identically to the reference.
+    // Dense and sparse pins in one set map identically to the
+    // reference.
     for (seed, density) in [(1u64, 0.05), (2, 0.25), (3, 0.5), (4, 0.9)] {
         let set = random_cube_set(130, 70, density, seed);
         assert_mapping_matches_reference(&set);

@@ -184,8 +184,7 @@ fn scalar_and_packed_entry_points_agree() {
     // baseline, and the same fill of one coloring.
     let cubes = CubeSet::parse_rows(&["0X1X0", "1XX00", "X01XX", "0XXX1"]).unwrap();
     let from_set = MatrixMapping::analyze(&cubes);
-    let scalar = dpfill_cubes::packed::PackedMatrix::from_pin_matrix(&pin_matrix_scalar(&cubes));
-    let from_scalar = dpfill_oracle::analyze_rows(&scalar);
+    let from_scalar = dpfill_oracle::analyze_rows(&pin_matrix_scalar(&cubes));
     let mut by_pin: Vec<(u32, u32, u32)> = from_scalar
         .sites
         .iter()

@@ -12,7 +12,6 @@ use dpfill_core::ordering::{
     IOrdering, IOrderingTrace, IsaOrdering, OrderingStrategy, XStatOrdering,
 };
 use dpfill_core::Interval;
-use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
 use dpfill_cubes::stretch::StretchStats;
 use dpfill_cubes::{peak_toggles, toggle_profile, Bit, CubeSet, TestCube};
 use proptest::prelude::*;
@@ -35,8 +34,7 @@ struct PipelineOutputs {
 
 fn pipeline_outputs(set: &CubeSet) -> PipelineOutputs {
     let mapping = MatrixMapping::analyze(set);
-    let matrix = PackedMatrix::from_packed_set(&PackedCubeSet::from(set));
-    let stats = StretchStats::of_packed(&matrix);
+    let stats = StretchStats::of_cubes(set.as_packed());
 
     let fill_methods = [
         FillMethod::Dp,

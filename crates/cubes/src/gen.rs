@@ -341,13 +341,16 @@ mod tests {
             .hot_fraction(0.1)
             .hot_weight(10.0)
             .generate(11);
-        let m = set.to_pin_matrix();
-        let mut densities: Vec<usize> = (0..m.rows())
-            .map(|r| m.row(r).iter().filter(|b| b.is_care()).count())
+        let pins = set.width();
+        let mut densities: Vec<usize> = (0..pins)
+            .map(|pin| {
+                let cubes = set.as_packed().cubes().iter();
+                cubes.filter(|cube| cube.get(pin).is_care()).count()
+            })
             .collect();
         densities.sort_unstable();
-        let low = densities[m.rows() / 10];
-        let high = densities[m.rows() - 1 - m.rows() / 10];
+        let low = densities[pins / 10];
+        let high = densities[pins - 1 - pins / 10];
         assert!(
             high >= low.saturating_mul(2).max(low + 3),
             "low={low} high={high}"

@@ -14,17 +14,14 @@
 //!   ([`PackedCubeSet`]); the scalar [`TestCube`] view is decoded lazily
 //!   by [`CubeSet::cube`] and the iterators, for debugging and
 //!   compatibility only;
-//! * [`PinMatrix`] — the transposed row-major scalar view (one row per
-//!   pin), a compatibility view and the shape the differential
-//!   references are written against;
 //! * [`packed`] — the bit-packed two-plane store itself ([`PackedBits`],
-//!   [`PackedCubeSet`], [`PackedMatrix`]) with the popcount kernels, the
-//!   word-blocked transpose and the streaming row builder;
+//!   [`PackedCubeSet`]) with the popcount kernels and the streaming row
+//!   builder;
 //! * [`popcount`] — the tiered masked-XOR popcount kernels behind every
 //!   toggle/conflict metric (portable scalar, runtime-detected AVX2;
 //!   `DPFILL_SIMD` overrides);
-//! * [`stretch`] — classification of the X-runs ("stretches") inside a row,
-//!   the raw material of the paper's interval mapping and of Fig 2(c);
+//! * [`stretch`] — the don't-care stretch statistics of the paper's
+//!   Fig 2(c), counted in one cube-major pass;
 //! * [`gen`] — seeded random cube generators used for tests and for the
 //!   profile-driven reproduction mode;
 //! * [`format`](mod@format) — a plain-text pattern format (one `01X` string per
@@ -63,7 +60,6 @@ mod distance;
 mod error;
 pub mod format;
 pub mod gen;
-mod matrix;
 pub mod packed;
 pub mod popcount;
 pub mod retry;
@@ -78,6 +74,5 @@ pub use distance::{
 };
 pub use error::CubeError;
 pub use format::PatternError;
-pub use matrix::PinMatrix;
-pub use packed::{PackedBits, PackedCubeSet, PackedMatrix};
+pub use packed::{PackedBits, PackedCubeSet};
 pub use set::{CubeSet, Cubes, IntoCubes};

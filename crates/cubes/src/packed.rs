@@ -1,32 +1,29 @@
-//! Bit-packed two-plane storage for cubes and pin matrices.
+//! Bit-packed two-plane storage for cubes.
 //!
 //! Every hot kernel of the DP-fill pipeline — Hamming/toggle profiling,
-//! the pin-matrix transpose, §V-C stretch scanning and the fills — walks
-//! bits. Packing 64 three-valued bits into two `u64` *planes* turns those
-//! walks into word ops:
+//! the §V-C stretch scan and the fills — walks bits. Packing 64
+//! three-valued bits into two `u64` *planes* turns those walks into word
+//! ops:
 //!
 //! * **care plane** — bit `i` set ⇔ position `i` carries a care bit;
 //! * **value plane** — bit `i` holds the care value (`0` where `X`).
 //!
 //! The paper's metric `hd(T_j, T_{j+1})` then becomes
-//! `popcount((a.val ^ b.val) & a.care & b.care)` per word, the transpose
-//! becomes 64×64 bit-block swaps, and stretch scanning becomes
-//! `trailing_zeros` hops over the care plane. Three types cover the
-//! pipeline:
+//! `popcount((a.val ^ b.val) & a.care & b.care)` per word, and stretch
+//! scanning becomes `trailing_zeros` hops over each cube's care words,
+//! 64 pins at a time. Two types cover the pipeline:
 //!
-//! * [`PackedBits`] — one packed row (a cube over pins, or a pin row over
-//!   cubes) with word kernels and mask-splice fills;
+//! * [`PackedBits`] — one packed cube over pins, with word kernels and
+//!   mask-splice fills;
 //! * [`PackedCubeSet`] — the pattern sequence `T1..Tn`, one [`PackedBits`]
-//!   per cube, with popcount toggle kernels;
-//! * [`PackedMatrix`] — the transposed pins × cubes view, produced by a
-//!   word-blocked bit transpose.
+//!   per cube, with popcount toggle kernels.
 //!
 //! Invariants maintained by every operation (so derived equality is
 //! structural equality): `val & !care == 0`, and bits past `len` are zero
 //! in both planes.
 
 use crate::popcount::{self, PopcountKernel};
-use crate::{Bit, CubeError, CubeSet, PinMatrix, TestCube};
+use crate::{Bit, CubeError, CubeSet, TestCube};
 
 /// Number of positions per plane word.
 const WORD: usize = 64;
@@ -248,37 +245,6 @@ impl PackedBits {
             .find_map(|(w, &cw)| (cw != 0).then(|| w * WORD + cw.trailing_zeros() as usize))
     }
 
-    /// Column of the last care bit, if any (`leading_zeros` hop).
-    pub fn last_care(&self) -> Option<usize> {
-        self.care.iter().enumerate().rev().find_map(|(w, &cw)| {
-            (cw != 0).then(|| w * WORD + (WORD - 1 - cw.leading_zeros() as usize))
-        })
-    }
-
-    /// First care bit at column `pos` or later, if any — the resumable
-    /// probe of the X-run scanner. Unlike [`PackedBits::care_positions`]
-    /// it holds no iterator state: each probe re-reads the planes from
-    /// `pos`.
-    pub fn next_care_at_or_after(&self, pos: usize) -> Option<(usize, Bit)> {
-        let mut w = pos / WORD;
-        if w >= self.care.len() {
-            return None;
-        }
-        let mut m = self.care[w] & (u64::MAX << (pos % WORD));
-        loop {
-            if m != 0 {
-                let b = m.trailing_zeros() as usize;
-                let value = Bit::from_bool(self.val[w] >> b & 1 == 1);
-                return Some((w * WORD + b, value));
-            }
-            w += 1;
-            if w >= self.care.len() {
-                return None;
-            }
-            m = self.care[w];
-        }
-    }
-
     /// Iterates over `(position, value)` of every care bit, skipping `X`
     /// runs in word-sized hops.
     pub fn care_positions(&self) -> CarePositions<'_> {
@@ -475,43 +441,6 @@ impl PackedBits {
             .all(|(w, &cw)| cw == if w + 1 == n { tail } else { u64::MAX })
     }
 
-    /// Overwrites columns `[lo, hi)` with the care value `value` — the
-    /// mask-splice primitive behind the word-level fills.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi <= self.len()`.
-    pub fn fill_range(&mut self, lo: usize, hi: usize, value: Bit) {
-        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} out of bounds");
-        if lo == hi {
-            return;
-        }
-        let (first_w, last_w) = (lo / WORD, (hi - 1) / WORD);
-        for w in first_w..=last_w {
-            let from = if w == first_w { lo % WORD } else { 0 };
-            let until = if w == last_w {
-                (hi - 1) % WORD + 1
-            } else {
-                WORD
-            };
-            let mask = span_mask(from, until);
-            match value {
-                Bit::X => {
-                    self.care[w] &= !mask;
-                    self.val[w] &= !mask;
-                }
-                Bit::Zero => {
-                    self.care[w] |= mask;
-                    self.val[w] &= !mask;
-                }
-                Bit::One => {
-                    self.care[w] |= mask;
-                    self.val[w] |= mask;
-                }
-            }
-        }
-    }
-
     /// Fills every remaining `X` with the care value `value` in
     /// whole-word writes; filling with `X` is a no-op.
     pub fn fill_x_with(&mut self, value: Bit) {
@@ -541,92 +470,6 @@ impl PackedBits {
             let x = !*cw & live;
             *vw |= fill_for_word(w) & x;
             *cw |= x;
-        }
-    }
-
-    /// Mask of the adjacent care-care conflicts whose left column sits
-    /// in word `w`: bit `b` set ⇔ positions `w*64+b` and `w*64+b+1` hold
-    /// opposite care bits. Canonical tails (zero care past `len`) keep
-    /// phantom transitions out of the mask.
-    #[inline]
-    fn adjacent_conflict_word(&self, w: usize) -> u64 {
-        let n = self.care.len();
-        let carry_c = if w + 1 < n { self.care[w + 1] << 63 } else { 0 };
-        let carry_v = if w + 1 < n { self.val[w + 1] << 63 } else { 0 };
-        let c2 = self.care[w] >> 1 | carry_c;
-        let v2 = self.val[w] >> 1 | carry_v;
-        (self.val[w] ^ v2) & self.care[w] & c2
-    }
-
-    /// Calls `f(t)` for every transition `t` (between positions `t` and
-    /// `t+1`) where both positions carry opposite care bits — the
-    /// word-level scan behind per-transition toggle loads. One
-    /// XOR+AND+`trailing_zeros` pass per word.
-    pub fn for_each_adjacent_conflict(&self, mut f: impl FnMut(usize)) {
-        if self.len < 2 {
-            return;
-        }
-        for w in 0..self.care.len() {
-            let mut m = self.adjacent_conflict_word(w);
-            while m != 0 {
-                f(w * WORD + m.trailing_zeros() as usize);
-                m &= m - 1;
-            }
-        }
-    }
-
-    /// Pull-based twin of [`PackedBits::for_each_adjacent_conflict`],
-    /// yielding the conflict transitions in ascending order — what the
-    /// dense-care stretch scanner merges against its X-run events.
-    pub fn adjacent_conflicts(&self) -> AdjacentConflicts<'_> {
-        let first = if self.len < 2 {
-            0
-        } else {
-            self.adjacent_conflict_word(0)
-        };
-        AdjacentConflicts {
-            bits: self,
-            word: 0,
-            mask: first,
-        }
-    }
-
-    /// Number of adjacent care-care conflicts — a pure XOR+popcount
-    /// sweep, no per-bit iteration. On a fully specified row this is the
-    /// row's entire toggle contribution (it has no stretches), which is
-    /// what makes the dense-care fast path skip classification.
-    pub fn adjacent_conflict_count(&self) -> usize {
-        if self.len < 2 {
-            return 0;
-        }
-        (0..self.care.len())
-            .map(|w| self.adjacent_conflict_word(w).count_ones() as usize)
-            .sum()
-    }
-
-    /// First `X` position at column `pos` or later, if any — the
-    /// complement twin of [`PackedBits::next_care_at_or_after`], probing
-    /// the inverted care plane under the live-bit tail mask. The X-run
-    /// ("dense-care") scanner hops between don't-care runs with this, so
-    /// its cost scales with the number of runs instead of care bits.
-    pub fn next_x_at_or_after(&self, pos: usize) -> Option<usize> {
-        if pos >= self.len {
-            return None;
-        }
-        let n = self.care.len();
-        let tail = tail_mask(self.len);
-        let mut w = pos / WORD;
-        let live = |w: usize| if w + 1 == n { tail } else { u64::MAX };
-        let mut m = !self.care[w] & live(w) & (u64::MAX << (pos % WORD));
-        loop {
-            if m != 0 {
-                return Some(w * WORD + m.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= n {
-                return None;
-            }
-            m = !self.care[w] & live(w);
         }
     }
 
@@ -684,32 +527,6 @@ impl Iterator for CarePositions<'_> {
         let pos = self.word * WORD + b;
         let value = Bit::from_bool(self.bits.val[self.word] >> b & 1 == 1);
         Some((pos, value))
-    }
-}
-
-/// Iterator over the adjacent care-care conflict transitions of a
-/// [`PackedBits`], in ascending column order.
-#[derive(Clone, Debug)]
-pub struct AdjacentConflicts<'a> {
-    bits: &'a PackedBits,
-    word: usize,
-    mask: u64,
-}
-
-impl Iterator for AdjacentConflicts<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.mask == 0 {
-            self.word += 1;
-            if self.word >= self.bits.care.len() {
-                return None;
-            }
-            self.mask = self.bits.adjacent_conflict_word(self.word);
-        }
-        let b = self.mask.trailing_zeros() as usize;
-        self.mask &= self.mask - 1;
-        Some(self.word * WORD + b)
     }
 }
 
@@ -1098,223 +915,6 @@ impl From<&CubeSet> for PackedCubeSet {
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards bit `j` of word
-/// `i` is the old bit `i` of word `j`.
-///
-/// Recursive block-swap (Hacker's Delight 7-3, adapted to LSB-first bit
-/// order on both axes): at stride `j` the high-`j` sub-block of `a[k]`
-/// swaps with the low-`j` sub-block of `a[k | j]`.
-pub fn transpose64(a: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k | j]) & m;
-            a[k] ^= t << j;
-            a[k | j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
-    }
-}
-
-/// The packed pins × cubes matrix: row `p` holds pin `p`'s value across
-/// the ordered cubes. Built from a [`PackedCubeSet`] by a word-blocked
-/// 64×64 bit transpose of each plane.
-///
-/// # Example
-///
-/// ```
-/// use dpfill_cubes::packed::{PackedCubeSet, PackedMatrix};
-/// use dpfill_cubes::{Bit, CubeSet};
-///
-/// let set = CubeSet::parse_rows(&["0X", "1X", "X1"]).unwrap();
-/// let m = PackedMatrix::from_packed_set(&PackedCubeSet::from(&set));
-/// assert_eq!(m.rows(), 2);
-/// assert_eq!(m.cols(), 3);
-/// assert_eq!(m.row(0).to_bits(), vec![Bit::Zero, Bit::One, Bit::X]);
-/// assert_eq!(m.to_packed_set().to_cube_set(), set);
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct PackedMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<PackedBits>,
-}
-
-impl PackedMatrix {
-    /// An all-`X` matrix of `rows` pins × `cols` cubes.
-    pub fn all_x(rows: usize, cols: usize) -> PackedMatrix {
-        PackedMatrix {
-            rows,
-            cols,
-            data: (0..rows).map(|_| PackedBits::all_x(cols)).collect(),
-        }
-    }
-
-    /// Word-blocked transpose of a packed cube set into the row-per-pin
-    /// view: both planes are carved into 64×64 tiles and flipped with
-    /// [`transpose64`], so the cost is `rows·cols/64` word ops instead of
-    /// `rows·cols` bit scatters.
-    pub fn from_packed_set(set: &PackedCubeSet) -> PackedMatrix {
-        let (rows, cols) = (set.width(), set.len());
-        let mut m = PackedMatrix::all_x(rows, cols);
-        let mut care_tile = [0u64; 64];
-        let mut val_tile = [0u64; 64];
-        for pin_block in 0..words_for(rows) {
-            for cube_block in 0..words_for(cols) {
-                let cube_lo = cube_block * WORD;
-                let cube_hi = (cube_lo + WORD).min(cols);
-                for (t, cube) in set.cubes[cube_lo..cube_hi].iter().enumerate() {
-                    care_tile[t] = cube.care[pin_block];
-                    val_tile[t] = cube.val[pin_block];
-                }
-                for t in cube_hi - cube_lo..64 {
-                    care_tile[t] = 0;
-                    val_tile[t] = 0;
-                }
-                transpose64(&mut care_tile);
-                transpose64(&mut val_tile);
-                let pin_lo = pin_block * WORD;
-                let pin_hi = (pin_lo + WORD).min(rows);
-                for (t, pin_idx) in (pin_lo..pin_hi).enumerate() {
-                    m.data[pin_idx].care[cube_block] = care_tile[t];
-                    m.data[pin_idx].val[cube_block] = val_tile[t];
-                }
-            }
-        }
-        m
-    }
-
-    /// Inverse word-blocked transpose back to the cube-major view.
-    pub fn to_packed_set(&self) -> PackedCubeSet {
-        let mut set = PackedCubeSet {
-            width: self.rows,
-            cubes: (0..self.cols)
-                .map(|_| PackedBits::all_x(self.rows))
-                .collect(),
-        };
-        let mut care_tile = [0u64; 64];
-        let mut val_tile = [0u64; 64];
-        for cube_block in 0..words_for(self.cols) {
-            for pin_block in 0..words_for(self.rows) {
-                let pin_lo = pin_block * WORD;
-                let pin_hi = (pin_lo + WORD).min(self.rows);
-                for (t, pin_idx) in (pin_lo..pin_hi).enumerate() {
-                    care_tile[t] = self.data[pin_idx].care[cube_block];
-                    val_tile[t] = self.data[pin_idx].val[cube_block];
-                }
-                for t in pin_hi - pin_lo..64 {
-                    care_tile[t] = 0;
-                    val_tile[t] = 0;
-                }
-                transpose64(&mut care_tile);
-                transpose64(&mut val_tile);
-                let cube_lo = cube_block * WORD;
-                let cube_hi = (cube_lo + WORD).min(self.cols);
-                for (t, cube_idx) in (cube_lo..cube_hi).enumerate() {
-                    set.cubes[cube_idx].care[pin_block] = care_tile[t];
-                    set.cubes[cube_idx].val[pin_block] = val_tile[t];
-                }
-            }
-        }
-        set
-    }
-
-    /// Packs a scalar [`PinMatrix`].
-    pub fn from_pin_matrix(matrix: &PinMatrix) -> PackedMatrix {
-        PackedMatrix {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            data: (0..matrix.rows())
-                .map(|r| PackedBits::from_bits(matrix.row(r)))
-                .collect(),
-        }
-    }
-
-    /// Unpacks to the scalar [`PinMatrix`].
-    pub fn to_pin_matrix(&self) -> PinMatrix {
-        let mut m = PinMatrix::all_x(self.rows, self.cols);
-        for (r, row) in self.data.iter().enumerate() {
-            for (pos, value) in row.care_positions() {
-                m.set(r, pos, value);
-            }
-        }
-        m
-    }
-
-    /// Number of pins (rows).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of cubes (columns).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Packed row for pin `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.rows()`.
-    #[inline]
-    pub fn row(&self, row: usize) -> &PackedBits {
-        &self.data[row]
-    }
-
-    /// Mutable packed row (for mask-splice fills).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= self.rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut PackedBits {
-        &mut self.data[row]
-    }
-
-    /// Iterates over the packed rows.
-    pub fn iter_rows(&self) -> std::slice::Iter<'_, PackedBits> {
-        self.data.iter()
-    }
-
-    /// The packed rows as one slice (row `p` = pin `p`) — the unit the
-    /// parallel pipeline chunks across workers.
-    #[inline]
-    pub fn packed_rows(&self) -> &[PackedBits] {
-        &self.data
-    }
-
-    /// Mutable packed rows, for chunked parallel mask-splice fills
-    /// (disjoint sub-slices go to different workers).
-    #[inline]
-    pub fn packed_rows_mut(&mut self) -> &mut [PackedBits] {
-        &mut self.data
-    }
-
-    /// Number of `X` bits left in the matrix.
-    pub fn x_count(&self) -> usize {
-        self.data.iter().map(PackedBits::x_count).sum()
-    }
-}
-
-/// Mask with bits `[from, until)` set (`until <= 64`).
-#[inline]
-fn span_mask(from: usize, until: usize) -> u64 {
-    debug_assert!(from <= until && until <= WORD);
-    let hi = if until == WORD {
-        u64::MAX
-    } else {
-        (1u64 << until) - 1
-    };
-    let lo = (1u64 << from) - 1;
-    hi & !lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1436,30 +1036,7 @@ mod tests {
         let positions: Vec<(usize, Bit)> = p.care_positions().collect();
         assert_eq!(positions, vec![(2, Bit::Zero), (64, Bit::One)]);
         assert_eq!(p.first_care(), Some(2));
-        assert_eq!(p.last_care(), Some(64));
         assert_eq!(PackedBits::all_x(5).first_care(), None);
-        assert_eq!(PackedBits::all_x(5).last_care(), None);
-    }
-
-    #[test]
-    fn fill_range_spans_word_boundaries() {
-        let mut p = PackedBits::all_x(130);
-        p.fill_range(60, 70, Bit::One);
-        p.fill_range(0, 2, Bit::Zero);
-        p.fill_range(128, 130, Bit::One);
-        for i in 0..130 {
-            let want = if (60..70).contains(&i) || i >= 128 {
-                Bit::One
-            } else if i < 2 {
-                Bit::Zero
-            } else {
-                Bit::X
-            };
-            assert_eq!(p.get(i), want, "bit {i}");
-        }
-        // Splicing X back out also works.
-        p.fill_range(60, 70, Bit::X);
-        assert_eq!(p.get(65), Bit::X);
     }
 
     #[test]
@@ -1533,47 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose64_is_involutive_and_correct() {
-        let mut a = [0u64; 64];
-        for (i, w) in a.iter_mut().enumerate() {
-            *w = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (1 << (i % 64));
-        }
-        let orig = a;
-        transpose64(&mut a);
-        for (i, &row) in a.iter().enumerate() {
-            for (j, &col) in orig.iter().enumerate() {
-                assert_eq!(row >> j & 1, col >> i & 1, "({i},{j})");
-            }
-        }
-        transpose64(&mut a);
-        assert_eq!(a, orig);
-    }
-
-    #[test]
-    fn matrix_transpose_round_trips_odd_shapes() {
-        for (w, n, seed) in [
-            (1, 1, 1u64),
-            (5, 3, 2),
-            (64, 64, 3),
-            (65, 63, 4),
-            (130, 70, 5),
-            (200, 129, 6),
-        ] {
-            let set = random_cube_set(w, n, 0.6, seed);
-            let packed = PackedCubeSet::from(&set);
-            let m = PackedMatrix::from_packed_set(&packed);
-            assert_eq!(m.rows(), w);
-            assert_eq!(m.cols(), n);
-            assert_eq!(m.to_packed_set(), packed, "{w}x{n}");
-            assert_eq!(m.to_packed_set().to_cube_set(), set);
-            // Agrees with the scalar transpose.
-            let scalar = set.to_pin_matrix();
-            assert_eq!(m.to_pin_matrix(), scalar, "{w}x{n} vs scalar");
-            assert_eq!(PackedMatrix::from_pin_matrix(&scalar), m);
-        }
-    }
-
-    #[test]
     fn packed_set_toggle_kernels_match_docs() {
         let set = CubeSet::parse_rows(&["000", "011", "010", "101"]).unwrap();
         let packed = PackedCubeSet::from(&set);
@@ -1588,70 +1124,14 @@ mod tests {
         let set = PackedCubeSet::new(4);
         assert!(set.is_empty());
         assert_eq!(set.peak_toggles(), 0);
-        let m = PackedMatrix::from_packed_set(&set);
-        assert_eq!(m.rows(), 4);
-        assert_eq!(m.cols(), 0);
-        let back = m.to_packed_set();
+        assert!(set.toggle_profile().is_empty());
+        let back = set.to_cube_set();
         assert_eq!(back.width(), 4);
         assert!(back.is_empty());
 
-        let zero_width = PackedMatrix::all_x(0, 0);
+        let zero_width = PackedCubeSet::new(0);
         assert_eq!(zero_width.x_count(), 0);
-        assert!(zero_width.to_packed_set().is_empty());
-    }
-
-    #[test]
-    fn adjacent_conflict_scan_matches_scalar() {
-        for seed in 0..8u64 {
-            let len = 60 + seed as usize * 13;
-            let set = random_cube_set(1, len, 0.5, seed);
-            let m = set.to_pin_matrix();
-            let row = m.row(0);
-            let mut scalar = Vec::new();
-            for t in 0..len.saturating_sub(1) {
-                if row[t].conflicts(row[t + 1]) {
-                    scalar.push(t);
-                }
-            }
-            let mut packed_hits = Vec::new();
-            PackedBits::from_bits(row).for_each_adjacent_conflict(|t| packed_hits.push(t));
-            assert_eq!(packed_hits, scalar, "seed {seed} len {len}");
-        }
-        // Degenerate lengths.
-        PackedBits::all_x(0).for_each_adjacent_conflict(|_| panic!("no transitions"));
-        PackedBits::all_x(1).for_each_adjacent_conflict(|_| panic!("no transitions"));
-    }
-
-    #[test]
-    fn adjacent_conflict_iterator_and_count_match_visitor() {
-        for seed in 0..8u64 {
-            let len = 50 + seed as usize * 21;
-            let set = random_cube_set(1, len, 0.4, seed);
-            let row = PackedBits::from_bits(set.to_pin_matrix().row(0));
-            let mut visited = Vec::new();
-            row.for_each_adjacent_conflict(|t| visited.push(t));
-            let pulled: Vec<usize> = row.adjacent_conflicts().collect();
-            assert_eq!(pulled, visited, "seed {seed}");
-            assert_eq!(row.adjacent_conflict_count(), visited.len(), "seed {seed}");
-        }
-        assert_eq!(PackedBits::all_x(0).adjacent_conflict_count(), 0);
-        assert_eq!(PackedBits::all_x(1).adjacent_conflicts().next(), None);
-    }
-
-    #[test]
-    fn next_x_probe_hops_word_boundaries() {
-        let mut p = PackedBits::all_x(130);
-        p.fill_range(0, 70, Bit::One);
-        assert_eq!(p.next_x_at_or_after(0), Some(70));
-        assert_eq!(p.next_x_at_or_after(70), Some(70));
-        assert_eq!(p.next_x_at_or_after(129), Some(129));
-        assert_eq!(p.next_x_at_or_after(130), None);
-        p.fill_range(70, 130, Bit::Zero);
-        assert_eq!(p.next_x_at_or_after(0), None, "fully specified row");
-        // The probe must not report phantom X bits past `len`.
-        let q = PackedBits::from_bits(&bits("01"));
-        assert_eq!(q.next_x_at_or_after(0), None);
-        assert_eq!(PackedBits::all_x(0).next_x_at_or_after(0), None);
+        assert!(zero_width.to_cube_set().is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::fmt;
 
 use crate::packed::{PackedBits, PackedCubeSet};
-use crate::{Bit, CubeError, PinMatrix, TestCube};
+use crate::{Bit, CubeError, TestCube};
 
 /// An ordered collection of equal-width test cubes — the pattern sequence
 /// `T1, T2, … Tn` of the paper.
@@ -222,12 +222,6 @@ impl CubeSet {
         Ok(CubeSet {
             packed: self.packed.reordered(order),
         })
-    }
-
-    /// The transposed, row-per-pin view used by X-filling algorithms
-    /// (the paper's matrix `A`: `m` rows × `n` columns).
-    pub fn to_pin_matrix(&self) -> PinMatrix {
-        PinMatrix::from_cube_set(self)
     }
 
     /// Checks that `filled` is a legal filling of `self`: same shape, no

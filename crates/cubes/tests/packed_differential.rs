@@ -4,15 +4,14 @@
 //! fully-specified rows.
 
 use dpfill_cubes::gen::random_cube_set;
-use dpfill_cubes::packed::{PackedBits, PackedCubeSet, PackedMatrix};
-use dpfill_cubes::stretch::{RowStretches, StretchStats};
+use dpfill_cubes::packed::{PackedBits, PackedCubeSet};
+use dpfill_cubes::stretch::StretchStats;
 use dpfill_cubes::{
-    hamming_distance, peak_toggles, toggle_profile, total_toggles, Bit, CubeSet, PinMatrix,
-    TestCube,
+    hamming_distance, peak_toggles, toggle_profile, total_toggles, Bit, CubeSet, TestCube,
 };
 use dpfill_oracle::{
-    hamming_distance_scalar, peak_toggles_scalar, pin_matrix_scalar, toggle_profile_scalar,
-    total_toggles_scalar,
+    hamming_distance_scalar, peak_toggles_scalar, pin_matrix_scalar, stretch_stats_scalar,
+    toggle_profile_scalar, total_toggles_scalar, StretchTally,
 };
 use proptest::prelude::*;
 
@@ -33,6 +32,22 @@ fn arb_cube_set() -> impl Strategy<Value = CubeSet> {
                 CubeSet::from_cubes(rows.into_iter().map(TestCube::new)).expect("uniform widths")
             },
         )
+    })
+}
+
+/// Fig. 2(c)'s shapes: widths 1–300 with the word edges 63, 64, 65 and
+/// 128 drawn often, 0–90 cubes, and X densities from fully specified (0)
+/// through all-X (1), as `(set, density)`.
+fn arb_stretch_set() -> impl Strategy<Value = (CubeSet, f64)> {
+    let width = (0usize..8, 1usize..=300)
+        .prop_map(|(edge, w)| [63, 64, 65, 128].get(edge).map_or(w, |&e| e));
+    let density = (0u32..=13).prop_map(|k| match k {
+        0 | 1 => 0.0,
+        2 | 3 => 1.0,
+        k => f64::from(k - 3) / 10.0,
+    });
+    (width, 0usize..=90, density, 0u64..u64::MAX).prop_map(|(width, count, density, seed)| {
+        (random_cube_set(width, count, density, seed), density)
     })
 }
 
@@ -73,33 +88,37 @@ proptest! {
         prop_assert_eq!(packed.toggle_profile(), toggle_profile_scalar(&set).unwrap());
     }
 
-    #[test]
-    fn pin_matrix_word_blocked_transpose_equals_scalar(set in arb_cube_set()) {
-        let scalar = pin_matrix_scalar(&set);
-        // The public constructor (packed above the cutoff).
-        prop_assert_eq!(&PinMatrix::from_cube_set(&set), &scalar);
-        // The packed transpose and its inverse, explicitly.
-        let packed = PackedMatrix::from_packed_set(&PackedCubeSet::from(&set));
-        prop_assert_eq!(&packed.to_pin_matrix(), &scalar);
-        prop_assert_eq!(packed.to_packed_set().to_cube_set(), set);
-    }
-
+    /// One pin over up to 199 cubes: the cube-major tally classifies
+    /// the row's stretches (long ones past a word of cubes included)
+    /// exactly as the scalar classifier does.
     #[test]
     fn stretch_classification_packed_equals_scalar(row in proptest::collection::vec(arb_bit(), 1..200)) {
-        let packed = PackedBits::from_bits(&row);
+        let set = CubeSet::from_cubes(row.iter().map(|&b| TestCube::new(vec![b])))
+            .expect("uniform widths");
         prop_assert_eq!(
-            RowStretches::analyze_packed(&packed),
-            RowStretches::analyze(&row)
+            StretchTally::from(&StretchStats::of_cubes(set.as_packed())),
+            stretch_stats_scalar(&pin_matrix_scalar(&set))
         );
     }
 
+    /// The cube-major Fig. 2(c) tally equals the scalar pin-major one,
+    /// field by field, at 1, 2 and 8 threads.
     #[test]
-    fn stretch_stats_packed_equal_scalar(set in arb_cube_set()) {
-        let scalar = StretchStats::of_matrix(&set.to_pin_matrix());
-        let packed = StretchStats::of_packed(&PackedMatrix::from_packed_set(
-            &PackedCubeSet::from(&set),
-        ));
-        prop_assert_eq!(scalar, packed);
+    fn stretch_stats_packed_equal_scalar((set, density) in arb_stretch_set()) {
+        let scalar = stretch_stats_scalar(&pin_matrix_scalar(&set));
+        for threads in [1usize, 2, 8] {
+            let pool = minipool::ThreadPool::new(threads);
+            let packed = minipool::with_pool(&pool, || StretchStats::of_cubes(set.as_packed()));
+            prop_assert_eq!(
+                StretchTally::from(&packed),
+                scalar.clone(),
+                "{}x{} at density {} on {} threads",
+                set.width(),
+                set.len(),
+                density,
+                threads
+            );
+        }
     }
 
     #[test]
@@ -130,16 +149,11 @@ fn seeded_edge_shape_sweep() {
                 toggle_profile_scalar(&set).unwrap(),
                 "width {width} density {density}"
             );
-            assert_eq!(PinMatrix::from_cube_set(&set), pin_matrix_scalar(&set));
-            let m = PackedMatrix::from_packed_set(&PackedCubeSet::from(&set));
-            for r in 0..m.rows() {
-                let scalar_row: Vec<Bit> = (0..m.cols()).map(|c| set.cube(c).bits()[r]).collect();
-                assert_eq!(
-                    RowStretches::analyze_packed(m.row(r)),
-                    RowStretches::analyze(&scalar_row),
-                    "width {width} density {density} row {r}"
-                );
-            }
+            assert_eq!(
+                StretchTally::from(&StretchStats::of_cubes(set.as_packed())),
+                stretch_stats_scalar(&pin_matrix_scalar(&set)),
+                "width {width} density {density}"
+            );
         }
     }
 }
@@ -152,8 +166,7 @@ fn all_x_rows_classified_and_counted() {
     assert_eq!(set.x_count(), 130 * 7);
     assert_eq!(peak_toggles(&set).unwrap(), 0);
     assert_eq!(peak_toggles_scalar(&set).unwrap(), 0);
-    let m = PackedMatrix::from_packed_set(&PackedCubeSet::from(&set));
-    let stats = StretchStats::of_packed(&m);
+    let stats = StretchStats::of_cubes(set.as_packed());
     assert_eq!(stats.total_stretches(), 130);
     assert_eq!(stats.max_len(), 7);
     assert_eq!(stats.transition_stretches(), 0);

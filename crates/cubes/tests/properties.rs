@@ -1,8 +1,7 @@
 //! Property-based tests for the cube substrate.
 
-use dpfill_cubes::{
-    hamming_distance, peak_toggles, stretch::RowStretches, Bit, CubeSet, PinMatrix, TestCube,
-};
+use dpfill_cubes::{hamming_distance, peak_toggles, stretch::StretchStats, Bit, CubeSet, TestCube};
+use dpfill_oracle::pin_matrix_scalar;
 use proptest::prelude::*;
 
 fn arb_bit() -> impl Strategy<Value = Bit> {
@@ -53,7 +52,7 @@ proptest! {
 
     #[test]
     fn pin_matrix_round_trip(set in arb_cube_set()) {
-        let m = set.to_pin_matrix();
+        let m = pin_matrix_scalar(&set);
         prop_assert_eq!(m.rows(), set.width());
         prop_assert_eq!(m.cols(), set.len());
         prop_assert_eq!(m.to_cube_set(), set);
@@ -80,10 +79,11 @@ proptest! {
 
     #[test]
     fn stretch_x_lengths_sum_to_row_x_count(row in proptest::collection::vec(arb_bit(), 1..30)) {
-        let rs = RowStretches::analyze(&row);
-        let total: usize = rs.stretches().iter().map(|s| s.x_len(row.len())).sum();
+        // One pin over `row.len()` cubes: every X lies in one stretch.
+        let set = CubeSet::from_cubes(row.iter().map(|&b| TestCube::new(vec![b])))
+            .expect("uniform widths");
         let x_count = row.iter().filter(|b| b.is_x()).count();
-        prop_assert_eq!(total, x_count);
+        prop_assert_eq!(StretchStats::of_cubes(set.as_packed()).total_x_bits(), x_count);
     }
 
     #[test]
@@ -95,7 +95,8 @@ proptest! {
 
     #[test]
     fn all_x_matrix_has_full_x_count(rows in 1usize..8, cols in 1usize..8) {
-        let m = PinMatrix::all_x(rows, cols);
-        prop_assert_eq!(m.x_count(), rows * cols);
+        let set = CubeSet::from_cubes((0..cols).map(|_| TestCube::new(vec![Bit::X; rows])))
+            .expect("uniform widths");
+        prop_assert_eq!(set.x_count(), rows * cols);
     }
 }

@@ -1,9 +1,10 @@
 //! Fig 2: I-ordering behaviour — (a) bottleneck vs interleave factor,
 //! (b) chosen iterations vs log(n), (c) don't-care stretch statistics
-//! under the three orderings.
+//! under the three orderings. Fig 2(c) counts each reordered set's
+//! stretches in one cube-major pass ([`StretchStats::of_cubes`]), with
+//! no transpose.
 
 use dpfill_core::ordering::{IOrdering, OrderingMethod};
-use dpfill_cubes::packed::PackedMatrix;
 use dpfill_cubes::stretch::{StretchStats, LENGTH_BUCKETS};
 
 use crate::flow::Prepared;
@@ -113,9 +114,10 @@ pub fn fig2c(p: &Prepared) -> (Fig2cResult, TextTable) {
     for o in orderings {
         let order = o.order(&p.cubes).expect("benchmark-scale bounds fit u64");
         let reordered = p.cubes.reordered(&order).expect("permutation");
-        let packed = PackedMatrix::from_packed_set(reordered.as_packed());
-        let s = StretchStats::of_packed(&packed);
-        stats.push((o.label().to_owned(), s));
+        stats.push((
+            o.label().to_owned(),
+            StretchStats::of_cubes(reordered.as_packed()),
+        ));
     }
     let result = Fig2cResult {
         ckt: p.profile.name.to_owned(),

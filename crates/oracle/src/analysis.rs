@@ -1,17 +1,18 @@
 //! The pin-major analysis and row-splice fill — the references for
 //! `dpfill-core`'s cube-major analyzer and filled-value plane.
 //!
-//! [`analyze_pin_major`] transposes each window of cubes to pin rows and
-//! scans every row against its carried last care bit: care arrival by
-//! care arrival on sparse rows, X-run by X-run on dense ones
-//! ([`for_each_stretch_dense`]). [`splice_fill`] transposes the whole
-//! set, copies each row's care values left and flips each colored
-//! stretch's columns after its color, then transposes back.
+//! [`analyze_pin_major`] transposes the set to scalar pin rows and feeds
+//! each window's slice of every row, bit by bit, to the stretch
+//! classifier's one scanner against the row's carried last care bit.
+//! [`splice_fill`] transposes the set, copies each row's care values
+//! left and flips each colored stretch's columns after its color, then
+//! transposes back.
 
 use dpfill_core::IncrementalBound;
-use dpfill_cubes::packed::{PackedBits, PackedCubeSet, PackedMatrix};
-use dpfill_cubes::stretch::{classify_arrival, for_each_stretch_dense, is_dense_row, Stretch};
 use dpfill_cubes::{Bit, CubeSet};
+
+use crate::stretch::{scan_row, Stretch};
+use crate::{pin_matrix_scalar, PinMatrix};
 
 /// One `v X…X w` transition stretch of a pin row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,59 +43,6 @@ pub struct PinMajorAnalysis {
     pub overflow: bool,
 }
 
-/// Per-pin scan state: the last care bit seen, as `(column, value)`.
-type State = Option<(usize, Bit)>;
-
-/// Scans one pin row holding columns `[start, start + row.len())`
-/// against its carried `state`, appending its sites and forced-toggle
-/// columns and noting its first care value.
-fn scan_row(
-    row: &PackedBits,
-    pin: u32,
-    start: usize,
-    state: &mut State,
-    sites: &mut Vec<Site>,
-    forced: &mut Vec<(u32, usize)>,
-    first_one: &mut bool,
-) {
-    let mut record = |s: Stretch, shift: usize| match s {
-        Stretch::Transition {
-            left,
-            right,
-            left_value,
-        } => sites.push(Site {
-            pin,
-            start: (shift + left) as u32,
-            end: (shift + right - 1) as u32,
-            left_value: left_value == Bit::One,
-        }),
-        Stretch::ForcedToggle { col } => forced.push((pin, shift + col)),
-        _ => {}
-    };
-    let mut arrive = |state: &mut State, col: usize, value: Bit| {
-        if state.is_none() && value == Bit::One {
-            *first_one = true;
-        }
-        if let Some(s) = classify_arrival(*state, col, value) {
-            record(s, 0);
-        }
-        *state = Some((col, value));
-    };
-    if is_dense_row(row) {
-        let Some((first, value)) = row.next_care_at_or_after(0) else {
-            return;
-        };
-        arrive(state, start + first, value);
-        for_each_stretch_dense(row, |s| record(s, start));
-        let last = row.last_care().unwrap_or(first);
-        *state = Some((start + last, row.get(last)));
-    } else {
-        for (pos, value) in row.care_positions() {
-            arrive(state, start + pos, value);
-        }
-    }
-}
-
 /// The pin-major analysis of `cubes` fed in windows of `window` cubes,
 /// forced toggles weighed by `weights[pin]` (unit when `None`).
 ///
@@ -107,39 +55,43 @@ pub fn analyze_pin_major(
     weights: Option<&[u64]>,
 ) -> PinMajorAnalysis {
     assert!(window > 0, "windows hold at least one cube");
-    let width = cubes.width();
-    let mut states: Vec<State> = vec![None; width];
+    let (width, cols) = (cubes.width(), cubes.len());
+    let rows = pin_matrix_scalar(cubes);
+    let mut states: Vec<Option<(usize, Bit)>> = vec![None; width];
     let mut per_pin: Vec<Vec<Site>> = vec![Vec::new(); width];
     let mut first_values = vec![0u64; width.div_ceil(64)];
-    let mut baseline = vec![0u64; cubes.len().saturating_sub(1)];
+    let mut baseline = vec![0u64; cols.saturating_sub(1)];
     let mut overflow = false;
     let mut ladder = IncrementalBound::new();
-    for (w, chunk) in cubes.as_packed().cubes().chunks(window).enumerate() {
-        let start = w * window;
-        let rows = PackedMatrix::from_packed_set(&PackedCubeSet::from_rows(width, chunk.to_vec()));
+    for start in (0..cols).step_by(window) {
+        let end = (start + window).min(cols);
         let (mut sites, mut forced) = (Vec::new(), Vec::new());
         for (pin, state) in states.iter_mut().enumerate() {
-            let mut first_one = false;
-            let row = rows.row(pin);
-            scan_row(
-                row,
-                pin as u32,
-                start,
-                state,
-                &mut sites,
-                &mut forced,
-                &mut first_one,
-            );
-            if first_one {
+            let row = &rows.row(pin)[start..end];
+            if state.is_none() && row.iter().find(|b| b.is_care()) == Some(&Bit::One) {
                 first_values[pin / 64] |= 1 << (pin % 64);
             }
+            scan_row(row, start, state, |s| match s {
+                Stretch::Transition {
+                    left,
+                    right,
+                    left_value,
+                } => sites.push(Site {
+                    pin: pin as u32,
+                    start: left as u32,
+                    end: (right - 1) as u32,
+                    left_value: left_value == Bit::One,
+                }),
+                Stretch::ForcedToggle { col } => forced.push((pin, col)),
+                _ => {}
+            });
         }
         for site in sites {
             ladder.add_load(site.start as usize, site.end as usize, 1);
             per_pin[site.pin as usize].push(site);
         }
         for (pin, col) in forced {
-            let w = weights.map_or(1, |w| w[pin as usize]);
+            let w = weights.map_or(1, |w| w[pin]);
             match baseline[col].checked_add(w) {
                 Some(v) => baseline[col] = v,
                 None => overflow = true,
@@ -158,12 +110,8 @@ pub fn analyze_pin_major(
 
 /// The pin-major analysis of an already-transposed matrix, as one
 /// window.
-pub fn analyze_rows(rows: &PackedMatrix) -> PinMajorAnalysis {
-    analyze_pin_major(
-        &CubeSet::from_packed(rows.to_packed_set()),
-        rows.cols().max(1),
-        None,
-    )
+pub fn analyze_rows(rows: &PinMatrix) -> PinMajorAnalysis {
+    analyze_pin_major(&rows.to_cube_set(), rows.cols().max(1), None)
 }
 
 /// Fills `cubes` row by row: every `X` copies the nearest care value to
@@ -181,20 +129,24 @@ pub fn splice_fill(
     colors: &[u32],
 ) -> CubeSet {
     assert_eq!(sites.len(), colors.len(), "one color per site");
-    let mut rows = PackedMatrix::from_packed_set(cubes.as_packed());
-    for (pin, row) in rows.packed_rows_mut().iter_mut().enumerate() {
-        row.fill_copy_left(first_values[pin / 64] >> (pin % 64) & 1 == 1);
+    let mut rows = pin_matrix_scalar(cubes);
+    for pin in 0..rows.rows() {
+        let mut last = Bit::from_bool(first_values[pin / 64] >> (pin % 64) & 1 == 1);
+        for b in rows.row_mut(pin) {
+            if b.is_care() {
+                last = *b;
+            } else {
+                *b = last;
+            }
+        }
     }
     for (site, &color) in sites.iter().zip(colors) {
         assert!(
             site.start <= color && color <= site.end,
             "color {color} outside site {site:?}"
         );
-        let value = Bit::from_bool(!site.left_value);
         let row = rows.row_mut(site.pin as usize);
-        if color < site.end {
-            row.fill_range(color as usize + 1, site.end as usize + 1, value);
-        }
+        row[color as usize + 1..=site.end as usize].fill(Bit::from_bool(!site.left_value));
     }
-    CubeSet::from_packed(rows.to_packed_set())
+    rows.to_cube_set()
 }

@@ -13,8 +13,12 @@
 //!   ([`brute_force_min_peak`]);
 //! * the per-bit toggle walks behind the packed popcount metrics
 //!   ([`toggle_profile_scalar`] and friends);
-//! * the cube-at-a-time pattern parser ([`parse_patterns_scalar`]) and
-//!   the per-bit transpose ([`pin_matrix_scalar`]);
+//! * the cube-at-a-time pattern parser ([`parse_patterns_scalar`]);
+//! * the scalar pin-major view [`PinMatrix`] and its per-bit transpose
+//!   ([`pin_matrix_scalar`]);
+//! * the stretch classifier over those rows ([`Stretch`],
+//!   [`RowStretches`]) and Fig. 2(c)'s tally ([`stretch_stats_scalar`]),
+//!   behind the cube-major `StretchStats`;
 //! * the pin-major windowed analysis ([`analyze_pin_major`]) and row
 //!   splice fill ([`splice_fill`]) behind the cube-major analyzer and
 //!   filled-value plane;
@@ -31,6 +35,7 @@ mod distance;
 pub mod faultio;
 mod format;
 mod matrix;
+mod stretch;
 
 pub use analysis::{analyze_pin_major, analyze_rows, splice_fill, PinMajorAnalysis, Site};
 pub use bcp::{brute_force_min_peak, lower_bound_dp, lower_bound_naive, window_bound_dp};
@@ -39,4 +44,5 @@ pub use distance::{
     weighted_toggle_profile_scalar,
 };
 pub use format::parse_patterns_scalar;
-pub use matrix::pin_matrix_scalar;
+pub use matrix::{pin_matrix_scalar, PinMatrix};
+pub use stretch::{stretch_stats_scalar, RowStretches, Stretch, StretchTally};
